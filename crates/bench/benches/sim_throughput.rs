@@ -5,9 +5,9 @@
 //! (committed at the workspace root). The headline cell is the hot-spot
 //! DAMQ configuration — the workload every swept experiment in this repo
 //! leans on — and the remaining cells put it in context: uniform traffic,
-//! the FIFO baseline, and the three dispatch strategies for the same
-//! simulation (`AnyBuffer` enum dispatch, fully monomorphized
-//! `DamqBuffer`, and the boxed `dyn SwitchBuffer` compatibility facade).
+//! the FIFO baseline, and the two dispatch strategies for the same
+//! simulation (`AnyBuffer` enum dispatch and fully monomorphized
+//! `DamqBuffer`).
 //!
 //! Usage:
 //!
@@ -83,21 +83,14 @@ fn main() {
         let mut enum_sim = NetworkSim::new(hot_spot_config()).expect("valid config");
         let mut typed_sim =
             NetworkSim::<DamqBuffer>::typed(hot_spot_config()).expect("valid config");
-        let mut boxed_sim =
-            NetworkSim::<Box<dyn SwitchBuffer>>::typed(hot_spot_config()).expect("valid config");
         enum_sim.run(50);
         typed_sim.run(50);
-        boxed_sim.run(50);
         assert_eq!(
             enum_sim.metrics().delivered(),
             typed_sim.metrics().delivered()
         );
-        assert_eq!(
-            enum_sim.metrics().delivered(),
-            boxed_sim.metrics().delivered()
-        );
         assert!(enum_sim.metrics().delivered() > 0);
-        println!("sim_throughput smoke: 3 dispatch paths agree after 50 cycles");
+        println!("sim_throughput smoke: both dispatch paths agree after 50 cycles");
         return;
     }
 
@@ -120,13 +113,6 @@ fn main() {
         NetworkSim::typed(c).expect("valid config")
     });
     cells.push(("hotspot_damq_typed", cps));
-    let cps = bench_steps::<Box<dyn SwitchBuffer>, _>(
-        "hotspot_damq_boxdyn",
-        hot_spot_config(),
-        WARM_UP,
-        |c| NetworkSim::typed(c).expect("valid config"),
-    );
-    cells.push(("hotspot_damq_boxdyn", cps));
     let cps = bench_steps("uniform_damq", uniform_config(BufferKind::Damq), 500, |c| {
         NetworkSim::new(c).expect("valid config")
     });

@@ -11,9 +11,8 @@
 //! [`BuildBuffer`] is the construction half: it lets a generic container
 //! (`Switch<B>`, `NetworkSim<B, _>`) build its buffers from a
 //! [`BufferConfig`] plus a [`BufferKind`] hint without knowing `B`
-//! concretely. The hint is honoured by the kind-erased implementors
-//! ([`AnyBuffer`], `Box<dyn SwitchBuffer>`) and ignored by the concrete
-//! designs, which *are* their kind.
+//! concretely. The hint is honoured by the kind-erased [`AnyBuffer`] and
+//! ignored by the concrete designs, which *are* their kind.
 
 use crate::audit::AuditError;
 use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
@@ -30,8 +29,8 @@ use crate::{DafcBuffer, DamqBuffer, FifoBuffer, OutputPort, SafcBuffer, SamqBuff
 /// run-time kind-selection API (`BufferKind` in a config) while letting
 /// the compiler monomorphize the data path. Use a concrete design
 /// (`Switch<DamqBuffer>`) when the kind is fixed at compile time, or
-/// `Box<dyn SwitchBuffer>` only for heterogeneous collections outside
-/// the hot path.
+/// `Box<dyn SwitchBuffer>` ([`BufferConfig::build`]) only for
+/// heterogeneous collections outside the simulation stack.
 ///
 /// # Examples
 ///
@@ -201,8 +200,8 @@ impl SwitchBuffer for AnyBuffer {
 /// the bridge that lets `Switch<B>` and `NetworkSim<B, _>` stay generic
 /// while still being configured through [`BufferKind`].
 ///
-/// Kind-erased implementors ([`AnyBuffer`], `Box<dyn SwitchBuffer>`)
-/// build the design `kind` names. Concrete designs ignore the hint: a
+/// The kind-erased [`AnyBuffer`] builds the design `kind` names.
+/// Concrete designs ignore the hint: a
 /// `Switch<DamqBuffer>` holds DAMQ buffers no matter what the config's
 /// `buffer_kind` says (the config field exists for the kind-erased
 /// default path).
@@ -252,120 +251,6 @@ impl BuildBuffer for DafcBuffer {
     }
 }
 
-// The compatibility facade: the pre-monomorphization boxed representation
-// remains a first-class buffer type, so generic containers can still be
-// instantiated with `Box<dyn SwitchBuffer>` (the dispatch-equivalence
-// tests drive both paths through the same simulations). Kept out of the
-// hot path — `cargo xtask lint` forbids it in the switch and network
-// crates.
-impl SwitchBuffer for Box<dyn SwitchBuffer> {
-    fn kind(&self) -> BufferKind {
-        (**self).kind()
-    }
-
-    fn fanout(&self) -> usize {
-        (**self).fanout()
-    }
-
-    fn capacity_slots(&self) -> usize {
-        (**self).capacity_slots()
-    }
-
-    fn used_slots(&self) -> usize {
-        (**self).used_slots()
-    }
-
-    fn slot_bytes(&self) -> usize {
-        (**self).slot_bytes()
-    }
-
-    fn read_ports(&self) -> usize {
-        (**self).read_ports()
-    }
-
-    fn can_accept(&self, output: OutputPort, slots: usize) -> bool {
-        (**self).can_accept(output, slots)
-    }
-
-    fn accept_capacity(&self, output: OutputPort) -> usize {
-        (**self).accept_capacity(output)
-    }
-
-    fn front_meta(&self, output: OutputPort) -> Option<FrontMeta> {
-        (**self).front_meta(output)
-    }
-
-    fn try_enqueue(&mut self, output: OutputPort, packet: Packet) -> Result<(), Rejected> {
-        (**self).try_enqueue(output, packet)
-    }
-
-    fn queue_len(&self, output: OutputPort) -> usize {
-        (**self).queue_len(output)
-    }
-
-    fn queue_lens_into(&self, lens: &mut [u16]) {
-        (**self).queue_lens_into(lens)
-    }
-
-    fn front(&self, output: OutputPort) -> Option<&Packet> {
-        (**self).front(output)
-    }
-
-    fn dequeue(&mut self, output: OutputPort) -> Option<Packet> {
-        (**self).dequeue(output)
-    }
-
-    fn packet_count(&self) -> usize {
-        (**self).packet_count()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        (**self).stats()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
-    }
-
-    fn free_slots(&self) -> usize {
-        (**self).free_slots()
-    }
-
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
-    fn eligible_outputs(&self) -> Vec<OutputPort> {
-        (**self).eligible_outputs()
-    }
-
-    fn note_hol_blocked(&mut self) -> u64 {
-        (**self).note_hol_blocked()
-    }
-
-    fn kill_slot(&mut self, hint: OutputPort) -> bool {
-        (**self).kill_slot(hint)
-    }
-
-    fn dead_slots(&self) -> usize {
-        (**self).dead_slots()
-    }
-
-    fn audit(&self) -> Result<(), AuditError> {
-        (**self).audit()
-    }
-
-    fn check_invariants(&self) {
-        (**self).check_invariants()
-    }
-}
-
-impl BuildBuffer for Box<dyn SwitchBuffer> {
-    fn build_buffer(config: BufferConfig, kind: BufferKind) -> Result<Self, ConfigError> {
-        config.build(kind)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,7 +290,7 @@ mod tests {
         let cfg = BufferConfig::new(4, 4);
         for kind in BufferKind::EXTENDED {
             let mut a = AnyBuffer::build_buffer(cfg, kind).unwrap();
-            let mut b = <Box<dyn SwitchBuffer>>::build_buffer(cfg, kind).unwrap();
+            let mut b = cfg.build(kind).unwrap();
             for (i, out) in [0usize, 1, 1, 3, 0].into_iter().enumerate() {
                 let out = OutputPort::new(out);
                 assert_eq!(a.can_accept(out, 1), b.can_accept(out, 1), "{kind}");

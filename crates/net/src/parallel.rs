@@ -6,7 +6,7 @@
 //! ([`IslandPartition`]) and steps each stage in two phases:
 //!
 //! * **Phase A (parallel)** — every island arbitrates its switches with
-//!   [`Switch::transmit_cycle`], probing downstream space through
+//!   [`Switch::transmit_cycle_with`], probing downstream space through
 //!   `&self` reads, and parks each departure in its island's
 //!   [`StageLane`] as a [`DepartRecord`].
 //! * **Phase B (serial merge)** — the lanes drain in ascending island

@@ -1,10 +1,10 @@
-//! Dispatch-path and storage-layout equivalence: the monomorphized
-//! simulator must be bit-for-bit the same simulation as the trait-object
+//! Dispatch-path and storage-layout equivalence: the enum-dispatched
+//! simulator must be bit-for-bit the same simulation as the fully typed
 //! one, and the SoA buffer layouts the same simulation as their frozen
 //! AoS twins.
 //!
-//! The enum-dispatched default (`NetworkSim<AnyBuffer>`) and the boxed
-//! compatibility facade (`NetworkSim<Box<dyn SwitchBuffer>>`) differ only
+//! The enum-dispatched default (`NetworkSim<AnyBuffer>`) and the fully
+//! monomorphized path (`NetworkSim<DamqBuffer>`, ...) differ only
 //! in how buffer calls are dispatched; RNG draws, arbiter decisions and
 //! routing must be identical. The structure-of-arrays designs (`FifoBuffer`,
 //! `SamqBuffer`, `SafcBuffer`, `DamqBuffer`, `DafcBuffer`) and the frozen
@@ -18,7 +18,7 @@
 use damq_core::{
     AosDafcBuffer, AosDamqBuffer, AosFifoBuffer, AosSafcBuffer, AosSamqBuffer, BufferKind,
     BufferStats, DafcBuffer, DamqBuffer, FaultLedger, FaultPlan, FaultSpec, FifoBuffer, SafcBuffer,
-    SamqBuffer, SwitchBuffer,
+    SamqBuffer,
 };
 use damq_net::{NetworkConfig, NetworkSim, TrafficPattern};
 use damq_switch::FlowControl;
@@ -79,8 +79,14 @@ fn run_with_faults<B: damq_core::BuildBuffer>(
 
 fn assert_paths_agree(config: NetworkConfig, cycles: u64, label: &str) {
     let enum_path = run::<damq_core::AnyBuffer>(config, cycles);
-    let boxed_path = run::<Box<dyn SwitchBuffer>>(config, cycles);
-    assert_eq!(enum_path, boxed_path, "{label}: enum vs boxed dispatch");
+    let typed_path = match config.kind() {
+        BufferKind::Fifo => run::<FifoBuffer>(config, cycles),
+        BufferKind::Samq => run::<SamqBuffer>(config, cycles),
+        BufferKind::Safc => run::<SafcBuffer>(config, cycles),
+        BufferKind::Damq => run::<DamqBuffer>(config, cycles),
+        BufferKind::Dafc => run::<DafcBuffer>(config, cycles),
+    };
+    assert_eq!(enum_path, typed_path, "{label}: enum vs typed dispatch");
     assert!(enum_path.generated > 0, "{label}: degenerate run");
 }
 

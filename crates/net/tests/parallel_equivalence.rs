@@ -11,11 +11,16 @@
 //! fault ledgers, and the full JSONL trace — must be equal across
 //! thread counts, on uniform, hot-spot and fault-injected workloads,
 //! for all five buffer designs, under both flow-control protocols.
+//!
+//! Every run here is also stepped cycle by cycle with the store
+//! cross-check of [`assert_stores_agree`]: a packet's fate is written to
+//! `NetMetrics`, the metrics registry, the fault ledger and the trace,
+//! and the four must agree after every cycle at every thread count.
 
-use damq_core::{BufferKind, BufferStats, FaultPlan, FaultSpec};
+use damq_core::{AnyBuffer, BufferKind, BufferStats, FaultPlan, FaultSpec};
 use damq_net::{NetworkConfig, NetworkSim, RecoveryConfig, TrafficPattern};
 use damq_switch::FlowControl;
-use damq_telemetry::MemorySink;
+use damq_telemetry::{Event, MemorySink, TraceSummary};
 
 /// Everything observable about a finished run, including the raw trace.
 #[derive(Debug, PartialEq)]
@@ -54,7 +59,17 @@ fn run(config: NetworkConfig, faults: Option<&FaultPlan>, threads: usize, cycles
     if let Some(plan) = faults {
         sim.install_fault_plan(plan.clone());
     }
-    sim.run(cycles);
+    // Step cycle by cycle, checking after each that every store a
+    // packet's fate is written to tells the same story.
+    let mut summary = TraceSummary::new();
+    let mut fed = 0;
+    for _ in 0..cycles {
+        sim.step();
+        let events = sim.sink().events();
+        events[fed..].iter().for_each(|e| summary.feed(e));
+        fed = events.len();
+        assert_stores_agree(&sim, &summary);
+    }
     sim.audit().expect("post-run audit");
     let m = sim.metrics();
     let ledger = sim.fault_ledger();
@@ -85,6 +100,96 @@ fn run(config: NetworkConfig, faults: Option<&FaultPlan>, threads: usize, cycles
             .map(|e| e.to_jsonl() + "\n")
             .collect(),
     }
+}
+
+/// Each fate is counted once in every store: the windowed `NetMetrics`
+/// (never reset here, so lifetime), the `net.*` / `net.fault.*` registry
+/// counters, the `FaultLedger`, and a `TraceSummary` of the events
+/// emitted so far must agree, cause by cause.
+fn assert_stores_agree(sim: &NetworkSim<AnyBuffer, MemorySink<Event>>, trace: &TraceSummary) {
+    let at = sim.cycle();
+    let m = sim.metrics();
+    let ledger = sim.fault_ledger();
+    let reg = |name: &str| {
+        sim.metrics_registry()
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("{name} is not registered"))
+    };
+    let same = |what: &str, values: &[u64]| {
+        assert!(
+            values.windows(2).all(|w| w[0] == w[1]),
+            "cycle {at}: stores disagree on {what}: {values:?}"
+        );
+    };
+    same("cycles", &[m.cycles(), reg("net.cycles"), at]);
+    same(
+        "generated",
+        &[m.generated(), reg("net.generated"), trace.generated],
+    );
+    same(
+        "injected",
+        &[m.injected(), reg("net.injected"), trace.injected],
+    );
+    same(
+        "delivered",
+        &[m.delivered(), reg("net.delivered"), trace.delivered],
+    );
+    same(
+        "entry discards",
+        &[m.discarded_entry(), reg("net.discarded_entry")],
+    );
+    same(
+        "network discards",
+        &[m.discarded_network(), reg("net.discarded_network")],
+    );
+    // The trace splits discards by cause; a give-up is an entry or a
+    // network discard depending on the hop that parked it.
+    let traced_discards = trace.entry_discards
+        + trace.network_discards
+        + trace.corrupt_drops
+        + trace.misroutes
+        + trace.gave_ups;
+    same("discards", &[m.discarded(), traced_discards]);
+    assert!(trace.entry_discards <= m.discarded_entry());
+    same("give-ups", &[reg("net.retry_exhausted"), trace.gave_ups]);
+    same(
+        "slot kills",
+        &[
+            ledger.slots_killed,
+            reg("net.fault.slots_killed"),
+            trace.slot_kills,
+        ],
+    );
+    same(
+        "corrupt drops",
+        &[
+            ledger.corrupt_dropped,
+            reg("net.fault.corrupt_dropped"),
+            trace.corrupt_drops,
+        ],
+    );
+    same(
+        "link drops",
+        &[ledger.link_dropped, reg("net.fault.link_dropped")],
+    );
+    // Wrong-sink arrivals have their own event; a misrouted packet lost
+    // mid-network is a plain network discard in the trace.
+    same(
+        "misroute drops",
+        &[ledger.misrouted, reg("net.fault.misrouted")],
+    );
+    assert!(trace.misroutes <= ledger.misrouted);
+    same(
+        "invalidated probes",
+        &[ledger.probe_invalidated, reg("net.fault.probe_invalidated")],
+    );
+    assert!(ledger.dropped() <= m.discarded());
+    same("retransmits", &[reg("net.retransmits"), trace.retransmits]);
+    same(
+        "recirculations",
+        &[reg("net.recirculated"), trace.recirculations],
+    );
+    same("reroutes", &[reg("net.rerouted"), trace.reroutes]);
 }
 
 fn assert_threads_agree(
@@ -282,7 +387,7 @@ fn metrics_registry_snapshot_matches_across_thread_counts() {
 /// The PR 9 acceptance gate: the self-healing data path — link-level
 /// retransmission, believed link-health tracking, and fault-adaptive
 /// deflection rerouting — mutates state only in the serial sections of
-/// the cycle (`service_recovery` at cycle start, phase-B merges,
+/// the cycle (`RecoveryState::service` at cycle start, phase-B merges,
 /// inject), while phase-A probes read an immutable view. These runs pin
 /// that argument: with retransmission + rerouting + a storm of faults
 /// all active, every observable (including the retransmit/reroute
@@ -318,6 +423,27 @@ fn recovery_runs_match_across_thread_counts() {
             &[2, 4, 8],
             &format!("recovery/{flow}"),
         );
+    }
+    // The paper's 64-terminal shape under a heavier storm: three stages,
+    // so interior hops on both sides of a stage park, deflect and drop.
+    let plan = FaultPlan::generate(
+        13,
+        &FaultSpec {
+            dead_slot_fraction: 0.1,
+            link_flaps: 12,
+            flap_duration: 40,
+            corrupt_packets: 8,
+            misroutes: 8,
+            ..FaultSpec::fault_free(3, 16, 4, 64, 4, 250)
+        },
+    );
+    for flow in FlowControl::ALL {
+        let config = uniform(64, 4)
+            .flow_control(flow)
+            .recovery(RecoveryConfig::enabled())
+            .seed(29);
+        let label = format!("recovery-64/{flow}");
+        assert_threads_agree(config, Some(&plan), 350, &[2], &label);
     }
 }
 

@@ -5,9 +5,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use damq_core::{BufferKind, NodeId};
-use damq_net::{NetworkConfig, NetworkSim, OmegaTopology, TrafficPattern};
+use damq_core::{BufferKind, FaultPlan, FaultSite, NodeId};
+use damq_net::{NetworkConfig, NetworkSim, OmegaTopology, RecoveryConfig, TrafficPattern};
 use damq_switch::FlowControl;
+use damq_telemetry::{EventKind, MemorySink};
 
 /// (size, radix) pairs that form valid Omega networks.
 const DIMENSIONS: [(usize, usize); 10] = [
@@ -225,5 +226,105 @@ fn permutation_traffic_reaches_only_its_targets() {
             }
         }
         assert!(sim.metrics().delivered() > 0, "seed {seed}");
+    }
+}
+
+/// Degenerate recovery configurations (every field of `RecoveryConfig` is
+/// `pub` and unvalidated) must yield ledgered drops or indefinitely
+/// parked packets — never a panic, a failed audit or a packet counted
+/// twice. The first two rows overflowed an unchecked `cycle + timeout`
+/// deadline before deadlines saturated.
+#[test]
+fn degenerate_recovery_configs_conserve_every_packet() {
+    let on = RecoveryConfig::enabled();
+    let table = [
+        (
+            "base_timeout=MAX",
+            RecoveryConfig {
+                base_timeout: u64::MAX,
+                ..on
+            },
+        ),
+        (
+            "detection_window=MAX",
+            RecoveryConfig {
+                detection_window: u64::MAX,
+                ..on
+            },
+        ),
+        (
+            "retransmit_slots=0",
+            RecoveryConfig {
+                retransmit_slots: 0,
+                ..on
+            },
+        ),
+        (
+            "misroute_budget=0",
+            RecoveryConfig {
+                misroute_budget: 0,
+                ..on
+            },
+        ),
+        (
+            "max_retries=0",
+            RecoveryConfig {
+                max_retries: 0,
+                ..on
+            },
+        ),
+        (
+            "adaptive only",
+            RecoveryConfig {
+                retransmit: false,
+                ..on
+            },
+        ),
+    ];
+    let site = FaultSite {
+        stage: 1,
+        switch: 0,
+        input: 0,
+    };
+    let plan = FaultPlan::new()
+        .with_link_down(10, site, 60)
+        .with_corruption(1, 0)
+        .with_misroute(5, 0, 0);
+    for (label, recovery) in table {
+        for flow in FlowControl::ALL {
+            let config = NetworkConfig::new(16, 4)
+                .flow_control(flow)
+                .recovery(recovery)
+                .seed(17);
+            let mut sim = NetworkSim::with_sink(config, MemorySink::new()).unwrap();
+            sim.install_fault_plan(plan.clone());
+            sim.run(300);
+            sim.audit()
+                .unwrap_or_else(|e| panic!("{label}/{flow}: {e}"));
+            // Each packet ends in at most one bucket, and the buckets plus
+            // the packets still somewhere in the network are everything
+            // that was generated.
+            let mut ended = std::collections::BTreeSet::new();
+            for event in sim.sink().events() {
+                let packet = match event.kind {
+                    EventKind::Delivered { packet, .. }
+                    | EventKind::EntryDiscarded { packet, .. }
+                    | EventKind::NetworkDiscarded { packet, .. }
+                    | EventKind::Misrouted { packet, .. }
+                    | EventKind::CorruptDropped { packet, .. }
+                    | EventKind::GaveUp { packet, .. } => packet,
+                    _ => continue,
+                };
+                assert!(ended.insert(packet), "{label}/{flow}: {packet} ended twice");
+            }
+            let m = sim.metrics();
+            assert_eq!(ended.len() as u64, m.delivered() + m.discarded());
+            let live = sim.source_backlog() + sim.packets_in_flight() + sim.recovery_held();
+            assert_eq!(
+                m.generated(),
+                ended.len() as u64 + live as u64,
+                "{label}/{flow}"
+            );
+        }
     }
 }

@@ -143,8 +143,7 @@ impl<B: BuildBuffer> Switch<B> {
     ///
     /// Concrete designs ignore the configuration's `buffer_kind`
     /// (`Switch::<DamqBuffer>::typed(..)` holds DAMQ buffers regardless);
-    /// kind-erased types ([`AnyBuffer`], `Box<dyn SwitchBuffer>`) honour
-    /// it.
+    /// the kind-erased [`AnyBuffer`] honours it.
     ///
     /// # Errors
     ///

@@ -23,11 +23,13 @@
 //!     registry's namespace stays documented as it grows.
 //! 11. **hot-path-alloc** — the named cycle-kernel functions of the
 //!     core/switch/net crates (`try_enqueue`, `transmit_cycle_with`,
-//!     `advance_stages`, …) must not allocate or copy payloads:
+//!     `merge_interior_stage`, …) must not allocate or copy payloads:
 //!     `Box::new`, `with_capacity`, `.to_vec()` and `.clone()` are
 //!     flagged inside their brace spans. Scratch belongs in the owning
 //!     struct, hoisted to construction; waivers carry
-//!     `// lint: allow — why`.
+//!     `// lint: allow — why`. Kernels are matched by *name*, so a
+//!     listed name that no function carries any more is itself a
+//!     finding — a rename must not silently unguard the hot path.
 //! 12. **reject-reason-coverage** — every variant of `RejectReason`
 //!     (declared in `crates/core/src/error.rs`) must appear as a
 //!     `RejectReason::Variant` match-arm pattern in non-test code of
@@ -678,7 +680,7 @@ const HOT_PATH_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "c
 /// steady-state `NetworkSim::step` executes per cycle. Constructors and
 /// cold paths (audits, snapshots, telemetry emission) are exempt —
 /// scratch is *supposed* to be allocated there.
-const KERNEL_FNS: [&str; 13] = [
+const KERNEL_FNS: [&str; 23] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -690,12 +692,27 @@ const KERNEL_FNS: [&str; 13] = [
     // switch: the batched arbitration kernel and its ingress.
     "transmit_cycle_with",
     "receive",
-    // net: the cycle loop.
+    // net: the cycle loop, step by step …
     "step",
     "generate",
     "advance_stages",
+    "arbitrate_stage",
+    "merge_last_stage",
+    "merge_interior_stage",
     "inject",
+    // … the hop primitive and the recovery ladder the merges call …
+    "hop",
+    "rescue",
+    // … and the packet-fate owner every step reports to.
+    "generated",
+    "injected",
+    "forwarded",
+    "delivered",
+    "dropped",
 ];
+
+/// Where [`KERNEL_FNS`] lives, for findings about the list itself.
+const KERNEL_LIST_FILE: &str = "crates/xtask/src/analyze/lints.rs";
 
 /// Line spans of every kernel function in `code`, as
 /// `(open_line, close_line, name)` — found by walking the brace tree for
@@ -735,13 +752,24 @@ fn collect_kernel_spans(
 /// named by [`KERNEL_FNS`] the tokens `Box::new`, `with_capacity(`,
 /// `.to_vec()` and `.clone()` are findings. Waivers carry
 /// `// lint: allow — why`.
+///
+/// The guard is by function name, so a [`KERNEL_FNS`] entry that matches
+/// no non-test function under [`HOT_PATH_CRATES`] is a finding too: the
+/// kernel was renamed, split or deleted, and the list must follow it.
 fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
+    let mut matched: Vec<&'static str> = Vec::new();
     for prefix in HOT_PATH_CRATES {
         for file in ws.files_under(prefix) {
             let spans = kernel_fn_spans(&file.code);
             if spans.is_empty() {
                 continue;
             }
+            matched.extend(
+                spans
+                    .iter()
+                    .filter(|&&(open, _, _)| !file.in_test_code(open))
+                    .map(|&(_, _, name)| name),
+            );
             for (i, tok) in file.code.iter().enumerate() {
                 let after_dot = i > 0 && file.code[i - 1].is_punct('.');
                 let calls = file.code.get(i + 1).is_some_and(|t| t.is_punct('('));
@@ -783,6 +811,27 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                     ));
                 }
             }
+        }
+    }
+    // Partial workspaces (unit tests of the rules above) cannot tell a
+    // stale entry from a crate that simply is not loaded.
+    let whole = HOT_PATH_CRATES
+        .iter()
+        .all(|prefix| ws.files_under(prefix).next().is_some());
+    if !whole {
+        return;
+    }
+    for kernel in KERNEL_FNS {
+        if !matched.contains(&kernel) {
+            findings.push(Finding {
+                path: PathBuf::from(KERNEL_LIST_FILE),
+                line: 0,
+                message: format!(
+                    "KERNEL_FNS lists `{kernel}` but no function of that name exists \
+                     under {HOT_PATH_CRATES:?} — the kernel was renamed or removed and \
+                     is no longer guarded; update the list"
+                ),
+            });
         }
     }
 }
@@ -1091,6 +1140,40 @@ mod tests {
              }\n",
         )]);
         assert!(run(hot_path_alloc, &ws).is_empty());
+    }
+
+    #[test]
+    fn hot_path_alloc_flags_stale_kernel_names() {
+        // Every listed kernel is defined once across the three hot-path
+        // crates, except `merge_interior_stage`, which only a test
+        // module still defines.
+        let defs = |skip: &str| -> String {
+            KERNEL_FNS
+                .iter()
+                .filter(|k| **k != skip)
+                .map(|k| format!("fn {k}() {{}}\n"))
+                .collect()
+        };
+        let net = format!(
+            "{}#[cfg(test)]\nmod tests {{\nfn merge_interior_stage() {{}}\n}}\n",
+            defs("merge_interior_stage")
+        );
+        let ws = ws_with(vec![
+            ("crates/core/src/x.rs", "fn helper() {}\n"),
+            ("crates/switch/src/x.rs", "fn helper() {}\n"),
+            ("crates/net/src/x.rs", &net),
+        ]);
+        let findings = run(hot_path_alloc, &ws);
+        assert_eq!(findings.len(), 1, "only the renamed kernel is stale");
+        assert!(findings[0].message.contains("`merge_interior_stage`"));
+        assert!(findings[0].path.ends_with("lints.rs"));
+
+        let ws = ws_with(vec![
+            ("crates/core/src/x.rs", "fn helper() {}\n"),
+            ("crates/switch/src/x.rs", "fn helper() {}\n"),
+            ("crates/net/src/x.rs", &defs("")),
+        ]);
+        assert!(run(hot_path_alloc, &ws).is_empty(), "full list, no finding");
     }
 
     #[test]

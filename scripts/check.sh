@@ -5,8 +5,9 @@
 # model checker, the fault-injection smoke (self-healing harness +
 # resume), the observability smoke (metrics-registry golden + disabled
 # overhead), the chaos soak smoke (recovery protocols under randomized
-# fault storms, minimized-reproducer loop), sanitizer smokes (miri +
-# TSan, probed and skipped with a note
+# fault storms, minimized-reproducer loop), the benchmark smoke (every
+# BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
+# sanitizer smokes (miri + TSan, probed and skipped with a note
 # where the toolchain lacks them), and rustdoc with warnings denied
 # (`#![deny(missing_docs)]` in the crates turns any missing doc into a
 # hard failure here).
@@ -22,6 +23,7 @@
 #        scripts/check.sh obs-smoke        # just the observability smoke
 #        scripts/check.sh soa-smoke        # just the SoA hot-path smoke
 #        scripts/check.sh chaos-smoke      # just the chaos soak smoke
+#        scripts/check.sh bench-smoke      # just the benchmark smoke
 #        scripts/check.sh sanitizer-smoke  # miri + TSan, skip when unsupported
 set -Eeuo pipefail
 cd "$(dirname "$0")/.."
@@ -146,6 +148,20 @@ chaos_smoke() {
     rm -rf "$tmp"
 }
 
+# Satellite gate: the repo benchmark (BENCHMARK.json) still builds
+# against the public API and still simulates the same facts. Runs every
+# workload at smoke size through the stand-alone `benchmark/` package
+# (~25 s including its build); the run fails if any unit's fingerprint
+# differs from its `benchmark/pins.tsv` row, an audit fails, or a
+# declared metric is missing.
+bench_smoke() {
+    gate "bench-smoke: every workload matches its pinned fingerprint"
+    bash benchmark/run.sh --smoke > /dev/null 2>&1 || {
+        # Re-run loudly so the log names the failing workload.
+        bash benchmark/run.sh --smoke
+    }
+}
+
 # Tentpole gate: the in-tree static analyzer. The twelve structural lints
 # (lexer-backed, no regex) must report zero findings, the generated
 # unsafe ledger must be fresh, and — in the full run — clippy and
@@ -230,6 +246,11 @@ chaos-smoke)
     echo "chaos-smoke passed"
     exit 0
     ;;
+bench-smoke)
+    bench_smoke
+    echo "bench-smoke passed"
+    exit 0
+    ;;
 sanitizer-smoke)
     sanitizer_smoke
     echo "sanitizer-smoke passed"
@@ -237,7 +258,7 @@ sanitizer-smoke)
     ;;
 all) ;;
 *)
-    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|sanitizer-smoke]" >&2
+    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|sanitizer-smoke]" >&2
     exit 2
     ;;
 esac
@@ -264,7 +285,7 @@ cargo test -q -p damq-net --test telemetry
 gate "telemetry: disabled instrumentation compiles away"
 cargo bench -p damq-bench --bench no_op_sink_overhead
 
-gate "dispatch smoke: all three dispatch paths agree"
+gate "dispatch smoke: both dispatch paths agree"
 cargo bench -p damq-bench --bench sim_throughput -- --smoke
 
 fault_smoke
@@ -276,6 +297,8 @@ obs_smoke
 soa_smoke
 
 chaos_smoke
+
+bench_smoke
 
 sanitizer_smoke
 
