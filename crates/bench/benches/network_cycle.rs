@@ -4,11 +4,13 @@
 //! [`damq_bench::timing`] harness.
 
 use std::hint::black_box;
+use std::time::Instant;
 
 use damq_bench::timing::bench;
 use damq_core::BufferKind;
 use damq_microarch::{Chip, ChipConfig, RouteEntry};
 use damq_net::{NetworkConfig, NetworkSim};
+use damq_switch::FlowControl;
 
 /// One 64x64 network cycle at 0.5 offered load, per buffer design.
 fn bench_network_cycle() {
@@ -27,6 +29,42 @@ fn bench_network_cycle() {
             sim.step();
             black_box(sim.metrics().delivered())
         });
+    }
+}
+
+/// Cost of one switch-cycle as the fabric grows (DAMQ, 4 slots, blocking,
+/// load 0.4): the per-switch work is the same at every size, so a rise
+/// with size is the working set leaving a cache level, not more work.
+///
+/// Not through [`bench`]: each sample is a fresh network (warmed up, then
+/// about three million switch-cycles, a second or so) and the minimum of
+/// seven is reported, because a shared host's interference comes in
+/// phases of seconds — longer than a whole 20 ms-batch benchmark.
+fn bench_size_sweep() {
+    const RUNS: usize = 7;
+    println!("-- size sweep: ns per switch-cycle, min of {RUNS} fresh networks --");
+    for (size, stages) in [(64usize, 3usize), (256, 4), (1024, 5), (4096, 6)] {
+        let switches = stages * size / 4;
+        let cycles = (3_000_000 / switches) as u64;
+        let mut best = f64::INFINITY;
+        for _ in 0..RUNS {
+            let mut sim = NetworkSim::new(
+                NetworkConfig::new(size, 4)
+                    .buffer_kind(BufferKind::Damq)
+                    .slots_per_buffer(4)
+                    .flow_control(FlowControl::Blocking)
+                    .offered_load(0.4)
+                    .seed(0xBEEF),
+            )
+            .unwrap();
+            sim.run(1_000); // steady state
+            let start = Instant::now();
+            sim.run(cycles);
+            let ns = start.elapsed().as_nanos() as f64;
+            black_box(sim.metrics().delivered());
+            best = best.min(ns / (cycles * switches as u64) as f64);
+        }
+        println!("omega{size}_blocking ({switches} switches x {cycles} cycles): {best:.0} ns/switch-cycle");
     }
 }
 
@@ -79,6 +117,9 @@ fn bench_chip_tick() {
 }
 
 fn main() {
+    // First, on a fresh heap: where a network's blocks land depends on
+    // what was allocated and freed before it.
+    bench_size_sweep();
     bench_network_cycle();
     bench_measurement_window();
     bench_chip_tick();

@@ -54,6 +54,7 @@ mod error;
 mod faults;
 mod fifo;
 mod ids;
+mod inline;
 mod packet;
 mod safc;
 mod samq;
@@ -72,6 +73,7 @@ pub use error::{ConfigError, RejectReason, Rejected};
 pub use faults::{FaultEvent, FaultLedger, FaultPlan, FaultSite, FaultSpec};
 pub use fifo::FifoBuffer;
 pub use ids::{InputPort, NodeId, OutputPort, PacketId};
+pub use inline::InlineArray;
 pub use packet::{Packet, PacketBuilder, PacketIdSource, DEFAULT_SLOT_BYTES, MAX_PACKET_BYTES};
 pub use safc::SafcBuffer;
 pub use samq::SamqBuffer;

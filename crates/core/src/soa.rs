@@ -6,36 +6,47 @@
 //! slot it heads, so walking a list drags every payload through the
 //! cache and each pointer step is an `Option<SlotId>` branch.
 //! [`SoaSlots`] keeps the identical register semantics but splits the
-//! state into parallel arrays, exactly as the hardware does:
+//! state the way the hardware does — a small register file held *inside*
+//! the pool, and the payload RAM beside it:
 //!
 //! ```text
 //!  slot      0     1     2     3     4     5          (u16 indices)
-//!  next   [  1 ][ NIL ][  4 ][ NIL ][ NIL ][  3 ]     pointer registers
-//!  span   [  0 ][  2  ][  0 ][  0  ][  1  ][  2 ]     length registers
-//!  dest   [  0 ][ 17  ][  0 ][  0  ][  3  ][ 42 ]     destination registers
-//!  state  [ FREE][ HEAD][CONT][CONT ][HEAD ][HEAD]    tag bytes
-//!  arena  [  -  ][ pkt ][  - ][  -  ][ pkt ][ pkt]    out-of-line payloads
+//!  next   [  1 ][ NIL ][  4 ][ NIL ][ NIL ][  3 ]     pointer registers  ┐
+//!  span   [  0 ][  2  ][  0 ][  0  ][  1  ][  2 ]     length registers   │ one 16-byte
+//!  dest   [  0 ][ 17  ][  0 ][  0  ][  3  ][ 42 ]     destination regs   │ record per
+//!  length [  0 ][ 12  ][  0 ][  0  ][  8  ][ 16 ]     payload-length regs│ slot, inline
+//!  state  [ FREE][ HEAD][CONT][CONT ][HEAD ][HEAD]    tag bytes          ┘
+//!  arena  [  -  ][ pkt ][  - ][  -  ][ pkt ][ pkt]    out-of-line payloads (one heap block)
 //!
-//!  list registers (list 0 = free list, list 1+q = queue q):
+//!  list registers (list 0 = free list, list 1+q = queue q), one 8-byte
+//!  record per list, inline:
 //!  head  [ 0 ][ 5 ][ 4 ]   tail [ 0 ][ 2 ][ 4 ]
 //!  slots [ 1 ][ 4 ][ 1 ]   pkts [ 0 ][ 2 ][ 1 ]
 //! ```
 //!
 //! `NIL` (`u16::MAX`) plays the role of the null pointer register, so
 //! every free-list operation is index arithmetic on `u16` words with a
-//! single predictable branch (list empty / not empty). Payloads sit in
-//! the `arena` column — `Option<Packet>` boxes-by-value, populated only
-//! at packet-head slots — so the link-walking loops never touch packet
-//! bytes. The public API mirrors [`SlotPool`](crate::SlotPool) method
-//! for method and [`SoaSlots::audit`] re-derives the same named
-//! invariants (`list-partition`, `register-sync`, `queue-shape`,
-//! `fault-ledger`) over the new layout; the seeded differential sweep in
+//! single predictable branch (list empty / not empty). The registers are
+//! two [`InlineArray`]s — per-slot records and per-list records — so for
+//! every shape the paper uses (up to 8 slots, 8 queues) the whole control
+//! state of a buffer is part of the `SoaSlots` value itself: no pointer
+//! hop, no allocator chunk per column. Larger pools spill each register
+//! array to one heap block and behave identically. Payloads sit in the
+//! `arena` — `Option<Packet>` by value, populated only at packet-head
+//! slots, one exact-size heap block touched only at enqueue/dequeue — so
+//! the link-walking loops never touch packet bytes. The public API mirrors
+//! [`SlotPool`](crate::SlotPool) method for method and
+//! [`SoaSlots::audit`] re-derives the same named invariants
+//! (`list-partition`, `register-sync`, `queue-shape`, `fault-ledger`) over
+//! the new layout; the seeded differential sweep in
 //! `tests/soa_equivalence.rs` pins the two implementations against each
-//! other across fills, drains, kills and free-list wraparound.
+//! other across fills, drains, kills and free-list wraparound, on both
+//! sides of the inline bounds.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
 use crate::buffer::FrontMeta;
 use crate::ids::NodeId;
+use crate::inline::InlineArray;
 use crate::packet::Packet;
 
 /// The null pointer register: no successor / empty list.
@@ -74,37 +85,116 @@ const DEAD: u8 = 3;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoaSlots {
-    /// Pointer registers: `next[s]` names `s`'s successor on its list.
-    next: Vec<u16>,
-    /// Length registers: slot count of the packet headed at `s`, else 0.
-    span: Vec<u16>,
-    /// Destination registers: dest node address of the packet headed at
-    /// `s`, else 0. Together with `length` these let the switch's
-    /// examination walk answer flow-control probes from the columns
-    /// alone, never dereferencing the arena (see
-    /// [`SoaSlots::front_meta`]).
-    dest: Vec<u32>,
-    /// Payload-length registers: length in bytes of the packet headed at
-    /// `s`, else 0.
-    length: Vec<u32>,
-    /// Tag byte per slot (`FREE`/`HEAD`/`CONT`/`DEAD`).
-    state: Vec<u8>,
+    /// Per-slot registers, indexed by slot number.
+    slots: InlineArray<SlotRegs, INLINE_SLOTS>,
+    /// Per-list registers; index 0 is the free list, `1 + q` is queue `q`.
+    lists: InlineArray<ListRegs, INLINE_LISTS>,
     /// Out-of-line payload arena, populated exactly at `HEAD` slots.
-    arena: Vec<Option<Packet>>,
-    /// Per-list head registers; index 0 is the free list, `1 + q` is
-    /// queue `q`.
-    head: Vec<u16>,
-    /// Per-list tail registers (same indexing).
-    tail: Vec<u16>,
-    /// Per-list slot-count registers.
-    slot_count: Vec<u16>,
-    /// Per-list packet-count registers (always 0 for the free list).
-    packet_count: Vec<u16>,
+    arena: Box<[Option<Packet>]>,
     /// Slots marked `DEAD` (fault injection).
     dead: u16,
     /// Kills registered while no slot was free; the next slots returned
     /// to the free list die instead of rejoining it.
     pending_kills: u16,
+}
+
+/// Slot registers held inline: every buffer size the paper evaluates
+/// (Tables 2–6 use 2 to 8 slots per buffer).
+const INLINE_SLOTS: usize = 8;
+/// List registers held inline: the free list plus the queues of a switch
+/// of radix up to 8.
+const INLINE_LISTS: usize = 9;
+
+/// The registers of one slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotRegs {
+    /// Pointer register: the slot's successor on its list.
+    next: u16,
+    /// Length register: slot count of the packet headed here, else 0.
+    span: u16,
+    /// Destination register: dest node address of the packet headed
+    /// here, else 0. Together with `length` it lets the switch's
+    /// examination walk answer flow-control probes from the registers
+    /// alone, never dereferencing the arena (see
+    /// [`SoaSlots::front_meta`]).
+    dest: u32,
+    /// Payload-length register: length in bytes of the packet headed
+    /// here, else 0.
+    length: u32,
+    /// Tag byte (`FREE`/`HEAD`/`CONT`/`DEAD`).
+    state: u8,
+}
+
+impl SlotRegs {
+    /// A slot that heads no packet and is on no list.
+    const EMPTY: SlotRegs = SlotRegs {
+        next: NIL,
+        span: 0,
+        dest: 0,
+        length: 0,
+        state: FREE,
+    };
+
+    /// Whether the payload registers are clear (the slot heads no packet).
+    fn heads_nothing(&self) -> bool {
+        self.span == 0 && self.dest == 0 && self.length == 0
+    }
+}
+
+/// The registers of one list.
+#[derive(Debug, Clone, Copy)]
+struct ListRegs {
+    /// First slot on the list, or `NIL`.
+    head: u16,
+    /// Last slot on the list, or `NIL`.
+    tail: u16,
+    /// Slots linked on the list.
+    slot_count: u16,
+    /// Packets queued on the list (always 0 for the free list).
+    packet_count: u16,
+}
+
+/// Both register arrays borrowed as plain slices. The list primitives run
+/// on this view so that one pool operation resolves each array's
+/// inline/heap arm once, not at every register access.
+struct RegFile<'a> {
+    slots: &'a mut [SlotRegs],
+    lists: &'a mut [ListRegs],
+}
+
+impl<'a> RegFile<'a> {
+    fn of(slots: &'a mut [SlotRegs], lists: &'a mut [ListRegs]) -> Self {
+        RegFile { slots, lists }
+    }
+
+    /// Appends slot `s` to the tail of list `l` (pointer-register update
+    /// of §3.2.1).
+    fn append(&mut self, l: usize, s: u16) {
+        self.slots[s as usize].next = NIL;
+        let list = &mut self.lists[l];
+        if list.tail == NIL {
+            list.head = s;
+        } else {
+            self.slots[list.tail as usize].next = s;
+        }
+        list.tail = s;
+        list.slot_count += 1;
+    }
+
+    /// Unlinks and returns the first slot of list `l`. Callers check the
+    /// list is non-empty first.
+    fn unlink_head(&mut self, l: usize) -> u16 {
+        let list = &mut self.lists[l];
+        let h = list.head;
+        debug_assert!(h != NIL, "unlink from empty list");
+        let n = std::mem::replace(&mut self.slots[h as usize].next, NIL);
+        list.head = n;
+        if n == NIL {
+            list.tail = NIL;
+        }
+        list.slot_count -= 1;
+        h
+    }
 }
 
 impl SoaSlots {
@@ -119,40 +209,39 @@ impl SoaSlots {
     pub fn new(capacity: usize, lists: usize) -> Self {
         assert!(capacity > 0, "slot pool needs at least one slot");
         assert!(capacity < NIL as usize, "slot pool too large");
-        let regs = lists + 1;
+        let empty_list = ListRegs {
+            head: NIL,
+            tail: NIL,
+            slot_count: 0,
+            packet_count: 0,
+        };
         let mut pool = SoaSlots {
-            next: vec![NIL; capacity],
-            span: vec![0; capacity],
-            dest: vec![0; capacity],
-            length: vec![0; capacity],
-            state: vec![FREE; capacity],
+            slots: InlineArray::new(SlotRegs::EMPTY, capacity),
+            lists: InlineArray::new(empty_list, lists + 1),
             arena: (0..capacity).map(|_| None).collect(),
-            head: vec![NIL; regs],
-            tail: vec![NIL; regs],
-            slot_count: vec![0; regs],
-            packet_count: vec![0; regs],
             dead: 0,
             pending_kills: 0,
         };
+        let mut regs = RegFile::of(&mut pool.slots, &mut pool.lists);
         for s in 0..capacity as u16 {
-            pool.push_free(s);
+            regs.append(0, s);
         }
         pool
     }
 
     /// Total slots in the pool.
     pub fn capacity(&self) -> usize {
-        self.next.len()
+        self.slots.len()
     }
 
     /// Number of packet queues.
     pub fn list_count(&self) -> usize {
-        self.head.len() - 1
+        self.lists.len() - 1
     }
 
     /// Slots currently on the free list.
     pub fn free_count(&self) -> usize {
-        self.slot_count[0] as usize
+        self.lists[0].slot_count as usize
     }
 
     /// Slots currently holding packet data.
@@ -182,9 +271,10 @@ impl SoaSlots {
         if self.dead_count() >= self.capacity() {
             return false;
         }
-        if self.slot_count[0] > 0 {
-            let s = self.pop_free();
-            self.state[s as usize] = DEAD;
+        let mut regs = RegFile::of(&mut self.slots, &mut self.lists);
+        if regs.lists[0].slot_count > 0 {
+            let s = regs.unlink_head(0);
+            regs.slots[s as usize].state = DEAD;
             self.dead += 1;
         } else {
             self.pending_kills += 1;
@@ -199,7 +289,7 @@ impl SoaSlots {
     ///
     /// Panics if `list` is out of range.
     pub fn queue_packets(&self, list: usize) -> usize {
-        self.packet_count[1 + list] as usize
+        self.lists[1 + list].packet_count as usize
     }
 
     /// Slots consumed by queue `list`.
@@ -208,14 +298,17 @@ impl SoaSlots {
     ///
     /// Panics if `list` is out of range.
     pub fn queue_slots(&self, list: usize) -> usize {
-        self.slot_count[1 + list] as usize
+        self.lists[1 + list].slot_count as usize
     }
 
     /// Copies the packet-count register of every queue into `lens`
     /// (`lens.len() == list_count()`), one contiguous register read —
     /// the batched form the switch kernel prefetches each cycle.
     pub fn queue_lens_into(&self, lens: &mut [u16]) {
-        lens.copy_from_slice(&self.packet_count[1..]);
+        assert_eq!(lens.len(), self.list_count(), "one length per queue");
+        for (len, regs) in lens.iter_mut().zip(&self.lists[1..]) {
+            *len = regs.packet_count;
+        }
     }
 
     /// Routing metadata of the packet at the front of queue `list`,
@@ -227,13 +320,14 @@ impl SoaSlots {
     ///
     /// Panics if `list` is out of range.
     pub fn front_meta(&self, list: usize) -> Option<FrontMeta> {
-        let h = self.head[1 + list];
+        let h = self.lists[1 + list].head;
         if h == NIL {
             return None;
         }
+        let regs = &self.slots[h as usize];
         Some(FrontMeta {
-            dest: NodeId::new(self.dest[h as usize] as usize),
-            length_bytes: self.length[h as usize],
+            dest: NodeId::new(regs.dest as usize),
+            length_bytes: regs.length,
         })
     }
 
@@ -243,7 +337,7 @@ impl SoaSlots {
     ///
     /// Panics if `list` is out of range.
     pub fn front(&self, list: usize) -> Option<&Packet> {
-        let h = self.head[1 + list];
+        let h = self.lists[1 + list].head;
         if h == NIL {
             return None;
         }
@@ -269,37 +363,43 @@ impl SoaSlots {
     pub fn enqueue(&mut self, list: usize, packet: Packet, slots: usize) -> Result<(), Packet> {
         assert!(slots > 0, "a packet occupies at least one slot");
         assert!(list < self.list_count(), "queue index out of range");
-        if (self.slot_count[0] as usize) < slots {
+        let mut regs = RegFile::of(&mut self.slots, &mut self.lists);
+        if (regs.lists[0].slot_count as usize) < slots {
             return Err(packet);
         }
         let q = 1 + list;
-        let first = self.pop_free();
-        self.state[first as usize] = HEAD;
-        self.span[first as usize] = slots as u16;
-        self.dest[first as usize] = packet.dest().index() as u32;
-        self.length[first as usize] = packet.length_bytes() as u32;
-        self.arena[first as usize] = Some(packet);
-        self.append_to_list(q, first);
+        let first = regs.unlink_head(0);
+        regs.slots[first as usize] = SlotRegs {
+            next: NIL,
+            span: slots as u16,
+            dest: packet.dest().index() as u32,
+            length: packet.length_bytes() as u32,
+            state: HEAD,
+        };
+        regs.append(q, first);
         for _ in 1..slots {
-            let s = self.pop_free();
-            self.state[s as usize] = CONT;
-            self.append_to_list(q, s);
+            let s = regs.unlink_head(0);
+            regs.slots[s as usize].state = CONT;
+            regs.append(q, s);
         }
-        self.packet_count[q] += 1;
+        regs.lists[q].packet_count += 1;
+        self.arena[first as usize] = Some(packet);
         strict_audit!(self);
         Ok(())
     }
 
     /// Removes and returns the packet at the front of queue `list`,
     /// returning its slots to the free list (head first, continuations
-    /// in link order, as the hardware drains them).
+    /// in link order, as the hardware drains them) — unless a deferred
+    /// kill claims a freed slot, in which case it dies instead.
     ///
     /// # Panics
     ///
     /// Panics if `list` is out of range.
     pub fn dequeue(&mut self, list: usize) -> Option<Packet> {
         let q = 1 + list;
-        let first = self.head[q];
+        let mut regs = RegFile::of(&mut self.slots, &mut self.lists);
+        let first = regs.lists[q].head;
         if first == NIL {
             return None;
         }
@@ -308,80 +408,29 @@ impl SoaSlots {
             // lint: allow — a queue head register always names a HEAD
             // slot with a populated arena cell (audited "queue-shape").
             .expect("queue head register must point at a packet head slot");
-        let slots = self.span[first as usize];
-        self.span[first as usize] = 0;
-        self.dest[first as usize] = 0;
-        self.length[first as usize] = 0;
-        self.state[first as usize] = FREE;
-        self.unlink_list_head(q);
-        self.push_free(first);
-        for _ in 1..slots {
-            let s = self.head[q];
-            debug_assert!(s != NIL, "continuation slots linked atomically");
-            debug_assert_eq!(self.state[s as usize], CONT);
-            self.state[s as usize] = FREE;
-            self.unlink_list_head(q);
-            self.push_free(s);
+        let span = regs.slots[first as usize].span;
+        for i in 0..span {
+            let s = regs.unlink_head(q);
+            debug_assert!(i == 0 || regs.slots[s as usize].state == CONT);
+            regs.slots[s as usize] = SlotRegs::EMPTY;
+            if self.pending_kills > 0 {
+                self.pending_kills -= 1;
+                self.dead += 1;
+                regs.slots[s as usize].state = DEAD;
+            } else {
+                regs.append(0, s);
+            }
         }
-        self.packet_count[q] -= 1;
+        regs.lists[q].packet_count -= 1;
         strict_audit!(self);
         Some(packet)
-    }
-
-    /// Appends slot `s` to the tail of list `l` (pointer-register update
-    /// of §3.2.1).
-    fn append_to_list(&mut self, l: usize, s: u16) {
-        self.next[s as usize] = NIL;
-        let t = self.tail[l];
-        if t == NIL {
-            self.head[l] = s;
-        } else {
-            self.next[t as usize] = s;
-        }
-        self.tail[l] = s;
-        self.slot_count[l] += 1;
-    }
-
-    /// Advances list `l`'s head register past its first slot.
-    fn unlink_list_head(&mut self, l: usize) {
-        let h = self.head[l];
-        debug_assert!(h != NIL, "unlink from empty list");
-        let n = self.next[h as usize];
-        self.head[l] = n;
-        if n == NIL {
-            self.tail[l] = NIL;
-        }
-        self.next[h as usize] = NIL;
-        self.slot_count[l] -= 1;
-    }
-
-    /// Returns slot `s` to the free list — unless a deferred kill claims
-    /// it, in which case it dies instead.
-    fn push_free(&mut self, s: u16) {
-        self.next[s as usize] = NIL;
-        if self.pending_kills > 0 {
-            self.pending_kills -= 1;
-            self.dead += 1;
-            self.state[s as usize] = DEAD;
-            return;
-        }
-        self.state[s as usize] = FREE;
-        self.append_to_list(0, s);
-    }
-
-    /// Pops the free-list head. Callers check `slot_count[0]` first.
-    fn pop_free(&mut self) -> u16 {
-        let s = self.head[0];
-        debug_assert!(s != NIL, "pop from empty free list");
-        self.unlink_list_head(0);
-        s
     }
 
     /// Walks one list, marking visited slots in `seen`, and verifies the
     /// list's registers against its links.
     fn audit_list(&self, l: usize, seen: &mut [bool], label: &str) -> Result<Vec<u16>, AuditError> {
         let mut out = Vec::new();
-        let mut cur = self.head[l];
+        let mut cur = self.lists[l].head;
         while cur != NIL {
             audit_ensure!(
                 !seen[cur as usize],
@@ -390,13 +439,13 @@ impl SoaSlots {
             );
             seen[cur as usize] = true;
             out.push(cur);
-            cur = self.next[cur as usize];
+            cur = self.slots[cur as usize].next;
         }
         audit_ensure!(
-            out.len() == self.slot_count[l] as usize,
+            out.len() == self.lists[l].slot_count as usize,
             "register-sync",
             "{label}: slot_count register says {} but the links hold {} slots",
-            self.slot_count[l],
+            self.lists[l].slot_count,
             out.len()
         );
         let tail = if out.is_empty() {
@@ -405,7 +454,7 @@ impl SoaSlots {
             out[out.len() - 1]
         };
         audit_ensure!(
-            tail == self.tail[l],
+            tail == self.lists[l].tail,
             "register-sync",
             "{label}: tail register disagrees with the last linked slot"
         );
@@ -433,13 +482,13 @@ impl SoaSlots {
         let mut seen = vec![false; self.capacity()];
         let free = self.audit_list(0, &mut seen, "free list")?;
         audit_ensure!(
-            self.packet_count[0] == 0,
+            self.lists[0].packet_count == 0,
             "register-sync",
             "free list carries a nonzero packet_count register"
         );
         for s in free {
             audit_ensure!(
-                self.state[s as usize] == FREE && self.arena[s as usize].is_none(),
+                self.slots[s as usize].state == FREE && self.arena[s as usize].is_none(),
                 "queue-shape",
                 "free list holds non-free slot slot{s}"
             );
@@ -451,22 +500,22 @@ impl SoaSlots {
             while i < slots.len() {
                 let s = slots[i] as usize;
                 audit_ensure!(
-                    self.state[s] == HEAD && self.arena[s].is_some(),
+                    self.slots[s].state == HEAD && self.arena[s].is_some(),
                     "queue-shape",
                     "queue {qi}: expected packet head at slot{}, found tag {}",
                     slots[i],
-                    self.state[s]
+                    self.slots[s].state
                 );
                 audit_ensure!(
                     self.arena[s].as_ref().is_some_and(|p| {
-                        self.dest[s] == p.dest().index() as u32
-                            && self.length[s] == p.length_bytes() as u32
+                        self.slots[s].dest == p.dest().index() as u32
+                            && self.slots[s].length == p.length_bytes() as u32
                     }),
                     "register-sync",
                     "queue {qi}: dest/length registers at slot{} disagree with the stored packet",
                     slots[i]
                 );
-                let k = self.span[s] as usize;
+                let k = self.slots[s].span as usize;
                 audit_ensure!(
                     k >= 1 && i + k <= slots.len(),
                     "queue-shape",
@@ -476,11 +525,9 @@ impl SoaSlots {
                 for j in 1..k {
                     let c = slots[i + j] as usize;
                     audit_ensure!(
-                        self.state[c] == CONT
+                        self.slots[c].state == CONT
                             && self.arena[c].is_none()
-                            && self.span[c] == 0
-                            && self.dest[c] == 0
-                            && self.length[c] == 0,
+                            && self.slots[c].heads_nothing(),
                         "queue-shape",
                         "queue {qi}: packet at slot{} missing continuation slot",
                         slots[i]
@@ -490,17 +537,17 @@ impl SoaSlots {
                 i += k;
             }
             audit_ensure!(
-                packets == self.packet_count[1 + qi],
+                packets == self.lists[1 + qi].packet_count,
                 "register-sync",
                 "queue {qi}: packet_count register says {} but the list holds {packets}",
-                self.packet_count[1 + qi]
+                self.lists[1 + qi].packet_count
             );
         }
         // Fault-aware partition: the lists plus the declared dead slots
         // must exactly cover the storage.
         let mut dead_found: u16 = 0;
         for (i, &s) in seen.iter().enumerate() {
-            let is_dead = self.state[i] == DEAD;
+            let is_dead = self.slots[i].state == DEAD;
             if !s {
                 audit_ensure!(
                     is_dead,
@@ -508,10 +555,7 @@ impl SoaSlots {
                     "slot slot{i} is on no list (leaked slot)"
                 );
                 audit_ensure!(
-                    self.arena[i].is_none()
-                        && self.span[i] == 0
-                        && self.dest[i] == 0
-                        && self.length[i] == 0,
+                    self.arena[i].is_none() && self.slots[i].heads_nothing(),
                     "fault-ledger",
                     "dead slot slot{i} still carries payload registers"
                 );
@@ -571,6 +615,47 @@ mod tests {
         assert_eq!(pool.used_count(), 0);
         assert_eq!(pool.list_count(), 5);
         pool.check_invariants();
+    }
+
+    /// The four shapes around the inline bounds keep their registers where
+    /// the bounds say and work identically on either side.
+    #[test]
+    fn registers_spill_only_past_the_inline_bounds() {
+        for (capacity, lists) in [
+            (INLINE_SLOTS, INLINE_LISTS - 1),
+            (INLINE_SLOTS + 1, INLINE_LISTS - 1),
+            (INLINE_SLOTS, INLINE_LISTS),
+            (INLINE_SLOTS + 1, INLINE_LISTS),
+        ] {
+            let mut pool = SoaSlots::new(capacity, lists);
+            assert_eq!(pool.slots.is_inline(), capacity <= INLINE_SLOTS);
+            assert_eq!(pool.lists.is_inline(), lists < INLINE_LISTS);
+            for i in 0..capacity {
+                pool.enqueue(i % lists, pkt(i), 1).unwrap();
+            }
+            assert!(pool.enqueue(0, pkt(99), 1).is_err());
+            pool.check_invariants();
+            for i in 0..capacity {
+                assert_eq!(pool.dequeue(i % lists).unwrap().source(), NodeId::new(i));
+            }
+            assert_eq!(pool.free_count(), capacity);
+            pool.check_invariants();
+        }
+    }
+
+    /// Budget: 256 bytes, four cache lines. Today exactly that: 8 slot
+    /// records x 16 B and 9 list records x 8 B, each array with a 16-byte
+    /// length/arm header (144 + 88), the arena's fat pointer (16) and the
+    /// two fault registers (4, padded). A register that does not fit this
+    /// budget belongs in the records or behind the arena, not beside them:
+    /// 1280 of these per 1024-terminal network are walked every cycle.
+    #[test]
+    fn layout_soa_slots_fits_four_cache_lines() {
+        assert!(
+            std::mem::size_of::<SoaSlots>() <= 256,
+            "SoaSlots grew to {} bytes",
+            std::mem::size_of::<SoaSlots>()
+        );
     }
 
     #[test]
@@ -689,22 +774,22 @@ mod tests {
         pool.enqueue(0, pkt(0), 1).unwrap();
         // Desynchronise a register: the slot-count says one thing, the
         // links another.
-        pool.slot_count[1] = 3;
+        pool.lists[1].slot_count = 3;
         let err = pool.audit().unwrap_err();
         assert_eq!(err.invariant(), "register-sync");
         // A leaked slot (off every list, not dead) is a partition error.
         let mut pool = SoaSlots::new(4, 1);
         pool.enqueue(0, pkt(0), 1).unwrap();
-        pool.head[1] = NIL;
-        pool.tail[1] = NIL;
-        pool.slot_count[1] = 0;
-        pool.packet_count[1] = 0;
+        pool.lists[1].head = NIL;
+        pool.lists[1].tail = NIL;
+        pool.lists[1].slot_count = 0;
+        pool.lists[1].packet_count = 0;
         let err = pool.audit().unwrap_err();
         assert_eq!(err.invariant(), "list-partition");
         // A queue head without its arena payload breaks queue-shape.
         let mut pool = SoaSlots::new(4, 1);
         pool.enqueue(0, pkt(0), 1).unwrap();
-        let h = pool.head[1] as usize;
+        let h = pool.lists[1].head as usize;
         pool.arena[h] = None;
         let err = pool.audit().unwrap_err();
         assert_eq!(err.invariant(), "queue-shape");

@@ -78,13 +78,16 @@ fn assert_pools_agree(soa: &SoaSlots, aos: &SlotPool, lists: usize, ctx: &str) {
 /// The 48-shape sweep: every seed picks a pool shape (capacity, list count,
 /// op mix) and drives both layouts through the same stream of enqueue,
 /// dequeue and kill operations — enough enqueue/dequeue churn that the SoA
-/// free list recycles indices (wraparound) many times per case.
+/// free list recycles indices (wraparound) many times per case. Capacities
+/// up to 24 and up to 12 queues put shapes on both sides of the pool's
+/// inline register bounds (8 slots, free list + 8 queues), so the spilled
+/// register arrays see the same churn as the inline ones.
 #[test]
 fn soa_slots_match_linked_slot_pool_across_48_shapes() {
     for seed in 0..POOL_SHAPES {
         let mut rng = StdRng::seed_from_u64(0x50A0 + seed);
         let capacity = rng.random_range(1..=24usize);
-        let lists = rng.random_range(1..=6usize);
+        let lists = rng.random_range(1..=12usize);
         let ops = rng.random_range(50..400usize);
         let max_span = capacity.clamp(1, 4);
 
@@ -131,10 +134,23 @@ fn soa_slots_match_linked_slot_pool_across_48_shapes() {
 
 /// Deterministic fill-to-capacity / drain-to-empty cycles: the strongest
 /// wraparound stress, because every slot index is recycled every round and
-/// the free lists of both layouts must stay in the same FIFO order.
+/// the free lists of both layouts must stay in the same FIFO order. The
+/// last four shapes sit one on each side of both inline register bounds:
+/// (8, 8) is the largest all-inline pool, (9, 8) spills the slot
+/// registers, (8, 9) the list registers, (9, 9) both.
 #[test]
 fn soa_slots_survive_full_fill_drain_wraparound() {
-    for round_shape in [(1usize, 1usize), (3, 2), (8, 4), (16, 3)] {
+    let shapes = [
+        (1usize, 1usize),
+        (3, 2),
+        (8, 4),
+        (16, 3),
+        (8, 8),
+        (9, 8),
+        (8, 9),
+        (9, 9),
+    ];
+    for round_shape in shapes {
         let (capacity, lists) = round_shape;
         let mut soa = SoaSlots::new(capacity, lists);
         let mut aos = SlotPool::new(capacity, lists);

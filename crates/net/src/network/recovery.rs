@@ -22,6 +22,8 @@
 //! clock — so recovery is seed-stable and preserves the serial ≡
 //! N-thread byte-identical contract.
 
+use std::collections::VecDeque;
+
 use damq_core::{OutputPort, Packet, SwitchBuffer};
 use damq_telemetry::{Event, TelemetrySink};
 
@@ -88,8 +90,10 @@ pub(super) struct RecoveryState {
     /// First hop slot of the per-sink namespace (`Final` entries): one
     /// past the last [`Wiring::link`].
     sink_base: usize,
-    /// Parked packets, serviced in park order each cycle.
-    pending: Vec<RetransmitEntry>,
+    /// Parked packets, serviced in park order each cycle. A ring, so the
+    /// service pass can rotate through it in place (see
+    /// [`RecoveryState::service`]).
+    pending: VecDeque<RetransmitEntry>,
     /// Next sequence number per hop slot.
     next_seq: Vec<u64>,
     /// Parked packets per hop slot — the bounded retransmit buffer.
@@ -111,7 +115,7 @@ impl RecoveryState {
             config,
             wiring,
             sink_base,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             next_seq: vec![0; sink_base + size],
             held: vec![0; sink_base + size],
             believed_down_until: vec![0; sink_base + size],
@@ -183,7 +187,7 @@ impl RecoveryState {
         let seq = self.next_seq[slot];
         self.next_seq[slot] += 1;
         self.held[slot] += 1;
-        self.pending.push(RetransmitEntry {
+        self.pending.push_back(RetransmitEntry {
             seq,
             link: slot,
             due: cycle.saturating_add(self.config.backoff(0)),
@@ -264,13 +268,16 @@ impl RecoveryState {
             self.believe_down(slot, until);
         }
         self.detections.drain(..due);
-        if self.pending.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.pending);
-        for mut entry in entries {
+        // One rotation of the ring: each entry is popped from the front
+        // and, if it stays parked, pushed to the back — survivors keep
+        // their order and the ring never grows, so a cycle allocates
+        // nothing however many packets are parked.
+        for _ in 0..self.pending.len() {
+            let Some(mut entry) = self.pending.pop_front() else {
+                break;
+            };
             if entry.due > cycle {
-                self.pending.push(entry);
+                self.pending.push_back(entry);
                 continue;
             }
             if entry.link < self.sink_base
@@ -290,7 +297,7 @@ impl RecoveryState {
                 entry.due = self.believed_down_until[entry.link]
                     .min(cap)
                     .max(cycle.saturating_add(1));
-                self.pending.push(entry);
+                self.pending.push_back(entry);
                 continue;
             }
             // One resend attempt.
@@ -339,7 +346,7 @@ impl RecoveryState {
                 acct.dropped(cycle, serial, cause);
             } else {
                 entry.due = cycle.saturating_add(self.config.backoff(attempt));
-                self.pending.push(entry);
+                self.pending.push_back(entry);
             }
         }
     }

@@ -13,7 +13,9 @@
 //!   count* — how many cycles a queue has held packets without being served
 //!   — so that no queue starves inside its buffer.
 
-use damq_core::{InputPort, OutputPort};
+use damq_core::{InlineArray, InputPort, OutputPort};
+
+use crate::INLINE_MATRIX;
 
 /// Which arbitration policy the switch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -63,7 +65,7 @@ pub struct Arbiter {
     ports: usize,
     fanout: usize,
     priority: usize,
-    stale: Vec<u32>, // ports x fanout, row-major
+    stale: InlineArray<u32, INLINE_MATRIX>, // ports x fanout, row-major
 }
 
 impl Arbiter {
@@ -81,7 +83,7 @@ impl Arbiter {
             ports,
             fanout,
             priority: 0,
-            stale: vec![0; ports * fanout],
+            stale: InlineArray::new(0, ports * fanout),
         }
     }
 

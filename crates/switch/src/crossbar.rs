@@ -6,7 +6,9 @@
 //! fanout for SAFC's fully-connected fabric). [`Crossbar`] tracks and
 //! validates the connections made during one arbitration round.
 
-use damq_core::{InputPort, OutputPort};
+use damq_core::{InlineArray, InputPort, OutputPort};
+
+use crate::INLINE_PORTS;
 
 /// Per-cycle crossbar state: which input drives each output.
 ///
@@ -24,7 +26,7 @@ use damq_core::{InputPort, OutputPort};
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     inputs: usize,
-    drivers: Vec<Option<InputPort>>,
+    drivers: InlineArray<Option<InputPort>, INLINE_PORTS>,
     connections_made: u64,
     cycles: u64,
 }
@@ -34,7 +36,7 @@ impl Crossbar {
     pub fn new(inputs: usize, outputs: usize) -> Self {
         Crossbar {
             inputs,
-            drivers: vec![None; outputs],
+            drivers: InlineArray::new(None, outputs),
             connections_made: 0,
             cycles: 0,
         }
@@ -52,7 +54,9 @@ impl Crossbar {
 
     /// Whether `output` is still unclaimed this cycle.
     pub fn is_free(&self, output: OutputPort) -> bool {
-        output.index() < self.drivers.len() && self.drivers[output.index()].is_none()
+        self.drivers
+            .get(output.index())
+            .is_some_and(Option::is_none)
     }
 
     /// The input currently driving `output`, if any.

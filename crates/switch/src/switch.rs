@@ -1,13 +1,14 @@
 //! The n×n switch: input buffers + crossbar + central arbiter.
 
 use damq_core::{
-    AnyBuffer, BufferStats, BuildBuffer, FrontMeta, InputPort, OutputPort, Packet, Rejected,
-    SwitchBuffer,
+    AnyBuffer, BufferStats, BuildBuffer, FrontMeta, InlineArray, InputPort, OutputPort, Packet,
+    Rejected, SwitchBuffer,
 };
 
 use crate::arbiter::{Arbiter, Candidate};
 use crate::config::SwitchConfig;
 use crate::crossbar::Crossbar;
+use crate::{INLINE_MATRIX, INLINE_PORTS};
 
 /// One packet leaving a switch in a transmission cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,13 +114,15 @@ pub struct Switch<B: SwitchBuffer = AnyBuffer> {
     /// `receive`/dequeue so quiescence checks never touch the buffers.
     resident: usize,
     // Per-cycle scratch, hoisted out of the cycle kernel so steady-state
-    // stepping performs no allocations. All matrices are flat, row-major
-    // ports x ports.
-    served: Vec<bool>,
-    occupied: Vec<bool>,
-    lens: Vec<u16>,
-    dirty: Vec<bool>,
-    candidates: Vec<Candidate>,
+    // stepping performs no allocations, and held inline so a switch plus
+    // its `Vec` of buffers is the whole hot state. All matrices are flat,
+    // row-major ports x ports.
+    served: InlineArray<bool, INLINE_MATRIX>,
+    occupied: InlineArray<bool, INLINE_MATRIX>,
+    lens: InlineArray<u16, INLINE_MATRIX>,
+    dirty: InlineArray<bool, INLINE_PORTS>,
+    /// One buffer's sendable queues; only a prefix is live at any time.
+    candidates: InlineArray<Candidate, INLINE_PORTS>,
 }
 
 impl Switch {
@@ -163,12 +166,17 @@ impl<B: BuildBuffer> Switch<B> {
             hol_blocked_last_cycle: 0,
             hol_blocked_total: 0,
             resident: 0,
-            served: vec![false; ports * ports],
-            occupied: vec![false; ports * ports],
-            lens: vec![0; ports * ports],
-            dirty: vec![false; ports],
-            // lint: allow — construction-time scratch, not the cycle kernel.
-            candidates: Vec::with_capacity(ports),
+            served: InlineArray::new(false, ports * ports),
+            occupied: InlineArray::new(false, ports * ports),
+            lens: InlineArray::new(0, ports * ports),
+            dirty: InlineArray::new(false, ports),
+            candidates: InlineArray::new(
+                Candidate {
+                    output: OutputPort::new(0),
+                    queue_len: 0,
+                },
+                ports,
+            ),
         })
     }
 }
@@ -301,11 +309,18 @@ impl<B: SwitchBuffer> Switch<B> {
     /// dequeue exposes a new head output and reshapes its whole row.
     pub fn transmit_cycle_with<S: CycleSink>(&mut self, sink: &mut S) {
         let ports = self.ports();
-        self.served.fill(false);
-        self.dirty.fill(false);
+        // Borrow the scratch as plain slices once: the loops below then
+        // index them without re-resolving each array's inline/heap arm.
+        let served: &mut [bool] = &mut self.served;
+        let occupied: &mut [bool] = &mut self.occupied;
+        let lens: &mut [u16] = &mut self.lens;
+        let dirty: &mut [bool] = &mut self.dirty;
+        let candidates: &mut [Candidate] = &mut self.candidates;
+        served.fill(false);
+        dirty.fill(false);
 
         // Batched prefetch of every buffer's queue-length registers.
-        for (b, row) in self.buffers.iter().zip(self.lens.chunks_exact_mut(ports)) {
+        for (b, row) in self.buffers.iter().zip(lens.chunks_exact_mut(ports)) {
             b.queue_lens_into(row);
         }
 
@@ -319,25 +334,26 @@ impl<B: SwitchBuffer> Switch<B> {
             let row = i * ports;
             let reads = self.buffers[i].read_ports();
             for _ in 0..reads {
-                self.candidates.clear();
+                let mut offered = 0;
                 let buffer = &self.buffers[i];
                 for o in OutputPort::all(ports) {
                     if !self.crossbar.is_free(o) {
                         continue;
                     }
-                    let queue_len = self.lens[row + o.index()] as usize;
+                    let queue_len = lens[row + o.index()] as usize;
                     if queue_len == 0 {
                         continue;
                     }
                     let front = buffer.front_meta(o).expect("nonempty queue has a front");
                     if sink.can_send(o, front) {
-                        self.candidates.push(Candidate {
+                        candidates[offered] = Candidate {
                             output: o,
                             queue_len,
-                        });
+                        };
+                        offered += 1;
                     }
                 }
-                let Some(pick) = self.arbiter.select_queue(input, &self.candidates) else {
+                let Some(pick) = self.arbiter.select_queue(input, &candidates[..offered]) else {
                     break;
                 };
                 let connected = self.crossbar.try_connect(input, pick.output);
@@ -346,9 +362,9 @@ impl<B: SwitchBuffer> Switch<B> {
                     .dequeue(pick.output)
                     .expect("candidate queue was nonempty");
                 packet.record_hop();
-                self.served[row + pick.output.index()] = true;
-                self.lens[row + pick.output.index()] -= 1;
-                self.dirty[i] = true;
+                served[row + pick.output.index()] = true;
+                lens[row + pick.output.index()] -= 1;
+                dirty[i] = true;
                 self.resident -= 1;
                 sink.depart(input, pick.output, packet);
             }
@@ -362,14 +378,14 @@ impl<B: SwitchBuffer> Switch<B> {
         // FIFO dequeue can expose a head for a different output, reshaping
         // its whole row (per-output designs are already exact).
         for (i, b) in self.buffers.iter().enumerate() {
-            if self.dirty[i] {
-                b.queue_lens_into(&mut self.lens[i * ports..(i + 1) * ports]);
+            if dirty[i] {
+                b.queue_lens_into(&mut lens[i * ports..(i + 1) * ports]);
             }
         }
-        for (occ, &len) in self.occupied.iter_mut().zip(&self.lens) {
+        for (occ, &len) in occupied.iter_mut().zip(lens.iter()) {
             *occ = len > 0;
         }
-        self.arbiter.complete_cycle(&self.served, &self.occupied);
+        self.arbiter.complete_cycle(served, occupied);
         self.crossbar.release_all();
 
         // End-of-cycle head-of-line accounting: packets still resident that
@@ -531,6 +547,41 @@ mod tests {
                 .arbiter_policy(ArbiterPolicy::Dumb),
         )
         .unwrap()
+    }
+
+    /// Budget: 512 bytes, eight cache lines, for everything of a switch
+    /// that is not its buffers. Today 488: the arbiter with its inline
+    /// 4x4 stale matrix (112), the crossbar with four inline drivers (96),
+    /// the configuration (32), the `Vec` of buffers (24), three counters
+    /// and the five inline scratch arrays. With four 336-byte buffers
+    /// and their 288-byte arenas a radix-4 DAMQ switch is 2.9 KB in five
+    /// heap blocks; a field that doubles this part fails here first.
+    #[test]
+    fn layout_switch_fits_eight_cache_lines() {
+        assert!(
+            std::mem::size_of::<Switch>() <= 512,
+            "Switch<AnyBuffer> grew to {} bytes",
+            std::mem::size_of::<Switch>()
+        );
+    }
+
+    /// The bound itself: a radix-4 switch keeps every scratch array
+    /// inline, a radix-8 switch spills them, and both still arbitrate.
+    #[test]
+    fn scratch_spills_only_past_radix_four() {
+        for (ports, inline) in [(4, true), (8, false)] {
+            let mut sw = Switch::new(SwitchConfig::new(ports).slots_per_buffer(4)).unwrap();
+            assert_eq!(sw.served.is_inline(), inline);
+            assert_eq!(sw.occupied.is_inline(), inline);
+            assert_eq!(sw.lens.is_inline(), inline);
+            assert_eq!(sw.dirty.is_inline(), inline);
+            assert_eq!(sw.candidates.is_inline(), inline);
+            for i in 0..ports {
+                sw.receive(InputPort::new(i), OutputPort::new((i + 1) % ports), pkt(i))
+                    .unwrap();
+            }
+            assert_eq!(sw.transmit_cycle(|_, _| true).len(), ports);
+        }
     }
 
     #[test]

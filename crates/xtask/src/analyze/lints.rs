@@ -24,8 +24,9 @@
 //! 11. **hot-path-alloc** — the named cycle-kernel functions of the
 //!     core/switch/net crates (`try_enqueue`, `transmit_cycle_with`,
 //!     `merge_interior_stage`, …) must not allocate or copy payloads:
-//!     `Box::new`, `with_capacity`, `.to_vec()` and `.clone()` are
-//!     flagged inside their brace spans. Scratch belongs in the owning
+//!     `Box::new`, `with_capacity`, `.to_vec()`, `.clone()` and
+//!     `mem::take(` (it discards a collection's capacity) are flagged
+//!     inside their brace spans. Scratch belongs in the owning
 //!     struct, hoisted to construction; waivers carry
 //!     `// lint: allow — why`. Kernels are matched by *name*, so a
 //!     listed name that no function carries any more is itself a
@@ -680,7 +681,7 @@ const HOT_PATH_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "c
 /// steady-state `NetworkSim::step` executes per cycle. Constructors and
 /// cold paths (audits, snapshots, telemetry emission) are exempt —
 /// scratch is *supposed* to be allocated there.
-const KERNEL_FNS: [&str; 23] = [
+const KERNEL_FNS: [&str; 25] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -703,6 +704,8 @@ const KERNEL_FNS: [&str; 23] = [
     // … the hop primitive and the recovery ladder the merges call …
     "hop",
     "rescue",
+    "try_park",
+    "service",
     // … and the packet-fate owner every step reports to.
     "generated",
     "injected",
@@ -750,7 +753,9 @@ fn collect_kernel_spans(
 /// Steady-state stepping must be allocation-free (the scratch lives in
 /// the owning struct, sized at construction), so inside the functions
 /// named by [`KERNEL_FNS`] the tokens `Box::new`, `with_capacity(`,
-/// `.to_vec()` and `.clone()` are findings. Waivers carry
+/// `.to_vec()`, `.clone()` and `mem::take(` are findings — the last
+/// because taking a collection leaves a capacity-less one behind, so the
+/// refill regrows it from zero every cycle. Waivers carry
 /// `// lint: allow — why`.
 ///
 /// The guard is by function name, so a [`KERNEL_FNS`] entry that matches
@@ -773,13 +778,16 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
             for (i, tok) in file.code.iter().enumerate() {
                 let after_dot = i > 0 && file.code[i - 1].is_punct('.');
                 let calls = file.code.get(i + 1).is_some_and(|t| t.is_punct('('));
-                let what = if tok.is_ident("new")
-                    && i >= 3
-                    && file.code[i - 1].is_punct(':')
-                    && file.code[i - 2].is_punct(':')
-                    && file.code[i - 3].is_ident("Box")
-                {
+                let path_from = |owner: &str| {
+                    i >= 3
+                        && file.code[i - 1].is_punct(':')
+                        && file.code[i - 2].is_punct(':')
+                        && file.code[i - 3].is_ident(owner)
+                };
+                let what = if tok.is_ident("new") && path_from("Box") {
                     Some("Box::new")
+                } else if tok.is_ident("take") && path_from("mem") && calls {
+                    Some("mem::take(…)")
                 } else if tok.is_ident("with_capacity") && calls {
                     Some("with_capacity(…)")
                 } else if tok.is_ident("to_vec") && after_dot && calls {
@@ -1113,17 +1121,29 @@ mod tests {
                  let p = packet.clone();\n\
                  let ok = done.clone;\n\
              }\n\
+             pub fn service(&mut self) {\n\
+                 let entries = std::mem::take(&mut self.pending);\n\
+                 let first = self.pending.iter().take(1);\n\
+             }\n\
+             pub fn snapshot(&mut self) {\n\
+                 let times = std::mem::take(&mut self.times);\n\
+             }\n\
              }\n",
         )]);
         let findings = run(hot_path_alloc, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(
             lines,
-            vec![7, 8, 9, 10],
+            vec![7, 8, 9, 10, 14],
             "constructor allocation is fine; the four kernel sites are \
-             findings; `done.clone` without a call is not"
+             findings; `done.clone` without a call is not; `mem::take` in a \
+             kernel throws a collection's capacity away, `Iterator::take` \
+             and a cold-path `mem::take` do not"
         );
         assert!(findings[0].message.contains("transmit_cycle_with"));
+        assert!(
+            findings[4].message.contains("mem::take") && findings[4].message.contains("service")
+        );
     }
 
     #[test]
@@ -1133,6 +1153,8 @@ mod tests {
             "pub fn dequeue(&mut self) {\n\
                  // lint: allow — cold fault path, measured free.\n\
                  let v = self.dead.to_vec();\n\
+                 // lint: allow — drained once per run, never refilled.\n\
+                 let log = std::mem::take(&mut self.log);\n\
              }\n\
              #[cfg(test)]\n\
              mod tests {\n\

@@ -111,8 +111,19 @@ obs_smoke() {
 # byte-identical; (3) a network forced fully idle takes the quiescence
 # fast path every switch-cycle and an idle-skip-off run fingerprints
 # identically (`idle_skip_correctness`); (4) the always-on registry that
-# carries `net.idle_skipped` is still free when disabled.
+# carries `net.idle_skipped` is still free when disabled; (5) the inline
+# storage behind the register files and the switch scratch behaves like
+# a `Vec` on both of its arms, the per-switch footprint stays inside its
+# pinned `size_of` budgets, and radix-4 (inline) and radix-8 (spilled)
+# switches still reproduce the committed departure fingerprints.
 soa_smoke() {
+    gate "soa-smoke: inline storage arms + pinned layout budgets"
+    cargo test -q -p damq-core --lib -- inline:: layout_ registers_spill
+    cargo test -q -p damq-switch --lib -- layout_ scratch_spills
+
+    gate "soa-smoke: radix-4 and radix-8 departures match the committed fingerprints"
+    cargo test -q -p damq-switch --test departures
+
     gate "soa-smoke: SoA pool vs AoS twins under strict-audit"
     cargo test -q -p damq-core --features strict-audit --test soa_equivalence
 
