@@ -25,6 +25,7 @@
 use std::hint::black_box;
 
 use damq_bench::json::Json;
+use damq_bench::record::BenchRecord;
 use damq_bench::timing::{bench, Stats};
 use damq_core::{BufferKind, DamqBuffer, SwitchBuffer};
 use damq_net::{NetworkConfig, NetworkSim, TrafficPattern};
@@ -94,6 +95,7 @@ fn main() {
         return;
     }
 
+    let record = BenchRecord::open();
     println!("sim_throughput: 64-terminal Omega of 4x4 switches, blocking, smart arbitration");
     println!("(cycles/sec derived from min ns/cycle over {WARM_UP}-cycle warmed sims)");
     println!();
@@ -127,13 +129,7 @@ fn main() {
         println!("{name:>20}: {cps:>12.0} cycles/sec");
     }
 
-    write_report(&cells, rebaseline);
-}
-
-/// Path of the committed throughput record, resolved from this crate's
-/// manifest so the bench works from any working directory.
-fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json")
+    write_report(record, &cells, rebaseline);
 }
 
 fn cells_json(cells: &[(&'static str, f64)]) -> Json {
@@ -171,18 +167,12 @@ fn speedup_vs(cells: &[(&'static str, f64)], reference: &Json) -> Json {
 /// untouched — running `sim_throughput` then `parallel_scaling` once
 /// regenerates every section of the file; neither order leaves a stale
 /// cell behind.
-fn write_report(cells: &[(&'static str, f64)], rebaseline: bool) {
-    let path = report_path();
+fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseline: bool) {
     let current = cells_json(cells);
-    let existing = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
     let baseline = if rebaseline {
         None
     } else {
-        existing
-            .as_ref()
-            .and_then(|doc| doc.get("baseline").cloned())
+        record.get("baseline").cloned()
     };
     let baseline = baseline.unwrap_or_else(|| current.clone());
 
@@ -190,11 +180,10 @@ fn write_report(cells: &[(&'static str, f64)], rebaseline: bool) {
     // committed (PR 8). Snapshotted into the `soa` section on the first
     // post-refactor run and preserved afterwards, so the layout
     // refactor's effect stays readable even after rebaselines.
-    let pr8_reference = existing
-        .as_ref()
-        .and_then(|doc| doc.get("soa"))
+    let pr8_reference = record
+        .get("soa")
         .and_then(|soa| soa.get("pr8_reference"))
-        .or_else(|| existing.as_ref().and_then(|doc| doc.get("current")))
+        .or_else(|| record.get("current"))
         .cloned()
         .unwrap_or_else(|| current.clone());
     let soa = Json::obj([
@@ -228,28 +217,17 @@ fn write_report(cells: &[(&'static str, f64)], rebaseline: bool) {
         ("speedup", speedup),
         ("soa", soa),
     ];
-    let mut pairs = match existing {
-        Some(Json::Obj(pairs)) => pairs,
-        _ => Vec::new(),
-    };
     for (key, value) in own_sections {
-        match pairs.iter_mut().find(|(k, _)| k == key) {
-            Some((_, slot)) => *slot = value,
-            None => pairs.push((key.to_owned(), value)),
-        }
+        record.set(key, value);
     }
-    let doc = Json::Obj(pairs);
-    match std::fs::write(&path, doc.render_pretty()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    record.save();
 
-    let headline = doc
+    let headline = record
         .get("speedup")
         .and_then(|s| s.get("hotspot_damq"))
         .and_then(Json::as_f64)
         .unwrap_or(1.0);
-    let vs_pr8 = doc
+    let vs_pr8 = record
         .get("soa")
         .and_then(|s| s.get("speedup_vs_pr8"))
         .and_then(|s| s.get("hotspot_damq"))

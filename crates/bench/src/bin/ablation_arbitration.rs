@@ -6,13 +6,14 @@
 //! protocols, including the saturation point, to map where the choice
 //! matters at all.
 //!
-//! The (design, policy) grids — blocking latency + saturation, then
-//! discarding loss — are swept in parallel through [`damq_bench::sweep`],
-//! each cell seeded from its coordinates. The run also writes
+//! The two (design, policy) [`damq_bench::grid`]s — blocking latency +
+//! saturation, then discarding loss — seed each cell from its coordinates
+//! behind a per-protocol prefix. The run also writes
 //! `results/json/ablation_arbitration.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Cell, Grid};
 use damq_bench::json::{measurement_json, saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
 use damq_net::{find_saturation, measure, NetworkConfig, SaturationOptions};
 use damq_switch::{ArbiterPolicy, FlowControl};
@@ -20,64 +21,57 @@ use damq_switch::{ArbiterPolicy, FlowControl};
 const POLICIES: [ArbiterPolicy; 2] = [ArbiterPolicy::Dumb, ArbiterPolicy::Smart];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Ablation: dumb vs smart crossbar arbitration");
     println!("(64x64 Omega, 4 slots per buffer, uniform traffic)");
     println!();
 
     let base = NetworkConfig::new(64, 4).slots_per_buffer(4);
-    let cells: Vec<(usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| (0..POLICIES.len()).map(move |p| (k, p)))
-        .collect();
+    let mut report = Report::new("ablation_arbitration");
+    let designs = || {
+        Grid::product([
+            Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+            Axis::new("arbiter", POLICIES.map(ArbiterPolicy::name)),
+        ])
+    };
+
+    let design = |c: &Cell| {
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .arbiter_policy(POLICIES[c[1]])
+    };
 
     // Blocking protocol: latency at 0.45 load + saturation throughput.
-    let mut report = Report::new("ablation_arbitration");
-    let blocking = sweep::run(&cells, |&(k, p)| {
-        let cfg = base
-            .buffer_kind(BufferKind::ALL[k])
-            .arbiter_policy(POLICIES[p])
-            .flow_control(FlowControl::Blocking)
-            .seed(sweep::cell_seed(sweep::BASE_SEED, &[0, k as u64, p as u64]));
-        let m = measure(cfg.offered_load(0.45), 1_000, 8_000).expect("sim runs");
-        let sat = find_saturation(cfg, SaturationOptions::default()).expect("search runs");
-        (m, sat)
-    });
+    let blocking = designs()
+        .seed_prefix(0)
+        .tag("flow_control", "Blocking")
+        .run(|c| {
+            let cfg = design(c).flow_control(FlowControl::Blocking).seed(c.seed());
+            let m = measure(cfg.offered_load(0.45), 1_000, 8_000).expect("sim runs");
+            let sat = find_saturation(cfg, SaturationOptions::default()).expect("search runs");
+            (m, sat)
+        });
     // Discarding protocol: loss at 0.50 load.
-    let discarding = sweep::run(&cells, |&(k, p)| {
-        measure(
-            base.buffer_kind(BufferKind::ALL[k])
-                .arbiter_policy(POLICIES[p])
+    let discarding = designs()
+        .seed_prefix(1)
+        .tag("flow_control", "Discarding")
+        .measure(1_000, 8_000, |c| {
+            design(c)
                 .flow_control(FlowControl::Discarding)
                 .offered_load(0.50)
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[1, k as u64, p as u64])),
-            1_000,
-            8_000,
-        )
-        .expect("sim runs")
-    });
+        });
 
     report.meta("network", Json::from("64x64 Omega, uniform"));
     report.meta("slots_per_buffer", Json::from(4usize));
-    for (&(k, p), (m, sat)) in cells.iter().zip(&blocking) {
-        let coords = [
-            ("buffer", Json::from(BufferKind::ALL[k].name())),
-            ("arbiter", Json::from(POLICIES[p].name())),
-            ("flow_control", Json::from("Blocking")),
-        ];
-        report.push_cell(Json::cell(coords.clone(), measurement_json(m)));
-        let mut sat_coords = coords.to_vec();
-        sat_coords.push(("saturation_search", Json::from(true)));
-        report.push_cell(Json::cell(sat_coords, saturation_json(sat)));
-    }
-    for (&(k, p), m) in cells.iter().zip(&discarding) {
+    for (cell, (m, sat)) in blocking.iter() {
+        let labels = blocking.grid().labels(cell);
+        report.push_cell(Json::cell(labels.clone(), measurement_json(m)));
+        let search = [("saturation_search", Json::from(true))];
         report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("arbiter", Json::from(POLICIES[p].name())),
-                ("flow_control", Json::from("Discarding")),
-            ],
-            measurement_json(m),
+            labels.into_iter().chain(search),
+            saturation_json(sat),
         ));
     }
+    discarding.report(&mut report, measurement_json);
 
     println!("-- blocking protocol: latency at 0.45 load / saturation throughput --");
     let header = [
@@ -87,36 +81,25 @@ fn main() {
         "dumb sat",
         "smart sat",
     ];
-    let mut rows = Vec::new();
-    let mut b_iter = blocking.iter();
-    for kind in BufferKind::ALL {
-        let (dumb_m, dumb_sat) = b_iter.next().expect("cell");
-        let (smart_m, smart_sat) = b_iter.next().expect("cell");
-        rows.push(vec![
-            kind.name().to_owned(),
+    let table = blocking.table(1, &header, |_, by_policy| {
+        let ((dumb_m, dumb_sat), (smart_m, smart_sat)) = (&by_policy[0], &by_policy[1]);
+        vec![
             format!("{:.1}", dumb_m.latency_clocks),
             format!("{:.1}", smart_m.latency_clocks),
             format!("{:.2}", dumb_sat.throughput),
             format!("{:.2}", smart_sat.throughput),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+        ]
+    });
+    print!("{table}");
 
     println!();
     println!("-- discarding protocol: % discarded at 0.50 load --");
     let header = ["Buffer", "dumb %disc", "smart %disc"];
-    let mut rows = Vec::new();
-    let mut d_iter = discarding.iter();
-    for kind in BufferKind::ALL {
-        let dumb = d_iter.next().expect("cell");
-        let smart = d_iter.next().expect("cell");
-        rows.push(vec![
-            kind.name().to_owned(),
-            format!("{:.2}", dumb.discard_fraction * 100.0),
-            format!("{:.2}", smart.discard_fraction * 100.0),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+    let table = discarding.table(1, &header, |_, by_policy| {
+        let percents = by_policy.iter().map(|m| m.discard_fraction * 100.0);
+        percents.map(|p| format!("{p:.2}")).collect()
+    });
+    print!("{table}");
     println!();
     println!("the paper's Table 3 finding (arbitration policy barely matters) should");
     println!("hold across the board; stale counts mostly protect worst-case fairness.");

@@ -11,17 +11,20 @@
 //! | static | SAMQ | SAFC |
 //! | dynamic | DAMQ | DAFC |
 //!
-//! The Markov grid and the saturation searches are swept in parallel
-//! through [`damq_bench::sweep`]; simulation cells are seeded from their
+//! The Markov grid and the saturation searches are
+//! [`damq_bench::grid`]s; simulation cells are seeded from their
 //! coordinates. The run also writes `results/json/ablation_dafc.json`.
 
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, saturation_json, Json, Report};
-use damq_bench::{fmt_prob, render_table, sweep};
+use damq_bench::{cli, fmt_prob};
 use damq_core::BufferKind;
 use damq_markov::{discard_probability, CycleOrder, SolveOptions};
-use damq_net::{find_saturation, NetworkConfig, SaturationOptions};
+use damq_net::NetworkConfig;
 use damq_switch::FlowControl;
 
+/// Static then dynamic allocation; within each, single then full read
+/// connectivity.
 const KINDS: [BufferKind; 4] = [
     BufferKind::Samq,
     BufferKind::Safc,
@@ -31,92 +34,57 @@ const KINDS: [BufferKind; 4] = [
 const TRAFFICS: [f64; 4] = [0.50, 0.75, 0.90, 0.99];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Ablation: allocation policy vs read connectivity");
     println!();
 
-    let markov_cells: Vec<(usize, usize)> = (0..KINDS.len())
-        .flat_map(|k| (0..TRAFFICS.len()).map(move |t| (k, t)))
-        .collect();
     let mut report = Report::new("ablation_dafc");
-    let points = sweep::run(&markov_cells, |&(k, t)| {
-        discard_probability(
-            KINDS[k],
-            4,
-            TRAFFICS[t],
-            CycleOrder::ArrivalsFirst,
-            SolveOptions::default(),
-        )
-        .expect("analysis runs")
-    });
+    let buffers = Axis::new("buffer", KINDS.map(BufferKind::name));
+    let points = Grid::product([buffers.clone(), Axis::new("traffic", TRAFFICS)])
+        .tag("vehicle", "markov")
+        .run(|c| {
+            let order = CycleOrder::ArrivalsFirst;
+            discard_probability(
+                KINDS[c[0]],
+                4,
+                TRAFFICS[c[1]],
+                order,
+                SolveOptions::default(),
+            )
+            .expect("analysis runs")
+        });
 
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking);
-    let sat_cells: Vec<usize> = (0..KINDS.len()).collect();
-    let saturations = sweep::run(&sat_cells, |&k| {
-        find_saturation(
-            base.buffer_kind(KINDS[k])
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64])),
-            SaturationOptions::default(),
-        )
-        .expect("search runs")
-    });
+    let saturated = Grid::product([buffers])
+        .tag("vehicle", "simulation")
+        .saturate(|c| base.buffer_kind(KINDS[c[0]]));
 
     report.meta("markov_switch", Json::from("2x2 discarding, 4 slots"));
     report.meta("network", Json::from("64x64 Omega, blocking, 4 slots"));
-    for (&(k, t), point) in markov_cells.iter().zip(&points) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(KINDS[k].name())),
-                ("traffic", Json::from(TRAFFICS[t])),
-                ("vehicle", Json::from("markov")),
-            ],
-            discard_point_json(point),
-        ));
-    }
-    for (&k, sat) in sat_cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(KINDS[k].name())),
-                ("vehicle", Json::from("simulation")),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    points.report(&mut report, discard_point_json);
+    saturated.report(&mut report, saturation_json);
 
     println!("-- Markov discard probability, 2x2 discarding switch, 4 slots --");
     let mut header: Vec<String> = vec!["Buffer".into()];
     header.extend(TRAFFICS.iter().map(|t| format!("{:.0}%", t * 100.0)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut rows = Vec::new();
-    let mut point_iter = points.iter();
-    for kind in KINDS {
-        let mut row = vec![kind.name().to_owned()];
-        for _ in &TRAFFICS {
-            let p = point_iter.next().expect("cell");
-            row.push(fmt_prob(p.discard_probability));
-        }
-        rows.push(row);
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    let table = points.table(1, &header, |_, at_traffics| {
+        let columns = at_traffics.iter().map(|p| fmt_prob(p.discard_probability));
+        columns.collect()
+    });
+    print!("{table}");
 
     println!();
     println!("-- Omega 64x64 saturation throughput, blocking, 4 slots --");
-    let mut rows = Vec::new();
-    let mut sat_of = std::collections::HashMap::new();
-    for (k, kind) in KINDS.iter().enumerate() {
-        sat_of.insert(*kind, saturations[k].throughput);
-        rows.push(vec![
-            kind.name().to_owned(),
-            format!("{:.2}", saturations[k].throughput),
-        ]);
-    }
-    print!("{}", render_table(&["Buffer", "sat. thr"], &rows));
+    let table = saturated.table(1, &["Buffer", "sat. thr"], |_, sat| {
+        vec![format!("{:.2}", sat[0].throughput)]
+    });
+    print!("{table}");
 
     println!();
-    let static_gain = sat_of[&BufferKind::Safc] - sat_of[&BufferKind::Samq];
-    let dynamic_gain = sat_of[&BufferKind::Dafc] - sat_of[&BufferKind::Damq];
-    let allocation_gain = sat_of[&BufferKind::Damq] - sat_of[&BufferKind::Samq];
+    let [samq, safc, damq, dafc] = [0, 1, 2, 3].map(|k| saturated.at(&[k]).throughput);
+    let (static_gain, dynamic_gain, allocation_gain) = (safc - samq, dafc - damq, damq - samq);
     println!("full connectivity adds {static_gain:+.2} on static buffers (SAMQ->SAFC)");
     println!("full connectivity adds {dynamic_gain:+.2} on dynamic buffers (DAMQ->DAFC)");
     println!("dynamic allocation alone adds {allocation_gain:+.2} (SAMQ->DAMQ)");

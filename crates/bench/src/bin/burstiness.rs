@@ -8,24 +8,31 @@
 //! bursts, 30% duty — 3.3× the mean rate while ON), then compares means
 //! and p99 tails across the designs.
 //!
-//! The (design, arrival process, load) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates. The run
-//! also writes `results/json/burstiness.json`.
+//! The (design, arrival process, load) [`damq_bench::grid`] seeds each
+//! cell from its coordinates. The run also writes
+//! `results/json/burstiness.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{measurement_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{measure, ArrivalProcess, NetworkConfig};
+use damq_net::{ArrivalProcess, NetworkConfig};
 use damq_switch::FlowControl;
 
-const SMOOTH: ArrivalProcess = ArrivalProcess::Bernoulli;
-const BURSTY: ArrivalProcess = ArrivalProcess::OnOff {
-    mean_burst: 12.0,
-    duty: 0.3,
-};
+const ARRIVALS: [(&str, ArrivalProcess); 2] = [
+    ("smooth", ArrivalProcess::Bernoulli),
+    (
+        "bursty",
+        ArrivalProcess::OnOff {
+            mean_burst: 12.0,
+            duty: 0.3,
+        },
+    ),
+];
 const LOADS: [f64; 3] = [0.10, 0.20, 0.28];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Bursty sources: same mean load, clumped into on/off bursts");
     println!("(64x64 Omega, blocking, 4 slots; bursty = 12-cycle bursts at 30% duty)");
     println!();
@@ -33,77 +40,51 @@ fn main() {
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking);
-
-    let arrivals = [("smooth", SMOOTH), ("bursty", BURSTY)];
-    let cells: Vec<(usize, usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| {
-            (0..arrivals.len()).flat_map(move |a| (0..LOADS.len()).map(move |l| (k, a, l)))
-        })
-        .collect();
     let mut report = Report::new("burstiness");
-    let measurements = sweep::run(&cells, |&(k, a, l)| {
-        measure(
-            base.buffer_kind(BufferKind::ALL[k])
-                .arrival_process(arrivals[a].1)
-                .offered_load(LOADS[l])
-                .seed(sweep::cell_seed(
-                    sweep::BASE_SEED,
-                    &[k as u64, a as u64, l as u64],
-                )),
-            1_000,
-            10_000,
-        )
-        .expect("sim")
+    let measured = Grid::product([
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+        Axis::new("arrivals", ARRIVALS.map(|(label, _)| label)),
+        Axis::new("offered_load", LOADS),
+    ])
+    .measure(1_000, 10_000, |c| {
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .arrival_process(ARRIVALS[c[1]].1)
+            .offered_load(LOADS[c[2]])
     });
 
     report.meta("network", Json::from("64x64 Omega, blocking, uniform"));
     report.meta("slots_per_buffer", Json::from(4usize));
     report.meta("bursty_mean_burst", Json::from(12.0));
     report.meta("bursty_duty", Json::from(0.3));
-    for (&(k, a, l), m) in cells.iter().zip(&measurements) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("arrivals", Json::from(arrivals[a].0)),
-                ("offered_load", Json::from(LOADS[l])),
-            ],
-            measurement_json(m),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
 
     let mut header: Vec<String> = vec!["Buffer".into(), "arrivals".into()];
     for load in LOADS {
         header.push(format!("lat@{load:.2}"));
         header.push(format!("p99@{load:.2}"));
     }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
-    let mut rows = Vec::new();
-    let mut p99_at_28 = std::collections::HashMap::new();
-    let mut m_iter = measurements.iter();
-    for kind in BufferKind::ALL {
-        for (label, _) in arrivals {
-            let mut row = vec![kind.name().to_owned(), label.to_owned()];
-            for load in LOADS {
-                let m = m_iter.next().expect("one measurement per cell");
-                row.push(format!("{:.1}", m.latency_clocks));
-                row.push(format!("{:.0}", m.latency_p99_clocks));
-                if load == 0.28 {
-                    p99_at_28.insert((kind, label), m.latency_p99_clocks);
-                }
-            }
-            rows.push(row);
-        }
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    let table = measured.table(2, &header, |_, at_loads| {
+        let columns = at_loads.iter().flat_map(|m| {
+            [
+                format!("{:.1}", m.latency_clocks),
+                format!("{:.0}", m.latency_p99_clocks),
+            ]
+        });
+        columns.collect()
+    });
+    print!("{table}");
     println!();
+    // p99 at the heaviest load, by (design, arrival process); FIFO and
+    // DAMQ are the ends of `BufferKind::ALL`.
+    let p99 = |kind: usize, arrivals: usize| measured.at(&[kind, arrivals, 2]).latency_p99_clocks;
+    let (fifo, damq) = (0, 3);
     println!("at 0.28 mean load (93% of what 30%-duty sources can sustain), bursts push");
     println!(
         "FIFO's p99 from {:.0} to {:.0} clocks; DAMQ's from {:.0} to {:.0} -- the shared",
-        p99_at_28[&(BufferKind::Fifo, "smooth")],
-        p99_at_28[&(BufferKind::Fifo, "bursty")],
-        p99_at_28[&(BufferKind::Damq, "smooth")],
-        p99_at_28[&(BufferKind::Damq, "bursty")],
+        p99(fifo, 0),
+        p99(fifo, 1),
+        p99(damq, 0),
+        p99(damq, 1),
     );
     println!("pool absorbs a burst aimed at one output without freezing the rest, so");
     println!("DAMQ's tail grows least. (saturation throughput itself is a mean-rate");

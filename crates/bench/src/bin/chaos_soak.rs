@@ -5,7 +5,8 @@
 //! many epochs; every epoch draws a fresh storm (dead slots, link flaps,
 //! payload corruption, and misroutes) and ends with a full invariant
 //! re-audit (conservation, fault-ledger accounting, quiescence). Cells
-//! run through the recorded isolation harness
+//! run through the resumable pipeline ([`damq_bench::resume::run_with`])
+//! under the recorded isolation harness
 //! ([`sweep::run_isolated_recorded`]): each attempt records telemetry
 //! into a flight-recorder ring, and an invariant violation minimizes
 //! itself to a reproducer (seed + cycle window + fault plan), panics
@@ -17,10 +18,10 @@
 //! `--resume` reloads `results/json/<name>.cells.jsonl`.
 
 use damq_bench::chaos::{self, SoakPlan};
-use damq_bench::json::{robustness_json, Json, Report};
-use damq_bench::render_table;
-use damq_bench::resume::Checkpoint;
+use damq_bench::grid::{Axis, Cell, Grid};
+use damq_bench::json::{Json, Report};
 use damq_bench::sweep::{self, IsolationOptions};
+use damq_bench::{cli, resume};
 use damq_core::{BufferKind, FaultSpec};
 use damq_net::{NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
@@ -32,18 +33,8 @@ const PER_STAGE: usize = 4;
 const SLOTS: usize = 4;
 const RING_CAPACITY: usize = 256;
 
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    kind: BufferKind,
-    flow: FlowControl,
-    coords: [u64; 2],
-}
-
-fn cell_key(cell: &Cell) -> String {
-    format!("{}|{:?}", cell.kind.name(), cell.flow)
-}
-
-struct Grid {
+/// One size of the soak: the full grid or the CI smoke.
+struct Plan {
     name: &'static str,
     kinds: Vec<BufferKind>,
     flows: Vec<FlowControl>,
@@ -51,9 +42,9 @@ struct Grid {
     epoch_cycles: u64,
 }
 
-fn grid(smoke: bool) -> Grid {
+fn plan(smoke: bool) -> Plan {
     if smoke {
-        Grid {
+        Plan {
             name: "chaos_soak_smoke",
             kinds: vec![BufferKind::Samq, BufferKind::Damq],
             flows: vec![FlowControl::Discarding],
@@ -61,7 +52,7 @@ fn grid(smoke: bool) -> Grid {
             epoch_cycles: 150,
         }
     } else {
-        Grid {
+        Plan {
             name: "chaos_soak",
             kinds: BufferKind::EXTENDED.to_vec(),
             flows: FlowControl::ALL.to_vec(),
@@ -71,18 +62,18 @@ fn grid(smoke: bool) -> Grid {
     }
 }
 
-fn soak_for(cell: &Cell, grid: &Grid) -> SoakPlan {
+fn soak_for(cell: &Cell, plan: &Plan) -> SoakPlan {
     SoakPlan {
         // The storm seed depends only on the grid coordinates: the
         // faults are the experiment, so a retry replays the same storms
         // against a fresh traffic stream.
-        seed: sweep::cell_seed(sweep::BASE_SEED ^ 0xC4A05, &cell.coords),
-        epochs: grid.epochs,
-        epoch_cycles: grid.epoch_cycles,
+        seed: cell.seed_from(sweep::BASE_SEED ^ 0xC4A05),
+        epochs: plan.epochs,
+        epoch_cycles: plan.epoch_cycles,
         storm: FaultSpec {
             dead_slot_fraction: 0.02,
             link_flaps: 3,
-            flap_duration: grid.epoch_cycles / 5,
+            flap_duration: plan.epoch_cycles / 5,
             corrupt_packets: 2,
             misroutes: 1,
             ..FaultSpec::fault_free(
@@ -91,140 +82,96 @@ fn soak_for(cell: &Cell, grid: &Grid) -> SoakPlan {
                 RADIX,
                 TERMINALS,
                 SLOTS,
-                grid.epoch_cycles,
+                plan.epoch_cycles,
             )
         },
     }
 }
 
-fn config_for(cell: &Cell, attempt: u32) -> NetworkConfig {
-    let seed = sweep::cell_seed(sweep::BASE_SEED + u64::from(attempt), &cell.coords);
+fn config_for(cell: &Cell, plan: &Plan, attempt: u32) -> NetworkConfig {
     NetworkConfig::new(TERMINALS, RADIX)
-        .buffer_kind(cell.kind)
+        .buffer_kind(plan.kinds[cell[0]])
         .slots_per_buffer(SLOTS)
-        .flow_control(cell.flow)
+        .flow_control(plan.flows[cell[1]])
         .recovery(RecoveryConfig::enabled())
         .offered_load(0.5)
-        .seed(seed)
+        .seed(cell.seed_from(sweep::BASE_SEED + u64::from(attempt)))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let resume = args.iter().any(|a| a == "--resume");
-    if let Some(bad) = args.iter().find(|a| *a != "--smoke" && *a != "--resume") {
-        eprintln!("unknown flag {bad}; accepted: --smoke --resume"); // lint: allow — harness status channel
-        std::process::exit(2);
-    }
-    let grid = grid(smoke);
+    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let plan = plan(args.flag("--smoke"));
 
-    let mut cells = Vec::new();
-    for (k, &kind) in grid.kinds.iter().enumerate() {
-        for (f, &flow) in grid.flows.iter().enumerate() {
-            cells.push(Cell {
-                kind,
-                flow,
-                coords: [k as u64, f as u64],
-            });
-        }
-    }
-
-    let mut report = Report::new(grid.name);
+    let mut report = Report::new(plan.name);
     report.meta("terminals", Json::from(TERMINALS));
     report.meta("radix", Json::from(RADIX));
     report.meta("slots_per_buffer", Json::from(SLOTS));
     report.meta("recovery", Json::from("enabled"));
-    report.meta("epochs", Json::from(grid.epochs));
-    report.meta("epoch_cycles", Json::from(grid.epoch_cycles));
+    report.meta("epochs", Json::from(plan.epochs));
+    report.meta("epoch_cycles", Json::from(plan.epoch_cycles));
 
-    let checkpoint = if resume {
-        Checkpoint::load(grid.name)
-    } else {
-        Checkpoint::fresh(grid.name)
-    }
-    .expect("checkpoint sidecar must be readable/writable");
-    let resumed = cells
-        .iter()
-        .filter(|c| checkpoint.contains(&cell_key(c)))
-        .count();
-
-    let pending: Vec<Cell> = cells
-        .iter()
-        .filter(|c| !checkpoint.contains(&cell_key(c)))
-        .copied()
-        .collect();
+    let grid = Grid::product([
+        Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
+        Axis::new("flow", plan.flows.iter().map(|f| format!("{f:?}"))),
+    ]);
     let opts = IsolationOptions {
-        cycle_budget: grid.epochs * grid.epoch_cycles * 20,
+        cycle_budget: plan.epochs * plan.epoch_cycles * 20,
         max_retries: 1,
     };
-    let results_dir = std::env::var("DAMQ_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    let dump_dir = std::path::Path::new(&results_dir).join("chaos_dumps");
-    let dump_dir = dump_dir.as_path();
+    let dump_dir = damq_bench::results_dir().join("chaos_dumps");
     // Built-in audits are the soaked invariants; the extra hook stays
     // inert here (the seeded-mutation test exercises it).
     let check = |_probe: &chaos::EpochProbe| -> Result<(), String> { Ok(()) };
-    let recorded = sweep::run_isolated_recorded(
-        &pending,
-        opts,
-        RING_CAPACITY,
-        dump_dir,
-        |cell, watchdog, attempt, recorder| {
-            let soak = soak_for(cell, &grid);
-            let config = config_for(cell, attempt);
-            let outcome = chaos::run_soak(config, &soak, recorder, &check, || watchdog.tick())
-                .expect("grid cell configuration is valid");
-            if let Some(violation) = &outcome.violation {
-                // Minimize first, then panic with the reproducer as the
-                // message: the recorded harness writes it (plus the
-                // telemetry ring's tail) into the crash-dump sidecar.
-                let rep = chaos::minimize(config, &soak, violation, &check);
-                panic!(
-                    "chaos invariant violated at epoch {} cycle {}: {} — reproducer {}",
-                    violation.epoch,
-                    violation.cycle,
-                    violation.message,
-                    rep.to_json().render()
-                );
-            }
-            let json = Json::cell(
-                [
-                    ("buffer", Json::from(cell.kind.name())),
-                    ("flow", Json::from(format!("{:?}", cell.flow))),
-                ],
-                Json::obj([
-                    ("epochs_run", Json::from(outcome.epochs_run)),
-                    ("cycles_run", Json::from(outcome.cycles_run)),
-                    ("delivered", Json::from(outcome.delivered)),
-                    ("discarded", Json::from(outcome.discarded)),
-                    ("fault_drops", Json::from(outcome.ledger.dropped())),
-                    ("slots_killed", Json::from(outcome.ledger.slots_killed)),
-                ]),
+    let soak_cell = |cell: &Cell, watchdog: &sweep::Watchdog, attempt, recorder| {
+        let soak = soak_for(cell, &plan);
+        let config = config_for(cell, &plan, attempt);
+        let outcome = chaos::run_soak(config, &soak, recorder, &check, || watchdog.tick())
+            .expect("grid cell configuration is valid");
+        if let Some(violation) = &outcome.violation {
+            // Minimize first, then panic with the reproducer as the
+            // message: the recorded harness writes it (plus the
+            // telemetry ring's tail) into the crash-dump sidecar.
+            let rep = chaos::minimize(config, &soak, violation, &check);
+            panic!(
+                "chaos invariant violated at epoch {} cycle {}: {} — reproducer {}",
+                violation.epoch,
+                violation.cycle,
+                violation.message,
+                rep.to_json().render()
             );
-            checkpoint
-                .record(&cell_key(cell), &json)
-                .expect("checkpoint append must succeed");
-            json
+        }
+        Json::obj([
+            ("epochs_run", Json::from(outcome.epochs_run)),
+            ("cycles_run", Json::from(outcome.cycles_run)),
+            ("delivered", Json::from(outcome.delivered)),
+            ("discarded", Json::from(outcome.discarded)),
+            ("fault_drops", Json::from(outcome.ledger.dropped())),
+            ("slots_killed", Json::from(outcome.ledger.slots_killed)),
+        ])
+    };
+    let mut dumps = 0;
+    let (records, robustness) = resume::run_with(
+        plan.name,
+        args.flag("--resume"),
+        grid,
+        |pending, checkpoint| {
+            let recorded = sweep::run_isolated_recorded(
+                pending,
+                opts,
+                RING_CAPACITY,
+                &dump_dir,
+                |cell, watchdog, attempt, recorder| {
+                    checkpoint(cell, soak_cell(cell, watchdog, attempt, recorder));
+                },
+            );
+            dumps = recorded.iter().map(|r| r.dumps.len()).sum();
+            recorded.into_iter().map(|r| r.report.outcome).collect()
         },
     );
-    let dumps: usize = recorded.iter().map(|r| r.dumps.len()).sum();
-    let outcomes: Vec<sweep::CellOutcome> =
-        recorded.into_iter().map(|r| r.report.outcome).collect();
 
-    for cell in &cells {
-        let key = cell_key(cell);
-        report.push_cell(checkpoint.get(&key).unwrap_or_else(|| {
-            Json::cell(
-                [
-                    ("buffer", Json::from(cell.kind.name())),
-                    ("flow", Json::from(format!("{:?}", cell.flow))),
-                ],
-                Json::obj([("failed", Json::from(true))]),
-            )
-        }));
-    }
-    let robustness = match robustness_json(&outcomes) {
+    records.report(&mut report, Json::clone);
+    let robustness = match robustness {
         Json::Obj(mut pairs) => {
-            pairs.push(("resumed".to_owned(), Json::from(resumed)));
             pairs.push(("flight_dumps".to_owned(), Json::from(dumps)));
             Json::Obj(pairs)
         }
@@ -232,43 +179,28 @@ fn main() {
     };
     report.set_robustness(robustness);
 
-    let mut rows = Vec::new();
-    for cell in &cells {
-        let entry = checkpoint.get(&cell_key(cell));
+    let header = [
+        "buffer",
+        "flow",
+        "epochs",
+        "delivered",
+        "discarded",
+        "fault_drops",
+    ];
+    let table = records.table(2, &header, |_, record| {
         let field = |name: &str| -> String {
-            entry
-                .as_ref()
-                .and_then(|e| e.get(name))
-                .and_then(Json::as_f64)
-                .map_or_else(|| "failed".to_owned(), |v| format!("{v:.0}"))
+            let value = record[0].get(name).and_then(Json::as_f64);
+            value.map_or_else(|| "failed".to_owned(), |v| format!("{v:.0}"))
         };
-        rows.push(vec![
-            cell.kind.name().to_owned(),
-            format!("{:?}", cell.flow),
-            field("epochs_run"),
-            field("delivered"),
-            field("discarded"),
-            field("fault_drops"),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(
-            &[
-                "buffer",
-                "flow",
-                "epochs",
-                "delivered",
-                "discarded",
-                "fault_drops"
-            ],
-            &rows,
-        )
-    );
+        ["epochs_run", "delivered", "discarded", "fault_drops"]
+            .map(field)
+            .to_vec()
+    });
+    print!("{table}");
 
     report.write_and_announce();
 
-    let clean = cells.iter().all(|c| checkpoint.contains(&cell_key(c)));
+    let clean = records.iter().all(|(_, r)| r.get("failed").is_none());
     if !clean {
         eprintln!(
             "chaos soak found violations; see {} for reproducers",

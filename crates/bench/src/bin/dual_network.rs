@@ -14,17 +14,18 @@
 //! (modelled as simply *absent* from the general network, as in RP3 —
 //! the combining network itself is out of scope here and in the paper).
 //!
-//! The (design, traffic) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates. The run
-//! also writes `results/json/dual_network.json`.
+//! The (design, traffic) [`damq_bench::grid`] seeds each cell from its
+//! coordinates. The run also writes `results/json/dual_network.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{find_saturation, NetworkConfig, SaturationOptions, TrafficPattern};
+use damq_net::{NetworkConfig, TrafficPattern};
 use damq_switch::FlowControl;
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Single network with a hot spot vs RP3-style dual networks");
     println!("(64x64 Omega, blocking, smart arbitration, 4 slots per buffer)");
     println!();
@@ -39,31 +40,19 @@ fn main() {
         ("combined_hot_spot", TrafficPattern::paper_hot_spot()),
         ("dual_general_uniform", TrafficPattern::Uniform),
     ];
-    let cells: Vec<(usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| (0..traffics.len()).map(move |t| (k, t)))
-        .collect();
     let mut report = Report::new("dual_network");
-    let saturations = sweep::run(&cells, |&(k, t)| {
-        find_saturation(
-            base.buffer_kind(BufferKind::ALL[k])
-                .traffic(traffics[t].1)
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, t as u64])),
-            SaturationOptions::default(),
-        )
-        .expect("search runs")
+    let saturated = Grid::product([
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+        Axis::new("traffic", traffics.map(|(label, _)| label)),
+    ])
+    .saturate(|c| {
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .traffic(traffics[c[1]].1)
     });
 
     report.meta("network", Json::from("64x64 Omega, blocking"));
     report.meta("slots_per_buffer", Json::from(4usize));
-    for (&(k, t), sat) in cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("traffic", Json::from(traffics[t].0)),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    saturated.report(&mut report, saturation_json);
 
     let header = [
         "Buffer",
@@ -72,24 +61,21 @@ fn main() {
         "dual total/src",
         "gain",
     ];
-    let mut rows = Vec::new();
-    let mut sat_iter = saturations.iter();
-    for kind in BufferKind::ALL {
-        let combined = sat_iter.next().expect("cell").throughput;
+    let table = saturated.table(1, &header, |_, by_traffic| {
+        let combined = by_traffic[0].throughput;
         // Dual networks: the general network sees only the 95% uniform
         // share, so a per-source total load L puts 0.95*L on it. It
         // saturates when 0.95*L = sat_uniform.
-        let general = sat_iter.next().expect("cell").throughput;
+        let general = by_traffic[1].throughput;
         let dual_total = general / 0.95;
-        rows.push(vec![
-            kind.name().to_owned(),
+        vec![
             format!("{combined:.2}"),
             format!("{general:.2}"),
             format!("{dual_total:.2}"),
             format!("{:.1}x", dual_total / combined),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+        ]
+    });
+    print!("{table}");
     println!();
     println!("with one network, the hot spot caps every design at ~0.24 and the buffer");
     println!("choice is irrelevant. divert the hot 5% to a combining network and the");

@@ -8,12 +8,12 @@
 //! of per-source means) and the p99 tail — where round-robin bookkeeping
 //! should show up.
 //!
-//! The (design, policy) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates. The run
-//! also writes `results/json/fairness.json`.
+//! The (design, policy) [`damq_bench::grid`] seeds each cell from its
+//! coordinates. The run also writes `results/json/fairness.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim};
 use damq_switch::{ArbiterPolicy, FlowControl};
@@ -29,6 +29,7 @@ struct FairnessPoint {
 }
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Fairness under load: dumb vs smart arbitration");
     println!("(64x64 Omega, blocking, uniform traffic, 4 slots per buffer, load 0.45)");
     println!();
@@ -37,18 +38,16 @@ fn main() {
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking)
         .offered_load(0.45);
-
-    let cells: Vec<(usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| (0..ArbiterPolicy::ALL.len()).map(move |p| (k, p)))
-        .collect();
     let mut report = Report::new("fairness");
-    let points = sweep::run(&cells, |&(k, p)| {
-        let mut sim = NetworkSim::new(
-            base.buffer_kind(BufferKind::ALL[k])
-                .arbiter_policy(ArbiterPolicy::ALL[p])
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, p as u64])),
-        )
-        .expect("valid config");
+    let points = Grid::product([
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+        Axis::new("arbiter", ArbiterPolicy::ALL.map(ArbiterPolicy::name)),
+    ])
+    .run(|c| {
+        let config = base
+            .buffer_kind(BufferKind::ALL[c[0]])
+            .arbiter_policy(ArbiterPolicy::ALL[c[1]]);
+        let mut sim = NetworkSim::new(config.seed(c.seed())).expect("valid config");
         sim.warm_up(WARM_UP);
         sim.run(WINDOW);
         let m = sim.metrics();
@@ -64,35 +63,26 @@ fn main() {
     report.meta("offered_load", Json::from(0.45));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
     report.meta("window_cycles", Json::from(WINDOW));
-    for (&(k, p), point) in cells.iter().zip(&points) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("arbiter", Json::from(ArbiterPolicy::ALL[p].name())),
-            ],
-            Json::obj([
-                ("mean_latency_clocks", Json::from(point.mean_latency)),
-                ("latency_p99_clocks", Json::from(point.p99_latency)),
-                (
-                    "source_latency_spread_clocks",
-                    Json::from(point.source_spread),
-                ),
-            ]),
-        ));
-    }
+    points.report(&mut report, |point| {
+        Json::obj([
+            ("mean_latency_clocks", Json::from(point.mean_latency)),
+            ("latency_p99_clocks", Json::from(point.p99_latency)),
+            (
+                "source_latency_spread_clocks",
+                Json::from(point.source_spread),
+            ),
+        ])
+    });
 
     let header = ["Buffer", "policy", "mean lat", "p99 lat", "src spread"];
-    let mut rows = Vec::new();
-    for (&(k, p), point) in cells.iter().zip(&points) {
-        rows.push(vec![
-            BufferKind::ALL[k].name().to_owned(),
-            ArbiterPolicy::ALL[p].name().to_owned(),
-            format!("{:.1}", point.mean_latency),
-            format!("{:.0}", point.p99_latency),
-            format!("{:.1}", point.source_spread),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+    let table = points.table(2, &header, |_, point| {
+        vec![
+            format!("{:.1}", point[0].mean_latency),
+            format!("{:.0}", point[0].p99_latency),
+            format!("{:.1}", point[0].source_spread),
+        ]
+    });
+    print!("{table}");
     println!();
     println!("'src spread' = difference between the luckiest and unluckiest source's");
     println!("mean latency (clock cycles). Means barely move between policies (the");

@@ -10,18 +10,19 @@
 //! anywhere), while static partitions lose a whole queue's worth of
 //! headroom when their slots die.
 //!
-//! Cells run through the self-healing harness ([`sweep::run_isolated`]):
-//! panic-isolated, cycle-budget watchdogged, retried with a fresh seed on
-//! panic, and checkpointed per cell so `--resume` re-runs only what is
-//! missing. Outcomes land in the report's `robustness` section.
+//! Cells run through the resumable self-healing pipeline
+//! ([`damq_bench::resume::run`]): panic-isolated, cycle-budget
+//! watchdogged, retried with a fresh seed on panic, and checkpointed per
+//! cell so `--resume` re-runs only what is missing. Outcomes land in the
+//! report's `robustness` section.
 //!
 //! Flags: `--smoke` shrinks the grid and windows for the CI gate;
 //! `--resume` reloads `results/json/<name>.cells.jsonl`.
 
-use damq_bench::json::{measurement_json, robustness_json, Json, Report};
-use damq_bench::render_table;
-use damq_bench::resume::Checkpoint;
-use damq_bench::sweep::{self, CellOutcome, IsolationOptions};
+use damq_bench::grid::{Axis, Cell, Grid};
+use damq_bench::json::{measurement_json, Json, Report};
+use damq_bench::sweep::{self, IsolationOptions};
+use damq_bench::{cli, render_table, resume};
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{measure_with_faults, NetworkConfig};
 use damq_switch::FlowControl;
@@ -32,24 +33,8 @@ const STAGES: usize = 2;
 const PER_STAGE: usize = 4;
 const SLOTS: usize = 4;
 
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    kind: BufferKind,
-    dead_fraction: f64,
-    load: f64,
-    coords: [u64; 3],
-}
-
-fn cell_key(cell: &Cell) -> String {
-    format!(
-        "{}|dead{:.2}|load{:.2}",
-        cell.kind.name(),
-        cell.dead_fraction,
-        cell.load
-    )
-}
-
-struct Grid {
+/// One size of the experiment: the full grid or the CI smoke.
+struct Plan {
     name: &'static str,
     kinds: Vec<BufferKind>,
     fractions: Vec<f64>,
@@ -58,9 +43,9 @@ struct Grid {
     window: u64,
 }
 
-fn grid(smoke: bool) -> Grid {
+fn plan(smoke: bool) -> Plan {
     if smoke {
-        Grid {
+        Plan {
             name: "fault_degradation_smoke",
             kinds: vec![BufferKind::Samq, BufferKind::Damq],
             fractions: vec![0.0, 0.25],
@@ -69,7 +54,7 @@ fn grid(smoke: bool) -> Grid {
             window: 200,
         }
     } else {
-        Grid {
+        Plan {
             name: "fault_degradation",
             kinds: BufferKind::EXTENDED.to_vec(),
             fractions: vec![0.0, 0.10, 0.25],
@@ -80,178 +65,104 @@ fn grid(smoke: bool) -> Grid {
     }
 }
 
-fn plan_for(cell: &Cell, horizon: u64) -> FaultPlan {
-    if cell.dead_fraction == 0.0 {
+fn faults_for(cell: &Cell, dead_fraction: f64, horizon: u64) -> FaultPlan {
+    if dead_fraction == 0.0 {
         return FaultPlan::new();
     }
     let spec = FaultSpec {
-        dead_slot_fraction: cell.dead_fraction,
+        dead_slot_fraction: dead_fraction,
         ..FaultSpec::fault_free(STAGES, PER_STAGE, RADIX, TERMINALS, SLOTS, horizon)
     };
     // The plan seed depends only on the grid coordinates, not the attempt:
     // the *faults* are the experiment, so a retry replays the same damage
     // against a fresh traffic stream.
-    FaultPlan::generate(
-        sweep::cell_seed(sweep::BASE_SEED ^ 0xFA17, &cell.coords),
-        &spec,
-    )
+    FaultPlan::generate(cell.seed_from(sweep::BASE_SEED ^ 0xFA17), &spec)
 }
 
-fn run_cell(cell: &Cell, grid: &Grid, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
+fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
+    let (kind, dead_fraction, load) = (
+        plan.kinds[cell[0]],
+        plan.fractions[cell[1]],
+        plan.loads[cell[2]],
+    );
     // Fold the attempt index into the traffic seed so a retry after a
     // panic explores a different stream (the reseed of retry-with-reseed).
-    let seed = sweep::cell_seed(sweep::BASE_SEED + u64::from(attempt), &cell.coords);
     let config = NetworkConfig::new(TERMINALS, RADIX)
-        .buffer_kind(cell.kind)
+        .buffer_kind(kind)
         .slots_per_buffer(SLOTS)
         .flow_control(FlowControl::Discarding)
-        .offered_load(cell.load)
-        .seed(seed);
-    let plan = plan_for(cell, grid.warm_up / 2);
-    let (m, ledger) = measure_with_faults(config, plan, grid.warm_up, grid.window, || {
+        .offered_load(load)
+        .seed(cell.seed_from(sweep::BASE_SEED + u64::from(attempt)));
+    let faults = faults_for(cell, dead_fraction, plan.warm_up / 2);
+    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
         watchdog.tick();
     })
     .expect("grid cell configuration is valid");
-    Json::cell(
-        [
-            ("buffer", Json::from(cell.kind.name())),
-            ("dead_fraction", Json::from(cell.dead_fraction)),
-            ("load", Json::from(cell.load)),
-        ],
-        Json::obj([
-            ("slots_killed", Json::from(ledger.slots_killed)),
-            ("fault_drops", Json::from(ledger.dropped())),
-            ("measurement", measurement_json(&m)),
-        ]),
-    )
+    Json::obj([
+        ("slots_killed", Json::from(ledger.slots_killed)),
+        ("fault_drops", Json::from(ledger.dropped())),
+        ("measurement", measurement_json(&m)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let resume = args.iter().any(|a| a == "--resume");
-    if let Some(bad) = args.iter().find(|a| *a != "--smoke" && *a != "--resume") {
-        eprintln!("unknown flag {bad}; accepted: --smoke --resume"); // lint: allow — harness status channel
-        std::process::exit(2);
-    }
-    let grid = grid(smoke);
+    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let plan = plan(args.flag("--smoke"));
 
-    let mut cells = Vec::new();
-    for (k, &kind) in grid.kinds.iter().enumerate() {
-        for (f, &dead_fraction) in grid.fractions.iter().enumerate() {
-            for (l, &load) in grid.loads.iter().enumerate() {
-                cells.push(Cell {
-                    kind,
-                    dead_fraction,
-                    load,
-                    coords: [k as u64, f as u64, l as u64],
-                });
-            }
-        }
-    }
-
-    let mut report = Report::new(grid.name);
+    let mut report = Report::new(plan.name);
     report.meta("terminals", Json::from(TERMINALS));
     report.meta("radix", Json::from(RADIX));
     report.meta("slots_per_buffer", Json::from(SLOTS));
     report.meta("flow_control", Json::from("discarding"));
-    report.meta("warm_up", Json::from(grid.warm_up));
-    report.meta("window", Json::from(grid.window));
+    report.meta("warm_up", Json::from(plan.warm_up));
+    report.meta("window", Json::from(plan.window));
 
-    let checkpoint = if resume {
-        Checkpoint::load(grid.name)
-    } else {
-        Checkpoint::fresh(grid.name)
-    }
-    .expect("checkpoint sidecar must be readable/writable");
-    let resumed = cells
-        .iter()
-        .filter(|c| checkpoint.contains(&cell_key(c)))
-        .count();
-
-    let pending: Vec<Cell> = cells
-        .iter()
-        .filter(|c| !checkpoint.contains(&cell_key(c)))
-        .copied()
-        .collect();
+    let grid = Grid::product([
+        Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
+        Axis::new("dead_fraction", plan.fractions.iter().copied()),
+        Axis::new("load", plan.loads.iter().copied()),
+    ]);
     let opts = IsolationOptions {
         // Generous: ~20x the cell's simulated cycles. A cell that ticks
         // past this is wedged, not slow.
-        cycle_budget: (grid.warm_up + grid.window) * 20,
+        cycle_budget: (plan.warm_up + plan.window) * 20,
         max_retries: 2,
     };
-    let outcomes: Vec<CellOutcome> =
-        sweep::run_isolated(&pending, opts, |cell, watchdog, attempt| {
-            let json = run_cell(cell, &grid, watchdog, attempt);
-            // Checkpoint the cell the moment it completes: a crash later in
-            // the sweep loses nothing that already finished.
-            checkpoint
-                .record(&cell_key(cell), &json)
-                .expect("checkpoint append must succeed");
-            json
-        })
-        .into_iter()
-        .map(|r| r.outcome)
-        .collect();
+    let (records, robustness) = resume::run(
+        plan.name,
+        args.flag("--resume"),
+        grid,
+        opts,
+        |cell, watchdog, attempt| run_cell(cell, &plan, watchdog, attempt),
+    );
 
-    // Assemble in grid order from the checkpoint; a cell whose every
-    // attempt failed gets a coordinate-only placeholder so the report
-    // still accounts for it.
-    for cell in &cells {
-        let key = cell_key(cell);
-        report.push_cell(checkpoint.get(&key).unwrap_or_else(|| {
-            Json::cell(
-                [
-                    ("buffer", Json::from(cell.kind.name())),
-                    ("dead_fraction", Json::from(cell.dead_fraction)),
-                    ("load", Json::from(cell.load)),
-                ],
-                Json::obj([("failed", Json::from(true))]),
-            )
-        }));
-    }
-    let robustness = match robustness_json(&outcomes) {
-        Json::Obj(mut pairs) => {
-            pairs.push(("resumed".to_owned(), Json::from(resumed)));
-            Json::Obj(pairs)
-        }
-        other => other,
-    };
+    records.report(&mut report, Json::clone);
     report.set_robustness(robustness);
 
     // Text table on stdout, mirroring the other harnesses.
-    let mut rows = Vec::new();
-    for cell in &cells {
-        let entry = checkpoint.get(&cell_key(cell));
+    let rows = records.iter().map(|(cell, record)| {
         let field = |name: &str| -> String {
-            entry
-                .as_ref()
-                .and_then(|e| e.get("measurement"))
+            record
+                .get("measurement")
                 .and_then(|m| m.get(name))
                 .and_then(Json::as_f64)
                 .map_or_else(|| "failed".to_owned(), |v| format!("{v:.3}"))
         };
-        let killed = entry
-            .as_ref()
-            .and_then(|e| e.get("slots_killed"))
+        let killed = record
+            .get("slots_killed")
             .and_then(Json::as_f64)
             .map_or_else(|| "-".to_owned(), |v| format!("{v:.0}"));
-        rows.push(vec![
-            cell.kind.name().to_owned(),
-            format!("{:.2}", cell.dead_fraction),
-            format!("{:.2}", cell.load),
+        vec![
+            plan.kinds[cell[0]].name().to_owned(),
+            format!("{:.2}", plan.fractions[cell[1]]),
+            format!("{:.2}", plan.loads[cell[2]]),
             killed,
             field("delivered"),
             field("discard_fraction"),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(
-            &["buffer", "dead", "load", "killed", "delivered", "discard"],
-            &rows,
-        )
-    );
+        ]
+    });
+    let header = ["buffer", "dead", "load", "killed", "delivered", "discard"];
+    print!("{}", render_table(&header, &rows.collect::<Vec<_>>()));
 
     report.write_and_announce();
 }

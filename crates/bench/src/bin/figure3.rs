@@ -5,13 +5,14 @@
 //! nearly identical at low loads, with FIFO turning vertical around 0.5 and
 //! DAMQ around 0.7.
 //!
-//! The (design, load) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates. The run
-//! also writes `results/json/figure3.json`, whose `telemetry` section
-//! profiles the sweep (per-cell wall time, phases, parallel speed-up).
+//! The (design, load) [`damq_bench::grid`] seeds each cell from its
+//! coordinates. The run also writes `results/json/figure3.json`, whose
+//! `telemetry` section profiles the sweep (per-cell wall time, phases,
+//! parallel speed-up).
 
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{measurement_json, Json, Report};
-use damq_bench::{render_table, sweep};
+use damq_bench::{cli, render_table};
 use damq_core::BufferKind;
 use damq_net::{measure, NetworkConfig};
 use damq_switch::FlowControl;
@@ -19,8 +20,10 @@ use damq_telemetry::Profiler;
 
 const WARM_UP: u64 = 1_000;
 const WINDOW: u64 = 8_000;
+const KINDS: [BufferKind; 2] = [BufferKind::Fifo, BufferKind::Damq];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Figure 3: FIFO and DAMQ buffers with four slots, uniform traffic");
     println!("(64x64 Omega, blocking, smart arbitration; latency in clock cycles)");
     println!();
@@ -29,26 +32,19 @@ fn main() {
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking);
 
-    let kinds = [BufferKind::Fifo, BufferKind::Damq];
     let loads: Vec<f64> = (1..=14).map(|i| i as f64 * 0.05).collect();
 
-    let cells: Vec<(usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..loads.len()).map(move |l| (k, l)))
-        .collect();
     let mut report = Report::new("figure3");
     let mut profiler = Profiler::new();
     let sweep_phase = profiler.phase("sweep");
-    let (measurements, profile) = sweep::run_profiled(&cells, |&(k, l)| {
-        measure(
-            base.buffer_kind(kinds[k])
-                .offered_load(loads[l])
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, l as u64])),
-            WARM_UP,
-            WINDOW,
-        )
-        .expect("simulation must run")
+    let (measured, profile) = Grid::product([
+        Axis::new("buffer", KINDS.map(BufferKind::name)),
+        Axis::new("offered_load", loads.iter().copied()),
+    ])
+    .run_profiled(WARM_UP + WINDOW, |c| {
+        let config = base.buffer_kind(KINDS[c[0]]).offered_load(loads[c[1]]);
+        measure(config.seed(c.seed()), WARM_UP, WINDOW).expect("simulation must run")
     });
-    let profile = profile.with_cycles(vec![WARM_UP + WINDOW; cells.len()]);
     drop(sweep_phase);
     let render_phase = profiler.phase("render");
 
@@ -56,28 +52,19 @@ fn main() {
     report.meta("slots_per_buffer", Json::from(4usize));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
     report.meta("window_cycles", Json::from(WINDOW));
-    for (&(k, l), m) in cells.iter().zip(&measurements) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("offered_load", Json::from(loads[l])),
-            ],
-            measurement_json(m),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
 
-    let mut curves: Vec<(BufferKind, Vec<(f64, f64)>)> = Vec::new();
-    let mut m_iter = measurements.iter();
-    for &kind in &kinds {
-        let curve = loads
-            .iter()
-            .map(|_| {
-                let m = m_iter.next().expect("one measurement per cell");
-                (m.delivered, m.network_latency_clocks)
-            })
-            .collect();
-        curves.push((kind, curve));
-    }
+    // One (delivered throughput, latency) curve per design.
+    let curves: Vec<(BufferKind, Vec<(f64, f64)>)> = measured
+        .rows(1)
+        .into_iter()
+        .map(|(k, at_loads)| {
+            let curve = at_loads
+                .iter()
+                .map(|m| (m.delivered, m.network_latency_clocks));
+            (KINDS[k[0]], curve.collect())
+        })
+        .collect();
 
     let mut rows = Vec::new();
     for (i, &load) in loads.iter().enumerate() {

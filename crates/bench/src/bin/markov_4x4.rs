@@ -10,83 +10,60 @@
 //! FIFO is excluded (its state is order-dependent); the simulation remains
 //! the reference for it.
 //!
-//! The (design, capacity, traffic) grid is swept in parallel through
-//! [`damq_bench::sweep`]; the run also writes
-//! `results/json/markov_4x4.json`.
+//! The (design, capacity, traffic) [`damq_bench::grid`] is ragged — each
+//! design gets the capacities its state space allows; the run also
+//! writes `results/json/markov_4x4.json`.
 
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
-use damq_bench::{fmt_prob, render_table, sweep};
+use damq_bench::{cli, fmt_prob};
 use damq_core::BufferKind;
 use damq_markov::{discard_probability_kxk, CycleOrder, SolveOptions};
 
 const TRAFFICS: [f64; 5] = [0.25, 0.50, 0.75, 0.90, 0.99];
+const CAPACITIES: [usize; 3] = [1, 2, 4];
+/// Capacities are bounded by state-space size: DAMQ/DAFC at 3+ shared
+/// slots or SAMQ/SAFC at 2+ slots per queue exceed a million states.
+const SIZES: [(BufferKind, &[usize]); 4] = [
+    (BufferKind::Damq, &[1, 2]),
+    (BufferKind::Dafc, &[1, 2]),
+    (BufferKind::Samq, &[4]),
+    (BufferKind::Safc, &[4]),
+];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Markov analysis of a 4x4 discarding switch (not in the paper)");
     println!("(multi-queue designs; greedy longest-queue arbitration; arrivals-first)");
     println!();
 
-    // Capacities are bounded by state-space size: DAMQ/DAFC at 3+ shared
-    // slots or SAMQ/SAFC at 2+ slots per queue exceed a million states.
-    let sizes: &[(BufferKind, &[usize])] = &[
-        (BufferKind::Damq, &[1, 2]),
-        (BufferKind::Dafc, &[1, 2]),
-        (BufferKind::Samq, &[4]),
-        (BufferKind::Safc, &[4]),
-    ];
-
-    let cells: Vec<(BufferKind, usize, f64)> = sizes
-        .iter()
-        .flat_map(|&(kind, capacities)| {
-            capacities
-                .iter()
-                .flat_map(move |&cap| TRAFFICS.iter().map(move |&t| (kind, cap, t)))
-        })
-        .collect();
     let mut report = Report::new("markov_4x4");
-    let points = sweep::run(&cells, |&(kind, cap, t)| {
-        discard_probability_kxk(
-            kind,
-            4,
-            cap,
-            t,
-            CycleOrder::ArrivalsFirst,
-            SolveOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{kind}/{cap}/{t}: {e}"))
+    let points = Grid::product([
+        Axis::new("buffer", SIZES.map(|(kind, _)| kind.name())),
+        Axis::new("capacity_slots", CAPACITIES),
+        Axis::new("traffic", TRAFFICS),
+    ])
+    .retain(|c| SIZES[c[0]].1.contains(&CAPACITIES[c[1]]))
+    .run(|c| {
+        let (kind, cap, t) = (SIZES[c[0]].0, CAPACITIES[c[1]], TRAFFICS[c[2]]);
+        let order = CycleOrder::ArrivalsFirst;
+        discard_probability_kxk(kind, 4, cap, t, order, SolveOptions::default())
+            .unwrap_or_else(|e| panic!("{kind}/{cap}/{t}: {e}"))
     });
 
     report.meta("switch", Json::from("4x4 discarding"));
     report.meta("order", Json::from("ArrivalsFirst"));
-    for ((kind, cap, t), point) in cells.iter().zip(&points) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kind.name())),
-                ("capacity_slots", Json::from(*cap)),
-                ("traffic", Json::from(*t)),
-            ],
-            discard_point_json(point),
-        ));
-    }
+    points.report(&mut report, discard_point_json);
 
     let mut header: Vec<String> = vec!["Switch".into(), "Space".into(), "states".into()];
     header.extend(TRAFFICS.iter().map(|t| format!("{:.0}%", t * 100.0)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
-    let mut rows = Vec::new();
-    let mut point_iter = points.iter();
-    for &(kind, capacities) in sizes {
-        for &cap in capacities {
-            let mut row = vec![kind.name().to_owned(), cap.to_string(), String::new()];
-            for _ in &TRAFFICS {
-                let p = point_iter.next().expect("one point per cell");
-                row[2] = p.states.to_string();
-                row.push(fmt_prob(p.discard_probability));
-            }
-            rows.push(row);
-        }
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    let table = points.table(2, &header, |_, at_traffics| {
+        // The state count depends on the design and size, not the traffic.
+        let states = [at_traffics[0].states.to_string()];
+        let discards = at_traffics.iter().map(|p| fmt_prob(p.discard_probability));
+        states.into_iter().chain(discards).collect()
+    });
+    print!("{table}");
     println!();
     println!("note: SAMQ/SAFC capacity is a total (4 slots = 1 per queue). DAMQ with");
     println!("just 2 *shared* slots discards less than SAMQ with 4 static ones up to");

@@ -6,41 +6,36 @@
 //! This quantifies head-of-line blocking as *delay*, complementing
 //! Table 2's loss numbers.
 //!
-//! The (design, traffic) grid is swept in parallel through
-//! [`damq_bench::sweep`]; the run also writes
-//! `results/json/markov_queueing.json`.
+//! The (design, traffic) points are one [`damq_bench::grid`]; the run
+//! also writes `results/json/markov_queueing.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
 use damq_markov::{discard_probability, CycleOrder, SolveOptions};
 
 const CAPACITY: usize = 4;
+const TRAFFICS: [f64; 5] = [0.25, 0.50, 0.75, 0.90, 0.99];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Queueing delay from the Table-2 chains (2x2 discarding switch, 4 slots)");
     println!("(mean wait of an accepted packet, in long-clock cycles; Little's law)");
     println!();
 
-    let traffics = [0.25, 0.50, 0.75, 0.90, 0.99];
-    let kinds = [
-        BufferKind::Fifo,
-        BufferKind::Samq,
-        BufferKind::Safc,
-        BufferKind::Damq,
-    ];
-
-    let cells: Vec<(BufferKind, f64)> = kinds
-        .iter()
-        .flat_map(|&kind| traffics.iter().map(move |&t| (kind, t)))
-        .collect();
     let mut report = Report::new("markov_queueing");
-    let points = sweep::run(&cells, |&(kind, t)| {
+    let points = Grid::product([
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+        Axis::new("traffic", TRAFFICS),
+    ])
+    .run(|c| {
+        let order = CycleOrder::ArrivalsFirst;
         discard_probability(
-            kind,
+            BufferKind::ALL[c[0]],
             CAPACITY,
-            t,
-            CycleOrder::ArrivalsFirst,
+            TRAFFICS[c[1]],
+            order,
             SolveOptions::default(),
         )
         .expect("analysis runs")
@@ -48,31 +43,15 @@ fn main() {
 
     report.meta("switch", Json::from("2x2 discarding"));
     report.meta("capacity_slots", Json::from(CAPACITY));
-    for ((kind, t), point) in cells.iter().zip(&points) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kind.name())),
-                ("traffic", Json::from(*t)),
-            ],
-            discard_point_json(point),
-        ));
-    }
+    points.report(&mut report, discard_point_json);
 
     let mut header: Vec<String> = vec!["Buffer".into()];
-    header.extend(traffics.iter().map(|t| format!("{:.0}%", t * 100.0)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
-    let mut point_iter = points.iter();
-    let mut rows = Vec::new();
-    for kind in kinds {
-        let mut row = vec![kind.name().to_owned()];
-        for _ in traffics {
-            let p = point_iter.next().expect("one point per cell");
-            row.push(format!("{:.3}", p.mean_wait_cycles));
-        }
-        rows.push(row);
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    header.extend(TRAFFICS.iter().map(|t| format!("{:.0}%", t * 100.0)));
+    let table = points.table(1, &header, |_, at_traffics| {
+        let waits = at_traffics.iter().map(|p| p.mean_wait_cycles);
+        waits.map(|w| format!("{w:.3}")).collect()
+    });
+    print!("{table}");
     println!();
     println!("reading: at heavy traffic a FIFO's accepted packets wait several times");
     println!("longer than a DAMQ's -- head-of-line blocking costs latency even when");

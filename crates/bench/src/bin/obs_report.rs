@@ -48,16 +48,10 @@ fn golden_config() -> NetworkConfig {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let out = match args.as_slice() {
-        [] => default_out_path(),
-        ["--out", p] => PathBuf::from(p),
-        _ => {
-            eprintln!("usage: obs_report [--out <snapshot.json>]");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = damq_bench::cli::parse(&[], &["--out"]);
+    let out = args
+        .value("--out")
+        .map_or_else(default_out_path, PathBuf::from);
 
     // Section 1: the deterministic registry snapshot.
     let config = golden_config();
@@ -107,10 +101,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `results/json/obs_report.json`, honouring `DAMQ_RESULTS_DIR`.
+/// `obs_report.json` next to the other reports.
 fn default_out_path() -> PathBuf {
-    let dir = std::env::var("DAMQ_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    PathBuf::from(dir).join("json").join("obs_report.json")
+    damq_bench::results_dir()
+        .join("json")
+        .join("obs_report.json")
 }
 
 /// Prints the registry's counters and histograms as a text table.

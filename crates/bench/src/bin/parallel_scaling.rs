@@ -32,7 +32,9 @@
 
 use std::hint::black_box;
 
+use damq_bench::cli;
 use damq_bench::json::Json;
+use damq_bench::record::BenchRecord;
 use damq_bench::timing::{bench, Stats};
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim, PhaseProfile, TrafficPattern};
@@ -137,11 +139,11 @@ fn smoke() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
+    if cli::parse(&["--smoke"], &[]).flag("--smoke") {
         smoke();
         return;
     }
+    let mut record = BenchRecord::open();
 
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     println!("parallel_scaling: hot-spot DAMQ, blocking, radix-4 Omega ({host_cpus} host CPUs)");
@@ -231,35 +233,9 @@ fn main() {
         ("cells", Json::Obj(profile_cells)),
     ]);
 
-    write_sections(vec![("scaling", scaling), ("phase_profile", phase_profile)]);
-}
-
-/// Path of the committed throughput record, resolved from this crate's
-/// manifest so the harness works from any working directory.
-fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json")
-}
-
-/// Replaces (or appends) this harness's sections of
-/// `BENCH_throughput.json`, leaving every other section exactly as
-/// `sim_throughput` wrote it.
-fn write_sections(sections: Vec<(&str, Json)>) {
-    let path = report_path();
-    let doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let mut pairs = match doc {
-        Some(Json::Obj(pairs)) => pairs,
-        _ => vec![("bench".to_owned(), Json::from("sim_throughput"))],
-    };
-    for (key, value) in sections {
-        match pairs.iter_mut().find(|(k, _)| k == key) {
-            Some((_, slot)) => *slot = value,
-            None => pairs.push((key.to_owned(), value)),
-        }
-    }
-    match std::fs::write(&path, Json::Obj(pairs).render_pretty()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    // Only this harness's sections change; every other section stays
+    // exactly as `sim_throughput` and `recovery_headline` wrote it.
+    record.set("scaling", scaling);
+    record.set("phase_profile", phase_profile);
+    record.save();
 }

@@ -18,10 +18,11 @@
 //! Flags: `--smoke` shrinks the grid and windows for quick checks;
 //! `--resume` reloads `results/json/<name>.cells.jsonl`.
 
-use damq_bench::json::{measurement_json, robustness_json, Json, Report};
-use damq_bench::render_table;
-use damq_bench::resume::Checkpoint;
-use damq_bench::sweep::{self, CellOutcome, IsolationOptions};
+use damq_bench::grid::{Axis, Cell, Grid};
+use damq_bench::json::{measurement_json, Json, Report};
+use damq_bench::record::BenchRecord;
+use damq_bench::sweep::{self, IsolationOptions};
+use damq_bench::{cli, render_table, resume};
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{measure_with_faults, NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
@@ -32,25 +33,10 @@ const STAGES: usize = 3;
 const PER_STAGE: usize = 16;
 const SLOTS: usize = 4;
 const LINKS: usize = STAGES * PER_STAGE * RADIX;
+const RECOVERY: [&str; 2] = ["off", "on"];
 
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    kind: BufferKind,
-    dead_links: f64,
-    recovery: bool,
-    coords: [u64; 2],
-}
-
-fn cell_key(cell: &Cell) -> String {
-    format!(
-        "{}|links{:.2}|{}",
-        cell.kind.name(),
-        cell.dead_links,
-        if cell.recovery { "heal" } else { "drop" }
-    )
-}
-
-struct Grid {
+/// One size of the experiment: the full grid or the quick smoke.
+struct Plan {
     name: &'static str,
     kinds: Vec<BufferKind>,
     fractions: Vec<f64>,
@@ -58,9 +44,9 @@ struct Grid {
     window: u64,
 }
 
-fn grid(smoke: bool) -> Grid {
+fn plan(smoke: bool) -> Plan {
     if smoke {
-        Grid {
+        Plan {
             name: "recovery_headline_smoke",
             kinds: vec![BufferKind::Damq],
             fractions: vec![0.10],
@@ -68,7 +54,7 @@ fn grid(smoke: bool) -> Grid {
             window: 400,
         }
     } else {
-        Grid {
+        Plan {
             name: "recovery_headline",
             kinds: BufferKind::EXTENDED.to_vec(),
             fractions: vec![0.10, 0.20, 0.30],
@@ -78,13 +64,19 @@ fn grid(smoke: bool) -> Grid {
     }
 }
 
-/// Kills `cell.dead_links` of the fabric's links permanently: each
-/// failure starts inside the first half of the warm-up and lasts past
-/// the end of the run, so the measurement window sees a stably-degraded
-/// fabric.
-fn plan_for(cell: &Cell, warm_up: u64, window: u64) -> FaultPlan {
+/// The seed of a (design, damage) point under `base`: the recovery axis
+/// stays out of it, so the on/off pair of every point faces an identical
+/// set of dead links and an identical traffic stream.
+fn point_seed(cell: &Cell, base: u64) -> u64 {
+    sweep::cell_seed(base, &[cell[0] as u64, cell[1] as u64])
+}
+
+/// Kills `dead_links` of the fabric's links permanently: each failure
+/// starts inside the first half of the warm-up and lasts past the end of
+/// the run, so the measurement window sees a stably-degraded fabric.
+fn faults_for(cell: &Cell, dead_links: f64, warm_up: u64, window: u64) -> FaultPlan {
     let spec = FaultSpec {
-        link_flaps: (cell.dead_links * LINKS as f64).round() as usize,
+        link_flaps: (dead_links * LINKS as f64).round() as usize,
         flap_duration: warm_up + window + 1,
         ..FaultSpec::fault_free(
             STAGES,
@@ -95,31 +87,24 @@ fn plan_for(cell: &Cell, warm_up: u64, window: u64) -> FaultPlan {
             (warm_up / 2).max(1),
         )
     };
-    // The same coordinates (minus the recovery axis) produce the same
-    // damage, so the on/off pair of every (kind, fraction) point faces
-    // an identical set of dead links.
-    FaultPlan::generate(
-        sweep::cell_seed(sweep::BASE_SEED ^ 0x4EA1, &cell.coords),
-        &spec,
-    )
+    FaultPlan::generate(point_seed(cell, sweep::BASE_SEED ^ 0x4EA1), &spec)
 }
 
-fn run_cell(cell: &Cell, grid: &Grid, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
-    let seed = sweep::cell_seed(sweep::BASE_SEED + u64::from(attempt), &cell.coords);
-    let recovery = if cell.recovery {
+fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
+    let recovery = if RECOVERY[cell[2]] == "on" {
         RecoveryConfig::enabled()
     } else {
         RecoveryConfig::disabled()
     };
     let config = NetworkConfig::new(TERMINALS, RADIX)
-        .buffer_kind(cell.kind)
+        .buffer_kind(plan.kinds[cell[0]])
         .slots_per_buffer(SLOTS)
         .flow_control(FlowControl::Discarding)
         .recovery(recovery)
         .offered_load(0.6)
-        .seed(seed);
-    let plan = plan_for(cell, grid.warm_up, grid.window);
-    let (m, ledger) = measure_with_faults(config, plan, grid.warm_up, grid.window, || {
+        .seed(point_seed(cell, sweep::BASE_SEED + u64::from(attempt)));
+    let faults = faults_for(cell, plan.fractions[cell[1]], plan.warm_up, plan.window);
+    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
         watchdog.tick();
     })
     .expect("grid cell configuration is valid");
@@ -128,208 +113,106 @@ fn run_cell(cell: &Cell, grid: &Grid, watchdog: &sweep::Watchdog, attempt: u32) 
     } else {
         0.0
     };
-    Json::cell(
-        [
-            ("buffer", Json::from(cell.kind.name())),
-            ("dead_links", Json::from(cell.dead_links)),
-            (
-                "recovery",
-                Json::from(if cell.recovery { "on" } else { "off" }),
-            ),
-        ],
-        Json::obj([
-            ("delivered_fraction", Json::from(delivered_fraction)),
-            ("fault_drops", Json::from(ledger.dropped())),
-            ("measurement", measurement_json(&m)),
-        ]),
-    )
+    Json::obj([
+        ("delivered_fraction", Json::from(delivered_fraction)),
+        ("fault_drops", Json::from(ledger.dropped())),
+        ("measurement", measurement_json(&m)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let resume = args.iter().any(|a| a == "--resume");
-    if let Some(bad) = args.iter().find(|a| *a != "--smoke" && *a != "--resume") {
-        eprintln!("unknown flag {bad}; accepted: --smoke --resume"); // lint: allow — harness status channel
-        std::process::exit(2);
-    }
-    let grid = grid(smoke);
+    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let smoke = args.flag("--smoke");
+    let plan = plan(smoke);
+    // Smoke runs stay out of the committed throughput record: it holds
+    // full-grid numbers only.
+    let mut bench_record = (!smoke).then(BenchRecord::open);
 
-    let mut cells = Vec::new();
-    for (k, &kind) in grid.kinds.iter().enumerate() {
-        for (f, &dead_links) in grid.fractions.iter().enumerate() {
-            for recovery in [false, true] {
-                cells.push(Cell {
-                    kind,
-                    dead_links,
-                    recovery,
-                    coords: [k as u64, f as u64],
-                });
-            }
-        }
-    }
-
-    let mut report = Report::new(grid.name);
+    let mut report = Report::new(plan.name);
     report.meta("terminals", Json::from(TERMINALS));
     report.meta("radix", Json::from(RADIX));
     report.meta("slots_per_buffer", Json::from(SLOTS));
     report.meta("flow_control", Json::from("discarding"));
     report.meta("offered_load", Json::from(0.6));
-    report.meta("warm_up", Json::from(grid.warm_up));
-    report.meta("window", Json::from(grid.window));
+    report.meta("warm_up", Json::from(plan.warm_up));
+    report.meta("window", Json::from(plan.window));
     report.meta("total_links", Json::from(LINKS));
 
-    let checkpoint = if resume {
-        Checkpoint::load(grid.name)
-    } else {
-        Checkpoint::fresh(grid.name)
-    }
-    .expect("checkpoint sidecar must be readable/writable");
-    let resumed = cells
-        .iter()
-        .filter(|c| checkpoint.contains(&cell_key(c)))
-        .count();
-
-    let pending: Vec<Cell> = cells
-        .iter()
-        .filter(|c| !checkpoint.contains(&cell_key(c)))
-        .copied()
-        .collect();
+    let grid = Grid::product([
+        Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
+        Axis::new("dead_links", plan.fractions.iter().copied()),
+        Axis::new("recovery", RECOVERY),
+    ]);
     let opts = IsolationOptions {
-        cycle_budget: (grid.warm_up + grid.window) * 20,
+        cycle_budget: (plan.warm_up + plan.window) * 20,
         max_retries: 2,
     };
-    let outcomes: Vec<CellOutcome> =
-        sweep::run_isolated(&pending, opts, |cell, watchdog, attempt| {
-            let json = run_cell(cell, &grid, watchdog, attempt);
-            checkpoint
-                .record(&cell_key(cell), &json)
-                .expect("checkpoint append must succeed");
-            json
-        })
-        .into_iter()
-        .map(|r| r.outcome)
-        .collect();
+    let (records, robustness) = resume::run(
+        plan.name,
+        args.flag("--resume"),
+        grid,
+        opts,
+        |cell, watchdog, attempt| run_cell(cell, &plan, watchdog, attempt),
+    );
 
-    for cell in &cells {
-        let key = cell_key(cell);
-        report.push_cell(checkpoint.get(&key).unwrap_or_else(|| {
-            Json::cell(
-                [
-                    ("buffer", Json::from(cell.kind.name())),
-                    ("dead_links", Json::from(cell.dead_links)),
-                    (
-                        "recovery",
-                        Json::from(if cell.recovery { "on" } else { "off" }),
-                    ),
-                ],
-                Json::obj([("failed", Json::from(true))]),
-            )
-        }));
-    }
-    let robustness = match robustness_json(&outcomes) {
-        Json::Obj(mut pairs) => {
-            pairs.push(("resumed".to_owned(), Json::from(resumed)));
-            Json::Obj(pairs)
-        }
-        other => other,
-    };
+    records.report(&mut report, Json::clone);
     report.set_robustness(robustness);
 
     let mut rows = Vec::new();
     let mut section_cells = Vec::new();
-    for cell in &cells {
-        let entry = checkpoint.get(&cell_key(cell));
-        let top = |name: &str| -> Option<f64> {
-            entry
-                .as_ref()
-                .and_then(|e| e.get(name))
-                .and_then(Json::as_f64)
-        };
-        let measured = |name: &str| -> Option<f64> {
-            entry
-                .as_ref()
-                .and_then(|e| e.get("measurement"))
-                .and_then(|m| m.get(name))
-                .and_then(Json::as_f64)
-        };
+    for (cell, record) in records.iter() {
+        let (kind, dead_links, recovery) = (
+            plan.kinds[cell[0]].name(),
+            plan.fractions[cell[1]],
+            RECOVERY[cell[2]],
+        );
+        let top = |name: &str| record.get(name).and_then(Json::as_f64);
+        let p99 = record
+            .get("measurement")
+            .and_then(|m| m.get("latency_p99_clocks"))
+            .and_then(Json::as_f64);
         let fmt = |v: Option<f64>| v.map_or_else(|| "failed".to_owned(), |v| format!("{v:.3}"));
         rows.push(vec![
-            cell.kind.name().to_owned(),
-            format!("{:.2}", cell.dead_links),
-            if cell.recovery { "on" } else { "off" }.to_owned(),
+            kind.to_owned(),
+            format!("{dead_links:.2}"),
+            recovery.to_owned(),
             fmt(top("delivered_fraction")),
-            fmt(measured("latency_p99_clocks")),
+            fmt(p99),
             fmt(top("fault_drops")),
         ]);
+        let mode = if recovery == "on" { "heal" } else { "drop" };
         section_cells.push((
-            cell_key(cell),
+            format!("{kind}|links{dead_links:.2}|{mode}"),
             Json::obj([
                 (
                     "delivered_fraction",
                     top("delivered_fraction").map_or(Json::Null, Json::from),
                 ),
-                (
-                    "latency_p99_clocks",
-                    measured("latency_p99_clocks").map_or(Json::Null, Json::from),
-                ),
+                ("latency_p99_clocks", p99.map_or(Json::Null, Json::from)),
             ]),
         ));
     }
-    print!(
-        "{}",
-        render_table(
-            &[
-                "buffer",
-                "dead_links",
-                "recovery",
-                "delivered_frac",
-                "p99_clocks",
-                "fault_drops"
-            ],
-            &rows,
-        )
-    );
+    let header = [
+        "buffer",
+        "dead_links",
+        "recovery",
+        "delivered_frac",
+        "p99_clocks",
+        "fault_drops",
+    ];
+    print!("{}", render_table(&header, &rows));
 
     report.write_and_announce();
 
     // Mirror the headline numbers into the committed throughput record,
-    // replacing only this harness's section. Smoke runs stay out of it:
-    // the record holds full-grid numbers only.
-    if !smoke {
+    // replacing only this harness's section.
+    if let Some(bench_record) = &mut bench_record {
         let section = Json::obj([
-            ("experiment", Json::from(grid.name)),
+            ("experiment", Json::from(plan.name)),
             ("offered_load", Json::from(0.6)),
             ("cells", Json::Obj(section_cells)),
         ]);
-        write_section("recovery", section);
-    }
-}
-
-/// Path of the committed throughput record, resolved from this crate's
-/// manifest so the harness works from any working directory.
-fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json")
-}
-
-/// Replaces (or appends) this harness's section of
-/// `BENCH_throughput.json`, leaving every other section exactly as the
-/// other harnesses wrote it.
-fn write_section(key: &str, value: Json) {
-    let path = report_path();
-    let doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let mut pairs = match doc {
-        Some(Json::Obj(pairs)) => pairs,
-        _ => vec![("bench".to_owned(), Json::from("sim_throughput"))],
-    };
-    match pairs.iter_mut().find(|(k, _)| k == key) {
-        Some((_, slot)) => *slot = value,
-        None => pairs.push((key.to_owned(), value)),
-    }
-    match std::fs::write(&path, Json::Obj(pairs).render_pretty()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        bench_record.set("recovery", section);
+        bench_record.save();
     }
 }

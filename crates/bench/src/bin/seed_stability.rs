@@ -7,21 +7,23 @@
 //! deviation (the JSON report adds the 95% confidence interval), so
 //! EXPERIMENTS.md can state the noise floor honestly.
 //!
-//! The (seed, design) grid is swept in parallel through
-//! [`damq_bench::sweep`]; per-seed samples are reduced with
-//! [`sweep::Aggregate`]. The run also writes
+//! The (seed, design) samples are one [`damq_bench::grid`], reduced per
+//! design with [`Aggregate`]. The run also writes
 //! `results/json/seed_stability.json`.
 
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{aggregates_json, Json, Report};
 use damq_bench::sweep::Aggregate;
-use damq_bench::{render_table, sweep};
+use damq_bench::{cli, render_table};
 use damq_core::BufferKind;
 use damq_net::{find_saturation, measure, NetworkConfig, SaturationOptions};
 use damq_switch::FlowControl;
 
 const SEEDS: [u64; 5] = [11, 727, 5_309, 90_210, 424_242];
+const KINDS: [BufferKind; 2] = [BufferKind::Fifo, BufferKind::Damq];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!(
         "Seed stability of the headline results ({} seeds)",
         SEEDS.len()
@@ -32,32 +34,33 @@ fn main() {
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking);
+    let mut report = Report::new("seed_stability");
 
-    let kinds = [BufferKind::Fifo, BufferKind::Damq];
-    let cells: Vec<(usize, usize)> = SEEDS
-        .iter()
-        .enumerate()
-        .flat_map(|(s, _)| (0..kinds.len()).map(move |k| (s, k)))
-        .collect();
     // Each cell: (saturation throughput, latency at 0.40 load) for one
     // (seed, design) pair. The pinned seeds themselves are the experiment —
     // no coordinate-derived seeding here.
-    let mut report = Report::new("seed_stability");
-    let samples = sweep::run(&cells, |&(s, k)| {
-        let cfg = base.buffer_kind(kinds[k]).seed(SEEDS[s]);
+    let samples = Grid::product([
+        Axis::new("seed", SEEDS),
+        Axis::new("buffer", KINDS.map(BufferKind::name)),
+    ])
+    .run(|c| {
+        let cfg = base.buffer_kind(KINDS[c[1]]).seed(SEEDS[c[0]]);
         let sat = find_saturation(cfg, SaturationOptions::default()).expect("search runs");
         let m = measure(cfg.offered_load(0.40), 800, 6_000).expect("sim runs");
         (sat.throughput, m.latency_clocks)
     });
 
-    let mut sats: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    let mut lats: Vec<Vec<f64>> = vec![Vec::new(); 2];
-    for (&(_, k), &(sat, lat)) in cells.iter().zip(&samples) {
-        sats[k].push(sat);
-        lats[k].push(lat);
-    }
-    let sat_agg: Vec<Aggregate> = sats.iter().map(|s| Aggregate::from_samples(s)).collect();
-    let lat_agg: Vec<Aggregate> = lats.iter().map(|s| Aggregate::from_samples(s)).collect();
+    // Per design, the samples across seeds and their aggregate.
+    let across_seeds = |metric: fn(&(f64, f64)) -> f64| {
+        [0, 1].map(|k| {
+            let across: Vec<f64> = (0..SEEDS.len())
+                .map(|s| metric(samples.at(&[s, k])))
+                .collect();
+            Aggregate::from_samples(&across)
+        })
+    };
+    let sat_agg = across_seeds(|&(sat, _)| sat);
+    let lat_agg = across_seeds(|&(_, lat)| lat);
 
     report.meta("network", Json::from("64x64 Omega, blocking, uniform"));
     report.meta("slots_per_buffer", Json::from(4usize));
@@ -65,11 +68,13 @@ fn main() {
         "seeds",
         Json::from(SEEDS.iter().map(|&s| Json::from(s)).collect::<Vec<_>>()),
     );
-    for (&(s, k), &(sat, lat)) in cells.iter().zip(&samples) {
+    // The committed cells list the buffer before the seed, while the grid
+    // enumerates seeds outermost: label them by hand.
+    for (c, &(sat, lat)) in samples.iter() {
         report.push_cell(Json::cell(
             [
-                ("buffer", Json::from(kinds[k].name())),
-                ("seed", Json::from(SEEDS[s])),
+                ("buffer", Json::from(KINDS[c[1]].name())),
+                ("seed", Json::from(SEEDS[c[0]])),
             ],
             Json::obj([
                 ("saturation_throughput", Json::from(sat)),
@@ -77,7 +82,7 @@ fn main() {
             ]),
         ));
     }
-    for (k, kind) in kinds.iter().enumerate() {
+    for (k, kind) in KINDS.iter().enumerate() {
         report.push_cell(Json::cell(
             [
                 ("buffer", Json::from(kind.name())),
@@ -91,21 +96,21 @@ fn main() {
     }
 
     let header = ["Metric", "FIFO", "DAMQ", "DAMQ/FIFO"];
-    let rows = vec![
-        vec![
-            "saturation thr".into(),
-            format!("{:.3} ± {:.3}", sat_agg[0].mean, sat_agg[0].stddev),
-            format!("{:.3} ± {:.3}", sat_agg[1].mean, sat_agg[1].stddev),
-            format!("{:.2}x", sat_agg[1].mean / sat_agg[0].mean),
-        ],
-        vec![
-            "latency @0.40".into(),
-            format!("{:.1} ± {:.1}", lat_agg[0].mean, lat_agg[0].stddev),
-            format!("{:.1} ± {:.1}", lat_agg[1].mean, lat_agg[1].stddev),
-            format!("{:.2}x", lat_agg[0].mean / lat_agg[1].mean),
-        ],
+    let [fifo, damq] = sat_agg;
+    let saturation = vec![
+        "saturation thr".into(),
+        format!("{:.3} ± {:.3}", fifo.mean, fifo.stddev),
+        format!("{:.3} ± {:.3}", damq.mean, damq.stddev),
+        format!("{:.2}x", damq.mean / fifo.mean),
     ];
-    print!("{}", render_table(&header, &rows));
+    let [fifo, damq] = lat_agg;
+    let latency = vec![
+        "latency @0.40".into(),
+        format!("{:.1} ± {:.1}", fifo.mean, fifo.stddev),
+        format!("{:.1} ± {:.1}", damq.mean, damq.stddev),
+        format!("{:.2}x", fifo.mean / damq.mean),
+    ];
+    print!("{}", render_table(&header, &[saturation, latency]));
     println!();
     println!(
         "95% CI half-widths: saturation ±{:.3} (FIFO) / ±{:.3} (DAMQ);",

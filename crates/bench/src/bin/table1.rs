@@ -8,11 +8,12 @@
 //! length.
 //!
 //! The trace is a single deterministic cell, but it still goes through
-//! [`damq_bench::sweep`] so the run writes `results/json/table1.json`
-//! like every other harness.
+//! a one-cell [`damq_bench::grid`] so the run writes
+//! `results/json/table1.json` like every other harness.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{Json, Report};
-use damq_bench::sweep;
 use damq_microarch::{Chip, ChipConfig, ChipEvent, Phase, RouteEntry};
 
 struct TraceResult {
@@ -61,9 +62,10 @@ fn drive_one_packet() -> TraceResult {
 }
 
 fn main() {
+    cli::parse(&[], &[]);
     let mut report = Report::new("table1");
-    let traces = sweep::run(&[()], |&()| drive_one_packet());
-    let t = &traces[0];
+    let traces = Grid::product([Axis::new("packet_bytes", [4usize])]).run(|_| drive_one_packet());
+    let t = traces.at(&[0]);
 
     println!("Table 1: Virtual Cut Through in Four Clock Cycles");
     println!("(single packet, idle chip: input port 0 -> output port 2)");
@@ -72,12 +74,10 @@ fn main() {
 
     assert_eq!(t.start_in_cycle, 0);
     assert_eq!((t.start_out_cycle, t.start_out_phase), (4, Phase::Zero));
+    let turnaround = t.start_out_cycle - t.start_in_cycle;
     println!(
         "turn-around: start bit in at cycle {}, start bit out at cycle {} phase {} => {} cycles",
-        t.start_in_cycle,
-        t.start_out_cycle,
-        t.start_out_phase,
-        t.start_out_cycle - t.start_in_cycle
+        t.start_in_cycle, t.start_out_cycle, t.start_out_phase, turnaround
     );
     println!(
         "forwarded packet: header {:#04x}, data {:?}",
@@ -86,24 +86,15 @@ fn main() {
 
     report.meta("chip", Json::from("ComCoBB"));
     report.meta("route", Json::from("input 0 -> output 2"));
-    report.push_cell(Json::cell(
-        [("packet_bytes", Json::from(4usize))],
+    traces.report(&mut report, |t| {
+        let header = format!("{:#04x}", t.forwarded_header);
         Json::obj([
             ("start_in_cycle", Json::from(t.start_in_cycle)),
             ("start_out_cycle", Json::from(t.start_out_cycle)),
-            (
-                "start_out_phase",
-                Json::from(format!("{}", t.start_out_phase)),
-            ),
-            (
-                "turnaround_cycles",
-                Json::from(t.start_out_cycle - t.start_in_cycle),
-            ),
-            (
-                "forwarded_header",
-                Json::from(format!("{:#04x}", t.forwarded_header)),
-            ),
-        ]),
-    ));
+            ("start_out_phase", Json::from(t.start_out_phase.to_string())),
+            ("turnaround_cycles", Json::from(turnaround)),
+            ("forwarded_header", Json::from(header)),
+        ])
+    });
     report.write_and_announce();
 }

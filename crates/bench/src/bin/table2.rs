@@ -6,77 +6,62 @@
 //! departures-first` to see the alternative intra-cycle ordering discussed
 //! in DESIGN.md.
 //!
-//! The (design, size, traffic) grid is swept in parallel through
-//! [`damq_bench::sweep`]; alongside the text table the run writes
-//! `results/json/table2.json` with one cell per analysed point.
+//! The (design, size, traffic) [`damq_bench::grid`] is ragged — the
+//! static designs only come in even sizes; alongside the text table the
+//! run writes `results/json/table2.json` with one cell per analysed
+//! point.
 
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
-use damq_bench::{fmt_prob, render_table, sweep, TABLE2_TRAFFIC};
+use damq_bench::{cli, fmt_prob, TABLE2_TRAFFIC};
 use damq_core::BufferKind;
 use damq_markov::{discard_probability, CycleOrder, SolveOptions};
 
+const CAPACITIES: [usize; 5] = [2, 3, 4, 5, 6];
+/// Each design with the buffer sizes the paper tabulates for it.
+const SIZES: [(BufferKind, &[usize]); 4] = [
+    (BufferKind::Fifo, &CAPACITIES),
+    (BufferKind::Damq, &CAPACITIES),
+    (BufferKind::Samq, &[2, 4, 6]),
+    (BufferKind::Safc, &[2, 4, 6]),
+];
+
 fn main() {
-    let order = match std::env::args().nth(2).as_deref() {
+    let args = cli::parse(&[], &["--order"]);
+    let order = match args.value("--order") {
+        None | Some("arrivals-first") => CycleOrder::ArrivalsFirst,
         Some("departures-first") => CycleOrder::DeparturesFirst,
-        _ => CycleOrder::ArrivalsFirst,
+        Some(other) => cli::fail(&format!(
+            "--order takes arrivals-first or departures-first, got '{other}'"
+        )),
     };
     println!("Table 2: Probability for Discarding - Markov Analysis");
     println!("(2x2 discarding switch, fixed-length packets, long clock; order: {order:?})");
     println!();
 
-    let sizes: &[(BufferKind, &[usize])] = &[
-        (BufferKind::Fifo, &[2, 3, 4, 5, 6]),
-        (BufferKind::Damq, &[2, 3, 4, 5, 6]),
-        (BufferKind::Samq, &[2, 4, 6]),
-        (BufferKind::Safc, &[2, 4, 6]),
-    ];
-
-    // One cell per (design, capacity, traffic) grid point, in table order.
-    let cells: Vec<(BufferKind, usize, f64)> = sizes
-        .iter()
-        .flat_map(|&(kind, capacities)| {
-            capacities.iter().flat_map(move |&cap| {
-                TABLE2_TRAFFIC
-                    .iter()
-                    .map(move |&traffic| (kind, cap, traffic))
-            })
-        })
-        .collect();
     let mut report = Report::new("table2");
-    let points = sweep::run(&cells, |&(kind, cap, traffic)| {
+    let points = Grid::product([
+        Axis::new("buffer", SIZES.map(|(kind, _)| kind.name())),
+        Axis::new("capacity_slots", CAPACITIES),
+        Axis::new("traffic", TABLE2_TRAFFIC),
+    ])
+    .retain(|c| SIZES[c[0]].1.contains(&CAPACITIES[c[1]]))
+    .run(|c| {
+        let (kind, cap, traffic) = (SIZES[c[0]].0, CAPACITIES[c[1]], TABLE2_TRAFFIC[c[2]]);
         discard_probability(kind, cap, traffic, order, SolveOptions::default())
             .unwrap_or_else(|e| panic!("analysis failed for {kind}/{cap}/{traffic}: {e}"))
     });
 
     report.meta("switch", Json::from("2x2 discarding"));
     report.meta("order", Json::from(format!("{order:?}")));
-    for ((kind, cap, traffic), point) in cells.iter().zip(&points) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kind.name())),
-                ("capacity_slots", Json::from(*cap)),
-                ("traffic", Json::from(*traffic)),
-            ],
-            discard_point_json(point),
-        ));
-    }
+    points.report(&mut report, discard_point_json);
 
     let mut header: Vec<String> = vec!["Switch".into(), "Space".into()];
     header.extend(TABLE2_TRAFFIC.iter().map(|t| format!("{:.0}%", t * 100.0)));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
-    let mut rows = Vec::new();
-    let mut point_iter = points.iter();
-    for &(kind, capacities) in sizes {
-        for &cap in capacities {
-            let mut row = vec![kind.name().to_owned(), cap.to_string()];
-            for _ in TABLE2_TRAFFIC {
-                let point = point_iter.next().expect("one point per grid cell");
-                row.push(fmt_prob(point.discard_probability));
-            }
-            rows.push(row);
-        }
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    let table = points.table(2, &header, |_, at_traffics| {
+        let columns = at_traffics.iter().map(|p| fmt_prob(p.discard_probability));
+        columns.collect()
+    });
+    print!("{table}");
     report.write_and_announce();
 }

@@ -6,19 +6,27 @@
 //! past saturation; we use 0.75, which reproduces the reported output
 //! throughputs' regime (see EXPERIMENTS.md).
 //!
-//! The (design, load, policy) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates; the run
-//! also writes `results/json/table3.json`.
+//! The (design, column) [`damq_bench::grid`] seeds each cell from its
+//! coordinates; the run also writes `results/json/table3.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{measurement_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{measure, NetworkConfig, TrafficPattern};
+use damq_net::{NetworkConfig, TrafficPattern};
 use damq_switch::{ArbiterPolicy, FlowControl};
 
 const WARM_UP: u64 = 1_000;
 const WINDOW: u64 = 10_000;
 const OVER_CAPACITY_LOAD: f64 = 0.75;
+/// Column order of the paper's table: smart arbiter at two loads, the
+/// over-capacity point, then the dumb arbiter at half load.
+const VARIANTS: [(f64, ArbiterPolicy); 4] = [
+    (0.25, ArbiterPolicy::Smart),
+    (0.50, ArbiterPolicy::Smart),
+    (OVER_CAPACITY_LOAD, ArbiterPolicy::Smart),
+    (0.50, ArbiterPolicy::Dumb),
+];
 
 fn pct(x: f64) -> String {
     if x == 0.0 {
@@ -31,6 +39,7 @@ fn pct(x: f64) -> String {
 }
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Table 3: Discarding switches, % packets discarded for given input throughput");
     println!("(64x64 Omega, 4x4 switches, uniform traffic, 4 slots per buffer;");
     println!(" over-capacity column at offered load {OVER_CAPACITY_LOAD})");
@@ -40,37 +49,20 @@ fn main() {
         .slots_per_buffer(4)
         .flow_control(FlowControl::Discarding)
         .traffic(TrafficPattern::Uniform);
-
-    let kinds = [
-        BufferKind::Fifo,
-        BufferKind::Samq,
-        BufferKind::Safc,
-        BufferKind::Damq,
-    ];
-    // Column order of the paper's table: smart arbiter at two loads, the
-    // over-capacity point, then the dumb arbiter at half load.
-    let variants: [(f64, ArbiterPolicy); 4] = [
-        (0.25, ArbiterPolicy::Smart),
-        (0.50, ArbiterPolicy::Smart),
-        (OVER_CAPACITY_LOAD, ArbiterPolicy::Smart),
-        (0.50, ArbiterPolicy::Dumb),
-    ];
-
-    let cells: Vec<(usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..variants.len()).map(move |v| (k, v)))
-        .collect();
     let mut report = Report::new("table3");
-    let measurements = sweep::run(&cells, |&(k, v)| {
-        let (load, policy) = variants[v];
-        measure(
-            base.buffer_kind(kinds[k])
-                .arbiter_policy(policy)
-                .offered_load(load)
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, v as u64])),
-            WARM_UP,
-            WINDOW,
-        )
-        .expect("simulation must run")
+
+    let variants = Axis::compound(VARIANTS.map(|(load, policy)| {
+        vec![
+            ("offered_load", Json::from(load)),
+            ("arbiter", Json::from(format!("{policy:?}"))),
+        ]
+    }));
+    let buffers = Axis::new("buffer", BufferKind::ALL.map(BufferKind::name));
+    let measured = Grid::product([buffers, variants]).measure(WARM_UP, WINDOW, |c| {
+        let (load, policy) = VARIANTS[c[1]];
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .arbiter_policy(policy)
+            .offered_load(load)
     });
 
     report.meta("network", Json::from("64x64 Omega, 4x4 switches"));
@@ -78,17 +70,7 @@ fn main() {
     report.meta("flow_control", Json::from("Discarding"));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
     report.meta("window_cycles", Json::from(WINDOW));
-    for (&(k, v), m) in cells.iter().zip(&measurements) {
-        let (load, policy) = variants[v];
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("offered_load", Json::from(load)),
-                ("arbiter", Json::from(format!("{policy:?}"))),
-            ],
-            measurement_json(m),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
 
     let header = [
         "Buffer",
@@ -98,22 +80,16 @@ fn main() {
         "over-cap thr",
         "dumb 0.50",
     ];
-    let mut rows = Vec::new();
-    let mut m_iter = measurements.iter();
-    for kind in kinds {
-        let s25 = m_iter.next().expect("cell");
-        let s50 = m_iter.next().expect("cell");
-        let over = m_iter.next().expect("cell");
-        let d50 = m_iter.next().expect("cell");
-        rows.push(vec![
-            kind.name().to_owned(),
+    let table = measured.table(1, &header, |_, m| {
+        let (s25, s50, over, d50) = (&m[0], &m[1], &m[2], &m[3]);
+        vec![
             pct(s25.discard_fraction),
             pct(s50.discard_fraction),
             pct(over.discard_fraction),
             format!("{:.2}", over.delivered),
             pct(d50.discard_fraction),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+        ]
+    });
+    print!("{table}");
     report.write_and_announce();
 }

@@ -6,106 +6,63 @@
 //! organisation — DAMQ with 3 slots beats FIFO with 8.
 //!
 //! The (design, slots, load) grid and the per-(design, slots) saturation
-//! searches are swept in parallel through [`damq_bench::sweep`], each
-//! cell seeded from its coordinates. The run also writes
-//! `results/json/table5.json`.
+//! searches are [`damq_bench::grid`]s, each cell seeded from its
+//! coordinates. The run also writes `results/json/table5.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{self, Axis, Cell, Grid};
 use damq_bench::json::{measurement_json, saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{find_saturation, measure, NetworkConfig, SaturationOptions};
+use damq_net::NetworkConfig;
 use damq_switch::FlowControl;
 
 const WARM_UP: u64 = 1_000;
 const WINDOW: u64 = 10_000;
+const KINDS: [BufferKind; 2] = [BufferKind::Fifo, BufferKind::Damq];
 const SLOTS: [usize; 3] = [3, 4, 8];
 const LOADS: [f64; 2] = [0.25, 0.50];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Table 5: Average latencies (clock cycles), varying number of slots");
     println!("(64x64 Omega, blocking, uniform traffic, smart arbitration)");
     println!();
 
     let base = NetworkConfig::new(64, 4).flow_control(FlowControl::Blocking);
-    let kinds = [BufferKind::Fifo, BufferKind::Damq];
-
-    let cells: Vec<(usize, usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..SLOTS.len()).flat_map(move |s| (0..LOADS.len()).map(move |l| (k, s, l))))
-        .collect();
     let mut report = Report::new("table5");
-    let measurements = sweep::run(&cells, |&(k, s, l)| {
-        measure(
-            base.buffer_kind(kinds[k])
-                .slots_per_buffer(SLOTS[s])
-                .offered_load(LOADS[l])
-                .seed(sweep::cell_seed(
-                    sweep::BASE_SEED,
-                    &[k as u64, s as u64, l as u64],
-                )),
-            WARM_UP,
-            WINDOW,
-        )
-        .expect("simulation must run")
-    });
-    let sat_cells: Vec<(usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..SLOTS.len()).map(move |s| (k, s)))
-        .collect();
-    let saturations = sweep::run(&sat_cells, |&(k, s)| {
-        find_saturation(
-            base.buffer_kind(kinds[k])
-                .slots_per_buffer(SLOTS[s])
-                .seed(sweep::cell_seed(
-                    sweep::BASE_SEED,
-                    &[k as u64, s as u64, u64::MAX],
-                )),
-            SaturationOptions::default(),
-        )
-        .expect("saturation search must run")
-    });
+
+    let sizes = [
+        Axis::new("buffer", KINDS.map(BufferKind::name)),
+        Axis::new("slots_per_buffer", SLOTS),
+    ];
+    let [buffers, slots] = sizes.clone();
+    let sized = |c: &Cell| base.buffer_kind(KINDS[c[0]]).slots_per_buffer(SLOTS[c[1]]);
+    let measured = Grid::product([buffers, slots, Axis::new("offered_load", LOADS)]).measure(
+        WARM_UP,
+        WINDOW,
+        |c| sized(c).offered_load(LOADS[c[2]]),
+    );
+    let saturated = Grid::product(sizes)
+        .seed_suffix(grid::SEARCH)
+        .tag("saturation_search", true)
+        .saturate(sized);
 
     report.meta("network", Json::from("64x64 Omega, blocking, uniform"));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
     report.meta("window_cycles", Json::from(WINDOW));
-    for (&(k, s, l), m) in cells.iter().zip(&measurements) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("slots_per_buffer", Json::from(SLOTS[s])),
-                ("offered_load", Json::from(LOADS[l])),
-            ],
-            measurement_json(m),
-        ));
-    }
-    for (&(k, s), sat) in sat_cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("slots_per_buffer", Json::from(SLOTS[s])),
-                ("saturation_search", Json::from(true)),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
+    saturated.report(&mut report, saturation_json);
 
     let header = ["Buffer", "Slots", "25%", "50%", "saturated", "sat. thr"];
-    let mut rows = Vec::new();
-    let mut m_iter = measurements.iter();
-    let mut sat_iter = saturations.iter();
-    for kind in kinds {
-        for slots in SLOTS {
-            let m25 = m_iter.next().expect("cell");
-            let m50 = m_iter.next().expect("cell");
-            let sat = sat_iter.next().expect("cell");
-            rows.push(vec![
-                kind.name().to_owned(),
-                slots.to_string(),
-                format!("{:.1}", m25.latency_clocks),
-                format!("{:.1}", m50.latency_clocks),
-                format!("{:.1}", sat.saturated_latency_clocks),
-                format!("{:.2}", sat.throughput),
-            ]);
-        }
-    }
-    print!("{}", render_table(&header, &rows));
+    let table = measured.table(2, &header, |c, at_loads| {
+        let sat = saturated.at(c);
+        vec![
+            format!("{:.1}", at_loads[0].latency_clocks),
+            format!("{:.1}", at_loads[1].latency_clocks),
+            format!("{:.1}", sat.saturated_latency_clocks),
+            format!("{:.2}", sat.throughput),
+        ]
+    });
+    print!("{table}");
     report.write_and_announce();
 }

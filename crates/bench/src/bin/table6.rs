@@ -6,14 +6,15 @@
 //! matter — every network tree-saturates at the same throughput (just under
 //! 0.25 for a 64-terminal network with a 5% hot spot).
 //!
-//! The (design, load) grid and per-design saturation searches are swept
-//! in parallel through [`damq_bench::sweep`], each cell seeded from its
-//! coordinates. The run also writes `results/json/table6.json`.
+//! The (design, load) grid and the per-design saturation searches are
+//! [`damq_bench::grid`]s, each cell seeded from its coordinates. The run
+//! also writes `results/json/table6.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{self, Axis, Grid};
 use damq_bench::json::{measurement_json, saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{find_saturation, measure, NetworkConfig, SaturationOptions, TrafficPattern};
+use damq_net::{NetworkConfig, TrafficPattern};
 use damq_switch::FlowControl;
 
 const WARM_UP: u64 = 1_000;
@@ -21,6 +22,7 @@ const WINDOW: u64 = 10_000;
 const LOADS: [f64; 2] = [0.125, 0.20];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Table 6: Average latency (clock cycles) with 5% hot-spot traffic");
     println!("(64x64 Omega, blocking, smart arbitration, 4 slots per buffer)");
     println!();
@@ -29,76 +31,36 @@ fn main() {
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking)
         .traffic(TrafficPattern::paper_hot_spot());
-
-    let kinds = [
-        BufferKind::Fifo,
-        BufferKind::Samq,
-        BufferKind::Safc,
-        BufferKind::Damq,
-    ];
-
-    let cells: Vec<(usize, usize)> = (0..kinds.len())
-        .flat_map(|k| (0..LOADS.len()).map(move |l| (k, l)))
-        .collect();
     let mut report = Report::new("table6");
-    let measurements = sweep::run(&cells, |&(k, l)| {
-        measure(
-            base.buffer_kind(kinds[k])
-                .offered_load(LOADS[l])
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, l as u64])),
-            WARM_UP,
-            WINDOW,
-        )
-        .expect("simulation must run")
+
+    let buffers = Axis::new("buffer", BufferKind::ALL.map(BufferKind::name));
+    let loads = Axis::new("offered_load", LOADS);
+    let measured = Grid::product([buffers.clone(), loads]).measure(WARM_UP, WINDOW, |c| {
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .offered_load(LOADS[c[1]])
     });
-    let sat_cells: Vec<usize> = (0..kinds.len()).collect();
-    let saturations = sweep::run(&sat_cells, |&k| {
-        find_saturation(
-            base.buffer_kind(kinds[k])
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[k as u64, u64::MAX])),
-            SaturationOptions::default(),
-        )
-        .expect("saturation search must run")
-    });
+    let saturated = Grid::product([buffers])
+        .seed_suffix(grid::SEARCH)
+        .tag("saturation_search", true)
+        .saturate(|c| base.buffer_kind(BufferKind::ALL[c[0]]));
 
     report.meta("network", Json::from("64x64 Omega, blocking, 5% hot spot"));
     report.meta("slots_per_buffer", Json::from(4usize));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
     report.meta("window_cycles", Json::from(WINDOW));
-    for (&(k, l), m) in cells.iter().zip(&measurements) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("offered_load", Json::from(LOADS[l])),
-            ],
-            measurement_json(m),
-        ));
-    }
-    for (&k, sat) in sat_cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(kinds[k].name())),
-                ("saturation_search", Json::from(true)),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
+    saturated.report(&mut report, saturation_json);
 
     let header = ["Buffer", "12.5%", "20.0%", "saturated", "sat. thr"];
-    let mut rows = Vec::new();
-    let mut m_iter = measurements.iter();
-    for (k, kind) in kinds.iter().enumerate() {
-        let m125 = m_iter.next().expect("cell");
-        let m200 = m_iter.next().expect("cell");
-        let sat = &saturations[k];
-        rows.push(vec![
-            kind.name().to_owned(),
-            format!("{:.2}", m125.latency_clocks),
-            format!("{:.2}", m200.latency_clocks),
+    let table = measured.table(1, &header, |k, at_loads| {
+        let sat = saturated.at(k);
+        vec![
+            format!("{:.2}", at_loads[0].latency_clocks),
+            format!("{:.2}", at_loads[1].latency_clocks),
             format!("{:.2}", sat.saturated_latency_clocks),
             format!("{:.2}", sat.throughput),
-        ]);
-    }
-    print!("{}", render_table(&header, &rows));
+        ]
+    });
+    print!("{table}");
     report.write_and_announce();
 }

@@ -6,19 +6,21 @@
 //! both delta-class MINs route uniform traffic equivalently.
 //!
 //! The (design, wiring, load) grid and per-(design, wiring) saturation
-//! searches are swept in parallel through [`damq_bench::sweep`], each
-//! cell seeded from its coordinates. The run also writes
+//! searches are [`damq_bench::grid`]s, each cell seeded from its
+//! coordinates. The run also writes
 //! `results/json/topology_comparison.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{self, Axis, Cell, Grid};
 use damq_bench::json::{measurement_json, saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{find_saturation, measure, NetworkConfig, SaturationOptions, TopologyKind};
+use damq_net::{NetworkConfig, TopologyKind};
 use damq_switch::FlowControl;
 
 const LOADS: [f64; 2] = [0.25, 0.40];
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Topology independence: Omega vs butterfly, 64x64, 4 slots per buffer");
     println!("(blocking, uniform traffic, smart arbitration)");
     println!();
@@ -26,85 +28,41 @@ fn main() {
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(4)
         .flow_control(FlowControl::Blocking);
-
-    let cells: Vec<(usize, usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| {
-            (0..TopologyKind::ALL.len()).flat_map(move |w| (0..LOADS.len()).map(move |l| (k, w, l)))
-        })
-        .collect();
     let mut report = Report::new("topology_comparison");
-    let measurements = sweep::run(&cells, |&(k, w, l)| {
-        measure(
-            base.buffer_kind(BufferKind::ALL[k])
-                .topology_kind(TopologyKind::ALL[w])
-                .offered_load(LOADS[l])
-                .seed(sweep::cell_seed(
-                    sweep::BASE_SEED,
-                    &[k as u64, w as u64, l as u64],
-                )),
-            500,
-            4_000,
-        )
-        .expect("sim")
-    });
-    let sat_cells: Vec<(usize, usize)> = (0..BufferKind::ALL.len())
-        .flat_map(|k| (0..TopologyKind::ALL.len()).map(move |w| (k, w)))
-        .collect();
-    let saturations = sweep::run(&sat_cells, |&(k, w)| {
-        find_saturation(
-            base.buffer_kind(BufferKind::ALL[k])
-                .topology_kind(TopologyKind::ALL[w])
-                .seed(sweep::cell_seed(
-                    sweep::BASE_SEED,
-                    &[k as u64, w as u64, u64::MAX],
-                )),
-            SaturationOptions::default(),
-        )
-        .expect("sat")
-    });
+
+    let fabrics = [
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+        Axis::new("wiring", TopologyKind::ALL.map(TopologyKind::name)),
+    ];
+    let [buffers, wirings] = fabrics.clone();
+    let fabric = |c: &Cell| {
+        base.buffer_kind(BufferKind::ALL[c[0]])
+            .topology_kind(TopologyKind::ALL[c[1]])
+    };
+    let measured = Grid::product([buffers, wirings, Axis::new("offered_load", LOADS)]).measure(
+        500,
+        4_000,
+        |c| fabric(c).offered_load(LOADS[c[2]]),
+    );
+    let saturated = Grid::product(fabrics)
+        .seed_suffix(grid::SEARCH)
+        .tag("saturation_search", true)
+        .saturate(fabric);
 
     report.meta("network", Json::from("64x64, blocking, uniform"));
     report.meta("slots_per_buffer", Json::from(4usize));
-    for (&(k, w, l), m) in cells.iter().zip(&measurements) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("wiring", Json::from(TopologyKind::ALL[w].name())),
-                ("offered_load", Json::from(LOADS[l])),
-            ],
-            measurement_json(m),
-        ));
-    }
-    for (&(k, w), sat) in sat_cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-                ("wiring", Json::from(TopologyKind::ALL[w].name())),
-                ("saturation_search", Json::from(true)),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    measured.report(&mut report, measurement_json);
+    saturated.report(&mut report, saturation_json);
 
     let header = ["Buffer", "wiring", "lat@0.25", "lat@0.40", "sat. thr"];
-    let mut rows = Vec::new();
-    let mut m_iter = measurements.iter();
-    let mut sat_iter = saturations.iter();
-    for kind in BufferKind::ALL {
-        for wiring in TopologyKind::ALL {
-            let m25 = m_iter.next().expect("cell");
-            let m40 = m_iter.next().expect("cell");
-            let sat = sat_iter.next().expect("cell");
-            rows.push(vec![
-                kind.name().to_owned(),
-                wiring.name().to_owned(),
-                format!("{:.1}", m25.latency_clocks),
-                format!("{:.1}", m40.latency_clocks),
-                format!("{:.2}", sat.throughput),
-            ]);
-        }
-    }
-    print!("{}", render_table(&header, &rows));
+    let table = measured.table(2, &header, |c, at_loads| {
+        vec![
+            format!("{:.1}", at_loads[0].latency_clocks),
+            format!("{:.1}", at_loads[1].latency_clocks),
+            format!("{:.2}", saturated.at(c).throughput),
+        ]
+    });
+    print!("{table}");
     println!();
     println!("expected: per-buffer rows agree across wirings to within the search");
     println!("resolution -- the DAMQ gain comes from the switch, not the shuffle.");

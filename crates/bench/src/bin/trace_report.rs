@@ -100,10 +100,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `results/traces/hot_spot_64x64.jsonl`, honouring `DAMQ_RESULTS_DIR`.
+/// `traces/hot_spot_64x64.jsonl` under the results directory.
 fn default_trace_path() -> PathBuf {
-    let dir = std::env::var("DAMQ_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    PathBuf::from(dir)
+    damq_bench::results_dir()
         .join("traces")
         .join("hot_spot_64x64.jsonl")
 }

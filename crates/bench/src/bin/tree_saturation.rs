@@ -9,14 +9,16 @@
 //! Each row of the heat map is one switch stage (input side at the top);
 //! each cell is one switch, shaded by buffer occupancy (` .:-=+*#%@`).
 //!
-//! The two traffic patterns run as parallel sweep cells (the checkpoints
-//! within a run are sequential sim state, so they stay inside the cell);
+//! The two traffic patterns are the cells of a one-axis
+//! [`damq_bench::grid`] (the checkpoints within a run are sequential sim
+//! state, so they stay inside the cell);
 //! the run also writes `results/json/tree_saturation.json` with per-stage
 //! mean occupancy at every checkpoint. Seed 77 is pinned — the point is a
 //! reproducible picture, not a statistic.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{Json, Report};
-use damq_bench::sweep;
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim, TrafficPattern};
 use damq_switch::FlowControl;
@@ -88,6 +90,7 @@ fn run_pattern(pattern: TrafficPattern) -> Vec<Snapshot> {
 }
 
 fn main() {
+    cli::parse(&[], &[]);
     println!("Tree saturation dynamics (64x64 Omega, DAMQ, 4 slots, load 0.30)");
     println!("(shade scale: ' ' empty ... '@' full; 16 switches per stage)");
     println!();
@@ -104,12 +107,13 @@ fn main() {
             "5% hot spot to sink 0: the tree rooted at sink 0 fills backwards",
         ),
     ];
-    let cells: Vec<usize> = (0..patterns.len()).collect();
     let mut report = Report::new("tree_saturation");
     let mut profiler = Profiler::new();
     let sweep_phase = profiler.phase("sweep");
-    let (runs, profile) = sweep::run_profiled(&cells, |&i| run_pattern(patterns[i].1));
-    let profile = profile.with_cycles(vec![CHECKPOINTS[CHECKPOINTS.len() - 1]; cells.len()]);
+    let (runs, profile) = Grid::product([Axis::new("traffic", patterns.map(|p| p.0))])
+        .run_profiled(CHECKPOINTS[CHECKPOINTS.len() - 1], |c| {
+            run_pattern(patterns[c[0]].1)
+        });
     drop(sweep_phase);
     let render_phase = profiler.phase("render");
 
@@ -119,9 +123,8 @@ fn main() {
     );
     report.meta("offered_load", Json::from(0.30));
     report.meta("seed", Json::from(SEED));
-    for (&i, snapshots) in cells.iter().zip(&runs) {
-        let (name, _, label) = patterns[i];
-        println!("== {label} ==");
+    for (cell, snapshots) in runs.iter() {
+        println!("== {} ==", patterns[cell[0]].2);
         for snap in snapshots {
             println!("after {} cycles:", snap.cycle);
             print!("{}", snap.map);
@@ -130,11 +133,9 @@ fn main() {
                 snap.delivered, snap.backlog
             );
             println!();
+            let checkpoint = [("cycle", Json::from(snap.cycle))];
             report.push_cell(Json::cell(
-                [
-                    ("traffic", Json::from(name)),
-                    ("cycle", Json::from(snap.cycle)),
-                ],
+                runs.grid().labels(cell).into_iter().chain(checkpoint),
                 Json::obj([
                     ("delivered", Json::from(snap.delivered)),
                     ("source_backlog", Json::from(snap.backlog)),

@@ -13,17 +13,26 @@
 //! slots per queue, SAMQ/SAFC cannot store large packets *at all* — the
 //! extreme form of the fragmentation the paper warns about).
 //!
-//! The (workload, design) grid is swept in parallel through
-//! [`damq_bench::sweep`], each cell seeded from its coordinates. The run
-//! also writes `results/json/variable_length.json`.
+//! The (workload, design) [`damq_bench::grid`] seeds each cell from its
+//! coordinates. The run also writes `results/json/variable_length.json`.
 
+use damq_bench::cli;
+use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{saturation_json, Json, Report};
-use damq_bench::{render_table, sweep};
 use damq_core::BufferKind;
-use damq_net::{find_saturation, NetworkConfig, PacketLengths, SaturationOptions};
+use damq_net::{NetworkConfig, PacketLengths};
 use damq_switch::FlowControl;
 
+const WORKLOADS: [(&str, PacketLengths); 2] = [
+    ("fixed 8B (1 slot)", PacketLengths::Fixed(8)),
+    (
+        "uniform 1-32B (1-4 slots)",
+        PacketLengths::Uniform { min: 1, max: 32 },
+    ),
+];
+
 fn main() {
+    cli::parse(&[], &[]);
     println!("Variable-length packets: testing the paper's Section 5 conjecture");
     println!("(64x64 Omega, blocking, smart arbitration, 16 slots per buffer)");
     println!();
@@ -31,78 +40,48 @@ fn main() {
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(16)
         .flow_control(FlowControl::Blocking);
-    let workloads: [(&str, PacketLengths); 2] = [
-        ("fixed 8B (1 slot)", PacketLengths::Fixed(8)),
-        (
-            "uniform 1-32B (1-4 slots)",
-            PacketLengths::Uniform { min: 1, max: 32 },
-        ),
-    ];
-
-    let cells: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..BufferKind::ALL.len()).map(move |k| (w, k)))
-        .collect();
     let mut report = Report::new("variable_length");
-    let saturations = sweep::run(&cells, |&(w, k)| {
-        find_saturation(
-            base.buffer_kind(BufferKind::ALL[k])
-                .packet_lengths(workloads[w].1)
-                .seed(sweep::cell_seed(sweep::BASE_SEED, &[w as u64, k as u64])),
-            SaturationOptions::default(),
-        )
-        .expect("search runs")
+    let saturated = Grid::product([
+        Axis::new("workload", WORKLOADS.map(|(label, _)| label)),
+        Axis::new("buffer", BufferKind::ALL.map(BufferKind::name)),
+    ])
+    .saturate(|c| {
+        base.buffer_kind(BufferKind::ALL[c[1]])
+            .packet_lengths(WORKLOADS[c[0]].1)
     });
 
     report.meta("network", Json::from("64x64 Omega, blocking, uniform"));
     report.meta("slots_per_buffer", Json::from(16usize));
-    for (&(w, k), sat) in cells.iter().zip(&saturations) {
-        report.push_cell(Json::cell(
-            [
-                ("workload", Json::from(workloads[w].0)),
-                ("buffer", Json::from(BufferKind::ALL[k].name())),
-            ],
-            saturation_json(sat),
-        ));
-    }
+    saturated.report(&mut report, saturation_json);
 
     let mut header: Vec<String> = vec!["Workload".into()];
-    for kind in BufferKind::ALL {
-        header.push(format!("{} sat", kind.name()));
-    }
+    header.extend(BufferKind::ALL.map(|kind| format!("{} sat", kind.name())));
     header.push("DAMQ/FIFO".into());
     header.push("DAMQ/SAMQ".into());
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
 
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    let mut sat_iter = saturations.iter();
-    for (label, _) in workloads {
-        let sats: Vec<f64> = BufferKind::ALL
-            .iter()
-            .map(|_| sat_iter.next().expect("one search per cell").throughput)
-            .collect();
-        let fifo = sats[0];
-        let samq = sats[1];
-        let damq = sats[3];
-        let mut row = vec![label.to_owned()];
-        row.extend(sats.iter().map(|s| format!("{s:.2}")));
-        row.push(format!("{:.2}x", damq / fifo));
-        row.push(format!("{:.2}x", damq / samq));
-        rows.push(row);
-        ratios.push((damq / fifo, damq / samq));
-    }
-    print!("{}", render_table(&header_refs, &rows));
+    // Per workload: DAMQ's saturation margin over (FIFO, SAMQ).
+    let margins = [0, 1].map(|w| {
+        let sat = |k: usize| saturated.at(&[w, k]).throughput;
+        (sat(3) / sat(0), sat(3) / sat(1))
+    });
+    let table = saturated.table(1, &header, |w, by_design| {
+        let (vs_fifo, vs_samq) = margins[w[0]];
+        let sats = by_design.iter().map(|s| format!("{:.2}", s.throughput));
+        let ratios = [format!("{vs_fifo:.2}x"), format!("{vs_samq:.2}x")];
+        sats.chain(ratios).collect()
+    });
+    print!("{table}");
 
     println!();
     println!("reading the conjecture:");
     println!(
         "  vs the statically-allocated SAMQ, DAMQ's margin moves {:.2}x -> {:.2}x:",
-        ratios[0].1, ratios[1].1
+        margins[0].1, margins[1].1
     );
     println!("  static partitions fragment badly once packets span 1-4 slots.");
     println!(
         "  vs FIFO the margin moves {:.2}x -> {:.2}x: a FIFO also pools its",
-        ratios[0].0, ratios[1].0
+        margins[0].0, margins[1].0
     );
     println!("  storage, so its penalty (head-of-line blocking) is length-independent.");
     println!("  the paper's conjecture holds against the designs that partition");

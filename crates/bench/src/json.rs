@@ -832,8 +832,7 @@ impl Report {
         if let Some(telemetry) = &self.telemetry {
             doc.push(("telemetry".to_owned(), telemetry.clone()));
         }
-        let dir = std::env::var("DAMQ_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-        let dir = PathBuf::from(dir).join("json");
+        let dir = crate::results_dir().join("json");
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.name));
         std::fs::write(&path, Json::Obj(doc).render_pretty())?;

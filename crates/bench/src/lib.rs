@@ -4,16 +4,26 @@
 //! paper (or one extension experiment); this library holds everything
 //! they share:
 //!
-//! - [`sweep`] — the parallel experiment-sweep engine: declarative grids
-//!   of cells fanned out across cores with deterministic, thread-count-
+//! - [`grid`] — experiments as tables: labelled axes enumerated
+//!   row-major, seeded from their coordinates, fanned out through
+//!   [`sweep`], and emitted as report cells and coordinate-indexed table
+//!   values. A harness binary is its axes, its column formatters and its
+//!   prose.
+//! - [`sweep`] — the parallel experiment-sweep engine underneath: cells
+//!   fanned out across cores with deterministic, thread-count-
 //!   independent results, plus multi-seed aggregation (mean / stddev /
 //!   95% CI) and the self-healing isolation layer
 //!   ([`sweep::run_isolated`]) that contains panics, enforces cycle
 //!   budgets and retries flaky cells.
+//! - [`cli`] — the one argument parser: undeclared flags and bad values
+//!   are usage errors (exit 2), never silently ignored.
 //! - [`json`] — a hand-rolled JSON writer; every harness emits
 //!   `results/json/<experiment>.json` alongside its text table.
+//! - [`record`] — the one read-modify-write of `BENCH_throughput.json`.
 //! - [`resume`] — per-cell checkpointing to an append-only sidecar so an
-//!   interrupted sweep resumes from its last completed cell.
+//!   interrupted sweep resumes from its last completed cell
+//!   ([`resume::run`] is the whole checkpoint → isolate → assemble
+//!   pipeline).
 //! - [`chaos`] — the chaos soak engine: composed per-epoch fault storms,
 //!   per-epoch invariant audits, and reproducer minimization for the
 //!   `chaos_soak` binary.
@@ -29,10 +39,21 @@
 #![deny(missing_docs)]
 
 pub mod chaos;
+pub mod cli;
+pub mod grid;
 pub mod json;
+pub mod record;
 pub mod resume;
 pub mod sweep;
 pub mod timing;
+
+/// The directory results are written under: `$DAMQ_RESULTS_DIR` if set,
+/// otherwise `results` relative to the working directory. Reports go to
+/// its `json/` subdirectory, traces to `traces/`, chaos crash dumps to
+/// `chaos_dumps/`.
+pub fn results_dir() -> std::path::PathBuf {
+    std::env::var_os("DAMQ_RESULTS_DIR").map_or_else(|| "results".into(), Into::into)
+}
 
 /// Formats a probability the way the paper's Table 2 does: `0+` for
 /// positive-but-negligible values (rounds to zero at three decimals),

@@ -11,13 +11,20 @@
 //! write that survives being interrupted halfway: on reload, a torn final
 //! line fails to parse and is dropped, and every complete line before it
 //! is kept.
+//!
+//! [`run`] is the whole pipeline a resumable harness needs — checkpoint,
+//! pending cells, isolated execution, grid-order assembly — so the
+//! binaries supply only their grid and their cell function ([`run_with`]
+//! when they also bring their own isolation runner).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::json::Json;
+use crate::grid::{Cell, Grid, Results};
+use crate::json::{robustness_json, Json};
+use crate::sweep::{run_isolated, CellOutcome, IsolationOptions, Watchdog};
 
 /// The set of already-completed sweep cells, backed by an append-only
 /// JSONL sidecar file.
@@ -25,13 +32,6 @@ use crate::json::Json;
 pub struct Checkpoint {
     path: PathBuf,
     done: Mutex<BTreeMap<String, Json>>,
-}
-
-/// The results directory honoured by the JSON reports (`$DAMQ_RESULTS_DIR`
-/// or `results`), with the `json` subdirectory appended.
-fn results_json_dir() -> PathBuf {
-    let dir = std::env::var("DAMQ_RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
-    PathBuf::from(dir).join("json")
 }
 
 impl Checkpoint {
@@ -43,7 +43,7 @@ impl Checkpoint {
     /// Propagates I/O errors other than the file not existing (an absent
     /// sidecar is an empty checkpoint).
     pub fn load(name: &str) -> io::Result<Checkpoint> {
-        Checkpoint::load_in(results_json_dir(), name)
+        Checkpoint::load_in(crate::results_dir().join("json"), name)
     }
 
     /// Truncates any existing sidecar for `name` in the standard results
@@ -54,7 +54,7 @@ impl Checkpoint {
     ///
     /// Propagates I/O errors from directory creation or file removal.
     pub fn fresh(name: &str) -> io::Result<Checkpoint> {
-        Checkpoint::fresh_in(results_json_dir(), name)
+        Checkpoint::fresh_in(crate::results_dir().join("json"), name)
     }
 
     /// [`Checkpoint::load`] against an explicit directory.
@@ -187,6 +187,91 @@ impl Checkpoint {
         done.insert(key.to_owned(), cell.clone());
         Ok(())
     }
+}
+
+/// Runs `grid` through the self-healing harness with per-cell
+/// checkpointing under experiment `name`.
+///
+/// With `resume` the sidecar of an earlier run is reloaded and only the
+/// cells missing from it execute; otherwise it is truncated and every
+/// cell runs. Each pending cell goes through [`run_isolated`] — panic
+/// boundary, cycle-budget watchdog, bounded retry, `f` seeing the attempt
+/// index so it can reseed — and its record is appended to the sidecar the
+/// moment it completes, so a crash later in the sweep loses nothing that
+/// already finished.
+///
+/// Returns the records in grid order (the placeholder
+/// `{"failed": true}` for a cell whose every attempt failed, so the
+/// report still accounts for it) and the report's `robustness` section:
+/// the outcomes of the cells that ran, plus how many were `resumed` from
+/// the sidecar instead.
+///
+/// # Panics
+///
+/// Panics if the sidecar cannot be read, truncated or appended to.
+pub fn run(
+    name: &str,
+    resume: bool,
+    grid: Grid,
+    opts: IsolationOptions,
+    f: impl Fn(&Cell, &Watchdog, u32) -> Json + Sync,
+) -> (Results<Json>, Json) {
+    run_with(name, resume, grid, |pending, checkpoint| {
+        let reports = run_isolated(pending, opts, |cell, watchdog, attempt| {
+            checkpoint(cell, f(cell, watchdog, attempt));
+        });
+        reports.into_iter().map(|r| r.outcome).collect()
+    })
+}
+
+/// [`run`] with the isolation left to the caller: `isolate` receives the
+/// pending cells and a `checkpoint(cell, record)` callback to invoke from
+/// inside each cell as it completes, and returns one outcome per pending
+/// cell. This is how `chaos_soak` runs the same pipeline under
+/// [`crate::sweep::run_isolated_recorded`].
+///
+/// # Panics
+///
+/// Panics if the sidecar cannot be read, truncated or appended to.
+pub fn run_with(
+    name: &str,
+    resume: bool,
+    grid: Grid,
+    isolate: impl FnOnce(&[&Cell], &(dyn Fn(&Cell, Json) + Sync)) -> Vec<CellOutcome>,
+) -> (Results<Json>, Json) {
+    let checkpoint = if resume {
+        Checkpoint::load(name)
+    } else {
+        Checkpoint::fresh(name)
+    }
+    .expect("checkpoint sidecar must be readable/writable");
+    // A cell's sidecar key is its labels: stable across runs of the same
+    // grid, distinct across cells.
+    let key = |cell: &Cell| -> String {
+        let labels = grid.labels(cell);
+        let values: Vec<String> = labels.iter().map(|(_, v)| v.render()).collect();
+        values.join("|")
+    };
+
+    let (done, pending): (Vec<&Cell>, Vec<&Cell>) = grid
+        .cells()
+        .iter()
+        .partition(|cell| checkpoint.contains(&key(cell)));
+    let outcomes = isolate(&pending, &|cell, record| {
+        checkpoint
+            .record(&key(cell), &record)
+            .expect("checkpoint append must succeed");
+    });
+    let mut robustness = match robustness_json(&outcomes) {
+        Json::Obj(pairs) => pairs,
+        _ => unreachable!("the robustness section is always an object"),
+    };
+    robustness.push(("resumed".to_owned(), Json::from(done.len())));
+
+    let failed = || Json::obj([("failed", Json::from(true))]);
+    let records = grid.cells().iter().map(|c| checkpoint.get(&key(c)));
+    let records = records.map(|r| r.unwrap_or_else(failed)).collect();
+    (grid.with_values(records), Json::Obj(robustness))
 }
 
 fn sidecar_path(dir: impl Into<PathBuf>, name: &str) -> PathBuf {

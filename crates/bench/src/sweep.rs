@@ -3,10 +3,11 @@
 //! Every harness binary in `src/bin/` evaluates a *grid* of independent
 //! cells — buffer kind × buffer size × offered load × topology × seed —
 //! and every cell is a self-contained computation (a simulation run, a
-//! saturation search, a Markov solve). This module fans those cells out
-//! across cores with [`std::thread::scope`] while keeping the results in
-//! **deterministic cell order**, so a run with 8 workers is byte-identical
-//! to a run with 1.
+//! saturation search, a Markov solve). [`crate::grid`] declares those
+//! grids; this module fans their cells out across cores with
+//! [`std::thread::scope`] while keeping the results in **deterministic
+//! cell order**, so a run with 8 workers is byte-identical to a run
+//! with 1.
 //!
 //! Three guarantees make parallel regeneration safe:
 //!
@@ -38,7 +39,9 @@
 //!     .flat_map(|&l| (0..4u64).map(move |s| (l, s)))
 //!     .collect();
 //! // Any Fn(&C) -> R + Sync closure works; here a toy "measurement".
-//! let results = sweep::run(&cells, |&(load, seed)| load * (seed + 1) as f64);
+//! let results = sweep::run_with_workers(&cells, sweep::worker_count(), |&(load, seed)| {
+//!     load * (seed + 1) as f64
+//! });
 //! assert_eq!(results.len(), cells.len());
 //! // Results arrive in grid order, whatever the worker count.
 //! assert_eq!(results[0], 0.25);
@@ -62,26 +65,24 @@ pub const BASE_SEED: u64 = 0xDA3B;
 
 /// Returns the worker count: `DAMQ_SWEEP_THREADS` if set (minimum 1),
 /// otherwise [`std::thread::available_parallelism`].
-pub fn worker_count() -> usize {
-    if let Ok(v) = std::env::var("DAMQ_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs `f` over every cell on [`worker_count`] workers; results come back
-/// in cell order.
 ///
-/// See [`run_with_workers`] for the scheduling contract.
-pub fn run<C, R, F>(cells: &[C], f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    run_with_workers(cells, worker_count(), f)
+/// A value that is set but is not a number is a usage error, not "unset":
+/// it is reported by name and the process exits with status 2 (see
+/// [`crate::cli::fail`]) instead of silently using every core.
+pub fn worker_count() -> usize {
+    let Some(value) = std::env::var_os("DAMQ_SWEEP_THREADS") else {
+        return std::thread::available_parallelism().map_or(1, |n| n.get());
+    };
+    let parsed = value.to_str().and_then(|v| v.trim().parse::<usize>().ok());
+    parsed.map_or_else(
+        || {
+            let value = value.to_string_lossy();
+            crate::cli::fail(&format!(
+                "DAMQ_SWEEP_THREADS must be a thread count, got '{value}'"
+            ))
+        },
+        |n| n.max(1),
+    )
 }
 
 /// Runs `f` over every cell on exactly `workers` OS threads.
@@ -229,11 +230,12 @@ impl SweepProfile {
     }
 }
 
-/// Like [`run`], but also times every cell, returning the results
-/// together with a [`SweepProfile`].
+/// [`run_with_workers`] on [`worker_count`] workers, also timing every
+/// cell: returns the results together with a [`SweepProfile`].
 ///
-/// Results are identical to [`run`]'s (the timing wrapper does not touch
-/// the cell function); only the profile is scheduling-dependent.
+/// Results are identical to the untimed run's (the timing wrapper does
+/// not touch the cell function); only the profile is
+/// scheduling-dependent.
 pub fn run_profiled<C, R, F>(cells: &[C], f: F) -> (Vec<R>, SweepProfile)
 where
     C: Sync,
@@ -421,9 +423,10 @@ impl Default for IsolationOptions {
     }
 }
 
-/// Like [`run`], but each cell runs inside a panic boundary with a
-/// cycle-budget watchdog and bounded retry: the sweep always completes and
-/// every cell reports a [`CellOutcome`] instead of taking the process down.
+/// Runs every cell on [`worker_count`] workers inside a panic boundary
+/// with a cycle-budget watchdog and bounded retry: the sweep always
+/// completes and every cell reports a [`CellOutcome`] instead of taking
+/// the process down.
 ///
 /// `f` receives the cell, a fresh [`Watchdog`] per attempt, and the
 /// 0-based attempt index (fold it into the cell's seed so retries explore
@@ -437,47 +440,14 @@ where
     R: Send,
     F: Fn(&C, &Watchdog, u32) -> R + Sync,
 {
-    run_with_workers(cells, worker_count(), |cell| {
-        let mut attempt = 0;
-        loop {
-            // Retries start with a backoff pre-charged against the
-            // budget: deterministic (no wall clock) and budget-scaled.
-            let watchdog =
-                Watchdog::precharged(opts.cycle_budget, retry_backoff(opts.cycle_budget, attempt));
-            match catch_unwind(AssertUnwindSafe(|| f(cell, &watchdog, attempt))) {
-                Ok(result) => {
-                    let outcome = if attempt == 0 {
-                        CellOutcome::Ok
-                    } else {
-                        CellOutcome::Retried {
-                            attempts: attempt + 1,
-                        }
-                    };
-                    return CellReport {
-                        outcome,
-                        result: Some(result),
-                    };
-                }
-                Err(payload) => {
-                    if payload.downcast_ref::<WatchdogExpired>().is_some() {
-                        return CellReport {
-                            outcome: CellOutcome::TimedOut,
-                            result: None,
-                        };
-                    }
-                    if attempt >= opts.max_retries {
-                        return CellReport {
-                            outcome: CellOutcome::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            },
-                            result: None,
-                        };
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    })
+    let contained = contain(
+        cells,
+        opts,
+        || (),
+        |cell, watchdog, attempt, ()| f(cell, watchdog, attempt),
+        |_, _, _, _, ()| None,
+    );
+    contained.into_iter().map(|cell| cell.report).collect()
 }
 
 /// One isolated cell's verdict plus the crash-dump sidecars its failing
@@ -522,70 +492,83 @@ where
     E: JsonlRecord,
     F: Fn(&C, &Watchdog, u32, SharedRecorder<E>) -> R + Sync,
 {
+    contain(
+        cells,
+        opts,
+        || SharedRecorder::new(capacity.max(1)),
+        |cell, watchdog, attempt, recorder| f(cell, watchdog, attempt, recorder.clone()),
+        |cell, attempt, outcome, message, recorder| {
+            write_flight_dump(dump_dir, cell, attempt, outcome, message, recorder)
+        },
+    )
+}
+
+/// The one contain / watchdog / retry loop behind [`run_isolated`] and
+/// [`run_isolated_recorded`].
+///
+/// Every attempt gets a watchdog pre-charged with its [`retry_backoff`]
+/// and a fresh `begin()` state built *outside* the panic boundary (the
+/// recorder ring, or nothing), runs `f` inside it, and on failure hands
+/// `post_mortem` the cell index, attempt, outcome label, failure message
+/// and that state; it may leave a dump file behind. Timeouts are final;
+/// panics retry up to `opts.max_retries` times.
+fn contain<C, R, S>(
+    cells: &[C],
+    opts: IsolationOptions,
+    begin: impl Fn() -> S + Sync,
+    f: impl Fn(&C, &Watchdog, u32, &S) -> R + Sync,
+    post_mortem: impl Fn(usize, u32, &str, &str, &S) -> Option<PathBuf> + Sync,
+) -> Vec<RecordedCell<R>>
+where
+    C: Sync,
+    R: Send,
+{
     let indexed: Vec<(usize, &C)> = cells.iter().enumerate().collect();
     run_with_workers(&indexed, worker_count(), |&(index, cell)| {
-        let mut attempt = 0;
         let mut dumps = Vec::new();
-        loop {
+        let mut attempt = 0;
+        let (outcome, result) = loop {
+            // Retries start with a backoff pre-charged against the
+            // budget: deterministic (no wall clock) and budget-scaled.
             let watchdog =
                 Watchdog::precharged(opts.cycle_budget, retry_backoff(opts.cycle_budget, attempt));
-            let recorder = SharedRecorder::new(capacity.max(1));
-            let inside = recorder.clone();
-            match catch_unwind(AssertUnwindSafe(|| f(cell, &watchdog, attempt, inside))) {
+            let state = begin();
+            let attempted = catch_unwind(AssertUnwindSafe(|| f(cell, &watchdog, attempt, &state)));
+            let payload = match attempted {
+                Ok(result) if attempt == 0 => break (CellOutcome::Ok, Some(result)),
                 Ok(result) => {
-                    let outcome = if attempt == 0 {
-                        CellOutcome::Ok
-                    } else {
-                        CellOutcome::Retried {
-                            attempts: attempt + 1,
-                        }
-                    };
-                    return RecordedCell {
-                        report: CellReport {
-                            outcome,
-                            result: Some(result),
-                        },
-                        dumps,
-                    };
+                    let attempts = attempt + 1;
+                    break (CellOutcome::Retried { attempts }, Some(result));
                 }
-                Err(payload) => {
-                    let timed_out = payload.downcast_ref::<WatchdogExpired>().is_some();
-                    let message = if timed_out {
-                        format!("watchdog expired after {} ticks", watchdog.ticks())
-                    } else {
-                        panic_message(payload.as_ref())
-                    };
-                    let label = if timed_out {
-                        CellOutcome::TimedOut.label()
-                    } else {
-                        "panicked"
-                    };
-                    if let Some(path) =
-                        write_flight_dump(dump_dir, index, attempt, label, &message, &recorder)
-                    {
-                        dumps.push(path);
-                    }
-                    if timed_out {
-                        return RecordedCell {
-                            report: CellReport {
-                                outcome: CellOutcome::TimedOut,
-                                result: None,
-                            },
-                            dumps,
-                        };
-                    }
-                    if attempt >= opts.max_retries {
-                        return RecordedCell {
-                            report: CellReport {
-                                outcome: CellOutcome::Panicked { message },
-                                result: None,
-                            },
-                            dumps,
-                        };
-                    }
-                    attempt += 1;
-                }
+                Err(payload) => payload,
+            };
+            let timed_out = payload.downcast_ref::<WatchdogExpired>().is_some();
+            let (outcome, message) = if timed_out {
+                let ticks = watchdog.ticks();
+                let message = format!("watchdog expired after {ticks} ticks");
+                (CellOutcome::TimedOut, message)
+            } else {
+                let message = panic_message(payload.as_ref());
+                let outcome = CellOutcome::Panicked {
+                    message: message.clone(),
+                };
+                (outcome, message)
+            };
+            dumps.extend(post_mortem(
+                index,
+                attempt,
+                outcome.label(),
+                &message,
+                &state,
+            ));
+            if timed_out || attempt >= opts.max_retries {
+                break (outcome, None);
             }
+            attempt += 1;
+        };
+        RecordedCell {
+            report: CellReport { outcome, result },
+            dumps,
         }
     })
 }
@@ -884,9 +867,9 @@ mod tests {
     }
 
     #[test]
-    fn run_profiled_matches_run_and_times_every_cell() {
+    fn run_profiled_matches_the_untimed_run_and_times_every_cell() {
         let cells: Vec<u64> = (0..9).collect();
-        let plain = run(&cells, |&c| c + 1);
+        let plain = run_with_workers(&cells, 1, |&c| c + 1);
         let (results, profile) = run_profiled(&cells, |&c| c + 1);
         assert_eq!(results, plain);
         assert_eq!(profile.per_cell_secs.len(), cells.len());

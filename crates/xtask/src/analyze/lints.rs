@@ -1,9 +1,10 @@
-//! The twelve workspace lints, implemented over the structural scanner.
+//! The eleven workspace lints, implemented over the structural scanner.
 //!
 //! Lints 1–7 are the historical regex-era lints migrated onto token
-//! sequences and the brace tree (same semantics, fewer loopholes —
-//! `Box < dyn SwitchBuffer >` and friends no longer slip through
-//! whitespace). Lints 8–12 are new:
+//! sequences and the brace tree (same semantics, fewer loopholes).
+//! Number 5 (`no-boxed-buffer`) is retired: the `Box<dyn SwitchBuffer>`
+//! buffer impl it guarded against is gone, so the pattern no longer
+//! type-checks; the other lints keep their numbers. Lints 8–12 are new:
 //!
 //! 8. **unsafe-audit** — every `unsafe` block/impl/fn/trait carries a
 //!    `// SAFETY:` justification; every workspace crate except
@@ -64,9 +65,6 @@ pub const ORDERING_MARKER: &str = "ordering:";
 /// Crates whose `src/` must be panic-free (the simulator data path).
 const PANIC_FREE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 
-/// Crates whose `src/` must stay monomorphized (the per-cycle hot path).
-const MONOMORPHIC_CRATES: [&str; 2] = ["crates/switch/src/", "crates/net/src/"];
-
 /// Crates whose consuming-builder methods must carry `#[must_use]`.
 const MUST_USE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 
@@ -89,14 +87,13 @@ pub const UNSAFE_CRATE_DIR: &str = "crates/shard";
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
 
-/// The twelve lints, in order, with their display names. The driver
-/// times each entry individually.
-pub const ALL: [(&str, LintFn); 12] = [
+/// The eleven lints, in order, with their display names (number 5 is
+/// retired and not reused). The driver times each entry individually.
+pub const ALL: [(&str, LintFn); 11] = [
     ("1 no-panic", no_panic),
     ("2 no-unseeded-rng", no_unseeded_rng),
     ("3 docs-mandatory", docs_mandatory),
     ("4 no-print", no_print),
-    ("5 no-boxed-buffer", no_boxed_buffer),
     ("6 must-use-builders", must_use_builders),
     ("7 doc-links", doc_links),
     ("8 unsafe-audit", unsafe_audit),
@@ -258,37 +255,6 @@ fn no_print(ws: &Workspace, findings: &mut Vec<Finding>) {
                         tok.text
                     ),
                 ));
-            }
-        }
-    }
-}
-
-/// Lint 5: no `Box<dyn SwitchBuffer>` on the simulation data path. The
-/// token-sequence match is whitespace-immune (the regex era needed two
-/// spellings).
-fn no_boxed_buffer(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for prefix in MONOMORPHIC_CRATES {
-        for file in ws.files_under(prefix) {
-            for (i, tok) in file.code.iter().enumerate() {
-                let hit = tok.is_ident("Box")
-                    && file.code.get(i + 1).is_some_and(|t| t.is_punct('<'))
-                    && file.code.get(i + 2).is_some_and(|t| t.is_ident("dyn"))
-                    && file
-                        .code
-                        .get(i + 3)
-                        .is_some_and(|t| t.is_ident("SwitchBuffer"));
-                if hit && unwaived(file, tok.line) {
-                    findings.push(finding(
-                        file,
-                        tok.line,
-                        format!(
-                            "'Box<dyn SwitchBuffer>' on the simulation data path — use \
-                             the generic parameter `B: SwitchBuffer` (enum-dispatched \
-                             `AnyBuffer` for kind-selected configs), or justify with a \
-                             '// {ALLOW_MARKER} — why' comment"
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -993,16 +959,6 @@ mod tests {
             "// .unwrap() in a comment\nfn f() { let s = \".unwrap()\"; }\n",
         )]);
         assert!(run(no_panic, &ws).is_empty());
-    }
-
-    #[test]
-    fn boxed_buffer_is_whitespace_immune() {
-        let ws = ws_with(vec![(
-            "crates/switch/src/x.rs",
-            "type A = Box<dyn SwitchBuffer>;\ntype B = Box < dyn\n    SwitchBuffer >;\n",
-        )]);
-        let findings = run(no_boxed_buffer, &ws);
-        assert_eq!(findings.len(), 2, "both spellings and the line-split one");
     }
 
     #[test]

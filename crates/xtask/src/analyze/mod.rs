@@ -9,7 +9,7 @@
 //! 2. [`tree`] builds a brace tree over the code tokens and derives
 //!    structural facts (`#[cfg(test)]` spans, `unsafe` sites, `pub fn`
 //!    signatures);
-//! 3. [`lints`] runs the twelve workspace lints over the parsed files;
+//! 3. [`lints`] runs the eleven workspace lints over the parsed files;
 //! 4. [`ledger`] renders the `unsafe`/atomics inventory as
 //!    `docs/UNSAFE_LEDGER.md`, which lint 8 checks for staleness.
 //!

@@ -1,10 +1,10 @@
-//! Workspace task driver: `cargo xtask lint` and `cargo xtask
-//! unsafe-ledger`.
+//! Workspace task driver: `cargo xtask lint`, `cargo xtask
+//! unsafe-ledger` and `cargo xtask results-diff`.
 //!
 //! The analysis itself lives in the [`analyze`] module — a hand-rolled
-//! lexer, a brace tree, ten structural lints and the generated
-//! `docs/UNSAFE_LEDGER.md` inventory. The twelve lints (details in
-//! `docs/VERIFICATION.md` § Static analysis):
+//! lexer, a brace tree, eleven structural lints and the generated
+//! `docs/UNSAFE_LEDGER.md` inventory. The eleven lints (details in
+//! `docs/VERIFICATION.md` § Static analysis; number 5 is retired):
 //!
 //! 1. **No panics in simulator library code** (`crates/core`,
 //!    `crates/net`) — propagate `Result`; waivable.
@@ -15,9 +15,6 @@
 //!    core (`crates/net`, `crates/shard`).
 //! 4. **No stdout/stderr printing in library code** — binaries,
 //!    benches and xtask are exempt.
-//! 5. **No `Box<dyn SwitchBuffer>` on the simulation data path**
-//!    (`crates/switch`, `crates/net`) — the hot path stays
-//!    monomorphized.
 //! 6. **Consuming builder methods carry `#[must_use]`** (`crates/core`,
 //!    `crates/net`).
 //! 7. **No dead intra-repo markdown links** (root `*.md` and `docs/`).
@@ -30,11 +27,20 @@
 //! 10. **Metric docs** — every metric name registered on the telemetry
 //!     `MetricsRegistry` appears in the metrics reference table of
 //!     `docs/OBSERVABILITY.md`; waivable.
+//! 11. **Hot-path allocation** — the named cycle-kernel functions must
+//!     not allocate or copy payloads; waivable.
+//! 12. **Reject-reason coverage** — every `RejectReason` variant is
+//!     matched on the delivery path (`crates/net/src`).
 //!
-//! `cargo xtask lint` runs all ten plus the `cargo clippy` / `cargo fmt
-//! --check` gates; `--no-cargo` skips the cargo gates (fast, no
+//! `cargo xtask lint` runs all eleven plus the `cargo clippy` / `cargo
+//! fmt --check` gates; `--no-cargo` skips the cargo gates (fast, no
 //! compilation — the check.sh `analyze` gate budget is ~2s). Per-lint
 //! wall-times are printed so scan-speed regressions are visible.
+//!
+//! `cargo xtask results-diff <committed.json> <regenerated.json>` is the
+//! comparison behind `scripts/regen_results.sh --check`: two harness
+//! reports are equal when they match outside the run-varying top-level
+//! `run` and `telemetry` keys.
 
 #![forbid(unsafe_code)]
 
@@ -46,6 +52,7 @@ use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use analyze::{ledger, lints, Workspace};
+use damq_bench::json::Json;
 
 /// Clippy invocation pinned here so CI and dev runs agree.
 const CLIPPY_ARGS: [&str; 7] = [
@@ -63,17 +70,46 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--no-cargo")),
         Some("unsafe-ledger") => unsafe_ledger(),
+        Some("results-diff") if args.len() == 3 => results_diff(&args[1], &args[2]),
         Some("--help" | "-h") | None => {
-            eprintln!("usage: cargo xtask <lint [--no-cargo] | unsafe-ledger>");
+            eprintln!("usage: {USAGE}");
             ExitCode::from(2)
         }
         Some(other) => {
-            eprintln!(
-                "unknown task '{other}' (usage: cargo xtask <lint [--no-cargo] | unsafe-ledger>)"
-            );
+            eprintln!("unknown or malformed task '{other}' (usage: {USAGE})");
             ExitCode::from(2)
         }
     }
+}
+
+const USAGE: &str =
+    "cargo xtask <lint [--no-cargo] | unsafe-ledger | results-diff <committed.json> <new.json>>";
+
+/// Compares two harness reports outside their run-varying envelope:
+/// succeeds when they are equal once the top-level `run` and `telemetry`
+/// keys are dropped, otherwise names the first differing top-level key.
+fn results_diff(committed: &str, regenerated: &str) -> ExitCode {
+    let deterministic = |path: &str| -> Result<Vec<(String, Json)>, String> {
+        let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        match Json::parse(&text).map_err(|e| format!("{path}: {e}"))? {
+            Json::Obj(mut pairs) => {
+                pairs.retain(|(key, _)| key != "run" && key != "telemetry");
+                Ok(pairs)
+            }
+            _ => Err(format!("{path}: not a JSON object")),
+        }
+    };
+    let problem = match (deterministic(committed), deterministic(regenerated)) {
+        (Ok(old), Ok(new)) if old == new => return ExitCode::SUCCESS,
+        (Ok(old), Ok(new)) => {
+            let differing = old.iter().zip(&new).find(|(a, b)| a != b);
+            let key = differing.map_or("the set of top-level keys", |((key, _), _)| key);
+            format!("{regenerated} differs from {committed} in '{key}'")
+        }
+        (Err(e), _) | (_, Err(e)) => e,
+    };
+    eprintln!("error: {problem}");
+    ExitCode::FAILURE
 }
 
 fn lint(no_cargo: bool) -> ExitCode {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's offline quality gate: static analysis (twelve structural
+# The repo's offline quality gate: static analysis (eleven structural
 # lints + unsafe ledger + clippy + rustfmt), build, the full test suite
 # (with and without per-operation invariant audits), the exhaustive 2x2
 # model checker, the fault-injection smoke (self-healing harness +
@@ -7,7 +7,8 @@
 # overhead), the chaos soak smoke (recovery protocols under randomized
 # fault storms, minimized-reproducer loop), the benchmark smoke (every
 # BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
-# sanitizer smokes (miri + TSan, probed and skipped with a note
+# the results check (every committed table and report regenerates byte
+# for byte), sanitizer smokes (miri + TSan, probed and skipped with a note
 # where the toolchain lacks them), and rustdoc with warnings denied
 # (`#![deny(missing_docs)]` in the crates turns any missing doc into a
 # hard failure here).
@@ -24,6 +25,7 @@
 #        scripts/check.sh soa-smoke        # just the SoA hot-path smoke
 #        scripts/check.sh chaos-smoke      # just the chaos soak smoke
 #        scripts/check.sh bench-smoke      # just the benchmark smoke
+#        scripts/check.sh results-check    # just the committed-results check
 #        scripts/check.sh sanitizer-smoke  # miri + TSan, skip when unsupported
 set -Eeuo pipefail
 cd "$(dirname "$0")/.."
@@ -173,13 +175,24 @@ bench_smoke() {
     }
 }
 
-# Tentpole gate: the in-tree static analyzer. The twelve structural lints
+# Satellite gate: the committed results are what the code produces. All
+# 18 regeneration harnesses plus fault_degradation run into a temporary
+# directory (~30 s on 2 CPUs); every stdout must equal results/<bin>.txt
+# byte for byte and every report must equal results/json/<bin>.json
+# outside its run-varying `run` / `telemetry` keys. A refactor that
+# claims byte identity passes this without regenerating anything.
+results_check() {
+    gate "results-check: committed tables and reports regenerate byte for byte"
+    bash scripts/regen_results.sh --check
+}
+
+# Tentpole gate: the in-tree static analyzer. The eleven structural lints
 # (lexer-backed, no regex) must report zero findings, the generated
 # unsafe ledger must be fresh, and — in the full run — clippy and
 # rustfmt must agree. The bare-lint pass is budgeted at ~2s so it stays
 # cheap enough to run on every edit; the xtask prints per-lint timings.
 analyze() {
-    gate "analyze: twelve structural lints + unsafe-ledger freshness"
+    gate "analyze: eleven structural lints + unsafe-ledger freshness"
     cargo xtask lint --no-cargo
 
     gate "analyze: clippy + rustfmt"
@@ -262,6 +275,11 @@ bench-smoke)
     echo "bench-smoke passed"
     exit 0
     ;;
+results-check)
+    results_check
+    echo "results-check passed"
+    exit 0
+    ;;
 sanitizer-smoke)
     sanitizer_smoke
     echo "sanitizer-smoke passed"
@@ -269,7 +287,7 @@ sanitizer-smoke)
     ;;
 all) ;;
 *)
-    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|sanitizer-smoke]" >&2
+    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|results-check|sanitizer-smoke]" >&2
     exit 2
     ;;
 esac
@@ -310,6 +328,8 @@ soa_smoke
 chaos_smoke
 
 bench_smoke
+
+results_check
 
 sanitizer_smoke
 
