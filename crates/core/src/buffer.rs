@@ -23,12 +23,25 @@ use crate::packet::{Packet, DEFAULT_SLOT_BYTES};
 use crate::stats::BufferStats;
 use crate::OutputPort;
 
+/// Ring index `p` reduced into `0..cap`, for `p < 2 * cap` (one step or one
+/// lap past the end). A compare instead of `%`: ring sizes are run-time
+/// values, so the modulo is a hardware divide on every enqueue and
+/// dequeue of the ring-backed designs.
+pub(crate) fn ring_wrap(p: usize, cap: usize) -> usize {
+    debug_assert!(p < 2 * cap, "ring index {p} more than one lap past {cap}");
+    if p >= cap {
+        p - cap
+    } else {
+        p
+    }
+}
+
 /// Compact descriptor of the packet at the head of a queue: exactly the
 /// two facts a flow-control probe needs — where the packet is going and
 /// how much room it takes — without handing out the packet itself.
 ///
 /// The cycle kernel examines up to `ports x fanout` queue heads per cycle
-/// just to answer "can this candidate move?". Returning `FrontMeta`
+/// just to ask "may this head move?". Returning `FrontMeta`
 /// (16 bytes, by value) from the buffer's index registers keeps that
 /// examination walk inside the dense SoA columns; the out-of-line
 /// [`Packet`] payload is only dereferenced for the one winner per read
@@ -140,6 +153,12 @@ pub struct BufferConfig {
 }
 
 impl BufferConfig {
+    /// Largest valid [`capacity`](BufferConfig::capacity): every design
+    /// addresses slots, ring positions and queue lengths through `u16`
+    /// registers and reserves `u16::MAX` as the nil pointer (the switch
+    /// kernel's `u16` length rows rely on the same bound).
+    pub const MAX_CAPACITY: usize = u16::MAX as usize - 1;
+
     /// Creates a configuration with `fanout` output queues and
     /// `capacity_slots` total slots of [`DEFAULT_SLOT_BYTES`] bytes each.
     pub fn new(fanout: usize, capacity_slots: usize) -> Self {
@@ -176,11 +195,18 @@ impl BufferConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any dimension is zero, or if `kind` is
-    /// statically allocated and `capacity` is not divisible by `fanout`.
+    /// Returns [`ConfigError`] if any dimension is zero, if `capacity`
+    /// exceeds [`MAX_CAPACITY`](BufferConfig::MAX_CAPACITY), or if `kind`
+    /// is statically allocated and `capacity` is not divisible by `fanout`.
     pub fn validate(&self, kind: BufferKind) -> Result<(), ConfigError> {
         if self.capacity_slots == 0 {
             return Err(ConfigError::ZeroCapacity);
+        }
+        if self.capacity_slots > Self::MAX_CAPACITY {
+            return Err(ConfigError::CapacityTooLarge {
+                capacity: self.capacity_slots,
+                max: Self::MAX_CAPACITY,
+            });
         }
         if self.fanout == 0 {
             return Err(ConfigError::ZeroFanout);
@@ -281,10 +307,8 @@ pub trait SwitchBuffer: fmt::Debug + Send + Sync {
     fn can_accept(&self, output: OutputPort, slots: usize) -> bool;
 
     /// The largest `slots` for which [`can_accept`](SwitchBuffer::can_accept)
-    /// of `output` answers `true` right now — the batched form of the
-    /// backpressure probe. The network simulator snapshots these
-    /// capacities per stage so its probe loop reads one flat array entry
-    /// instead of re-deriving admission per candidate packet.
+    /// of `output` answers `true` right now — the admission register
+    /// behind the backpressure probe, as a number.
     ///
     /// Admission is room-based in every design, hence monotone in
     /// `slots`; the default derives the capacity from `can_accept`

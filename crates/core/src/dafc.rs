@@ -122,6 +122,10 @@ impl SwitchBuffer for DafcBuffer {
         self.inner.packet_count()
     }
 
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+
     fn stats(&self) -> &BufferStats {
         self.inner.stats()
     }

@@ -207,6 +207,13 @@ impl SwitchBuffer for DamqBuffer {
         (0..self.fanout()).map(|l| self.pool.queue_packets(l)).sum()
     }
 
+    fn is_empty(&self) -> bool {
+        // One register read, not a sum over the queues (the switch kernel
+        // asks every buffer every cycle): a packet occupies at least one
+        // slot.
+        self.pool.used_count() == 0
+    }
+
     fn stats(&self) -> &BufferStats {
         &self.stats
     }

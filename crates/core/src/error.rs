@@ -26,6 +26,15 @@ pub enum ConfigError {
         /// Number of static partitions (the fanout).
         fanout: usize,
     },
+    /// Slot indices, ring offsets and queue lengths are 16-bit registers
+    /// (with one value reserved as the nil pointer), which caps the slot
+    /// count of a single buffer.
+    CapacityTooLarge {
+        /// Total slots requested.
+        capacity: usize,
+        /// Largest capacity the registers can address.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -37,6 +46,10 @@ impl fmt::Display for ConfigError {
             ConfigError::CapacityNotDivisible { capacity, fanout } => write!(
                 f,
                 "statically-allocated buffer needs capacity divisible by fanout ({capacity} slots over {fanout} queues)"
+            ),
+            ConfigError::CapacityTooLarge { capacity, max } => write!(
+                f,
+                "buffer capacity {capacity} exceeds the {max} slots its 16-bit registers address"
             ),
         }
     }

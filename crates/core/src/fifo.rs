@@ -18,7 +18,7 @@
 //! reference.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
-use crate::buffer::{BufferConfig, BufferKind, SwitchBuffer};
+use crate::buffer::{ring_wrap, BufferConfig, BufferKind, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::stats::BufferStats;
@@ -94,9 +94,9 @@ impl FifoBuffer {
         })
     }
 
-    /// Ring position of entry `i` (0 = head).
+    /// Ring position of entry `i` (0 = head), for `i` up to the ring size.
     fn pos(&self, i: usize) -> usize {
-        (self.head as usize + i) % self.arena.len()
+        ring_wrap(self.head as usize + i, self.arena.len())
     }
 
     /// The output port of the head packet, if any.
@@ -228,7 +228,7 @@ impl SwitchBuffer for FifoBuffer {
         let slots = self.entry_slots[head] as usize;
         // lint: allow — head_matches() proved the head cell holds a payload.
         let packet = self.arena[head].take().expect("head checked above");
-        self.head = ((head + 1) % self.arena.len()) as u16;
+        self.head = self.pos(1) as u16;
         self.len -= 1;
         self.used_slots -= slots;
         // Freed slots feed deferred kills before returning to service.

@@ -18,7 +18,7 @@
 //! `aos.rs` as the differential reference.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
-use crate::buffer::{BufferConfig, BufferKind};
+use crate::buffer::{ring_wrap, BufferConfig, BufferKind};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::stats::BufferStats;
@@ -87,9 +87,11 @@ impl StaticMultiQueue {
         self.head.len()
     }
 
-    /// Ring position of entry `i` (0 = head) in queue `q`'s segment.
+    /// Ring position of entry `i` (0 = head) in queue `q`'s segment, for
+    /// `i` up to the segment size.
     fn pos(&self, q: usize, i: usize) -> usize {
-        q * self.per_queue_capacity + (self.head[q] as usize + i) % self.per_queue_capacity
+        let cap = self.per_queue_capacity;
+        q * cap + ring_wrap(self.head[q] as usize + i, cap)
     }
 
     pub(crate) fn used_slots(&self) -> usize {
@@ -238,7 +240,7 @@ impl StaticMultiQueue {
         let slots = self.entry_slots[head];
         // lint: allow — the arena cell inside the live window is always Some.
         let packet = self.arena[head].take().expect("live ring entry");
-        self.head[q] = ((self.head[q] as usize + 1) % self.per_queue_capacity) as u16;
+        self.head[q] = ring_wrap(self.head[q] as usize + 1, self.per_queue_capacity) as u16;
         self.len[q] -= 1;
         self.queue_used[q] -= slots;
         // Freed slots feed deferred kills before returning to service.

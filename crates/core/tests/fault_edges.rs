@@ -38,6 +38,42 @@ fn zero_capacity_is_a_typed_config_error_for_every_design() {
 }
 
 #[test]
+fn oversized_capacity_is_a_typed_config_error_for_every_design() {
+    // The 16-bit slot, ring and length registers cap one buffer at
+    // `MAX_CAPACITY` slots; past it every constructor used to panic.
+    const MAX: usize = BufferConfig::MAX_CAPACITY;
+    for kind in BufferKind::EXTENDED {
+        for capacity in [MAX + 1, 70_000, usize::MAX] {
+            let too_large = ConfigError::CapacityTooLarge { capacity, max: MAX };
+            assert_eq!(
+                BufferConfig::new(2, capacity).validate(kind),
+                Err(too_large.clone()),
+                "{kind} validate({capacity})"
+            );
+            assert_eq!(
+                BufferConfig::new(2, capacity).build(kind).unwrap_err(),
+                too_large,
+                "{kind} build({capacity})"
+            );
+            assert_eq!(
+                BufferConfig::new(2, capacity).build_any(kind).unwrap_err(),
+                too_large,
+                "{kind} build_any({capacity})"
+            );
+        }
+        // The bound itself is a working buffer (even, so the static
+        // designs can halve it).
+        let mut buf = BufferConfig::new(2, MAX).build(kind).unwrap();
+        assert_eq!(buf.capacity_slots(), MAX, "{kind}");
+        buf.try_enqueue(OutputPort::new(1), packet(1, 4)).unwrap();
+        assert_eq!(
+            buf.dequeue(OutputPort::new(1)).unwrap().id(),
+            PacketId::new(1)
+        );
+    }
+}
+
+#[test]
 fn single_slot_buffers_round_trip_then_die_gracefully() {
     for kind in BufferKind::EXTENDED {
         // Fanout 1 keeps capacity 1 divisible for the static designs.

@@ -128,11 +128,6 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     source_queues: Vec<VecDeque<PendingPacket>>,
     /// On/off state per source (always `true` under Bernoulli arrivals).
     source_on: Vec<bool>,
-    /// Reused per-stage backpressure snapshot
-    /// (`per_stage x radix x radix`): refilled serially from the
-    /// downstream stage before each interior phase A under the blocking
-    /// protocol.
-    accept_caps: Vec<u16>,
     /// The sharded stage engine: island partition, phase pool, and the
     /// per-island lanes carrying probe scratch and departure records.
     /// One island on one thread by default; see
@@ -250,7 +245,6 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             fabric: Fabric::new(switches, wiring),
             source_queues: vec![VecDeque::new(); config.size],
             source_on: vec![true; config.size],
-            accept_caps: vec![0; per_stage * config.radix * config.radix],
             engine: ParallelEngine::new(1, per_stage, config.radix),
             ids: PacketIdSource::new(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -945,6 +939,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetworkError::Buffer(_)));
+    }
+
+    #[test]
+    fn oversized_buffers_are_a_typed_error_not_a_panic() {
+        for kind in BufferKind::EXTENDED {
+            let config = NetworkConfig::new(16, 4).buffer_kind(kind);
+            let err = NetworkSim::new(config.slots_per_buffer(70_000)).unwrap_err();
+            let too_large = damq_core::ConfigError::CapacityTooLarge {
+                capacity: 70_000,
+                max: damq_core::BufferConfig::MAX_CAPACITY,
+            };
+            assert_eq!(err, NetworkError::Buffer(too_large), "{kind}");
+        }
     }
 
     #[test]

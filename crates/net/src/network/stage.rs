@@ -178,13 +178,13 @@ impl<B: SwitchBuffer> Fabric<B> {
 /// downstream space. Every field is behind a shared reference (or
 /// `Copy`), so islands can probe concurrently — the route plan's query
 /// counter is atomic, fault state is only read (`link_down`), and
-/// downstream space is read from `caps`, the per-stage snapshot of
-/// [`Switch::accept_capacities_into`] taken in the serial section while
-/// the downstream stage is frozen (its own transmit and every merge
-/// into it are already done, and nothing touches it again until this
-/// stage's phase B), so one flat-array load answers the probe exactly
-/// as the live `can_accept` would.
-struct ProbeCtx<'a> {
+/// downstream space is asked of the downstream switches themselves
+/// through `downstream`. That shared borrow is the proof the stage below
+/// is frozen for the whole of phase A: its own transmit and every merge
+/// into it are already done, and while the borrow lives nothing — at any
+/// lane count — can mutate it, so a probe made at any point of the phase
+/// gets the answer the merge will find.
+struct ProbeCtx<'a, B: SwitchBuffer> {
     stage: usize,
     wiring: Wiring,
     cycle: u64,
@@ -194,9 +194,8 @@ struct ProbeCtx<'a> {
     probing: bool,
     plan: &'a RoutePlan,
     faults: Option<&'a FaultState>,
-    /// `caps[(sw * radix + input) * radix + output]` = largest packet
-    /// (slots) downstream switch `sw` accepts on that input/output pair.
-    caps: &'a [u16],
+    /// The stage below (empty for the last stage, which never probes).
+    downstream: &'a [Switch<B>],
     idle: IdleView<'a>,
     /// Recovery's believed link health, for the adaptive probe (absent
     /// while recovery is off — the probe then behaves exactly as before
@@ -204,17 +203,18 @@ struct ProbeCtx<'a> {
     recovery: Option<RecoveryView<'a>>,
 }
 
-impl ProbeCtx<'_> {
+impl<B: SwitchBuffer> ProbeCtx<'_, B> {
     /// Whether the frozen downstream stage would take a `slots`-slot
     /// packet over wire `link` along `route`: the wire is up and the
-    /// capacity snapshot has room.
+    /// receiving buffer has room — the two conditions of
+    /// [`Fabric::open`], read here through the phase's shared borrows.
     fn admits(&self, link: usize, route: HopRoute, slots: usize) -> bool {
-        !self.faults.is_some_and(|f| f.link_down(link, self.cycle)) && {
-            let radix = self.wiring.radix;
-            let idx = (route.next_switch * radix + route.next_port.index()) * radix
-                + route.next_output.index();
-            slots <= self.caps[idx] as usize
-        }
+        !self.faults.is_some_and(|f| f.link_down(link, self.cycle))
+            && self.downstream[route.next_switch].can_accept(
+                route.next_port,
+                route.next_output,
+                slots,
+            )
     }
 
     /// The wire a departure from this stage along `route` crosses.
@@ -246,11 +246,11 @@ impl IdleView<'_> {
 /// space; each grant then moves the parked route onto its departure
 /// record, so phase B routes every departure exactly once — identical
 /// to the serial loop. Without probing (the discarding protocol, or the
-/// last stage, whose terminals always accept) flow control never blocks
-/// and no route is parked.
-struct StageSink<'a, 'b> {
+/// last stage, whose terminals always accept) the sink never refuses, so
+/// the switch never asks it and no route is parked.
+struct StageSink<'a, 'b, B: SwitchBuffer> {
     sw: usize,
-    ctx: &'a ProbeCtx<'b>,
+    ctx: &'a ProbeCtx<'b, B>,
     scratch: &'a mut [Option<HopRoute>],
     records: &'a mut Vec<DepartRecord>,
     /// Route queries made by this switch's probes, flushed to the plan's
@@ -259,7 +259,11 @@ struct StageSink<'a, 'b> {
     probes: u64,
 }
 
-impl CycleSink for StageSink<'_, '_> {
+impl<B: SwitchBuffer> CycleSink for StageSink<'_, '_, B> {
+    fn never_refuses(&self) -> bool {
+        !self.ctx.probing
+    }
+
     fn can_send(&mut self, output: OutputPort, front: FrontMeta) -> bool {
         let ctx = self.ctx;
         if !ctx.probing {
@@ -338,29 +342,22 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// sweep — and parks its departures in its island's lane.
     ///
     /// Reads the downstream stage (frozen: its own transmit and every
-    /// merge into it already ran this cycle), the fault and recovery
-    /// link tables and this stage's quiescence bits; writes only this
-    /// stage's switches, the engine's lanes and the idle-skip tallies.
+    /// merge into it already ran this cycle — and borrowed shared for
+    /// the phase, so the compiler holds every lane to it), the fault and
+    /// recovery link tables and this stage's quiescence bits; writes
+    /// only this stage's switches, the engine's lanes and the idle-skip
+    /// tallies.
     fn arbitrate_stage(&mut self, stage: usize) {
         let wiring = self.fabric.wiring;
         let last = self.fabric.switches.len() - 1;
         let probing = stage < last && self.config.flow_control.requires_backpressure();
-        if probing {
-            // Snapshot the downstream stage's admission capacities into
-            // the flat reused matrix. The downstream stage is frozen for
-            // the whole of this stage's phase A, so the snapshot answers
-            // every probe exactly as the live `can_accept` would — and
-            // islands read a 256-byte array instead of chasing through
-            // foreign switch state.
-            let link = wiring.radix * wiring.radix;
-            let downstream = &self.fabric.switches[stage + 1];
-            for (sw, caps) in self.accept_caps.chunks_exact_mut(link).enumerate() {
-                downstream[sw].accept_capacities_into(caps);
-            }
-        }
-        // Blocking probes route, check the downstream link and read
-        // downstream space; each departure leaves with the probe's
-        // parked route.
+        // `&mut` to the arbitrating row, `&` to the one below it.
+        let (upper, lower) = self.fabric.switches.split_at_mut(stage + 1);
+        let row = &mut upper[stage];
+        let downstream: &[Switch<B>] = lower.first().map_or(&[], |below| below);
+        // Blocking probes route, check the downstream link and ask the
+        // downstream buffer for space; each departure leaves with the
+        // probe's parked route.
         let ctx = ProbeCtx {
             stage,
             wiring,
@@ -369,16 +366,16 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             plan: &self.plan,
             faults: self.fabric.faults.as_ref(),
             recovery: self.recovery.as_ref().map(|r| r.view()),
-            caps: &self.accept_caps,
+            downstream,
             idle: IdleView {
                 enabled: self.idle_skip,
                 map: &self.fabric.quiescent[wiring.switch(stage, 0)..wiring.switch(stage + 1, 0)],
             },
         };
         self.engine.collect(
-            &mut self.fabric.switches[stage],
+            row,
             &ctx,
-            &|sw, switch: &mut Switch<B>, lane: &mut StageLane, ctx: &ProbeCtx<'_>| {
+            &|sw, switch: &mut Switch<B>, lane: &mut StageLane, ctx: &ProbeCtx<'_, B>| {
                 debug_assert_eq!(
                     ctx.idle.map[sw],
                     switch.is_quiescent(),
@@ -524,7 +521,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 // onto an output it never probed, landing on an
                 // input port that belongs to another departure —
                 // can. (Retransmit resends run before this
-                // stage's capacity snapshot, so they cannot
+                // stage's phase A, so they cannot
                 // invalidate a probe.) With adaptive recovery
                 // the bounce is additionally expected whenever
                 // the probe admitted the departure on the

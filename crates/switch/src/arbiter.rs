@@ -47,18 +47,15 @@ impl std::fmt::Display for ArbiterPolicy {
     }
 }
 
-/// A candidate transmission offered to the arbiter: a queue inside one
-/// buffer with at least one sendable packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The queue's output port.
-    pub output: OutputPort,
-    /// Current length of that queue in packets.
-    pub queue_len: usize,
-}
+/// How strongly a sendable queue competes for its buffer's read port:
+/// stale count first (always 0 under the dumb policy), then queue length.
+/// Compared as a whole; the higher rank wins and equal ranks go to the
+/// lower output index.
+pub type Rank = (u32, usize);
 
-/// Arbitration state carried across cycles: the priority pointer and the
-/// per-(buffer, queue) stale counts.
+/// Arbitration state: the priority pointer and the per-(buffer, queue)
+/// stale counts carried across cycles, plus whether the buffer holding
+/// priority has transmitted in the current one.
 #[derive(Debug, Clone)]
 pub struct Arbiter {
     policy: ArbiterPolicy,
@@ -66,6 +63,9 @@ pub struct Arbiter {
     fanout: usize,
     priority: usize,
     stale: InlineArray<u32, INLINE_MATRIX>, // ports x fanout, row-major
+    /// Whether the priority buffer was granted a transmission this cycle;
+    /// `false` between cycles.
+    priority_transmitted: bool,
 }
 
 impl Arbiter {
@@ -84,6 +84,7 @@ impl Arbiter {
             fanout,
             priority: 0,
             stale: InlineArray::new(0, ports * fanout),
+            priority_transmitted: false,
         }
     }
 
@@ -102,20 +103,19 @@ impl Arbiter {
         (0..self.ports).map(move |i| InputPort::new((self.priority + i) % self.ports))
     }
 
-    /// Picks which of `candidates` (the not-blocked queues of one buffer)
-    /// to serve. Returns `None` if there are no candidates.
+    /// The rank of queue `output` of buffer `input`, holding `queue_len`
+    /// packets, among that buffer's not-blocked queues.
     ///
-    /// Dumb: longest queue, ties to the lowest output index. Smart: highest
-    /// stale count first, then longest queue, then lowest index.
-    pub fn select_queue(&self, input: InputPort, candidates: &[Candidate]) -> Option<Candidate> {
-        candidates.iter().copied().max_by_key(|c| {
-            let stale = match self.policy {
-                ArbiterPolicy::Dumb => 0,
-                ArbiterPolicy::Smart => self.stale_count(input, c.output),
-            };
-            // Reverse index so that max_by_key's tie-break prefers low index.
-            (stale, c.queue_len, usize::MAX - c.output.index())
-        })
+    /// Dumb: longest queue. Smart: highest stale count first, then longest
+    /// queue. Ties go to the lowest output index — walk the outputs in
+    /// ascending order and keep a queue only when its rank is strictly
+    /// higher than the best so far.
+    pub fn rank(&self, input: InputPort, output: OutputPort, queue_len: usize) -> Rank {
+        let stale = match self.policy {
+            ArbiterPolicy::Dumb => 0,
+            ArbiterPolicy::Smart => self.stale_count(input, output),
+        };
+        (stale, queue_len)
     }
 
     /// Advances the priority pointer one port, wrapping by compare
@@ -132,60 +132,63 @@ impl Arbiter {
         self.stale[input.index() * self.fanout + output.index()]
     }
 
-    /// Finishes a cycle.
+    /// Records that buffer `input` transmitted a packet this cycle.
+    pub fn grant(&mut self, input: InputPort) {
+        self.priority_transmitted |= input.index() == self.priority;
+    }
+
+    /// Ends buffer `input`'s turn: `waiting[o]` is the number of packets
+    /// its queue `o` still holds after this cycle's dequeues, or 0 if the
+    /// queue transmitted. Under the smart policy every queue left waiting
+    /// grows one cycle staler and every other count of the row resets.
     ///
-    /// Both matrices are flat, row-major `ports x fanout` — the same layout
-    /// as the switch's batched-kernel scratch, so no per-row indirection.
-    /// `served[i * fanout + o]` must be true iff buffer `i`'s queue `o`
-    /// transmitted; `occupied[i * fanout + o]` iff that queue still holds
-    /// packets. Updates the priority pointer and (for smart) the stale
-    /// counts.
+    /// Call once per cycle for each buffer that held a packet when its
+    /// turn came, after its last [`grant`](Arbiter::grant) — a buffer is
+    /// examined once per cycle, so no later selection reads the row. A
+    /// buffer that was empty needs no call: a queue only accrues staleness
+    /// while occupied and only transmission removes packets, so its whole
+    /// row is already zero.
     ///
     /// # Panics
     ///
-    /// Panics if the matrices have the wrong shape.
-    pub fn complete_cycle(&mut self, served: &[bool], occupied: &[bool]) {
-        assert_eq!(
-            served.len(),
-            self.ports * self.fanout,
-            "served matrix shape"
-        );
-        assert_eq!(
-            occupied.len(),
-            self.ports * self.fanout,
-            "occupied matrix shape"
-        );
-        let row = self.priority * self.fanout;
-        let first_transmitted = served[row..row + self.fanout].iter().any(|&s| s);
-        match self.policy {
-            ArbiterPolicy::Dumb => {
-                self.rotate_priority();
-            }
-            ArbiterPolicy::Smart => {
-                for ((stale, &served), &occupied) in self.stale.iter_mut().zip(served).zip(occupied)
-                {
-                    *stale = if !served && occupied {
-                        stale.saturating_add(1)
-                    } else {
-                        0
-                    };
-                }
-                if first_transmitted {
-                    self.rotate_priority();
-                }
-            }
+    /// Panics if `waiting` does not hold one count per queue.
+    pub fn settle_input(&mut self, input: InputPort, waiting: &[u16]) {
+        assert_eq!(waiting.len(), self.fanout, "one count per queue");
+        if self.policy == ArbiterPolicy::Dumb {
+            return;
         }
+        let row = input.index() * self.fanout;
+        let stale = &mut self.stale[row..row + self.fanout];
+        for (stale, &waiting) in stale.iter_mut().zip(waiting) {
+            *stale = if waiting > 0 {
+                stale.saturating_add(1)
+            } else {
+                0
+            };
+        }
+    }
+
+    /// Finishes a cycle: dumb rotates the priority pointer
+    /// unconditionally, smart only if the buffer that held priority
+    /// transmitted.
+    pub fn complete_cycle(&mut self) {
+        if self.policy == ArbiterPolicy::Dumb || self.priority_transmitted {
+            self.rotate_priority();
+        }
+        self.priority_transmitted = false;
     }
 
     /// Finishes a cycle in which the whole switch was quiescent — no queue
     /// held a packet, so nothing was served and nothing was occupied.
     ///
-    /// Byte-identical to `complete_cycle(all-false, all-false)`: dumb
-    /// rotates unconditionally; smart keeps its priority (nothing
-    /// transmitted) and leaves the stale counts at zero, which they must
-    /// already be, since a queue only accrues staleness while occupied and
-    /// every queue was observed empty when the switch went quiescent.
+    /// Byte-identical to [`complete_cycle`](Arbiter::complete_cycle) with
+    /// no grant and no buffer to settle: dumb rotates unconditionally;
+    /// smart keeps its priority (nothing transmitted) and leaves the stale
+    /// counts at zero, which they must already be, since a queue only
+    /// accrues staleness while occupied and every queue was observed empty
+    /// when the switch went quiescent.
     pub fn complete_idle_cycle(&mut self) {
+        debug_assert!(!self.priority_transmitted, "grant outside a cycle");
         match self.policy {
             ArbiterPolicy::Dumb => {
                 self.rotate_priority();
@@ -198,56 +201,73 @@ impl Arbiter {
             }
         }
     }
+
+    /// Whether every stale count of buffer `input` is zero (the kernel's
+    /// debug check on the buffers it does not examine).
+    pub(crate) fn row_is_fresh(&self, input: InputPort) -> bool {
+        let row = input.index() * self.fanout;
+        self.stale[row..row + self.fanout].iter().all(|&s| s == 0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cand(o: usize, len: usize) -> Candidate {
-        Candidate {
-            output: OutputPort::new(o),
-            queue_len: len,
+    /// The kernel's selection, spelled out: ascending walk, strictly
+    /// higher rank displaces.
+    fn pick(a: &Arbiter, input: usize, queues: &[(usize, usize)]) -> Option<usize> {
+        let mut sorted = queues.to_vec();
+        sorted.sort_unstable();
+        let mut best: Option<(Rank, usize)> = None;
+        for (o, len) in sorted {
+            let rank = a.rank(InputPort::new(input), OutputPort::new(o), len);
+            if best.is_none_or(|(top, _)| rank > top) {
+                best = Some((rank, o));
+            }
         }
+        best.map(|(_, o)| o)
     }
 
-    fn no_service(ports: usize, fanout: usize) -> Vec<bool> {
-        vec![false; ports * fanout]
+    /// One cycle in which buffer `input` is the only non-empty one:
+    /// `served` of its queues transmit and `lens` is what remains.
+    fn cycle(a: &mut Arbiter, input: usize, served: &[usize], lens: &[u16]) {
+        let mut waiting = lens.to_vec();
+        for &o in served {
+            a.grant(InputPort::new(input));
+            waiting[o] = 0;
+        }
+        a.settle_input(InputPort::new(input), &waiting);
+        a.complete_cycle();
     }
 
     #[test]
     fn dumb_picks_longest_queue() {
         let a = Arbiter::new(ArbiterPolicy::Dumb, 4, 4);
-        let picked = a
-            .select_queue(InputPort::new(0), &[cand(0, 1), cand(2, 3), cand(3, 2)])
-            .unwrap();
-        assert_eq!(picked.output, OutputPort::new(2));
+        assert_eq!(pick(&a, 0, &[(0, 1), (2, 3), (3, 2)]), Some(2));
     }
 
     #[test]
     fn ties_go_to_lowest_output_index() {
         let a = Arbiter::new(ArbiterPolicy::Dumb, 4, 4);
-        let picked = a
-            .select_queue(InputPort::new(0), &[cand(3, 2), cand(1, 2)])
-            .unwrap();
-        assert_eq!(picked.output, OutputPort::new(1));
+        assert_eq!(pick(&a, 0, &[(3, 2), (1, 2)]), Some(1));
     }
 
     #[test]
-    fn empty_candidates_yield_none() {
+    fn no_sendable_queue_yields_none() {
         let a = Arbiter::new(ArbiterPolicy::Dumb, 2, 2);
-        assert!(a.select_queue(InputPort::new(0), &[]).is_none());
+        assert_eq!(pick(&a, 0, &[]), None);
     }
 
     #[test]
     fn dumb_rotates_unconditionally() {
         let mut a = Arbiter::new(ArbiterPolicy::Dumb, 3, 2);
         assert_eq!(a.priority_port(), InputPort::new(0));
-        a.complete_cycle(&no_service(3, 2), &no_service(3, 2));
+        a.complete_cycle();
         assert_eq!(a.priority_port(), InputPort::new(1));
-        a.complete_cycle(&no_service(3, 2), &no_service(3, 2));
+        a.complete_cycle();
         assert_eq!(a.priority_port(), InputPort::new(2));
-        a.complete_cycle(&no_service(3, 2), &no_service(3, 2));
+        a.complete_cycle();
         assert_eq!(a.priority_port(), InputPort::new(0));
     }
 
@@ -255,52 +275,52 @@ mod tests {
     fn smart_keeps_priority_when_first_buffer_sent_nothing() {
         let mut a = Arbiter::new(ArbiterPolicy::Smart, 3, 2);
         // Paper: "that buffer will be the first one examined again".
-        a.complete_cycle(&no_service(3, 2), &no_service(3, 2));
+        a.complete_cycle();
         assert_eq!(a.priority_port(), InputPort::new(0));
-        let mut served = no_service(3, 2);
-        served[1] = true; // buffer 0, queue 1
-        a.complete_cycle(&served, &no_service(3, 2));
+        // Another buffer transmitting does not move it either.
+        cycle(&mut a, 1, &[0], &[0, 0]);
+        assert_eq!(a.priority_port(), InputPort::new(0));
+        cycle(&mut a, 0, &[1], &[0, 0]);
         assert_eq!(a.priority_port(), InputPort::new(1));
     }
 
     #[test]
     fn stale_counts_accumulate_and_reset() {
         let mut a = Arbiter::new(ArbiterPolicy::Smart, 2, 2);
-        let mut occupied = no_service(2, 2);
-        occupied[0] = true; // buffer 0, queue 0
-        occupied[1] = true; // buffer 0, queue 1
-                            // Queue (0,1) passed over twice.
-        a.complete_cycle(&no_service(2, 2), &occupied);
-        a.complete_cycle(&no_service(2, 2), &occupied);
+        // Both queues of buffer 0 occupied; queue (0,1) passed over twice.
+        cycle(&mut a, 0, &[], &[1, 1]);
+        cycle(&mut a, 0, &[], &[1, 1]);
         assert_eq!(a.stale_count(InputPort::new(0), OutputPort::new(1)), 2);
         // Serving it resets the count.
-        let mut served = no_service(2, 2);
-        served[1] = true; // buffer 0, queue 1
-        a.complete_cycle(&served, &occupied);
+        cycle(&mut a, 0, &[1], &[1, 1]);
         assert_eq!(a.stale_count(InputPort::new(0), OutputPort::new(1)), 0);
         assert_eq!(a.stale_count(InputPort::new(0), OutputPort::new(0)), 3);
+        assert!(a.row_is_fresh(InputPort::new(1)));
+        assert!(!a.row_is_fresh(InputPort::new(0)));
+    }
+
+    #[test]
+    fn dumb_never_counts_staleness() {
+        let mut a = Arbiter::new(ArbiterPolicy::Dumb, 2, 2);
+        cycle(&mut a, 0, &[], &[1, 1]);
+        assert!(a.row_is_fresh(InputPort::new(0)));
     }
 
     #[test]
     fn smart_selects_stalest_queue_over_longest() {
         let mut a = Arbiter::new(ArbiterPolicy::Smart, 1, 3);
-        let mut occupied = no_service(1, 3);
-        occupied[2] = true; // buffer 0, queue 2
-        a.complete_cycle(&no_service(1, 3), &occupied);
+        cycle(&mut a, 0, &[], &[0, 0, 1]);
         // Queue 2 is stale (count 1); queue 0 is longer but fresh.
-        let picked = a
-            .select_queue(InputPort::new(0), &[cand(0, 5), cand(2, 1)])
-            .unwrap();
-        assert_eq!(picked.output, OutputPort::new(2));
+        assert_eq!(pick(&a, 0, &[(0, 5), (2, 1)]), Some(2));
     }
 
     #[test]
-    fn idle_cycle_matches_all_false_complete_cycle() {
+    fn idle_cycle_matches_an_empty_complete_cycle() {
         for policy in ArbiterPolicy::ALL {
             let mut full = Arbiter::new(policy, 3, 2);
             let mut fast = Arbiter::new(policy, 3, 2);
             for _ in 0..5 {
-                full.complete_cycle(&no_service(3, 2), &no_service(3, 2));
+                full.complete_cycle();
                 fast.complete_idle_cycle();
                 assert_eq!(full.priority_port(), fast.priority_port(), "{policy}");
             }
@@ -310,12 +330,10 @@ mod tests {
     #[test]
     fn emptied_queue_loses_its_stale_count() {
         let mut a = Arbiter::new(ArbiterPolicy::Smart, 1, 2);
-        let mut occupied = no_service(1, 2);
-        occupied[0] = true; // buffer 0, queue 0
-        a.complete_cycle(&no_service(1, 2), &occupied);
+        cycle(&mut a, 0, &[], &[1, 0]);
         assert_eq!(a.stale_count(InputPort::new(0), OutputPort::new(0)), 1);
-        // Queue drains (e.g. the packet was dropped): stale count clears.
-        a.complete_cycle(&no_service(1, 2), &no_service(1, 2));
+        // The queue is served and drains: its stale count clears.
+        cycle(&mut a, 0, &[0], &[0, 0]);
         assert_eq!(a.stale_count(InputPort::new(0), OutputPort::new(0)), 0);
     }
 }

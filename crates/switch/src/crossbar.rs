@@ -6,11 +6,16 @@
 //! fanout for SAFC's fully-connected fabric). [`Crossbar`] tracks and
 //! validates the connections made during one arbitration round.
 
-use damq_core::{InlineArray, InputPort, OutputPort};
+use damq_core::{InputPort, OutputPort};
 
-use crate::INLINE_PORTS;
+use crate::bits::BitWords;
 
-/// Per-cycle crossbar state: which input drives each output.
+/// Per-cycle crossbar state: which outputs are already driven.
+///
+/// The arbiter grants an output to the first buffer that wins it and
+/// every later buffer only needs to know the output is gone, so the
+/// state is one bit per output — a single word for any switch up to
+/// radix 64, cleared with one store when the cycle ends.
 ///
 /// # Examples
 ///
@@ -21,12 +26,13 @@ use crate::INLINE_PORTS;
 /// let mut xbar = Crossbar::new(4, 4);
 /// assert!(xbar.try_connect(InputPort::new(1), OutputPort::new(2)));
 /// assert!(!xbar.try_connect(InputPort::new(3), OutputPort::new(2))); // taken
-/// assert_eq!(xbar.driver(OutputPort::new(2)), Some(InputPort::new(1)));
+/// assert!(!xbar.is_free(OutputPort::new(2)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     inputs: usize,
-    drivers: InlineArray<Option<InputPort>, INLINE_PORTS>,
+    outputs: usize,
+    driven: BitWords,
     connections_made: u64,
     cycles: u64,
 }
@@ -36,7 +42,8 @@ impl Crossbar {
     pub fn new(inputs: usize, outputs: usize) -> Self {
         Crossbar {
             inputs,
-            drivers: InlineArray::new(None, outputs),
+            outputs,
+            driven: BitWords::new(outputs),
             connections_made: 0,
             cycles: 0,
         }
@@ -49,19 +56,12 @@ impl Crossbar {
 
     /// Number of output ports.
     pub fn outputs(&self) -> usize {
-        self.drivers.len()
+        self.outputs
     }
 
     /// Whether `output` is still unclaimed this cycle.
     pub fn is_free(&self, output: OutputPort) -> bool {
-        self.drivers
-            .get(output.index())
-            .is_some_and(Option::is_none)
-    }
-
-    /// The input currently driving `output`, if any.
-    pub fn driver(&self, output: OutputPort) -> Option<InputPort> {
-        self.drivers.get(output.index()).copied().flatten()
+        output.index() < self.outputs && !self.driven.get(output.index())
     }
 
     /// Claims `output` for `input`. Returns `false` (and changes nothing) if
@@ -70,37 +70,37 @@ impl Crossbar {
         if input.index() >= self.inputs || !self.is_free(output) {
             return false;
         }
-        self.drivers[output.index()] = Some(input);
+        self.driven.set(output.index());
         self.connections_made += 1;
         true
     }
 
     /// Connections established in the current cycle.
     pub fn active_connections(&self) -> usize {
-        self.drivers.iter().filter(|d| d.is_some()).count()
+        self.driven.count()
     }
 
     /// Clears all connections, ending the cycle.
     pub fn release_all(&mut self) {
-        self.drivers.fill(None);
+        self.driven.clear();
         self.cycles += 1;
     }
 
     /// Ends a cycle in which no connection was attempted (the switch was
     /// quiescent). Equivalent to `release_all` on an unused crossbar, minus
-    /// the redundant `drivers` clear.
+    /// the redundant clear.
     pub fn tick_idle_cycle(&mut self) {
-        debug_assert!(self.drivers.iter().all(Option::is_none));
+        debug_assert!(self.driven.is_clear());
         self.cycles += 1;
     }
 
     /// Mean fraction of outputs driven per completed cycle (crossbar
     /// utilisation so far).
     pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 || self.drivers.is_empty() {
+        if self.cycles == 0 || self.outputs == 0 {
             0.0
         } else {
-            self.connections_made as f64 / (self.cycles as f64 * self.drivers.len() as f64)
+            self.connections_made as f64 / (self.cycles as f64 * self.outputs as f64)
         }
     }
 }
@@ -144,6 +144,19 @@ mod tests {
         assert_eq!(x.active_connections(), 0);
         // One of two outputs used for one cycle -> 50% utilisation.
         assert!((x.utilization() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn outputs_past_one_word_connect_and_release() {
+        let mut x = Crossbar::new(70, 70);
+        for o in [0, 63, 64, 69] {
+            assert!(x.try_connect(InputPort::new(o), OutputPort::new(o)));
+            assert!(!x.is_free(OutputPort::new(o)));
+        }
+        assert_eq!(x.active_connections(), 4);
+        assert!(!x.try_connect(InputPort::new(0), OutputPort::new(70)));
+        x.release_all();
+        assert!((0..70).all(|o| x.is_free(OutputPort::new(o))));
     }
 
     #[test]

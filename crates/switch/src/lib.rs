@@ -41,21 +41,22 @@
 #![deny(missing_docs)]
 
 mod arbiter;
+mod bits;
 mod config;
 mod crossbar;
 mod flow;
 mod switch;
 
-pub use arbiter::{Arbiter, ArbiterPolicy, Candidate};
+pub use arbiter::{Arbiter, ArbiterPolicy, Rank};
 pub use config::SwitchConfig;
 pub use crossbar::Crossbar;
 pub use flow::FlowControl;
 pub use switch::{CycleSink, Departure, Switch};
 
-/// Ports whose per-cycle scratch a switch holds inline (see
+/// Ports whose per-port state a switch holds inline (see
 /// [`damq_core::InlineArray`]): radix 4, the largest the paper and every
-/// committed experiment use. Wider switches spill each scratch array to
-/// one heap block and behave identically.
+/// committed experiment use. Wider switches spill each array to one heap
+/// block and behave identically.
 const INLINE_PORTS: usize = 4;
 /// Inline bound of the flat ports x ports matrices.
 const INLINE_MATRIX: usize = INLINE_PORTS * INLINE_PORTS;

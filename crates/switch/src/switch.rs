@@ -1,14 +1,14 @@
 //! The n×n switch: input buffers + crossbar + central arbiter.
 
 use damq_core::{
-    AnyBuffer, BufferStats, BuildBuffer, FrontMeta, InlineArray, InputPort, OutputPort, Packet,
-    Rejected, SwitchBuffer,
+    AnyBuffer, BufferKind, BufferStats, BuildBuffer, FrontMeta, InlineArray, InputPort, OutputPort,
+    Packet, Rejected, SwitchBuffer,
 };
 
-use crate::arbiter::{Arbiter, Candidate};
+use crate::arbiter::{Arbiter, Rank};
 use crate::config::SwitchConfig;
 use crate::crossbar::Crossbar;
-use crate::{INLINE_MATRIX, INLINE_PORTS};
+use crate::INLINE_PORTS;
 
 /// One packet leaving a switch in a transmission cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct Departure {
 /// handling, as a single object so the cycle kernel makes no allocations.
 ///
 /// [`Switch::transmit_cycle_with`] consults [`can_send`](CycleSink::can_send)
-/// while gathering candidates and hands each winning packet to
+/// while examining a buffer's queues and hands each winning packet to
 /// [`depart`](CycleSink::depart) the moment it is dequeued. One object
 /// carries both halves because they typically share mutable state (the
 /// network's per-output route scratch), which two separate closures could
@@ -43,6 +43,16 @@ pub trait CycleSink {
     /// Accepts a departing packet (hop already recorded). Called at most
     /// once per output per cycle.
     fn depart(&mut self, input: InputPort, output: OutputPort, packet: Packet);
+
+    /// Whether [`can_send`](CycleSink::can_send) would answer `true` to
+    /// every question of the coming cycle, with no effect the caller
+    /// relies on — a discarding network, or a stage that feeds
+    /// always-ready terminals. The kernel reads this once per cycle and
+    /// then neither asks such a sink nor builds the [`FrontMeta`] it would
+    /// be asked with. The default, `false`, has every head asked about.
+    fn never_refuses(&self) -> bool {
+        false
+    }
 }
 
 /// Adapter giving the classic closure-plus-`Vec` surface of
@@ -113,16 +123,11 @@ pub struct Switch<B: SwitchBuffer = AnyBuffer> {
     /// Packets resident across all buffers, maintained incrementally on
     /// `receive`/dequeue so quiescence checks never touch the buffers.
     resident: usize,
-    // Per-cycle scratch, hoisted out of the cycle kernel so steady-state
-    // stepping performs no allocations, and held inline so a switch plus
-    // its `Vec` of buffers is the whole hot state. All matrices are flat,
-    // row-major ports x ports.
-    served: InlineArray<bool, INLINE_MATRIX>,
-    occupied: InlineArray<bool, INLINE_MATRIX>,
-    lens: InlineArray<u16, INLINE_MATRIX>,
-    dirty: InlineArray<bool, INLINE_PORTS>,
-    /// One buffer's sendable queues; only a prefix is live at any time.
-    candidates: InlineArray<Candidate, INLINE_PORTS>,
+    /// The queue lengths of the buffer under examination, read once per
+    /// turn (`u16` suffices: `damq_core::BufferConfig::MAX_CAPACITY` bounds
+    /// any queue). Held here, inline, so the cycle kernel makes no
+    /// allocations.
+    lens: InlineArray<u16, INLINE_PORTS>,
 }
 
 impl Switch {
@@ -134,8 +139,9 @@ impl Switch {
     /// # Errors
     ///
     /// Returns [`ConfigError`](damq_core::ConfigError) if the buffer
-    /// configuration is invalid for the chosen design (zero dimensions, or a
-    /// capacity that does not divide among static partitions).
+    /// configuration is invalid for the chosen design (zero dimensions, a
+    /// capacity beyond the 16-bit registers, or one that does not divide
+    /// among static partitions).
     pub fn new(config: SwitchConfig) -> Result<Self, damq_core::ConfigError> {
         Switch::typed(config)
     }
@@ -166,17 +172,7 @@ impl<B: BuildBuffer> Switch<B> {
             hol_blocked_last_cycle: 0,
             hol_blocked_total: 0,
             resident: 0,
-            served: InlineArray::new(false, ports * ports),
-            occupied: InlineArray::new(false, ports * ports),
-            lens: InlineArray::new(0, ports * ports),
-            dirty: InlineArray::new(false, ports),
-            candidates: InlineArray::new(
-                Candidate {
-                    output: OutputPort::new(0),
-                    queue_len: 0,
-                },
-                ports,
-            ),
+            lens: InlineArray::new(0, ports),
         })
     }
 }
@@ -210,26 +206,6 @@ impl<B: SwitchBuffer> Switch<B> {
     /// routed to `output` right now.
     pub fn can_accept(&self, input: InputPort, output: OutputPort, slots: usize) -> bool {
         self.buffers[input.index()].can_accept(output, slots)
-    }
-
-    /// Batched backpressure snapshot: fills `caps[i * ports + o]` with
-    /// the largest packet (in slots) input buffer `i` would accept for
-    /// output `o` right now — `can_accept(i, o, s)` iff
-    /// `s <= caps[i * ports + o]`. The network simulator takes this
-    /// snapshot per stage while the switch is frozen, so its probe loop
-    /// reads a flat array instead of chasing through buffer state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps` is not `ports * ports` long.
-    pub fn accept_capacities_into(&self, caps: &mut [u16]) {
-        let ports = self.ports();
-        assert_eq!(caps.len(), ports * ports, "capacity matrix shape");
-        for (b, row) in self.buffers.iter().zip(caps.chunks_exact_mut(ports)) {
-            for (o, cap) in row.iter_mut().enumerate() {
-                *cap = b.accept_capacity(OutputPort::new(o)).min(u16::MAX as usize) as u16;
-            }
-        }
     }
 
     /// Stores a packet arriving on `input`, already routed to `output`.
@@ -295,103 +271,99 @@ impl<B: SwitchBuffer> Switch<B> {
     /// Runs one arbitration/transmission cycle against a [`CycleSink`].
     ///
     /// Identical semantics to [`transmit_cycle`](Switch::transmit_cycle) —
-    /// that method is a thin adapter over this one — but allocation-free:
-    /// departures stream into the sink instead of a fresh `Vec`, and the
-    /// per-cycle state (queue lengths, served/occupied matrices) lives in
-    /// flat scratch arrays reused across cycles. Queue lengths are
-    /// prefetched per buffer via
-    /// [`queue_lens_into`](SwitchBuffer::queue_lens_into) — one batched
-    /// register read instead of `ports x fanout` virtual calls — and kept
-    /// consistent arithmetically: serving a queue decrements its cached
-    /// length (exact for every per-output design; a FIFO's single read port
-    /// never re-reads its row within the cycle), and rows of buffers that
-    /// dequeued are re-fetched before the occupancy sweep, because a FIFO
-    /// dequeue exposes a new head output and reshapes its whole row.
+    /// that method is a thin adapter over this one — but allocation-free,
+    /// and its cost follows occupancy rather than the switch's size:
+    ///
+    /// * a buffer with no resident packet is passed over without being
+    ///   examined (its queues cannot compete, its stale counts are already
+    ///   zero, it has no head-of-line blocking to record);
+    /// * an occupied buffer has its queue lengths read once
+    ///   ([`queue_lens_into`](SwitchBuffer::queue_lens_into)), and the
+    ///   winner of each read port — highest [`rank`](Arbiter::rank), lowest
+    ///   output on ties — is chosen inside the one walk over its queues;
+    /// * a sink that [never refuses](CycleSink::never_refuses) is not asked
+    ///   and no [`FrontMeta`] is read for it;
+    /// * a dequeue leaves the other cached lengths of a per-output design
+    ///   exact; only a FIFO re-reads its row, because the new head may be
+    ///   bound for a different output and reshapes the whole row;
+    /// * each buffer's stale counts and head-of-line blocking are settled
+    ///   at the end of its own turn (nothing later in the cycle touches
+    ///   it), so no end-of-cycle sweep over all `ports x ports` queues
+    ///   remains.
     pub fn transmit_cycle_with<S: CycleSink>(&mut self, sink: &mut S) {
         let ports = self.ports();
-        // Borrow the scratch as plain slices once: the loops below then
-        // index them without re-resolving each array's inline/heap arm.
-        let served: &mut [bool] = &mut self.served;
-        let occupied: &mut [bool] = &mut self.occupied;
+        let asks = !sink.never_refuses();
         let lens: &mut [u16] = &mut self.lens;
-        let dirty: &mut [bool] = &mut self.dirty;
-        let candidates: &mut [Candidate] = &mut self.candidates;
-        served.fill(false);
-        dirty.fill(false);
+        let mut hol_blocked = 0;
 
-        // Batched prefetch of every buffer's queue-length registers.
-        for (b, row) in self.buffers.iter().zip(lens.chunks_exact_mut(ports)) {
-            b.queue_lens_into(row);
-        }
-
-        // Inline rotating walk instead of collecting `examination_order()`:
-        // the arbiter's priority pointer is stable for the whole cycle.
-        // (Wrap by compare, not `%` — `ports` is a runtime value, so the
-        // modulo is a hardware divide on the hottest loop in the kernel.)
+        // Rotating walk from the arbiter's priority pointer, which is
+        // stable for the whole cycle. (Wrap by compare, not `%` — `ports`
+        // is a runtime value, so the modulo is a hardware divide on the
+        // hottest loop in the kernel.)
         let mut i = self.arbiter.priority_port().index();
         for _ in 0..ports {
             let input = InputPort::new(i);
-            let row = i * ports;
-            let reads = self.buffers[i].read_ports();
-            for _ in 0..reads {
-                let mut offered = 0;
-                let buffer = &self.buffers[i];
-                for o in OutputPort::all(ports) {
-                    if !self.crossbar.is_free(o) {
-                        continue;
-                    }
-                    let queue_len = lens[row + o.index()] as usize;
-                    if queue_len == 0 {
-                        continue;
-                    }
-                    let front = buffer.front_meta(o).expect("nonempty queue has a front");
-                    if sink.can_send(o, front) {
-                        candidates[offered] = Candidate {
-                            output: o,
-                            queue_len,
-                        };
-                        offered += 1;
-                    }
-                }
-                let Some(pick) = self.arbiter.select_queue(input, &candidates[..offered]) else {
-                    break;
-                };
-                let connected = self.crossbar.try_connect(input, pick.output);
-                debug_assert!(connected, "candidate filtered on free outputs");
-                let mut packet = self.buffers[i]
-                    .dequeue(pick.output)
-                    .expect("candidate queue was nonempty");
-                packet.record_hop();
-                served[row + pick.output.index()] = true;
-                lens[row + pick.output.index()] -= 1;
-                dirty[i] = true;
-                self.resident -= 1;
-                sink.depart(input, pick.output, packet);
-            }
+            let buffer = &mut self.buffers[i];
             i += 1;
             if i == ports {
                 i = 0;
             }
-        }
-
-        // Re-fetch rows whose buffer dequeued before deriving occupancy: a
-        // FIFO dequeue can expose a head for a different output, reshaping
-        // its whole row (per-output designs are already exact).
-        for (i, b) in self.buffers.iter().enumerate() {
-            if dirty[i] {
-                b.queue_lens_into(&mut lens[i * ports..(i + 1) * ports]);
+            if buffer.is_empty() {
+                debug_assert!(
+                    self.arbiter.row_is_fresh(input),
+                    "empty buffer carried a nonzero stale count"
+                );
+                continue;
             }
+            buffer.queue_lens_into(lens);
+            for _ in 0..buffer.read_ports() {
+                let mut best: Option<(Rank, OutputPort)> = None;
+                for (o, &queue_len) in lens.iter().enumerate() {
+                    let o = OutputPort::new(o);
+                    if queue_len == 0 || !self.crossbar.is_free(o) {
+                        continue;
+                    }
+                    if asks {
+                        let front = buffer.front_meta(o).expect("nonempty queue has a front");
+                        if !sink.can_send(o, front) {
+                            continue;
+                        }
+                    }
+                    let rank = self.arbiter.rank(input, o, queue_len as usize);
+                    if best.is_none_or(|(top, _)| rank > top) {
+                        best = Some((rank, o));
+                    }
+                }
+                let Some((_, output)) = best else {
+                    break;
+                };
+                let connected = self.crossbar.try_connect(input, output);
+                debug_assert!(connected, "winner filtered on free outputs");
+                let mut packet = buffer.dequeue(output).expect("winning queue was nonempty");
+                packet.record_hop();
+                self.arbiter.grant(input);
+                self.resident -= 1;
+                if buffer.kind() == BufferKind::Fifo {
+                    // The new head may be bound elsewhere: the whole row
+                    // changes shape, not just this entry.
+                    buffer.queue_lens_into(lens);
+                }
+                // A served queue is not left waiting, whatever it still
+                // holds (and its output is taken, so the walk is done
+                // with this entry).
+                lens[output.index()] = 0;
+                sink.depart(input, output, packet);
+            }
+            self.arbiter.settle_input(input, lens);
+            // Head-of-line accounting: packets still resident that a
+            // per-output design could have offered but this one could not.
+            hol_blocked += buffer.note_hol_blocked();
         }
-        for (occ, &len) in occupied.iter_mut().zip(lens.iter()) {
-            *occ = len > 0;
-        }
-        self.arbiter.complete_cycle(served, occupied);
-        self.crossbar.release_all();
 
-        // End-of-cycle head-of-line accounting: packets still resident that
-        // a per-output design could have offered but this design could not.
-        self.hol_blocked_last_cycle = self.buffers.iter_mut().map(|b| b.note_hol_blocked()).sum();
-        self.hol_blocked_total += self.hol_blocked_last_cycle;
+        self.arbiter.complete_cycle();
+        self.crossbar.release_all();
+        self.hol_blocked_last_cycle = hol_blocked;
+        self.hol_blocked_total += hol_blocked;
     }
 
     /// Whether every input buffer is empty, in O(1) from the incrementally
@@ -550,12 +522,13 @@ mod tests {
     }
 
     /// Budget: 512 bytes, eight cache lines, for everything of a switch
-    /// that is not its buffers. Today 488: the arbiter with its inline
-    /// 4x4 stale matrix (112), the crossbar with four inline drivers (96),
-    /// the configuration (32), the `Vec` of buffers (24), three counters
-    /// and the five inline scratch arrays. With four 336-byte buffers
-    /// and their 288-byte arenas a radix-4 DAMQ switch is 2.9 KB in five
-    /// heap blocks; a field that doubles this part fails here first.
+    /// that is not its buffers. Today 304: the arbiter with its inline
+    /// 4x4 stale matrix and its served word (136), the crossbar with its
+    /// driven word (56), the configuration (32), the `Vec` of buffers
+    /// (24), three counters and the one inline row of queue lengths. With
+    /// four 336-byte buffers and their 288-byte arenas a radix-4 DAMQ
+    /// switch is 2.8 KB in five heap blocks; a field that doubles this
+    /// part fails here first.
     #[test]
     fn layout_switch_fits_eight_cache_lines() {
         assert!(
@@ -565,22 +538,81 @@ mod tests {
         );
     }
 
-    /// The bound itself: a radix-4 switch keeps every scratch array
-    /// inline, a radix-8 switch spills them, and both still arbitrate.
+    /// The bound itself: a radix-4 switch keeps its length row inline, a
+    /// radix-8 switch spills it, and both still arbitrate.
     #[test]
     fn scratch_spills_only_past_radix_four() {
         for (ports, inline) in [(4, true), (8, false)] {
             let mut sw = Switch::new(SwitchConfig::new(ports).slots_per_buffer(4)).unwrap();
-            assert_eq!(sw.served.is_inline(), inline);
-            assert_eq!(sw.occupied.is_inline(), inline);
             assert_eq!(sw.lens.is_inline(), inline);
-            assert_eq!(sw.dirty.is_inline(), inline);
-            assert_eq!(sw.candidates.is_inline(), inline);
             for i in 0..ports {
                 sw.receive(InputPort::new(i), OutputPort::new((i + 1) % ports), pkt(i))
                     .unwrap();
             }
             assert_eq!(sw.transmit_cycle(|_, _| true).len(), ports);
+        }
+    }
+
+    /// A sink that never refuses is never asked; one that may refuse is
+    /// asked about every free, occupied head — and both send the same
+    /// packets.
+    #[test]
+    fn never_refusing_sink_is_not_asked() {
+        struct Sink {
+            never_refuses: bool,
+            asked: usize,
+            sent: Vec<(usize, usize)>,
+        }
+        impl CycleSink for Sink {
+            fn can_send(&mut self, _: OutputPort, _: FrontMeta) -> bool {
+                self.asked += 1;
+                true
+            }
+            fn depart(&mut self, input: InputPort, output: OutputPort, _: Packet) {
+                self.sent.push((input.index(), output.index()));
+            }
+            fn never_refuses(&self) -> bool {
+                self.never_refuses
+            }
+        }
+        for kind in BufferKind::EXTENDED {
+            let run = |never_refuses| {
+                let mut sw = switch(kind);
+                for (i, o) in [(0, 1), (0, 2), (2, 1), (3, 0)] {
+                    sw.receive(InputPort::new(i), OutputPort::new(o), pkt(i))
+                        .unwrap();
+                }
+                let mut sink = Sink {
+                    never_refuses,
+                    asked: 0,
+                    sent: Vec::new(),
+                };
+                sw.transmit_cycle_with(&mut sink);
+                (sink.asked, sink.sent, sw_state(&sw))
+            };
+            let (asked, sent, state) = run(false);
+            let (unasked, unasked_sent, unasked_state) = run(true);
+            assert!(
+                asked >= sent.len(),
+                "{kind}: every departure was asked about"
+            );
+            assert_eq!(unasked, 0, "{kind}");
+            assert_eq!(sent, unasked_sent, "{kind}");
+            assert!(state == unasked_state, "{kind}");
+        }
+    }
+
+    #[test]
+    fn oversized_buffers_are_a_config_error_not_a_panic() {
+        for kind in BufferKind::EXTENDED {
+            let config = SwitchConfig::new(4).buffer_kind(kind);
+            assert!(
+                matches!(
+                    Switch::new(config.slots_per_buffer(70_000)),
+                    Err(damq_core::ConfigError::CapacityTooLarge { .. })
+                ),
+                "{kind}"
+            );
         }
     }
 

@@ -647,7 +647,7 @@ const HOT_PATH_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "c
 /// steady-state `NetworkSim::step` executes per cycle. Constructors and
 /// cold paths (audits, snapshots, telemetry emission) are exempt —
 /// scratch is *supposed* to be allocated there.
-const KERNEL_FNS: [&str; 25] = [
+const KERNEL_FNS: [&str; 33] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -656,8 +656,17 @@ const KERNEL_FNS: [&str; 25] = [
     "kill_slot",
     "queue_lens_into",
     "can_accept",
-    // switch: the batched arbitration kernel and its ingress.
+    // switch: the occupancy-aware arbitration kernel, everything its
+    // walk calls per occupied buffer or per cycle, and its ingress.
     "transmit_cycle_with",
+    "front_meta",
+    "rank",
+    "try_connect",
+    "grant",
+    "settle_input",
+    "note_hol_blocked",
+    "complete_cycle",
+    "release_all",
     "receive",
     // net: the cycle loop, step by step …
     "step",

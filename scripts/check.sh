@@ -117,7 +117,11 @@ obs_smoke() {
 # storage behind the register files and the switch scratch behaves like
 # a `Vec` on both of its arms, the per-switch footprint stays inside its
 # pinned `size_of` budgets, and radix-4 (inline) and radix-8 (spilled)
-# switches still reproduce the committed departure fingerprints.
+# switches still reproduce the committed departure fingerprints; (6) the
+# occupancy-aware arbitration kernel agrees with the reference walk it
+# replaced (departures, `can_send` sequence, arbiter, crossbar, buffer
+# and HOL state; two seeded mutations must fail), and radix-8 and
+# radix-16 networks run both protocols to conservation.
 soa_smoke() {
     gate "soa-smoke: inline storage arms + pinned layout budgets"
     cargo test -q -p damq-core --lib -- inline:: layout_ registers_spill
@@ -125,6 +129,12 @@ soa_smoke() {
 
     gate "soa-smoke: radix-4 and radix-8 departures match the committed fingerprints"
     cargo test -q -p damq-switch --test departures
+
+    gate "soa-smoke: arbitration kernel vs the reference walk, with teeth"
+    cargo test -q -p damq-switch --test kernel_reference
+
+    gate "soa-smoke: radix-8 and radix-16 networks run to conservation"
+    cargo test -q -p damq-net --test kernel_pins wide_radix
 
     gate "soa-smoke: SoA pool vs AoS twins under strict-audit"
     cargo test -q -p damq-core --features strict-audit --test soa_equivalence
