@@ -7,10 +7,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use damq_bench::timing::bench;
-use damq_core::BufferKind;
+use damq_core::{AnyBuffer, BufferKind, Packet};
 use damq_microarch::{Chip, ChipConfig, RouteEntry};
 use damq_net::{NetworkConfig, NetworkSim};
-use damq_switch::FlowControl;
+use damq_switch::{FlowControl, Switch};
 
 /// One 64x64 network cycle at 0.5 offered load, per buffer design.
 fn bench_network_cycle() {
@@ -40,18 +40,33 @@ fn bench_network_cycle() {
 /// about three million switch-cycles, a second or so) and the minimum of
 /// seven is reported, because a shared host's interference comes in
 /// phases of seconds — longer than a whole 20 ms-batch benchmark.
+///
+/// Each line carries the other half of the cost model: the bytes of one
+/// switch (the `Switch` value, its four buffers and their four-slot
+/// packet arenas, from `size_of`) and of the whole grid, to set against
+/// the host's cache sizes.
 fn bench_size_sweep() {
     const RUNS: usize = 7;
+    const RADIX: usize = 4;
+    const SLOTS: usize = 4;
+    let arena = SLOTS * std::mem::size_of::<Option<Packet>>();
+    let per_switch =
+        std::mem::size_of::<Switch>() + RADIX * (std::mem::size_of::<AnyBuffer>() + arena);
     println!("-- size sweep: ns per switch-cycle, min of {RUNS} fresh networks --");
+    println!(
+        "   ({per_switch} B per radix-{RADIX} DAMQ switch: Switch {} + {RADIX} x (AnyBuffer {} + arena {arena}))",
+        std::mem::size_of::<Switch>(),
+        std::mem::size_of::<AnyBuffer>(),
+    );
     for (size, stages) in [(64usize, 3usize), (256, 4), (1024, 5), (4096, 6)] {
-        let switches = stages * size / 4;
+        let switches = stages * size / RADIX;
         let cycles = (3_000_000 / switches) as u64;
         let mut best = f64::INFINITY;
         for _ in 0..RUNS {
             let mut sim = NetworkSim::new(
-                NetworkConfig::new(size, 4)
+                NetworkConfig::new(size, RADIX)
                     .buffer_kind(BufferKind::Damq)
-                    .slots_per_buffer(4)
+                    .slots_per_buffer(SLOTS)
                     .flow_control(FlowControl::Blocking)
                     .offered_load(0.4)
                     .seed(0xBEEF),
@@ -64,7 +79,10 @@ fn bench_size_sweep() {
             black_box(sim.metrics().delivered());
             best = best.min(ns / (cycles * switches as u64) as f64);
         }
-        println!("omega{size}_blocking ({switches} switches x {cycles} cycles): {best:.0} ns/switch-cycle");
+        println!(
+            "omega{size}_blocking ({switches} switches x {cycles} cycles, {} KB of switches): {best:.0} ns/switch-cycle",
+            switches * per_switch / 1024
+        );
     }
 }
 

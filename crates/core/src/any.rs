@@ -253,16 +253,16 @@ impl BuildBuffer for DafcBuffer {
 
 #[cfg(test)]
 mod tests {
-    /// Budget: 384 bytes, six cache lines. The largest variant is the DAMQ
-    /// buffer — its `SoaSlots` register file (256) plus `BufferConfig`
-    /// (24) and `BufferStats` (48), 336 today with the enum tag. A switch
-    /// holds one of these per port in one `Vec`, so this number times the
-    /// radix is most of a switch's footprint; a field that pushes it past
-    /// six lines should fail here, not in a benchmark.
+    /// Budget: 272 bytes. The largest variant is the DAMQ buffer — its
+    /// `SoaSlots` register file (176) plus `BufferConfig` (24) and
+    /// `BufferStats` (48), 256 today with the enum tag: four cache lines.
+    /// A switch holds one of these per port in one `Vec`, so this number
+    /// times the radix is most of a switch's footprint; a field that
+    /// pushes it past the budget should fail here, not in a benchmark.
     #[test]
-    fn layout_any_buffer_fits_six_cache_lines() {
+    fn layout_any_buffer_fits_its_budget() {
         assert!(
-            std::mem::size_of::<super::AnyBuffer>() <= 384,
+            std::mem::size_of::<super::AnyBuffer>() <= 272,
             "AnyBuffer grew to {} bytes",
             std::mem::size_of::<super::AnyBuffer>()
         );

@@ -361,9 +361,12 @@ pub trait SwitchBuffer: fmt::Debug + Send + Sync {
     /// never dereferences the packet arena (see `docs/PERFORMANCE.md`
     /// §4-§5).
     fn front_meta(&self, output: OutputPort) -> Option<FrontMeta> {
-        self.front(output).map(|p| FrontMeta {
-            dest: p.dest(),
-            length_bytes: p.length_bytes() as u32,
+        self.front(output).map(|p| {
+            let (_dest, length) = p.header_words();
+            FrontMeta {
+                dest: p.dest(),
+                length_bytes: u32::from(length),
+            }
         })
     }
 

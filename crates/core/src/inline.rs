@@ -41,9 +41,11 @@ enum Repr<T, const N: usize> {
     /// The first `len` elements of `buf` are the contents; the rest is
     /// filler that is never exposed. `len <= N` by construction; the
     /// accessors still clamp it (`min(N)`) so the compiler can see the
-    /// bound and drops the slicing panic path from every caller.
+    /// bound and drops the slicing panic path from every caller. The
+    /// length is a `u16` so it shares the enum tag's word: the header of
+    /// an array of small records is 4 bytes, not 16.
     Inline {
-        len: usize,
+        len: u16,
         buf: [T; N],
     },
     Heap(Box<[T]>),
@@ -53,14 +55,13 @@ impl<T: Copy, const N: usize> InlineArray<T, N> {
     /// Creates `len` copies of `value` (the `vec![value; len]` of this
     /// type): inline if `len <= N`, one heap block otherwise.
     pub fn new(value: T, len: usize) -> Self {
-        InlineArray(if len <= N {
-            Repr::Inline {
-                len,
+        match u16::try_from(len) {
+            Ok(short) if len <= N => InlineArray(Repr::Inline {
+                len: short,
                 buf: [value; N],
-            }
-        } else {
-            Repr::Heap(vec![value; len].into_boxed_slice())
-        })
+            }),
+            _ => InlineArray(Repr::Heap(vec![value; len].into_boxed_slice())),
+        }
     }
 }
 
@@ -77,7 +78,7 @@ impl<T, const N: usize> Deref for InlineArray<T, N> {
     #[inline]
     fn deref(&self) -> &[T] {
         match &self.0 {
-            Repr::Inline { len, buf } => &buf[..(*len).min(N)],
+            Repr::Inline { len, buf } => &buf[..usize::from(*len).min(N)],
             Repr::Heap(heap) => heap,
         }
     }
@@ -87,7 +88,7 @@ impl<T, const N: usize> DerefMut for InlineArray<T, N> {
     #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         match &mut self.0 {
-            Repr::Inline { len, buf } => &mut buf[..(*len).min(N)],
+            Repr::Inline { len, buf } => &mut buf[..usize::from(*len).min(N)],
             Repr::Heap(heap) => heap,
         }
     }

@@ -12,7 +12,7 @@
 //! ```text
 //!  slot      0     1     2     3     4     5          (u16 indices)
 //!  next   [  1 ][ NIL ][  4 ][ NIL ][ NIL ][  3 ]     pointer registers  ┐
-//!  span   [  0 ][  2  ][  0 ][  0  ][  1  ][  2 ]     length registers   │ one 16-byte
+//!  span   [  0 ][  2  ][  0 ][  0  ][  1  ][  2 ]     length registers   │ one 12-byte
 //!  dest   [  0 ][ 17  ][  0 ][  0  ][  3  ][ 42 ]     destination regs   │ record per
 //!  length [  0 ][ 12  ][  0 ][  0  ][  8  ][ 16 ]     payload-length regs│ slot, inline
 //!  state  [ FREE][ HEAD][CONT][CONT ][HEAD ][HEAD]    tag bytes          ┘
@@ -28,7 +28,7 @@
 //! every free-list operation is index arithmetic on `u16` words with a
 //! single predictable branch (list empty / not empty). The registers are
 //! two [`InlineArray`]s — per-slot records and per-list records — so for
-//! every shape the paper uses (up to 8 slots, 8 queues) the whole control
+//! every shape the paper uses (up to 8 slots, 4 queues) the whole control
 //! state of a buffer is part of the `SoaSlots` value itself: no pointer
 //! hop, no allocator chunk per column. Larger pools spill each register
 //! array to one heap block and behave identically. Payloads sit in the
@@ -101,9 +101,10 @@ pub struct SoaSlots {
 /// Slot registers held inline: every buffer size the paper evaluates
 /// (Tables 2–6 use 2 to 8 slots per buffer).
 const INLINE_SLOTS: usize = 8;
-/// List registers held inline: the free list plus the queues of a switch
-/// of radix up to 8.
-const INLINE_LISTS: usize = 9;
+/// List registers held inline: the free list plus the queues of a radix-4
+/// switch — the paper's radix and every committed experiment's, and the
+/// same bound `damq-switch` uses for its per-port scratch (`INLINE_PORTS`).
+const INLINE_LISTS: usize = 4 + 1;
 
 /// The registers of one slot.
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +121,7 @@ struct SlotRegs {
     dest: u32,
     /// Payload-length register: length in bytes of the packet headed
     /// here, else 0.
-    length: u32,
+    length: u16,
     /// Tag byte (`FREE`/`HEAD`/`CONT`/`DEAD`).
     state: u8,
 }
@@ -327,7 +328,7 @@ impl SoaSlots {
         let regs = &self.slots[h as usize];
         Some(FrontMeta {
             dest: NodeId::new(regs.dest as usize),
-            length_bytes: regs.length,
+            length_bytes: u32::from(regs.length),
         })
     }
 
@@ -364,20 +365,22 @@ impl SoaSlots {
         assert!(slots > 0, "a packet occupies at least one slot");
         assert!(list < self.list_count(), "queue index out of range");
         let mut regs = RegFile::of(&mut self.slots, &mut self.lists);
-        if (regs.lists[0].slot_count as usize) < slots {
-            return Err(packet);
-        }
+        let span = match u16::try_from(slots) {
+            Ok(span) if span <= regs.lists[0].slot_count => span,
+            _ => return Err(packet),
+        };
         let q = 1 + list;
         let first = regs.unlink_head(0);
+        let (dest, length) = packet.header_words();
         regs.slots[first as usize] = SlotRegs {
             next: NIL,
-            span: slots as u16,
-            dest: packet.dest().index() as u32,
-            length: packet.length_bytes() as u32,
+            span,
+            dest,
+            length,
             state: HEAD,
         };
         regs.append(q, first);
-        for _ in 1..slots {
+        for _ in 1..span {
             let s = regs.unlink_head(0);
             regs.slots[s as usize].state = CONT;
             regs.append(q, s);
@@ -507,10 +510,11 @@ impl SoaSlots {
                     self.slots[s].state
                 );
                 audit_ensure!(
-                    self.arena[s].as_ref().is_some_and(|p| {
-                        self.slots[s].dest == p.dest().index() as u32
-                            && self.slots[s].length == p.length_bytes() as u32
-                    }),
+                    self.arena[s]
+                        .as_ref()
+                        .is_some_and(
+                            |p| (self.slots[s].dest, self.slots[s].length) == p.header_words()
+                        ),
                     "register-sync",
                     "queue {qi}: dest/length registers at slot{} disagree with the stored packet",
                     slots[i]
@@ -617,19 +621,16 @@ mod tests {
         pool.check_invariants();
     }
 
-    /// The four shapes around the inline bounds keep their registers where
-    /// the bounds say and work identically on either side.
+    /// The four shapes around the inline bounds — 8 slots, and the free
+    /// list plus the 4 queues of a radix-4 switch — keep their registers
+    /// where the bounds say and work identically on either side.
     #[test]
     fn registers_spill_only_past_the_inline_bounds() {
-        for (capacity, lists) in [
-            (INLINE_SLOTS, INLINE_LISTS - 1),
-            (INLINE_SLOTS + 1, INLINE_LISTS - 1),
-            (INLINE_SLOTS, INLINE_LISTS),
-            (INLINE_SLOTS + 1, INLINE_LISTS),
-        ] {
+        assert_eq!((INLINE_SLOTS, INLINE_LISTS), (8, 5));
+        for (capacity, lists) in [(8, 4), (9, 4), (8, 5), (9, 5)] {
             let mut pool = SoaSlots::new(capacity, lists);
-            assert_eq!(pool.slots.is_inline(), capacity <= INLINE_SLOTS);
-            assert_eq!(pool.lists.is_inline(), lists < INLINE_LISTS);
+            assert_eq!(pool.slots.is_inline(), capacity == 8);
+            assert_eq!(pool.lists.is_inline(), lists == 4);
             for i in 0..capacity {
                 pool.enqueue(i % lists, pkt(i), 1).unwrap();
             }
@@ -643,16 +644,17 @@ mod tests {
         }
     }
 
-    /// Budget: 256 bytes, four cache lines. Today exactly that: 8 slot
-    /// records x 16 B and 9 list records x 8 B, each array with a 16-byte
-    /// length/arm header (144 + 88), the arena's fat pointer (16) and the
-    /// two fault registers (4, padded). A register that does not fit this
-    /// budget belongs in the records or behind the arena, not beside them:
-    /// 1280 of these per 1024-terminal network are walked every cycle.
+    /// Budget: 192 bytes, three cache lines. Today 176: 8 slot records x
+    /// 12 B and 5 list records x 8 B, each array behind a 4-byte tag +
+    /// length header and rounded to the heap arm's pointer alignment
+    /// (104 + 48), the arena's fat pointer (16) and the two fault
+    /// registers (4, padded). A register that does not fit this budget
+    /// belongs in the records or behind the arena, not beside them: 1280
+    /// of these per 1024-terminal network are walked every cycle.
     #[test]
-    fn layout_soa_slots_fits_four_cache_lines() {
+    fn layout_soa_slots_fits_three_cache_lines() {
         assert!(
-            std::mem::size_of::<SoaSlots>() <= 256,
+            std::mem::size_of::<SoaSlots>() <= 192,
             "SoaSlots grew to {} bytes",
             std::mem::size_of::<SoaSlots>()
         );

@@ -80,7 +80,7 @@ fn assert_pools_agree(soa: &SoaSlots, aos: &SlotPool, lists: usize, ctx: &str) {
 /// dequeue and kill operations — enough enqueue/dequeue churn that the SoA
 /// free list recycles indices (wraparound) many times per case. Capacities
 /// up to 24 and up to 12 queues put shapes on both sides of the pool's
-/// inline register bounds (8 slots, free list + 8 queues), so the spilled
+/// inline register bounds (8 slots, free list + 4 queues), so the spilled
 /// register arrays see the same churn as the inline ones.
 #[test]
 fn soa_slots_match_linked_slot_pool_across_48_shapes() {
@@ -136,19 +136,20 @@ fn soa_slots_match_linked_slot_pool_across_48_shapes() {
 /// wraparound stress, because every slot index is recycled every round and
 /// the free lists of both layouts must stay in the same FIFO order. The
 /// last four shapes sit one on each side of both inline register bounds:
-/// (8, 8) is the largest all-inline pool, (9, 8) spills the slot
-/// registers, (8, 9) the list registers, (9, 9) both.
+/// (8, 4) is the largest all-inline pool, (9, 4) spills the slot
+/// registers, (8, 5) the list registers, (9, 5) both.
 #[test]
 fn soa_slots_survive_full_fill_drain_wraparound() {
     let shapes = [
         (1usize, 1usize),
         (3, 2),
-        (8, 4),
         (16, 3),
         (8, 8),
-        (9, 8),
-        (8, 9),
         (9, 9),
+        (8, 4),
+        (9, 4),
+        (8, 5),
+        (9, 5),
     ];
     for round_shape in shapes {
         let (capacity, lists) = round_shape;

@@ -13,7 +13,7 @@
 //! Every method here runs in a serial section of the cycle, which is
 //! what keeps snapshots and traces byte-identical at any lane count.
 
-use damq_core::{FaultLedger, FaultSite, Packet};
+use damq_core::{FaultLedger, FaultSite, NodeId, Packet};
 use damq_telemetry::{CounterId, Event, EventKind, HistogramId, MetricsRegistry, TelemetrySink};
 
 use crate::metrics::NetMetrics;
@@ -198,8 +198,8 @@ impl<S: TelemetrySink<Event>> Account<S> {
         self.registry.add(self.ids.cycles, 1);
     }
 
-    pub(super) fn generated(&mut self, cycle: u64, packet: u64, source: usize, dest: u32) {
-        let source = source as u32;
+    pub(super) fn generated(&mut self, cycle: u64, packet: u64, source: usize, dest: NodeId) {
+        let (source, dest) = (source as u32, dest.index() as u32);
         self.emit(
             cycle,
             EventKind::Generated {

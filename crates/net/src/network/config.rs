@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use damq_core::{BufferKind, ConfigError, DEFAULT_SLOT_BYTES};
+use damq_core::{BufferKind, ConfigError, Packet, DEFAULT_SLOT_BYTES};
 use damq_switch::{ArbiterPolicy, FlowControl};
 
 use crate::topology::{TopologyError, TopologyKind};
@@ -57,6 +57,21 @@ impl PacketLengths {
             PacketLengths::Uniform { min, max } => rng.random_range(min..=max),
         }
     }
+
+    /// Whether every length this distribution draws is a packet a
+    /// buffer of `slots_per_buffer` slots can hold: the range is
+    /// non-empty and inside `1..=`[`Packet::MAX_LENGTH_BYTES`], and the
+    /// longest packet fits an empty buffer (else, under blocking flow
+    /// control, it waits at its source forever).
+    pub(super) fn drawable(&self, slots_per_buffer: usize) -> bool {
+        let (min, max) = match *self {
+            PacketLengths::Fixed(bytes) => (bytes, bytes),
+            PacketLengths::Uniform { min, max } => (min, max),
+        };
+        (1..=max).contains(&min)
+            && max <= Packet::MAX_LENGTH_BYTES
+            && max.div_ceil(DEFAULT_SLOT_BYTES) <= slots_per_buffer
+    }
 }
 
 /// Error constructing a [`NetworkSim`](super::NetworkSim).
@@ -67,6 +82,10 @@ pub enum NetworkError {
     Topology(TopologyError),
     /// The per-switch buffer configuration is invalid.
     Buffer(ConfigError),
+    /// The packet-length distribution is empty, draws a length outside
+    /// `1..=`[`Packet::MAX_LENGTH_BYTES`], or draws a packet longer than
+    /// one whole buffer.
+    PacketLengths(PacketLengths),
 }
 
 impl std::fmt::Display for NetworkError {
@@ -74,6 +93,12 @@ impl std::fmt::Display for NetworkError {
         match self {
             NetworkError::Topology(e) => write!(f, "topology: {e}"),
             NetworkError::Buffer(e) => write!(f, "buffer: {e}"),
+            NetworkError::PacketLengths(lengths) => write!(
+                f,
+                "packet lengths {lengths:?}: need 1 <= min <= max <= {} bytes, and the longest \
+                 packet must fit one buffer",
+                Packet::MAX_LENGTH_BYTES
+            ),
         }
     }
 }
@@ -83,6 +108,7 @@ impl std::error::Error for NetworkError {
         match self {
             NetworkError::Topology(e) => Some(e),
             NetworkError::Buffer(e) => Some(e),
+            NetworkError::PacketLengths(_) => None,
         }
     }
 }

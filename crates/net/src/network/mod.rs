@@ -73,16 +73,16 @@ use stage::Fabric;
 struct PendingPacket {
     serial: u64,
     birth_cycle: u64,
-    dest: u32,
-    length_bytes: u32,
+    dest: NodeId,
+    length_bytes: u16,
     corrupt: bool,
 }
 
 impl PendingPacket {
     fn materialize(self, source: usize, injected_at: u64) -> Packet {
-        let mut packet = Packet::builder(NodeId::new(source), NodeId::new(self.dest as usize))
+        let mut packet = Packet::builder(NodeId::new(source), self.dest)
             .id(PacketId::new(self.serial))
-            .length_bytes(self.length_bytes as usize)
+            .length_bytes(usize::from(self.length_bytes))
             .birth_cycle(self.birth_cycle)
             .build();
         if self.corrupt {
@@ -162,9 +162,10 @@ impl NetworkSim {
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError`] if the topology dimensions are invalid or
+    /// Returns [`NetworkError`] if the topology dimensions are invalid,
     /// the buffer configuration is rejected (e.g. SAMQ slots not divisible
-    /// by the radix).
+    /// by the radix) or the packet-length distribution is degenerate
+    /// ([`NetworkError::PacketLengths`]).
     pub fn new(config: NetworkConfig) -> Result<Self, NetworkError> {
         Self::with_sink(config, NullSink)
     }
@@ -217,6 +218,9 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// Returns [`NetworkError`] as [`NetworkSim::new`] does.
     pub fn typed_with_sink(config: NetworkConfig, sink: S) -> Result<Self, NetworkError> {
+        if !config.packet_lengths.drawable(config.slots_per_buffer) {
+            return Err(NetworkError::PacketLengths(config.packet_lengths));
+        }
         let topology = Topology::build(config.topology_kind, config.size, config.radix)?;
         let plan = RoutePlan::new(&topology);
         let switch_config = SwitchConfig::new(config.radix)
@@ -620,8 +624,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             let pending = PendingPacket {
                 serial: self.ids.next_id().serial(),
                 birth_cycle: self.cycle,
-                dest: dest.index() as u32,
-                length_bytes: length as u32,
+                dest,
+                // lint: allow — construction rejected any distribution
+                // that can draw a length outside `1..=MAX_LENGTH_BYTES`.
+                length_bytes: u16::try_from(length).expect("validated packet length"),
                 corrupt: self
                     .fabric
                     .faults
@@ -644,9 +650,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 continue;
             };
             let (sw, port) = self.plan.entry(NodeId::new(src));
-            let out = self.plan.route_output(0, NodeId::new(front.dest as usize));
+            let out = self.plan.route_output(0, front.dest);
             let wire_down = self.fabric.wire_down(cycle, 0, sw, port.index());
-            let slots = (front.length_bytes as usize)
+            let slots = usize::from(front.length_bytes)
                 .div_ceil(DEFAULT_SLOT_BYTES)
                 .max(1);
             if blocking && (wire_down || !self.fabric.switches[0][sw].can_accept(port, out, slots))

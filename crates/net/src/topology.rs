@@ -370,23 +370,18 @@ pub struct RoutePlan {
     /// probe runs once per flow-control candidate per cycle, and a
     /// runtime division is a hardware divide on that path.
     per_stage: usize,
+    // The tables hold indices at index width — a switch number in a
+    // `u32`, a port in a `u8` — so the per-probe lookups of a large
+    // fabric touch a third of the lines (49 KB at 1024 terminals, not 168).
     /// `(switch, port)` entered by each source, indexed by source.
-    entries: Vec<(usize, InputPort)>,
+    entries: Vec<(u32, u8)>,
     /// `(next switch, next port)` per (stage, switch, output), row-major
     /// over the non-final stages.
-    next_hops: Vec<(usize, InputPort)>,
+    next_hops: Vec<(u32, u8)>,
     /// Output port per (stage, dest), row-major.
-    outputs: Vec<OutputPort>,
+    outputs: Vec<u8>,
     /// Sink terminal per (switch, output) of the final stage.
-    sinks: Vec<NodeId>,
-    /// Alternate output per (stage, switch, output), row-major: the
-    /// deflection target adaptive recovery consults when the primary
-    /// output's link is down or its downstream queue is saturated. In a
-    /// unique-path banyan every deflection is a deliberate misroute, so
-    /// the table's job is only to name a *consistent* escape port per
-    /// switch — the neighbouring output — which keeps deflected traffic
-    /// deterministic and spread across the crossbar.
-    alternates: Vec<OutputPort>,
+    sinks: Vec<u32>,
     /// Departure-route queries served so far. Atomic (relaxed) so
     /// concurrent backpressure probes from sharded stage islands can
     /// count without synchronization; the total stays deterministic.
@@ -404,7 +399,6 @@ impl Clone for RoutePlan {
             next_hops: self.next_hops.clone(),
             outputs: self.outputs.clone(),
             sinks: self.sinks.clone(),
-            alternates: self.alternates.clone(),
             // ordering: Relaxed — clone takes a point-in-time snapshot of
             // a pure statistics counter; no other memory is published
             // through it, so no acquire/release pairing is needed.
@@ -415,40 +409,43 @@ impl Clone for RoutePlan {
 
 impl RoutePlan {
     /// Precomputes every routing answer for `topology`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the radix exceeds 256 or the terminal count `u32::MAX`:
+    /// the tables hold ports as bytes and switch numbers as `u32` words.
     pub fn new(topology: &Topology) -> Self {
         let size = topology.size();
         let radix = topology.radix();
         let stages = topology.stages();
         let per_stage = topology.switches_per_stage();
+        assert!(radix <= 256, "route tables hold ports as bytes");
+        assert!(
+            size <= u32::MAX as usize,
+            "route tables hold 32-bit indices"
+        );
+        let hop = |(switch, port): (usize, InputPort)| (switch as u32, port.index() as u8);
         let entries = (0..size)
-            .map(|s| topology.source_entry(NodeId::new(s)))
+            .map(|s| hop(topology.source_entry(NodeId::new(s))))
             .collect();
         let mut next_hops = Vec::with_capacity(stages.saturating_sub(1) * per_stage * radix);
         for stage in 0..stages.saturating_sub(1) {
             for sw in 0..per_stage {
                 for o in OutputPort::all(radix) {
-                    next_hops.push(topology.next_hop(stage, sw, o));
+                    next_hops.push(hop(topology.next_hop(stage, sw, o)));
                 }
             }
         }
         let mut outputs = Vec::with_capacity(stages * size);
         for stage in 0..stages {
             for d in 0..size {
-                outputs.push(topology.route_output(stage, NodeId::new(d)));
+                outputs.push(topology.route_output(stage, NodeId::new(d)).index() as u8);
             }
         }
         let mut sinks = Vec::with_capacity(per_stage * radix);
         for sw in 0..per_stage {
             for o in OutputPort::all(radix) {
-                sinks.push(topology.sink_of(sw, o));
-            }
-        }
-        let mut alternates = Vec::with_capacity(stages * per_stage * radix);
-        for _stage in 0..stages {
-            for _sw in 0..per_stage {
-                for o in 0..radix {
-                    alternates.push(OutputPort::new((o + 1) % radix));
-                }
+                sinks.push(topology.sink_of(sw, o).index() as u32);
             }
         }
         RoutePlan {
@@ -460,7 +457,6 @@ impl RoutePlan {
             next_hops,
             outputs,
             sinks,
-            alternates,
             queries: AtomicU64::new(0),
         }
     }
@@ -471,7 +467,8 @@ impl RoutePlan {
     ///
     /// Panics if `source` is out of range.
     pub fn entry(&self, source: NodeId) -> (usize, InputPort) {
-        self.entries[source.index()]
+        let (switch, port) = self.entries[source.index()];
+        (switch as usize, InputPort::new(usize::from(port)))
     }
 
     /// The output port a packet for `dest` takes at `stage`.
@@ -480,7 +477,7 @@ impl RoutePlan {
     ///
     /// Panics if `stage` or `dest` is out of range.
     pub fn route_output(&self, stage: usize, dest: NodeId) -> OutputPort {
-        self.outputs[stage * self.size + dest.index()]
+        OutputPort::new(usize::from(self.outputs[stage * self.size + dest.index()]))
     }
 
     /// The complete route of a packet for `dest` leaving stage `stage`
@@ -504,14 +501,7 @@ impl RoutePlan {
         // orders it before any cross-thread read, so the deterministic
         // total needs no stronger ordering here.
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let per_stage = self.per_stage;
-        let (next_switch, next_port) =
-            self.next_hops[(stage * per_stage + switch) * self.radix + output.index()];
-        HopRoute {
-            next_switch,
-            next_port,
-            next_output: self.route_output(stage + 1, dest),
-        }
+        self.departure_route_uncounted(stage, switch, output, dest)
     }
 
     /// [`RoutePlan::departure_route`] without the query-counter bump:
@@ -533,8 +523,8 @@ impl RoutePlan {
         let (next_switch, next_port) =
             self.next_hops[(stage * self.per_stage + switch) * self.radix + output.index()];
         HopRoute {
-            next_switch,
-            next_port,
+            next_switch: next_switch as usize,
+            next_port: InputPort::new(usize::from(next_port)),
             next_output: self.route_output(stage + 1, dest),
         }
     }
@@ -551,13 +541,18 @@ impl RoutePlan {
     /// downstream queue is saturated. Deflecting through it is a
     /// deliberate misroute in a unique-path banyan — the packet reaches
     /// the wrong sink and relies on end-to-end retransmission — so the
-    /// caller must charge the packet's misroute budget.
+    /// caller must charge the packet's misroute budget. The rule's only
+    /// job is to name a *consistent* escape port per switch — the
+    /// neighbouring output — which keeps deflected traffic deterministic
+    /// and spread across the crossbar.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn alternate_output(&self, stage: usize, switch: usize, output: OutputPort) -> OutputPort {
-        self.alternates[(stage * self.per_stage + switch) * self.radix + output.index()]
+        assert!(stage < self.stages && switch < self.per_stage && output.index() < self.radix);
+        let next = output.index() + 1;
+        OutputPort::new(if next == self.radix { 0 } else { next })
     }
 
     /// The sink terminal reached from the last stage's (`switch`,
@@ -567,7 +562,7 @@ impl RoutePlan {
     ///
     /// Panics if an index is out of range.
     pub fn sink_of(&self, switch: usize, output: OutputPort) -> NodeId {
-        self.sinks[switch * self.radix + output.index()]
+        NodeId::new(self.sinks[switch * self.radix + output.index()] as usize)
     }
 
     /// How many times [`RoutePlan::departure_route`] has been called.

@@ -6,7 +6,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use damq_core::{BufferKind, FaultPlan, FaultSite, NodeId};
-use damq_net::{NetworkConfig, NetworkSim, OmegaTopology, RecoveryConfig, TrafficPattern};
+use damq_net::{
+    NetworkConfig, NetworkError, NetworkSim, OmegaTopology, PacketLengths, RecoveryConfig,
+    TrafficPattern,
+};
 use damq_switch::FlowControl;
 use damq_telemetry::{EventKind, MemorySink};
 
@@ -58,6 +61,82 @@ fn shuffle_has_full_period() {
             }
             assert_eq!(x, line, "shuffle^stages must be identity ({size}, {radix})");
         }
+    }
+}
+
+/// Degenerate packet-length distributions are a typed construction error
+/// on every constructor — they used to panic at the first injection
+/// (`Fixed(0)`), panic in the generator (an inverted range), or truncate
+/// and then wedge at the sources forever (a length past the register, or
+/// a packet longer than one buffer: blocking switches never admit it,
+/// discarding ones drop every copy). The drawable neighbours of each row
+/// still build, run and conserve packets.
+#[test]
+fn degenerate_packet_lengths_are_a_typed_error() {
+    use FlowControl::{Blocking, Discarding};
+    use PacketLengths::{Fixed, Uniform};
+    // (lengths, flow control, slots per buffer, builds?)
+    let table = [
+        (Fixed(0), Blocking, 4, false),
+        (Fixed(0), Discarding, 4, false),
+        (Uniform { min: 0, max: 8 }, Discarding, 4, false),
+        (Uniform { min: 9, max: 1 }, Blocking, 4, false),
+        (Uniform { min: 9, max: 1 }, Discarding, 4, false),
+        (Fixed(5_000_000_000), Blocking, 4, false),
+        (Fixed(5_000_000_000), Discarding, 4, false),
+        (Fixed(65_536), Discarding, 4, false),
+        (
+            Uniform {
+                min: 1,
+                max: 65_536,
+            },
+            Discarding,
+            4,
+            false,
+        ),
+        // 33 bytes are five 8-byte slots: one more than the buffer.
+        (Fixed(33), Blocking, 4, false),
+        (Uniform { min: 1, max: 33 }, Blocking, 4, false),
+        (Fixed(33), Discarding, 4, false),
+        (Fixed(65_535), Discarding, 8_191, false),
+        (Fixed(33), Blocking, 5, true),
+        (Fixed(32), Blocking, 4, true),
+        (Uniform { min: 1, max: 32 }, Discarding, 4, true),
+        (Uniform { min: 7, max: 7 }, Blocking, 1, true),
+        (Fixed(65_535), Blocking, 8_192, true),
+    ];
+    for (lengths, flow, slots, builds) in table {
+        let config = NetworkConfig::new(16, 4)
+            .packet_lengths(lengths)
+            .flow_control(flow)
+            .slots_per_buffer(slots)
+            .offered_load(0.3)
+            .seed(9);
+        let ctx = format!("{lengths:?} {flow:?} {slots} slots");
+        let error = NetworkError::PacketLengths(lengths);
+        let rejected = Err(error.clone());
+        if !builds {
+            assert_eq!(NetworkSim::new(config).map(|_| ()), rejected, "{ctx}");
+            let faulted = NetworkSim::with_faults(config, FaultPlan::new());
+            assert_eq!(faulted.map(|_| ()), rejected, "{ctx}");
+            let typed = NetworkSim::<damq_core::DamqBuffer>::typed(config);
+            assert_eq!(typed.map(|_| ()), rejected, "{ctx}");
+            assert!(error.to_string().contains("packet lengths"));
+            continue;
+        }
+        let mut sim = NetworkSim::new(config).expect(&ctx);
+        sim.run(50);
+        let m = sim.metrics();
+        let accounted = m.delivered()
+            + m.discarded()
+            + sim.source_backlog() as u64
+            + sim.packets_in_flight() as u64;
+        assert_eq!(m.generated(), accounted, "{ctx}");
+        assert!(
+            m.delivered() + m.discarded() > 0,
+            "{ctx}: wedged at the sources"
+        );
+        sim.check_invariants();
     }
 }
 

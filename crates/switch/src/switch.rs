@@ -522,12 +522,12 @@ mod tests {
     }
 
     /// Budget: 512 bytes, eight cache lines, for everything of a switch
-    /// that is not its buffers. Today 304: the arbiter with its inline
-    /// 4x4 stale matrix and its served word (136), the crossbar with its
+    /// that is not its buffers. Today 264: the arbiter with its inline
+    /// 4x4 stale matrix and its served word (104), the crossbar with its
     /// driven word (56), the configuration (32), the `Vec` of buffers
     /// (24), three counters and the one inline row of queue lengths. With
-    /// four 336-byte buffers and their 288-byte arenas a radix-4 DAMQ
-    /// switch is 2.8 KB in five heap blocks; a field that doubles this
+    /// four 256-byte buffers and their 160-byte arenas a radix-4 DAMQ
+    /// switch is 1.9 KB in five heap blocks; a field that doubles this
     /// part fails here first.
     #[test]
     fn layout_switch_fits_eight_cache_lines() {

@@ -116,8 +116,10 @@ obs_smoke() {
 # carries `net.idle_skipped` is still free when disabled; (5) the inline
 # storage behind the register files and the switch scratch behaves like
 # a `Vec` on both of its arms, the per-switch footprint stays inside its
-# pinned `size_of` budgets, and radix-4 (inline) and radix-8 (spilled)
-# switches still reproduce the committed departure fingerprints; (6) the
+# pinned `size_of` budgets (a 40-byte `Packet` whose accessors, `Debug`
+# and `Display` are what they were), and radix-4 (inline) and radix-8
+# (spilled) switches still reproduce the committed departure
+# fingerprints; (6) the
 # occupancy-aware arbitration kernel agrees with the reference walk it
 # replaced (departures, `can_send` sequence, arbiter, crossbar, buffer
 # and HOL state; two seeded mutations must fail), and radix-8 and
@@ -125,6 +127,7 @@ obs_smoke() {
 soa_smoke() {
     gate "soa-smoke: inline storage arms + pinned layout budgets"
     cargo test -q -p damq-core --lib -- inline:: layout_ registers_spill
+    cargo test -q -p damq-core --test packet_layout
     cargo test -q -p damq-switch --lib -- layout_ scratch_spills
 
     gate "soa-smoke: radix-4 and radix-8 departures match the committed fingerprints"
