@@ -120,14 +120,27 @@ pub struct Transition<S> {
 /// A model that can enumerate its transitions; the chain is built by
 /// exploring from [`MarkovModel::initial`].
 pub trait MarkovModel {
-    /// State type. Must be hashable for deduplication during exploration.
-    type State: Clone + Eq + Hash + Debug;
+    /// State type: a `Copy` word (exploration copies and hashes states
+    /// millions of times, so they must not own heap storage), hashable
+    /// for deduplication.
+    type State: Copy + Eq + Hash + Debug;
 
     /// The exploration root (for the switch models: the empty switch).
     fn initial(&self) -> Self::State;
 
-    /// All branches out of `state`. Probabilities must sum to 1.
-    fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>>;
+    /// Hands every branch out of `state` to `emit`. Probabilities must
+    /// sum to 1. The emission order is part of a model's contract: it
+    /// fixes the state numbering and the order duplicate branches are
+    /// summed in, hence the low-order bits of every result.
+    fn for_each_transition(&self, state: &Self::State, emit: impl FnMut(Transition<Self::State>));
+
+    /// All branches out of `state`, collected in emission order (a
+    /// convenience for tests and examples; exploration never calls it).
+    fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>> {
+        let mut out = Vec::new();
+        self.for_each_transition(state, |t| out.push(t));
+        out
+    }
 }
 
 /// A fully-enumerated chain: indexed states, transition matrix and expected
@@ -139,55 +152,73 @@ pub struct Chain<S> {
     rewards: Vec<Reward>,
 }
 
-impl<S: Clone + Eq + Hash + Debug> Chain<S> {
+impl<S: Copy + Eq + Hash + Debug> Chain<S> {
     /// Builds the chain reachable from `model.initial()`.
+    ///
+    /// States are numbered in discovery order from a last-in-first-out
+    /// frontier; each state's matrix row is finished (sorted by column,
+    /// duplicate branches summed in emission order) as the state is
+    /// expanded, so no per-transition record outlives its row.
     ///
     /// # Panics
     ///
     /// Panics if some state's branch probabilities do not sum to 1 (within
-    /// 1e-9) — that is a bug in the model.
+    /// 1e-9) — that is a bug in the model — or if the chain has more than
+    /// `u32::MAX` states.
     pub fn explore<M: MarkovModel<State = S>>(model: &M) -> Self {
-        let mut index: FxHashMap<S, usize> = FxHashMap::default();
-        let mut states: Vec<S> = Vec::new();
-        let mut frontier: Vec<usize> = Vec::new();
-
         let root = model.initial();
-        index.insert(root.clone(), 0);
-        states.push(root);
-        frontier.push(0);
-
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        let mut rewards: Vec<Reward> = Vec::new();
+        // lint: allow — set-up: one index for the whole exploration.
+        let mut index: FxHashMap<S, u32> = FxHashMap::default();
+        index.insert(root, 0);
+        let mut states = Vec::from([root]);
+        let mut frontier = Vec::from([0u32]);
+        // Rows finish in expansion order, not index order: `spans[i]` is
+        // where state i's row sits in `cols` / `vals`.
+        let mut spans = Vec::from([(0, 0)]);
+        let mut rewards = Vec::from([Reward::default()]);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let mut row: Vec<(u32, f64)> = Vec::new();
 
         while let Some(from) = frontier.pop() {
-            let branches = model.transitions(&states[from]);
-            let total: f64 = branches.iter().map(|t| t.probability).sum();
+            let state = states[from as usize];
+            let (mut total, mut reward) = (0.0, Reward::default());
+            row.clear();
+            model.for_each_transition(&state, |t| {
+                total += t.probability;
+                reward = reward + t.reward * t.probability;
+                let to = *index.entry(t.next).or_insert_with(|| {
+                    let id = u32::try_from(states.len()).expect("state count fits in u32");
+                    states.push(t.next);
+                    spans.push((0, 0));
+                    rewards.push(Reward::default());
+                    frontier.push(id);
+                    id
+                });
+                row.push((to, t.probability));
+            });
             assert!(
                 (total - 1.0).abs() < 1e-9,
-                "branch probabilities from {:?} sum to {total}",
-                states[from]
+                "branch probabilities from {state:?} sum to {total}"
             );
-            let mut reward = Reward::default();
-            for t in branches {
-                reward = reward + t.reward * t.probability;
-                let to = *index.entry(t.next.clone()).or_insert_with(|| {
-                    states.push(t.next.clone());
-                    frontier.push(states.len() - 1);
-                    states.len() - 1
-                });
-                triplets.push((from, to, t.probability));
+            // Stable, so equal columns stay in emission order for the sum.
+            row.sort_by_key(|&(col, _)| col);
+            let start = cols.len();
+            for &(col, p) in &row {
+                match vals.last_mut() {
+                    Some(last) if cols.len() > start && cols.last() == Some(&col) => *last += p,
+                    _ => {
+                        cols.push(col);
+                        vals.push(p);
+                    }
+                }
             }
-            if rewards.len() <= from {
-                rewards.resize(states.len(), Reward::default());
-            }
-            rewards[from] = reward;
+            spans[from as usize] = (start, cols.len());
+            rewards[from as usize] = reward;
         }
-        rewards.resize(states.len(), Reward::default());
 
-        let n = states.len();
         Chain {
+            matrix: CsrMatrix::from_row_spans(&spans, &cols, &vals),
             states,
-            matrix: CsrMatrix::from_triplet_vec(n, n, triplets),
             rewards,
         }
     }
@@ -271,8 +302,7 @@ mod tests {
             0
         }
 
-        fn transitions(&self, &s: &u8) -> Vec<Transition<u8>> {
-            let mut out = Vec::new();
+        fn for_each_transition(&self, &s: &u8, mut emit: impl FnMut(Transition<u8>)) {
             for (arrived, p) in [(true, self.arrival), (false, 1.0 - self.arrival)] {
                 if p == 0.0 {
                     continue;
@@ -293,7 +323,7 @@ mod tests {
                 } else {
                     0.0
                 };
-                out.push(Transition {
+                emit(Transition {
                     next: level,
                     probability: p,
                     reward: Reward {
@@ -303,7 +333,6 @@ mod tests {
                     },
                 });
             }
-            out
         }
     }
 
@@ -347,8 +376,7 @@ mod tests {
             0
         }
 
-        fn transitions(&self, &s: &u8) -> Vec<Transition<u8>> {
-            let mut out = Vec::new();
+        fn for_each_transition(&self, &s: &u8, mut emit: impl FnMut(Transition<u8>)) {
             for (arrived, pa) in [(true, self.arrival), (false, 1.0 - self.arrival)] {
                 for (served, ps) in [(true, self.service), (false, 1.0 - self.service)] {
                     let p = pa * ps;
@@ -367,7 +395,7 @@ mod tests {
                             discards = 1.0;
                         }
                     }
-                    out.push(Transition {
+                    emit(Transition {
                         next: level,
                         probability: p,
                         reward: Reward {
@@ -378,7 +406,6 @@ mod tests {
                     });
                 }
             }
-            out
         }
     }
 
@@ -412,6 +439,38 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_branches_are_summed_into_sorted_rows() {
+        /// Two states; every branch list revisits a target and is
+        /// emitted out of column order.
+        struct Revisits;
+        impl MarkovModel for Revisits {
+            type State = u8;
+            fn initial(&self) -> u8 {
+                0
+            }
+            fn for_each_transition(&self, &s: &u8, mut emit: impl FnMut(Transition<u8>)) {
+                for (next, probability) in [(1 - s, 0.25), (s, 0.5), (1 - s, 0.25)] {
+                    emit(Transition {
+                        next,
+                        probability,
+                        reward: Reward::default(),
+                    });
+                }
+            }
+        }
+        let chain = Chain::explore(&Revisits);
+        assert_eq!(chain.state_count(), 2);
+        assert_eq!((chain.state(0), chain.state(1)), (&0, &1));
+        for i in 0..2 {
+            let row: Vec<_> = chain.matrix().row(i).collect();
+            assert_eq!(row, vec![(0, 0.5), (1, 0.5)]);
+        }
+        // The collecting form keeps the emission order, duplicates and all.
+        let listed: Vec<u8> = Revisits.transitions(&0).iter().map(|t| t.next).collect();
+        assert_eq!(listed, vec![1, 0, 1]);
+    }
+
+    #[test]
     #[should_panic(expected = "sum to")]
     fn bad_probabilities_are_caught() {
         struct Broken;
@@ -420,12 +479,12 @@ mod tests {
             fn initial(&self) -> u8 {
                 0
             }
-            fn transitions(&self, _: &u8) -> Vec<Transition<u8>> {
-                vec![Transition {
+            fn for_each_transition(&self, _: &u8, mut emit: impl FnMut(Transition<u8>)) {
+                emit(Transition {
                     next: 0,
                     probability: 0.5,
                     reward: Reward::default(),
-                }]
+                });
             }
         }
         let _ = Chain::explore(&Broken);

@@ -5,7 +5,7 @@
 //! the fourth corner of the allocation × connectivity design matrix, used
 //! to measure how much read bandwidth matters once storage is shared.
 
-use crate::switch2x2::{apply_moves, fully_connected_moves, BufferModel2x2, Counts};
+use crate::switch2x2::{fully_connected_departures, BufferModel2x2, Counts};
 
 /// DAFC buffers of `capacity` shared packet slots per input, fully
 /// connected to the outputs.
@@ -52,20 +52,15 @@ impl BufferModel2x2 for DafcModel {
         }
     }
 
-    fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
-        fully_connected_moves(state)
-            .into_iter()
-            .map(|(moves, p)| {
-                let (next, sent) = apply_moves(state, &moves);
-                (next, p, sent)
-            })
-            .collect()
+    fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
+        fully_connected_departures(state, emit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch2x2::branches;
 
     #[test]
     fn dynamic_acceptance_like_damq() {
@@ -80,7 +75,7 @@ mod tests {
     fn fully_connected_departures_like_safc() {
         let m = DafcModel::new(4);
         let s: Counts = [[2, 1], [0, 0]];
-        let branches = m.departures(&s);
+        let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2, "one input feeds both outputs");
     }

@@ -6,7 +6,7 @@
 //! any queued packet for output *o* is interchangeable under fixed-length,
 //! single-destination semantics.
 
-use crate::switch2x2::{apply_moves, single_read_port_moves, BufferModel2x2, Counts};
+use crate::switch2x2::{single_read_port_departures, BufferModel2x2, Counts};
 
 /// DAMQ buffers of `capacity` shared packet slots per input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,20 +52,15 @@ impl BufferModel2x2 for DamqModel {
         }
     }
 
-    fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
-        single_read_port_moves(state)
-            .into_iter()
-            .map(|(moves, p)| {
-                let (next, sent) = apply_moves(state, &moves);
-                (next, p, sent)
-            })
-            .collect()
+    fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
+        single_read_port_departures(state, emit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch2x2::branches;
 
     #[test]
     fn shared_pool_accepts_any_mix_up_to_capacity() {
@@ -86,7 +81,7 @@ mod tests {
         // Two packets depart (crossed assignment), unlike the FIFO model.
         let m = DamqModel::new(4);
         let s: Counts = [[1, 1], [1, 0]];
-        let branches = m.departures(&s);
+        let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2);
         assert_eq!(branches[0].0, [[1, 0], [0, 0]]);
@@ -96,7 +91,7 @@ mod tests {
     fn conflict_only_case_sends_one_from_longest() {
         let m = DamqModel::new(4);
         let s: Counts = [[3, 0], [1, 0]];
-        let branches = m.departures(&s);
+        let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].0, [[2, 0], [1, 0]]);
         assert_eq!(branches[0].2, 1);
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn empty_buffers_idle() {
         let m = DamqModel::new(2);
-        let branches = m.departures(&m.empty());
+        let branches = branches(&m, &m.empty());
         assert_eq!(branches, vec![([[0, 0], [0, 0]], 1.0, 0)]);
     }
 }

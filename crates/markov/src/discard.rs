@@ -44,6 +44,17 @@ pub enum AnalysisError {
         /// The capacity requested.
         capacity: usize,
     },
+    /// The capacity is beyond what the design's model can represent (for
+    /// FIFO, whose ordered states grow as 4^capacity, also beyond what is
+    /// worth enumerating).
+    CapacityTooLarge {
+        /// The buffer design requested.
+        kind: BufferKind,
+        /// The capacity requested.
+        capacity: usize,
+        /// The largest capacity the model accepts.
+        max: usize,
+    },
     /// The steady-state solver failed.
     Solve(SolveError),
 }
@@ -55,6 +66,14 @@ impl fmt::Display for AnalysisError {
                 f,
                 "{kind} buffers statically split storage and need an even capacity, got {capacity}"
             ),
+            AnalysisError::CapacityTooLarge {
+                kind,
+                capacity,
+                max,
+            } => write!(
+                f,
+                "the {kind} model holds at most {max} slots per buffer, got {capacity}"
+            ),
             AnalysisError::Solve(e) => write!(f, "steady-state solve failed: {e}"),
         }
     }
@@ -64,7 +83,7 @@ impl Error for AnalysisError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AnalysisError::Solve(e) => Some(e),
-            AnalysisError::OddStaticCapacity { .. } => None,
+            _ => None,
         }
     }
 }
@@ -124,7 +143,10 @@ where
 /// # Errors
 ///
 /// Returns [`AnalysisError::OddStaticCapacity`] for SAMQ/SAFC with odd
-/// capacity, or a wrapped [`SolveError`] if the chain does not converge.
+/// capacity, [`AnalysisError::CapacityTooLarge`] past the model's bound
+/// ([`FifoModel::MAX_CAPACITY`] for FIFO; what a `u8` queue length holds
+/// for the count-based designs), or a wrapped [`SolveError`] if the chain
+/// does not converge.
 ///
 /// # Examples
 ///
@@ -148,6 +170,18 @@ pub fn discard_probability(
 ) -> Result<DiscardPoint, AnalysisError> {
     if kind.is_statically_allocated() && !capacity.is_multiple_of(2) {
         return Err(AnalysisError::OddStaticCapacity { kind, capacity });
+    }
+    let max = match kind {
+        BufferKind::Fifo => FifoModel::MAX_CAPACITY,
+        BufferKind::Damq | BufferKind::Dafc => usize::from(u8::MAX),
+        BufferKind::Samq | BufferKind::Safc => 2 * usize::from(u8::MAX),
+    };
+    if capacity > max {
+        return Err(AnalysisError::CapacityTooLarge {
+            kind,
+            capacity,
+            max,
+        });
     }
     match kind {
         BufferKind::Fifo => analyze_model(FifoModel::new(capacity), traffic, order, options),
@@ -281,6 +315,42 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, AnalysisError::OddStaticCapacity { .. }));
         }
+    }
+
+    #[test]
+    fn capacities_past_a_models_bound_are_errors_not_wedges_or_panics() {
+        // (kind, first rejected capacity, reported bound). FIFO 40 used to
+        // start enumerating 4^40 states; DAMQ 256 panicked on a `u8`.
+        let table = [
+            (BufferKind::Fifo, 9, 8),
+            (BufferKind::Fifo, 40, 8),
+            (BufferKind::Damq, 256, 255),
+            (BufferKind::Dafc, 300, 255),
+            (BufferKind::Samq, 512, 510),
+            (BufferKind::Safc, 1000, 510),
+        ];
+        for (kind, capacity, bound) in table {
+            let err = discard_probability(
+                kind,
+                capacity,
+                0.5,
+                CycleOrder::ArrivalsFirst,
+                SolveOptions::default(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                AnalysisError::CapacityTooLarge {
+                    kind,
+                    capacity,
+                    max: bound
+                }
+            );
+            assert!(err.to_string().contains(&bound.to_string()), "{err}");
+        }
+        // The bound itself is legal (checked on the cheapest case).
+        assert_eq!(FifoModel::new(FifoModel::MAX_CAPACITY).capacity(), 8);
+        assert!(point(BufferKind::Fifo, 7, 0.3).states > 8_065);
     }
 
     #[test]

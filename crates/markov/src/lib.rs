@@ -6,6 +6,14 @@
 //! ([`steady_state`]) — plus models of a 2×2 discarding switch for each of
 //! the four buffer designs of [`damq_core`].
 //!
+//! The engine does not allocate per state or per iteration: states are
+//! `Copy` words, a model hands its transitions to a visitor
+//! ([`MarkovModel::for_each_transition`]), the explorer finishes each
+//! matrix row as it expands the state, and the solvers gather over one
+//! flat column view ([`Columns`]) — see `docs/PERFORMANCE.md`, "The
+//! Markov layer", for the ledger and for why none of it moves a bit of
+//! any result.
+//!
 //! The headline API is [`discard_probability`], which computes one cell of
 //! the paper's Table 2: the probability that a packet arriving at a 2×2
 //! switch with the given buffer design, buffer size and traffic level is
@@ -51,6 +59,6 @@ pub use fifo_model::{FifoModel, FifoState};
 pub use safc_model::SafcModel;
 pub use samq_model::SamqModel;
 pub use solve::{steady_state, steady_state_gauss_seidel, SolveError, SolveOptions, SteadyState};
-pub use sparse::CsrMatrix;
+pub use sparse::{Columns, CsrMatrix};
 pub use switch2x2::{BufferModel2x2, CycleOrder, Switch2x2};
 pub use switch_kxk::{discard_probability_kxk, kxk_supported_kinds, SwitchKxK};

@@ -5,7 +5,7 @@
 //! cycle. Each output independently serves the input with the longer queue
 //! for it.
 
-use crate::switch2x2::{apply_moves, fully_connected_moves, BufferModel2x2, Counts};
+use crate::switch2x2::{fully_connected_departures, BufferModel2x2, Counts};
 
 /// SAFC buffers with `capacity / 2` packet slots statically reserved per
 /// output queue and one read port per output.
@@ -61,26 +61,21 @@ impl BufferModel2x2 for SafcModel {
         }
     }
 
-    fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
-        fully_connected_moves(state)
-            .into_iter()
-            .map(|(moves, p)| {
-                let (next, sent) = apply_moves(state, &moves);
-                (next, p, sent)
-            })
-            .collect()
+    fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
+        fully_connected_departures(state, emit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch2x2::branches;
 
     #[test]
     fn one_input_can_feed_both_outputs() {
         let m = SafcModel::new(4);
         let s: Counts = [[1, 1], [0, 0]];
-        let branches = m.departures(&s);
+        let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2, "fully connected sends both");
         assert_eq!(branches[0].0, [[0, 0], [0, 0]]);
@@ -91,7 +86,7 @@ mod tests {
         // Contrast with the single-read-port logic on the same state.
         let samq = crate::samq_model::SamqModel::new(4);
         let s: Counts = [[1, 1], [0, 0]];
-        let branches = samq.departures(&s);
+        let branches = branches(&samq, &s);
         for (_, _, sent) in branches {
             assert_eq!(sent, 1, "single read port sends only one");
         }
@@ -102,7 +97,7 @@ mod tests {
         let m = SafcModel::new(6);
         // out0 contested (input1 longer); out1 contested (tie -> branches).
         let s: Counts = [[1, 2], [3, 2]];
-        let branches = m.departures(&s);
+        let branches = branches(&m, &s);
         assert_eq!(branches.len(), 2);
         for (next, p, sent) in branches {
             assert_eq!(sent, 2);

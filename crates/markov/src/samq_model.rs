@@ -6,7 +6,7 @@
 //! other queue's slots sit empty. The paper's Table 2 only lists even buffer
 //! sizes for SAMQ/SAFC for exactly this reason.
 
-use crate::switch2x2::{apply_moves, single_read_port_moves, BufferModel2x2, Counts};
+use crate::switch2x2::{single_read_port_departures, BufferModel2x2, Counts};
 
 /// SAMQ buffers with `capacity / 2` packet slots statically reserved per
 /// output queue.
@@ -63,20 +63,15 @@ impl BufferModel2x2 for SamqModel {
         }
     }
 
-    fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
-        single_read_port_moves(state)
-            .into_iter()
-            .map(|(moves, p)| {
-                let (next, sent) = apply_moves(state, &moves);
-                (next, p, sent)
-            })
-            .collect()
+    fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
+        single_read_port_departures(state, emit);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch2x2::branches;
 
     #[test]
     fn static_partition_rejects_despite_free_space() {
@@ -100,6 +95,6 @@ mod tests {
         let samq = SamqModel::new(4);
         let damq = crate::damq_model::DamqModel::new(4);
         let s: Counts = [[2, 1], [0, 2]];
-        assert_eq!(samq.departures(&s), damq.departures(&s));
+        assert_eq!(branches(&samq, &s), branches(&damq, &s));
     }
 }

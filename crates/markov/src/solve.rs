@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::sparse::CsrMatrix;
+use crate::sparse::{Columns, CsrMatrix};
 
 /// Convergence controls for [`steady_state`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +69,10 @@ pub enum SolveError {
         /// The iteration limit.
         iterations: usize,
     },
+    /// The [`SolveOptions`] admit no meaningful run: a damping factor
+    /// outside `(0, 1]`, a NaN tolerance (neither can ever pass the
+    /// convergence test) or a zero iteration budget.
+    InvalidOptions(&'static str),
 }
 
 impl fmt::Display for SolveError {
@@ -84,20 +88,70 @@ impl fmt::Display for SolveError {
                 f,
                 "power iteration residual {residual:e} after {iterations} iterations"
             ),
+            SolveError::InvalidOptions(why) => write!(f, "invalid solver options: {why}"),
         }
     }
 }
 
 impl Error for SolveError {}
 
+/// Rejects options no run can satisfy, then matrices that are not
+/// row-stochastic; on success returns the column view both solvers run on.
+fn prepare(matrix: &CsrMatrix, options: SolveOptions) -> Result<Columns, SolveError> {
+    // A zero or NaN damping makes `diff / d` NaN and a negative one makes
+    // it pass any tolerance after one iteration; a negative tolerance is
+    // legal (it forces the budget to bind).
+    if !(options.damping > 0.0 && options.damping <= 1.0) {
+        return Err(SolveError::InvalidOptions("damping must lie in (0, 1]"));
+    }
+    if options.tolerance.is_nan() {
+        return Err(SolveError::InvalidOptions("tolerance is NaN"));
+    }
+    if options.max_iterations == 0 {
+        return Err(SolveError::InvalidOptions("max_iterations is zero"));
+    }
+    assert_eq!(matrix.rows(), matrix.cols(), "transition matrix is square");
+    for (row, sum) in matrix.row_sums().into_iter().enumerate() {
+        if (sum - 1.0).abs() > 1e-9 {
+            return Err(SolveError::NotStochastic { row, sum });
+        }
+    }
+    Ok(matrix.columns())
+}
+
+/// The L1 residual `‖πP − π‖₁`.
+fn residual(columns: &Columns, pi: &[f64]) -> f64 {
+    (0..pi.len())
+        .map(|j| (columns.dot(j, pi) - pi[j]).abs())
+        .sum()
+}
+
+/// One damped power step: `next ← d·πP + (1−d)·π`, unnormalised. Returns
+/// the L1 change and the sum of `next`.
+fn power_sweep(columns: &Columns, d: f64, pi: &[f64], next: &mut [f64]) -> (f64, f64) {
+    let (mut diff, mut norm) = (0.0, 0.0);
+    for (j, (out, &old)) in next.iter_mut().zip(pi).enumerate() {
+        let blended = d * columns.dot(j, pi) + (1.0 - d) * old;
+        diff += (blended - old).abs();
+        norm += blended;
+        *out = blended;
+    }
+    (diff, norm)
+}
+
 /// Computes the stationary distribution `π = πP` of a row-stochastic matrix
 /// by damped power iteration.
 ///
+/// Each step gathers `πP` column by column — every entry the same sum, in
+/// the same order, as [`CsrMatrix::left_multiply`] would scatter — fused
+/// with the blend and the norms, over two buffers reused for the whole run.
+///
 /// # Errors
 ///
-/// Returns [`SolveError::NotStochastic`] if a row sum deviates from 1 by
-/// more than 1e-9, or [`SolveError::NotConverged`] if the tolerance is not
-/// met within the iteration budget.
+/// Returns [`SolveError::InvalidOptions`] for options no run can satisfy,
+/// [`SolveError::NotStochastic`] if a row sum deviates from 1 by more than
+/// 1e-9, or [`SolveError::NotConverged`] if the tolerance is not met within
+/// the iteration budget.
 ///
 /// # Examples
 ///
@@ -116,54 +170,61 @@ impl Error for SolveError {}
 /// # Ok::<(), damq_markov::SolveError>(())
 /// ```
 pub fn steady_state(matrix: &CsrMatrix, options: SolveOptions) -> Result<SteadyState, SolveError> {
-    assert_eq!(matrix.rows(), matrix.cols(), "transition matrix is square");
-    for (row, sum) in matrix.row_sums().into_iter().enumerate() {
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(SolveError::NotStochastic { row, sum });
-        }
-    }
-
+    let columns = prepare(matrix, options)?;
     let n = matrix.rows();
     let mut pi = vec![1.0 / n as f64; n];
+    let mut next = vec![0.0; n];
     let d = options.damping;
     for iteration in 1..=options.max_iterations {
-        let next = matrix.left_multiply(&pi);
-        let mut diff = 0.0;
-        let mut norm = 0.0;
-        for i in 0..n {
-            let blended = d * next[i] + (1.0 - d) * pi[i];
-            diff += (blended - pi[i]).abs();
-            pi[i] = blended;
-            norm += blended;
-        }
+        let (diff, norm) = power_sweep(&columns, d, &pi, &mut next);
         // Renormalise to counter floating-point drift.
-        for v in &mut pi {
+        for v in &mut next {
             *v /= norm;
         }
+        std::mem::swap(&mut pi, &mut next);
         // `diff` is scaled by the damping factor; compare like with like.
         if diff / d <= options.tolerance {
-            let check = matrix.left_multiply(&pi);
-            let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
             return Ok(SteadyState {
+                residual: residual(&columns, &pi),
                 pi,
                 iterations: iteration,
-                residual,
             });
         }
     }
-    let check = matrix.left_multiply(&pi);
-    let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
     Err(SolveError::NotConverged {
-        residual,
+        residual: residual(&columns, &pi),
         iterations: options.max_iterations,
     })
+}
+
+/// One in-place Gauss–Seidel sweep over every state; returns the L1
+/// change.
+fn gauss_seidel_sweep(columns: &Columns, self_loop: &[f64], pi: &mut [f64]) -> f64 {
+    let mut diff = 0.0;
+    for (j, &stay) in self_loop.iter().enumerate() {
+        let (rows, values) = columns.column(j);
+        let incoming: f64 = rows
+            .iter()
+            .zip(values)
+            .filter(|&(&i, _)| i as usize != j)
+            .map(|(&i, &v)| pi[i as usize] * v)
+            .sum();
+        let denom = 1.0 - stay;
+        let updated = if denom > 1e-15 {
+            incoming / denom
+        } else {
+            pi[j]
+        };
+        diff += (updated - pi[j]).abs();
+        pi[j] = updated;
+    }
+    diff
 }
 
 /// Computes the stationary distribution by **Gauss–Seidel** sweeps on
 /// `π = πP`: each sweep updates `π_j ← Σ_i π_i P_ij / (1 − P_jj)` in
 /// place, using already-updated values — typically converging in far
-/// fewer iterations than power iteration on slowly-mixing chains, at the
-/// cost of a column-oriented copy of the matrix.
+/// fewer iterations than power iteration on slowly-mixing chains.
 ///
 /// # Errors
 ///
@@ -188,42 +249,20 @@ pub fn steady_state_gauss_seidel(
     matrix: &CsrMatrix,
     options: SolveOptions,
 ) -> Result<SteadyState, SolveError> {
-    assert_eq!(matrix.rows(), matrix.cols(), "transition matrix is square");
-    for (row, sum) in matrix.row_sums().into_iter().enumerate() {
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(SolveError::NotStochastic { row, sum });
-        }
-    }
+    let columns = prepare(matrix, options)?;
     let n = matrix.rows();
-    let columns = matrix.to_columns();
     // Self-loop probability per state, for the (1 - P_jj) denominator.
     let self_loop: Vec<f64> = (0..n)
         .map(|j| {
-            columns[j]
-                .iter()
-                .find(|&&(i, _)| i as usize == j)
-                .map_or(0.0, |&(_, v)| v)
+            let (rows, values) = columns.column(j);
+            let at = rows.iter().position(|&i| i as usize == j);
+            at.map_or(0.0, |k| values[k])
         })
         .collect();
 
     let mut pi = vec![1.0 / n as f64; n];
     for iteration in 1..=options.max_iterations {
-        let mut diff = 0.0;
-        for j in 0..n {
-            let incoming: f64 = columns[j]
-                .iter()
-                .filter(|&&(i, _)| i as usize != j)
-                .map(|&(i, v)| pi[i as usize] * v)
-                .sum();
-            let denom = 1.0 - self_loop[j];
-            let updated = if denom > 1e-15 {
-                incoming / denom
-            } else {
-                pi[j]
-            };
-            diff += (updated - pi[j]).abs();
-            pi[j] = updated;
-        }
+        let diff = gauss_seidel_sweep(&columns, &self_loop, &mut pi);
         let norm: f64 = pi.iter().sum();
         if norm > 0.0 {
             for v in &mut pi {
@@ -231,19 +270,15 @@ pub fn steady_state_gauss_seidel(
             }
         }
         if diff <= options.tolerance * norm.max(1.0) {
-            let check = matrix.left_multiply(&pi);
-            let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
             return Ok(SteadyState {
+                residual: residual(&columns, &pi),
                 pi,
                 iterations: iteration,
-                residual,
             });
         }
     }
-    let check = matrix.left_multiply(&pi);
-    let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
     Err(SolveError::NotConverged {
-        residual,
+        residual: residual(&columns, &pi),
         iterations: options.max_iterations,
     })
 }
@@ -389,6 +424,65 @@ mod tests {
         assert!(matches!(
             err,
             SolveError::NotConverged { iterations: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn degenerate_options_are_rejected_before_any_iteration() {
+        // The doc-example chain, whose answer is [0.8, 0.2]. Each of these
+        // used to burn the whole budget on a NaN convergence test or — the
+        // negative damping — return Ok([0.425, 0.575]) after one step.
+        let p =
+            CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.9), (0, 1, 0.1), (1, 0, 0.4), (1, 1, 0.6)]);
+        let ok = SolveOptions::default();
+        let bad = [
+            SolveOptions { damping: 0.0, ..ok },
+            SolveOptions {
+                damping: -0.5,
+                ..ok
+            },
+            SolveOptions { damping: 1.5, ..ok },
+            SolveOptions {
+                damping: f64::NAN,
+                ..ok
+            },
+            SolveOptions {
+                damping: f64::INFINITY,
+                ..ok
+            },
+            SolveOptions {
+                tolerance: f64::NAN,
+                ..ok
+            },
+            SolveOptions {
+                max_iterations: 0,
+                ..ok
+            },
+        ];
+        for options in bad {
+            for solver in [steady_state, steady_state_gauss_seidel] {
+                let verdict = solver(&p, options);
+                assert!(
+                    matches!(verdict, Err(SolveError::InvalidOptions(_))),
+                    "{options:?}: {verdict:?}"
+                );
+            }
+        }
+        // The edges of the legal range still solve; options are checked
+        // before the matrix.
+        let undamped = SolveOptions { damping: 1.0, ..ok };
+        let loose = SolveOptions {
+            tolerance: f64::INFINITY,
+            ..ok
+        };
+        for options in [undamped, loose] {
+            let ss = steady_state(&p, options).unwrap();
+            assert!((ss.pi[0] - 0.8).abs() < 0.2, "{options:?}: {:?}", ss.pi);
+        }
+        let not_stochastic = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.9), (1, 1, 1.0)]);
+        assert!(matches!(
+            steady_state(&not_stochastic, bad[0]),
+            Err(SolveError::InvalidOptions(_))
         ));
     }
 

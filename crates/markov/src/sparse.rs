@@ -121,17 +121,57 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Converts to compressed-sparse-column form: for each column `j`, the
-    /// list of `(row, value)` entries. This is the access pattern
-    /// Gauss–Seidel needs (`π_j` depends on all incoming transitions).
-    pub fn to_columns(&self) -> Vec<Vec<(u32, f64)>> {
-        let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.cols];
+    /// Assembles a square matrix from finished rows stored out of order:
+    /// row `i` is `cols[lo..hi]` / `vals[lo..hi]` for `spans[i] = (lo, hi)`,
+    /// already sorted by column and free of duplicates. One pass places
+    /// the rows in index order.
+    pub(crate) fn from_row_spans(spans: &[(usize, usize)], cols: &[u32], vals: &[f64]) -> Self {
+        let mut row_ptr = Vec::with_capacity(spans.len() + 1);
+        let mut col_idx = Vec::with_capacity(cols.len());
+        let mut values = Vec::with_capacity(vals.len());
+        row_ptr.push(0);
+        for &(lo, hi) in spans {
+            col_idx.extend_from_slice(&cols[lo..hi]);
+            values.extend_from_slice(&vals[lo..hi]);
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            rows: spans.len(),
+            cols: spans.len(),
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// The matrix by columns, in flat compressed-sparse-column form. This
+    /// is the access pattern both steady-state solvers need (`π_j` depends
+    /// on all incoming transitions).
+    pub fn columns(&self) -> Columns {
+        let mut col_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for j in 0..self.cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        // Rows are visited in ascending order, so each column fills in
+        // ascending row order.
+        let mut cursor = col_ptr[..self.cols].to_vec();
         for i in 0..self.rows {
             for (j, v) in self.row(i) {
-                cols[j].push((i as u32, v));
+                row_idx[cursor[j]] = i as u32;
+                values[cursor[j]] = v;
+                cursor[j] += 1;
             }
         }
-        cols
+        Columns {
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 
     /// Computes the row-vector product `x · M`.
@@ -156,6 +196,55 @@ impl CsrMatrix {
             }
         }
         out
+    }
+}
+
+/// A column-major copy of a [`CsrMatrix`] (see [`CsrMatrix::columns`]):
+/// three flat arrays, the rows of each column ascending.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Columns {
+    col_ptr: Vec<usize>,
+    row_idx: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl Columns {
+    /// The stored entries of column `j` as parallel `(rows, values)`
+    /// slices, rows ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    pub fn column(&self, j: usize) -> (&[u32], &[f64]) {
+        let span = self.col_ptr[j]..self.col_ptr[j + 1];
+        (&self.row_idx[span.clone()], &self.values[span])
+    }
+
+    /// Entry `j` of the row-vector product `x · M`: the terms
+    /// `x[i] · M[i][j]` added in ascending row order, which is the order
+    /// [`CsrMatrix::left_multiply`] accumulates them in — the two agree
+    /// bit for bit (the `+0.0` terms that one skips are exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` or a stored row index is out of range for `x`.
+    pub fn dot(&self, j: usize, x: &[f64]) -> f64 {
+        let (rows, values) = self.column(j);
+        let mut sum = 0.0;
+        // Four terms per trip, still added one after another in row order:
+        // a quarter of the loop branches for the same sum (short columns
+        // make this loop sensitive to where the linker happens to put it).
+        let (mut rows4, mut values4) = (rows.chunks_exact(4), values.chunks_exact(4));
+        for (r, v) in rows4.by_ref().zip(values4.by_ref()) {
+            sum += x[r[0] as usize] * v[0];
+            sum += x[r[1] as usize] * v[1];
+            sum += x[r[2] as usize] * v[2];
+            sum += x[r[3] as usize] * v[3];
+        }
+        for (&i, &v) in rows4.remainder().iter().zip(values4.remainder()) {
+            sum += x[i as usize] * v;
+        }
+        sum
     }
 }
 
@@ -216,12 +305,42 @@ mod tests {
     }
 
     #[test]
-    fn to_columns_transposes_correctly() {
+    fn columns_transpose_correctly() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 0, 0.5), (0, 2, 0.5), (1, 0, 1.0)]);
-        let cols = m.to_columns();
-        assert_eq!(cols[0], vec![(0, 0.5), (1, 1.0)]);
-        assert!(cols[1].is_empty());
-        assert_eq!(cols[2], vec![(0, 0.5)]);
+        let cols = m.columns();
+        assert_eq!(cols.column(0), (&[0, 1][..], &[0.5, 1.0][..]));
+        assert_eq!(cols.column(1), (&[][..], &[][..]));
+        assert_eq!(cols.column(2), (&[0][..], &[0.5][..]));
+    }
+
+    #[test]
+    fn column_dot_is_left_multiply_entry_by_entry() {
+        // Includes a zero in `x` (the term `left_multiply` skips).
+        let m = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 0.1),
+                (0, 2, 0.9),
+                (1, 0, 0.3),
+                (1, 1, 0.7),
+                (2, 0, 1.0),
+            ],
+        );
+        let x = [0.3, 0.0, 0.7];
+        let cols = m.columns();
+        let gathered: Vec<f64> = (0..3).map(|j| cols.dot(j, &x)).collect();
+        assert_eq!(gathered, m.left_multiply(&x));
+    }
+
+    #[test]
+    fn row_spans_are_placed_in_index_order() {
+        // Row 1 was finished first, row 0 second.
+        let m = CsrMatrix::from_row_spans(&[(1, 3), (0, 1)], &[0, 0, 1], &[1.0, 0.25, 0.75]);
+        assert_eq!(
+            m,
+            CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.25), (0, 1, 0.75), (1, 0, 1.0)])
+        );
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub enum CycleOrder {
 
 /// Buffer-design-specific behaviour inside the 2×2 long-clock switch.
 pub trait BufferModel2x2 {
-    /// Joint occupancy of the two input buffers.
-    type State: Clone + Eq + Hash + Debug;
+    /// Joint occupancy of the two input buffers, as a `Copy` word (see
+    /// [`MarkovModel::State`]).
+    type State: Copy + Eq + Hash + Debug;
 
     /// Both buffers empty.
     fn empty(&self) -> Self::State;
@@ -51,10 +52,12 @@ pub trait BufferModel2x2 {
     /// discarded.
     fn accept(&self, state: &mut Self::State, input: usize, output: usize) -> bool;
 
-    /// Enumerates the arbiter's possible outcomes from `state`: each branch
-    /// is (post-departure state, probability, packets transmitted).
-    /// Branch probabilities must sum to 1.
-    fn departures(&self, state: &Self::State) -> Vec<(Self::State, f64, u32)>;
+    /// Hands `emit` the arbiter's possible outcomes from `state` (at most
+    /// four): each branch is (post-departure state, probability, packets
+    /// transmitted). Branch probabilities must sum to 1; the emission
+    /// order is part of the contract (see
+    /// [`MarkovModel::for_each_transition`]).
+    fn departures(&self, state: &Self::State, emit: impl FnMut(Self::State, f64, u32));
 }
 
 /// A [`MarkovModel`] of one 2×2 discarding switch with buffer behaviour `M`.
@@ -102,6 +105,19 @@ impl<M: BufferModel2x2> Switch2x2<M> {
         let p = self.traffic;
         [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
     }
+
+    /// Offers each input its arrival (if any); returns the discards.
+    fn offer(&self, state: &mut M::State, arrivals: [Option<usize>; 2]) -> f64 {
+        let mut discards = 0.0;
+        for (input, arrival) in arrivals.into_iter().enumerate() {
+            if let Some(output) = arrival {
+                if !self.model.accept(state, input, output) {
+                    discards += 1.0;
+                }
+            }
+        }
+        discards
+    }
 }
 
 impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
@@ -111,8 +127,11 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
         self.model.empty()
     }
 
-    fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>> {
-        let mut out = Vec::new();
+    fn for_each_transition(
+        &self,
+        state: &Self::State,
+        mut emit: impl FnMut(Transition<Self::State>),
+    ) {
         for (a0, p0) in self.arrival_options() {
             if p0 == 0.0 {
                 continue;
@@ -123,100 +142,80 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
                     continue;
                 }
                 let arrivals = a0.map_or(0.0, |_| 1.0) + a1.map_or(0.0, |_| 1.0);
+                let mut branch = |next, dp: f64, discards, sent: u32| {
+                    emit(Transition {
+                        next,
+                        probability: prob * dp,
+                        reward: Reward {
+                            arrivals,
+                            discards,
+                            departures: f64::from(sent),
+                        },
+                    })
+                };
                 match self.order {
                     CycleOrder::ArrivalsFirst => {
-                        let mut st = state.clone();
-                        let mut discards = 0.0;
-                        for (input, arrival) in [(0, a0), (1, a1)] {
-                            if let Some(output) = arrival {
-                                if !self.model.accept(&mut st, input, output) {
-                                    discards += 1.0;
-                                }
-                            }
-                        }
-                        for (next, dp, sent) in self.model.departures(&st) {
-                            out.push(Transition {
-                                next,
-                                probability: prob * dp,
-                                reward: Reward {
-                                    arrivals,
-                                    discards,
-                                    departures: f64::from(sent),
-                                },
-                            });
-                        }
+                        let mut st = *state;
+                        let discards = self.offer(&mut st, [a0, a1]);
+                        self.model
+                            .departures(&st, |next, dp, sent| branch(next, dp, discards, sent));
                     }
                     CycleOrder::DeparturesFirst => {
-                        for (mut next, dp, sent) in self.model.departures(state) {
-                            let mut discards = 0.0;
-                            for (input, arrival) in [(0, a0), (1, a1)] {
-                                if let Some(output) = arrival {
-                                    if !self.model.accept(&mut next, input, output) {
-                                        discards += 1.0;
-                                    }
-                                }
-                            }
-                            out.push(Transition {
-                                next,
-                                probability: prob * dp,
-                                reward: Reward {
-                                    arrivals,
-                                    discards,
-                                    departures: f64::from(sent),
-                                },
-                            });
-                        }
+                        self.model.departures(state, |mut next, dp, sent| {
+                            let discards = self.offer(&mut next, [a0, a1]);
+                            branch(next, dp, discards, sent)
+                        });
                     }
                 }
             }
         }
-        out
     }
 }
 
 /// Per-(input, output) packet counts for the count-based models
-/// (DAMQ/SAMQ/SAFC).
+/// (DAMQ/SAMQ/SAFC/DAFC).
 pub(crate) type Counts = [[u8; 2]; 2];
+
+/// `counts` after sending one packet along each `(input, output)` move.
+fn after(counts: &Counts, moves: &[(usize, usize)]) -> Counts {
+    let mut next = *counts;
+    for &(input, output) in moves {
+        debug_assert!(next[input][output] > 0, "move from empty queue");
+        next[input][output] -= 1;
+    }
+    next
+}
 
 /// Departure outcomes for buffers with a **single read port** per input
 /// (DAMQ and SAMQ): the arbiter sends two packets when inputs can cover
 /// distinct outputs, otherwise one from the longest queue.
-///
-/// Returns branches of (packets to remove as `(input, output)` moves,
-/// probability).
-pub(crate) fn single_read_port_moves(counts: &Counts) -> Vec<(Vec<(usize, usize)>, f64)> {
+pub(crate) fn single_read_port_departures(counts: &Counts, mut emit: impl FnMut(Counts, f64, u32)) {
     // Exactly two ways to send two packets through a 2x2 crossbar.
+    const STRAIGHT: [(usize, usize); 2] = [(0, 0), (1, 1)];
+    const CROSSED: [(usize, usize); 2] = [(0, 1), (1, 0)];
     let straight = counts[0][0] > 0 && counts[1][1] > 0;
     let crossed = counts[0][1] > 0 && counts[1][0] > 0;
     match (straight, crossed) {
-        (true, true) => vec![(vec![(0, 0), (1, 1)], 0.5), (vec![(0, 1), (1, 0)], 0.5)],
-        (true, false) => vec![(vec![(0, 0), (1, 1)], 1.0)],
-        (false, true) => vec![(vec![(0, 1), (1, 0)], 1.0)],
+        (true, true) => {
+            emit(after(counts, &STRAIGHT), 0.5, 2);
+            emit(after(counts, &CROSSED), 0.5, 2);
+        }
+        (true, false) => emit(after(counts, &STRAIGHT), 1.0, 2),
+        (false, true) => emit(after(counts, &CROSSED), 1.0, 2),
         (false, false) => {
             // At most one packet can go: pick from the longest queue,
-            // breaking ties uniformly.
-            let mut best = 0;
-            let mut candidates: Vec<(usize, usize)> = Vec::new();
-            for (input, row) in counts.iter().enumerate() {
-                for (output, &c) in row.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    match c.cmp(&best) {
-                        std::cmp::Ordering::Greater => {
-                            best = c;
-                            candidates = vec![(input, output)];
-                        }
-                        std::cmp::Ordering::Equal => candidates.push((input, output)),
-                        std::cmp::Ordering::Less => {}
-                    }
-                }
+            // breaking ties uniformly, in (input, output) order.
+            const QUEUES: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
+            let longest = counts[0][0]
+                .max(counts[0][1])
+                .max(counts[1][0].max(counts[1][1]));
+            if longest == 0 {
+                return emit(*counts, 1.0, 0);
             }
-            if candidates.is_empty() {
-                vec![(Vec::new(), 1.0)]
-            } else {
-                let p = 1.0 / candidates.len() as f64;
-                candidates.into_iter().map(|m| (vec![m], p)).collect()
+            let is_longest = |&&(input, output): &&(usize, usize)| counts[input][output] == longest;
+            let p = 1.0 / QUEUES.iter().filter(is_longest).count() as f64;
+            for &queue in QUEUES.iter().filter(is_longest) {
+                emit(after(counts, &[queue]), p, 1);
             }
         }
     }
@@ -225,136 +224,132 @@ pub(crate) fn single_read_port_moves(counts: &Counts) -> Vec<(Vec<(usize, usize)
 /// Departure outcomes for the **fully-connected** SAFC buffer: every output
 /// independently picks the input with the longer queue for it (ties
 /// uniform), and one input may feed both outputs at once.
-pub(crate) fn fully_connected_moves(counts: &Counts) -> Vec<(Vec<(usize, usize)>, f64)> {
-    // Per output: list of (chosen input, probability).
-    let choose = |output: usize| -> Vec<(Option<usize>, f64)> {
-        let c0 = counts[0][output];
-        let c1 = counts[1][output];
-        match (c0 > 0, c1 > 0) {
-            (false, false) => vec![(None, 1.0)],
-            (true, false) => vec![(Some(0), 1.0)],
-            (false, true) => vec![(Some(1), 1.0)],
-            (true, true) => match c0.cmp(&c1) {
-                std::cmp::Ordering::Greater => vec![(Some(0), 1.0)],
-                std::cmp::Ordering::Less => vec![(Some(1), 1.0)],
-                std::cmp::Ordering::Equal => vec![(Some(0), 0.5), (Some(1), 0.5)],
-            },
+pub(crate) fn fully_connected_departures(counts: &Counts, mut emit: impl FnMut(Counts, f64, u32)) {
+    // Per output: the (chosen input, probability) options and how many
+    // of the two slots are in use.
+    let choose = |output: usize| -> ([(Option<usize>, f64); 2], usize) {
+        let (c0, c1) = (counts[0][output], counts[1][output]);
+        match c0.cmp(&c1) {
+            std::cmp::Ordering::Equal if c0 == 0 => ([(None, 1.0); 2], 1),
+            std::cmp::Ordering::Equal => ([(Some(0), 0.5), (Some(1), 0.5)], 2),
+            std::cmp::Ordering::Greater => ([(Some(0), 1.0); 2], 1),
+            std::cmp::Ordering::Less => ([(Some(1), 1.0); 2], 1),
         }
     };
-    let mut out = Vec::new();
-    for (i0, p0) in choose(0) {
-        for (i1, p1) in choose(1) {
-            let mut moves = Vec::new();
-            if let Some(i) = i0 {
-                moves.push((i, 0));
+    let ((for0, n0), (for1, n1)) = (choose(0), choose(1));
+    for &(i0, p0) in &for0[..n0] {
+        for &(i1, p1) in &for1[..n1] {
+            let mut next = *counts;
+            let mut sent = 0;
+            for (input, output) in [(i0, 0), (i1, 1)] {
+                if let Some(input) = input {
+                    next[input][output] -= 1;
+                    sent += 1;
+                }
             }
-            if let Some(i) = i1 {
-                moves.push((i, 1));
-            }
-            out.push((moves, p0 * p1));
+            emit(next, p0 * p1, sent);
         }
     }
-    out
 }
 
-/// Applies `moves` to a count matrix, returning the new counts and the
-/// number of packets sent.
-pub(crate) fn apply_moves(counts: &Counts, moves: &[(usize, usize)]) -> (Counts, u32) {
-    let mut next = *counts;
-    for &(input, output) in moves {
-        debug_assert!(next[input][output] > 0, "move from empty queue");
-        next[input][output] -= 1;
-    }
-    (next, moves.len() as u32)
+/// The branches `model.departures` emits, collected (test helper).
+#[cfg(test)]
+pub(crate) fn branches<M: BufferModel2x2>(
+    model: &M,
+    state: &M::State,
+) -> Vec<(M::State, f64, u32)> {
+    let mut out = Vec::new();
+    model.departures(state, |next, p, sent| out.push((next, p, sent)));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn single(counts: &Counts) -> Vec<(Counts, f64, u32)> {
+        let mut out = Vec::new();
+        single_read_port_departures(counts, |next, p, sent| out.push((next, p, sent)));
+        out
+    }
+
+    fn full(counts: &Counts) -> Vec<(Counts, f64, u32)> {
+        let mut out = Vec::new();
+        fully_connected_departures(counts, |next, p, sent| out.push((next, p, sent)));
+        out
+    }
+
     #[test]
     fn single_port_sends_two_when_outputs_differ() {
-        let counts = [[1, 0], [0, 1]];
-        let moves = single_read_port_moves(&counts);
-        assert_eq!(moves, vec![(vec![(0, 0), (1, 1)], 1.0)]);
+        assert_eq!(single(&[[1, 0], [0, 1]]), vec![([[0, 0], [0, 0]], 1.0, 2)]);
     }
 
     #[test]
     fn single_port_conflict_serves_longest_queue() {
         // Both inputs only have out0 packets; input 1 has more.
-        let counts = [[1, 0], [3, 0]];
-        let moves = single_read_port_moves(&counts);
-        assert_eq!(moves, vec![(vec![(1, 0)], 1.0)]);
+        assert_eq!(single(&[[1, 0], [3, 0]]), vec![([[1, 0], [2, 0]], 1.0, 1)]);
     }
 
     #[test]
-    fn single_port_conflict_tie_is_uniform() {
-        let counts = [[2, 0], [2, 0]];
-        let moves = single_read_port_moves(&counts);
-        assert_eq!(moves.len(), 2);
-        for (m, p) in moves {
-            assert_eq!(m.len(), 1);
-            assert!((p - 0.5).abs() < 1e-15);
-        }
+    fn single_port_conflict_tie_is_uniform_in_queue_order() {
+        assert_eq!(
+            single(&[[2, 0], [2, 0]]),
+            vec![([[1, 0], [2, 0]], 0.5, 1), ([[2, 0], [1, 0]], 0.5, 1)]
+        );
     }
 
     #[test]
     fn single_port_prefers_sending_two() {
         // Input 0 could serve either output; input 1 only out0. The arbiter
         // must pick the crossed assignment to move two packets.
-        let counts = [[5, 1], [1, 0]];
-        let moves = single_read_port_moves(&counts);
-        assert_eq!(moves, vec![(vec![(0, 1), (1, 0)], 1.0)]);
+        assert_eq!(single(&[[5, 1], [1, 0]]), vec![([[5, 0], [0, 0]], 1.0, 2)]);
     }
 
     #[test]
     fn single_port_two_valid_assignments_split_evenly() {
-        let counts = [[1, 1], [1, 1]];
-        let moves = single_read_port_moves(&counts);
-        assert_eq!(moves.len(), 2);
-        let total: f64 = moves.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-15);
-        for (m, _) in moves {
-            assert_eq!(m.len(), 2);
-        }
+        assert_eq!(
+            single(&[[1, 1], [1, 1]]),
+            vec![([[0, 1], [1, 0]], 0.5, 2), ([[1, 0], [0, 1]], 0.5, 2)],
+            "straight first, then crossed"
+        );
     }
 
     #[test]
     fn empty_state_has_single_idle_branch() {
         let counts = [[0, 0], [0, 0]];
-        assert_eq!(single_read_port_moves(&counts), vec![(Vec::new(), 1.0)]);
-        assert_eq!(fully_connected_moves(&counts), vec![(Vec::new(), 1.0)]);
+        assert_eq!(single(&counts), vec![(counts, 1.0, 0)]);
+        assert_eq!(full(&counts), vec![(counts, 1.0, 0)]);
     }
 
     #[test]
     fn fully_connected_can_send_two_from_one_input() {
-        let counts = [[2, 3], [0, 0]];
-        let moves = fully_connected_moves(&counts);
-        assert_eq!(moves, vec![(vec![(0, 0), (0, 1)], 1.0)]);
+        assert_eq!(full(&[[2, 3], [0, 0]]), vec![([[1, 2], [0, 0]], 1.0, 2)]);
     }
 
     #[test]
     fn fully_connected_resolves_per_output_conflicts_by_length() {
-        let counts = [[2, 0], [1, 2]];
-        let moves = fully_connected_moves(&counts);
         // out0: input0 wins (2 > 1); out1: only input1.
-        assert_eq!(moves, vec![(vec![(0, 0), (1, 1)], 1.0)]);
+        assert_eq!(full(&[[2, 0], [1, 2]]), vec![([[1, 0], [1, 1]], 1.0, 2)]);
     }
 
     #[test]
     fn fully_connected_tie_branches() {
-        let counts = [[1, 0], [1, 0]];
-        let moves = fully_connected_moves(&counts);
-        assert_eq!(moves.len(), 2);
-        let total: f64 = moves.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-15);
+        assert_eq!(
+            full(&[[1, 0], [1, 0]]),
+            vec![([[0, 0], [1, 0]], 0.5, 1), ([[1, 0], [0, 0]], 0.5, 1)]
+        );
     }
 
     #[test]
-    fn apply_moves_decrements_and_counts() {
-        let counts = [[2, 1], [0, 1]];
-        let (next, sent) = apply_moves(&counts, &[(0, 0), (1, 1)]);
-        assert_eq!(next, [[1, 1], [0, 0]]);
-        assert_eq!(sent, 2);
+    fn departures_first_offers_arrivals_to_each_branch() {
+        // One packet for out0 at each input: the tie splits, and the
+        // arrival at input 0 (for out1) joins whichever state results.
+        let switch = Switch2x2::new(crate::DamqModel::new(1), 1.0, CycleOrder::DeparturesFirst);
+        let all = switch.transitions(&[[1, 0], [1, 0]]);
+        assert_eq!(all.len(), 8, "2 x 2 arrival pairs, 2 tie branches each");
+        let total: f64 = all.iter().map(|t| t.probability).sum();
+        assert!((total - 1.0).abs() < 1e-15);
+        // Whichever input kept its packet is full and discards its arrival.
+        assert!(all.iter().all(|t| t.reward.discards == 1.0));
     }
 }

@@ -4,8 +4,8 @@
 //! because "the state space was too large for Markov modeling" (§4).
 //! Four decades later it is tractable for the buffer sizes of interest:
 //! the count-based designs (SAMQ/SAFC/DAMQ/DAFC) need only per-(input,
-//! output) packet counts, giving e.g. ~50 000 reachable states for a 4×4
-//! DAMQ switch with 2 slots per input.
+//! output) packet counts, giving e.g. 3 628 reachable states for a 4×4
+//! DAMQ switch with 2 slots per input (DAFC: 3 283).
 //!
 //! Two deliberate simplifications versus the exact 2×2 models, both
 //! documented and bounded by the cross-validation tests:
@@ -23,14 +23,14 @@ use std::collections::BTreeSet;
 
 use damq_core::BufferKind;
 
-use crate::chain::{Chain, MarkovModel, Reward, Transition};
+use crate::chain::{Chain, FxHashMap, MarkovModel, Reward, Transition};
 use crate::discard::{AnalysisError, DiscardPoint};
 use crate::solve::SolveOptions;
 use crate::switch2x2::CycleOrder;
 
 /// Per-(input, output) packet counts of a k×k switch, row-major
 /// (`input * k + output`). Fixed 16 cells (radix ≤ 4) keep the state
-/// `Copy` and allocation-free — exploration visits tens of millions of
+/// `Copy` and allocation-free — exploration visits millions of
 /// transitions, so this matters; unused cells stay zero.
 type KState = [u8; 16];
 
@@ -123,49 +123,46 @@ impl SwitchKxK {
         }
     }
 
-    /// Greedy longest-queue-first matching: returns the packets sent as
-    /// (input, output) grants. Deterministic (ties to lowest indexes).
-    fn departures(&self, state: &KState) -> Vec<(usize, usize)> {
+    /// Greedy longest-queue-first matching, applied to `state` in place;
+    /// returns the number of packets sent. Deterministic (ties to lowest
+    /// indexes).
+    fn depart_greedy(&self, state: &mut KState) -> usize {
         let k = self.radix;
         let per_input_budget = self.read_ports();
-        let mut sent_from = vec![0usize; k];
-        let mut output_taken = vec![false; k];
-        let mut remaining: KState = *state;
-        let mut grants = Vec::new();
-        loop {
-            let mut best: Option<(u8, usize, usize)> = None;
-            for input in 0..k {
-                if sent_from[input] >= per_input_budget {
-                    continue;
-                }
-                for output in 0..k {
-                    if output_taken[output] {
-                        continue;
-                    }
-                    let c = remaining[input * k + output];
-                    if c == 0 {
-                        continue;
-                    }
-                    // Longest queue wins; ties to lowest (input, output) —
-                    // max_by on (count, Reverse(idx)) done manually.
-                    let better = match best {
-                        None => true,
-                        Some((bc, bi, bo)) => c > bc || (c == bc && (input, output) < (bi, bo)),
-                    };
-                    if better {
-                        best = Some((c, input, output));
-                    }
-                }
-            }
-            let Some((_, input, output)) = best else {
-                break;
-            };
-            grants.push((input, output));
-            sent_from[input] += 1;
-            output_taken[output] = true;
-            remaining[input * k + output] -= 1;
+        // Bit `input * k + output` is set while that queue may still send:
+        // nonempty, its input within budget, its output free. A grant only
+        // clears bits — its own among them, with its output's column — so
+        // the lengths the live queues compete on never change.
+        let mut live = 0u16;
+        for (cell, &c) in state[..k * k].iter().enumerate() {
+            live |= u16::from(c > 0) << cell;
         }
-        grants
+        let mut sent_from = [0usize; MAX_KXK_RADIX];
+        let mut sent = 0;
+        while live != 0 {
+            // Longest queue wins; ties to lowest (input, output), i.e. to
+            // the lowest bit.
+            let mut best = live.trailing_zeros() as usize;
+            let mut rest = live & (live - 1);
+            while rest != 0 {
+                let cell = rest.trailing_zeros() as usize;
+                if state[cell] > state[best] {
+                    best = cell;
+                }
+                rest &= rest - 1;
+            }
+            let (input, output) = (best / k, best % k);
+            state[best] -= 1;
+            sent += 1;
+            sent_from[input] += 1;
+            for i in 0..k {
+                live &= !(1 << (i * k + output));
+            }
+            if sent_from[input] >= per_input_budget {
+                live &= !(((1 << k) - 1) << (input * k));
+            }
+        }
+        sent
     }
 }
 
@@ -176,36 +173,39 @@ impl MarkovModel for SwitchKxK {
         [0; 16]
     }
 
-    fn transitions(&self, state: &KState) -> Vec<Transition<KState>> {
+    /// Transitions that reach the same state are merged before they are
+    /// emitted (keeps chains compact — different arrival combos frequently
+    /// collapse after departures).
+    fn for_each_transition(&self, state: &KState, mut emit: impl FnMut(Transition<KState>)) {
         let k = self.radix;
         let p = self.traffic;
         // Arrival options per input: none, or one of k outputs.
-        let mut options: Vec<(Option<usize>, f64)> = vec![(None, 1.0 - p)];
+        let mut options = [(None, 1.0 - p); MAX_KXK_RADIX + 1];
         for o in 0..k {
-            options.push((Some(o), p / k as f64));
+            options[o + 1] = (Some(o), p / k as f64);
         }
+        // Emission follows this map's iteration order, which depends on the
+        // capacity it grew through: a reused or pre-sized map would permute
+        // the transitions, renumber the states and move the last bits of
+        // every result.
+        // lint: allow — a fresh map per state is the emission-order contract.
+        let mut merged: FxHashMap<KState, (f64, Reward)> = FxHashMap::default();
         // Enumerate the (k+1)^k joint arrival combinations.
-        let mut out = Vec::new();
-        let mut combo = vec![0usize; k];
-        loop {
+        let mut combo = [0usize; MAX_KXK_RADIX];
+        'combos: loop {
             let mut prob = 1.0;
-            for (input, &choice) in combo.iter().enumerate() {
-                let _ = input;
+            for &choice in &combo[..k] {
                 prob *= options[choice].1;
             }
             if prob > 0.0 {
                 let mut st = *state;
-                let mut sent = 0usize;
+                let mut sent = 0;
                 if self.order == CycleOrder::DeparturesFirst {
-                    let grants = self.departures(&st);
-                    for &(input, output) in &grants {
-                        st[input * k + output] -= 1;
-                    }
-                    sent = grants.len();
+                    sent = self.depart_greedy(&mut st);
                 }
                 let mut arrivals = 0.0;
                 let mut discards = 0.0;
-                for (input, &choice) in combo.iter().enumerate() {
+                for (input, &choice) in combo[..k].iter().enumerate() {
                     if let (Some(output), _) = options[choice] {
                         arrivals += 1.0;
                         if self.accepts(&st, input, output) {
@@ -216,58 +216,40 @@ impl MarkovModel for SwitchKxK {
                     }
                 }
                 if self.order == CycleOrder::ArrivalsFirst {
-                    let grants = self.departures(&st);
-                    for &(input, output) in &grants {
-                        st[input * k + output] -= 1;
-                    }
-                    sent = grants.len();
+                    sent = self.depart_greedy(&mut st);
                 }
-                out.push(Transition {
-                    next: st,
-                    probability: prob,
-                    reward: Reward {
-                        arrivals,
-                        discards,
-                        departures: sent as f64,
-                    },
-                });
+                let reward = Reward {
+                    arrivals,
+                    discards,
+                    departures: sent as f64,
+                };
+                let entry = merged.entry(st).or_insert((0.0, Reward::default()));
+                entry.0 += prob;
+                entry.1 = entry.1 + reward * prob;
             }
             // Advance the mixed-radix counter over arrival combos.
             let mut pos = 0;
             loop {
                 if pos == k {
-                    return merge_duplicates(out);
+                    break 'combos;
                 }
                 combo[pos] += 1;
-                if combo[pos] < options.len() {
+                if combo[pos] <= k {
                     break;
                 }
                 combo[pos] = 0;
                 pos += 1;
             }
         }
+        for (next, (probability, weighted)) in merged {
+            emit(Transition {
+                next,
+                probability,
+                // Un-weight: the chain builder re-weights by branch probability.
+                reward: weighted * (1.0 / probability),
+            });
+        }
     }
-}
-
-/// Merges transitions that reach the same state (keeps chains compact —
-/// different arrival combos frequently collapse after departures).
-fn merge_duplicates(transitions: Vec<Transition<KState>>) -> Vec<Transition<KState>> {
-    let mut merged: crate::chain::FxHashMap<KState, (f64, Reward)> =
-        crate::chain::FxHashMap::default();
-    for t in transitions {
-        let entry = merged.entry(t.next).or_insert((0.0, Reward::default()));
-        entry.0 += t.probability;
-        entry.1 = entry.1 + t.reward * t.probability;
-    }
-    merged
-        .into_iter()
-        .map(|(next, (probability, weighted))| Transition {
-            next,
-            probability,
-            // Un-weight: the chain builder re-weights by branch probability.
-            reward: weighted * (1.0 / probability),
-        })
-        .collect()
 }
 
 /// Computes the discard probability of a k×k discarding switch with a
@@ -454,14 +436,17 @@ mod tests {
         let model = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5, CycleOrder::ArrivalsFirst).unwrap();
         let mut state: KState = [0; 16];
         state[..9].copy_from_slice(&[1, 0, 0, 1, 1, 0, 0, 0, 1]);
-        let grants = model.departures(&state);
         let mut rem = state;
+        model.depart_greedy(&mut rem);
         let mut outputs = [false; 3];
         let mut inputs = [false; 3];
-        for &(i, o) in &grants {
-            rem[i * 3 + o] -= 1;
-            outputs[o] = true;
-            inputs[i] = true;
+        for i in 0..3 {
+            for o in 0..3 {
+                if rem[i * 3 + o] < state[i * 3 + o] {
+                    outputs[o] = true;
+                    inputs[i] = true;
+                }
+            }
         }
         for i in 0..3 {
             for o in 0..3 {
@@ -481,7 +466,7 @@ mod tests {
         let damq = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5, CycleOrder::ArrivalsFirst).unwrap();
         let mut state: KState = [0; 16];
         state[..9].copy_from_slice(&[1, 1, 1, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(dafc.departures(&state).len(), 3);
-        assert_eq!(damq.departures(&state).len(), 1);
+        assert_eq!(dafc.depart_greedy(&mut state.clone()), 3);
+        assert_eq!(damq.depart_greedy(&mut state.clone()), 1);
     }
 }

@@ -1,0 +1,1045 @@
+//! Reference differential: the allocation-free Markov layer against the
+//! enumeration, exploration and solvers it replaced.
+//!
+//! Everything under [`reference`] is the previous implementation kept as
+//! a model: FIFO states as `[Vec<u8>; 2]`, models that return a fresh
+//! `Vec` of transitions (with the nested move lists of the count-based
+//! designs and the `Vec`-backed k×k arbitration), an explorer that
+//! collects `(row, col, p)` triplets and sorts them globally, the scatter
+//! power iteration with a fresh vector per step, and Gauss–Seidel over a
+//! `Vec<Vec<_>>` column copy. It is a reference the tests compare against,
+//! not a second data path — nothing outside this file runs it.
+//!
+//! For every Table 2 shape × traffic {0.25, 0.75, 0.9, 0.99} × both cycle
+//! orders, and for the k×k model at radix 2–4, the two sides must agree on
+//! the state sequence, every CSR row, every reward and — for both solvers
+//! — `pi`, `iterations` and `residual`, all by `f64::to_bits`: the
+//! committed results carry full-precision values, so "close" is a diff.
+//!
+//! The last two tests show the differential bites: each seeds one
+//! plausible slip into the reference — the two tie branches emitted in the
+//! other order; duplicate transitions summed last-first — and the
+//! comparison must fail.
+
+use std::fmt::Debug;
+use std::hash::Hash;
+
+use damq_core::BufferKind;
+use damq_markov::{
+    Chain, CycleOrder, DafcModel, DamqModel, FifoModel, FifoState, MarkovModel, Reward, SafcModel,
+    SamqModel, SolveOptions, SteadyState, Switch2x2, SwitchKxK,
+};
+
+/// A seeded slip in the reference.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mutation {
+    /// A two-way tie (FIFO head conflict between equal queues; two valid
+    /// single-read-port assignments) emits its branches in the other order.
+    SwapTieBranches,
+    /// Transitions that reach the same state are summed last-first.
+    SumDuplicatesReversed,
+}
+
+mod reference {
+    use super::*;
+    use damq_markov::FxHashMap;
+
+    pub struct Transition<S> {
+        pub next: S,
+        pub probability: f64,
+        pub reward: Reward,
+    }
+
+    pub trait Model {
+        type State: Clone + Eq + Hash + Debug;
+        fn initial(&self) -> Self::State;
+        fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>>;
+    }
+
+    pub trait Buffer2x2 {
+        type State: Clone + Eq + Hash + Debug;
+        fn empty(&self) -> Self::State;
+        fn accept(&self, state: &mut Self::State, input: usize, output: usize) -> bool;
+        fn departures(&self, state: &Self::State) -> Vec<(Self::State, f64, u32)>;
+    }
+
+    pub type FifoState = [Vec<u8>; 2];
+
+    pub struct Fifo {
+        pub capacity: usize,
+        pub mutation: Option<Mutation>,
+    }
+
+    impl Buffer2x2 for Fifo {
+        type State = FifoState;
+
+        fn empty(&self) -> FifoState {
+            [Vec::new(), Vec::new()]
+        }
+
+        fn accept(&self, state: &mut FifoState, input: usize, output: usize) -> bool {
+            if state[input].len() < self.capacity {
+                state[input].push(output as u8);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn departures(&self, state: &FifoState) -> Vec<(FifoState, f64, u32)> {
+            let head0 = state[0].first().copied();
+            let head1 = state[1].first().copied();
+            let pop = |state: &FifoState, which: &[usize]| {
+                let mut next = state.clone();
+                for &i in which {
+                    next[i].remove(0);
+                }
+                (next, which.len() as u32)
+            };
+            match (head0, head1) {
+                (None, None) => vec![(state.clone(), 1.0, 0)],
+                (Some(_), None) => {
+                    let (next, sent) = pop(state, &[0]);
+                    vec![(next, 1.0, sent)]
+                }
+                (None, Some(_)) => {
+                    let (next, sent) = pop(state, &[1]);
+                    vec![(next, 1.0, sent)]
+                }
+                (Some(h0), Some(h1)) if h0 != h1 => {
+                    let (next, sent) = pop(state, &[0, 1]);
+                    vec![(next, 1.0, sent)]
+                }
+                (Some(_), Some(_)) => match state[0].len().cmp(&state[1].len()) {
+                    std::cmp::Ordering::Greater => {
+                        let (next, sent) = pop(state, &[0]);
+                        vec![(next, 1.0, sent)]
+                    }
+                    std::cmp::Ordering::Less => {
+                        let (next, sent) = pop(state, &[1]);
+                        vec![(next, 1.0, sent)]
+                    }
+                    std::cmp::Ordering::Equal => {
+                        let (a, sa) = pop(state, &[0]);
+                        let (b, sb) = pop(state, &[1]);
+                        if self.mutation == Some(Mutation::SwapTieBranches) {
+                            vec![(b, 0.5, sb), (a, 0.5, sa)]
+                        } else {
+                            vec![(a, 0.5, sa), (b, 0.5, sb)]
+                        }
+                    }
+                },
+            }
+        }
+    }
+
+    pub type Counts = [[u8; 2]; 2];
+
+    fn single_read_port_moves(
+        counts: &Counts,
+        mutation: Option<Mutation>,
+    ) -> Vec<(Vec<(usize, usize)>, f64)> {
+        let straight = counts[0][0] > 0 && counts[1][1] > 0;
+        let crossed = counts[0][1] > 0 && counts[1][0] > 0;
+        match (straight, crossed) {
+            (true, true) if mutation == Some(Mutation::SwapTieBranches) => {
+                vec![(vec![(0, 1), (1, 0)], 0.5), (vec![(0, 0), (1, 1)], 0.5)]
+            }
+            (true, true) => vec![(vec![(0, 0), (1, 1)], 0.5), (vec![(0, 1), (1, 0)], 0.5)],
+            (true, false) => vec![(vec![(0, 0), (1, 1)], 1.0)],
+            (false, true) => vec![(vec![(0, 1), (1, 0)], 1.0)],
+            (false, false) => {
+                let mut best = 0;
+                let mut candidates: Vec<(usize, usize)> = Vec::new();
+                for (input, row) in counts.iter().enumerate() {
+                    for (output, &c) in row.iter().enumerate() {
+                        if c == 0 {
+                            continue;
+                        }
+                        match c.cmp(&best) {
+                            std::cmp::Ordering::Greater => {
+                                best = c;
+                                candidates = vec![(input, output)];
+                            }
+                            std::cmp::Ordering::Equal => candidates.push((input, output)),
+                            std::cmp::Ordering::Less => {}
+                        }
+                    }
+                }
+                if candidates.is_empty() {
+                    vec![(Vec::new(), 1.0)]
+                } else {
+                    let p = 1.0 / candidates.len() as f64;
+                    candidates.into_iter().map(|m| (vec![m], p)).collect()
+                }
+            }
+        }
+    }
+
+    fn fully_connected_moves(counts: &Counts) -> Vec<(Vec<(usize, usize)>, f64)> {
+        let choose = |output: usize| -> Vec<(Option<usize>, f64)> {
+            let c0 = counts[0][output];
+            let c1 = counts[1][output];
+            match (c0 > 0, c1 > 0) {
+                (false, false) => vec![(None, 1.0)],
+                (true, false) => vec![(Some(0), 1.0)],
+                (false, true) => vec![(Some(1), 1.0)],
+                (true, true) => match c0.cmp(&c1) {
+                    std::cmp::Ordering::Greater => vec![(Some(0), 1.0)],
+                    std::cmp::Ordering::Less => vec![(Some(1), 1.0)],
+                    std::cmp::Ordering::Equal => vec![(Some(0), 0.5), (Some(1), 0.5)],
+                },
+            }
+        };
+        let mut out = Vec::new();
+        for (i0, p0) in choose(0) {
+            for (i1, p1) in choose(1) {
+                let mut moves = Vec::new();
+                if let Some(i) = i0 {
+                    moves.push((i, 0));
+                }
+                if let Some(i) = i1 {
+                    moves.push((i, 1));
+                }
+                out.push((moves, p0 * p1));
+            }
+        }
+        out
+    }
+
+    fn apply_moves(counts: &Counts, moves: &[(usize, usize)]) -> (Counts, u32) {
+        let mut next = *counts;
+        for &(input, output) in moves {
+            next[input][output] -= 1;
+        }
+        (next, moves.len() as u32)
+    }
+
+    /// The four count-based designs: shared or statically split storage,
+    /// one read port or one per output.
+    pub struct CountBuffer {
+        pub kind: BufferKind,
+        pub capacity: u8,
+        pub mutation: Option<Mutation>,
+    }
+
+    impl Buffer2x2 for CountBuffer {
+        type State = Counts;
+
+        fn empty(&self) -> Counts {
+            [[0, 0], [0, 0]]
+        }
+
+        fn accept(&self, state: &mut Counts, input: usize, output: usize) -> bool {
+            let fits = match self.kind {
+                BufferKind::Damq | BufferKind::Dafc => {
+                    state[input][0] + state[input][1] < self.capacity
+                }
+                _ => state[input][output] < self.capacity / 2,
+            };
+            if fits {
+                state[input][output] += 1;
+            }
+            fits
+        }
+
+        fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
+            let moves = match self.kind {
+                BufferKind::Damq | BufferKind::Samq => single_read_port_moves(state, self.mutation),
+                _ => fully_connected_moves(state),
+            };
+            moves
+                .into_iter()
+                .map(|(moves, p)| {
+                    let (next, sent) = apply_moves(state, &moves);
+                    (next, p, sent)
+                })
+                .collect()
+        }
+    }
+
+    pub struct Switch2x2<M> {
+        pub model: M,
+        pub traffic: f64,
+        pub order: CycleOrder,
+    }
+
+    impl<M: Buffer2x2> Switch2x2<M> {
+        fn arrival_options(&self) -> [(Option<usize>, f64); 3] {
+            let p = self.traffic;
+            [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
+        }
+    }
+
+    impl<M: Buffer2x2> Model for Switch2x2<M> {
+        type State = M::State;
+
+        fn initial(&self) -> Self::State {
+            self.model.empty()
+        }
+
+        fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>> {
+            let mut out = Vec::new();
+            for (a0, p0) in self.arrival_options() {
+                if p0 == 0.0 {
+                    continue;
+                }
+                for (a1, p1) in self.arrival_options() {
+                    let prob = p0 * p1;
+                    if prob == 0.0 {
+                        continue;
+                    }
+                    let arrivals = a0.map_or(0.0, |_| 1.0) + a1.map_or(0.0, |_| 1.0);
+                    match self.order {
+                        CycleOrder::ArrivalsFirst => {
+                            let mut st = state.clone();
+                            let mut discards = 0.0;
+                            for (input, arrival) in [(0, a0), (1, a1)] {
+                                if let Some(output) = arrival {
+                                    if !self.model.accept(&mut st, input, output) {
+                                        discards += 1.0;
+                                    }
+                                }
+                            }
+                            for (next, dp, sent) in self.model.departures(&st) {
+                                out.push(Transition {
+                                    next,
+                                    probability: prob * dp,
+                                    reward: Reward {
+                                        arrivals,
+                                        discards,
+                                        departures: f64::from(sent),
+                                    },
+                                });
+                            }
+                        }
+                        CycleOrder::DeparturesFirst => {
+                            for (mut next, dp, sent) in self.model.departures(state) {
+                                let mut discards = 0.0;
+                                for (input, arrival) in [(0, a0), (1, a1)] {
+                                    if let Some(output) = arrival {
+                                        if !self.model.accept(&mut next, input, output) {
+                                            discards += 1.0;
+                                        }
+                                    }
+                                }
+                                out.push(Transition {
+                                    next,
+                                    probability: prob * dp,
+                                    reward: Reward {
+                                        arrivals,
+                                        discards,
+                                        departures: f64::from(sent),
+                                    },
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    pub type KState = [u8; 16];
+
+    pub struct SwitchKxK {
+        pub kind: BufferKind,
+        pub radix: usize,
+        pub capacity: u8,
+        pub traffic: f64,
+        pub order: CycleOrder,
+    }
+
+    impl SwitchKxK {
+        fn count(&self, state: &KState, input: usize, output: usize) -> u8 {
+            state[input * self.radix + output]
+        }
+
+        fn accepts(&self, state: &KState, input: usize, output: usize) -> bool {
+            match self.kind {
+                BufferKind::Damq | BufferKind::Dafc => {
+                    let used: u16 = (0..self.radix)
+                        .map(|o| u16::from(self.count(state, input, o)))
+                        .sum();
+                    used < u16::from(self.capacity)
+                }
+                _ => self.count(state, input, output) < self.capacity / self.radix as u8,
+            }
+        }
+
+        fn read_ports(&self) -> usize {
+            match self.kind {
+                BufferKind::Safc | BufferKind::Dafc => self.radix,
+                _ => 1,
+            }
+        }
+
+        fn departures(&self, state: &KState) -> Vec<(usize, usize)> {
+            let k = self.radix;
+            let per_input_budget = self.read_ports();
+            let mut sent_from = vec![0usize; k];
+            let mut output_taken = vec![false; k];
+            let mut remaining: KState = *state;
+            let mut grants = Vec::new();
+            loop {
+                let mut best: Option<(u8, usize, usize)> = None;
+                for input in 0..k {
+                    if sent_from[input] >= per_input_budget {
+                        continue;
+                    }
+                    for output in 0..k {
+                        if output_taken[output] {
+                            continue;
+                        }
+                        let c = remaining[input * k + output];
+                        if c == 0 {
+                            continue;
+                        }
+                        let better = match best {
+                            None => true,
+                            Some((bc, bi, bo)) => c > bc || (c == bc && (input, output) < (bi, bo)),
+                        };
+                        if better {
+                            best = Some((c, input, output));
+                        }
+                    }
+                }
+                let Some((_, input, output)) = best else {
+                    break;
+                };
+                grants.push((input, output));
+                sent_from[input] += 1;
+                output_taken[output] = true;
+                remaining[input * k + output] -= 1;
+            }
+            grants
+        }
+    }
+
+    impl Model for SwitchKxK {
+        type State = KState;
+
+        fn initial(&self) -> KState {
+            [0; 16]
+        }
+
+        fn transitions(&self, state: &KState) -> Vec<Transition<KState>> {
+            let k = self.radix;
+            let p = self.traffic;
+            let mut options: Vec<(Option<usize>, f64)> = vec![(None, 1.0 - p)];
+            for o in 0..k {
+                options.push((Some(o), p / k as f64));
+            }
+            let mut out = Vec::new();
+            let mut combo = vec![0usize; k];
+            loop {
+                let mut prob = 1.0;
+                for &choice in combo.iter() {
+                    prob *= options[choice].1;
+                }
+                if prob > 0.0 {
+                    let mut st = *state;
+                    let mut sent = 0usize;
+                    if self.order == CycleOrder::DeparturesFirst {
+                        let grants = self.departures(&st);
+                        for &(input, output) in &grants {
+                            st[input * k + output] -= 1;
+                        }
+                        sent = grants.len();
+                    }
+                    let mut arrivals = 0.0;
+                    let mut discards = 0.0;
+                    for (input, &choice) in combo.iter().enumerate() {
+                        if let (Some(output), _) = options[choice] {
+                            arrivals += 1.0;
+                            if self.accepts(&st, input, output) {
+                                st[input * k + output] += 1;
+                            } else {
+                                discards += 1.0;
+                            }
+                        }
+                    }
+                    if self.order == CycleOrder::ArrivalsFirst {
+                        let grants = self.departures(&st);
+                        for &(input, output) in &grants {
+                            st[input * k + output] -= 1;
+                        }
+                        sent = grants.len();
+                    }
+                    out.push(Transition {
+                        next: st,
+                        probability: prob,
+                        reward: Reward {
+                            arrivals,
+                            discards,
+                            departures: sent as f64,
+                        },
+                    });
+                }
+                let mut pos = 0;
+                loop {
+                    if pos == k {
+                        return merge_duplicates(out);
+                    }
+                    combo[pos] += 1;
+                    if combo[pos] < options.len() {
+                        break;
+                    }
+                    combo[pos] = 0;
+                    pos += 1;
+                }
+            }
+        }
+    }
+
+    /// Emits in the iteration order of a freshly grown map — the order the
+    /// committed 4×4 results were produced in.
+    fn merge_duplicates(transitions: Vec<Transition<KState>>) -> Vec<Transition<KState>> {
+        let mut merged: FxHashMap<KState, (f64, Reward)> = FxHashMap::default();
+        for t in transitions {
+            let entry = merged.entry(t.next).or_insert((0.0, Reward::default()));
+            entry.0 += t.probability;
+            entry.1 = entry.1 + t.reward * t.probability;
+        }
+        merged
+            .into_iter()
+            .map(|(next, (probability, weighted))| Transition {
+                next,
+                probability,
+                reward: weighted * (1.0 / probability),
+            })
+            .collect()
+    }
+
+    /// CSR in the old layout, built the old way: a global stable sort of
+    /// the triplets, duplicates summed in the order they were pushed.
+    pub struct Csr {
+        pub n: usize,
+        pub row_ptr: Vec<usize>,
+        pub col_idx: Vec<u32>,
+        pub values: Vec<f64>,
+    }
+
+    impl Csr {
+        fn from_triplet_vec(
+            n: usize,
+            mut sorted: Vec<(usize, usize, f64)>,
+            mutation: Option<Mutation>,
+        ) -> Self {
+            if mutation == Some(Mutation::SumDuplicatesReversed) {
+                sorted.reverse();
+            }
+            sorted.sort_by_key(|&(r, c, _)| (r, c));
+            let mut row_ptr = Vec::with_capacity(n + 1);
+            let mut col_idx = Vec::with_capacity(sorted.len());
+            let mut values = Vec::with_capacity(sorted.len());
+            row_ptr.push(0);
+            let mut current_row = 0;
+            for (r, c, v) in sorted {
+                while current_row < r {
+                    row_ptr.push(col_idx.len());
+                    current_row += 1;
+                }
+                if col_idx.len() > row_ptr[current_row] && *col_idx.last().unwrap() == c as u32 {
+                    *values.last_mut().unwrap() += v;
+                } else {
+                    col_idx.push(c as u32);
+                    values.push(v);
+                }
+            }
+            while current_row < n {
+                row_ptr.push(col_idx.len());
+                current_row += 1;
+            }
+            Csr {
+                n,
+                row_ptr,
+                col_idx,
+                values,
+            }
+        }
+
+        pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+            let lo = self.row_ptr[i];
+            let hi = self.row_ptr[i + 1];
+            self.col_idx[lo..hi]
+                .iter()
+                .zip(&self.values[lo..hi])
+                .map(|(&c, &v)| (c as usize, v))
+        }
+
+        fn to_columns(&self) -> Vec<Vec<(u32, f64)>> {
+            let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.n];
+            for i in 0..self.n {
+                for (j, v) in self.row(i) {
+                    cols[j].push((i as u32, v));
+                }
+            }
+            cols
+        }
+
+        fn left_multiply(&self, x: &[f64]) -> Vec<f64> {
+            let mut out = vec![0.0; self.n];
+            for (i, &xi) in x.iter().enumerate() {
+                if xi == 0.0 {
+                    continue;
+                }
+                let lo = self.row_ptr[i];
+                let hi = self.row_ptr[i + 1];
+                for k in lo..hi {
+                    out[self.col_idx[k] as usize] += xi * self.values[k];
+                }
+            }
+            out
+        }
+    }
+
+    pub struct Explored<S> {
+        pub states: Vec<S>,
+        pub matrix: Csr,
+        pub rewards: Vec<Reward>,
+    }
+
+    pub fn explore<M: Model>(model: &M, mutation: Option<Mutation>) -> Explored<M::State> {
+        let mut index: FxHashMap<M::State, usize> = FxHashMap::default();
+        let mut states: Vec<M::State> = Vec::new();
+        let mut frontier: Vec<usize> = Vec::new();
+
+        let root = model.initial();
+        index.insert(root.clone(), 0);
+        states.push(root);
+        frontier.push(0);
+
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let mut rewards: Vec<Reward> = Vec::new();
+
+        while let Some(from) = frontier.pop() {
+            let branches = model.transitions(&states[from]);
+            let mut reward = Reward::default();
+            for t in branches {
+                reward = reward + t.reward * t.probability;
+                let to = *index.entry(t.next.clone()).or_insert_with(|| {
+                    states.push(t.next.clone());
+                    frontier.push(states.len() - 1);
+                    states.len() - 1
+                });
+                triplets.push((from, to, t.probability));
+            }
+            if rewards.len() <= from {
+                rewards.resize(states.len(), Reward::default());
+            }
+            rewards[from] = reward;
+        }
+        rewards.resize(states.len(), Reward::default());
+
+        let n = states.len();
+        Explored {
+            states,
+            matrix: Csr::from_triplet_vec(n, triplets, mutation),
+            rewards,
+        }
+    }
+
+    pub fn steady_state(matrix: &Csr, options: SolveOptions) -> SteadyState {
+        let n = matrix.n;
+        let mut pi = vec![1.0 / n as f64; n];
+        let d = options.damping;
+        for iteration in 1..=options.max_iterations {
+            let next = matrix.left_multiply(&pi);
+            let mut diff = 0.0;
+            let mut norm = 0.0;
+            for i in 0..n {
+                let blended = d * next[i] + (1.0 - d) * pi[i];
+                diff += (blended - pi[i]).abs();
+                pi[i] = blended;
+                norm += blended;
+            }
+            for v in &mut pi {
+                *v /= norm;
+            }
+            if diff / d <= options.tolerance {
+                let check = matrix.left_multiply(&pi);
+                let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
+                return SteadyState {
+                    pi,
+                    iterations: iteration,
+                    residual,
+                };
+            }
+        }
+        panic!("reference power iteration did not converge");
+    }
+
+    pub fn steady_state_gauss_seidel(matrix: &Csr, options: SolveOptions) -> SteadyState {
+        let n = matrix.n;
+        let columns = matrix.to_columns();
+        let self_loop: Vec<f64> = (0..n)
+            .map(|j| {
+                columns[j]
+                    .iter()
+                    .find(|&&(i, _)| i as usize == j)
+                    .map_or(0.0, |&(_, v)| v)
+            })
+            .collect();
+
+        let mut pi = vec![1.0 / n as f64; n];
+        for iteration in 1..=options.max_iterations {
+            let mut diff = 0.0;
+            for j in 0..n {
+                let incoming: f64 = columns[j]
+                    .iter()
+                    .filter(|&&(i, _)| i as usize != j)
+                    .map(|&(i, v)| pi[i as usize] * v)
+                    .sum();
+                let denom = 1.0 - self_loop[j];
+                let updated = if denom > 1e-15 {
+                    incoming / denom
+                } else {
+                    pi[j]
+                };
+                diff += (updated - pi[j]).abs();
+                pi[j] = updated;
+            }
+            let norm: f64 = pi.iter().sum();
+            if norm > 0.0 {
+                for v in &mut pi {
+                    *v /= norm;
+                }
+            }
+            if diff <= options.tolerance * norm.max(1.0) {
+                let check = matrix.left_multiply(&pi);
+                let residual: f64 = check.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
+                return SteadyState {
+                    pi,
+                    iterations: iteration,
+                    residual,
+                };
+            }
+        }
+        panic!("reference Gauss-Seidel did not converge");
+    }
+}
+
+fn bits(r: Reward) -> [u64; 3] {
+    [r.arrivals, r.discards, r.departures].map(f64::to_bits)
+}
+
+fn same_solution(what: &str, new: &SteadyState, old: &SteadyState) -> Result<(), String> {
+    if new.iterations != old.iterations {
+        return Err(format!(
+            "{what}: {} iterations vs {}",
+            new.iterations, old.iterations
+        ));
+    }
+    if new.residual.to_bits() != old.residual.to_bits() {
+        return Err(format!(
+            "{what}: residual {:e} vs {:e}",
+            new.residual, old.residual
+        ));
+    }
+    match (new.pi.iter().zip(&old.pi)).position(|(a, b)| a.to_bits() != b.to_bits()) {
+        Some(i) => Err(format!(
+            "{what}: pi[{i}] {:e} vs {:e}",
+            new.pi[i], old.pi[i]
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Explores and solves `new` and `old` and compares every bit; `unpack`
+/// maps a new-side state to the reference's representation.
+fn differential<N, O>(
+    new: &N,
+    old: &O,
+    unpack: impl Fn(&N::State) -> O::State,
+    mutation: Option<Mutation>,
+) -> Result<(), String>
+where
+    N: MarkovModel,
+    O: reference::Model,
+{
+    let chain = Chain::explore(new);
+    let model = reference::explore(old, mutation);
+    if chain.state_count() != model.states.len() {
+        return Err(format!(
+            "{} states vs {}",
+            chain.state_count(),
+            model.states.len()
+        ));
+    }
+    for (i, expected) in model.states.iter().enumerate() {
+        if unpack(chain.state(i)) != *expected {
+            return Err(format!("state {i}: {:?} vs {expected:?}", chain.state(i)));
+        }
+        let row: Vec<(usize, u64)> =
+            (chain.matrix().row(i).map(|(c, v)| (c, v.to_bits()))).collect();
+        let expected: Vec<(usize, u64)> =
+            (model.matrix.row(i).map(|(c, v)| (c, v.to_bits()))).collect();
+        if row != expected {
+            return Err(format!("row {i}: {row:x?} vs {expected:x?}"));
+        }
+        if bits(chain.reward(i)) != bits(model.rewards[i]) {
+            return Err(format!(
+                "reward {i}: {:?} vs {:?}",
+                chain.reward(i),
+                model.rewards[i]
+            ));
+        }
+    }
+    let options = SolveOptions::default();
+    same_solution(
+        "power iteration",
+        &chain.steady_state(options).map_err(|e| e.to_string())?,
+        &reference::steady_state(&model.matrix, options),
+    )?;
+    same_solution(
+        "Gauss-Seidel",
+        &(chain.steady_state_gauss_seidel(options)).map_err(|e| e.to_string())?,
+        &reference::steady_state_gauss_seidel(&model.matrix, options),
+    )
+}
+
+/// 0.9 is the level that tells summation orders apart: at the dyadic 0.25
+/// and 0.75 every product and sum is exact, and at 0.99 the duplicate
+/// branches happen to add to the same bits in either order.
+const TRAFFICS: [f64; 4] = [0.25, 0.75, 0.9, 0.99];
+const ORDERS: [CycleOrder; 2] = [CycleOrder::ArrivalsFirst, CycleOrder::DeparturesFirst];
+
+/// One 2×2 shape at one traffic level and cycle order.
+fn two_by_two(
+    kind: BufferKind,
+    capacity: usize,
+    traffic: f64,
+    order: CycleOrder,
+    mutation: Option<Mutation>,
+) -> Result<(), String> {
+    // A count-based design against the reference with the same rules.
+    fn counts<M>(
+        model: M,
+        old: reference::CountBuffer,
+        traffic: f64,
+        order: CycleOrder,
+    ) -> Result<(), String>
+    where
+        M: damq_markov::BufferModel2x2<State = reference::Counts>,
+    {
+        let mutation = old.mutation;
+        differential(
+            &Switch2x2::new(model, traffic, order),
+            &reference::Switch2x2 {
+                model: old,
+                traffic,
+                order,
+            },
+            |s| *s,
+            mutation,
+        )
+    }
+    let old = reference::CountBuffer {
+        kind,
+        capacity: capacity as u8,
+        mutation,
+    };
+    match kind {
+        BufferKind::Fifo => differential(
+            &Switch2x2::new(FifoModel::new(capacity), traffic, order),
+            &reference::Switch2x2 {
+                model: reference::Fifo { capacity, mutation },
+                traffic,
+                order,
+            },
+            FifoState::unpack,
+            mutation,
+        ),
+        BufferKind::Damq => counts(DamqModel::new(capacity), old, traffic, order),
+        BufferKind::Samq => counts(SamqModel::new(capacity), old, traffic, order),
+        BufferKind::Safc => counts(SafcModel::new(capacity), old, traffic, order),
+        BufferKind::Dafc => counts(DafcModel::new(capacity), old, traffic, order),
+    }
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+}
+
+/// Every shape of Table 2 (and the DAFC ablation) at every traffic level
+/// and cycle order of the sweep.
+fn table2_shapes(
+    kind: BufferKind,
+    capacities: &[usize],
+    mutation: Option<Mutation>,
+) -> Result<(), String> {
+    for &capacity in capacities {
+        for traffic in TRAFFICS {
+            for order in ORDERS {
+                two_by_two(kind, capacity, traffic, order, mutation)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn fifo_chains_match_the_reference_bit_for_bit() {
+    table2_shapes(BufferKind::Fifo, &[2, 3, 4, 5, 6], None).unwrap();
+}
+
+#[test]
+fn count_based_chains_match_the_reference_bit_for_bit() {
+    table2_shapes(BufferKind::Damq, &[2, 3, 4, 5, 6], None).unwrap();
+    table2_shapes(BufferKind::Samq, &[2, 4, 6], None).unwrap();
+    table2_shapes(BufferKind::Safc, &[2, 4, 6], None).unwrap();
+    table2_shapes(BufferKind::Dafc, &[2, 3, 4], None).unwrap();
+}
+
+fn k_by_k(
+    kind: BufferKind,
+    radix: usize,
+    capacity: usize,
+    traffic: f64,
+    order: CycleOrder,
+) -> Result<(), String> {
+    differential(
+        &SwitchKxK::new(kind, radix, capacity, traffic, order).unwrap(),
+        &reference::SwitchKxK {
+            kind,
+            radix,
+            capacity: capacity as u8,
+            traffic,
+            order,
+        },
+        |s| *s,
+        None,
+    )
+    .map_err(|e| {
+        format!("{radix}x{radix} {kind} capacity {capacity} traffic {traffic} {order:?}: {e}")
+    })
+}
+
+/// The k×k model emits in hash-map iteration order, so this also pins
+/// that the map each state's transitions merge in grows exactly as the
+/// old one did.
+#[test]
+fn k_by_k_chains_match_the_reference_bit_for_bit() {
+    let dynamic = [BufferKind::Damq, BufferKind::Dafc];
+    let fixed = [BufferKind::Samq, BufferKind::Safc];
+    for radix in [2, 3] {
+        for traffic in TRAFFICS {
+            for order in ORDERS {
+                for kind in dynamic {
+                    k_by_k(kind, radix, 2, traffic, order).unwrap();
+                }
+                for kind in fixed {
+                    k_by_k(kind, radix, radix, traffic, order).unwrap();
+                }
+            }
+        }
+    }
+    // Radix 4 at the shapes `markov_4x4` commits (arrivals first; 625
+    // arrival combinations per state). Departures-first chains hold every
+    // post-arrival state and are tens of times larger, so that order runs
+    // at one slot only.
+    for traffic in [0.75, 0.99] {
+        for kind in dynamic {
+            for capacity in [1, 2] {
+                k_by_k(kind, 4, capacity, traffic, ORDERS[0]).unwrap();
+            }
+            k_by_k(kind, 4, 1, traffic, ORDERS[1]).unwrap();
+        }
+        for kind in fixed {
+            k_by_k(kind, 4, 4, traffic, ORDERS[0]).unwrap();
+        }
+    }
+}
+
+#[test]
+fn mutation_swapped_tie_branches_has_teeth() {
+    // Swapping two equiprobable branches renumbers the states they
+    // discover — wherever a tie can occur, which is every shape.
+    let mutation = Some(Mutation::SwapTieBranches);
+    // (SAMQ with one slot per queue only ever ties into states it has
+    // already numbered, hence two.)
+    for (kind, capacity) in [
+        (BufferKind::Fifo, 2),
+        (BufferKind::Damq, 2),
+        (BufferKind::Samq, 4),
+    ] {
+        let verdict = two_by_two(kind, capacity, 0.75, CycleOrder::ArrivalsFirst, mutation);
+        assert!(verdict.is_err(), "{kind}: the swapped tie went unnoticed");
+    }
+}
+
+#[test]
+fn mutation_reversed_duplicate_sum_has_teeth() {
+    // Three or more unequal terms must be added in emission order, or
+    // the last bits of a matrix entry move (see `TRAFFICS` for why 0.9).
+    let mutation = Some(Mutation::SumDuplicatesReversed);
+    for kind in [BufferKind::Fifo, BufferKind::Damq, BufferKind::Safc] {
+        let verdict = two_by_two(kind, 2, 0.9, CycleOrder::ArrivalsFirst, mutation);
+        let why = verdict.expect_err("the reversed sum went unnoticed");
+        assert!(why.contains("row"), "{kind}: caught elsewhere: {why}");
+    }
+}
+
+/// Every destination sequence of length 0..=6.
+fn all_queues() -> Vec<Vec<u8>> {
+    let mut queues = Vec::new();
+    for len in 0..=6 {
+        for word in 0..1u32 << len {
+            queues.push((0..len).map(|k| ((word >> k) & 1) as u8).collect());
+        }
+    }
+    queues
+}
+
+#[test]
+fn fifo_state_packing_round_trips_exhaustively() {
+    use damq_markov::BufferModel2x2;
+    use reference::Buffer2x2;
+
+    let queues = all_queues();
+    assert_eq!(queues.len(), 127);
+    for a in &queues {
+        for b in &queues {
+            let packed = FifoState::pack([a, b]);
+            assert_eq!(packed.unpack(), [a.clone(), b.clone()]);
+            assert_eq!(format!("{packed:?}"), format!("{:?}", [a, b]));
+        }
+    }
+    // Distinct sequences are distinct words (so hashing and equality on
+    // the packed form are hashing and equality on the queues).
+    let words: std::collections::HashSet<FifoState> =
+        queues.iter().map(|q| FifoState::pack([q, &[]])).collect();
+    assert_eq!(words.len(), queues.len());
+
+    // Accept — including at capacity — and every departure branch agree
+    // with the `Vec` model, for every pair of queues that fits.
+    for capacity in 1..=6 {
+        let (new, old) = (
+            FifoModel::new(capacity),
+            reference::Fifo {
+                capacity,
+                mutation: None,
+            },
+        );
+        let fits = |q: &&Vec<u8>| q.len() <= capacity;
+        for a in queues.iter().filter(fits) {
+            for b in queues.iter().filter(fits) {
+                let state = FifoState::pack([a, b]);
+                let model: reference::FifoState = [a.clone(), b.clone()];
+                assert_eq!(new.occupancy(&state) as usize, a.len() + b.len());
+                for input in 0..2 {
+                    for output in 0..2 {
+                        let (mut s, mut m) = (state, model.clone());
+                        let accepted = new.accept(&mut s, input, output);
+                        assert_eq!(accepted, old.accept(&mut m, input, output));
+                        assert_eq!(s.unpack(), m, "accept {output} at input {input}");
+                    }
+                }
+                let mut branches = Vec::new();
+                new.departures(&state, |next, p, sent| {
+                    branches.push((next.unpack(), p, sent));
+                });
+                assert_eq!(branches, old.departures(&model), "{state:?}");
+            }
+        }
+    }
+}

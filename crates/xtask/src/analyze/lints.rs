@@ -22,15 +22,17 @@
 //!     with a literal name, outside test code) appears in the metrics
 //!     reference table of `docs/OBSERVABILITY.md`, so the always-on
 //!     registry's namespace stays documented as it grows.
-//! 11. **hot-path-alloc** — the named cycle-kernel functions of the
+//! 11. **hot-path-alloc** — the named kernel functions of the
 //!     core/switch/net crates (`try_enqueue`, `transmit_cycle_with`,
-//!     `merge_interior_stage`, …) must not allocate or copy payloads:
-//!     `Box::new`, `with_capacity`, `.to_vec()`, `.clone()` and
-//!     `mem::take(` (it discards a collection's capacity) are flagged
-//!     inside their brace spans. Scratch belongs in the owning
-//!     struct, hoisted to construction; waivers carry
-//!     `// lint: allow — why`. Kernels are matched by *name*, so a
-//!     listed name that no function carries any more is itself a
+//!     `merge_interior_stage`, …) and of the Markov crate (`explore`,
+//!     `for_each_transition`, `power_sweep`, …) must not allocate or
+//!     copy payloads: `Box::new`, `with_capacity`, `.to_vec()`,
+//!     `.clone()`, `mem::take(` (it discards a collection's capacity)
+//!     and a hash map built in place are flagged inside their brace
+//!     spans — in the Markov crate `vec!` and `.collect()` too. Scratch
+//!     belongs in the owning struct, hoisted to construction; waivers
+//!     carry `// lint: allow — why`. Kernels are matched by *name*, so
+//!     a listed name that no function carries any more is itself a
 //!     finding — a rename must not silently unguard the hot path.
 //! 12. **reject-reason-coverage** — every variant of `RejectReason`
 //!     (declared in `crates/core/src/error.rs`) must appear as a
@@ -639,15 +641,29 @@ fn metric_docs(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Crates whose cycle-kernel functions lint 11 keeps allocation-free
-/// (the steady-state per-cycle data path).
-const HOT_PATH_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "crates/net/src/"];
+/// Crates whose kernel functions lint 11 keeps allocation-free: the
+/// steady-state per-cycle data path, and the Markov layer's per-state
+/// and per-iteration loops.
+const HOT_PATH_CRATES: [&str; 4] = [
+    "crates/core/src/",
+    "crates/switch/src/",
+    "crates/net/src/",
+    MARKOV_SRC,
+];
 
-/// The cycle-kernel function names lint 11 guards: every function a
-/// steady-state `NetworkSim::step` executes per cycle. Constructors and
-/// cold paths (audits, snapshots, telemetry emission) are exempt —
-/// scratch is *supposed* to be allocated there.
-const KERNEL_FNS: [&str; 33] = [
+/// The one hot-path crate where `vec!` and `.collect()` are findings too:
+/// its kernels iterate over data, so a collected temporary is the
+/// allocation most likely to creep back (the simulator crates call a
+/// method of their own named `collect` per stage).
+const MARKOV_SRC: &str = "crates/markov/src/";
+
+/// The kernel function names lint 11 guards: every function a
+/// steady-state `NetworkSim::step` executes per cycle, and every function
+/// `Chain::explore` runs per state or a steady-state solver per iteration.
+/// Constructors and cold paths (audits, snapshots, telemetry emission,
+/// solver set-up) are exempt — scratch is *supposed* to be allocated
+/// there.
+const KERNEL_FNS: [&str; 42] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -687,6 +703,18 @@ const KERNEL_FNS: [&str; 33] = [
     "forwarded",
     "delivered",
     "dropped",
+    // markov: exploration (its loop body runs per state; its growable
+    // arrays are amortised), the models' per-state enumeration …
+    "explore",
+    "for_each_transition",
+    "departures",
+    "single_read_port_departures",
+    "fully_connected_departures",
+    "depart_greedy",
+    // … and the solvers' per-iteration sweeps.
+    "dot",
+    "power_sweep",
+    "gauss_seidel_sweep",
 ];
 
 /// Where [`KERNEL_FNS`] lives, for findings about the list itself.
@@ -728,10 +756,11 @@ fn collect_kernel_spans(
 /// Steady-state stepping must be allocation-free (the scratch lives in
 /// the owning struct, sized at construction), so inside the functions
 /// named by [`KERNEL_FNS`] the tokens `Box::new`, `with_capacity(`,
-/// `.to_vec()`, `.clone()` and `mem::take(` are findings — the last
-/// because taking a collection leaves a capacity-less one behind, so the
-/// refill regrows it from zero every cycle. Waivers carry
-/// `// lint: allow — why`.
+/// `.to_vec()`, `.clone()`, `mem::take(` and a hash map built in place
+/// (`HashMap::new`, `FxHashMap::default`) are findings — the last two
+/// because a collection taken or built per call regrows from zero every
+/// time — and under [`MARKOV_SRC`] so are `vec!` and `.collect()`.
+/// Waivers carry `// lint: allow — why`.
 ///
 /// The guard is by function name, so a [`KERNEL_FNS`] entry that matches
 /// no non-test function under [`HOT_PATH_CRATES`] is a finding too: the
@@ -759,12 +788,21 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                         && file.code[i - 2].is_punct(':')
                         && file.code[i - 3].is_ident(owner)
                 };
+                let bang = file.code.get(i + 1).is_some_and(|t| t.is_punct('!'));
                 let what = if tok.is_ident("new") && path_from("Box") {
                     Some("Box::new")
                 } else if tok.is_ident("take") && path_from("mem") && calls {
                     Some("mem::take(…)")
+                } else if (tok.is_ident("new") && path_from("HashMap"))
+                    || (tok.is_ident("default") && path_from("FxHashMap"))
+                {
+                    Some("a hash map built per call")
                 } else if tok.is_ident("with_capacity") && calls {
                     Some("with_capacity(…)")
+                } else if prefix == MARKOV_SRC && tok.is_ident("vec") && bang {
+                    Some("vec![…]")
+                } else if prefix == MARKOV_SRC && tok.is_ident("collect") && after_dot {
+                    Some(".collect()")
                 } else if tok.is_ident("to_vec") && after_dot && calls {
                     Some(".to_vec()")
                 } else if tok.is_ident("clone") && after_dot && calls {
@@ -786,10 +824,11 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                         file,
                         tok.line,
                         format!(
-                            "'{what}' inside the cycle kernel `{kernel}` — steady-state \
-                             stepping must not allocate or copy payloads; hoist the \
-                             buffer into the owning struct (sized at construction) or \
-                             justify with a '// {ALLOW_MARKER} — why' comment"
+                            "'{what}' inside the kernel `{kernel}` — per-cycle, per-state \
+                             and per-iteration code must not allocate or copy payloads; \
+                             hoist the buffer out (into the owning struct, sized at \
+                             construction, or a scratch the caller reuses) or justify \
+                             with a '// {ALLOW_MARKER} — why' comment"
                         ),
                     ));
                 }
@@ -1112,6 +1151,46 @@ mod tests {
     }
 
     #[test]
+    fn hot_path_alloc_covers_the_markov_kernels() {
+        let ws = ws_with(vec![(
+            "crates/markov/src/x.rs",
+            "impl Model {\n\
+             fn for_each_transition(&self, emit: impl FnMut(T)) {\n\
+                 let options = vec![(None, 1.0 - p)];\n\
+                 let moves: Vec<_> = grants.iter().collect::<Vec<_>>();\n\
+                 let merged: FxHashMap<K, V> = FxHashMap::default();\n\
+                 let seen = HashMap::new();\n\
+                 // lint: allow — emission order is the map's growth order.\n\
+                 let fresh: FxHashMap<K, V> = FxHashMap::default();\n\
+                 let reward = Reward::default();\n\
+                 let vec = [0u8; 4];\n\
+             }\n\
+             pub fn steady_state(&self) {\n\
+                 let pi = vec![0.0; n];\n\
+                 let self_loop: Vec<f64> = rows.map(f).collect();\n\
+             }\n\
+             fn power_sweep(columns: &Columns) {\n\
+                 let next = vec![0.0; n];\n\
+             }\n\
+             }\n",
+        )]);
+        let findings = run(hot_path_alloc, &ws);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![3, 4, 5, 6, 17],
+            "`vec!`, `.collect()` and both map constructors are findings in a \
+             per-state kernel and a per-iteration sweep; the waived map, another \
+             type's `default()`, a binding named `vec` and solver set-up are not"
+        );
+        assert!(
+            findings[0].message.contains("vec![") && findings[1].message.contains(".collect()")
+        );
+        assert!(findings[2].message.contains("hash map"));
+        assert!(findings[4].message.contains("power_sweep"));
+    }
+
+    #[test]
     fn hot_path_alloc_honours_waivers_and_test_code() {
         let ws = ws_with(vec![(
             "crates/core/src/x.rs",
@@ -1131,9 +1210,9 @@ mod tests {
 
     #[test]
     fn hot_path_alloc_flags_stale_kernel_names() {
-        // Every listed kernel is defined once across the three hot-path
-        // crates, except `merge_interior_stage`, which only a test
-        // module still defines.
+        // Every listed kernel is defined once across the hot-path crates,
+        // except `merge_interior_stage`, which only a test module still
+        // defines.
         let defs = |skip: &str| -> String {
             KERNEL_FNS
                 .iter()
@@ -1148,6 +1227,7 @@ mod tests {
         let ws = ws_with(vec![
             ("crates/core/src/x.rs", "fn helper() {}\n"),
             ("crates/switch/src/x.rs", "fn helper() {}\n"),
+            ("crates/markov/src/x.rs", "fn helper() {}\n"),
             ("crates/net/src/x.rs", &net),
         ]);
         let findings = run(hot_path_alloc, &ws);
@@ -1158,6 +1238,7 @@ mod tests {
         let ws = ws_with(vec![
             ("crates/core/src/x.rs", "fn helper() {}\n"),
             ("crates/switch/src/x.rs", "fn helper() {}\n"),
+            ("crates/markov/src/x.rs", "fn helper() {}\n"),
             ("crates/net/src/x.rs", &defs("")),
         ]);
         assert!(run(hot_path_alloc, &ws).is_empty(), "full list, no finding");

@@ -25,6 +25,7 @@
 #        scripts/check.sh soa-smoke        # just the SoA hot-path smoke
 #        scripts/check.sh chaos-smoke      # just the chaos soak smoke
 #        scripts/check.sh bench-smoke      # just the benchmark smoke
+#        scripts/check.sh markov-smoke     # just the Markov-layer smoke
 #        scripts/check.sh results-check    # just the committed-results check
 #        scripts/check.sh sanitizer-smoke  # miri + TSan, skip when unsupported
 set -Eeuo pipefail
@@ -188,6 +189,24 @@ bench_smoke() {
     }
 }
 
+# Satellite gate: the Markov layer (`damq-markov`) still computes the
+# same bits. Asserts (1) exploration, CSR rows, rewards and both
+# solvers' `pi` / `iterations` / `residual` equal the replaced
+# `Vec`-state, triplet-sort, scatter-form implementation kept in
+# `crates/markov/tests/explore_reference.rs`, for every Table 2 shape and
+# the k x k model at radix 2-4 (two seeded mutations must fail); (2) the
+# four Markov harnesses regenerate their committed tables and reports
+# byte for byte. ~10 s after the release build, so a Markov change is
+# checkable without the full test suite and `results-check`, which
+# cover both legs in a complete run.
+markov_smoke() {
+    gate "markov-smoke: explorer and solvers vs the reference, with teeth"
+    cargo test -q -p damq-markov --test explore_reference
+
+    gate "markov-smoke: the four Markov harnesses regenerate byte for byte"
+    bash scripts/regen_results.sh --check table2 markov_4x4 markov_queueing ablation_dafc
+}
+
 # Satellite gate: the committed results are what the code produces. All
 # 18 regeneration harnesses plus fault_degradation run into a temporary
 # directory (~30 s on 2 CPUs); every stdout must equal results/<bin>.txt
@@ -288,6 +307,11 @@ bench-smoke)
     echo "bench-smoke passed"
     exit 0
     ;;
+markov-smoke)
+    markov_smoke
+    echo "markov-smoke passed"
+    exit 0
+    ;;
 results-check)
     results_check
     echo "results-check passed"
@@ -300,7 +324,7 @@ sanitizer-smoke)
     ;;
 all) ;;
 *)
-    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|results-check|sanitizer-smoke]" >&2
+    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|markov-smoke|results-check|sanitizer-smoke]" >&2
     exit 2
     ;;
 esac
@@ -342,6 +366,8 @@ chaos_smoke
 
 bench_smoke
 
+# (markov-smoke is a shortcut, not a gate of its own here: the "tests"
+# gate above ran its differential and results-check reruns its harnesses.)
 results_check
 
 sanitizer_smoke

@@ -59,6 +59,15 @@ fn markov_rejects_bad_buffer_kind() {
 }
 
 #[test]
+fn markov_rejects_an_oversized_fifo_instead_of_enumerating_it() {
+    // 4^40 ordered states: this used to run until killed.
+    let out = damq(&["markov", "--buffer", "fifo", "--slots", "40"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("at most 8 slots"), "{err}");
+}
+
+#[test]
 fn sim_runs_a_small_network() {
     let out = damq(&[
         "sim", "--size", "16", "--radix", "4", "--buffer", "fifo", "--load", "0.2", "--cycles",
