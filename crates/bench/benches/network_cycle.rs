@@ -9,7 +9,7 @@ use std::time::Instant;
 use damq_bench::timing::bench;
 use damq_core::{AnyBuffer, BufferKind, Packet};
 use damq_microarch::{Chip, ChipConfig, RouteEntry};
-use damq_net::{NetworkConfig, NetworkSim};
+use damq_net::{NetworkConfig, NetworkSim, PhaseProfile, TrafficPattern};
 use damq_switch::{FlowControl, Switch};
 
 /// One 64x64 network cycle at 0.5 offered load, per buffer design.
@@ -86,6 +86,56 @@ fn bench_size_sweep() {
     }
 }
 
+/// Where one serial cycle's wall-clock goes — generate, arbitrate
+/// (phase A), merge (phase B), inject — from the simulator's own phase
+/// profile (`NetworkSim::with_phase_timing`), for the hot-spot fabric
+/// past saturation and the sparse and busy 1024-terminal fabrics: the
+/// shapes of the benchmark's `hotspot_block_64`, `sparse_1024` and
+/// `uniform_block_1024`. The quietest of five fresh networks each, as in
+/// the size sweep. Timing costs two clock reads per step, so the shares
+/// are what to read, not the total.
+fn bench_phase_split() {
+    const RUNS: usize = 5;
+    println!(
+        "-- serial phase split: us per cycle, timing on, quietest of {RUNS} fresh networks --"
+    );
+    let hot_spot = Some(TrafficPattern::paper_hot_spot());
+    let shapes = [
+        ("omega64_hotspot", 64, 0.5, hot_spot, 8_000),
+        ("omega1024_sparse", 1024, 0.05, None, 2_000),
+        ("omega1024_blocking", 1024, 0.4, None, 600),
+    ];
+    for (name, size, load, traffic, cycles) in shapes {
+        let mut config = NetworkConfig::new(size, 4)
+            .buffer_kind(BufferKind::Damq)
+            .slots_per_buffer(4)
+            .flow_control(FlowControl::Blocking)
+            .offered_load(load)
+            .seed(0xBEEF);
+        if let Some(pattern) = traffic {
+            config = config.traffic(pattern);
+        }
+        let steps = |p: &PhaseProfile| [p.generate_ns, p.arbitrate_ns, p.merge_ns, p.inject_ns];
+        let quietest = (0..RUNS)
+            .map(|_| {
+                let mut sim = NetworkSim::new(config).unwrap().with_phase_timing();
+                sim.run(1_000); // steady state (the hot spot: already saturated)
+                sim.phase_profile();
+                sim.run(cycles);
+                steps(&sim.phase_profile())
+            })
+            .min_by_key(|ns| ns.iter().sum::<u64>())
+            .expect("RUNS > 0");
+        let [generate, arbitrate, merge, inject] =
+            quietest.map(|ns| ns as f64 / 1e3 / cycles as f64);
+        println!(
+            "{name}: generate {generate:.1} / arbitrate {arbitrate:.1} / merge {merge:.1} / \
+             inject {inject:.1} of {:.1} us",
+            generate + arbitrate + merge + inject,
+        );
+    }
+}
+
 /// Whole measurement windows, as the table harnesses run them.
 fn bench_measurement_window() {
     println!("-- measurement windows --");
@@ -138,6 +188,7 @@ fn main() {
     // First, on a fresh heap: where a network's blocks land depends on
     // what was allocated and freed before it.
     bench_size_sweep();
+    bench_phase_split();
     bench_network_cycle();
     bench_measurement_window();
     bench_chip_tick();

@@ -1,8 +1,8 @@
 //! End-of-cycle invariant checks over a [`NetworkSim`]: buffer
-//! structure in every switch, the quiescence map, packet conservation
-//! against the lifetime ledger, and the fault ledger against observable
-//! state. All read-only; `strict-audit` builds run [`NetworkSim::audit`]
-//! after every cycle of the sharded core.
+//! structure in every switch, the quiescence map, the source occupancy
+//! set, packet conservation against the lifetime ledger, and the fault
+//! ledger against observable state. All read-only; `strict-audit` builds
+//! run [`NetworkSim::audit`] after every cycle of the sharded core.
 
 use damq_core::{AuditError, SwitchBuffer};
 use damq_telemetry::{Event, TelemetrySink};
@@ -102,8 +102,23 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         Ok(())
     }
 
+    /// Verifies the source occupancy set against the queues: bit `src`
+    /// ⇔ queue `src` holds a packet — a stale clear bit would strand a
+    /// waiting packet at its source forever.
+    fn audit_source_occupancy(&self) -> Result<(), AuditError> {
+        for (src, queue) in self.source_queues.iter().enumerate() {
+            let bit = self.source_occupied[src / 64] >> (src % 64) & 1 == 1;
+            if bit != (queue.len() > 0) {
+                let detail = format!("source {src}: bit {bit}, {} packets queued", queue.len());
+                return Err(AuditError::new("source-occupancy", detail));
+            }
+        }
+        Ok(())
+    }
+
     /// Full network audit: buffer structure in every switch, the
-    /// quiescence map, packet conservation, and the fault ledger.
+    /// quiescence map, the source occupancy set, packet conservation,
+    /// and the fault ledger.
     ///
     /// # Errors
     ///
@@ -113,6 +128,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             sw.audit()?;
         }
         self.audit_quiescence()?;
+        self.audit_source_occupancy()?;
         self.audit_conservation()?;
         self.audit_fault_ledger()
     }

@@ -30,6 +30,8 @@
 //! * `faults` — the installed fault plan and the link-outage table;
 //! * `recovery` — retransmission and adaptive rerouting, a layer that is
 //!   absent (`None`) unless [`RecoveryConfig`] turns it on;
+//! * `source` — one source's queue of waiting packets, a decoded head and
+//!   a delta-coded byte stream behind it;
 //! * `audit` — the end-of-cycle invariant checks.
 
 mod account;
@@ -37,9 +39,8 @@ mod audit;
 mod config;
 mod faults;
 mod recovery;
+mod source;
 mod stage;
-
-use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,6 +60,7 @@ use crate::topology::{HopRoute, RoutePlan, Topology};
 use account::{Account, DropCause, FaultTally};
 use faults::{FaultState, Wiring};
 use recovery::{HopKind, RecoveryState};
+use source::SourceQueue;
 use stage::Fabric;
 
 /// A generated packet waiting at its source, in compact form.
@@ -69,7 +71,7 @@ use stage::Fabric;
 /// identical `Packet` (the source is the queue index) and stamps its
 /// injection cycle, so deferring construction to injection time is
 /// unobservable.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PendingPacket {
     serial: u64,
     birth_cycle: u64,
@@ -119,13 +121,16 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     plan: RoutePlan,
     /// The switch grid, its wires and the quiescence map.
     fabric: Fabric<B>,
-    /// Generated-but-not-yet-injected packets, held in compact form —
-    /// the full [`Packet`] (including its identity checksum) is
-    /// materialized at injection time. Past saturation these queues grow
-    /// without bound, so the compact record (32 bytes vs a full packet)
-    /// halves the steady-state working set, and the packets the window
-    /// never injects are never built at all.
-    source_queues: Vec<VecDeque<PendingPacket>>,
+    /// Generated-but-not-yet-injected packets, one queue per source. The
+    /// full [`Packet`] (including its identity checksum) is materialized
+    /// at injection time, so the packets the window never injects are
+    /// never built at all; past saturation these queues grow without
+    /// bound, and a waiting packet costs about five bytes.
+    source_queues: Vec<SourceQueue>,
+    /// Occupancy set over `source_queues`, 64 sources a word: bit `src`
+    /// ⇔ queue `src` is non-empty (audited as `source-occupancy`), so
+    /// injection visits only the sources that hold a packet.
+    source_occupied: Vec<u64>,
     /// On/off state per source (always `true` under Bernoulli arrivals).
     source_on: Vec<bool>,
     /// The sharded stage engine: island partition, phase pool, and the
@@ -143,8 +148,9 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     /// Whether the wall-clock phase profiler is on (see
     /// [`NetworkSim::with_phase_timing`]).
     phase_timing: bool,
-    /// Accumulated serial phase-B merge nanoseconds (profiler only).
-    merge_ns: u64,
+    /// The stepping thread's share of the phase profile: nanoseconds per
+    /// step of the cycle, accumulated only while `phase_timing` is on.
+    profile: PhaseProfile,
     /// Whether phase A advances quiescent switches with
     /// [`Switch::note_idle_cycle`] instead of a full arbitration sweep
     /// (on by default; see [`NetworkSim::with_idle_skip`]).
@@ -247,7 +253,8 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             topology,
             plan,
             fabric: Fabric::new(switches, wiring),
-            source_queues: vec![VecDeque::new(); config.size],
+            source_queues: (0..config.size).map(|_| SourceQueue::default()).collect(),
+            source_occupied: vec![0; config.size.div_ceil(64)],
             source_on: vec![true; config.size],
             engine: ParallelEngine::new(1, per_stage, config.radix),
             ids: PacketIdSource::new(),
@@ -255,7 +262,7 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             cycle: 0,
             acct: Account::new(config.size, stages, sink),
             phase_timing: false,
-            merge_ns: 0,
+            profile: PhaseProfile::default(),
             idle_skip: true,
             idle_skipped: 0,
             recovery: config
@@ -332,7 +339,16 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     /// Packets waiting in source queues.
     pub fn source_backlog(&self) -> usize {
-        self.source_queues.iter().map(VecDeque::len).sum()
+        self.source_queues.iter().map(SourceQueue::len).sum()
+    }
+
+    /// Heap bytes the source side holds: the queue table, its occupancy
+    /// set and every queue's stream.
+    pub fn source_backlog_bytes(&self) -> usize {
+        let streams: usize = self.source_queues.iter().map(SourceQueue::heap_bytes).sum();
+        std::mem::size_of_val(&*self.source_queues)
+            + std::mem::size_of_val(&*self.source_occupied)
+            + streams
     }
 
     /// Installs a fault plan, replacing any previous one.
@@ -492,7 +508,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     }
 
     /// Enables the wall-clock phase profiler: per-lane phase-A busy
-    /// time, barrier waits, and serial phase-B merge time, drained via
+    /// time and barrier waits, and the stepping thread's time in each
+    /// step of the cycle (generate, arbitrate, merge, inject) at any
+    /// lane count, drained via
     /// [`phase_profile`](NetworkSim::phase_profile).
     ///
     /// Profiling measures *harness* wall-clock only — it never touches
@@ -512,8 +530,8 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         PhaseProfile {
             lane_busy_ns: times.lane_busy_ns,
             barrier_wait_ns: times.barrier_wait_ns,
-            merge_ns: std::mem::take(&mut self.merge_ns),
             phases: times.phases,
+            ..std::mem::take(&mut self.profile)
         }
     }
 
@@ -555,9 +573,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         if let Some(recovery) = self.recovery.as_mut() {
             recovery.service(self.cycle, &mut self.fabric, &mut self.acct);
         }
-        self.generate();
+        self.timed(|p| &mut p.generate_ns, Self::generate);
         self.advance_stages();
-        self.inject();
+        self.timed(|p| &mut p.inject_ns, Self::inject);
         if self.acct.registry.enabled() {
             self.observe_occupancy();
         }
@@ -637,16 +655,33 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             self.acct
                 .generated(self.cycle, pending.serial, src, pending.dest);
             self.source_queues[src].push_back(pending);
+            self.source_occupied[src / 64] |= 1 << (src % 64);
         }
     }
 
-    /// Step 3 of the cycle: every source offers its head packet to its
-    /// entry switch.
+    /// The first source at or after `from` whose queue holds a packet.
+    fn next_occupied_source(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.source_occupied.get(word)? & (!0 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.source_occupied.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Step 3 of the cycle: every source that holds a packet offers its
+    /// head to its entry switch.
     fn inject(&mut self) {
         let blocking = self.config.flow_control.requires_backpressure();
         let cycle = self.cycle;
-        for src in 0..self.config.size {
-            let Some(&front) = self.source_queues[src].front() else {
+        // Ascending source order, as a walk over every queue would be.
+        // The body clears `src`'s own bit (and no other) when it drains
+        // the queue, so the successor read before it stays valid.
+        let mut next = self.next_occupied_source(0);
+        while let Some(src) = next {
+            next = self.next_occupied_source(src + 1);
+            let Some(front) = self.source_queues[src].front() else {
                 continue;
             };
             let (sw, port) = self.plan.entry(NodeId::new(src));
@@ -662,6 +697,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 continue;
             }
             self.source_queues[src].pop_front();
+            if self.source_queues[src].len() == 0 {
+                self.source_occupied[src / 64] &= !(1 << (src % 64));
+            }
             let route = HopRoute {
                 next_switch: sw,
                 next_port: port,
@@ -836,6 +874,45 @@ mod tests {
         assert!((0.0..=1.0).contains(&share));
         // Drained on read.
         assert_eq!(sim.phase_profile().phases, 0);
+    }
+
+    #[test]
+    fn phase_profile_splits_the_serial_cycle_on_one_lane() {
+        let mut sim = NetworkSim::new(small(BufferKind::Damq).offered_load(0.8)).unwrap();
+        sim.run(20);
+        let off = sim.phase_profile();
+        assert_eq!(off.generate_ns + off.arbitrate_ns + off.inject_ns, 0);
+
+        let mut sim = sim.with_phase_timing();
+        sim.run(50);
+        let profile = sim.phase_profile();
+        assert_eq!(profile.phases, 100); // 2 stages × 50 cycles
+        for (step, ns) in [
+            ("generate", profile.generate_ns),
+            ("arbitrate", profile.arbitrate_ns),
+            ("merge", profile.merge_ns),
+            ("inject", profile.inject_ns),
+        ] {
+            assert!(ns > 0, "{step} was not timed");
+        }
+        // Phase A on one lane is lane 0's busy time plus its dispatch.
+        assert!(profile.arbitrate_ns >= profile.lane_busy_ns[0]);
+        assert_eq!(profile.barrier_wait_ns, 0);
+        // Drained on read.
+        assert_eq!(sim.phase_profile().inject_ns, 0);
+    }
+
+    #[test]
+    fn audit_catches_a_stale_source_occupancy_bit() {
+        let mut sim = NetworkSim::new(small(BufferKind::Damq).offered_load(0.9)).unwrap();
+        sim.run(50);
+        sim.audit().expect("the set tracks the queues");
+        for src in [0, 15] {
+            sim.source_occupied[0] ^= 1 << src;
+            let err = sim.audit().expect_err("flipped bit");
+            assert!(err.to_string().contains("source-occupancy"), "{err}");
+            sim.source_occupied[0] ^= 1 << src;
+        }
     }
 
     #[test]

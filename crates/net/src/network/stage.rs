@@ -17,7 +17,7 @@
 //! `docs/ARCHITECTURE.md`).
 
 // lint: allow — the phase profiler measures *harness* wall-clock (the
-// serial phase-B merge), never simulation state; cycle time in the
+// steps of the cycle), never simulation state; cycle time in the
 // simulator is the logical `cycle` counter, not `Instant`.
 use std::time::Instant;
 
@@ -31,7 +31,7 @@ use super::account::{DropCause, FaultTally};
 use super::faults::{FaultState, Wiring};
 use super::recovery::{HopKind, LostHop, RecoveryView};
 use super::NetworkSim;
-use crate::parallel::{DepartRecord, StageLane};
+use crate::parallel::{DepartRecord, PhaseProfile, StageLane};
 use crate::topology::{HopRoute, RoutePlan};
 
 /// The grid of switches, the wires between them, and the per-switch
@@ -318,22 +318,26 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// a packet advances at most one stage per cycle.
     pub(super) fn advance_stages(&mut self) {
         let last = self.fabric.switches.len() - 1;
-        self.arbitrate_stage(last);
-        self.timed_merge(Self::merge_last_stage);
+        self.timed(|p| &mut p.arbitrate_ns, |sim| sim.arbitrate_stage(last));
+        self.timed(|p| &mut p.merge_ns, Self::merge_last_stage);
         for stage in (0..last).rev() {
-            self.arbitrate_stage(stage);
-            self.timed_merge(|sim| sim.merge_interior_stage(stage));
+            self.timed(|p| &mut p.arbitrate_ns, |sim| sim.arbitrate_stage(stage));
+            self.timed(|p| &mut p.merge_ns, |sim| sim.merge_interior_stage(stage));
         }
     }
 
-    /// Runs one serial phase-B merge, charging its wall-clock to the
-    /// phase profiler when that is on.
-    fn timed_merge(&mut self, merge: impl FnOnce(&mut Self)) {
+    /// Runs one step of the cycle, charging its wall-clock to `bucket`
+    /// of the phase profile when that is on (one cold branch when off).
+    pub(super) fn timed(
+        &mut self,
+        bucket: fn(&mut PhaseProfile) -> &mut u64,
+        step: impl FnOnce(&mut Self),
+    ) {
         // lint: allow — harness wall-clock, never simulation state.
-        let merge_start = self.phase_timing.then(Instant::now);
-        merge(self);
-        if let Some(start) = merge_start {
-            self.merge_ns += start.elapsed().as_nanos() as u64;
+        let start = self.phase_timing.then(Instant::now);
+        step(self);
+        if let Some(start) = start {
+            *bucket(&mut self.profile) += start.elapsed().as_nanos() as u64;
         }
     }
 
@@ -480,6 +484,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         // mechanism that can invalidate a phase-A probe (see the
         // invariant at the failed hop below).
         let mut stage_misroutes = 0u64;
+        // Departures routed here rather than by a probe, added to the
+        // plan's query counter once after the merge.
+        let mut routed = 0u64;
         for island in 0..self.engine.islands() {
             for rec in self.engine.lane_records(island) {
                 let sw = rec.sw;
@@ -500,7 +507,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 };
                 let route = match rec.route {
                     Some(route) if !misrouted_here => route,
-                    _ => self.plan.departure_route(stage, sw, out, dest),
+                    _ => {
+                        routed += 1;
+                        self.plan.departure_route_uncounted(stage, sw, out, dest)
+                    }
                 };
                 let serial = rec.packet.id().serial();
                 self.acct.forwarded(cycle, serial, stage, sw, out.index());
@@ -570,6 +580,9 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                     self.acct.dropped(cycle, serial, cause);
                 }
             }
+        }
+        if routed > 0 {
+            self.plan.count_queries(routed);
         }
     }
 }

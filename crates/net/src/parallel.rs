@@ -105,10 +105,13 @@ impl IslandPartition {
 /// [`NetworkSim::phase_profile`](crate::NetworkSim::phase_profile).
 ///
 /// All values are nanoseconds of *harness* wall-clock — where the
-/// stepping loop spends real time, never simulated cycles. The three
+/// stepping loop spends real time, never simulated cycles. Three
 /// buckets decompose a sharded run: phase-A busy time per lane,
 /// the submitting thread's barrier wait (its idle share while
-/// stragglers finish), and the serial phase-B merge.
+/// stragglers finish), and the serial phase-B merge. The other three
+/// complete the stepping thread's cycle at any lane count, one lane
+/// included: `generate_ns + arbitrate_ns + merge_ns + inject_ns` is a
+/// fault-free, uninstrumented [`step`](crate::NetworkSim::step).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Per-lane phase-A busy time (lane 0 is the stepping thread).
@@ -119,6 +122,13 @@ pub struct PhaseProfile {
     pub merge_ns: u64,
     /// Phases executed while profiling was enabled.
     pub phases: u64,
+    /// Serial packet generation (the arrival draws of every source).
+    pub generate_ns: u64,
+    /// Phase A as the stepping thread sees it: lane 0's busy time, its
+    /// barrier wait, and the dispatch around them.
+    pub arbitrate_ns: u64,
+    /// Serial injection from the occupied sources.
+    pub inject_ns: u64,
 }
 
 impl PhaseProfile {

@@ -507,7 +507,8 @@ impl RoutePlan {
     /// [`RoutePlan::departure_route`] without the query-counter bump:
     /// the per-candidate backpressure probe calls this and batches its
     /// count into one [`RoutePlan::count_queries`] per switch per cycle,
-    /// turning ~`radix`-squared atomic RMWs per switch into one. The
+    /// turning ~`radix`-squared atomic RMWs per switch into one, and the
+    /// discarding protocol's interior merge batches one per stage. The
     /// total stays exact — the counter is only read between cycles.
     ///
     /// # Panics

@@ -29,7 +29,9 @@
 //!     copy payloads: `Box::new`, `with_capacity`, `.to_vec()`,
 //!     `.clone()`, `mem::take(` (it discards a collection's capacity)
 //!     and a hash map built in place are flagged inside their brace
-//!     spans — in the Markov crate `vec!` and `.collect()` too. Scratch
+//!     spans — in the Markov crate and the source-queue stream
+//!     (`push_back`, `pop_front`, the record codec under them) `vec!` and
+//!     `.collect()` too. Scratch
 //!     belongs in the owning struct, hoisted to construction; waivers
 //!     carry `// lint: allow — why`. Kernels are matched by *name*, so
 //!     a listed name that no function carries any more is itself a
@@ -657,13 +659,18 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// method of their own named `collect` per stage).
 const MARKOV_SRC: &str = "crates/markov/src/";
 
+/// Where `vec!` and `.collect()` are findings: [`MARKOV_SRC`], and the
+/// one simulator file whose kernels encode and decode a byte stream per
+/// packet, where a collected temporary would be as natural a mistake.
+const NO_TEMPORARIES: [&str; 2] = [MARKOV_SRC, "crates/net/src/network/source.rs"];
+
 /// The kernel function names lint 11 guards: every function a
 /// steady-state `NetworkSim::step` executes per cycle, and every function
 /// `Chain::explore` runs per state or a steady-state solver per iteration.
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 42] = [
+const KERNEL_FNS: [&str; 48] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -692,6 +699,13 @@ const KERNEL_FNS: [&str; 42] = [
     "merge_last_stage",
     "merge_interior_stage",
     "inject",
+    // … the source queue's stream (`front` is listed under core) …
+    "push_back",
+    "pop_front",
+    "push_record",
+    "pop_record",
+    "put_varint",
+    "get_varint",
     // … the hop primitive and the recovery ladder the merges call …
     "hop",
     "rescue",
@@ -759,7 +773,7 @@ fn collect_kernel_spans(
 /// `.to_vec()`, `.clone()`, `mem::take(` and a hash map built in place
 /// (`HashMap::new`, `FxHashMap::default`) are findings — the last two
 /// because a collection taken or built per call regrows from zero every
-/// time — and under [`MARKOV_SRC`] so are `vec!` and `.collect()`.
+/// time — and under [`NO_TEMPORARIES`] so are `vec!` and `.collect()`.
 /// Waivers carry `// lint: allow — why`.
 ///
 /// The guard is by function name, so a [`KERNEL_FNS`] entry that matches
@@ -779,6 +793,7 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                     .filter(|&&(open, _, _)| !file.in_test_code(open))
                     .map(|&(_, _, name)| name),
             );
+            let no_temporaries = NO_TEMPORARIES.iter().any(|p| file.rel.starts_with(p));
             for (i, tok) in file.code.iter().enumerate() {
                 let after_dot = i > 0 && file.code[i - 1].is_punct('.');
                 let calls = file.code.get(i + 1).is_some_and(|t| t.is_punct('('));
@@ -799,9 +814,9 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                     Some("a hash map built per call")
                 } else if tok.is_ident("with_capacity") && calls {
                     Some("with_capacity(…)")
-                } else if prefix == MARKOV_SRC && tok.is_ident("vec") && bang {
+                } else if no_temporaries && tok.is_ident("vec") && bang {
                     Some("vec![…]")
-                } else if prefix == MARKOV_SRC && tok.is_ident("collect") && after_dot {
+                } else if no_temporaries && tok.is_ident("collect") && after_dot {
                     Some(".collect()")
                 } else if tok.is_ident("to_vec") && after_dot && calls {
                     Some(".to_vec()")
@@ -1188,6 +1203,28 @@ mod tests {
         );
         assert!(findings[2].message.contains("hash map"));
         assert!(findings[4].message.contains("power_sweep"));
+    }
+
+    #[test]
+    fn hot_path_alloc_covers_the_source_stream() {
+        let src = "fn put_varint(record: &mut [u8]) {\n\
+                       let bytes = vec![0u8; 10];\n\
+                   }\n\
+                   pub fn pop_front(&mut self) {\n\
+                       let chunk: Vec<u8> = self.chunks.iter().flatten().collect();\n\
+                       let stream = std::mem::take(&mut self.stream);\n\
+                   }\n\
+                   pub fn heap_bytes(&self) {\n\
+                       let lens: Vec<usize> = self.chunks.iter().map(Vec::len).collect();\n\
+                   }\n";
+        let ws = ws_with(vec![("crates/net/src/network/source.rs", src)]);
+        let lines: Vec<usize> = run(hot_path_alloc, &ws).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 5, 6], "the cold accessor may collect");
+        // The same kernels elsewhere in the crate keep the crate's rule:
+        // `collect` is the stage engine's own method there.
+        let ws = ws_with(vec![("crates/net/src/network/stage.rs", src)]);
+        let lines: Vec<usize> = run(hot_path_alloc, &ws).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![6]);
     }
 
     #[test]

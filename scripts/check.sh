@@ -124,7 +124,10 @@ obs_smoke() {
 # occupancy-aware arbitration kernel agrees with the reference walk it
 # replaced (departures, `can_send` sequence, arbiter, crossbar, buffer
 # and HOL state; two seeded mutations must fail), and radix-8 and
-# radix-16 networks run both protocols to conservation.
+# radix-16 networks run both protocols to conservation; (7) the source
+# queue's delta-coded stream agrees with the `VecDeque` it replaced
+# (two seeded mutations must fail) and a saturated backlog stays inside
+# its pinned eight bytes a packet.
 soa_smoke() {
     gate "soa-smoke: inline storage arms + pinned layout budgets"
     cargo test -q -p damq-core --lib -- inline:: layout_ registers_spill
@@ -139,6 +142,10 @@ soa_smoke() {
 
     gate "soa-smoke: radix-8 and radix-16 networks run to conservation"
     cargo test -q -p damq-net --test kernel_pins wide_radix
+
+    gate "soa-smoke: source stream vs a VecDeque, with teeth, and its byte budget"
+    cargo test -q -p damq-net --lib -- source::
+    cargo test -q -p damq-net --test source_backlog layout_
 
     gate "soa-smoke: SoA pool vs AoS twins under strict-audit"
     cargo test -q -p damq-core --features strict-audit --test soa_equivalence
