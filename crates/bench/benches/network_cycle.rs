@@ -86,22 +86,24 @@ fn bench_size_sweep() {
     }
 }
 
-/// Where one serial cycle's wall-clock goes — generate, arbitrate
-/// (phase A), merge (phase B), inject — from the simulator's own phase
-/// profile (`NetworkSim::with_phase_timing`), for the hot-spot fabric
-/// past saturation and the sparse and busy 1024-terminal fabrics: the
-/// shapes of the benchmark's `hotspot_block_64`, `sparse_1024` and
-/// `uniform_block_1024`. The quietest of five fresh networks each, as in
-/// the size sweep. Timing costs two clock reads per step, so the shares
-/// are what to read, not the total.
+/// Where one cycle's wall-clock goes — the seven buckets of the
+/// simulator's own phase profile (`NetworkSim::with_phase_timing`) — for
+/// the hot-spot fabric past saturation, a busy 256-terminal fabric, and
+/// the sparse and busy 1024-terminal fabrics (the shapes of the
+/// benchmark's `hotspot_block_64`, `sparse_1024` and
+/// `uniform_block_1024`). These runs install no fault plan, recovery or
+/// registry, so three buckets read zero; `obs_report` prints a run with
+/// all seven live. The quietest of five fresh networks each, as in the
+/// size sweep. Timing costs two clock reads per step, so the shares are
+/// what to read, not the total.
 fn bench_phase_split() {
     const RUNS: usize = 5;
-    println!(
-        "-- serial phase split: us per cycle, timing on, quietest of {RUNS} fresh networks --"
-    );
+    println!("-- phase split: us per cycle, timing on, quietest of {RUNS} fresh networks --");
+    println!("   (faults / recovery / generate / arbitrate / merge / inject / observe)");
     let hot_spot = Some(TrafficPattern::paper_hot_spot());
     let shapes = [
         ("omega64_hotspot", 64, 0.5, hot_spot, 8_000),
+        ("omega256_blocking", 256, 0.4, None, 2_400),
         ("omega1024_sparse", 1024, 0.05, None, 2_000),
         ("omega1024_blocking", 1024, 0.4, None, 600),
     ];
@@ -115,23 +117,27 @@ fn bench_phase_split() {
         if let Some(pattern) = traffic {
             config = config.traffic(pattern);
         }
-        let steps = |p: &PhaseProfile| [p.generate_ns, p.arbitrate_ns, p.merge_ns, p.inject_ns];
-        let quietest = (0..RUNS)
+        let p = (0..RUNS)
             .map(|_| {
                 let mut sim = NetworkSim::new(config).unwrap().with_phase_timing();
                 sim.run(1_000); // steady state (the hot spot: already saturated)
                 sim.phase_profile();
                 sim.run(cycles);
-                steps(&sim.phase_profile())
+                sim.phase_profile()
             })
-            .min_by_key(|ns| ns.iter().sum::<u64>())
+            .min_by_key(PhaseProfile::total_ns)
             .expect("RUNS > 0");
-        let [generate, arbitrate, merge, inject] =
-            quietest.map(|ns| ns as f64 / 1e3 / cycles as f64);
+        let us = |ns: u64| ns as f64 / 1e3 / cycles as f64;
         println!(
-            "{name}: generate {generate:.1} / arbitrate {arbitrate:.1} / merge {merge:.1} / \
-             inject {inject:.1} of {:.1} us",
-            generate + arbitrate + merge + inject,
+            "{name}: {:.1} / {:.1} / {:.1} / {:.1} / {:.1} / {:.1} / {:.1} of {:.1} us",
+            us(p.faults_ns),
+            us(p.recovery_ns),
+            us(p.generate_ns),
+            us(p.arbitrate_ns),
+            us(p.merge_ns),
+            us(p.inject_ns),
+            us(p.observe_ns),
+            us(p.total_ns()),
         );
     }
 }

@@ -158,15 +158,11 @@ fn speedup_vs(cells: &[(&'static str, f64)], reference: &Json) -> Json {
 
 /// Rewrites this harness's sections of `BENCH_throughput.json`:
 /// `current` always reflects this run; `baseline` is preserved from the
-/// existing file unless `--rebaseline` (or no file exists yet); the `soa`
-/// section pins the structure-of-arrays refactor against the last
-/// pre-SoA run. Per-cell `speedup` is current/baseline.
+/// existing file unless `--rebaseline` (or no file exists yet). Per-cell
+/// `speedup` is current/baseline.
 ///
-/// Sections this harness does not own (`scaling` and `phase_profile`
-/// from `parallel_scaling`, anything future) are merged through
-/// untouched — running `sim_throughput` then `parallel_scaling` once
-/// regenerates every section of the file; neither order leaves a stale
-/// cell behind.
+/// Sections this harness does not own (`recovery`, from
+/// `recovery_headline`) are merged through untouched.
 fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseline: bool) {
     let current = cells_json(cells);
     let baseline = if rebaseline {
@@ -175,34 +171,6 @@ fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseli
         record.get("baseline").cloned()
     };
     let baseline = baseline.unwrap_or_else(|| current.clone());
-
-    // The SoA reference: the `current` section the pre-SoA tree
-    // committed (PR 8). Snapshotted into the `soa` section on the first
-    // post-refactor run and preserved afterwards, so the layout
-    // refactor's effect stays readable even after rebaselines.
-    let pr8_reference = record
-        .get("soa")
-        .and_then(|soa| soa.get("pr8_reference"))
-        .or_else(|| record.get("current"))
-        .cloned()
-        .unwrap_or_else(|| current.clone());
-    let soa = Json::obj([
-        (
-            "_note",
-            Json::from(
-                "structure-of-arrays slot storage + batched cycle kernels + idle-skip \
-                 vs the committed pre-SoA (PR 8, monomorphized per-packet-struct) run \
-                 on the same cells; hotspot_damq_noskip is this tree with the \
-                 quiescence fast path disabled. The reference was measured on the \
-                 PR 8 host: compare ratios, not absolute cycles/sec, across machines \
-                 (docs/PERFORMANCE.md) — EXPERIMENTS.md records a same-host \
-                 re-measurement of the PR 8 tree next to this run",
-            ),
-        ),
-        ("pr8_reference", pr8_reference.clone()),
-        ("speedup_vs_pr8", speedup_vs(cells, &pr8_reference)),
-    ]);
-
     let speedup = speedup_vs(cells, &baseline);
     let own_sections: Vec<(&str, Json)> = vec![
         ("bench", Json::from("sim_throughput")),
@@ -215,7 +183,6 @@ fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseli
         ("baseline", baseline),
         ("current", current),
         ("speedup", speedup),
-        ("soa", soa),
     ];
     for (key, value) in own_sections {
         record.set(key, value);
@@ -227,13 +194,6 @@ fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseli
         .and_then(|s| s.get("hotspot_damq"))
         .and_then(Json::as_f64)
         .unwrap_or(1.0);
-    let vs_pr8 = record
-        .get("soa")
-        .and_then(|s| s.get("speedup_vs_pr8"))
-        .and_then(|s| s.get("hotspot_damq"))
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0);
     println!();
     println!("headline speedup vs baseline (hotspot_damq): {headline:.2}x");
-    println!("headline speedup vs pre-SoA tree (hotspot_damq): {vs_pr8:.2}x");
 }

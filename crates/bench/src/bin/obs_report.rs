@@ -1,5 +1,5 @@
 //! Renders the observability dashboard: a metrics-registry snapshot on
-//! the golden 2×2 network plus a shard phase profile.
+//! the golden 2×2 network plus the cycle's phase profile.
 //!
 //! Usage:
 //!
@@ -16,24 +16,24 @@
 //!    printed, and the deterministic snapshot (counters + p50/p99/p999,
 //!    integers only) is written as JSON. The committed copy under
 //!    `results/json/` is the `obs-smoke` gate's golden.
-//! 2. **Phase profile** — a 64-terminal hot-spot run on 4 lanes with
-//!    the wall-clock phase timer on, decomposing the stepping loop into
-//!    per-lane phase-A busy time, barrier wait, and serial phase-B
-//!    merge. Wall-clock varies run to run, so this section is printed
-//!    only and deliberately kept out of the snapshot file.
+//! 2. **Phase profile** — a 64-terminal hot-spot run with a fault plan,
+//!    recovery and the registry on, so every step of the cycle runs,
+//!    under the wall-clock phase timer: faults, recovery, generate,
+//!    arbitrate, merge, inject, observe. Wall-clock varies run to run,
+//!    so this section is printed only and deliberately kept out of the
+//!    snapshot file.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use damq_bench::json::Json;
-use damq_core::BufferKind;
-use damq_net::{NetworkConfig, NetworkSim, PhaseProfile, TrafficPattern};
+use damq_core::{BufferKind, FaultPlan, FaultSpec};
+use damq_net::{NetworkConfig, NetworkSim, PhaseProfile, RecoveryConfig, TrafficPattern};
 use damq_switch::FlowControl;
 
 /// Cycles for the deterministic registry section.
 const CYCLES: u64 = 200;
-/// Lanes and cycles for the (non-deterministic) phase-profile section.
-const PROFILE_THREADS: usize = 4;
+/// Cycles for the (non-deterministic) phase-profile section.
 const PROFILE_CYCLES: u64 = 200;
 
 /// The golden 2×2 configuration — must stay in lockstep with the
@@ -139,8 +139,9 @@ where
     }
 }
 
-/// Runs the paper-shaped hot-spot workload on several lanes with the
-/// phase timer on and returns the drained profile.
+/// Runs the paper-shaped hot-spot workload — a few link flaps,
+/// corruptions and misroutes against live recovery, registry on — with
+/// the phase timer on and returns the drained profile.
 fn run_profiled_network() -> PhaseProfile {
     let config = NetworkConfig::new(64, 4)
         .buffer_kind(BufferKind::Damq)
@@ -148,10 +149,18 @@ fn run_profiled_network() -> PhaseProfile {
         .flow_control(FlowControl::Blocking)
         .traffic(TrafficPattern::paper_hot_spot())
         .offered_load(0.5)
+        .recovery(RecoveryConfig::enabled())
         .seed(0xBEEF);
-    let mut sim = NetworkSim::new(config)
+    let storm = FaultSpec {
+        link_flaps: 6,
+        flap_duration: 40,
+        corrupt_packets: 8,
+        misroutes: 8,
+        ..FaultSpec::fault_free(3, 16, 4, 64, 4, PROFILE_CYCLES)
+    };
+    let mut sim = NetworkSim::with_faults(config, FaultPlan::generate(0xBEEF, &storm))
         .expect("the 64x4 hot-spot configuration is valid")
-        .with_threads(PROFILE_THREADS)
+        .with_metrics()
         .with_phase_timing();
     sim.run(PROFILE_CYCLES);
     sim.phase_profile()
@@ -160,26 +169,23 @@ fn run_profiled_network() -> PhaseProfile {
 /// Prints the phase-profile section (wall-clock: varies run to run).
 fn render_profile(profile: &PhaseProfile) {
     println!(
-        "phase profile: 64x4 hot-spot, {PROFILE_THREADS} lanes, {PROFILE_CYCLES} cycles \
+        "phase profile: 64x4 hot-spot, faults + recovery + registry on, {PROFILE_CYCLES} cycles \
          (wall-clock; not part of the snapshot)"
     );
     let total = profile.total_ns().max(1);
-    for (lane, &busy) in profile.lane_busy_ns.iter().enumerate() {
+    for (step, ns) in [
+        ("faults", profile.faults_ns),
+        ("recovery", profile.recovery_ns),
+        ("generate", profile.generate_ns),
+        ("arbitrate", profile.arbitrate_ns),
+        ("merge", profile.merge_ns),
+        ("inject", profile.inject_ns),
+        ("observe", profile.observe_ns),
+    ] {
         println!(
-            "    lane {lane} phase-A busy {:>10} ns  ({:>5.1}% of accounted time)",
-            busy,
-            busy as f64 / total as f64 * 100.0
+            "    {step:<12} {ns:>10} ns  ({:>5.1}%)",
+            ns as f64 / total as f64 * 100.0
         );
     }
-    println!(
-        "    barrier wait        {:>10} ns  ({:>5.1}%)",
-        profile.barrier_wait_ns,
-        profile.barrier_share() * 100.0
-    );
-    println!(
-        "    phase-B merge       {:>10} ns  ({:>5.1}%)",
-        profile.merge_ns,
-        profile.merge_share() * 100.0
-    );
-    println!("    phases timed        {:>10}", profile.phases);
+    println!("    stage advances timed {:>6}", profile.phases);
 }

@@ -1,7 +1,6 @@
 //! The committed throughput record, `BENCH_throughput.json` at the
-//! workspace root: one read-modify-write shared by every harness that
-//! owns a section of it (`sim_throughput`, `parallel_scaling`,
-//! `recovery_headline`).
+//! workspace root: one read-modify-write shared by the two harnesses
+//! that own sections of it (`sim_throughput`, `recovery_headline`).
 //!
 //! Each harness replaces only its own sections and merges the rest
 //! through untouched, so the file must be *read* before it is written —
@@ -88,17 +87,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut record = BenchRecord::open_at(path.clone()).unwrap();
         assert_eq!(record.get("bench"), Some(&Json::from("sim_throughput")));
-        record.set("scaling", Json::from(1i64));
+        record.set("current", Json::from(1i64));
         record.save();
 
         // A second harness replaces its own section and keeps the rest.
         let mut record = BenchRecord::open_at(path.clone()).unwrap();
         record.set("recovery", Json::from(2i64));
-        record.set("scaling", Json::from(3i64));
+        record.set("current", Json::from(3i64));
         record.save();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "{\n  \"bench\": \"sim_throughput\",\n  \"scaling\": 3,\n  \"recovery\": 2\n}\n"
+            "{\n  \"bench\": \"sim_throughput\",\n  \"current\": 3,\n  \"recovery\": 2\n}\n"
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -275,12 +275,7 @@ impl BufferConfig {
 ///   head-of-line effect the DAMQ design removes.
 ///
 /// The trait is object-safe so switches can hold `Box<dyn SwitchBuffer>`.
-///
-/// `Send + Sync` are supertraits: buffers are plain owned data (no
-/// interior mutability in any design), and the sharded simulator hands
-/// disjoint `&mut Switch<B>` islands to worker threads while probing
-/// downstream switches through `&self` — see `docs/ARCHITECTURE.md`.
-pub trait SwitchBuffer: fmt::Debug + Send + Sync {
+pub trait SwitchBuffer: fmt::Debug {
     /// Which design this is.
     fn kind(&self) -> BufferKind;
 

@@ -11,10 +11,8 @@
 //!   routing for any `k^n` configuration.
 //! * [`TrafficPattern`] — uniform, hot-spot (Pfister & Norton) and
 //!   permutation workloads.
-//! * [`NetworkSim`] / [`NetworkConfig`] — the cycle-driven simulator;
-//!   [`NetworkSim::with_threads`] steps stage islands concurrently with
-//!   byte-identical results (see [`IslandPartition`] and
-//!   `docs/ARCHITECTURE.md`).
+//! * [`NetworkSim`] / [`NetworkConfig`] — the cycle-driven simulator
+//!   (see `docs/ARCHITECTURE.md` for the cycle loop).
 //! * [`measure`] — warm-up + measurement-window runs.
 //! * [`find_saturation`] — bisection search for the saturation throughput
 //!   (the paper's headline metric).
@@ -41,7 +39,6 @@
 mod butterfly;
 mod metrics;
 mod network;
-mod parallel;
 mod runner;
 mod saturation;
 pub mod theory;
@@ -51,9 +48,9 @@ mod traffic;
 pub use butterfly::ButterflyTopology;
 pub use metrics::{Accumulator, Histogram, NetMetrics, CLOCKS_PER_CYCLE};
 pub use network::{
-    ArrivalProcess, NetworkConfig, NetworkError, NetworkSim, PacketLengths, RecoveryConfig,
+    ArrivalProcess, NetworkConfig, NetworkError, NetworkSim, PacketLengths, PhaseProfile,
+    RecoveryConfig,
 };
-pub use parallel::{IslandPartition, PhaseProfile};
 pub use runner::{measure, measure_with_faults, Measurement};
 pub use saturation::{find_saturation, SaturationOptions, SaturationResult};
 pub use topology::{HopRoute, OmegaTopology, RoutePlan, Topology, TopologyError, TopologyKind};

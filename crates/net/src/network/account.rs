@@ -9,9 +9,6 @@
 //! happened* and the stores cannot drift apart. Fault-ledger lines are
 //! mirrored into the `net.fault.*` registry counters at the event
 //! itself.
-//!
-//! Every method here runs in a serial section of the cycle, which is
-//! what keeps snapshots and traces byte-identical at any lane count.
 
 use damq_core::{FaultLedger, FaultSite, NodeId, Packet};
 use damq_telemetry::{CounterId, Event, EventKind, HistogramId, MetricsRegistry, TelemetrySink};

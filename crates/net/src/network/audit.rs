@@ -2,7 +2,7 @@
 //! structure in every switch, the quiescence map, the source occupancy
 //! set, packet conservation against the lifetime ledger, and the fault
 //! ledger against observable state. All read-only; `strict-audit` builds
-//! run [`NetworkSim::audit`] after every cycle of the sharded core.
+//! run [`NetworkSim::audit`] after every cycle.
 
 use damq_core::{AuditError, SwitchBuffer};
 use damq_telemetry::{Event, TelemetrySink};

@@ -4,7 +4,7 @@
 //! distribution and [`RecoveryConfig`]) is plain `Copy` data validated at
 //! the builder methods; [`NetworkError`] is what construction returns when
 //! the topology or buffer shape is rejected. Nothing here steps a cycle —
-//! the sharded core reads this once at construction and per cycle through
+//! the cycle loop reads this once at construction and per cycle through
 //! `pub(super)` fields.
 
 use rand::Rng;
@@ -130,9 +130,7 @@ impl From<ConfigError> for NetworkError {
 ///
 /// Disabled by default — a `NetworkSim` without recovery behaves exactly
 /// as before this subsystem existed. All timers are **simulated network
-/// cycles**, never wall clock, so recovery is seed-stable and preserves
-/// the serial ≡ N-thread byte-identical contract (every recovery action
-/// runs in the serial sections of the cycle).
+/// cycles**, never wall clock, so recovery is seed-stable.
 ///
 /// # Examples
 ///

@@ -3,11 +3,10 @@
 //!
 //! [`Wiring`] is the one numbering of inter-stage wires; the outage
 //! table here, recovery's believed-health table and the adaptive probe
-//! all index by it. Fault state is read by phase-A probes
-//! ([`FaultState::link_down`]) and mutated only in the serial sections
-//! of the cycle (plan application at cycle start, `take_*` in generate
-//! and the merges), so faulted runs stay byte-identical at any lane
-//! count.
+//! all index by it. Fault state is read by the arbitration probes
+//! ([`FaultState::link_down`]) and mutated at plan application (cycle
+//! start) and by `take_*` in generate and the merges — never while a
+//! stage arbitrates.
 
 use damq_core::{FaultEvent, FaultPlan, FaultSite, InputPort, OutputPort, SwitchBuffer};
 use damq_switch::Switch;

@@ -26,7 +26,8 @@
 //! * `account` — what happened to a packet, written once to every
 //!   counter store and the telemetry sink;
 //! * `stage` — the switch grid, the hop primitive every packet movement
-//!   goes through, and the arbitrate/merge steps of stage advance;
+//!   goes through, and the arbitrate/merge passes of stage advance;
+//! * `profile` — where a cycle's wall-clock goes ([`PhaseProfile`]);
 //! * `faults` — the installed fault plan and the link-outage table;
 //! * `recovery` — retransmission and adaptive rerouting, a layer that is
 //!   absent (`None`) unless [`RecoveryConfig`] turns it on;
@@ -38,6 +39,7 @@ mod account;
 mod audit;
 mod config;
 mod faults;
+mod profile;
 mod recovery;
 mod source;
 mod stage;
@@ -53,15 +55,15 @@ use damq_switch::{Switch, SwitchConfig};
 use damq_telemetry::{Event, EventKind, MetricsRegistry, NullSink, TelemetrySink};
 
 pub use config::{ArrivalProcess, NetworkConfig, NetworkError, PacketLengths, RecoveryConfig};
+pub use profile::PhaseProfile;
 
 use crate::metrics::NetMetrics;
-use crate::parallel::{ParallelEngine, PhaseProfile};
 use crate::topology::{HopRoute, RoutePlan, Topology};
 use account::{Account, DropCause, FaultTally};
 use faults::{FaultState, Wiring};
 use recovery::{HopKind, RecoveryState};
 use source::SourceQueue;
-use stage::Fabric;
+use stage::{Fabric, StageScratch};
 
 /// A generated packet waiting at its source, in compact form.
 ///
@@ -133,25 +135,21 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     source_occupied: Vec<u64>,
     /// On/off state per source (always `true` under Bernoulli arrivals).
     source_on: Vec<bool>,
-    /// The sharded stage engine: island partition, phase pool, and the
-    /// per-island lanes carrying probe scratch and departure records.
-    /// One island on one thread by default; see
-    /// [`NetworkSim::with_threads`].
-    engine: ParallelEngine,
+    /// The arbitrating stage's parked probe routes and departure
+    /// records, between its two passes.
+    scratch: StageScratch,
     ids: PacketIdSource,
     rng: StdRng,
     cycle: u64,
-    /// Every counter store and the telemetry sink. Updated only in the
-    /// serial sections of the cycle, so snapshots are
-    /// lane-count-independent.
+    /// Every counter store and the telemetry sink.
     acct: Account<S>,
     /// Whether the wall-clock phase profiler is on (see
     /// [`NetworkSim::with_phase_timing`]).
     phase_timing: bool,
-    /// The stepping thread's share of the phase profile: nanoseconds per
-    /// step of the cycle, accumulated only while `phase_timing` is on.
+    /// Nanoseconds per step of the cycle, accumulated only while
+    /// `phase_timing` is on.
     profile: PhaseProfile,
-    /// Whether phase A advances quiescent switches with
+    /// Whether arbitration advances quiescent switches with
     /// [`Switch::note_idle_cycle`] instead of a full arbitration sweep
     /// (on by default; see [`NetworkSim::with_idle_skip`]).
     idle_skip: bool,
@@ -256,7 +254,7 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             source_queues: (0..config.size).map(|_| SourceQueue::default()).collect(),
             source_occupied: vec![0; config.size.div_ceil(64)],
             source_on: vec![true; config.size],
-            engine: ParallelEngine::new(1, per_stage, config.radix),
+            scratch: StageScratch::new(config.radix),
             ids: PacketIdSource::new(),
             rng: StdRng::seed_from_u64(config.seed),
             cycle: 0,
@@ -426,35 +424,11 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             .collect()
     }
 
-    /// Shards the cycle loop over `threads` simulation lanes: every
-    /// pipeline stage is split into contiguous switch islands
-    /// ([`IslandPartition`](crate::IslandPartition), one per lane) that
-    /// arbitrate and probe concurrently, then merge their departures
-    /// serially in a fixed order. The default is 1 (no worker threads;
-    /// phases run inline).
-    ///
-    /// `threads` is clamped to at least 1; asking for more lanes than a
-    /// stage has switches caps the island count at one switch per
-    /// island.
-    ///
-    /// # Determinism
-    ///
-    /// Thread count is **not** part of the experiment: a serial run and
-    /// an N-thread run of the same configuration produce byte-identical
-    /// metrics, telemetry traces and fault ledgers. Island phases only
-    /// touch pairwise-disjoint switch state, and everything
-    /// order-sensitive (receives, metrics, events) happens in the
-    /// serial merge — see `docs/ARCHITECTURE.md` for the argument and
-    /// `crates/net/tests/parallel_equivalence.rs` for the proof by
-    /// fingerprint.
+    // Pinned by `benchmark/src/probes.rs` (frozen). The cycle has one
+    // lane; `_threads` is ignored.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = ParallelEngine::new(
-            threads.max(1),
-            self.topology.switches_per_stage(),
-            self.config.radix,
-        );
-        self.engine.set_timing(self.phase_timing);
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -465,9 +439,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// Off by default; while off, every registry update is a single
     /// branch on a cold flag (pinned by the `no_op_registry_overhead`
-    /// bench). All registry updates happen in the serial sections of
-    /// the cycle, so snapshots are byte-identical at any lane count
-    /// (pinned by `parallel_equivalence.rs`).
+    /// bench).
     #[must_use]
     pub fn with_metrics(mut self) -> Self {
         self.acct.registry.set_enabled(true);
@@ -476,10 +448,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     /// Turns the quiescent-switch fast path on or off (on by default).
     ///
-    /// With it on, phase A advances a switch whose quiescence bit is set
-    /// with [`Switch::note_idle_cycle`] — one counter tick instead of an
-    /// arbitration sweep over its buffers. The fast path is byte-identical
-    /// to arbitrating an empty switch (pinned per switch by
+    /// With it on, arbitration advances a switch whose quiescence bit is
+    /// set with [`Switch::note_idle_cycle`] — one counter tick instead of
+    /// an arbitration sweep over its buffers. The fast path is
+    /// byte-identical to arbitrating an empty switch (pinned per switch by
     /// `idle_cycle_is_byte_identical_to_empty_transmit_cycle` and
     /// end-to-end by `idle_skip_correctness`), so the toggle exists only
     /// to measure the speedup and to cross-check equivalence.
@@ -507,18 +479,15 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         self.acct.registry.snapshot_json()
     }
 
-    /// Enables the wall-clock phase profiler: per-lane phase-A busy
-    /// time and barrier waits, and the stepping thread's time in each
-    /// step of the cycle (generate, arbitrate, merge, inject) at any
-    /// lane count, drained via
-    /// [`phase_profile`](NetworkSim::phase_profile).
+    /// Enables the wall-clock phase profiler: time in each step of the
+    /// cycle (faults, recovery, generate, arbitrate, merge, inject,
+    /// observe), drained via [`phase_profile`](NetworkSim::phase_profile).
     ///
     /// Profiling measures *harness* wall-clock only — it never touches
     /// simulation state, so enabling it cannot change any result.
     #[must_use]
     pub fn with_phase_timing(mut self) -> Self {
         self.phase_timing = true;
-        self.engine.set_timing(true);
         self
     }
 
@@ -526,24 +495,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// Empty unless [`with_phase_timing`](NetworkSim::with_phase_timing)
     /// was called.
     pub fn phase_profile(&mut self) -> PhaseProfile {
-        let times = self.engine.take_times();
-        PhaseProfile {
-            lane_busy_ns: times.lane_busy_ns,
-            barrier_wait_ns: times.barrier_wait_ns,
-            phases: times.phases,
-            ..std::mem::take(&mut self.profile)
-        }
-    }
-
-    /// Number of simulation lanes stage phases run on (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    /// The stage partition in use: which contiguous switch island each
-    /// lane steps.
-    pub fn island_partition(&self) -> &crate::IslandPartition {
-        self.engine.partition()
+        std::mem::take(&mut self.profile)
     }
 
     /// Simulates one network cycle (12 clock cycles).
@@ -554,11 +506,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     ///
     /// # Determinism
     ///
-    /// One cycle is: generate (serial), advance stages last-to-first
-    /// (phase A per stage runs islands concurrently when
-    /// [`NetworkSim::with_threads`] raised the lane count; phase B
-    /// merges serially), inject (serial). The same configuration and
-    /// seed replay the identical cycle regardless of the lane count.
+    /// One cycle is: due faults, recovery service, generate, advance
+    /// stages last-to-first (arbitrate then merge, per stage), inject,
+    /// observe. The same configuration and seed replay the identical
+    /// cycle.
     ///
     /// # Panics
     ///
@@ -566,21 +517,20 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     pub fn step(&mut self) {
         self.cycle += 1;
         self.acct.cycle_started();
-        if let Some(faults) = self.fabric.faults.as_mut() {
-            let switches = &mut self.fabric.switches;
-            faults.apply_due(self.cycle, switches, self.recovery.as_mut(), &mut self.acct);
+        if self.fabric.faults.is_some() {
+            self.timed(|p| &mut p.faults_ns, Self::apply_due_faults);
         }
-        if let Some(recovery) = self.recovery.as_mut() {
-            recovery.service(self.cycle, &mut self.fabric, &mut self.acct);
+        if self.recovery.is_some() {
+            self.timed(|p| &mut p.recovery_ns, Self::service_recovery);
         }
         self.timed(|p| &mut p.generate_ns, Self::generate);
         self.advance_stages();
         self.timed(|p| &mut p.inject_ns, Self::inject);
         if self.acct.registry.enabled() {
-            self.observe_occupancy();
+            self.timed(|p| &mut p.observe_ns, Self::observe_occupancy);
         }
         if self.acct.sink.enabled() {
-            self.emit_cycle_sample();
+            self.timed(|p| &mut p.observe_ns, Self::emit_cycle_sample);
         }
         #[cfg(feature = "strict-audit")]
         if let Err(e) = self.audit() {
@@ -601,6 +551,22 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     pub fn warm_up(&mut self, cycles: u64) {
         self.run(cycles);
         self.acct.metrics.reset();
+    }
+
+    /// Applies the installed fault plan's events that are due this cycle.
+    fn apply_due_faults(&mut self) {
+        if let Some(faults) = self.fabric.faults.as_mut() {
+            let switches = &mut self.fabric.switches;
+            faults.apply_due(self.cycle, switches, self.recovery.as_mut(), &mut self.acct);
+        }
+    }
+
+    /// Recovery's start-of-cycle service: beliefs age, due retransmits
+    /// resend.
+    fn service_recovery(&mut self) {
+        if let Some(recovery) = self.recovery.as_mut() {
+            recovery.service(self.cycle, &mut self.fabric, &mut self.acct);
+        }
     }
 
     fn generate(&mut self) {
@@ -745,7 +711,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     /// Samples every input buffer's occupied slots into the
     /// `net.occupancy_slots` histogram. Only called while the registry
-    /// is enabled (one scan per cycle, serial, after injection).
+    /// is enabled (one scan per cycle, after injection).
     fn observe_occupancy(&mut self) {
         for switch in self.fabric.switches.iter().flatten() {
             for port in 0..switch.ports() {
@@ -852,54 +818,57 @@ mod tests {
 
     #[test]
     fn phase_profile_is_empty_until_enabled() {
-        let mut sim = NetworkSim::new(small(BufferKind::Damq)).unwrap();
-        sim.run(20);
-        let off = sim.phase_profile();
-        assert_eq!(off.phases, 0);
-        assert_eq!(off.total_ns(), 0);
-        assert_eq!(off.barrier_share(), 0.0);
-
         let mut sim = NetworkSim::new(small(BufferKind::Damq))
             .unwrap()
-            .with_threads(2)
-            .with_phase_timing();
+            .with_metrics();
         sim.run(20);
-        let profile = sim.phase_profile();
-        // 2 stages × 20 cycles, one phase-A per stage per cycle.
-        assert_eq!(profile.phases, 40);
-        assert_eq!(profile.lane_busy_ns.len(), 2);
-        assert!(profile.lane_busy_ns[0] > 0);
-        assert!(profile.merge_ns > 0);
-        let share = profile.barrier_share() + profile.merge_share();
-        assert!((0.0..=1.0).contains(&share));
-        // Drained on read.
-        assert_eq!(sim.phase_profile().phases, 0);
+        assert_eq!(sim.phase_profile(), PhaseProfile::default());
+        assert_eq!(sim.phase_profile().merge_share(), 0.0);
     }
 
     #[test]
     fn phase_profile_splits_the_serial_cycle_on_one_lane() {
-        let mut sim = NetworkSim::new(small(BufferKind::Damq).offered_load(0.8)).unwrap();
-        sim.run(20);
-        let off = sim.phase_profile();
-        assert_eq!(off.generate_ns + off.arbitrate_ns + off.inject_ns, 0);
-
-        let mut sim = sim.with_phase_timing();
+        let site = damq_core::FaultSite {
+            stage: 1,
+            switch: 0,
+            input: 0,
+        };
+        let plan = FaultPlan::new().with_link_down(10, site, 20);
+        let build = |recovery| {
+            let config = small(BufferKind::Damq).offered_load(0.8).recovery(recovery);
+            NetworkSim::with_faults(config, plan.clone())
+                .unwrap()
+                .with_metrics()
+                .with_phase_timing()
+        };
+        let mut sim = build(RecoveryConfig::enabled());
         sim.run(50);
         let profile = sim.phase_profile();
         assert_eq!(profile.phases, 100); // 2 stages × 50 cycles
-        for (step, ns) in [
+        let buckets = [
+            ("faults", profile.faults_ns),
+            ("recovery", profile.recovery_ns),
             ("generate", profile.generate_ns),
             ("arbitrate", profile.arbitrate_ns),
             ("merge", profile.merge_ns),
             ("inject", profile.inject_ns),
-        ] {
+            ("observe", profile.observe_ns),
+        ];
+        for (step, ns) in buckets {
             assert!(ns > 0, "{step} was not timed");
         }
-        // Phase A on one lane is lane 0's busy time plus its dispatch.
-        assert!(profile.arbitrate_ns >= profile.lane_busy_ns[0]);
-        assert_eq!(profile.barrier_wait_ns, 0);
+        let sum: u64 = buckets.iter().map(|&(_, ns)| ns).sum();
+        assert_eq!(profile.total_ns(), sum);
+        assert!((0.0..1.0).contains(&profile.merge_share()));
         // Drained on read.
-        assert_eq!(sim.phase_profile().inject_ns, 0);
+        assert_eq!(sim.phase_profile(), PhaseProfile::default());
+
+        // A step that does not run leaves its bucket at zero.
+        let mut sim = build(RecoveryConfig::disabled());
+        sim.run(50);
+        let profile = sim.phase_profile();
+        assert_eq!(profile.recovery_ns, 0);
+        assert!(profile.faults_ns > 0 && profile.observe_ns > 0);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! * [`RecoveryState::try_park`] — the park rung alone, for the edges
 //!   of the network (a dead entry wire, a sink's NACK).
 //!
-//! Everything here is read by phase-A probes (through
-//! [`RecoveryView`]) but **mutated only in the serial sections of the
-//! cycle**, and every deadline is a saturating cycle count — never wall
-//! clock — so recovery is seed-stable and preserves the serial ≡
-//! N-thread byte-identical contract.
+//! Everything here is read by the arbitration probes (through
+//! [`RecoveryView`]) but **mutated only between arbitration passes**
+//! (cycle start, the merges, inject), and every deadline is a saturating
+//! cycle count — never wall clock — so recovery is seed-stable.
 
 use std::collections::VecDeque;
 
@@ -249,11 +248,11 @@ impl RecoveryState {
     }
 
     /// Drives the recovery protocols at the start of each cycle
-    /// (serial, right after fault application): promotes link-fault
+    /// (right after fault application): promotes link-fault
     /// detections whose window elapsed into believed link health, then
     /// services every due retransmit entry — resending, backing off,
     /// or giving up. All deadlines are cycle counts, so the schedule is
-    /// seed-stable and lane-count-independent.
+    /// seed-stable.
     pub(super) fn service<B: SwitchBuffer, S: TelemetrySink<Event>>(
         &mut self,
         cycle: u64,
@@ -351,7 +350,7 @@ impl RecoveryState {
         }
     }
 
-    /// The read-only view phase-A probes take of recovery state.
+    /// The read-only view the arbitration probes take of recovery state.
     pub(super) fn view(&self) -> RecoveryView<'_> {
         RecoveryView {
             adaptive: self.config.adaptive,
@@ -360,10 +359,8 @@ impl RecoveryState {
     }
 }
 
-/// Read-only phase-A view of recovery state: the adaptive flag and the
-/// believed link-health table. Only written in serial sections, so
-/// islands may read it freely (same argument as
-/// [`IdleView`](super::stage::IdleView)).
+/// The arbitration probes' read-only view of recovery state: the
+/// adaptive flag and the believed link-health table.
 #[derive(Clone, Copy)]
 pub(super) struct RecoveryView<'a> {
     pub(super) adaptive: bool,

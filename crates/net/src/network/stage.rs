@@ -7,19 +7,14 @@
 //! the quiescence-map update cannot be forgotten at any site.
 //!
 //! One cycle advances the stages **last stage first**, each in two
-//! phases: [`arbitrate_stage`](NetworkSim::arbitrate_stage) (phase A —
-//! islands concurrently when [`NetworkSim::with_threads`] raised the
-//! lane count) fills the engine's lanes with departure records, and a
-//! serial merge (phase B) drains them in ascending switch order: to the
-//! sinks for the last stage, through [`Fabric::hop`] for interior
-//! stages. Only phase B mutates shared state, so the phased loop is
-//! byte-identical to a serial sweep at any lane count (see
+//! passes: [`arbitrate_stage`](NetworkSim::arbitrate_stage) walks the
+//! stage's switches and parks their departures as records, and a merge
+//! drains the records in the same ascending switch order: to the sinks
+//! for the last stage, through [`Fabric::hop`] for interior stages.
+//! Arbitration holds the stage below by shared borrow, so every probe of
+//! the pass sees the same downstream space; only the merge writes it
+//! (see "Why the cycle is two passes per stage" in
 //! `docs/ARCHITECTURE.md`).
-
-// lint: allow — the phase profiler measures *harness* wall-clock (the
-// steps of the cycle), never simulation state; cycle time in the
-// simulator is the logical `cycle` counter, not `Instant`.
-use std::time::Instant;
 
 use damq_core::{
     FrontMeta, InputPort, OutputPort, Packet, RejectReason, SwitchBuffer, DEFAULT_SLOT_BYTES,
@@ -31,7 +26,6 @@ use super::account::{DropCause, FaultTally};
 use super::faults::{FaultState, Wiring};
 use super::recovery::{HopKind, LostHop, RecoveryView};
 use super::NetworkSim;
-use crate::parallel::{DepartRecord, PhaseProfile, StageLane};
 use crate::topology::{HopRoute, RoutePlan};
 
 /// The grid of switches, the wires between them, and the per-switch
@@ -42,12 +36,12 @@ pub(super) struct Fabric<B: SwitchBuffer> {
     pub(super) switches: Vec<Vec<Switch<B>>>,
     pub(super) wiring: Wiring,
     /// Per-switch quiescence map, indexed by [`Wiring::switch`].
-    /// Invariant (audited as `quiescence-map`): at every phase-A entry
-    /// and at end of cycle, `quiescent[i]` ⇔ that switch holds zero
-    /// packets. Maintained incrementally, writes only in serial
-    /// sections: a successful [`hop`](Fabric::hop) clears the
-    /// receiver's bit; each departure record re-derives the
-    /// transmitter's bit from [`Switch::is_quiescent`].
+    /// Invariant (audited as `quiescence-map`): whenever a stage starts
+    /// arbitrating and at end of cycle, `quiescent[i]` ⇔ that switch
+    /// holds zero packets. Maintained incrementally: a successful
+    /// [`hop`](Fabric::hop) clears the receiver's bit; each departure
+    /// record re-derives the transmitter's bit from
+    /// [`Switch::is_quiescent`].
     pub(super) quiescent: Vec<bool>,
     /// The installed fault plan's state (which wires are down), if any.
     pub(super) faults: Option<FaultState>,
@@ -173,17 +167,51 @@ impl<B: SwitchBuffer> Fabric<B> {
     }
 }
 
-/// Read-only context shared by one stage's phase-A transmit probes:
-/// everything a switch needs to route a candidate departure and test
-/// downstream space. Every field is behind a shared reference (or
-/// `Copy`), so islands can probe concurrently — the route plan's query
-/// counter is atomic, fault state is only read (`link_down`), and
-/// downstream space is asked of the downstream switches themselves
-/// through `downstream`. That shared borrow is the proof the stage below
-/// is frozen for the whole of phase A: its own transmit and every merge
-/// into it are already done, and while the borrow lives nothing — at any
-/// lane count — can mutate it, so a probe made at any point of the phase
-/// gets the answer the merge will find.
+/// One departure parked by a stage's arbitration pass, applied by its
+/// merge pass.
+///
+/// `route` carries the backpressure probe's parked [`HopRoute`] under
+/// the blocking protocol, so every departure is routed exactly once; it
+/// is `None` under discarding flow control, where only the merge routes.
+#[derive(Debug)]
+struct DepartRecord {
+    /// Switch index within the stage.
+    sw: usize,
+    /// The crossbar output the packet left through.
+    output: OutputPort,
+    /// The probe's parked route (blocking protocol only).
+    route: Option<HopRoute>,
+    /// The departing packet.
+    packet: Packet,
+}
+
+/// Working memory of the two passes, reused every stage of every cycle
+/// so steady-state stepping stays allocation-free.
+#[derive(Debug)]
+pub(super) struct StageScratch {
+    /// Per-output parked probe routes (reset per switch).
+    parked: Vec<Option<HopRoute>>,
+    /// The arbitrating stage's departures, in ascending switch order.
+    records: Vec<DepartRecord>,
+}
+
+impl StageScratch {
+    pub(super) fn new(radix: usize) -> Self {
+        StageScratch {
+            parked: vec![None; radix],
+            records: Vec::new(),
+        }
+    }
+}
+
+/// Read-only context of one stage's transmit probes: everything a switch
+/// needs to route a candidate departure and test downstream space.
+/// Downstream space is asked of the downstream switches themselves
+/// through `downstream`, and that shared borrow is the proof the stage
+/// below is frozen for the whole pass: its own transmit and every merge
+/// into it are already done, and while the borrow lives nothing can
+/// mutate it, so a probe made at any point of the pass gets the answer
+/// the merge will find.
 struct ProbeCtx<'a, B: SwitchBuffer> {
     stage: usize,
     wiring: Wiring,
@@ -196,7 +224,6 @@ struct ProbeCtx<'a, B: SwitchBuffer> {
     faults: Option<&'a FaultState>,
     /// The stage below (empty for the last stage, which never probes).
     downstream: &'a [Switch<B>],
-    idle: IdleView<'a>,
     /// Recovery's believed link health, for the adaptive probe (absent
     /// while recovery is off — the probe then behaves exactly as before
     /// recovery existed).
@@ -207,7 +234,7 @@ impl<B: SwitchBuffer> ProbeCtx<'_, B> {
     /// Whether the frozen downstream stage would take a `slots`-slot
     /// packet over wire `link` along `route`: the wire is up and the
     /// receiving buffer has room — the two conditions of
-    /// [`Fabric::open`], read here through the phase's shared borrows.
+    /// [`Fabric::open`], read here through the pass's shared borrows.
     fn admits(&self, link: usize, route: HopRoute, slots: usize) -> bool {
         !self.faults.is_some_and(|f| f.link_down(link, self.cycle))
             && self.downstream[route.next_switch].can_accept(
@@ -224,37 +251,21 @@ impl<B: SwitchBuffer> ProbeCtx<'_, B> {
     }
 }
 
-/// Read-only phase-A view of one stage's slice of the quiescence map,
-/// plus the skip enable flag. The map is only written in the serial
-/// sections of the cycle (merge, inject), so islands may read it freely.
-#[derive(Clone, Copy)]
-pub(super) struct IdleView<'a> {
-    enabled: bool,
-    map: &'a [bool],
-}
-
-impl IdleView<'_> {
-    /// Whether switch `sw` may take the idle fast path this cycle.
-    fn skip(&self, sw: usize) -> bool {
-        self.enabled && self.map[sw]
-    }
-}
-
-/// Phase-A departure sink for one switch. Under the blocking protocol
-/// the `can_send` probe of an interior stage routes the candidate, parks
-/// the route in the lane scratch, and tests the downstream link and
-/// space; each grant then moves the parked route onto its departure
-/// record, so phase B routes every departure exactly once — identical
-/// to the serial loop. Without probing (the discarding protocol, or the
-/// last stage, whose terminals always accept) the sink never refuses, so
-/// the switch never asks it and no route is parked.
+/// The arbitration pass's departure sink for one switch. Under the
+/// blocking protocol the `can_send` probe of an interior stage routes
+/// the candidate, parks the route in the scratch, and tests the
+/// downstream link and space; each grant then moves the parked route
+/// onto its departure record, so the merge routes no probed departure a
+/// second time. Without probing (the discarding protocol, or the last
+/// stage, whose terminals always accept) the sink never refuses, so the
+/// switch never asks it and no route is parked.
 struct StageSink<'a, 'b, B: SwitchBuffer> {
     sw: usize,
     ctx: &'a ProbeCtx<'b, B>,
-    scratch: &'a mut [Option<HopRoute>],
+    parked: &'a mut [Option<HopRoute>],
     records: &'a mut Vec<DepartRecord>,
-    /// Route queries made by this switch's probes, flushed to the plan's
-    /// counter in one batched add after the cycle (see
+    /// Route queries made by this switch's probes; the stage adds its
+    /// total to the plan's counter once (see
     /// [`RoutePlan::count_queries`]).
     probes: u64,
 }
@@ -276,7 +287,7 @@ impl<B: SwitchBuffer> CycleSink for StageSink<'_, '_, B> {
         let route = ctx
             .plan
             .departure_route_uncounted(ctx.stage, self.sw, output, front.dest);
-        self.scratch[output.index()] = Some(route);
+        self.parked[output.index()] = Some(route);
         let slots = front.slots_needed(DEFAULT_SLOT_BYTES);
         if ctx.admits(ctx.link(route), route, slots) {
             return true;
@@ -299,7 +310,7 @@ impl<B: SwitchBuffer> CycleSink for StageSink<'_, '_, B> {
 
     fn depart(&mut self, _input: InputPort, output: OutputPort, packet: Packet) {
         let route = if self.ctx.probing {
-            self.scratch[output.index()].take()
+            self.parked[output.index()].take()
         } else {
             None
         };
@@ -324,32 +335,20 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             self.timed(|p| &mut p.arbitrate_ns, |sim| sim.arbitrate_stage(stage));
             self.timed(|p| &mut p.merge_ns, |sim| sim.merge_interior_stage(stage));
         }
-    }
-
-    /// Runs one step of the cycle, charging its wall-clock to `bucket`
-    /// of the phase profile when that is on (one cold branch when off).
-    pub(super) fn timed(
-        &mut self,
-        bucket: fn(&mut PhaseProfile) -> &mut u64,
-        step: impl FnOnce(&mut Self),
-    ) {
-        // lint: allow — harness wall-clock, never simulation state.
-        let start = self.phase_timing.then(Instant::now);
-        step(self);
-        if let Some(start) = start {
-            *bucket(&mut self.profile) += start.elapsed().as_nanos() as u64;
+        if self.phase_timing {
+            self.profile.phases += last as u64 + 1;
         }
     }
 
-    /// Phase A of `stage`: every switch arbitrates — quiescent switches
-    /// take the idle fast path, one counter tick instead of a buffer
-    /// sweep — and parks its departures in its island's lane.
+    /// The arbitration pass of `stage`: every switch arbitrates —
+    /// quiescent switches take the idle fast path, one counter tick
+    /// instead of a buffer sweep — and parks its departures as records.
     ///
     /// Reads the downstream stage (frozen: its own transmit and every
     /// merge into it already ran this cycle — and borrowed shared for
-    /// the phase, so the compiler holds every lane to it), the fault and
+    /// the pass, so the compiler holds every probe to it), the fault and
     /// recovery link tables and this stage's quiescence bits; writes
-    /// only this stage's switches, the engine's lanes and the idle-skip
+    /// only this stage's switches, the scratch and the idle-skip
     /// tallies.
     fn arbitrate_stage(&mut self, stage: usize) {
         let wiring = self.fabric.wiring;
@@ -371,218 +370,200 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             faults: self.fabric.faults.as_ref(),
             recovery: self.recovery.as_ref().map(|r| r.view()),
             downstream,
-            idle: IdleView {
-                enabled: self.idle_skip,
-                map: &self.fabric.quiescent[wiring.switch(stage, 0)..wiring.switch(stage + 1, 0)],
-            },
         };
-        self.engine.collect(
-            row,
-            &ctx,
-            &|sw, switch: &mut Switch<B>, lane: &mut StageLane, ctx: &ProbeCtx<'_, B>| {
-                debug_assert_eq!(
-                    ctx.idle.map[sw],
-                    switch.is_quiescent(),
-                    "stale quiescence bit"
-                );
-                if ctx.idle.skip(sw) {
-                    switch.note_idle_cycle();
-                    lane.idle_skipped += 1;
-                    return;
-                }
-                let StageLane {
-                    scratch, records, ..
-                } = lane;
-                if ctx.probing {
-                    scratch.fill(None);
-                }
-                let mut sink = StageSink {
-                    sw,
-                    ctx,
-                    scratch,
-                    records,
-                    probes: 0,
-                };
-                switch.transmit_cycle_with(&mut sink);
-                if sink.probes > 0 {
-                    ctx.plan.count_queries(sink.probes);
-                }
-            },
-        );
-        let skipped = self.engine.idle_skipped_in_phase();
+        let idle_skip = self.idle_skip;
+        let quiescent =
+            &self.fabric.quiescent[wiring.switch(stage, 0)..wiring.switch(stage + 1, 0)];
+        let StageScratch { parked, records } = &mut self.scratch;
+        debug_assert!(records.is_empty(), "the previous merge drains its records");
+        let mut skipped = 0u64;
+        let mut probes = 0u64;
+        for (sw, switch) in row.iter_mut().enumerate() {
+            debug_assert_eq!(quiescent[sw], switch.is_quiescent(), "stale quiescence bit");
+            if idle_skip && quiescent[sw] {
+                switch.note_idle_cycle();
+                skipped += 1;
+                continue;
+            }
+            if probing {
+                parked.fill(None);
+            }
+            let mut sink = StageSink {
+                sw,
+                ctx: &ctx,
+                parked,
+                records,
+                probes: 0,
+            };
+            switch.transmit_cycle_with(&mut sink);
+            probes += sink.probes;
+        }
+        self.plan.count_queries(probes);
         self.idle_skipped += skipped;
         self.acct.idle_skipped(skipped);
     }
 
-    /// Phase B of the last stage: its departures, in ascending switch
-    /// order, meet their sink's verdict — delivered, or refused (wrong
-    /// terminal, failed checksum) and then parked by recovery or
+    /// The merge pass of the last stage: its departures, in ascending
+    /// switch order, meet their sink's verdict — delivered, or refused
+    /// (wrong terminal, failed checksum) and then parked by recovery or
     /// dropped.
     fn merge_last_stage(&mut self) {
         let last = self.fabric.switches.len() - 1;
         let cycle = self.cycle;
-        for island in 0..self.engine.islands() {
-            for rec in self.engine.lane_records(island) {
-                let sw = rec.sw;
-                // The record proves `sw` transmitted: re-derive its
-                // quiescence bit from the post-arbitration residency
-                // (idempotent; receives into this stage happen later, in
-                // the previous stage's merge, and clear it again).
-                self.fabric.refresh_quiescence(last, sw);
-                let out = if self.fabric.take_misroute(last, sw) {
-                    OutputPort::new((rec.output.index() + 1) % self.config.radix)
-                } else {
-                    rec.output
-                };
-                let sink = self.plan.sink_of(sw, out).index();
-                let serial = rec.packet.id().serial();
-                self.acct.forwarded(cycle, serial, last, sw, out.index());
-                let refusal = if sink != rec.packet.dest().index() {
-                    // A transient misroute (here or upstream) or a
-                    // deliberate deflection carried the packet to the
-                    // wrong terminal.
-                    debug_assert!(
-                        self.fabric.faults.is_some() || rec.packet.deflections() > 0,
-                        "misrouted packet without faults"
-                    );
-                    DropCause::WrongSink { sink }
-                } else if !rec.packet.verify_checksum() {
-                    // Payload damaged in flight: the sink refuses delivery.
-                    DropCause::Corrupt { sink }
-                } else {
-                    self.acct.delivered(cycle, &rec.packet);
-                    continue;
-                };
-                // With retransmission on the refusal is a NACK: the packet
-                // parks at the terminal hop of its *true* destination and
-                // the timer resends a repaired copy end-to-end (no discard
-                // is charged unless every retry is exhausted).
-                let unsaved = match self.recovery.as_mut() {
-                    Some(recv) => {
-                        recv.try_park(cycle, false, (last, sw), HopKind::Final, rec.packet)
-                    }
-                    None => Some(rec.packet),
-                };
-                if unsaved.is_some() {
-                    self.acct.dropped(cycle, serial, refusal);
-                } else if matches!(refusal, DropCause::WrongSink { .. }) {
-                    self.acct.recirculated(cycle, serial, sink);
-                }
+        for rec in self.scratch.records.drain(..) {
+            let sw = rec.sw;
+            // The record proves `sw` transmitted: re-derive its
+            // quiescence bit from the post-arbitration residency
+            // (idempotent; receives into this stage happen later, in
+            // the previous stage's merge, and clear it again).
+            self.fabric.refresh_quiescence(last, sw);
+            let out = if self.fabric.take_misroute(last, sw) {
+                OutputPort::new((rec.output.index() + 1) % self.config.radix)
+            } else {
+                rec.output
+            };
+            let sink = self.plan.sink_of(sw, out).index();
+            let serial = rec.packet.id().serial();
+            self.acct.forwarded(cycle, serial, last, sw, out.index());
+            let refusal = if sink != rec.packet.dest().index() {
+                // A transient misroute (here or upstream) or a
+                // deliberate deflection carried the packet to the
+                // wrong terminal.
+                debug_assert!(
+                    self.fabric.faults.is_some() || rec.packet.deflections() > 0,
+                    "misrouted packet without faults"
+                );
+                DropCause::WrongSink { sink }
+            } else if !rec.packet.verify_checksum() {
+                // Payload damaged in flight: the sink refuses delivery.
+                DropCause::Corrupt { sink }
+            } else {
+                self.acct.delivered(cycle, &rec.packet);
+                continue;
+            };
+            // With retransmission on the refusal is a NACK: the packet
+            // parks at the terminal hop of its *true* destination and
+            // the timer resends a repaired copy end-to-end (no discard
+            // is charged unless every retry is exhausted).
+            let unsaved = match self.recovery.as_mut() {
+                Some(recv) => recv.try_park(cycle, false, (last, sw), HopKind::Final, rec.packet),
+                None => Some(rec.packet),
+            };
+            if unsaved.is_some() {
+                self.acct.dropped(cycle, serial, refusal);
+            } else if matches!(refusal, DropCause::WrongSink { .. }) {
+                self.acct.recirculated(cycle, serial, sink);
             }
         }
     }
 
-    /// Phase B of interior `stage`: its departures, in ascending switch
-    /// order, hop into stage `stage + 1` — replaying the serial
-    /// departure loop: misroute faults, routing fallback, telemetry,
-    /// the hop, and for a failed hop the recovery ladder, then the drop.
+    /// The merge pass of interior `stage`: its departures, in ascending
+    /// switch order, hop into stage `stage + 1` — misroute faults,
+    /// routing fallback, telemetry, the hop, and for a failed hop the
+    /// recovery ladder, then the drop.
     fn merge_interior_stage(&mut self, stage: usize) {
         let blocking = self.config.flow_control.requires_backpressure();
         let adaptive = self.recovery.as_ref().is_some_and(|r| r.config.adaptive);
         let cycle = self.cycle;
         // Misroutes applied so far in *this stage's* merge — the only
-        // mechanism that can invalidate a phase-A probe (see the
-        // invariant at the failed hop below).
+        // mechanism that can invalidate an arbitration-pass probe (see
+        // the invariant at the failed hop below).
         let mut stage_misroutes = 0u64;
         // Departures routed here rather than by a probe, added to the
         // plan's query counter once after the merge.
         let mut routed = 0u64;
-        for island in 0..self.engine.islands() {
-            for rec in self.engine.lane_records(island) {
-                let sw = rec.sw;
-                // The record proves `sw` transmitted: re-derive its
-                // quiescence bit from the post-arbitration residency.
-                self.fabric.refresh_quiescence(stage, sw);
-                // Blocking probes parked the route on the record; the
-                // discarding path routes here — either way exactly one
-                // query per departure (misroutes pay one extra for the
-                // flip).
-                let dest = rec.packet.dest();
-                let misrouted_here = self.fabric.take_misroute(stage, sw);
-                stage_misroutes += u64::from(misrouted_here);
-                let out = if misrouted_here {
-                    OutputPort::new((rec.output.index() + 1) % self.config.radix)
-                } else {
-                    rec.output
-                };
-                let route = match rec.route {
-                    Some(route) if !misrouted_here => route,
-                    _ => {
-                        routed += 1;
-                        self.plan.departure_route_uncounted(stage, sw, out, dest)
-                    }
-                };
-                let serial = rec.packet.id().serial();
-                self.acct.forwarded(cycle, serial, stage, sw, out.index());
-                let Err(lost) = self.fabric.hop(cycle, stage + 1, route, rec.packet) else {
-                    continue;
-                };
-                // Invariant: a probed blocking departure can only
-                // bounce after a misroute or a deflection in this
-                // same stage's merge. The banyan wiring maps each
-                // upstream (switch, output) to a *unique*
-                // downstream (switch, input), and the crossbar
-                // grants at most one departure per output per
-                // cycle, so every in-order departure in this
-                // merge owns a private downstream input whose
-                // space its probe reserved. Earlier in-order
-                // receives therefore cannot consume it; only a
-                // misroute or deflection — which flips a packet
-                // onto an output it never probed, landing on an
-                // input port that belongs to another departure —
-                // can. (Retransmit resends run before this
-                // stage's phase A, so they cannot
-                // invalidate a probe.) With adaptive recovery
-                // the bounce is additionally expected whenever
-                // the probe admitted the departure on the
-                // *alternate* route's space — the primary was
-                // already known to be blocked and the ladder
-                // below deflects — so the invariant only has
-                // teeth without deflection in play.
-                assert!(
-                    lost.wire_down || !blocking || adaptive || stage_misroutes > 0,
-                    "blocking probe invalidated with no misroute or deflection in this \
-                     stage's merge (stage {stage}, switch {sw})"
-                );
-                let unsaved = match self.recovery.as_mut() {
-                    Some(recv) => {
-                        let hop = LostHop {
-                            stage,
-                            sw,
-                            out,
-                            route,
-                            wire_down: lost.wire_down,
-                        };
-                        let (fabric, acct) = (&mut self.fabric, &mut self.acct);
-                        recv.rescue(cycle, fabric, &self.plan, acct, hop, lost.packet)
-                    }
-                    None => Some(lost.packet),
-                };
-                if unsaved.is_some() {
-                    // The plain fault model: recovery off, out of
-                    // deflection budget, or the hop buffer is full.
-                    let fault = if lost.wire_down {
-                        Some(FaultTally::LinkDropped)
-                    } else if misrouted_here {
-                        Some(FaultTally::Misrouted)
-                    } else if blocking {
-                        // An in-order departure whose probe a misroute or
-                        // deflection invalidated (the invariant above).
-                        Some(FaultTally::ProbeInvalidated)
-                    } else {
-                        None
-                    };
-                    let cause = DropCause::Hop {
-                        stage,
-                        switch: sw,
-                        fault,
-                    };
-                    self.acct.dropped(cycle, serial, cause);
+        for rec in self.scratch.records.drain(..) {
+            let sw = rec.sw;
+            // The record proves `sw` transmitted: re-derive its
+            // quiescence bit from the post-arbitration residency.
+            self.fabric.refresh_quiescence(stage, sw);
+            // Blocking probes parked the route on the record; the
+            // discarding path routes here — either way exactly one
+            // query per departure (misroutes pay one extra for the
+            // flip).
+            let dest = rec.packet.dest();
+            let misrouted_here = self.fabric.take_misroute(stage, sw);
+            stage_misroutes += u64::from(misrouted_here);
+            let out = if misrouted_here {
+                OutputPort::new((rec.output.index() + 1) % self.config.radix)
+            } else {
+                rec.output
+            };
+            let route = match rec.route {
+                Some(route) if !misrouted_here => route,
+                _ => {
+                    routed += 1;
+                    self.plan.departure_route_uncounted(stage, sw, out, dest)
                 }
+            };
+            let serial = rec.packet.id().serial();
+            self.acct.forwarded(cycle, serial, stage, sw, out.index());
+            let Err(lost) = self.fabric.hop(cycle, stage + 1, route, rec.packet) else {
+                continue;
+            };
+            // Invariant: a probed blocking departure can only
+            // bounce after a misroute or a deflection in this
+            // same stage's merge. The banyan wiring maps each
+            // upstream (switch, output) to a *unique*
+            // downstream (switch, input), and the crossbar
+            // grants at most one departure per output per
+            // cycle, so every in-order departure in this
+            // merge owns a private downstream input whose
+            // space its probe reserved. Earlier in-order
+            // receives therefore cannot consume it; only a
+            // misroute or deflection — which flips a packet
+            // onto an output it never probed, landing on an
+            // input port that belongs to another departure —
+            // can. (Retransmit resends run before this
+            // stage arbitrates, so they cannot
+            // invalidate a probe.) With adaptive recovery
+            // the bounce is additionally expected whenever
+            // the probe admitted the departure on the
+            // *alternate* route's space — the primary was
+            // already known to be blocked and the ladder
+            // below deflects — so the invariant only has
+            // teeth without deflection in play.
+            assert!(
+                lost.wire_down || !blocking || adaptive || stage_misroutes > 0,
+                "blocking probe invalidated with no misroute or deflection in this \
+                     stage's merge (stage {stage}, switch {sw})"
+            );
+            let unsaved = match self.recovery.as_mut() {
+                Some(recv) => {
+                    let hop = LostHop {
+                        stage,
+                        sw,
+                        out,
+                        route,
+                        wire_down: lost.wire_down,
+                    };
+                    let (fabric, acct) = (&mut self.fabric, &mut self.acct);
+                    recv.rescue(cycle, fabric, &self.plan, acct, hop, lost.packet)
+                }
+                None => Some(lost.packet),
+            };
+            if unsaved.is_some() {
+                // The plain fault model: recovery off, out of
+                // deflection budget, or the hop buffer is full.
+                let fault = if lost.wire_down {
+                    Some(FaultTally::LinkDropped)
+                } else if misrouted_here {
+                    Some(FaultTally::Misrouted)
+                } else if blocking {
+                    // An in-order departure whose probe a misroute or
+                    // deflection invalidated (the invariant above).
+                    Some(FaultTally::ProbeInvalidated)
+                } else {
+                    None
+                };
+                let cause = DropCause::Hop {
+                    stage,
+                    switch: sw,
+                    fault,
+                };
+                self.acct.dropped(cycle, serial, cause);
             }
         }
-        if routed > 0 {
-            self.plan.count_queries(routed);
-        }
+        self.plan.count_queries(routed);
     }
 }

@@ -9,9 +9,9 @@
 //! The paper's evaluation network is `OmegaTopology::new(64, 4)`: three
 //! stages of sixteen 4×4 switches.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use damq_core::{InputPort, NodeId, OutputPort};
 
@@ -361,7 +361,7 @@ pub struct HopRoute {
 /// The plan counts [`RoutePlan::departure_route`] calls
 /// ([`RoutePlan::route_queries`]), which lets tests pin down exactly how
 /// often the simulator routes each departing packet.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoutePlan {
     radix: usize,
     stages: usize,
@@ -382,29 +382,9 @@ pub struct RoutePlan {
     outputs: Vec<u8>,
     /// Sink terminal per (switch, output) of the final stage.
     sinks: Vec<u32>,
-    /// Departure-route queries served so far. Atomic (relaxed) so
-    /// concurrent backpressure probes from sharded stage islands can
-    /// count without synchronization; the total stays deterministic.
-    queries: AtomicU64,
-}
-
-impl Clone for RoutePlan {
-    fn clone(&self) -> Self {
-        RoutePlan {
-            radix: self.radix,
-            stages: self.stages,
-            size: self.size,
-            per_stage: self.per_stage,
-            entries: self.entries.clone(),
-            next_hops: self.next_hops.clone(),
-            outputs: self.outputs.clone(),
-            sinks: self.sinks.clone(),
-            // ordering: Relaxed — clone takes a point-in-time snapshot of
-            // a pure statistics counter; no other memory is published
-            // through it, so no acquire/release pairing is needed.
-            queries: AtomicU64::new(self.queries.load(Ordering::Relaxed)),
-        }
-    }
+    /// Departure-route queries served so far (a `Cell`: probes count
+    /// through the shared borrow the arbitration pass holds).
+    queries: Cell<u64>,
 }
 
 impl RoutePlan {
@@ -457,7 +437,7 @@ impl RoutePlan {
             next_hops,
             outputs,
             sinks,
-            queries: AtomicU64::new(0),
+            queries: Cell::new(0),
         }
     }
 
@@ -495,21 +475,15 @@ impl RoutePlan {
         output: OutputPort,
         dest: NodeId,
     ) -> HopRoute {
-        // ordering: Relaxed — a pure event count with no dependent data.
-        // Atomic RMW keeps the total exact under concurrent phase-A
-        // island probes; the pool's phase barrier (mutex + condvar)
-        // orders it before any cross-thread read, so the deterministic
-        // total needs no stronger ordering here.
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.count_queries(1);
         self.departure_route_uncounted(stage, switch, output, dest)
     }
 
     /// [`RoutePlan::departure_route`] without the query-counter bump:
-    /// the per-candidate backpressure probe calls this and batches its
-    /// count into one [`RoutePlan::count_queries`] per switch per cycle,
-    /// turning ~`radix`-squared atomic RMWs per switch into one, and the
-    /// discarding protocol's interior merge batches one per stage. The
-    /// total stays exact — the counter is only read between cycles.
+    /// the per-candidate backpressure probe calls this and the stage adds
+    /// its probes in one [`RoutePlan::count_queries`], as does the
+    /// discarding protocol's interior merge. The total stays exact — the
+    /// counter is only read between cycles.
     ///
     /// # Panics
     ///
@@ -533,8 +507,7 @@ impl RoutePlan {
     /// Adds `n` batched [`RoutePlan::departure_route_uncounted`] queries
     /// to the counter behind [`RoutePlan::route_queries`].
     pub(crate) fn count_queries(&self, n: u64) {
-        // ordering: Relaxed — same pure event count as `departure_route`.
-        self.queries.fetch_add(n, Ordering::Relaxed);
+        self.queries.set(self.queries.get() + n);
     }
 
     /// The alternate (deflection) output adaptive recovery tries at
@@ -568,10 +541,7 @@ impl RoutePlan {
 
     /// How many times [`RoutePlan::departure_route`] has been called.
     pub fn route_queries(&self) -> u64 {
-        // ordering: Relaxed — readers call this between cycles or after a
-        // run, past the pool's phase barrier; the barrier's mutex already
-        // ordered every increment before this load.
-        self.queries.load(Ordering::Relaxed)
+        self.queries.get()
     }
 
     /// Number of stages the plan covers.

@@ -9,10 +9,9 @@
 //! queries (one per blocking probe, two when adaptive recovery tries the
 //! alternate), idle-skipped switch-cycles and the aggregated buffer
 //! counters of fixed runs against literals recorded at the parent of the
-//! live-probe change, serial and on four lanes — a kernel that asks a
-//! sink one question more or less, or examines queues in another order,
-//! moves them. Never regenerate these numbers to make a kernel change
-//! pass.
+//! live-probe change — a kernel that asks a sink one question more or
+//! less, or examines queues in another order, moves them. Never
+//! regenerate these numbers to make a kernel change pass.
 
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{NetworkConfig, NetworkSim, RecoveryConfig, TrafficPattern};
@@ -98,12 +97,12 @@ fn storm(cycles: u64) -> FaultPlan {
     FaultPlan::generate(0x4EA1, &links).merged(FaultPlan::generate(0x4EA1 << 17, &noise))
 }
 
-fn run(config: NetworkConfig, faults: Option<FaultPlan>, threads: usize, cycles: u64) -> Counts {
+fn run(config: NetworkConfig, faults: Option<FaultPlan>, cycles: u64) -> Counts {
     let sim = match faults {
         Some(plan) => NetworkSim::with_faults(config, plan),
         None => NetworkSim::new(config),
     };
-    let mut sim = sim.unwrap().with_threads(threads);
+    let mut sim = sim.unwrap();
     sim.run(cycles);
     sim.audit().expect("post-run audit");
     counts(&sim)
@@ -145,10 +144,7 @@ fn probe_idle_skip_and_buffer_counts_match_the_parent() {
         ),
     ];
     for (name, config, faults, parent) in cases {
-        for threads in [1, 4] {
-            let got = run(config, faults.clone(), threads, CYCLES);
-            assert_eq!(got, parent, "{name}, {threads} thread(s)");
-        }
+        assert_eq!(run(config, faults, CYCLES), parent, "{name}");
     }
 }
 

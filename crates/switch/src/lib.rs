@@ -14,12 +14,11 @@
 //! [`Switch::transmit_cycle`]; a discarding network always lets packets fly
 //! and drops those that find a full buffer.
 //!
-//! Because one cycle of a switch is a pure function of its own state and
-//! the `can_send` answers (see the determinism note on
-//! [`Switch::transmit_cycle`]), hosts may arbitrate many switches
-//! concurrently — `damq-net`'s sharded stepping
-//! (`NetworkSim::with_threads`) does exactly that, with all shared-state
-//! mutation deferred to a serial merge phase.
+//! One cycle of a switch is a pure function of its own state and the
+//! `can_send` answers (see the determinism note on
+//! [`Switch::transmit_cycle`]), so a host may arbitrate a whole stage
+//! against a frozen downstream stage and apply the departures afterwards
+//! — `damq-net`'s cycle loop does exactly that.
 //!
 //! # Examples
 //!

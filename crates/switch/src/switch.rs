@@ -249,12 +249,10 @@ impl<B: SwitchBuffer> Switch<B> {
     /// `can_send` answers: the examination order comes from the arbiter's
     /// priority pointer (stable for the whole cycle), candidates are
     /// walked in ascending output order, and no global or ambient state
-    /// is consulted. This is what lets the sharded network simulator
-    /// (`damq-net`'s `NetworkSim::with_threads`) arbitrate many switches
-    /// concurrently — each call observes only its own switch plus
-    /// read-only downstream probes — and still produce byte-identical
-    /// results at any thread count. Mutation of *shared* state (the
-    /// downstream `receive`) is the caller's job, after arbitration.
+    /// is consulted: each call observes only its own switch plus the
+    /// caller's read-only downstream probes. Mutation of *shared* state
+    /// (the downstream `receive`) is the caller's job, after
+    /// arbitration.
     pub fn transmit_cycle<F>(&mut self, can_send: F) -> Vec<Departure>
     where
         F: FnMut(OutputPort, FrontMeta) -> bool,

@@ -24,8 +24,6 @@
 //!   these as a text dashboard.
 //! * [`Profiler`] — named-phase wall-clock accumulation for the sweep
 //!   engine's JSON `telemetry` section.
-//! * [`EventLanes`] — per-island event buffers for the sharded simulator,
-//!   merging into one stream in a thread-timing-independent order.
 //! * [`MetricsRegistry`] / [`LogHistogram`] — named cycle-domain counters
 //!   and bounded log-scale histograms with p50/p99/p999 readout and a
 //!   byte-deterministic JSON snapshot; free when disabled.
@@ -60,7 +58,6 @@
 
 mod collect;
 mod event;
-mod lanes;
 mod profile;
 mod recorder;
 mod registry;
@@ -69,7 +66,6 @@ mod sink;
 
 pub use collect::{Hop, Lifecycle, TraceSummary};
 pub use event::{Event, EventKind, ParseError};
-pub use lanes::EventLanes;
 pub use profile::Profiler;
 pub use recorder::{FlightRecorder, SharedRecorder};
 pub use registry::{CounterId, HistogramId, LogHistogram, MetricsRegistry};

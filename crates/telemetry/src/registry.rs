@@ -20,9 +20,8 @@
 //!   memory over million-cycle runs;
 //! * [`MetricsRegistry::snapshot_json`] serialises everything — counter
 //!   values, histogram counts and percentiles — as integers in
-//!   registration order, so a snapshot is byte-deterministic and the
-//!   serial-vs-N-thread equivalence suite can compare snapshots
-//!   literally.
+//!   registration order, so a snapshot is byte-deterministic and
+//!   tests can compare snapshots literally.
 //!
 //! All values live in the simulation domain (cycles, packets, slots);
 //! wall-clock never enters this module. Every registered name must
@@ -308,8 +307,7 @@ impl MetricsRegistry {
     /// One deterministic JSON object: counters then histograms, keys in
     /// registration order, every value an integer. Two runs that
     /// recorded the same simulation-domain values produce identical
-    /// bytes — the property `parallel_equivalence.rs` pins across
-    /// thread counts.
+    /// bytes.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {

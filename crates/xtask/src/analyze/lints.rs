@@ -7,16 +7,17 @@
 //! type-checks; the other lints keep their numbers. Lints 8–12 are new:
 //!
 //! 8. **unsafe-audit** — every `unsafe` block/impl/fn/trait carries a
-//!    `// SAFETY:` justification; every workspace crate except
-//!    `damq-shard` declares `#![forbid(unsafe_code)]`; every atomic
-//!    `Ordering::…` choice on the simulation path carries an
-//!    `// ordering:` justification; and the generated
+//!    `// SAFETY:` justification; every workspace crate declares
+//!    `#![forbid(unsafe_code)]`; and the generated
 //!    `docs/UNSAFE_LEDGER.md` inventory is current.
 //! 9. **determinism** — the simulation-path crates (core, switch, net,
-//!    shard, telemetry) must not use `HashMap`/`HashSet` (iteration
-//!    order is nondeterministic), `Instant`/`SystemTime` (wall-clock),
-//!    or thread identity (`thread::current`, `ThreadId`); waivers carry
-//!    `// lint: allow — why`.
+//!    telemetry) must not use `HashMap`/`HashSet` (iteration order is
+//!    nondeterministic), `Instant`/`SystemTime` (wall-clock), or thread
+//!    identity (`thread::current`, `ThreadId`); and the crates one
+//!    simulation steps through (core, switch, net) must not use
+//!    `std::thread`, `std::sync::atomic`, `Mutex` or `Condvar` — a
+//!    simulation runs on one lane, parallelism lives across sweep cells;
+//!    waivers carry `// lint: allow — why`.
 //! 10. **metric-docs** — every metric name registered on the telemetry
 //!     `MetricsRegistry` (a `.counter("…")` / `.histogram("…")` call
 //!     with a literal name, outside test code) appears in the metrics
@@ -27,11 +28,9 @@
 //!     `merge_interior_stage`, …) and of the Markov crate (`explore`,
 //!     `for_each_transition`, `power_sweep`, …) must not allocate or
 //!     copy payloads: `Box::new`, `with_capacity`, `.to_vec()`,
-//!     `.clone()`, `mem::take(` (it discards a collection's capacity)
-//!     and a hash map built in place are flagged inside their brace
-//!     spans — in the Markov crate and the source-queue stream
-//!     (`push_back`, `pop_front`, the record codec under them) `vec!` and
-//!     `.collect()` too. Scratch
+//!     `.clone()`, `mem::take(` (it discards a collection's capacity),
+//!     `vec!`, `.collect()` and a hash map built in place are flagged
+//!     inside their brace spans. Scratch
 //!     belongs in the owning struct, hoisted to construction; waivers
 //!     carry `// lint: allow — why`. Kernels are matched by *name*, so
 //!     a listed name that no function carries any more is itself a
@@ -63,9 +62,6 @@ pub const ALLOW_MARKER: &str = "lint: allow";
 /// The comment marker lint 8 requires on every `unsafe` site.
 pub const SAFETY_MARKER: &str = "SAFETY:";
 
-/// The comment marker lint 8 requires on every atomic-ordering site.
-pub const ORDERING_MARKER: &str = "ordering:";
-
 /// Crates whose `src/` must be panic-free (the simulator data path).
 const PANIC_FREE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 
@@ -73,20 +69,20 @@ const PANIC_FREE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 const MUST_USE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 
 /// Crates whose every `src/` module must open with a `//!` overview.
-const MODULE_DOC_CRATES: [&str; 2] = ["crates/net/src/", "crates/shard/src/"];
+const MODULE_DOC_CRATES: [&str; 1] = ["crates/net/src/"];
 
-/// The simulation-path crates lints 8 (orderings) and 9 (determinism)
-/// guard: everything a deterministic run's bytes flow through.
-pub const SIM_PATH_CRATES: [&str; 5] = [
+/// The simulation-path crates lint 9 (determinism) guards: everything a
+/// deterministic run's bytes flow through.
+const SIM_PATH_CRATES: [&str; 4] = [
     "crates/core/src/",
     "crates/switch/src/",
     "crates/net/src/",
-    "crates/shard/src/",
     "crates/telemetry/src/",
 ];
 
-/// The one crate allowed to contain `unsafe` (the phase pool).
-pub const UNSAFE_CRATE_DIR: &str = "crates/shard";
+/// The crates one simulation steps through, on one lane: lint 9 also
+/// bans threads and shared-memory synchronisation there.
+const ONE_LANE_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "crates/net/src/"];
 
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
@@ -118,6 +114,14 @@ fn finding(file: &SourceFile, line: usize, message: String) -> Finding {
 /// Whether a site at `line` in non-test code lacks an allow waiver.
 fn unwaived(file: &SourceFile, line: usize) -> bool {
     !file.in_test_code(line) && !file.comment_marker_at(line, ALLOW_MARKER)
+}
+
+/// Whether the tokens at `i` read `first::second`.
+fn is_path(code: &[Token], i: usize, first: &str, second: &str) -> bool {
+    code[i].is_ident(first)
+        && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
+        && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
+        && code.get(i + 3).is_some_and(|t| t.is_ident(second))
 }
 
 /// Lint 1: panic-family calls in non-test simulator library code —
@@ -165,10 +169,7 @@ fn no_unseeded_rng(ws: &Workspace, findings: &mut Vec<Finding>) {
         for (i, tok) in file.code.iter().enumerate() {
             let hit = tok.is_ident("from_entropy")
                 || tok.is_ident("thread_rng")
-                || (tok.is_ident("rand")
-                    && file.code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 3).is_some_and(|t| t.is_ident("random")));
+                || is_path(&file.code, i, "rand", "random");
             if hit && !file.comment_marker_at(tok.line, ALLOW_MARKER) {
                 findings.push(finding(
                     file,
@@ -198,7 +199,7 @@ fn has_inner_attr(code: &[Token], name: &str, arg: &str) -> bool {
 }
 
 /// Lint 3: every library crate root carries `#![deny(missing_docs)]`,
-/// and every module of the sharded simulation core opens with a `//!`
+/// and every module of the network simulator opens with a `//!`
 /// overview.
 fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (dir, _name) in &ws.crates {
@@ -226,7 +227,7 @@ fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
                     1,
                     format!(
                         "modules under {prefix} must open with a //! overview \
-                         (what the module is and how it fits the sharded core)"
+                         (what the module is and how it fits the cycle loop)"
                     ),
                 ));
             }
@@ -390,43 +391,14 @@ fn markdown_link_targets(line: &str) -> Vec<String> {
     targets
 }
 
-/// The atomic-ordering variant names (`std::sync::atomic::Ordering`).
-/// `std::cmp::Ordering`'s `Less`/`Equal`/`Greater` never match, so sort
-/// code is untouched.
-const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// Every `Ordering::<variant>` site in `file`, as `(line, variant)`.
-pub fn atomic_ordering_sites(file: &SourceFile) -> Vec<(usize, &'static str)> {
-    let mut sites = Vec::new();
-    for (i, tok) in file.code.iter().enumerate() {
-        if !tok.is_ident("Ordering") {
-            continue;
-        }
-        let path_sep = file.code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && file.code.get(i + 2).is_some_and(|t| t.is_punct(':'));
-        if !path_sep {
-            continue;
-        }
-        if let Some(next) = file.code.get(i + 3) {
-            if let Some(variant) = ATOMIC_ORDERINGS.iter().find(|v| next.is_ident(v)) {
-                sites.push((tok.line, *variant));
-            }
-        }
-    }
-    sites
-}
-
 /// Lint 8: the unsafe audit.
 ///
 /// * Every `unsafe` block / `unsafe impl` / `unsafe fn` / `unsafe trait`
 ///   anywhere in the workspace carries a `// SAFETY:` justification on
 ///   the same line or in the contiguous comment block directly above.
-/// * Every workspace crate root except `damq-shard`'s declares
-///   `#![forbid(unsafe_code)]` — the compiler, not the lint, then
-///   guarantees the inventory below cannot silently grow.
-/// * Every atomic `Ordering::…` use in the simulation-path crates
-///   carries an `// ordering:` justification (Relaxed vs Acquire/Release
-///   is an invariant-bearing choice; see `docs/UNSAFE_LEDGER.md`).
+/// * Every workspace crate root declares `#![forbid(unsafe_code)]` —
+///   the compiler, not the lint, then guarantees the inventory below
+///   cannot silently grow in library or binary code.
 /// * The committed `docs/UNSAFE_LEDGER.md` equals the freshly generated
 ///   inventory — run `cargo xtask unsafe-ledger` after any change.
 fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
@@ -448,9 +420,6 @@ fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 
     for (dir, name) in &ws.crates {
-        if dir == UNSAFE_CRATE_DIR {
-            continue;
-        }
         let src = if dir == "." {
             "src".to_owned()
         } else {
@@ -466,29 +435,8 @@ fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
             findings.push(finding(
                 file,
                 1,
-                format!(
-                    "crate root of `{name}` must carry #![forbid(unsafe_code)] — \
-                     only crates/shard (the phase pool) may contain unsafe"
-                ),
+                format!("crate root of `{name}` must carry #![forbid(unsafe_code)]"),
             ));
-        }
-    }
-
-    for prefix in SIM_PATH_CRATES {
-        for file in ws.files_under(prefix) {
-            for (line, variant) in atomic_ordering_sites(file) {
-                if !file.comment_marker_at(line, ORDERING_MARKER) {
-                    findings.push(finding(
-                        file,
-                        line,
-                        format!(
-                            "atomic Ordering::{variant} without a \
-                             '// {ORDERING_MARKER} …' justification — say why this \
-                             ordering is strong enough (see docs/UNSAFE_LEDGER.md)"
-                        ),
-                    ));
-                }
-            }
         }
     }
 
@@ -509,14 +457,18 @@ fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Lint 9: determinism on the simulation path. Serial and N-thread runs
-/// must be byte-identical, so the crates the simulation's bytes flow
-/// through must not consult nondeterministic sources: hash-order
-/// iteration (`HashMap`/`HashSet` — use `BTreeMap`/`BTreeSet` or index
-/// vectors), wall-clock time (`Instant`/`SystemTime`), or thread
-/// identity (`thread::current`, `ThreadId`). Justified exceptions carry
-/// `// lint: allow — why` (e.g. the telemetry profiler, which measures
-/// the harness, never simulation state).
+/// Lint 9: determinism on the simulation path. The same configuration
+/// and seed must replay the same bytes, so the crates the simulation's
+/// bytes flow through must not consult nondeterministic sources:
+/// hash-order iteration (`HashMap`/`HashSet` — use `BTreeMap`/`BTreeSet`
+/// or index vectors), wall-clock time (`Instant`/`SystemTime`), or
+/// thread identity (`thread::current`, `ThreadId`). Under
+/// [`ONE_LANE_CRATES`] threads and shared-memory synchronisation
+/// (`std::thread`, `std::sync::atomic` and its `Atomic*` types, `Mutex`,
+/// `Condvar`) are findings too: one simulation steps on one lane, and
+/// parallelism lives across sweep cells (`docs/SCALING.md`). Justified
+/// exceptions carry `// lint: allow — why` (e.g. the phase profiler,
+/// which measures the harness, never simulation state).
 fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
     const BANNED_IDENTS: [(&str, &str); 5] = [
         (
@@ -541,25 +493,39 @@ fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
         ),
     ];
     for prefix in SIM_PATH_CRATES {
+        let one_lane = ONE_LANE_CRATES.contains(&prefix);
         for file in ws.files_under(prefix) {
             for (i, tok) in file.code.iter().enumerate() {
-                let mut reason = None;
-                for (ident, why) in BANNED_IDENTS {
-                    if tok.is_ident(ident) {
-                        reason = Some((ident, why));
-                        break;
-                    }
-                }
-                if reason.is_none()
-                    && tok.is_ident("thread")
-                    && file.code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 3).is_some_and(|t| t.is_ident("current"))
-                {
+                let mut reason = BANNED_IDENTS
+                    .into_iter()
+                    .find(|(ident, _)| tok.is_ident(ident));
+                if reason.is_none() && is_path(&file.code, i, "thread", "current") {
                     reason = Some((
                         "thread::current",
                         "thread identity must not influence simulation state",
                     ));
+                }
+                if reason.is_none() && one_lane {
+                    let shared = if is_path(&file.code, i, "std", "thread") {
+                        Some("std::thread")
+                    } else if is_path(&file.code, i, "sync", "atomic") {
+                        Some("sync::atomic")
+                    } else if tok.kind == TokenKind::Ident
+                        && (tok.text.starts_with("Atomic")
+                            || tok.is_ident("Mutex")
+                            || tok.is_ident("Condvar"))
+                    {
+                        Some(tok.text.as_str())
+                    } else {
+                        None
+                    };
+                    reason = shared.map(|what| {
+                        (
+                            what,
+                            "one simulation steps on one lane; threads and shared-memory \
+                             synchronisation live across sweep cells (docs/SCALING.md)",
+                        )
+                    });
                 }
                 if let Some((what, why)) = reason {
                     if unwaived(file, tok.line) {
@@ -650,19 +616,8 @@ const HOT_PATH_CRATES: [&str; 4] = [
     "crates/core/src/",
     "crates/switch/src/",
     "crates/net/src/",
-    MARKOV_SRC,
+    "crates/markov/src/",
 ];
-
-/// The one hot-path crate where `vec!` and `.collect()` are findings too:
-/// its kernels iterate over data, so a collected temporary is the
-/// allocation most likely to creep back (the simulator crates call a
-/// method of their own named `collect` per stage).
-const MARKOV_SRC: &str = "crates/markov/src/";
-
-/// Where `vec!` and `.collect()` are findings: [`MARKOV_SRC`], and the
-/// one simulator file whose kernels encode and decode a byte stream per
-/// packet, where a collected temporary would be as natural a mistake.
-const NO_TEMPORARIES: [&str; 2] = [MARKOV_SRC, "crates/net/src/network/source.rs"];
 
 /// The kernel function names lint 11 guards: every function a
 /// steady-state `NetworkSim::step` executes per cycle, and every function
@@ -770,11 +725,10 @@ fn collect_kernel_spans(
 /// Steady-state stepping must be allocation-free (the scratch lives in
 /// the owning struct, sized at construction), so inside the functions
 /// named by [`KERNEL_FNS`] the tokens `Box::new`, `with_capacity(`,
-/// `.to_vec()`, `.clone()`, `mem::take(` and a hash map built in place
-/// (`HashMap::new`, `FxHashMap::default`) are findings — the last two
-/// because a collection taken or built per call regrows from zero every
-/// time — and under [`NO_TEMPORARIES`] so are `vec!` and `.collect()`.
-/// Waivers carry `// lint: allow — why`.
+/// `.to_vec()`, `.clone()`, `vec!`, `.collect()`, `mem::take(` and a hash
+/// map built in place (`HashMap::new`, `FxHashMap::default`) are findings
+/// — the last two because a collection taken or built per call regrows
+/// from zero every time. Waivers carry `// lint: allow — why`.
 ///
 /// The guard is by function name, so a [`KERNEL_FNS`] entry that matches
 /// no non-test function under [`HOT_PATH_CRATES`] is a finding too: the
@@ -793,7 +747,6 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                     .filter(|&&(open, _, _)| !file.in_test_code(open))
                     .map(|&(_, _, name)| name),
             );
-            let no_temporaries = NO_TEMPORARIES.iter().any(|p| file.rel.starts_with(p));
             for (i, tok) in file.code.iter().enumerate() {
                 let after_dot = i > 0 && file.code[i - 1].is_punct('.');
                 let calls = file.code.get(i + 1).is_some_and(|t| t.is_punct('('));
@@ -814,9 +767,9 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
                     Some("a hash map built per call")
                 } else if tok.is_ident("with_capacity") && calls {
                     Some("with_capacity(…)")
-                } else if no_temporaries && tok.is_ident("vec") && bang {
+                } else if tok.is_ident("vec") && bang {
                     Some("vec![…]")
-                } else if no_temporaries && tok.is_ident("collect") && after_dot {
+                } else if tok.is_ident("collect") && after_dot {
                     Some(".collect()")
                 } else if tok.is_ident("to_vec") && after_dot && calls {
                     Some(".to_vec()")
@@ -1049,7 +1002,7 @@ mod tests {
     #[test]
     fn unsafe_audit_requires_safety_comment() {
         let ws = ws_with(vec![(
-            "crates/shard/src/x.rs",
+            "crates/net/tests/x.rs",
             "// SAFETY: justified.\nunsafe impl Send for A {}\nunsafe impl Sync for A {}\n",
         )]);
         let mut findings = Vec::new();
@@ -1065,22 +1018,6 @@ mod tests {
     }
 
     #[test]
-    fn ordering_sites_need_justification() {
-        let ws = ws_with(vec![(
-            "crates/net/src/x.rs",
-            "// ordering: relaxed — statistics only.\n\
-             let a = c.load(Ordering::Relaxed);\n\
-             let b = c.load(Ordering::Acquire);\n\
-             let cmp = std::cmp::Ordering::Less;\n",
-        )]);
-        let file = &ws.files[0];
-        let sites = atomic_ordering_sites(file);
-        assert_eq!(sites.len(), 2, "cmp::Ordering::Less is not atomic");
-        assert!(file.comment_marker_at(sites[0].0, ORDERING_MARKER));
-        assert!(!file.comment_marker_at(sites[1].0, ORDERING_MARKER));
-    }
-
-    #[test]
     fn determinism_catches_hash_and_clock() {
         let ws = ws_with(vec![(
             "crates/telemetry/src/x.rs",
@@ -1093,6 +1030,30 @@ mod tests {
         let findings = run(determinism, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![1, 4, 5], "waived HashSet is skipped");
+    }
+
+    #[test]
+    fn one_lane_crates_ban_threads_and_shared_memory_sync() {
+        let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
+                   struct Plan { queries: AtomicU64, lock: Mutex<u8>, cv: Condvar }\n\
+                   fn spawn() { std::thread::scope(|s| {}); }\n\
+                   // lint: allow — a fixture waiver.\n\
+                   static N: AtomicUsize = AtomicUsize::new(0);\n\
+                   fn cmp() { let o = std::cmp::Ordering::Less; }\n";
+        let lines = |rel: &str| -> Vec<usize> {
+            let findings = run(determinism, &ws_with(vec![(rel, src)]));
+            findings.iter().map(|f| f.line).collect()
+        };
+        assert_eq!(
+            lines("crates/net/src/x.rs"),
+            vec![1, 1, 2, 2, 2, 3],
+            "`sync::atomic` and each `Atomic*`, `Mutex`, `Condvar`, `std::thread`; \
+             not the waived site, not `cmp::Ordering`"
+        );
+        assert!(
+            lines("crates/telemetry/src/x.rs").is_empty(),
+            "the shared flight recorder may lock"
+        );
     }
 
     #[test]
@@ -1220,11 +1181,6 @@ mod tests {
         let ws = ws_with(vec![("crates/net/src/network/source.rs", src)]);
         let lines: Vec<usize> = run(hot_path_alloc, &ws).iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 5, 6], "the cold accessor may collect");
-        // The same kernels elsewhere in the crate keep the crate's rule:
-        // `collect` is the stage engine's own method there.
-        let ws = ws_with(vec![("crates/net/src/network/stage.rs", src)]);
-        let lines: Vec<usize> = run(hot_path_alloc, &ws).iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![6]);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl SourceFile {
     /// Whether the contiguous comment block directly above `line`
     /// (1-based), or `line` itself, contains `marker`. This is how all
     /// comment-anchored annotations work: `// lint: allow — why`,
-    /// `// SAFETY: …`, `// ordering: …`. Doc comments (`///`, `//!`)
+    /// `// SAFETY: …`. Doc comments (`///`, `//!`)
     /// count as comment lines, so a field's doc can carry the marker,
     /// and statement-continuation lines (an rustfmt-wrapped `let x =`
     /// above an `unsafe {` line) are walked through: the comment need

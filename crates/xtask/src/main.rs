@@ -11,19 +11,19 @@
 //! 2. **No unseeded randomness outside `crates/rng`** — `from_entropy`,
 //!    `thread_rng`, `rand::random` make experiments irreproducible.
 //! 3. **Documentation is mandatory** — `#![deny(missing_docs)]` on every
-//!    library crate root; `//!` overviews on every module of the sharded
-//!    core (`crates/net`, `crates/shard`).
+//!    library crate root; `//!` overviews on every module of the
+//!    network simulator (`crates/net`).
 //! 4. **No stdout/stderr printing in library code** — binaries,
 //!    benches and xtask are exempt.
 //! 6. **Consuming builder methods carry `#[must_use]`** (`crates/core`,
 //!    `crates/net`).
 //! 7. **No dead intra-repo markdown links** (root `*.md` and `docs/`).
 //! 8. **Unsafe audit** — every `unsafe` site carries `// SAFETY:`; every
-//!    crate except `crates/shard` forbids unsafe at the root; atomic
-//!    `Ordering` choices on the sim path carry `// ordering:`; the
-//!    generated `docs/UNSAFE_LEDGER.md` is current.
+//!    crate forbids unsafe at the root; the generated
+//!    `docs/UNSAFE_LEDGER.md` is current.
 //! 9. **Determinism** — no `HashMap`/`HashSet`, wall-clock time, or
-//!    thread identity in the sim-path crates; waivable.
+//!    thread identity in the sim-path crates, and no threads, atomics,
+//!    `Mutex` or `Condvar` in `crates/{core,switch,net}`; waivable.
 //! 10. **Metric docs** — every metric name registered on the telemetry
 //!     `MetricsRegistry` appears in the metrics reference table of
 //!     `docs/OBSERVABILITY.md`; waivable.

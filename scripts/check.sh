@@ -8,8 +8,7 @@
 # fault storms, minimized-reproducer loop), the benchmark smoke (every
 # BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
 # the results check (every committed table and report regenerates byte
-# for byte), sanitizer smokes (miri + TSan, probed and skipped with a note
-# where the toolchain lacks them), and rustdoc with warnings denied
+# for byte), and rustdoc with warnings denied
 # (`#![deny(missing_docs)]` in the crates turns any missing doc into a
 # hard failure here).
 #
@@ -20,14 +19,12 @@
 # Usage: scripts/check.sh                  # run every gate
 #        scripts/check.sh analyze          # just the static-analysis gate
 #        scripts/check.sh fault-smoke      # just the fault-injection smoke
-#        scripts/check.sh parallel-smoke   # just the sharded-stepping smoke
 #        scripts/check.sh obs-smoke        # just the observability smoke
 #        scripts/check.sh soa-smoke        # just the SoA hot-path smoke
 #        scripts/check.sh chaos-smoke      # just the chaos soak smoke
 #        scripts/check.sh bench-smoke      # just the benchmark smoke
 #        scripts/check.sh markov-smoke     # just the Markov-layer smoke
 #        scripts/check.sh results-check    # just the committed-results check
-#        scripts/check.sh sanitizer-smoke  # miri + TSan, skip when unsupported
 set -Eeuo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,20 +69,6 @@ fault_smoke() {
     # The assembled report still carries every cell of the grid.
     [ "$(grep -c '"buffer":' "$report")" -eq "$total" ]
     rm -rf "$tmp"
-}
-
-# Satellite gate: the sharded simulation core must be byte-identical to
-# serial stepping. Asserts (1) the 2-thread fingerprint test (metrics,
-# residual state and the full JSONL trace equal the serial run); (2) the
-# parallel_scaling harness's own smoke cross-check through the release
-# binary, exercising the real phase pool.
-parallel_smoke() {
-    gate "parallel-smoke: 2-thread run is byte-identical to serial"
-    cargo test -q -p damq-net --test parallel_equivalence -- two_thread
-
-    gate "parallel-smoke: scaling harness smoke agrees"
-    cargo run -q --release -p damq-bench --bin parallel_scaling -- --smoke \
-        > /dev/null
 }
 
 # Satellite gate: the observability layer. Asserts (1) the obs_report
@@ -238,46 +221,6 @@ analyze() {
     cargo xtask lint
 }
 
-# Satellite gate: dynamic race detectors over the one crate that holds
-# unsafe code (damq-shard) and the sharded fingerprint test. Both
-# tools need toolchain components this offline image may not carry, so
-# each leg probes first and skips with a note instead of failing —
-# the loom-lite model checker (`crates/shard/src/model.rs`, run by the
-# ordinary test gate) carries the schedule-interleaving claims either
-# way.
-sanitizer_smoke() {
-    gate "sanitizer-smoke: miri over damq-shard"
-    if cargo +nightly miri --version > /dev/null 2>&1; then
-        cargo +nightly miri test -q -p damq-shard
-    elif cargo miri --version > /dev/null 2>&1; then
-        cargo miri test -q -p damq-shard
-    else
-        echo "  SKIPPED: miri component not installed (offline host)."
-        echo "  The exhaustive model checker in crates/shard/src/model.rs"
-        echo "  covers the pool's interleaving claims in its place."
-    fi
-
-    gate "sanitizer-smoke: ThreadSanitizer over the 2-thread fingerprint"
-    # TSan is only sound with an instrumented libstd (-Zbuild-std, which
-    # needs the nightly rust-src component): Rust's futex-based Mutex
-    # and Condvar live inside libstd, so an uninstrumented build hides
-    # every lock-ordering edge from TSan and each mutex-guarded handoff
-    # is reported as a false-positive race (measured: ~100 warnings on
-    # this suite).
-    if rustup component list --toolchain nightly 2> /dev/null \
-        | grep -q 'rust-src.*(installed)'; then
-        local host
-        host="$(rustc -vV | awk '/^host:/ { print $2 }')"
-        RUSTFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -q -Zbuild-std --target "$host" \
-            -p damq-net --test parallel_equivalence -- two_thread
-    else
-        echo "  SKIPPED: nightly rust-src not installed; TSan without"
-        echo "  -Zbuild-std cannot see libstd's futex-based lock edges"
-        echo "  and reports false positives on every Mutex handoff."
-    fi
-}
-
 case "${1:-all}" in
 analyze)
     analyze
@@ -287,11 +230,6 @@ analyze)
 fault-smoke)
     fault_smoke
     echo "fault-smoke passed"
-    exit 0
-    ;;
-parallel-smoke)
-    parallel_smoke
-    echo "parallel-smoke passed"
     exit 0
     ;;
 obs-smoke)
@@ -324,14 +262,9 @@ results-check)
     echo "results-check passed"
     exit 0
     ;;
-sanitizer-smoke)
-    sanitizer_smoke
-    echo "sanitizer-smoke passed"
-    exit 0
-    ;;
 all) ;;
 *)
-    echo "usage: scripts/check.sh [analyze|fault-smoke|parallel-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|markov-smoke|results-check|sanitizer-smoke]" >&2
+    echo "usage: scripts/check.sh [analyze|fault-smoke|obs-smoke|soa-smoke|chaos-smoke|bench-smoke|markov-smoke|results-check]" >&2
     exit 2
     ;;
 esac
@@ -363,8 +296,6 @@ cargo bench -p damq-bench --bench sim_throughput -- --smoke
 
 fault_smoke
 
-parallel_smoke
-
 obs_smoke
 
 soa_smoke
@@ -376,8 +307,6 @@ bench_smoke
 # (markov-smoke is a shortcut, not a gate of its own here: the "tests"
 # gate above ran its differential and results-check reruns its harnesses.)
 results_check
-
-sanitizer_smoke
 
 gate "rustdoc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -17,6 +17,7 @@
 //! damq markov --buffer damq --slots 3 --traffic 0.95
 //! ```
 
+use std::ops::{Bound, RangeBounds};
 use std::process::ExitCode;
 
 use damq::buffers::BufferKind;
@@ -99,7 +100,27 @@ impl Args {
                 .map_err(|_| format!("invalid value {v:?} for --{name}")),
         }
     }
+
+    /// `--name` as a finite number inside `range` (`wanted` says it in
+    /// words). The library builders assert these intervals; a number from
+    /// the command line is checked here, before it reaches one.
+    fn in_range(
+        &self,
+        name: &str,
+        default: f64,
+        range: impl RangeBounds<f64>,
+        wanted: &str,
+    ) -> Result<f64, String> {
+        let v = self.parse_as(name, default)?;
+        if v.is_finite() && range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("--{name} must be {wanted}, got {v}"))
+        }
+    }
 }
+
+const PROBABILITY: &str = "a probability in [0, 1]";
 
 fn buffer_kind(name: &str) -> Result<BufferKind, String> {
     match name {
@@ -124,7 +145,7 @@ fn network_config(args: &Args) -> Result<NetworkConfig, String> {
     let radix = args.parse_as("radix", 4usize)?;
     let mut cfg = NetworkConfig::new(size, radix)
         .slots_per_buffer(args.parse_as("slots", 4usize)?)
-        .offered_load(args.parse_as("load", 0.5f64)?)
+        .offered_load(args.in_range("load", 0.5, 0.0..=1.0, PROBABILITY)?)
         .seed(args.parse_as("seed", 0xCAFEu64)?);
     cfg = match args.get("topology").unwrap_or("omega") {
         "omega" => cfg.topology_kind(TopologyKind::Omega),
@@ -142,14 +163,13 @@ fn network_config(args: &Args) -> Result<NetworkConfig, String> {
         other => return Err(format!("unknown flow control {other:?}")),
     };
     if args.get("burst").is_some() || args.get("duty").is_some() {
-        let mean_burst = args.parse_as("burst", 12.0f64)?;
-        let duty = args.parse_as("duty", 0.5f64)?;
+        let mean_burst = args.in_range("burst", 12.0, 1.0.., "at least 1 cycle")?;
+        let on_fraction = (Bound::Excluded(0.0), Bound::Included(1.0));
+        let duty = args.in_range("duty", 0.5, on_fraction, "a fraction in (0, 1]")?;
         cfg = cfg.arrival_process(ArrivalProcess::OnOff { mean_burst, duty });
     }
-    if let Some(h) = args.get("hot-spot") {
-        let fraction: f64 = h
-            .parse()
-            .map_err(|_| format!("invalid hot-spot fraction {h:?}"))?;
+    if args.get("hot-spot").is_some() {
+        let fraction = args.in_range("hot-spot", 0.0, 0.0..=1.0, PROBABILITY)?;
         cfg = cfg.traffic(TrafficPattern::HotSpot {
             fraction,
             target: damq::buffers::NodeId::new(0),
@@ -206,8 +226,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let base = network_config(args)?;
     let warmup = args.parse_as("warmup", 500u64)?;
     let cycles = args.parse_as("cycles", 3_000u64)?;
-    let from = args.parse_as("from", 0.05f64)?;
-    let to = args.parse_as("to", 0.9f64)?;
+    let from = args.in_range("from", 0.05, 0.0..=1.0, PROBABILITY)?;
+    let to = args.in_range("to", 0.9, 0.0..=1.0, PROBABILITY)?;
     let step = args.parse_as("step", 0.05f64)?;
     if step <= 0.0 || to < from {
         return Err("need --from <= --to and --step > 0".into());
@@ -217,8 +237,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     for kind in kinds {
         let mut load = from;
         while load <= to + 1e-9 {
-            let m = measure(base.buffer_kind(kind).offered_load(load), warmup, cycles)
-                .map_err(|e| format!("simulation failed: {e}"))?;
+            // Accumulated steps may overshoot `--to 1` by an ulp.
+            let config = base.buffer_kind(kind).offered_load(load.min(1.0));
+            let m =
+                measure(config, warmup, cycles).map_err(|e| format!("simulation failed: {e}"))?;
             println!(
                 "{},{:.3},{:.4},{:.2},{:.1},{:.5}",
                 kind.name(),
@@ -237,7 +259,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 fn cmd_markov(args: &Args) -> Result<(), String> {
     let kind = buffer_kind(args.get("buffer").unwrap_or("damq"))?;
     let slots = args.parse_as("slots", 4usize)?;
-    let traffic = args.parse_as("traffic", 0.9f64)?;
+    if slots == 0 {
+        return Err("--slots must be at least 1".into());
+    }
+    let traffic = args.in_range("traffic", 0.9, 0.0..=1.0, PROBABILITY)?;
     let order = match args.get("order").unwrap_or("arrivals-first") {
         "arrivals-first" => CycleOrder::ArrivalsFirst,
         "departures-first" => CycleOrder::DeparturesFirst,

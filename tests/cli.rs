@@ -100,3 +100,41 @@ fn options_without_values_are_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
 }
+
+#[test]
+fn out_of_range_numbers_are_clean_errors_not_panics() {
+    const NETWORK: [&str; 3] = ["sim", "saturation", "sweep"];
+    let rows: [(&[&str], &str, &[&str]); 7] = [
+        (&NETWORK, "--load", &["nan", "-1", "2"]),
+        (&NETWORK, "--hot-spot", &["1.5", "nan"]),
+        (&NETWORK, "--burst", &["0", "0.5"]),
+        (&NETWORK, "--duty", &["0", "nan", "1.5"]),
+        (&["sweep"], "--to", &["1.5"]),
+        (&["markov"], "--traffic", &["nan", "1.5"]),
+        (&["markov"], "--slots", &["0"]),
+    ];
+    for (commands, option, values) in rows {
+        for command in commands {
+            for value in values {
+                let out = damq(&[command, option, value]);
+                let err = String::from_utf8_lossy(&out.stderr);
+                let case = format!("damq {command} {option} {value}: {err}");
+                assert_eq!(out.status.code(), Some(1), "{case}");
+                assert!(err.starts_with("error:"), "{case}");
+                assert!(!err.contains("panicked at"), "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn sweep_reaches_full_load() {
+    // 0.9 + 0.05 + 0.05 overshoots 1.0 by an ulp; the last row is load 1.
+    let out = damq(&[
+        "sweep", "--size", "16", "--from", "0.9", "--to", "1.0", "--step", "0.05", "--cycles",
+        "50", "--warmup", "10",
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.lines().last().unwrap().starts_with("DAMQ,1.000"));
+}
