@@ -251,11 +251,12 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
         self.rewards[i]
     }
 
-    /// Solves for the stationary distribution by damped power iteration.
+    /// Solves for the stationary distribution by restarted GMRES (see
+    /// [`steady_state`]).
     ///
     /// # Errors
     ///
-    /// Propagates [`SolveError`] from the power iteration.
+    /// Propagates [`SolveError`] from the solver.
     pub fn steady_state(&self, options: SolveOptions) -> Result<SteadyState, SolveError> {
         steady_state(&self.matrix, options)
     }

@@ -29,7 +29,8 @@ pub struct DiscardPoint {
     pub mean_wait_cycles: f64,
     /// Number of states in the underlying chain.
     pub states: usize,
-    /// Solver iterations used.
+    /// Matrix–vector products the steady-state solve took
+    /// ([`SteadyState::iterations`](crate::SteadyState::iterations)).
     pub iterations: usize,
 }
 

@@ -2,17 +2,18 @@
 //!
 //! This crate contains a small, self-contained discrete-time Markov chain
 //! engine — state-space exploration ([`Chain`]), CSR sparse matrices
-//! ([`CsrMatrix`]) and a damped power-iteration steady-state solver
-//! ([`steady_state`]) — plus models of a 2×2 discarding switch for each of
-//! the four buffer designs of [`damq_core`].
+//! ([`CsrMatrix`]) and a restarted-GMRES steady-state solver
+//! ([`steady_state`]; Gauss–Seidel is the second opinion) — plus models of
+//! a 2×2 discarding switch for each of the four buffer designs of
+//! [`damq_core`].
 //!
 //! The engine does not allocate per state or per iteration: states are
 //! `Copy` words, a model hands its transitions to a visitor
 //! ([`MarkovModel::for_each_transition`]), the explorer finishes each
-//! matrix row as it expands the state, and the solvers gather over one
-//! flat column view ([`Columns`]) — see `docs/PERFORMANCE.md`, "The
-//! Markov layer", for the ledger and for why none of it moves a bit of
-//! any result.
+//! matrix row as it expands the state, the default solver takes its
+//! products over those rows into buffers it allocates once per solve, and
+//! Gauss–Seidel gathers over one flat column view ([`Columns`]) — see
+//! `docs/PERFORMANCE.md`, "The Markov layer", for the ledger.
 //!
 //! The headline API is [`discard_probability`], which computes one cell of
 //! the paper's Table 2: the probability that a packet arriving at a 2×2

@@ -145,8 +145,8 @@ impl CsrMatrix {
     }
 
     /// The matrix by columns, in flat compressed-sparse-column form. This
-    /// is the access pattern both steady-state solvers need (`π_j` depends
-    /// on all incoming transitions).
+    /// is the access pattern Gauss–Seidel needs (`π_j` depends on all
+    /// incoming transitions).
     pub fn columns(&self) -> Columns {
         let mut col_ptr = vec![0usize; self.cols + 1];
         for &c in &self.col_idx {
@@ -183,19 +183,36 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() != rows`.
     pub fn left_multiply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "vector length must equal row count");
         let mut out = vec![0.0; self.cols];
+        self.left_multiply_into(x, &mut out);
+        out
+    }
+
+    /// [`CsrMatrix::left_multiply`] into a buffer the caller keeps: `out`
+    /// is overwritten with `x · M`, row by row in ascending order, and
+    /// nothing is allocated — the product an iterative solver takes once
+    /// per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows` or `out.len() != cols`.
+    pub fn left_multiply_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.rows, "vector length must equal row count");
+        assert_eq!(
+            out.len(),
+            self.cols,
+            "output length must equal column count"
+        );
+        out.fill(0.0);
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
             }
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for k in lo..hi {
-                out[self.col_idx[k] as usize] += xi * self.values[k];
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                out[c as usize] += xi * v;
             }
         }
-        out
     }
 }
 

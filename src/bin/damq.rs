@@ -38,7 +38,8 @@ COMMANDS:
     sim         run one network simulation and print its metrics
     saturation  find a configuration's saturation throughput
     sweep       sweep offered load and print a CSV latency/throughput curve
-    markov      evaluate one 2x2-switch Markov analysis point
+    markov      evaluate one 2x2-switch Markov analysis point (prints the
+                matrix-vector products the steady-state solve took)
     help        print this text
 
 NETWORK OPTIONS (sim, saturation, sweep):
@@ -290,6 +291,12 @@ fn main() -> ExitCode {
         eprint!("{HELP}");
         return ExitCode::FAILURE;
     };
+    // `--help` anywhere — `damq markov --help` — is a request for the
+    // usage text, not an option missing its value.
+    if command == "help" || argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
     let args = match Args::parse(&argv[1..]) {
         Ok(args) => args,
         Err(e) => {
@@ -302,10 +309,6 @@ fn main() -> ExitCode {
         "saturation" => cmd_saturation(&args),
         "sweep" => cmd_sweep(&args),
         "markov" => cmd_markov(&args),
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
         other => Err(format!("unknown command {other:?}; try `damq help`")),
     };
     match result {

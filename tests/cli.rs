@@ -17,6 +17,21 @@ fn help_lists_all_commands() {
     for cmd in ["sim", "saturation", "sweep", "markov"] {
         assert!(text.contains(cmd), "help must mention {cmd}");
     }
+    // Asking a command for help is the same request, not an option
+    // missing its value (`--help`) or a stray positional (`-h`).
+    let spellings: [&[&str]; 6] = [
+        &["--help"],
+        &["-h"],
+        &["markov", "--help"],
+        &["sim", "--help"],
+        &["sweep", "-h"],
+        &["markov", "--slots", "3", "--help"],
+    ];
+    for argv in spellings {
+        let asked = damq(argv);
+        assert_eq!(asked.status.code(), Some(0), "damq {argv:?}: {asked:?}");
+        assert_eq!(asked.stdout, out.stdout, "damq {argv:?}");
+    }
 }
 
 #[test]
