@@ -1,8 +1,9 @@
 //! Asserts the free-when-disabled metrics-registry claim.
 //!
 //! `NetworkSim` constructs its `MetricsRegistry` disabled; every
-//! `registry.add`/`registry.observe` site is then a single branch on a
-//! cold flag, and the per-cycle occupancy scan is skipped entirely. This
+//! `registry.observe` site is then a single branch on a cold flag, and
+//! the end-of-cycle pass (occupancy scan, counter publish) is skipped
+//! entirely. This
 //! harness times one network cycle with the registry in its default
 //! (disabled) state against the established zero-overhead baseline — a
 //! disabled `MemorySink` — and fails if the disabled registry makes the

@@ -206,8 +206,9 @@ fn render(summary: &TraceSummary) {
     );
 
     let hist = &summary.buffer_occupancy;
-    if hist.observations() > 0 {
-        let full = hist.counts().len().saturating_sub(1);
+    if hist.count() > 0 {
+        // The fullest level any buffer reached stands in for "full".
+        let full = hist.counts().iter().rposition(|&n| n > 0).unwrap_or(0) as u64;
         println!(
             "  buffer occupancy: mean {:.2} slots, full {:.1}% of buffer-cycles",
             hist.mean(),

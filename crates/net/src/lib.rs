@@ -46,7 +46,7 @@ mod topology;
 mod traffic;
 
 pub use butterfly::ButterflyTopology;
-pub use metrics::{Accumulator, Histogram, NetMetrics, CLOCKS_PER_CYCLE};
+pub use metrics::{Accumulator, Counters, Histogram, NetMetrics, CLOCKS_PER_CYCLE};
 pub use network::{
     ArrivalProcess, NetworkConfig, NetworkError, NetworkSim, PacketLengths, PhaseProfile,
     RecoveryConfig,

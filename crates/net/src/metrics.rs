@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+pub use damq_telemetry::Histogram;
+
 /// Clock cycles per network cycle: the paper's simulations move packets
 /// "instantaneously once every twelve clock cycles" (8 to transmit, 4 to
 /// route), and report latency in clock cycles.
@@ -113,97 +115,51 @@ impl Accumulator {
     }
 }
 
-/// Exact latency histogram with one-cycle buckets (saturating at a cap),
-/// supporting percentile queries.
-///
-/// # Examples
-///
-/// ```
-/// use damq_net::Histogram;
-///
-/// let mut h = Histogram::new(100);
-/// for v in [3, 3, 4, 10] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.percentile(0.50), 3);
-/// assert_eq!(h.percentile(1.00), 10);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    overflow: u64,
+/// The counters every packet fate is bumped in — once, in the current
+/// window's copy ([`NetMetrics::window`]). The lifetime view
+/// ([`NetMetrics::lifetime`]) and the registry's `net.*` counters are
+/// derived from it; nothing else on the cycle path keeps a second tally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Network cycles stepped.
+    pub cycles: u64,
+    /// Packets generated at the sources.
+    pub generated: u64,
+    /// Packets injected into stage 0.
+    pub injected: u64,
+    /// Packets delivered to their destination terminal.
+    pub delivered: u64,
+    /// Packets discarded at the network entry.
+    pub discarded_entry: u64,
+    /// Packets discarded inside the network.
+    pub discarded_network: u64,
+    /// Resend attempts made by link-level retransmission.
+    pub retransmits: u64,
+    /// Parked packets given up after exhausting their retries.
+    pub retry_exhausted: u64,
+    /// Packets deflected through an alternate output (adaptive
+    /// rerouting).
+    pub rerouted: u64,
+    /// Wrong-sink arrivals recirculated end-to-end instead of dropped.
+    pub recirculated: u64,
+    /// Switch-cycles advanced by the quiescent fast path.
+    pub idle_skipped: u64,
 }
 
-impl Histogram {
-    /// Creates a histogram with buckets `0..=cap`; values above `cap` land
-    /// in an overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(cap: u64) -> Self {
-        assert!(cap > 0, "histogram needs at least one bucket");
-        Histogram {
-            buckets: vec![0; cap as usize + 1],
-            count: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        match self.buckets.get_mut(value as usize) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations above the cap.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The smallest value `v` such that at least `q` of the observations
-    /// are ≤ `v` (`0.0 < q <= 1.0`). Returns 0 when empty; returns the cap
-    /// if the answer lies in the overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not in `(0, 1]`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (value, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return value as u64;
-            }
-        }
-        self.buckets.len() as u64 - 1
-    }
-
-    /// Zeroes the histogram, keeping its shape.
-    pub fn reset(&mut self) {
-        self.buckets.fill(0);
-        self.count = 0;
-        self.overflow = 0;
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new(4096)
+impl Counters {
+    /// Adds every counter of `other` to this one.
+    fn fold(&mut self, other: &Counters) {
+        self.cycles += other.cycles;
+        self.generated += other.generated;
+        self.injected += other.injected;
+        self.delivered += other.delivered;
+        self.discarded_entry += other.discarded_entry;
+        self.discarded_network += other.discarded_network;
+        self.retransmits += other.retransmits;
+        self.retry_exhausted += other.retry_exhausted;
+        self.rerouted += other.rerouted;
+        self.recirculated += other.recirculated;
+        self.idle_skipped += other.idle_skipped;
     }
 }
 
@@ -214,13 +170,11 @@ impl Default for Histogram {
 /// tables.
 #[derive(Debug, Clone, Default)]
 pub struct NetMetrics {
-    cycles: u64,
     terminals: usize,
-    generated: u64,
-    injected: u64,
-    delivered: u64,
-    discarded_entry: u64,
-    discarded_network: u64,
+    /// The current window's counters — the one store a fate is bumped in.
+    pub(crate) window: Counters,
+    /// Everything counted before the current window began.
+    carried: Counters,
     /// Birth-to-delivery latency (includes source-queue wait).
     total_latency: Accumulator,
     /// Injection-to-delivery latency (in-network only).
@@ -239,35 +193,8 @@ impl NetMetrics {
             terminals,
             per_sink_delivered: vec![0; terminals],
             per_source_latency: vec![Accumulator::new(); terminals],
-            latency_histogram: Histogram::default(),
             ..Default::default()
         }
-    }
-
-    /// Called once per simulated cycle.
-    pub fn record_cycle(&mut self) {
-        self.cycles += 1;
-    }
-
-    /// A source generated a packet.
-    pub fn record_generated(&mut self) {
-        self.generated += 1;
-    }
-
-    /// A packet left its source queue into a first-stage buffer.
-    pub fn record_injected(&mut self) {
-        self.injected += 1;
-    }
-
-    /// A packet was dropped trying to enter the network (discarding
-    /// protocol, first-stage buffer full).
-    pub fn record_entry_discard(&mut self) {
-        self.discarded_entry += 1;
-    }
-
-    /// A packet was dropped between stages (discarding protocol).
-    pub fn record_network_discard(&mut self) {
-        self.discarded_network += 1;
     }
 
     /// A packet from `source` reached sink `sink` with the given
@@ -276,34 +203,19 @@ impl NetMetrics {
     /// # Panics
     ///
     /// Panics if `sink` or `source` is out of range.
-    pub fn record_delivery_from(
+    pub(crate) fn record_delivery_from(
         &mut self,
         source: usize,
         sink: usize,
         total_cycles: u64,
         network_cycles: u64,
     ) {
-        self.delivered += 1;
+        self.window.delivered += 1;
         self.per_sink_delivered[sink] += 1;
         self.per_source_latency[source].record(total_cycles as f64);
         self.total_latency.record(total_cycles as f64);
         self.network_latency.record(network_cycles as f64);
         self.latency_histogram.record(total_cycles);
-    }
-
-    /// A packet reached sink `sink` (source unattributed; kept for simple
-    /// callers and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` is out of range.
-    pub fn record_delivery(&mut self, sink: usize, total_cycles: u64, network_cycles: u64) {
-        self.record_delivery_from(
-            sink % self.terminals.max(1),
-            sink,
-            total_cycles,
-            network_cycles,
-        );
     }
 
     /// Per-source mean latency accumulators (fairness analysis).
@@ -331,37 +243,37 @@ impl NetMetrics {
 
     /// Cycles in the measurement window.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.window.cycles
     }
 
     /// Packets generated by sources.
     pub fn generated(&self) -> u64 {
-        self.generated
+        self.window.generated
     }
 
     /// Packets that entered the network.
     pub fn injected(&self) -> u64 {
-        self.injected
+        self.window.injected
     }
 
     /// Packets delivered to sinks.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.window.delivered
     }
 
     /// Packets dropped at network entry.
     pub fn discarded_entry(&self) -> u64 {
-        self.discarded_entry
+        self.window.discarded_entry
     }
 
     /// Packets dropped between stages.
     pub fn discarded_network(&self) -> u64 {
-        self.discarded_network
+        self.window.discarded_network
     }
 
     /// All packets dropped anywhere.
     pub fn discarded(&self) -> u64 {
-        self.discarded_entry + self.discarded_network
+        self.window.discarded_entry + self.window.discarded_network
     }
 
     /// Deliveries per sink (hot-spot analysis).
@@ -371,20 +283,20 @@ impl NetMetrics {
 
     /// Offered load: generated packets per terminal per cycle.
     pub fn offered_throughput(&self) -> f64 {
-        self.per_terminal_rate(self.generated)
+        self.per_terminal_rate(self.window.generated)
     }
 
     /// Delivered throughput: packets per terminal per cycle.
     pub fn delivered_throughput(&self) -> f64 {
-        self.per_terminal_rate(self.delivered)
+        self.per_terminal_rate(self.window.delivered)
     }
 
     /// Fraction of generated packets that were discarded.
     pub fn discard_fraction(&self) -> f64 {
-        if self.generated == 0 {
+        if self.window.generated == 0 {
             0.0
         } else {
-            self.discarded() as f64 / self.generated as f64
+            self.discarded() as f64 / self.window.generated as f64
         }
     }
 
@@ -410,6 +322,14 @@ impl NetMetrics {
 
     /// The `q`-quantile of total latency, in clock cycles.
     ///
+    /// The distribution is exact up to 4 096 network cycles (49 152
+    /// clocks); a quantile that lies beyond reads as that cap — a lower
+    /// bound, not a value — and
+    /// [`latency_percentile_clipped`](NetMetrics::latency_percentile_clipped)
+    /// says so. A blocking network past saturation queues packets at the
+    /// sources for far longer than the cap, so its tail percentiles are
+    /// clipped while its mean is not.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is not in `(0, 1]`.
@@ -417,22 +337,55 @@ impl NetMetrics {
         self.latency_histogram.percentile(q) as f64 * CLOCKS_PER_CYCLE as f64
     }
 
+    /// Whether the `q`-quantile of total latency lies beyond the
+    /// histogram's cap, so that
+    /// [`latency_percentile_clocks`](NetMetrics::latency_percentile_clocks)
+    /// reports the cap as a lower bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not in `(0, 1]`.
+    pub fn latency_percentile_clipped(&self, q: f64) -> bool {
+        self.latency_histogram.clipped(q)
+    }
+
     /// The exact total-latency distribution (network cycles).
     pub fn latency_histogram(&self) -> &Histogram {
         &self.latency_histogram
     }
 
-    /// Zeroes everything, keeping the terminal count (start of a
-    /// measurement window after warm-up).
-    pub fn reset(&mut self) {
-        *self = NetMetrics::new(self.terminals);
+    /// Starts a new measurement window (after warm-up): the window's
+    /// counters fold into the carried totals, so
+    /// [`lifetime`](NetMetrics::lifetime) is unchanged, and every windowed
+    /// statistic is zeroed in place.
+    pub(crate) fn reset(&mut self) {
+        self.carried.fold(&self.window);
+        self.window = Counters::default();
+        self.total_latency = Accumulator::new();
+        self.network_latency = Accumulator::new();
+        self.latency_histogram.reset();
+        self.per_sink_delivered.fill(0);
+        self.per_source_latency.fill(Accumulator::new());
+    }
+
+    /// The current window's counters.
+    pub fn window(&self) -> &Counters {
+        &self.window
+    }
+
+    /// Counters since construction: everything carried over the window
+    /// resets plus the current window.
+    pub fn lifetime(&self) -> Counters {
+        let mut total = self.carried;
+        total.fold(&self.window);
+        total
     }
 
     fn per_terminal_rate(&self, count: u64) -> f64 {
-        if self.cycles == 0 || self.terminals == 0 {
+        if self.window.cycles == 0 || self.terminals == 0 {
             0.0
         } else {
-            count as f64 / (self.cycles as f64 * self.terminals as f64)
+            count as f64 / (self.window.cycles as f64 * self.terminals as f64)
         }
     }
 }
@@ -442,10 +395,10 @@ impl fmt::Display for NetMetrics {
         write!(
             f,
             "{} cycles: gen {} inj {} dlv {} drop {} | thr {:.3} | lat {:.1} clk",
-            self.cycles,
-            self.generated,
-            self.injected,
-            self.delivered,
+            self.window.cycles,
+            self.window.generated,
+            self.window.injected,
+            self.window.delivered,
             self.discarded(),
             self.delivered_throughput(),
             self.mean_latency_clocks(),
@@ -589,14 +542,10 @@ mod tests {
     #[test]
     fn throughput_is_per_terminal_per_cycle() {
         let mut m = NetMetrics::new(4);
-        for _ in 0..10 {
-            m.record_cycle();
-        }
-        for _ in 0..20 {
-            m.record_generated();
-        }
+        m.window.cycles = 10;
+        m.window.generated = 20;
         for _ in 0..12 {
-            m.record_delivery(0, 3, 3);
+            m.record_delivery_from(1, 0, 3, 3);
         }
         assert!((m.offered_throughput() - 0.5).abs() < 1e-12);
         assert!((m.delivered_throughput() - 0.3).abs() < 1e-12);
@@ -605,7 +554,7 @@ mod tests {
     #[test]
     fn latency_reported_in_clocks() {
         let mut m = NetMetrics::new(1);
-        m.record_delivery(0, 4, 3);
+        m.record_delivery_from(0, 0, 4, 3);
         assert_eq!(m.mean_latency_clocks(), 48.0);
         assert_eq!(m.mean_network_latency_clocks(), 36.0);
     }
@@ -613,50 +562,56 @@ mod tests {
     #[test]
     fn discard_fraction_counts_both_kinds() {
         let mut m = NetMetrics::new(1);
-        for _ in 0..10 {
-            m.record_generated();
-        }
-        m.record_entry_discard();
-        m.record_network_discard();
+        m.window.generated = 10;
+        m.window.discarded_entry = 1;
+        m.window.discarded_network = 1;
         assert!((m.discard_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(10);
-        for v in 1..=100u64 {
-            h.record(v % 8);
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.percentile(0.5) <= h.percentile(0.9));
-        assert_eq!(h.percentile(1.0), 7);
-    }
-
-    #[test]
-    fn histogram_overflow_saturates_at_cap() {
-        let mut h = Histogram::new(4);
-        h.record(1_000_000);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.percentile(1.0), 4);
     }
 
     #[test]
     fn metrics_expose_latency_percentiles_in_clocks() {
         let mut m = NetMetrics::new(1);
-        m.record_delivery(0, 3, 3);
-        m.record_delivery(0, 5, 5);
+        m.record_delivery_from(0, 0, 3, 3);
+        m.record_delivery_from(0, 0, 5, 5);
         assert_eq!(m.latency_percentile_clocks(0.5), 36.0);
         assert_eq!(m.latency_percentile_clocks(1.0), 60.0);
+        assert!(!m.latency_percentile_clipped(1.0));
+        m.record_delivery_from(0, 0, 5_000, 5);
+        assert_eq!(m.latency_percentile_clocks(1.0), 4096.0 * 12.0);
+        assert!(m.latency_percentile_clipped(1.0));
+        assert!(!m.latency_percentile_clipped(0.5));
     }
 
     #[test]
-    fn reset_clears_but_keeps_shape() {
+    fn reset_folds_the_window_into_the_lifetime_view_in_place() {
         let mut m = NetMetrics::new(8);
-        m.record_cycle();
-        m.record_delivery(7, 1, 1);
+        m.window.cycles = 3;
+        m.window.idle_skipped = 40;
+        m.record_delivery_from(2, 7, 1, 1);
+        let buckets = m.latency_histogram().counts().as_ptr();
         m.reset();
         assert_eq!(m.cycles(), 0);
         assert_eq!(m.delivered(), 0);
-        assert_eq!(m.per_sink_delivered().len(), 8);
+        assert_eq!(m.latency_histogram().count(), 0);
+        assert_eq!(m.total_latency().count(), 0);
+        assert_eq!(m.per_sink_delivered(), &[0; 8]);
+        assert_eq!(m.per_source_latency()[2].count(), 0);
+        assert_eq!(
+            m.latency_histogram().counts().as_ptr(),
+            buckets,
+            "no reallocation"
+        );
+        m.window.cycles = 2;
+        m.record_delivery_from(0, 0, 1, 1);
+        let life = m.lifetime();
+        assert_eq!((life.cycles, life.delivered, life.idle_skipped), (5, 2, 40));
+        assert_eq!(
+            *m.window(),
+            Counters {
+                cycles: 2,
+                delivered: 1,
+                ..Counters::default()
+            }
+        );
     }
 }

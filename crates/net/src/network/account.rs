@@ -1,19 +1,23 @@
 //! The packet-fate owner: every counter bump and lifecycle event, once.
 //!
 //! A packet's fate — generated, injected, forwarded, delivered, dropped
-//! for a cause — is recorded in up to five stores: the windowed
-//! [`NetMetrics`], the named-metric registry, the lifetime
-//! [`ConservationLedger`], the [`FaultLedger`] and the telemetry sink.
-//! [`Account`] holds all five and exposes one method per fate, so the
+//! for a cause — is one bump in the current window's
+//! [`Counters`](crate::metrics::Counters) inside [`NetMetrics`], plus a
+//! line in whichever independent observer watches that fate: the
+//! lifetime [`ConservationLedger`] (the audit's own tally), the
+//! [`FaultLedger`] (drops with a fault for a cause) and the telemetry
+//! sink. [`Account`] holds them and exposes one method per fate, so the
 //! cycle steps (generate, the stage merges, inject, recovery) say *what
-//! happened* and the stores cannot drift apart. Fault-ledger lines are
-//! mirrored into the `net.fault.*` registry counters at the event
-//! itself.
+//! happened* and the stores cannot drift apart. The named-metric
+//! registry is not a store on this path: its sixteen counters are
+//! derived, once per cycle, from the lifetime view of the window
+//! counters and from the fault ledger ([`Account::publish_counters`]);
+//! only its three histograms are fed sample by sample.
 
 use damq_core::{FaultLedger, FaultSite, NodeId, Packet};
-use damq_telemetry::{CounterId, Event, EventKind, HistogramId, MetricsRegistry, TelemetrySink};
+use damq_telemetry::{Event, EventKind, HistogramId, MetricsRegistry, TelemetrySink};
 
-use crate::metrics::NetMetrics;
+use crate::metrics::{Counters, NetMetrics};
 
 /// Lifetime packet ledger for the conservation audit.
 ///
@@ -35,81 +39,61 @@ pub(super) struct ConservationLedger {
     pub(super) discarded: u64,
 }
 
-/// Registry ids for the simulator's built-in metrics, resolved once at
-/// construction so the hot path never does a name lookup.
+/// Registry ids of the three histograms — the metrics fed sample by
+/// sample — resolved once at construction so the hot path never does a
+/// name lookup.
 ///
-/// Every name registered here must be listed in the metrics reference
-/// table of `docs/OBSERVABILITY.md` (workspace lint 10).
+/// Every name registered here or listed in [`counter_rows`] must appear
+/// in the metrics reference table of `docs/OBSERVABILITY.md` (workspace
+/// lint 10).
 #[derive(Debug)]
 struct MetricIds {
-    /// Network cycles stepped.
-    cycles: CounterId,
-    /// Packets generated at the sources.
-    generated: CounterId,
-    /// Packets injected into stage 0.
-    injected: CounterId,
-    /// Packets delivered to their destination terminal.
-    delivered: CounterId,
-    /// Packets discarded at the network entry.
-    discarded_entry: CounterId,
-    /// Packets discarded inside the network.
-    discarded_network: CounterId,
     /// Source-to-sink latency per delivered packet.
     latency: HistogramId,
     /// Injection-to-sink latency per delivered packet.
     network_latency: HistogramId,
     /// Per-buffer occupied slots, sampled every cycle.
     occupancy: HistogramId,
-    /// Switch-cycles advanced by the quiescent fast path.
-    idle_skipped: CounterId,
-    /// Resend attempts made by link-level retransmission.
-    retransmits: CounterId,
-    /// Parked packets given up after exhausting their retries.
-    retry_exhausted: CounterId,
-    /// Packets deflected through an alternate output (adaptive
-    /// rerouting).
-    rerouted: CounterId,
-    /// Wrong-sink arrivals recirculated end-to-end instead of dropped.
-    recirculated: CounterId,
-    /// Fault-ledger mirror: buffer slots killed.
-    fault_slots_killed: CounterId,
-    /// Fault-ledger mirror: packets lost to link outages.
-    fault_link_dropped: CounterId,
-    /// Fault-ledger mirror: corrupted packets refused at sinks.
-    fault_corrupt_dropped: CounterId,
-    /// Fault-ledger mirror: transiently misrouted packets dropped.
-    fault_misrouted: CounterId,
-    /// Fault-ledger mirror: blocking probes invalidated by a misroute.
-    fault_probe_invalidated: CounterId,
 }
 
 impl MetricIds {
     fn register(reg: &mut MetricsRegistry) -> Self {
+        for (name, _) in counter_rows(&Counters::default(), &FaultLedger::default()) {
+            reg.counter(name);
+        }
         MetricIds {
-            cycles: reg.counter("net.cycles"),
-            generated: reg.counter("net.generated"),
-            injected: reg.counter("net.injected"),
-            delivered: reg.counter("net.delivered"),
-            discarded_entry: reg.counter("net.discarded_entry"),
-            discarded_network: reg.counter("net.discarded_network"),
             latency: reg.histogram("net.latency_cycles"),
             network_latency: reg.histogram("net.network_latency_cycles"),
             occupancy: reg.histogram("net.occupancy_slots"),
-            idle_skipped: reg.counter("net.idle_skipped"),
-            retransmits: reg.counter("net.retransmits"),
-            retry_exhausted: reg.counter("net.retry_exhausted"),
-            rerouted: reg.counter("net.rerouted"),
-            recirculated: reg.counter("net.recirculated"),
-            fault_slots_killed: reg.counter("net.fault.slots_killed"),
-            fault_link_dropped: reg.counter("net.fault.link_dropped"),
-            fault_corrupt_dropped: reg.counter("net.fault.corrupt_dropped"),
-            fault_misrouted: reg.counter("net.fault.misrouted"),
-            fault_probe_invalidated: reg.counter("net.fault.probe_invalidated"),
         }
     }
 }
 
-/// One line of the [`FaultLedger`] (and its `net.fault.*` mirror).
+/// The registry's sixteen counters, in registration (= snapshot) order,
+/// each with the one place its value is kept: a lifetime counter or a
+/// fault-ledger line.
+fn counter_rows(life: &Counters, faults: &FaultLedger) -> [(&'static str, u64); 16] {
+    [
+        ("net.cycles", life.cycles),
+        ("net.generated", life.generated),
+        ("net.injected", life.injected),
+        ("net.delivered", life.delivered),
+        ("net.discarded_entry", life.discarded_entry),
+        ("net.discarded_network", life.discarded_network),
+        ("net.idle_skipped", life.idle_skipped),
+        ("net.retransmits", life.retransmits),
+        ("net.retry_exhausted", life.retry_exhausted),
+        ("net.rerouted", life.rerouted),
+        ("net.recirculated", life.recirculated),
+        ("net.fault.slots_killed", faults.slots_killed),
+        ("net.fault.link_dropped", faults.link_dropped),
+        ("net.fault.corrupt_dropped", faults.corrupt_dropped),
+        ("net.fault.misrouted", faults.misrouted),
+        ("net.fault.probe_invalidated", faults.probe_invalidated),
+    ]
+}
+
+/// One line of the [`FaultLedger`].
 #[derive(Debug, Clone, Copy)]
 pub(super) enum FaultTally {
     SlotKilled,
@@ -151,7 +135,7 @@ pub(super) enum DropCause {
     },
 }
 
-/// The five stores a packet's fate is written to. See the module docs.
+/// The stores a packet's fate is written to. See the module docs.
 #[derive(Debug)]
 pub(super) struct Account<S> {
     pub(super) metrics: NetMetrics,
@@ -191,8 +175,14 @@ impl<S: TelemetrySink<Event>> Account<S> {
     }
 
     pub(super) fn cycle_started(&mut self) {
-        self.metrics.record_cycle();
-        self.registry.add(self.ids.cycles, 1);
+        self.metrics.window.cycles += 1;
+    }
+
+    /// Derives the registry's counters from their owners. Called once
+    /// per cycle, and only while the registry is enabled.
+    pub(super) fn publish_counters(&mut self) {
+        let rows = counter_rows(&self.metrics.lifetime(), &self.fault_ledger);
+        self.registry.publish(&rows);
     }
 
     pub(super) fn generated(&mut self, cycle: u64, packet: u64, source: usize, dest: NodeId) {
@@ -205,16 +195,14 @@ impl<S: TelemetrySink<Event>> Account<S> {
                 dest,
             },
         );
-        self.metrics.record_generated();
-        self.registry.add(self.ids.generated, 1);
+        self.metrics.window.generated += 1;
         self.ledger.generated += 1;
     }
 
     pub(super) fn injected(&mut self, cycle: u64, packet: u64, source: usize) {
         let source = source as u32;
         self.emit(cycle, EventKind::Injected { packet, source });
-        self.metrics.record_injected();
-        self.registry.add(self.ids.injected, 1);
+        self.metrics.window.injected += 1;
     }
 
     /// A departure left (`stage`, `switch`) through `output` (telemetry
@@ -256,7 +244,6 @@ impl<S: TelemetrySink<Event>> Account<S> {
         );
         self.metrics
             .record_delivery_from(packet.source().index(), sink, total, network);
-        self.registry.add(self.ids.delivered, 1);
         self.registry.observe(self.ids.latency, total);
         self.registry.observe(self.ids.network_latency, network);
         self.ledger.delivered += 1;
@@ -298,7 +285,7 @@ impl<S: TelemetrySink<Event>> Account<S> {
                 attempts,
                 at_entry,
             } => {
-                self.registry.add(self.ids.retry_exhausted, 1);
+                self.metrics.window.retry_exhausted += 1;
                 let kind = EventKind::GaveUp {
                     packet,
                     stage,
@@ -311,31 +298,26 @@ impl<S: TelemetrySink<Event>> Account<S> {
         self.emit(cycle, kind);
         self.ledger.discarded += 1;
         if at_entry {
-            self.metrics.record_entry_discard();
-            self.registry.add(self.ids.discarded_entry, 1);
+            self.metrics.window.discarded_entry += 1;
         } else {
-            self.metrics.record_network_discard();
-            self.registry.add(self.ids.discarded_network, 1);
+            self.metrics.window.discarded_network += 1;
         }
         if let Some(fault) = fault {
             self.tally(fault);
         }
     }
 
-    /// Adds one to a fault-ledger line and its registry mirror.
+    /// Adds one to a fault-ledger line.
     fn tally(&mut self, fault: FaultTally) {
-        let (ledger, ids) = (&mut self.fault_ledger, &self.ids);
-        let (line, mirror) = match fault {
-            FaultTally::SlotKilled => (&mut ledger.slots_killed, ids.fault_slots_killed),
-            FaultTally::LinkDropped => (&mut ledger.link_dropped, ids.fault_link_dropped),
-            FaultTally::CorruptDropped => (&mut ledger.corrupt_dropped, ids.fault_corrupt_dropped),
-            FaultTally::Misrouted => (&mut ledger.misrouted, ids.fault_misrouted),
-            FaultTally::ProbeInvalidated => {
-                (&mut ledger.probe_invalidated, ids.fault_probe_invalidated)
-            }
+        let ledger = &mut self.fault_ledger;
+        let line = match fault {
+            FaultTally::SlotKilled => &mut ledger.slots_killed,
+            FaultTally::LinkDropped => &mut ledger.link_dropped,
+            FaultTally::CorruptDropped => &mut ledger.corrupt_dropped,
+            FaultTally::Misrouted => &mut ledger.misrouted,
+            FaultTally::ProbeInvalidated => &mut ledger.probe_invalidated,
         };
         *line += 1;
-        self.registry.add(mirror, 1);
     }
 
     /// A fault plan permanently removed one buffer slot at `site`.
@@ -375,7 +357,7 @@ impl<S: TelemetrySink<Event>> Account<S> {
         attempt: u32,
         seq: u64,
     ) {
-        self.registry.add(self.ids.retransmits, 1);
+        self.metrics.window.retransmits += 1;
         self.emit(
             cycle,
             EventKind::Retransmit {
@@ -398,7 +380,7 @@ impl<S: TelemetrySink<Event>> Account<S> {
         switch: usize,
         output: usize,
     ) {
-        self.registry.add(self.ids.rerouted, 1);
+        self.metrics.window.rerouted += 1;
         self.emit(
             cycle,
             EventKind::Rerouted {
@@ -413,12 +395,12 @@ impl<S: TelemetrySink<Event>> Account<S> {
     /// A wrong-sink arrival recirculates end-to-end instead of dropping.
     pub(super) fn recirculated(&mut self, cycle: u64, packet: u64, sink: usize) {
         let sink = sink as u32;
-        self.registry.add(self.ids.recirculated, 1);
+        self.metrics.window.recirculated += 1;
         self.emit(cycle, EventKind::Recirculated { packet, sink });
     }
 
     pub(super) fn idle_skipped(&mut self, switches: u64) {
-        self.registry.add(self.ids.idle_skipped, switches);
+        self.metrics.window.idle_skipped += switches;
     }
 
     pub(super) fn occupancy_observed(&mut self, used_slots: usize) {

@@ -14,12 +14,24 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// ledger (which, unlike [`NetworkSim::metrics`], survives
     /// [`NetworkSim::warm_up`]): every packet ever generated is delivered,
     /// discarded, waiting at a source, resident in a buffer, or held in
-    /// a hop's retransmit buffer — exactly one of the five.
+    /// a hop's retransmit buffer — exactly one of the five. The ledger
+    /// is the audit's own tally; the lifetime view of the window counters
+    /// ([`NetMetrics::lifetime`](crate::NetMetrics::lifetime), carried +
+    /// window) must tell the same story, so a window reset that loses
+    /// counts is caught here too.
     ///
     /// # Errors
     ///
     /// Returns an [`AuditError`] naming the imbalance.
     pub fn audit_conservation(&self) -> Result<(), AuditError> {
+        let (life, ledger) = (self.acct.metrics.lifetime(), self.acct.ledger);
+        let discarded = life.discarded_entry + life.discarded_network;
+        if (life.generated, life.delivered, discarded)
+            != (ledger.generated, ledger.delivered, ledger.discarded)
+        {
+            let detail = format!("carried + window counts are {life:?} but the audit's {ledger:?}");
+            return Err(AuditError::new("lifetime-counters", detail));
+        }
         let accounted = self.acct.ledger.delivered
             + self.acct.ledger.discarded
             + self.source_backlog() as u64

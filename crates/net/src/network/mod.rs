@@ -23,8 +23,9 @@
 //! each decision the loop makes has one owner in a submodule:
 //!
 //! * `config` — the experiment description ([`NetworkConfig`]);
-//! * `account` — what happened to a packet, written once to every
-//!   counter store and the telemetry sink;
+//! * `account` — what happened to a packet: one bump in the window
+//!   counters, a line in the audit's ledgers, an event for the sink (the
+//!   registry's counters are derived from those once per cycle);
 //! * `stage` — the switch grid, the hop primitive every packet movement
 //!   goes through, and the arbitrate/merge passes of stage advance;
 //! * `profile` — where a cycle's wall-clock goes ([`PhaseProfile`]);
@@ -153,8 +154,6 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     /// [`Switch::note_idle_cycle`] instead of a full arbitration sweep
     /// (on by default; see [`NetworkSim::with_idle_skip`]).
     idle_skip: bool,
-    /// Lifetime count of idle-skipped switch-cycles.
-    idle_skipped: u64,
     /// Recovery machinery, present only while the configuration's
     /// [`RecoveryConfig`] is active.
     recovery: Option<RecoveryState>,
@@ -262,7 +261,6 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             phase_timing: false,
             profile: PhaseProfile::default(),
             idle_skip: true,
-            idle_skipped: 0,
             recovery: config
                 .recovery
                 .active()
@@ -437,9 +435,14 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// deterministic JSON snapshot via
     /// [`metrics_snapshot`](NetworkSim::metrics_snapshot).
     ///
-    /// Off by default; while off, every registry update is a single
-    /// branch on a cold flag (pinned by the `no_op_registry_overhead`
-    /// bench).
+    /// Off by default; while off, the three histogram updates are a
+    /// single branch on a cold flag each and the end-of-cycle publish is
+    /// skipped (pinned by the `no_op_registry_overhead` bench). The
+    /// counters are published from the lifetime view of
+    /// [`metrics`](NetworkSim::metrics) and from the
+    /// [`fault_ledger`](NetworkSim::fault_ledger) at the end of every
+    /// cycle stepped while on, so they count from construction —
+    /// [`warm_up`](NetworkSim::warm_up) does not reset them.
     #[must_use]
     pub fn with_metrics(mut self) -> Self {
         self.acct.registry.set_enabled(true);
@@ -464,7 +467,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// Lifetime count of switch-cycles advanced by the quiescent fast
     /// path (also exported as the `net.idle_skipped` registry counter).
     pub fn idle_skipped_total(&self) -> u64 {
-        self.idle_skipped
+        self.acct.metrics.lifetime().idle_skipped
     }
 
     /// The named-metric registry (disabled unless
@@ -527,7 +530,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         self.advance_stages();
         self.timed(|p| &mut p.inject_ns, Self::inject);
         if self.acct.registry.enabled() {
-            self.timed(|p| &mut p.observe_ns, Self::observe_occupancy);
+            self.timed(|p| &mut p.observe_ns, Self::observe_registry);
         }
         if self.acct.sink.enabled() {
             self.timed(|p| &mut p.observe_ns, Self::emit_cycle_sample);
@@ -546,8 +549,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         }
     }
 
-    /// Runs `cycles` cycles and then zeroes the metrics: the standard
-    /// warm-up before a measurement window.
+    /// Runs `cycles` cycles and then starts a new measurement window:
+    /// the standard warm-up. [`metrics`](NetworkSim::metrics) reads zero
+    /// afterwards; what the warm-up counted is carried in
+    /// [`NetMetrics::lifetime`].
     pub fn warm_up(&mut self, cycles: u64) {
         self.run(cycles);
         self.acct.metrics.reset();
@@ -709,16 +714,18 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         }
     }
 
-    /// Samples every input buffer's occupied slots into the
-    /// `net.occupancy_slots` histogram. Only called while the registry
-    /// is enabled (one scan per cycle, after injection).
-    fn observe_occupancy(&mut self) {
+    /// The registry's end-of-cycle pass: samples every input buffer's
+    /// occupied slots into the `net.occupancy_slots` histogram (one scan,
+    /// after injection) and publishes the counters from their owners.
+    /// Only called while the registry is enabled.
+    fn observe_registry(&mut self) {
         for switch in self.fabric.switches.iter().flatten() {
             for port in 0..switch.ports() {
                 let used = switch.buffer(InputPort::new(port)).used_slots();
                 self.acct.occupancy_observed(used);
             }
         }
+        self.acct.publish_counters();
     }
 
     /// Emits end-of-cycle aggregate events: one
@@ -882,6 +889,19 @@ mod tests {
             assert!(err.to_string().contains("source-occupancy"), "{err}");
             sim.source_occupied[0] ^= 1 << src;
         }
+    }
+
+    #[test]
+    fn audit_catches_a_window_reset_that_skips_the_fold() {
+        let mut sim = NetworkSim::new(small(BufferKind::Damq)).unwrap();
+        sim.warm_up(50);
+        sim.run(50);
+        sim.audit().expect("carried + window matches the ledger");
+        // The seeded mutation: a reset that zeroes the window without
+        // folding it into the carried totals.
+        sim.acct.metrics.window = crate::metrics::Counters::default();
+        let err = sim.audit().expect_err("the window's counts are lost");
+        assert!(err.to_string().contains("lifetime-counters"), "{err}");
     }
 
     #[test]
@@ -1456,6 +1476,71 @@ mod recovery_tests {
             counter("net.fault.link_dropped"),
             sim.fault_ledger().link_dropped
         );
+    }
+
+    #[test]
+    fn registry_counters_are_the_lifetime_view_across_a_warm_up() {
+        let spec = FaultSpec {
+            dead_slot_fraction: 0.1,
+            link_flaps: 4,
+            flap_duration: 30,
+            corrupt_packets: 3,
+            misroutes: 2,
+            ..FaultSpec::fault_free(2, 4, 4, 16, 4, 200)
+        };
+        let mut sim = NetworkSim::with_faults(
+            base(BufferKind::Damq)
+                .flow_control(FlowControl::Discarding)
+                .recovery(RecoveryConfig::enabled()),
+            FaultPlan::generate(11, &spec),
+        )
+        .unwrap()
+        .with_metrics();
+        sim.warm_up(150);
+        let carried = sim.metrics().lifetime();
+        assert_eq!(*sim.metrics().window(), Default::default());
+        sim.run(250);
+
+        let m = sim.metrics();
+        let (window, life, faults) = (*m.window(), m.lifetime(), sim.fault_ledger());
+        assert_eq!((m.cycles(), life.cycles), (250, 400));
+        assert_eq!(sim.idle_skipped_total(), life.idle_skipped);
+        let registry = sim.metrics_registry();
+        let both = |of: fn(&crate::metrics::Counters) -> u64| of(&carried) + of(&window);
+        let expected = [
+            ("net.cycles", both(|c| c.cycles)),
+            ("net.generated", both(|c| c.generated)),
+            ("net.injected", both(|c| c.injected)),
+            ("net.delivered", both(|c| c.delivered)),
+            ("net.discarded_entry", both(|c| c.discarded_entry)),
+            ("net.discarded_network", both(|c| c.discarded_network)),
+            ("net.idle_skipped", both(|c| c.idle_skipped)),
+            ("net.retransmits", both(|c| c.retransmits)),
+            ("net.retry_exhausted", both(|c| c.retry_exhausted)),
+            ("net.rerouted", both(|c| c.rerouted)),
+            ("net.recirculated", both(|c| c.recirculated)),
+            ("net.fault.slots_killed", faults.slots_killed),
+            ("net.fault.link_dropped", faults.link_dropped),
+            ("net.fault.corrupt_dropped", faults.corrupt_dropped),
+            ("net.fault.misrouted", faults.misrouted),
+            ("net.fault.probe_invalidated", faults.probe_invalidated),
+        ];
+        assert_eq!(registry.counter_names().len(), expected.len());
+        for (name, value) in expected {
+            assert_eq!(registry.counter_value(name), Some(value), "{name}");
+        }
+        // Both halves of the sum are live, for the recovery counters too.
+        for (before, during) in [
+            (carried.delivered, window.delivered),
+            (carried.retransmits, window.retransmits),
+            (carried.rerouted, window.rerouted),
+            (carried.idle_skipped, window.idle_skipped),
+        ] {
+            assert!(before > 0 && during > 0, "{carried:?} + {window:?}");
+        }
+        // The histograms are fed per sample and never reset either.
+        let latency = registry.histogram_named("net.latency_cycles").unwrap();
+        assert_eq!(latency.count(), life.delivered);
     }
 
     #[test]

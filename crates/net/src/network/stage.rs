@@ -399,7 +399,6 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             probes += sink.probes;
         }
         self.plan.count_queries(probes);
-        self.idle_skipped += skipped;
         self.acct.idle_skipped(skipped);
     }
 

@@ -17,10 +17,21 @@ pub struct Measurement {
     /// Mean injection-to-delivery latency in clock cycles (in-network
     /// only).
     pub network_latency_clocks: f64,
-    /// 95th-percentile birth-to-delivery latency in clock cycles.
+    /// 95th-percentile birth-to-delivery latency in clock cycles. The
+    /// distribution is exact up to 4 096 network cycles (49 152 clocks);
+    /// beyond that the percentile reads as the cap — a lower bound — and
+    /// `latency_p95_clipped` is set.
     pub latency_p95_clocks: f64,
-    /// 99th-percentile birth-to-delivery latency in clock cycles.
+    /// 99th-percentile birth-to-delivery latency in clock cycles, capped
+    /// like the 95th.
     pub latency_p99_clocks: f64,
+    /// Whether `latency_p95_clocks` is the histogram cap standing in for
+    /// a larger value (see
+    /// [`NetMetrics::latency_percentile_clipped`](crate::NetMetrics::latency_percentile_clipped)).
+    /// A presentation flag: not one of [`fields`](Measurement::fields).
+    pub latency_p95_clipped: bool,
+    /// Whether `latency_p99_clocks` is clipped likewise.
+    pub latency_p99_clipped: bool,
     /// Fraction of generated packets discarded (discarding protocol only).
     pub discard_fraction: f64,
     /// Packets still queued at the sources when the window closed — a
@@ -65,6 +76,8 @@ impl Measurement {
     ///     network_latency_clocks: 25.0,
     ///     latency_p95_clocks: 60.0,
     ///     latency_p99_clocks: 90.0,
+    ///     latency_p95_clipped: false,
+    ///     latency_p99_clipped: false,
     ///     discard_fraction: 0.0,
     ///     source_backlog: 3,
     ///     cycles: 1_000,
@@ -169,6 +182,8 @@ fn summarise(sim: &NetworkSim) -> Measurement {
         network_latency_clocks: m.mean_network_latency_clocks(),
         latency_p95_clocks: m.latency_percentile_clocks(0.95),
         latency_p99_clocks: m.latency_percentile_clocks(0.99),
+        latency_p95_clipped: m.latency_percentile_clipped(0.95),
+        latency_p99_clipped: m.latency_percentile_clipped(0.99),
         discard_fraction: m.discard_fraction(),
         source_backlog: sim.source_backlog(),
         cycles: m.cycles(),

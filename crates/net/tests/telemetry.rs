@@ -91,6 +91,13 @@ fn spans_are_well_nested_on_a_hot_spot_run() {
         summary.hol_blocked_cycles > 0,
         "FIFO hot spot shows HOL blocking"
     );
+    // Buffer-cycles per occupancy level, recorded with the histogram
+    // type the summary used before the exact histograms were merged.
+    let occupancy = &summary.buffer_occupancy;
+    assert_eq!(occupancy.counts()[..5], [2834, 3272, 1239, 761, 1494]);
+    assert_eq!((occupancy.count(), occupancy.overflow()), (9600, 0));
+    assert_eq!(occupancy.mean(), 1.4592708333333333);
+    assert_eq!(occupancy.fraction_at_or_above(4), 0.155625);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
-use crate::series::{Downsampler, OccupancyHistogram};
+use crate::series::{Downsampler, Histogram};
 
 /// One crossbar traversal in a packet's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +85,10 @@ impl Lifecycle {
 /// Default bin budget for the summary's per-cycle series.
 const SUMMARY_BINS: usize = 64;
 
+/// Occupied slots per buffer the summary resolves exactly; a fuller
+/// buffer counts in the histogram's overflow bucket.
+const OCCUPANCY_CAP: u64 = 255;
+
 /// Everything a trace says about one run, in bounded memory except for
 /// the per-packet lifecycle map (which is proportional to packets, not
 /// cycles).
@@ -105,7 +109,7 @@ pub struct TraceSummary {
     /// Source-queue backlog per cycle.
     pub backlog_series: Downsampler,
     /// How often buffers sat at each occupancy level, across the run.
-    pub buffer_occupancy: OccupancyHistogram,
+    pub buffer_occupancy: Histogram,
     /// Total packets generated.
     pub generated: u64,
     /// Total packets injected.
@@ -176,7 +180,7 @@ impl TraceSummary {
             hol_series: Downsampler::new(SUMMARY_BINS),
             discard_series: Downsampler::new(SUMMARY_BINS),
             backlog_series: Downsampler::new(SUMMARY_BINS),
-            buffer_occupancy: OccupancyHistogram::new(),
+            buffer_occupancy: Histogram::new(OCCUPANCY_CAP),
             generated: 0,
             injected: 0,
             delivered: 0,
@@ -338,7 +342,8 @@ impl TraceSummary {
                     self.stage_forwarded[stage].record(f64::from(v));
                 }
                 for (level, &n) in buffer_occupancy.iter().enumerate() {
-                    self.buffer_occupancy.observe_many(level, u64::from(n));
+                    self.buffer_occupancy
+                        .record_many(level as u64, u64::from(n));
                 }
                 self.backlog_series.record(f64::from(*backlog));
                 self.hol_series.record(f64::from(*hol_blocked));
@@ -543,7 +548,7 @@ mod tests {
         assert_eq!(dropped.network_latency(), None);
 
         assert_eq!(summary.stage_occupancy.len(), 1);
-        assert_eq!(summary.buffer_occupancy.observations(), 2);
+        assert_eq!(summary.buffer_occupancy.count(), 2);
         summary.check_well_nested().unwrap();
     }
 

@@ -16,9 +16,11 @@
 //!   (generate → inject → forward-per-stage → deliver, plus discards and
 //!   head-of-line blocking) with a deterministic JSONL encoding and a
 //!   matching parser, so one trace file yields per-hop latency breakdowns.
-//! * [`Downsampler`] / [`OccupancyHistogram`] — bounded-memory per-cycle
-//!   time-series collectors. A million-cycle run folds into a fixed number
-//!   of bins by repeatedly halving resolution.
+//! * [`Downsampler`] / [`Histogram`] — bounded-memory collectors. A
+//!   million-cycle run folds into a fixed number of time bins by
+//!   repeatedly halving resolution; a distribution with a known range
+//!   (latency in cycles, occupied slots) is counted exactly, one bucket
+//!   per value up to a cap.
 //! * [`TraceSummary`] — replays a trace into lifecycles, occupancy series,
 //!   HOL-blocking and discard timelines; the `trace_report` harness renders
 //!   these as a text dashboard.
@@ -68,6 +70,6 @@ pub use collect::{Hop, Lifecycle, TraceSummary};
 pub use event::{Event, EventKind, ParseError};
 pub use profile::Profiler;
 pub use recorder::{FlightRecorder, SharedRecorder};
-pub use registry::{CounterId, HistogramId, LogHistogram, MetricsRegistry};
-pub use series::{sparkline, Bin, Downsampler, OccupancyHistogram};
+pub use registry::{HistogramId, LogHistogram, MetricsRegistry};
+pub use series::{sparkline, Bin, Downsampler, Histogram};
 pub use sink::{CountingSink, JsonlRecord, JsonlSink, MemorySink, NullSink, TelemetrySink};

@@ -7,9 +7,12 @@
 //! *distributions*, continuously, with near-zero cost when nobody is
 //! looking. [`MetricsRegistry`] provides that layer:
 //!
-//! * metrics are registered once by `&'static str` name and updated
-//!   through copy-size integer handles ([`CounterId`], [`HistogramId`]),
-//!   so the per-event cost is one branch and one array index;
+//! * metrics are registered once by `&'static str` name. A histogram is
+//!   fed sample by sample through a copy-size integer handle
+//!   ([`HistogramId`]), one branch and one array index per event; a
+//!   counter has an owner elsewhere that counts it anyway, and the
+//!   registry's value is overwritten from that owner's total
+//!   ([`MetricsRegistry::publish`]) — no fact is bumped twice;
 //! * a **disabled** registry (the default for `NetworkSim`) turns every
 //!   update into a single predictable branch — the
 //!   `no_op_registry_overhead` bench asserts the disabled path is
@@ -28,11 +31,6 @@
 //! appear in the metrics reference table of `docs/OBSERVABILITY.md` —
 //! `cargo xtask lint` (lint 10) enforces that.
 
-/// Handle to a registered counter; cheap to copy, valid only for the
-/// registry that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
 /// Handle to a registered histogram; cheap to copy, valid only for the
 /// registry that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +47,12 @@ const BUCKETS: usize = SUB_COUNT + (64 - SUB_BITS as usize) * SUB_COUNT;
 
 /// A bounded log-scale histogram over `u64` samples (latencies in
 /// cycles, occupancies in slots).
+///
+/// The second of the workspace's two histogram schemes, kept because it
+/// covers the whole `u64` range in 496 buckets where the exact
+/// [`Histogram`](crate::Histogram) needs a cap chosen up front: the
+/// registry cannot know a metric's range, and its p50/p99/p999 are
+/// committed bytes (`results/json/obs_report.json`).
 ///
 /// Values below 8 get exact buckets; larger values share 8 sub-buckets
 /// per power of two, so any `u64` lands in one of 496 buckets and a
@@ -188,17 +192,17 @@ impl LogHistogram {
 /// byte-deterministic JSON snapshot.
 ///
 /// Register every metric up front (typically in a constructor), keep
-/// the returned handles, and update through them on the hot path. When
-/// the registry is disabled — the default for `NetworkSim` — updates
-/// cost one branch.
+/// the histogram handles for the hot path, and publish the counters
+/// from wherever they are counted. When the registry is disabled — the
+/// default for `NetworkSim` — updates cost one branch.
 ///
 /// ```
 /// use damq_telemetry::MetricsRegistry;
 ///
 /// let mut reg = MetricsRegistry::new();
-/// let delivered = reg.counter("net.delivered");
+/// reg.counter("net.delivered");
 /// let latency = reg.histogram("net.latency_cycles");
-/// reg.add(delivered, 2);
+/// reg.publish(&[("net.delivered", 2)]);
 /// reg.observe(latency, 17);
 /// assert_eq!(reg.counter_value("net.delivered"), Some(2));
 /// assert!(reg.snapshot_json().contains("\"net.delivered\":2"));
@@ -242,14 +246,14 @@ impl MetricsRegistry {
     }
 
     /// Registers a counter under `name` (a JSON-safe static string;
-    /// snapshot order is registration order).
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
+    /// snapshot order is registration order). Its value is set by
+    /// [`publish`](MetricsRegistry::publish).
+    pub fn counter(&mut self, name: &'static str) {
         debug_assert!(
             self.counters.iter().all(|(n, _)| *n != name),
             "duplicate counter {name}"
         );
         self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
     }
 
     /// Registers a histogram under `name`.
@@ -262,11 +266,16 @@ impl MetricsRegistry {
         HistogramId(self.histograms.len() - 1)
     }
 
-    /// Adds `n` to a counter (no-op while disabled).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
+    /// Overwrites the leading counters with `rows` — `(name, value)` in
+    /// registration order — the totals of whoever counts them (no-op
+    /// while disabled).
+    pub fn publish(&mut self, rows: &[(&'static str, u64)]) {
         if self.enabled {
-            self.counters[id.0].1 += n;
+            debug_assert!(
+                self.counters.iter().zip(rows).all(|(c, r)| c.0 == r.0),
+                "published rows must follow registration order"
+            );
+            self.counters[..rows.len()].copy_from_slice(rows);
         }
     }
 
@@ -416,16 +425,16 @@ mod tests {
     #[test]
     fn disabled_registry_drops_updates_enabled_records() {
         let mut reg = MetricsRegistry::disabled();
-        let c = reg.counter("test.counter");
+        reg.counter("test.counter");
         let h = reg.histogram("test.histogram");
-        reg.add(c, 5);
+        reg.publish(&[("test.counter", 5)]);
         reg.observe(h, 9);
         assert!(!reg.enabled());
         assert_eq!(reg.counter_value("test.counter"), Some(0));
         assert_eq!(reg.histogram_named("test.histogram").unwrap().count(), 0);
 
         reg.set_enabled(true);
-        reg.add(c, 5);
+        reg.publish(&[("test.counter", 5)]);
         reg.observe(h, 9);
         assert_eq!(reg.counter_value("test.counter"), Some(5));
         assert_eq!(reg.histogram_named("test.histogram").unwrap().count(), 1);
@@ -433,14 +442,26 @@ mod tests {
     }
 
     #[test]
+    fn publish_overwrites_the_leading_counters() {
+        let mut reg = MetricsRegistry::new();
+        for name in ["test.a", "test.b", "test.c"] {
+            reg.counter(name);
+        }
+        reg.publish(&[("test.a", 7), ("test.b", 9), ("test.c", 1)]);
+        reg.publish(&[("test.a", 8), ("test.b", 9)]);
+        assert_eq!(reg.counter_value("test.a"), Some(8), "set, not added");
+        assert_eq!(reg.counter_value("test.b"), Some(9));
+        assert_eq!(reg.counter_value("test.c"), Some(1), "beyond the rows");
+    }
+
+    #[test]
     fn snapshot_is_deterministic_and_ordered() {
         let build = || {
             let mut reg = MetricsRegistry::new();
-            let b = reg.counter("test.b");
-            let a = reg.counter("test.a");
+            reg.counter("test.b");
+            reg.counter("test.a");
             let h = reg.histogram("test.h");
-            reg.add(b, 2);
-            reg.add(a, 1);
+            reg.publish(&[("test.b", 2), ("test.a", 1)]);
             for v in [3u64, 1, 4, 1, 5] {
                 reg.observe(h, v);
             }

@@ -172,76 +172,160 @@ impl Downsampler {
     }
 }
 
-/// Histogram of an occupancy-like quantity observed once per cycle.
+/// Exact histogram over `u64` levels with one bucket per value, bounded
+/// by a cap fixed at construction: latencies in cycles, occupied slots
+/// per buffer. Values above the cap land in one overflow bucket, so the
+/// footprint never changes after [`Histogram::new`].
 ///
-/// Level `k` counts the cycles (or buffer-cycles) during which the
-/// observed value was exactly `k` — e.g. how often a buffer held 0, 1,
-/// … `capacity` slots. Levels grow on demand.
-#[derive(Debug, Clone, Default)]
-pub struct OccupancyHistogram {
-    counts: Vec<u64>,
-    observations: u64,
+/// This is the exact scheme; [`LogHistogram`](crate::LogHistogram) is the
+/// log-bucket one, for quantities with no useful cap.
+///
+/// # Examples
+///
+/// ```
+/// use damq_telemetry::Histogram;
+///
+/// let mut h = Histogram::new(100);
+/// for v in [3, 3, 4, 10] {
+///     h.record(v);
+/// }
+/// assert_eq!(h.percentile(0.50), 3);
+/// assert_eq!(h.percentile(1.00), 10);
+/// assert!(!h.clipped(1.00));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    buckets: Vec<u64>,
+    count: u64,
+    overflow: u64,
 }
 
-impl OccupancyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        OccupancyHistogram::default()
+impl Histogram {
+    /// Creates a histogram with buckets `0..=cap`; values above `cap` land
+    /// in an overflow bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn new(cap: u64) -> Self {
+        assert!(cap > 0, "histogram needs at least one bucket");
+        Histogram {
+            buckets: vec![0; cap as usize + 1],
+            count: 0,
+            overflow: 0,
+        }
     }
 
-    /// Records one observation of occupancy `level`.
-    pub fn observe(&mut self, level: usize) {
-        if level >= self.counts.len() {
-            self.counts.resize(level + 1, 0);
-        }
-        self.counts[level] += 1;
-        self.observations += 1;
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.record_many(value, 1);
     }
 
-    /// Records `n` simultaneous observations of occupancy `level`
-    /// (e.g. "40 buffers currently hold 0 slots").
-    pub fn observe_many(&mut self, level: usize, n: u64) {
-        if n == 0 {
-            return;
+    /// Records `n` simultaneous observations of `value` (e.g. "40 buffers
+    /// currently hold 0 slots").
+    #[inline]
+    pub fn record_many(&mut self, value: u64, n: u64) {
+        self.count += n;
+        match self.buckets.get_mut(value as usize) {
+            Some(b) => *b += n,
+            None => self.overflow += n,
         }
-        if level >= self.counts.len() {
-            self.counts.resize(level + 1, 0);
-        }
-        self.counts[level] += n;
-        self.observations += n;
     }
 
-    /// Observation counts indexed by level.
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Observations above the cap.
+    pub fn overflow(&self) -> u64 {
+        self.overflow
+    }
+
+    /// Observation counts indexed by value, `0..=cap` (the overflow
+    /// bucket is not included).
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.buckets
     }
 
-    /// Total observations.
-    pub fn observations(&self) -> u64 {
-        self.observations
+    /// The rank `ceil(q · count)` a `q`-quantile query looks for.
+    fn rank(&self, q: f64) -> u64 {
+        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
+        (q * self.count as f64).ceil() as u64
     }
 
-    /// Fraction of observations at or above `level` (0.0 when empty).
-    pub fn fraction_at_or_above(&self, level: usize) -> f64 {
-        if self.observations == 0 {
-            return 0.0;
+    /// The smallest value `v` such that at least `q` of the observations
+    /// are ≤ `v` (`0.0 < q <= 1.0`). Returns 0 when empty (rank 0 is met
+    /// at the first bucket); returns the cap if the answer lies in the
+    /// overflow bucket — a lower bound, which
+    /// [`clipped`](Histogram::clipped) tells apart from an exact answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not in `(0, 1]`.
+    pub fn percentile(&self, q: f64) -> u64 {
+        let target = self.rank(q);
+        let mut seen = 0;
+        for (value, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= target {
+                return value as u64;
+            }
         }
-        let above: u64 = self.counts.iter().skip(level).sum();
-        above as f64 / self.observations as f64
+        self.buckets.len() as u64 - 1
     }
 
-    /// Mean observed level (0.0 when empty).
+    /// Whether the `q`-quantile lies among the overflowed observations,
+    /// i.e. [`percentile`](Histogram::percentile) reports the cap where
+    /// the true value is larger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not in `(0, 1]`.
+    pub fn clipped(&self, q: f64) -> bool {
+        self.rank(q) > self.count - self.overflow
+    }
+
+    /// Mean observed value, counting each overflowed observation at the
+    /// cap (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.observations == 0 {
+        if self.count == 0 {
             return 0.0;
         }
+        let cap = self.buckets.len() - 1;
         let weighted: f64 = self
-            .counts
+            .buckets
             .iter()
             .enumerate()
-            .map(|(level, &n)| level as f64 * n as f64)
+            .map(|(value, &n)| value as f64 * n as f64)
             .sum();
-        weighted / self.observations as f64
+        (weighted + cap as f64 * self.overflow as f64) / self.count as f64
+    }
+
+    /// Fraction of observations at or above `value` (0.0 when empty).
+    /// Overflowed observations count as above every value.
+    pub fn fraction_at_or_above(&self, value: u64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let above: u64 = self.buckets.iter().skip(value as usize).sum();
+        (above + self.overflow) as f64 / self.count as f64
+    }
+
+    /// Zeroes the histogram in place, keeping its shape.
+    pub fn reset(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.overflow = 0;
+    }
+}
+
+impl Default for Histogram {
+    /// Buckets `0..=4096`: the latency range `damq_net::NetMetrics`
+    /// resolves, in network cycles.
+    fn default() -> Self {
+        Histogram::new(4096)
     }
 }
 
@@ -346,17 +430,61 @@ mod tests {
 
     #[test]
     fn histogram_counts_and_fractions() {
-        let mut h = OccupancyHistogram::new();
-        h.observe_many(0, 3);
-        h.observe(2);
-        h.observe(2);
-        h.observe_many(4, 0);
-        assert_eq!(h.counts(), &[3, 0, 2]);
-        assert_eq!(h.observations(), 5);
+        let mut h = Histogram::new(4);
+        h.record_many(0, 3);
+        h.record(2);
+        h.record(2);
+        h.record_many(4, 0);
+        assert_eq!(h.counts(), &[3, 0, 2, 0, 0]);
+        assert_eq!(h.count(), 5);
         assert!((h.fraction_at_or_above(1) - 0.4).abs() < 1e-12);
         assert!((h.mean() - 0.8).abs() < 1e-12);
-        assert_eq!(OccupancyHistogram::new().fraction_at_or_above(0), 0.0);
-        assert_eq!(OccupancyHistogram::new().mean(), 0.0);
+    }
+
+    #[test]
+    fn empty_histogram_reads_zero_everywhere() {
+        let h = Histogram::new(4);
+        assert_eq!(h.fraction_at_or_above(0), 0.0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.percentile(0.99), 0);
+        assert!(!h.clipped(0.99));
+    }
+
+    #[test]
+    fn histogram_percentiles() {
+        let mut h = Histogram::new(10);
+        for v in 1..=100u64 {
+            h.record(v % 8);
+        }
+        assert_eq!(h.count(), 100);
+        assert!(h.percentile(0.5) <= h.percentile(0.9));
+        assert_eq!(h.percentile(1.0), 7);
+    }
+
+    #[test]
+    fn histogram_overflow_saturates_at_cap() {
+        let mut h = Histogram::new(4);
+        h.record(1_000_000);
+        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.percentile(1.0), 4);
+        assert!(h.clipped(1.0));
+        assert_eq!(h.mean(), 4.0);
+        assert_eq!(h.fraction_at_or_above(4), 1.0);
+        assert_eq!(h.counts(), &[0; 5], "the footprint is fixed");
+    }
+
+    #[test]
+    fn clipped_is_exact_at_the_overflow_boundary() {
+        // 98 exact observations (two of them at the cap itself) and two
+        // above it: p98 is an exact answer, p99 is a lower bound.
+        let mut h = Histogram::new(4);
+        h.record_many(1, 96);
+        h.record_many(4, 2);
+        h.record_many(5, 2);
+        assert_eq!((h.percentile(0.98), h.clipped(0.98)), (4, false));
+        assert_eq!((h.percentile(0.99), h.clipped(0.99)), (4, true));
+        h.reset();
+        assert_eq!((h.count(), h.overflow(), h.counts().len()), (0, 0, 5));
     }
 
     #[test]

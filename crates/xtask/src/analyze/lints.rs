@@ -547,27 +547,48 @@ fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
 /// The document lint 10 checks registered metric names against.
 const METRICS_DOC_REL: &str = "docs/OBSERVABILITY.md";
 
+/// The function whose body is the table of published counters: rows of
+/// the shape `("name", value)`, registered by name and overwritten from
+/// their owners once per cycle.
+const METRIC_TABLE_FN: &str = "counter_rows";
+
 /// Every statically registered metric name in `file`, as `(line, name)`:
 /// call sites of the shape `.counter("…")` / `.histogram("…")` whose
-/// first argument is a string literal. The lexer drops literal text, so
-/// the name is read back from the literal's raw source line (metric
-/// registrations are one-per-line in practice).
+/// first argument is a string literal, and the `("…", value)` rows in
+/// the body of a function named [`METRIC_TABLE_FN`]. The lexer drops
+/// literal text, so the name is read back from the literal's raw source
+/// line (metric registrations are one-per-line in practice).
 pub fn registered_metric_names(file: &SourceFile) -> Vec<(usize, String)> {
+    let code = &file.code;
     let mut names = Vec::new();
-    for (i, tok) in file.code.iter().enumerate() {
-        let is_site = (tok.is_ident("counter") || tok.is_ident("histogram"))
-            && i > 0
-            && file.code[i - 1].is_punct('.')
-            && file.code.get(i + 1).is_some_and(|t| t.is_punct('('))
-            && file
-                .code
-                .get(i + 2)
-                .is_some_and(|t| t.kind == TokenKind::Literal);
-        if !is_site {
-            continue;
+    // Brace depth inside the table function's body; 0 outside it.
+    let mut table_depth = 0usize;
+    let mut table_pending = false;
+    for (i, tok) in code.iter().enumerate() {
+        let literal_at = |at: usize| code.get(at).is_some_and(|t| t.kind == TokenKind::Literal);
+        if tok.is_ident(METRIC_TABLE_FN) && i > 0 && code[i - 1].is_ident("fn") {
+            table_pending = true;
+        } else if tok.is_punct('{') && (table_pending || table_depth > 0) {
+            table_pending = false;
+            table_depth += 1;
+        } else if tok.is_punct('}') && table_depth > 0 {
+            table_depth -= 1;
         }
-        let lit_line = file.code[i + 2].line;
-        let Some(raw) = file.raw_lines.get(lit_line - 1) else {
+        let call_site = (tok.is_ident("counter") || tok.is_ident("histogram"))
+            && i > 0
+            && code[i - 1].is_punct('.')
+            && code.get(i + 1).is_some_and(|t| t.is_punct('('))
+            && literal_at(i + 2);
+        let table_row = table_depth > 0
+            && tok.is_punct('(')
+            && literal_at(i + 1)
+            && code.get(i + 2).is_some_and(|t| t.is_punct(','));
+        let literal = match (call_site, table_row) {
+            (true, _) => &code[i + 2],
+            (_, true) => &code[i + 1],
+            _ => continue,
+        };
+        let Some(raw) = file.raw_lines.get(literal.line - 1) else {
             continue;
         };
         if let Some(name) = first_quoted(raw) {
@@ -1068,7 +1089,14 @@ mod tests {
              let h = reg.histogram(\"net.latency_cycles\");\n\
              let d = reg.counter(dynamic_name);\n\
              }\n\
-             #[cfg(test)]\nmod tests { fn t(reg: &mut MetricsRegistry) { reg.counter(\"test.x\"); } }\n",
+             #[cfg(test)]\nmod tests { fn t(reg: &mut MetricsRegistry) { reg.counter(\"test.x\"); } }\n\
+             fn counter_rows(life: &Counters) -> [(&'static str, u64); 2] {\n\
+             [\n\
+             (\"net.generated\", life.generated),\n\
+             (\"net.fault.misrouted\", if life.on { 1 } else { 0 }),\n\
+             ]\n\
+             }\n\
+             fn other() { let pair = (\"not.a.metric\", 3); }\n",
         )]);
         let names = registered_metric_names(&ws.files[0]);
         assert_eq!(
@@ -1077,15 +1105,18 @@ mod tests {
                 (2, "net.cycles".to_owned()),
                 (3, "net.latency_cycles".to_owned()),
                 (7, "test.x".to_owned()),
+                (10, "net.generated".to_owned()),
+                (11, "net.fault.misrouted".to_owned()),
             ],
-            "literal names only; the dynamic-name site is skipped"
+            "literal names only; the dynamic-name site is skipped; table \
+             rows count inside `counter_rows` and nowhere else"
         );
         // The workspace root points nowhere, so the reference doc reads
-        // as empty and both non-test names are flagged; the test-code
+        // as empty and every non-test name is flagged; the test-code
         // registration is not.
         let findings = run(metric_docs, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![2, 3]);
+        assert_eq!(lines, vec![2, 3, 10, 11]);
     }
 
     #[test]

@@ -88,6 +88,21 @@ impl SourceFile {
         tree::line_in_spans(line, &self.test_spans)
     }
 
+    /// Lines that carry code outside `#[cfg(test)]` blocks: a line counts
+    /// when a non-comment token starts on it, so blank lines, comment
+    /// lines and the test modules are all excluded (a test span opens at
+    /// its `{`, so the `#[cfg(test)]` attribute line above it counts).
+    pub fn code_lines(&self) -> usize {
+        let mut lines: Vec<usize> = self
+            .code
+            .iter()
+            .map(|t| t.line)
+            .filter(|&line| !self.in_test_code(line))
+            .collect();
+        lines.dedup();
+        lines.len()
+    }
+
     /// Whether the contiguous comment block directly above `line`
     /// (1-based), or `line` itself, contains `marker`. This is how all
     /// comment-anchored annotations work: `// lint: allow — why`,
@@ -320,6 +335,19 @@ mod tests {
         assert_eq!(
             text,
             "the pointer is valid because the barrier holds it alive."
+        );
+    }
+
+    #[test]
+    fn code_lines_skip_comments_blanks_and_test_modules() {
+        let f = file(
+            "//! Docs.\n\nfn a() {\n    // why\n    let x = 1; let y = 2; /* two tokens, one line */\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
+        );
+        assert_eq!(
+            f.code_lines(),
+            4,
+            "`fn a() {{`, the `let` line, `}}`, and the attribute above the span"
         );
     }
 

@@ -1,5 +1,5 @@
 //! Workspace task driver: `cargo xtask lint`, `cargo xtask
-//! unsafe-ledger` and `cargo xtask results-diff`.
+//! unsafe-ledger`, `cargo xtask results-diff` and `cargo xtask loc`.
 //!
 //! The analysis itself lives in the [`analyze`] module — a hand-rolled
 //! lexer, a brace tree, eleven structural lints and the generated
@@ -41,6 +41,11 @@
 //! comparison behind `scripts/regen_results.sh --check`: two harness
 //! reports are equal when they match outside the run-varying top-level
 //! `run` and `telemetry` keys.
+//!
+//! `cargo xtask loc` prints the non-test, non-comment code lines of every
+//! crate's `src/`, counted by the same lexer and `#[cfg(test)]` spans the
+//! lints use — the one counter behind every "lines of code" figure in
+//! `CHANGES.md` and `ROADMAP.md`.
 
 #![forbid(unsafe_code)]
 
@@ -70,6 +75,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--no-cargo")),
         Some("unsafe-ledger") => unsafe_ledger(),
+        Some("loc") => loc(),
         Some("results-diff") if args.len() == 3 => results_diff(&args[1], &args[2]),
         Some("--help" | "-h") | None => {
             eprintln!("usage: {USAGE}");
@@ -83,7 +89,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str =
-    "cargo xtask <lint [--no-cargo] | unsafe-ledger | results-diff <committed.json> <new.json>>";
+    "cargo xtask <lint [--no-cargo] | unsafe-ledger | loc | results-diff <committed.json> <new.json>>";
 
 /// Compares two harness reports outside their run-varying envelope:
 /// succeeds when they are equal once the top-level `run` and `telemetry`
@@ -175,6 +181,25 @@ fn unsafe_ledger() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Prints non-test, non-comment code lines per crate (`src/` only) and
+/// their total.
+fn loc() -> ExitCode {
+    let ws = Workspace::load(&workspace_root());
+    let mut total = 0;
+    for (dir, name) in &ws.crates {
+        let src = if dir == "." {
+            "src/".to_owned()
+        } else {
+            format!("{dir}/src/")
+        };
+        let lines: usize = ws.files_under(&src).map(|f| f.code_lines()).sum();
+        println!("{lines:>7}  {name}");
+        total += lines;
+    }
+    println!("{total:>7}  total (non-test, non-comment lines under src/)");
+    ExitCode::SUCCESS
 }
 
 /// The workspace root, resolved relative to this crate's manifest so the

@@ -223,6 +223,9 @@ analyze() {
     gate "analyze: eleven structural lints + unsafe-ledger freshness"
     cargo xtask lint --no-cargo
 
+    gate "analyze: non-test code lines per crate"
+    cargo xtask loc
+
     gate "analyze: clippy + rustfmt"
     cargo xtask lint
 }

@@ -186,14 +186,18 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     for kind in buffer_kinds(args)? {
         let m = measure(base.buffer_kind(kind), warmup, cycles)
             .map_err(|e| format!("simulation failed: {e}"))?;
+        // A percentile beyond the latency histogram's cap is a lower bound.
+        let bound = |clipped| if clipped { ">=" } else { "" };
         println!(
-            "{:<5} offered {:.3}  delivered {:.3}  latency {:.1} clk (p95 {:.0}, p99 {:.0})  \
+            "{:<5} offered {:.3}  delivered {:.3}  latency {:.1} clk (p95 {}{:.0}, p99 {}{:.0})  \
              discards {:.2}%  backlog {}",
             kind.name(),
             m.offered,
             m.delivered,
             m.latency_clocks,
+            bound(m.latency_p95_clipped),
             m.latency_p95_clocks,
+            bound(m.latency_p99_clipped),
             m.latency_p99_clocks,
             m.discard_fraction * 100.0,
             m.source_backlog,
@@ -235,6 +239,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     let kinds = buffer_kinds(args)?;
     println!("buffer,offered,delivered,latency_clocks,latency_p99_clocks,discard_fraction");
+    let mut warned = false;
     for kind in kinds {
         let mut load = from;
         while load <= to + 1e-9 {
@@ -251,6 +256,15 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 m.latency_p99_clocks,
                 m.discard_fraction,
             );
+            if m.latency_p99_clipped && !warned {
+                warned = true;
+                eprintln!(
+                    "warning: latency_p99_clocks is clipped at the histogram cap \
+                     ({:.0} clocks) from {} at load {load:.3} on; read it as a lower bound",
+                    m.latency_p99_clocks,
+                    kind.name(),
+                );
+            }
             load += step;
         }
     }

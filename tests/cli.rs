@@ -95,6 +95,63 @@ fn sim_runs_a_small_network() {
 }
 
 #[test]
+fn clipped_tail_percentiles_are_marked_as_lower_bounds() {
+    // The `hotspot_block_64` configuration: past saturation, packets wait
+    // at their sources for far longer than the 4 096-cycle latency
+    // histogram resolves, so both percentiles sit at the cap (× 12).
+    let out = damq(&[
+        "sim",
+        "--hot-spot",
+        "0.05",
+        "--load",
+        "0.5",
+        "--warmup",
+        "2000",
+        "--cycles",
+        "8000",
+        "--seed",
+        "48879",
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(p95 >=49152, p99 >=49152)"), "got {text}");
+
+    // Below saturation nothing is clipped and nothing is marked.
+    let out = damq(&["sim", "--size", "16", "--load", "0.2", "--cycles", "300"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(p95 ") && !text.contains(">="), "got {text}");
+
+    // `sweep` keeps its CSV and warns once, at the first clipped row.
+    let out = damq(&[
+        "sweep",
+        "--size",
+        "16",
+        "--hot-spot",
+        "0.5",
+        "--from",
+        "0.2",
+        "--to",
+        "1.0",
+        "--step",
+        "0.4",
+        "--warmup",
+        "0",
+        "--cycles",
+        "6000",
+    ]);
+    assert!(out.status.success(), "{:?}", out);
+    let rows = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        rows.lines().all(|row| row.split(',').count() == 6),
+        "{rows}"
+    );
+    assert_eq!(rows.matches(",49152.0,").count(), 2, "{rows}");
+    let warnings = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(warnings.matches("warning:").count(), 1, "{warnings}");
+    assert!(warnings.contains("at load 0.600"), "{warnings}");
+}
+
+#[test]
 fn sweep_emits_csv() {
     let out = damq(&[
         "sweep", "--size", "16", "--buffer", "damq", "--from", "0.1", "--to", "0.2", "--step",
