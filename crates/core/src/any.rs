@@ -16,8 +16,10 @@
 
 use crate::audit::AuditError;
 use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
+use crate::damq::DynamicBuffer;
 use crate::error::{ConfigError, Rejected};
 use crate::packet::Packet;
+use crate::samq::StaticBuffer;
 use crate::stats::BufferStats;
 use crate::{DafcBuffer, DamqBuffer, FifoBuffer, OutputPort, SafcBuffer, SamqBuffer};
 
@@ -28,9 +30,7 @@ use crate::{DafcBuffer, DamqBuffer, FifoBuffer, OutputPort, SafcBuffer, SamqBuff
 /// (`Switch<AnyBuffer>`, `NetworkSim<AnyBuffer, _>`): it keeps the
 /// run-time kind-selection API (`BufferKind` in a config) while letting
 /// the compiler monomorphize the data path. Use a concrete design
-/// (`Switch<DamqBuffer>`) when the kind is fixed at compile time, or
-/// `Box<dyn SwitchBuffer>` ([`BufferConfig::build`]) only for
-/// heterogeneous collections outside the simulation stack.
+/// (`Switch<DamqBuffer>`) when the kind is fixed at compile time.
 ///
 /// # Examples
 ///
@@ -227,27 +227,15 @@ impl BuildBuffer for FifoBuffer {
     }
 }
 
-impl BuildBuffer for SamqBuffer {
+impl<const FULLY_CONNECTED: bool> BuildBuffer for StaticBuffer<FULLY_CONNECTED> {
     fn build_buffer(config: BufferConfig, _kind: BufferKind) -> Result<Self, ConfigError> {
-        SamqBuffer::new(config)
+        Self::new(config)
     }
 }
 
-impl BuildBuffer for SafcBuffer {
+impl<const FULLY_CONNECTED: bool> BuildBuffer for DynamicBuffer<FULLY_CONNECTED> {
     fn build_buffer(config: BufferConfig, _kind: BufferKind) -> Result<Self, ConfigError> {
-        SafcBuffer::new(config)
-    }
-}
-
-impl BuildBuffer for DamqBuffer {
-    fn build_buffer(config: BufferConfig, _kind: BufferKind) -> Result<Self, ConfigError> {
-        DamqBuffer::new(config)
-    }
-}
-
-impl BuildBuffer for DafcBuffer {
-    fn build_buffer(config: BufferConfig, _kind: BufferKind) -> Result<Self, ConfigError> {
-        DafcBuffer::new(config)
+        Self::new(config)
     }
 }
 
@@ -303,9 +291,18 @@ mod tests {
     #[test]
     fn enum_dispatch_matches_boxed_dispatch_per_operation() {
         let cfg = BufferConfig::new(4, 4);
+        let boxed = |kind| -> Box<dyn SwitchBuffer> {
+            match kind {
+                BufferKind::Fifo => Box::new(FifoBuffer::new(cfg).unwrap()),
+                BufferKind::Samq => Box::new(SamqBuffer::new(cfg).unwrap()),
+                BufferKind::Safc => Box::new(SafcBuffer::new(cfg).unwrap()),
+                BufferKind::Damq => Box::new(DamqBuffer::new(cfg).unwrap()),
+                BufferKind::Dafc => Box::new(DafcBuffer::new(cfg).unwrap()),
+            }
+        };
         for kind in BufferKind::EXTENDED {
             let mut a = AnyBuffer::build_buffer(cfg, kind).unwrap();
-            let mut b = cfg.build(kind).unwrap();
+            let mut b = boxed(kind);
             for (i, out) in [0usize, 1, 1, 3, 0].into_iter().enumerate() {
                 let out = OutputPort::new(out);
                 assert_eq!(a.can_accept(out, 1), b.can_accept(out, 1), "{kind}");

@@ -1,18 +1,10 @@
-//! The [`SwitchBuffer`] abstraction shared by all four buffer designs.
+//! The [`SwitchBuffer`] abstraction shared by every buffer design, and the
+//! [`BufferConfig`] / [`BufferKind`] pair that selects and sizes one.
 //!
 //! A switch buffer sits at one *input port* of an n×n switch and holds
 //! packets that have already been routed (i.e. their output port is known)
-//! until the crossbar can forward them. The four designs compared in the
-//! paper differ in how they organise this storage:
-//!
-//! * [`FifoBuffer`](crate::FifoBuffer) — one queue; only the head packet is
-//!   transmittable (head-of-line blocking).
-//! * [`SamqBuffer`](crate::SamqBuffer) — one queue per output, storage
-//!   *statically* split among them, single read port.
-//! * [`SafcBuffer`](crate::SafcBuffer) — like SAMQ but with one read port per
-//!   output (a fully-connected 4×1-switch fabric).
-//! * [`DamqBuffer`](crate::DamqBuffer) — one queue per output, storage
-//!   *dynamically* shared through linked lists and a free list.
+//! until the crossbar can forward them. The designs differ in how they
+//! organise this storage — the crate docs tabulate the design matrix.
 
 use std::fmt;
 
@@ -137,11 +129,11 @@ impl fmt::Display for BufferKind {
 /// # Examples
 ///
 /// ```
-/// use damq_core::{BufferConfig, BufferKind};
+/// use damq_core::{BufferConfig, BufferKind, SwitchBuffer};
 ///
 /// // A 4-output buffer with four 8-byte slots, as in the paper's Omega runs.
 /// let cfg = BufferConfig::new(4, 4);
-/// let buf = cfg.build(BufferKind::Damq)?;
+/// let buf = cfg.build_any(BufferKind::Damq)?;
 /// assert_eq!(buf.capacity_slots(), 4);
 /// # Ok::<(), damq_core::ConfigError>(())
 /// ```
@@ -223,30 +215,10 @@ impl BufferConfig {
         Ok(())
     }
 
-    /// Builds a boxed buffer of the requested kind.
-    ///
-    /// This is the convenient way to construct buffers generically (e.g. when
-    /// sweeping all four kinds in an experiment). Use the concrete
-    /// constructors ([`DamqBuffer::new`](crate::DamqBuffer::new) etc.) when
-    /// the kind is fixed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ConfigError`] from [`BufferConfig::validate`].
-    pub fn build(&self, kind: BufferKind) -> Result<Box<dyn SwitchBuffer>, ConfigError> {
-        Ok(match kind {
-            BufferKind::Fifo => Box::new(crate::FifoBuffer::new(*self)?),
-            BufferKind::Samq => Box::new(crate::SamqBuffer::new(*self)?),
-            BufferKind::Safc => Box::new(crate::SafcBuffer::new(*self)?),
-            BufferKind::Damq => Box::new(crate::DamqBuffer::new(*self)?),
-            BufferKind::Dafc => Box::new(crate::DafcBuffer::new(*self)?),
-        })
-    }
-
-    /// Builds an [`AnyBuffer`](crate::AnyBuffer) of the requested kind —
-    /// like [`BufferConfig::build`] but with enum dispatch instead of a
-    /// heap-allocated trait object, so the simulation hot path stays
-    /// visible to the inliner.
+    /// Builds an [`AnyBuffer`](crate::AnyBuffer) of the requested kind: the
+    /// one constructor that picks a design at run time. Use the concrete
+    /// constructors ([`DamqBuffer`](crate::DamqBuffer)`::new` etc.)
+    /// when the kind is fixed.
     ///
     /// # Errors
     ///
@@ -263,7 +235,7 @@ impl BufferConfig {
     }
 }
 
-/// Common interface of the four input-port buffer designs.
+/// Common interface of the input-port buffer designs.
 ///
 /// Packets are enqueued with the output port they were routed to and dequeued
 /// per output port. The semantics of "what can be sent to output *o* right
@@ -274,7 +246,8 @@ impl BufferConfig {
 ///   everything behind the head is blocked, which is exactly the
 ///   head-of-line effect the DAMQ design removes.
 ///
-/// The trait is object-safe so switches can hold `Box<dyn SwitchBuffer>`.
+/// The trait is object-safe: the model checker (`damq-verify`) takes its
+/// buffers as `Box<dyn SwitchBuffer>` so tests can substitute broken ones.
 pub trait SwitchBuffer: fmt::Debug {
     /// Which design this is.
     fn kind(&self) -> BufferKind;
@@ -294,7 +267,7 @@ pub trait SwitchBuffer: fmt::Debug {
     /// Number of packets that can leave through the crossbar in one cycle.
     ///
     /// 1 for FIFO, SAMQ and DAMQ (single read port); equals
-    /// [`SwitchBuffer::fanout`] for SAFC (fully connected).
+    /// [`SwitchBuffer::fanout`] for SAFC and DAFC (fully connected).
     fn read_ports(&self) -> usize;
 
     /// Whether a packet needing `slots` slots, routed to `output`, would be
@@ -516,23 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn build_produces_all_kinds() {
-        let cfg = BufferConfig::new(4, 8);
-        for kind in BufferKind::ALL {
-            let buf = cfg.build(kind).expect("valid config");
-            assert_eq!(buf.kind(), kind);
-            assert_eq!(buf.capacity_slots(), 8);
-            assert_eq!(buf.fanout(), 4);
-            assert!(buf.is_empty());
-        }
-    }
-
-    #[test]
     fn read_ports_distinguish_safc() {
         let cfg = BufferConfig::new(4, 8);
-        assert_eq!(cfg.build(BufferKind::Fifo).unwrap().read_ports(), 1);
-        assert_eq!(cfg.build(BufferKind::Samq).unwrap().read_ports(), 1);
-        assert_eq!(cfg.build(BufferKind::Damq).unwrap().read_ports(), 1);
-        assert_eq!(cfg.build(BufferKind::Safc).unwrap().read_ports(), 4);
+        let ports = |kind| cfg.build_any(kind).unwrap().read_ports();
+        assert_eq!(ports(BufferKind::Fifo), 1);
+        assert_eq!(ports(BufferKind::Samq), 1);
+        assert_eq!(ports(BufferKind::Damq), 1);
+        assert_eq!(ports(BufferKind::Safc), 4);
+        assert_eq!(ports(BufferKind::Dafc), 4);
     }
 }

@@ -1,5 +1,5 @@
-//! The DAMQ buffer: dynamically-allocated multi-queue (the paper's
-//! contribution).
+//! The dynamically-allocated designs: DAMQ (the paper's contribution) and
+//! the DAFC ablation.
 //!
 //! A DAMQ buffer keeps a separate FIFO queue of packets per output port —
 //! like SAMQ/SAFC it never suffers head-of-line blocking — but its storage is
@@ -7,9 +7,7 @@
 //! a free list; a packet for any output may claim any free slot. The queues
 //! are linked lists through per-slot pointer registers, stored here as
 //! structure-of-arrays index registers (see [`SoaSlots`]) exactly as the
-//! chip's hardwired controller would lay them out. The pre-SoA linked-node
-//! implementation survives as [`SlotPool`](crate::SlotPool) /
-//! [`AosDamqBuffer`](crate::AosDamqBuffer) for differential testing.
+//! chip's hardwired controller would lay them out.
 //!
 //! The combination gives DAMQ both of the properties the paper identifies as
 //! essential:
@@ -19,6 +17,13 @@
 //! 2. *efficient storage allocation* — free space "adapts" to whatever
 //!    traffic actually arrives, so a DAMQ buffer with 3 slots discards no
 //!    more than a FIFO with 6 (paper Table 2).
+//!
+//! DAFC ([`DafcBuffer`], not in the paper) is the same pool behind one read
+//! port per output — the read fabric is the compile-time parameter of
+//! [`DynamicBuffer`]. Comparing the two isolates what the extra read
+//! bandwidth adds once storage is already shared; the paper argues (via
+//! the SAMQ≈SAFC observation) that it is little, and the `ablation_dafc`
+//! harness in `damq-bench` quantifies that claim.
 
 use crate::audit::{audit_ensure, AuditError};
 use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
@@ -28,7 +33,21 @@ use crate::soa::SoaSlots;
 use crate::stats::BufferStats;
 use crate::OutputPort;
 
+/// Dynamically-allocated multi-queue input buffer with one read port per
+/// output when `FULLY_CONNECTED`, else one shared read port. Named through
+/// its two instances, [`DamqBuffer`] and [`DafcBuffer`].
+#[derive(Debug)]
+pub struct DynamicBuffer<const FULLY_CONNECTED: bool> {
+    config: BufferConfig,
+    pool: SoaSlots,
+    stats: BufferStats,
+}
+
 /// Dynamically-allocated multi-queue input buffer.
+///
+/// `DamqBuffer::new(config)` accepts any capacity (the paper's Table 5
+/// uses 3-slot buffers); `pool()` and `queue_slots(output)` expose the
+/// slot pool.
 ///
 /// # Examples
 ///
@@ -46,15 +65,36 @@ use crate::OutputPort;
 /// assert!(!buf.can_accept(OutputPort::new(0), 1)); // pool exhausted
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct DamqBuffer {
-    config: BufferConfig,
-    pool: SoaSlots,
-    stats: BufferStats,
-}
+pub type DamqBuffer = DynamicBuffer<false>;
 
-impl DamqBuffer {
-    /// Creates an empty DAMQ buffer.
+/// Dynamically-allocated fully-connected input buffer (DAMQ storage, one
+/// read port per output).
+///
+/// # Examples
+///
+/// ```
+/// use damq_core::{BufferConfig, DafcBuffer, NodeId, OutputPort, Packet, SwitchBuffer};
+///
+/// let mut buf = DafcBuffer::new(BufferConfig::new(4, 4))?;
+/// assert_eq!(buf.read_ports(), 4);
+/// // Dynamic allocation: one queue may take the whole pool.
+/// for _ in 0..4 {
+///     let p = Packet::builder(NodeId::new(0), NodeId::new(1)).build();
+///     buf.try_enqueue(OutputPort::new(3), p)?;
+/// }
+/// assert_eq!(buf.queue_len(OutputPort::new(3)), 4);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub type DafcBuffer = DynamicBuffer<true>;
+
+impl<const FULLY_CONNECTED: bool> DynamicBuffer<FULLY_CONNECTED> {
+    const KIND: BufferKind = if FULLY_CONNECTED {
+        BufferKind::Dafc
+    } else {
+        BufferKind::Damq
+    };
+
+    /// Creates an empty buffer.
     ///
     /// # Errors
     ///
@@ -62,8 +102,8 @@ impl DamqBuffer {
     /// Unlike the statically-allocated designs, any capacity is valid — the
     /// paper's Table 5 exploits this with 3-slot DAMQ buffers.
     pub fn new(config: BufferConfig) -> Result<Self, ConfigError> {
-        config.validate(BufferKind::Damq)?;
-        Ok(DamqBuffer {
+        config.validate(Self::KIND)?;
+        Ok(DynamicBuffer {
             config,
             pool: SoaSlots::new(config.capacity(), config.fanout_count()),
             stats: BufferStats::new(),
@@ -86,9 +126,9 @@ impl DamqBuffer {
     }
 }
 
-impl SwitchBuffer for DamqBuffer {
+impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED> {
     fn kind(&self) -> BufferKind {
-        BufferKind::Damq
+        Self::KIND
     }
 
     fn fanout(&self) -> usize {
@@ -108,7 +148,11 @@ impl SwitchBuffer for DamqBuffer {
     }
 
     fn read_ports(&self) -> usize {
-        1
+        if FULLY_CONNECTED {
+            self.fanout()
+        } else {
+            1
+        }
     }
 
     fn can_accept(&self, output: OutputPort, slots: usize) -> bool {
@@ -268,6 +312,30 @@ mod tests {
         // Odd capacities are fine (unlike SAMQ/SAFC): Table 5 uses 3 slots.
         assert!(DamqBuffer::new(BufferConfig::new(4, 3)).is_ok());
         assert!(DamqBuffer::new(BufferConfig::new(4, 5)).is_ok());
+        assert!(DafcBuffer::new(BufferConfig::new(4, 3)).is_ok());
+    }
+
+    #[test]
+    fn read_ports_and_kinds_follow_the_fabric() {
+        let cfg = BufferConfig::new(4, 4);
+        let dafc = DafcBuffer::new(cfg).unwrap();
+        assert_eq!((buf(4).kind(), buf(4).read_ports()), (BufferKind::Damq, 1));
+        assert_eq!((dafc.kind(), dafc.read_ports()), (BufferKind::Dafc, 4));
+        assert_eq!(dafc.kind().name(), "DAFC");
+    }
+
+    #[test]
+    fn dafc_combines_dynamic_storage_with_full_read_bandwidth() {
+        let mut b = DafcBuffer::new(BufferConfig::new(4, 4)).unwrap();
+        // Any mix of queues up to the shared capacity.
+        for out in [0, 0, 0, 1] {
+            b.try_enqueue(OutputPort::new(out), pkt(8, out)).unwrap();
+        }
+        assert!(!b.can_accept(OutputPort::new(2), 1));
+        // Drains one packet per output per cycle.
+        assert!(b.dequeue(OutputPort::new(0)).is_some());
+        assert!(b.dequeue(OutputPort::new(1)).is_some());
+        b.check_invariants();
     }
 
     #[test]

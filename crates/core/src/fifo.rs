@@ -8,19 +8,19 @@
 //!
 //! # Storage layout
 //!
-//! The queue is structure-of-arrays like [`SoaSlots`](crate::SoaSlots): one
-//! ring of `capacity` entry positions described by three parallel arrays —
-//! `outs` (output-port index), `entry_slots` (slot count) and the
-//! out-of-line payload `arena` — addressed by `head`/`len` ring registers.
-//! A packet occupies at least one slot, so resident entries can never
-//! exceed `capacity` and the ring cannot overflow. The pre-SoA `VecDeque`
-//! implementation survives verbatim in `aos.rs` as the differential
-//! reference.
+//! The storage is the ring store of the statically-allocated designs with
+//! a single partition that owns every slot. What is FIFO's own is one
+//! column parallel to the ring — the output-port index of each entry — and
+//! what that column decides: only the head is transmittable, so
+//! `queue_len` / `front` / `dequeue` answer for the head's output alone,
+//! and the entries behind a head bound elsewhere are the head-of-line
+//! blocked packets.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
 use crate::buffer::{ring_wrap, BufferConfig, BufferKind, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
+use crate::ring::RingStore;
 use crate::stats::BufferStats;
 use crate::OutputPort;
 
@@ -48,24 +48,11 @@ use crate::OutputPort;
 /// ```
 #[derive(Debug)]
 pub struct FifoBuffer {
-    config: BufferConfig,
-    /// Output-port index of the entry at each ring position (parallel to
-    /// `arena`; stale outside the live window).
-    outs: Vec<u16>,
-    /// Slot count of the entry at each ring position.
-    entry_slots: Vec<u16>,
-    /// Out-of-line payloads; `Some` exactly inside the live window.
-    arena: Vec<Option<Packet>>,
-    /// Ring head offset.
-    head: u16,
-    /// Resident-entry count.
-    len: u16,
-    used_slots: usize,
-    /// Ring slots permanently removed by fault injection.
-    dead: usize,
-    /// Kills issued while the ring was full; consumed by later dequeues.
-    pending_kills: usize,
-    stats: BufferStats,
+    /// The one-partition ring: the whole buffer is the single queue.
+    ring: RingStore,
+    /// Output-port index of the entry at each ring position (stale
+    /// outside the live window).
+    outs: Box<[u16]>,
 }
 
 impl FifoBuffer {
@@ -75,41 +62,24 @@ impl FifoBuffer {
     ///
     /// Returns [`ConfigError`] if the configuration has a zero dimension.
     pub fn new(config: BufferConfig) -> Result<Self, ConfigError> {
-        config.validate(BufferKind::Fifo)?;
-        assert!(
-            config.capacity() < u16::MAX as usize,
-            "u16 ring registers cap the capacity"
-        );
         Ok(FifoBuffer {
-            config,
-            outs: vec![0; config.capacity()],
-            entry_slots: vec![0; config.capacity()],
-            arena: (0..config.capacity()).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-            used_slots: 0,
-            dead: 0,
-            pending_kills: 0,
-            stats: BufferStats::new(),
+            ring: RingStore::new(config, BufferKind::Fifo, 1)?,
+            outs: vec![0; config.capacity()].into_boxed_slice(),
         })
-    }
-
-    /// Ring position of entry `i` (0 = head), for `i` up to the ring size.
-    fn pos(&self, i: usize) -> usize {
-        ring_wrap(self.head as usize + i, self.arena.len())
     }
 
     /// The output port of the head packet, if any.
     pub fn head_output(&self) -> Option<OutputPort> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(OutputPort::new(self.outs[self.head as usize] as usize))
-        }
+        let (head, _) = self.ring.head(0)?;
+        Some(OutputPort::new(usize::from(self.outs[head])))
     }
 
-    fn head_matches(&self, output: OutputPort) -> bool {
-        self.head_output() == Some(output)
+    /// The head's ring position and the queue length, if the head packet
+    /// is bound for `output` — the only case anything is transmittable.
+    fn head_for(&self, output: OutputPort) -> Option<(usize, usize)> {
+        self.ring
+            .head(0)
+            .filter(|&(head, _)| usize::from(self.outs[head]) == output.index())
     }
 }
 
@@ -119,19 +89,19 @@ impl SwitchBuffer for FifoBuffer {
     }
 
     fn fanout(&self) -> usize {
-        self.config.fanout_count()
+        self.ring.config().fanout_count()
     }
 
     fn capacity_slots(&self) -> usize {
-        self.config.capacity()
+        self.ring.config().capacity()
     }
 
     fn used_slots(&self) -> usize {
-        self.used_slots
+        self.ring.used_slots()
     }
 
     fn slot_bytes(&self) -> usize {
-        self.config.slot_size()
+        self.ring.config().slot_size()
     }
 
     fn read_ports(&self) -> usize {
@@ -139,220 +109,100 @@ impl SwitchBuffer for FifoBuffer {
     }
 
     fn can_accept(&self, output: OutputPort, slots: usize) -> bool {
-        output.index() < self.fanout()
-            && self.used_slots + slots + self.dead_slots() <= self.capacity_slots()
+        output.index() < self.fanout() && self.ring.can_accept(0, slots)
     }
 
     fn accept_capacity(&self, output: OutputPort) -> usize {
         if output.index() < self.fanout() {
-            self.capacity_slots()
-                .saturating_sub(self.used_slots + self.dead_slots())
+            self.ring.accept_capacity(0)
         } else {
             0
         }
     }
 
     fn try_enqueue(&mut self, output: OutputPort, packet: Packet) -> Result<(), Rejected> {
-        let slots = packet.slots_needed(self.slot_bytes());
-        if output.index() >= self.fanout() {
-            return Err(Rejected {
-                packet,
-                output,
-                reason: RejectReason::NoSuchOutput,
-            });
+        let tail = self.ring.tail(0);
+        let stored = self
+            .ring
+            .try_enqueue(0, output, packet, RejectReason::BufferFull);
+        if stored.is_ok() {
+            self.outs[tail] = output.index() as u16;
+            strict_audit!(self);
         }
-        if slots > self.capacity_slots() {
-            self.stats.record_rejected();
-            return Err(Rejected {
-                packet,
-                output,
-                reason: RejectReason::PacketTooLarge,
-            });
-        }
-        if slots + self.dead_slots() > self.capacity_slots() {
-            // Fits a healthy ring but not what the faults have left of it.
-            self.stats.record_rejected();
-            return Err(Rejected {
-                packet,
-                output,
-                reason: RejectReason::Faulted,
-            });
-        }
-        if self.used_slots + slots + self.dead_slots() > self.capacity_slots() {
-            self.stats.record_rejected();
-            return Err(Rejected {
-                packet,
-                output,
-                reason: RejectReason::BufferFull,
-            });
-        }
-        self.used_slots += slots;
-        self.stats.record_accepted(slots);
-        self.stats.observe_used_slots(self.used_slots);
-        let tail = self.pos(self.len as usize);
-        self.outs[tail] = output.index() as u16;
-        self.entry_slots[tail] = slots as u16;
-        self.arena[tail] = Some(packet);
-        self.len += 1;
-        strict_audit!(self);
-        Ok(())
+        stored
     }
 
     fn queue_len(&self, output: OutputPort) -> usize {
-        if self.head_matches(output) {
-            self.len as usize
-        } else {
-            0
-        }
+        self.head_for(output).map_or(0, |(_, len)| len)
     }
 
     fn queue_lens_into(&self, lens: &mut [u16]) {
         lens.fill(0);
-        if self.len > 0 {
-            lens[self.outs[self.head as usize] as usize] = self.len;
+        if let Some((head, len)) = self.ring.head(0) {
+            lens[usize::from(self.outs[head])] = len as u16;
         }
     }
 
     fn front(&self, output: OutputPort) -> Option<&Packet> {
-        if !self.head_matches(output) {
-            return None;
-        }
-        self.arena[self.head as usize].as_ref()
+        let (head, _) = self.head_for(output)?;
+        self.ring.entry(head)
     }
 
     fn dequeue(&mut self, output: OutputPort) -> Option<Packet> {
-        if !self.head_matches(output) {
-            return None;
-        }
-        let head = self.head as usize;
-        let slots = self.entry_slots[head] as usize;
-        // lint: allow — head_matches() proved the head cell holds a payload.
-        let packet = self.arena[head].take().expect("head checked above");
-        self.head = self.pos(1) as u16;
-        self.len -= 1;
-        self.used_slots -= slots;
-        // Freed slots feed deferred kills before returning to service.
-        let consumed = self.pending_kills.min(slots);
-        self.pending_kills -= consumed;
-        self.dead += consumed;
-        self.stats.record_forwarded();
-        strict_audit!(self);
-        Some(packet)
+        self.head_for(output)?;
+        self.ring.dequeue(0)
     }
 
     fn packet_count(&self) -> usize {
-        self.len as usize
+        self.ring.len(0)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty()
     }
 
     fn stats(&self) -> &BufferStats {
-        &self.stats
+        self.ring.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.ring.stats_mut().reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {
         // A FIFO ring has no per-output partitions; the hint is irrelevant.
         let _ = hint;
-        if self.dead_slots() >= self.capacity_slots() {
-            return false;
-        }
-        if self.used_slots + self.dead < self.capacity_slots() {
-            self.dead += 1;
-        } else {
-            self.pending_kills += 1;
-        }
-        strict_audit!(self);
-        true
+        self.ring.kill_slot(0)
     }
 
     fn dead_slots(&self) -> usize {
-        self.dead + self.pending_kills
+        self.ring.dead_slots()
     }
 
     fn note_hol_blocked(&mut self) -> u64 {
-        if self.len == 0 {
+        let Some((head, len)) = self.ring.head(0) else {
             return 0;
-        }
-        let head_out = self.outs[self.head as usize];
-        let mut blocked = 0u64;
-        for i in 1..self.len as usize {
-            if self.outs[self.pos(i)] != head_out {
-                blocked += 1;
-            }
-        }
-        self.stats.record_hol_blocked(blocked);
+        };
+        // The one partition's segment is the whole ring.
+        let cap = self.ring.part_cap();
+        let head_out = self.outs[head];
+        let blocked = (1..len)
+            .filter(|&i| self.outs[ring_wrap(head + i, cap)] != head_out)
+            .count() as u64;
+        self.ring.stats_mut().record_hol_blocked(blocked);
         blocked
     }
 
     fn audit(&self) -> Result<(), AuditError> {
-        let cap = self.arena.len();
-        audit_ensure!(
-            (self.len as usize) <= cap,
-            "register-sync",
-            "FIFO length register {} exceeds the {cap}-entry ring",
-            self.len
-        );
-        let mut sum = 0usize;
-        for i in 0..self.len as usize {
-            let p = self.pos(i);
-            let Some(packet) = self.arena[p].as_ref() else {
-                return Err(AuditError::new(
-                    "queue-shape",
-                    format!("live ring position {p} has no payload"),
-                ));
-            };
+        self.ring.audit()?;
+        for i in 0..self.ring.len(0) {
+            let out = self.outs[self.ring.pos(0, i)];
             audit_ensure!(
-                (self.outs[p] as usize) < self.fanout(),
+                usize::from(out) < self.fanout(),
                 "queue-shape",
-                "entry routed to nonexistent output {}",
-                self.outs[p]
-            );
-            audit_ensure!(
-                self.entry_slots[p] as usize == packet.slots_needed(self.slot_bytes()),
-                "queue-shape",
-                "entry slot count {} disagrees with its packet length",
-                self.entry_slots[p]
-            );
-            sum += self.entry_slots[p] as usize;
-        }
-        audit_ensure!(
-            sum == self.used_slots,
-            "register-sync",
-            "FIFO used_slots register says {} but entries sum to {sum}",
-            self.used_slots
-        );
-        for i in self.len as usize..cap {
-            let p = self.pos(i);
-            audit_ensure!(
-                self.arena[p].is_none(),
-                "list-partition",
-                "ring position {p} outside the live window holds a payload"
+                "entry routed to nonexistent output {out}"
             );
         }
-        audit_ensure!(
-            self.used_slots + self.dead <= self.capacity_slots(),
-            "capacity-bound",
-            "FIFO holds {} live + {} dead of {} slots",
-            self.used_slots,
-            self.dead,
-            self.capacity_slots()
-        );
-        audit_ensure!(
-            self.dead + self.pending_kills <= self.capacity_slots(),
-            "fault-ledger",
-            "FIFO records {} dead + {} pending kills over {} slots",
-            self.dead,
-            self.pending_kills,
-            self.capacity_slots()
-        );
-        audit_ensure!(
-            self.pending_kills == 0 || self.used_slots + self.dead == self.capacity_slots(),
-            "fault-ledger",
-            "FIFO defers {} kills while slots are free",
-            self.pending_kills
-        );
         Ok(())
     }
 }

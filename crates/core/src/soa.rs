@@ -1,13 +1,13 @@
 //! Structure-of-arrays slot storage — the §3.1 register file laid out
-//! for the simulator's hot path.
+//! for the simulator's hot path, and the storage engine of the
+//! dynamically-allocated designs.
 //!
-//! [`SlotPool`](crate::SlotPool) models the paper's linked-slot buffer
-//! with per-slot `enum` content: the packet payload lives *inside* the
-//! slot it heads, so walking a list drags every payload through the
-//! cache and each pointer step is an `Option<SlotId>` branch.
-//! [`SoaSlots`] keeps the identical register semantics but splits the
-//! state the way the hardware does — a small register file held *inside*
-//! the pool, and the payload RAM beside it:
+//! A direct model of the paper's linked-slot buffer keeps per-slot `enum`
+//! content: the packet payload lives *inside* the slot it heads, so
+//! walking a list drags every payload through the cache and each pointer
+//! step is an `Option` branch. [`SoaSlots`] keeps the identical register
+//! semantics but splits the state the way the hardware does — a small
+//! register file held *inside* the pool, and the payload RAM beside it:
 //!
 //! ```text
 //!  slot      0     1     2     3     4     5          (u16 indices)
@@ -34,14 +34,13 @@
 //! array to one heap block and behave identically. Payloads sit in the
 //! `arena` — `Option<Packet>` by value, populated only at packet-head
 //! slots, one exact-size heap block touched only at enqueue/dequeue — so
-//! the link-walking loops never touch packet bytes. The public API mirrors
-//! [`SlotPool`](crate::SlotPool) method for method and
-//! [`SoaSlots::audit`] re-derives the same named invariants
-//! (`list-partition`, `register-sync`, `queue-shape`, `fault-ledger`) over
-//! the new layout; the seeded differential sweep in
-//! `tests/soa_equivalence.rs` pins the two implementations against each
-//! other across fills, drains, kills and free-list wraparound, on both
-//! sides of the inline bounds.
+//! the link-walking loops never touch packet bytes. [`SoaSlots::audit`]
+//! checks the named §3.1 invariants (`list-partition`, `register-sync`,
+//! `queue-shape`, `fault-ledger`) over this layout. The direct linked-node
+//! model survives as test code in `tests/reference/`, and the seeded
+//! differential sweep in `tests/soa_equivalence.rs` pins the two against
+//! each other across fills, drains, kills and free-list wraparound, on
+//! both sides of the inline bounds.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
 use crate::buffer::FrontMeta;
@@ -63,13 +62,13 @@ const CONT: u8 = 2;
 const DEAD: u8 = 3;
 
 /// Structure-of-arrays slot pool: the storage engine of
-/// [`DamqBuffer`](crate::DamqBuffer) (and, through it,
-/// [`DafcBuffer`](crate::DafcBuffer)).
+/// [`DamqBuffer`](crate::DamqBuffer) and [`DafcBuffer`](crate::DafcBuffer).
 ///
-/// Semantically identical to [`SlotPool`](crate::SlotPool) — same FIFO
-/// free-list discipline, same deferred-kill fault model, same audited
-/// register contract — but stored as contiguous `u16` index arrays with
-/// payloads out-of-line.
+/// A free list plus one linked queue per output, threaded through per-slot
+/// pointer registers: slots are taken from the front of the free list and
+/// returned to its back (FIFO reuse), and a slot killed while busy dies
+/// when its packet drains. The registers are contiguous `u16` index arrays
+/// with payloads out-of-line.
 ///
 /// # Examples
 ///
@@ -264,10 +263,11 @@ impl SoaSlots {
 
     /// Permanently removes one slot from service (fault injection).
     ///
-    /// Same contract as [`SlotPool::kill_slot`](crate::SlotPool::kill_slot):
-    /// a free slot dies immediately, a fully-busy pool defers the kill to
-    /// the next dequeue, and `false` means every slot is already dead or
-    /// doomed.
+    /// A free slot dies immediately: it is unlinked from the free list and
+    /// never allocated again. If every slot is busy the kill is deferred —
+    /// the next slot a dequeue frees dies instead of rejoining the free
+    /// list, so resident packets always drain intact. `false` means every
+    /// slot is already dead or doomed; killing never panics.
     pub fn kill_slot(&mut self) -> bool {
         if self.dead_count() >= self.capacity() {
             return false;
@@ -464,9 +464,8 @@ impl SoaSlots {
         Ok(out)
     }
 
-    /// Verifies every structural invariant of the pool — the same named
-    /// §3.1 register contract [`SlotPool::audit`](crate::SlotPool::audit)
-    /// checks, re-derived over the SoA layout:
+    /// Verifies every structural invariant of the pool — the audited form
+    /// of the paper's §3.1 register contract:
     ///
     /// * the lists exactly partition the storage and contain no cycle
     ///   (`list-partition`),

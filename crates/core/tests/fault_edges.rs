@@ -8,6 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use damq_core::{
     BufferConfig, BufferKind, ConfigError, NodeId, OutputPort, Packet, PacketId, RejectReason,
+    SwitchBuffer,
 };
 
 fn packet(serial: u64, length: usize) -> Packet {
@@ -22,14 +23,14 @@ fn zero_capacity_is_a_typed_config_error_for_every_design() {
     for kind in BufferKind::EXTENDED {
         assert!(
             matches!(
-                BufferConfig::new(4, 0).build(kind),
+                BufferConfig::new(4, 0).build_any(kind),
                 Err(ConfigError::ZeroCapacity)
             ),
             "{kind}"
         );
         assert!(
             matches!(
-                BufferConfig::new(0, 4).build(kind),
+                BufferConfig::new(0, 4).build_any(kind),
                 Err(ConfigError::ZeroFanout)
             ),
             "{kind}"
@@ -51,11 +52,6 @@ fn oversized_capacity_is_a_typed_config_error_for_every_design() {
                 "{kind} validate({capacity})"
             );
             assert_eq!(
-                BufferConfig::new(2, capacity).build(kind).unwrap_err(),
-                too_large,
-                "{kind} build({capacity})"
-            );
-            assert_eq!(
                 BufferConfig::new(2, capacity).build_any(kind).unwrap_err(),
                 too_large,
                 "{kind} build_any({capacity})"
@@ -63,7 +59,7 @@ fn oversized_capacity_is_a_typed_config_error_for_every_design() {
         }
         // The bound itself is a working buffer (even, so the static
         // designs can halve it).
-        let mut buf = BufferConfig::new(2, MAX).build(kind).unwrap();
+        let mut buf = BufferConfig::new(2, MAX).build_any(kind).unwrap();
         assert_eq!(buf.capacity_slots(), MAX, "{kind}");
         buf.try_enqueue(OutputPort::new(1), packet(1, 4)).unwrap();
         assert_eq!(
@@ -77,7 +73,7 @@ fn oversized_capacity_is_a_typed_config_error_for_every_design() {
 fn single_slot_buffers_round_trip_then_die_gracefully() {
     for kind in BufferKind::EXTENDED {
         // Fanout 1 keeps capacity 1 divisible for the static designs.
-        let mut buf = BufferConfig::new(1, 1).build(kind).unwrap();
+        let mut buf = BufferConfig::new(1, 1).build_any(kind).unwrap();
         let out = OutputPort::new(0);
         buf.try_enqueue(out, packet(1, 4)).unwrap();
         assert_eq!(buf.dequeue(out).unwrap().id(), PacketId::new(1));
@@ -97,7 +93,7 @@ fn single_slot_buffers_round_trip_then_die_gracefully() {
 #[test]
 fn fully_faulted_buffers_reject_everything_with_faulted() {
     for kind in BufferKind::EXTENDED {
-        let mut buf = BufferConfig::new(4, 8).build(kind).unwrap();
+        let mut buf = BufferConfig::new(4, 8).build_any(kind).unwrap();
         for i in 0..8 {
             assert!(
                 buf.kill_slot(OutputPort::new(i % 4)),
@@ -122,7 +118,7 @@ fn fully_faulted_buffers_reject_everything_with_faulted() {
 #[test]
 fn kills_on_occupied_buffers_defer_until_dequeue() {
     for kind in BufferKind::EXTENDED {
-        let mut buf = BufferConfig::new(4, 4).build(kind).unwrap();
+        let mut buf = BufferConfig::new(4, 4).build_any(kind).unwrap();
         // One packet per output fills every design to the brim (static
         // partitions hold one slot each; shared pools hold four).
         for i in 0..4u64 {
@@ -162,7 +158,7 @@ fn random_kill_sequences_never_panic_and_audit_clean() {
         let capacity = rng.random_range(1..=12usize) * fanout;
         let ops = rng.random_range(20..160usize);
         for kind in BufferKind::EXTENDED {
-            let mut buf = BufferConfig::new(fanout, capacity).build(kind).unwrap();
+            let mut buf = BufferConfig::new(fanout, capacity).build_any(kind).unwrap();
             let mut serial = 0u64;
             for _ in 0..ops {
                 let output = OutputPort::new(rng.random_range(0..fanout));

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use damq_core::{BufferConfig, BufferKind, NodeId, OutputPort, Packet, PacketId};
+use damq_core::{BufferConfig, BufferKind, NodeId, OutputPort, Packet, PacketId, SwitchBuffer};
 
 const CASES: u64 = 64;
 
@@ -60,7 +60,7 @@ fn random_ops_preserve_invariants() {
             } else {
                 capacity
             };
-            let mut buf = BufferConfig::new(4, capacity).build(kind).unwrap();
+            let mut buf = BufferConfig::new(4, capacity).build_any(kind).unwrap();
             let mut serial = 0u64;
             for op in &ops {
                 match *op {
@@ -106,7 +106,7 @@ fn can_accept_is_accurate() {
             } else {
                 capacity
             };
-            let mut buf = BufferConfig::new(4, capacity).build(kind).unwrap();
+            let mut buf = BufferConfig::new(4, capacity).build_any(kind).unwrap();
             let mut serial = 0;
             for op in &ops {
                 match *op {
@@ -136,7 +136,7 @@ fn fifo_order_per_queue() {
         let count = rng.random_range(1..150usize);
         let ops = random_ops(&mut rng, 3, count);
         for kind in BufferKind::EXTENDED {
-            let mut buf = BufferConfig::new(3, 12).build(kind).unwrap();
+            let mut buf = BufferConfig::new(3, 12).build_any(kind).unwrap();
             let mut serial = 0u64;
             let mut expected: Vec<std::collections::VecDeque<u64>> = vec![Default::default(); 3];
             let mut global: std::collections::VecDeque<(usize, u64)> = Default::default();
@@ -180,7 +180,9 @@ fn damq_shares_all_storage() {
         let fills: Vec<(usize, usize)> = (0..rng.random_range(1..40usize))
             .map(|_| (rng.random_range(0..4usize), rng.random_range(1..=32usize)))
             .collect();
-        let mut buf = BufferConfig::new(4, 12).build(BufferKind::Damq).unwrap();
+        let mut buf = BufferConfig::new(4, 12)
+            .build_any(BufferKind::Damq)
+            .unwrap();
         for (serial, (output, length)) in fills.into_iter().enumerate() {
             let p = packet(serial as u64, length);
             let need = p.slots_needed(buf.slot_bytes());
@@ -200,7 +202,7 @@ fn peak_used_slots_is_the_high_water_mark() {
         let count = rng.random_range(1..200usize);
         let ops = random_ops(&mut rng, 4, count);
         for kind in BufferKind::EXTENDED {
-            let mut buf = BufferConfig::new(4, 12).build(kind).unwrap();
+            let mut buf = BufferConfig::new(4, 12).build_any(kind).unwrap();
             let mut serial = 0u64;
             let mut high_water = 0usize;
             for op in &ops {
@@ -230,7 +232,7 @@ fn peak_used_slots_is_the_high_water_mark() {
 #[test]
 fn forwarded_counts_multislot_packets_once() {
     for kind in BufferKind::EXTENDED {
-        let mut buf = BufferConfig::new(4, 16).build(kind).unwrap();
+        let mut buf = BufferConfig::new(4, 16).build_any(kind).unwrap();
         // Packets spanning 1, 2 and 3 slots (slot size is DEFAULT_SLOT_BYTES
         // bytes), one per queue so the static partitions (4 slots each)
         // also fit, and so FIFO's global dequeue order matches.
@@ -274,7 +276,7 @@ fn static_designs_respect_partitions() {
         let count = rng.random_range(1..150usize);
         let ops = random_ops(&mut rng, 4, count);
         for kind in [BufferKind::Samq, BufferKind::Safc] {
-            let mut buf = BufferConfig::new(4, 8).build(kind).unwrap();
+            let mut buf = BufferConfig::new(4, 8).build_any(kind).unwrap();
             let mut serial = 0;
             let mut per_queue_slots = [0usize; 4];
             for op in &ops {

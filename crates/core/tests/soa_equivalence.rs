@@ -1,5 +1,5 @@
 //! Differential tests pinning the SoA storage rewrite to the frozen AoS
-//! reference implementations.
+//! reference implementations (test code only, in `tests/reference/`).
 //!
 //! Two layers of evidence:
 //!
@@ -17,9 +17,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use damq_core::{
-    AosDafcBuffer, AosDamqBuffer, AosFifoBuffer, AosSafcBuffer, AosSamqBuffer, BufferConfig,
-    BufferKind, DafcBuffer, DamqBuffer, FifoBuffer, NodeId, OutputPort, Packet, PacketId,
-    SafcBuffer, SamqBuffer, SlotPool, SoaSlots, SwitchBuffer,
+    BufferConfig, BufferKind, DafcBuffer, DamqBuffer, FifoBuffer, NodeId, OutputPort, Packet,
+    PacketId, RejectReason, SafcBuffer, SamqBuffer, SoaSlots, SwitchBuffer,
+};
+
+mod reference;
+use reference::{
+    AosDafcBuffer, AosDamqBuffer, AosFifoBuffer, AosSafcBuffer, AosSamqBuffer, SlotPool,
 };
 
 /// The satellite-task contract: 48 seeded pool shapes.
@@ -352,6 +356,101 @@ fn all_five_designs_match_their_aos_references() {
         diff_designs(
             DafcBuffer::new(dyn_cfg).unwrap(),
             AosDafcBuffer::new(dyn_cfg).unwrap(),
+            seed,
+        );
+    }
+}
+
+/// The same differential at the fanouts around the ring store's inline
+/// partition bound (four partitions): 4 keeps the partition registers
+/// inside the store, 5 and 8 spill them to a heap block. FIFO's single
+/// partition is inline at every fanout; the pool designs cross `SoaSlots`'
+/// inline queue bound at the same fanouts.
+#[test]
+fn all_five_designs_match_their_aos_references_across_fanouts() {
+    for seed in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(0xFA4 + seed);
+        for fanout in [4usize, 5, 8] {
+            let dyn_cfg = BufferConfig::new(fanout, rng.random_range(1..=3 * fanout));
+            let static_cfg = BufferConfig::new(fanout, rng.random_range(1..=3usize) * fanout);
+            diff_designs(
+                FifoBuffer::new(dyn_cfg).unwrap(),
+                AosFifoBuffer::new(dyn_cfg).unwrap(),
+                seed,
+            );
+            diff_designs(
+                SamqBuffer::new(static_cfg).unwrap(),
+                AosSamqBuffer::new(static_cfg).unwrap(),
+                seed,
+            );
+            diff_designs(
+                SafcBuffer::new(static_cfg).unwrap(),
+                AosSafcBuffer::new(static_cfg).unwrap(),
+                seed,
+            );
+            diff_designs(
+                DamqBuffer::new(dyn_cfg).unwrap(),
+                AosDamqBuffer::new(dyn_cfg).unwrap(),
+                seed,
+            );
+            diff_designs(
+                DafcBuffer::new(dyn_cfg).unwrap(),
+                AosDafcBuffer::new(dyn_cfg).unwrap(),
+                seed,
+            );
+        }
+    }
+}
+
+/// At fanout 1 a static design's one partition is the whole buffer, the
+/// same shape as FIFO's ring; the full-partition reason still follows the
+/// design, as in the twins: `QueueFull` for SAMQ / SAFC, `BufferFull` for
+/// FIFO.
+#[test]
+fn fanout_one_static_designs_report_queue_full_like_their_twins() {
+    fn full_reason(mut b: impl SwitchBuffer) -> RejectReason {
+        for serial in 0..2 {
+            b.try_enqueue(OutputPort::new(0), packet(serial, 8))
+                .unwrap();
+        }
+        b.try_enqueue(OutputPort::new(0), packet(2, 8))
+            .unwrap_err()
+            .reason
+    }
+    let cfg = BufferConfig::new(1, 2);
+    let fifo = RejectReason::BufferFull;
+    let queue = RejectReason::QueueFull;
+    assert_eq!(full_reason(FifoBuffer::new(cfg).unwrap()), fifo);
+    assert_eq!(full_reason(AosFifoBuffer::new(cfg).unwrap()), fifo);
+    assert_eq!(full_reason(SamqBuffer::new(cfg).unwrap()), queue);
+    assert_eq!(full_reason(AosSamqBuffer::new(cfg).unwrap()), queue);
+    assert_eq!(full_reason(SafcBuffer::new(cfg).unwrap()), queue);
+    assert_eq!(full_reason(AosSafcBuffer::new(cfg).unwrap()), queue);
+    for seed in 0..8u64 {
+        let cfg = BufferConfig::new(1, 1 + seed as usize % 4);
+        diff_designs(
+            FifoBuffer::new(cfg).unwrap(),
+            AosFifoBuffer::new(cfg).unwrap(),
+            seed,
+        );
+        diff_designs(
+            SamqBuffer::new(cfg).unwrap(),
+            AosSamqBuffer::new(cfg).unwrap(),
+            seed,
+        );
+        diff_designs(
+            SafcBuffer::new(cfg).unwrap(),
+            AosSafcBuffer::new(cfg).unwrap(),
+            seed,
+        );
+        diff_designs(
+            DamqBuffer::new(cfg).unwrap(),
+            AosDamqBuffer::new(cfg).unwrap(),
+            seed,
+        );
+        diff_designs(
+            DafcBuffer::new(cfg).unwrap(),
+            AosDafcBuffer::new(cfg).unwrap(),
             seed,
         );
     }

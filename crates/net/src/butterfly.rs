@@ -16,7 +16,7 @@
 
 use damq_core::{InputPort, NodeId, OutputPort};
 
-use crate::topology::TopologyError;
+use crate::topology::{stage_count, TopologyError};
 
 /// The wiring of an `N`-terminal butterfly built from `k`×`k` switches.
 ///
@@ -44,24 +44,12 @@ impl ButterflyTopology {
     /// # Errors
     ///
     /// Returns [`TopologyError`] unless `size` is a positive power of
-    /// `radix` and `radix >= 2`.
+    /// `radix` and `2 <= radix <= 256`.
     pub fn new(size: usize, radix: usize) -> Result<Self, TopologyError> {
-        if radix < 2 {
-            return Err(TopologyError::RadixTooSmall);
-        }
-        let mut stages = 0;
-        let mut n = 1;
-        while n < size {
-            n *= radix;
-            stages += 1;
-        }
-        if n != size || stages == 0 {
-            return Err(TopologyError::SizeNotPowerOfRadix { size, radix });
-        }
         Ok(ButterflyTopology {
             size,
             radix,
-            stages,
+            stages: stage_count(size, radix)?,
         })
     }
 

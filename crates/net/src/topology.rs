@@ -21,6 +21,14 @@ use damq_core::{InputPort, NodeId, OutputPort};
 pub enum TopologyError {
     /// The radix must be at least 2.
     RadixTooSmall,
+    /// The radix exceeds what a [`RoutePlan`] can address: its tables hold
+    /// ports as bytes.
+    RadixTooLarge {
+        /// Requested switch radix.
+        radix: usize,
+        /// Largest supported radix.
+        max: usize,
+    },
     /// The terminal count must be a power of the radix (and at least one
     /// stage's worth).
     SizeNotPowerOfRadix {
@@ -35,6 +43,10 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::RadixTooSmall => write!(f, "switch radix must be at least 2"),
+            TopologyError::RadixTooLarge { radix, max } => write!(
+                f,
+                "switch radix {radix} exceeds {max}: route tables hold ports as bytes"
+            ),
             TopologyError::SizeNotPowerOfRadix { size, radix } => {
                 write!(
                     f,
@@ -46,6 +58,35 @@ impl fmt::Display for TopologyError {
 }
 
 impl Error for TopologyError {}
+
+/// Largest switch radix: a [`RoutePlan`] holds ports as bytes.
+const MAX_RADIX: usize = 1 << u8::BITS;
+
+/// Stages of a `size`-terminal multistage network of `radix`×`radix`
+/// switches (`log_radix size`), or why there is no such network.
+pub(crate) fn stage_count(size: usize, radix: usize) -> Result<usize, TopologyError> {
+    if radix < 2 {
+        return Err(TopologyError::RadixTooSmall);
+    }
+    if radix > MAX_RADIX {
+        return Err(TopologyError::RadixTooLarge {
+            radix,
+            max: MAX_RADIX,
+        });
+    }
+    let not_a_power = TopologyError::SizeNotPowerOfRadix { size, radix };
+    let mut stages = 0;
+    let mut n = 1usize;
+    while n < size {
+        // A size past the last power below `usize::MAX` is not a power.
+        n = n.checked_mul(radix).ok_or(not_a_power)?;
+        stages += 1;
+    }
+    if n != size || stages == 0 {
+        return Err(not_a_power);
+    }
+    Ok(stages)
+}
 
 /// The wiring of an `N`-terminal Omega network built from `k`×`k` switches.
 ///
@@ -73,24 +114,12 @@ impl OmegaTopology {
     /// # Errors
     ///
     /// Returns [`TopologyError`] unless `size` is a positive power of
-    /// `radix` and `radix >= 2`.
+    /// `radix` and `2 <= radix <= 256`.
     pub fn new(size: usize, radix: usize) -> Result<Self, TopologyError> {
-        if radix < 2 {
-            return Err(TopologyError::RadixTooSmall);
-        }
-        let mut stages = 0;
-        let mut n = 1;
-        while n < size {
-            n *= radix;
-            stages += 1;
-        }
-        if n != size || stages == 0 {
-            return Err(TopologyError::SizeNotPowerOfRadix { size, radix });
-        }
         Ok(OmegaTopology {
             size,
             radix,
-            stages,
+            stages: stage_count(size, radix)?,
         })
     }
 
@@ -392,14 +421,15 @@ impl RoutePlan {
     ///
     /// # Panics
     ///
-    /// Panics if the radix exceeds 256 or the terminal count `u32::MAX`:
-    /// the tables hold ports as bytes and switch numbers as `u32` words.
+    /// Panics if the terminal count exceeds `u32::MAX`: the tables hold
+    /// switch numbers as `u32` words. (They hold ports as bytes too, which
+    /// the topology constructors already guarantee.)
     pub fn new(topology: &Topology) -> Self {
         let size = topology.size();
         let radix = topology.radix();
         let stages = topology.stages();
         let per_stage = topology.switches_per_stage();
-        assert!(radix <= 256, "route tables hold ports as bytes");
+        assert!(radix <= MAX_RADIX, "route tables hold ports as bytes");
         assert!(
             size <= u32::MAX as usize,
             "route tables hold 32-bit indices"
@@ -562,6 +592,23 @@ mod tests {
     }
 
     #[test]
+    fn radix_beyond_the_route_tables_port_width_is_a_typed_error() {
+        let too_large = TopologyError::RadixTooLarge {
+            radix: 257,
+            max: 256,
+        };
+        for kind in TopologyKind::ALL {
+            assert_eq!(Topology::build(kind, 257, 257), Err(too_large), "{kind}");
+            assert_eq!(
+                Topology::build(kind, 256, 256).unwrap().radix(),
+                256,
+                "{kind}"
+            );
+        }
+        assert!(too_large.to_string().contains("257"));
+    }
+
+    #[test]
     fn radix_2_eight_nodes() {
         let t = OmegaTopology::new(8, 2).unwrap();
         assert_eq!(t.stages(), 3);
@@ -573,6 +620,7 @@ mod tests {
         assert!(OmegaTopology::new(12, 4).is_err());
         assert!(OmegaTopology::new(1, 4).is_err());
         assert!(OmegaTopology::new(8, 1).is_err());
+        assert!(OmegaTopology::new(usize::MAX, 4).is_err());
         assert_eq!(
             OmegaTopology::new(10, 2).unwrap_err(),
             TopologyError::SizeNotPowerOfRadix { size: 10, radix: 2 }

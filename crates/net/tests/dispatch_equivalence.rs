@@ -16,12 +16,16 @@
 //! counters, residual state, fault ledgers, and the structural audits.
 
 use damq_core::{
-    AosDafcBuffer, AosDamqBuffer, AosFifoBuffer, AosSafcBuffer, AosSamqBuffer, BufferKind,
-    BufferStats, DafcBuffer, DamqBuffer, FaultLedger, FaultPlan, FaultSpec, FifoBuffer, SafcBuffer,
-    SamqBuffer,
+    BufferKind, BufferStats, DafcBuffer, DamqBuffer, FaultLedger, FaultPlan, FaultSpec, FifoBuffer,
+    SafcBuffer, SamqBuffer,
 };
 use damq_net::{NetworkConfig, NetworkSim, TrafficPattern};
 use damq_switch::FlowControl;
+
+// The frozen twins, shared with `damq-core`'s `soa_equivalence` suite.
+#[path = "../../core/tests/reference/mod.rs"]
+mod reference;
+use reference::{AosDafcBuffer, AosDamqBuffer, AosFifoBuffer, AosSafcBuffer, AosSamqBuffer};
 
 /// Everything observable about a finished run.
 #[derive(Debug, PartialEq)]

@@ -99,7 +99,8 @@ pub type CheckResult = Result<CheckReport, Box<Violation>>;
 /// the configuration itself is invalid (e.g. odd capacity for SAMQ/SAFC).
 pub fn check(kind: BufferKind, capacity: usize) -> CheckResult {
     check_with_factory(kind, capacity, &|| {
-        BufferConfig::new(2, capacity).build(kind)
+        let buffer = BufferConfig::new(2, capacity).build_any(kind)?;
+        Ok(Box::new(buffer))
     })
 }
 

@@ -29,7 +29,7 @@ enum Defect {
 }
 
 fn mutant(defect: Defect) -> Result<Box<dyn SwitchBuffer>, ConfigError> {
-    let inner = BufferConfig::new(2, 2).build(BufferKind::Damq)?;
+    let inner = Box::new(BufferConfig::new(2, 2).build_any(BufferKind::Damq)?);
     Ok(Box::new(Mutant { inner, defect }))
 }
 
@@ -106,7 +106,11 @@ impl SwitchBuffer for Mutant {
 #[test]
 fn stock_buffer_through_custom_factory_passes() {
     // Sanity: the factory indirection itself must not trip the checker.
-    let factory = || BufferConfig::new(2, 2).build(BufferKind::Damq);
+    let factory = || -> Result<Box<dyn SwitchBuffer>, ConfigError> {
+        Ok(Box::new(
+            BufferConfig::new(2, 2).build_any(BufferKind::Damq)?,
+        ))
+    };
     check_with_factory(BufferKind::Damq, 2, &factory).expect("stock DAMQ is clean");
 }
 

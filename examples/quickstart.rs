@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== head-of-line blocking demo ==");
     let config = BufferConfig::new(4, 8); // 8 slots: 2 per queue when static
     for kind in BufferKind::ALL {
-        let mut buf = config.build(kind)?;
+        let mut buf = config.build_any(kind)?;
         for i in 0..2 {
             let p = Packet::builder(NodeId::new(i), NodeId::new(30)).build();
             buf.try_enqueue(OutputPort::new(3), p)?;

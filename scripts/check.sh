@@ -90,8 +90,10 @@ obs_smoke() {
     cargo bench -p damq-bench --bench no_op_registry_overhead
 }
 
-# Satellite gate: the SoA hot path. Asserts (1) the SoA slot pool and
-# its AoS twins stay equivalent with every per-operation invariant audit
+# Satellite gate: the SoA hot path. Asserts (1) the two storage engines
+# (the ring store and the SoA slot pool) and the five designs on them
+# stay equivalent to the frozen AoS twins — test code in
+# crates/core/tests/reference/ — with every per-operation invariant audit
 # enabled (`strict-audit`); (2) the end-to-end AoS-vs-SoA network
 # fingerprints (all five designs, faulted runs included) are
 # byte-identical; (3) a network forced fully idle takes the quiescence
@@ -130,8 +132,8 @@ soa_smoke() {
     cargo test -q -p damq-net --lib -- source::
     cargo test -q -p damq-net --test source_backlog layout_
 
-    gate "soa-smoke: SoA pool vs AoS twins under strict-audit"
-    cargo test -q -p damq-core --features strict-audit --test soa_equivalence
+    gate "soa-smoke: SoA pool vs AoS twins, and the twins' self-tests, under strict-audit"
+    cargo test -q -p damq-core --features strict-audit --test soa_equivalence --test reference_self
 
     gate "soa-smoke: AoS-vs-SoA network fingerprints are byte-identical"
     cargo test -q -p damq-net --test dispatch_equivalence

@@ -23,8 +23,8 @@ use std::process::ExitCode;
 use damq::buffers::BufferKind;
 use damq::markov::{discard_probability, CycleOrder, SolveOptions};
 use damq::net::{
-    find_saturation, measure, ArrivalProcess, NetworkConfig, SaturationOptions, TopologyKind,
-    TrafficPattern,
+    find_saturation, measure, ArrivalProcess, NetworkConfig, NetworkSim, SaturationOptions,
+    TopologyKind, TrafficPattern,
 };
 use damq::switch::{ArbiterPolicy, FlowControl};
 
@@ -134,11 +134,19 @@ fn buffer_kind(name: &str) -> Result<BufferKind, String> {
     }
 }
 
-fn buffer_kinds(args: &Args) -> Result<Vec<BufferKind>, String> {
-    match args.get("buffer").unwrap_or("damq") {
-        "all" => Ok(BufferKind::EXTENDED.to_vec()),
-        one => Ok(vec![buffer_kind(one)?]),
+/// The designs `--buffer` selects, each checked against `base` by
+/// building its network once: a configuration one design rejects (SAMQ
+/// with a capacity the fanout does not divide) fails before any design
+/// prints a row.
+fn buffer_kinds(args: &Args, base: NetworkConfig) -> Result<Vec<BufferKind>, String> {
+    let kinds = match args.get("buffer").unwrap_or("damq") {
+        "all" => BufferKind::EXTENDED.to_vec(),
+        one => vec![buffer_kind(one)?],
+    };
+    for &kind in &kinds {
+        NetworkSim::new(base.buffer_kind(kind)).map_err(|e| format!("{kind}: {e}"))?;
     }
+    Ok(kinds)
 }
 
 fn network_config(args: &Args) -> Result<NetworkConfig, String> {
@@ -183,7 +191,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let base = network_config(args)?;
     let warmup = args.parse_as("warmup", 500u64)?;
     let cycles = args.parse_as("cycles", 5_000u64)?;
-    for kind in buffer_kinds(args)? {
+    for kind in buffer_kinds(args, base)? {
         let m = measure(base.buffer_kind(kind), warmup, cycles)
             .map_err(|e| format!("simulation failed: {e}"))?;
         // A percentile beyond the latency histogram's cap is a lower bound.
@@ -213,7 +221,7 @@ fn cmd_saturation(args: &Args) -> Result<(), String> {
         window: args.parse_as("cycles", 2_000u64)?,
         ..SaturationOptions::default()
     };
-    for kind in buffer_kinds(args)? {
+    for kind in buffer_kinds(args, base)? {
         let r = find_saturation(base.buffer_kind(kind), options)
             .map_err(|e| format!("search failed: {e}"))?;
         println!(
@@ -237,7 +245,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if step <= 0.0 || to < from {
         return Err("need --from <= --to and --step > 0".into());
     }
-    let kinds = buffer_kinds(args)?;
+    let kinds = buffer_kinds(args, base)?;
     println!("buffer,offered,delivered,latency_clocks,latency_p99_clocks,discard_fraction");
     let mut warned = false;
     for kind in kinds {

@@ -176,26 +176,48 @@ fn options_without_values_are_rejected() {
 #[test]
 fn out_of_range_numbers_are_clean_errors_not_panics() {
     const NETWORK: [&str; 3] = ["sim", "saturation", "sweep"];
-    let rows: [(&[&str], &str, &[&str]); 7] = [
-        (&NETWORK, "--load", &["nan", "-1", "2"]),
-        (&NETWORK, "--hot-spot", &["1.5", "nan"]),
-        (&NETWORK, "--burst", &["0", "0.5"]),
-        (&NETWORK, "--duty", &["0", "nan", "1.5"]),
-        (&["sweep"], "--to", &["1.5"]),
-        (&["markov"], "--traffic", &["nan", "1.5"]),
-        (&["markov"], "--slots", &["0"]),
+    // (commands, the options before the value, values)
+    let rows: [(&[&str], &[&str], &[&str]); 9] = [
+        (&NETWORK, &["--load"], &["nan", "-1", "2"]),
+        (&NETWORK, &["--hot-spot"], &["1.5", "nan"]),
+        (&NETWORK, &["--burst"], &["0", "0.5"]),
+        (&NETWORK, &["--duty"], &["0", "nan", "1.5"]),
+        (&["sweep"], &["--to"], &["1.5"]),
+        (&["markov"], &["--traffic"], &["nan", "1.5"]),
+        (&["markov"], &["--slots"], &["0"]),
+        // A radix past the route tables' byte-wide ports.
+        (&NETWORK, &["--size", "257", "--radix"], &["257"]),
+        // Searching for the stage count must not overflow.
+        (&NETWORK, &["--size"], &["18446744073709551615"]),
     ];
-    for (commands, option, values) in rows {
+    for (commands, options, values) in rows {
         for command in commands {
             for value in values {
-                let out = damq(&[command, option, value]);
+                let argv = [&[*command], options, &[*value]].concat();
+                let out = damq(&argv);
                 let err = String::from_utf8_lossy(&out.stderr);
-                let case = format!("damq {command} {option} {value}: {err}");
+                let case = format!("damq {}: {err}", argv.join(" "));
                 assert_eq!(out.status.code(), Some(1), "{case}");
                 assert!(err.starts_with("error:"), "{case}");
                 assert!(!err.contains("panicked at"), "{case}");
             }
         }
+    }
+}
+
+#[test]
+fn a_design_the_configuration_does_not_fit_fails_before_any_output() {
+    // Three slots do not divide among SAMQ's four queues; FIFO, first in
+    // `--buffer all`, fits them, and must not have printed its rows.
+    for command in ["sim", "saturation", "sweep"] {
+        let out = damq(&[
+            command, "--buffer", "all", "--slots", "3", "--size", "16", "--cycles", "50",
+            "--warmup", "10",
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        assert!(out.stdout.is_empty(), "{command} printed {:?}", out.stdout);
+        assert!(err.starts_with("error: SAMQ: buffer:"), "{command}: {err}");
     }
 }
 
