@@ -5,7 +5,9 @@
 //! the fourth corner of the allocation × connectivity design matrix, used
 //! to measure how much read bandwidth matters once storage is shared.
 
-use crate::switch2x2::{fully_connected_departures, BufferModel2x2, Counts};
+use crate::switch2x2::{
+    fully_connected_departures, swap_count_inputs, swap_count_outputs, BufferModel2x2, Counts,
+};
 
 /// DAFC buffers of `capacity` shared packet slots per input, fully
 /// connected to the outputs.
@@ -54,6 +56,14 @@ impl BufferModel2x2 for DafcModel {
 
     fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
         fully_connected_departures(state, emit);
+    }
+
+    fn swap_inputs(&self, state: &Counts) -> Counts {
+        swap_count_inputs(state)
+    }
+
+    fn swap_outputs(&self, state: &Counts) -> Counts {
+        swap_count_outputs(state)
     }
 }
 

@@ -6,7 +6,9 @@
 //! any queued packet for output *o* is interchangeable under fixed-length,
 //! single-destination semantics.
 
-use crate::switch2x2::{single_read_port_departures, BufferModel2x2, Counts};
+use crate::switch2x2::{
+    single_read_port_departures, swap_count_inputs, swap_count_outputs, BufferModel2x2, Counts,
+};
 
 /// DAMQ buffers of `capacity` shared packet slots per input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +56,14 @@ impl BufferModel2x2 for DamqModel {
 
     fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
         single_read_port_departures(state, emit);
+    }
+
+    fn swap_inputs(&self, state: &Counts) -> Counts {
+        swap_count_inputs(state)
+    }
+
+    fn swap_outputs(&self, state: &Counts) -> Counts {
+        swap_count_outputs(state)
     }
 }
 

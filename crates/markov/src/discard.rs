@@ -27,7 +27,10 @@ pub struct DiscardPoint {
     /// Mean buffering delay of an accepted packet, in long-clock cycles
     /// (Little's law: occupancy / throughput).
     pub mean_wait_cycles: f64,
-    /// Number of states in the underlying chain.
+    /// Reachable joint buffer occupancies. For the 2×2 models this is
+    /// the sum of [`Switch2x2::orbit_size`] over the chain's states — the
+    /// chain itself holds one state per orbit, about a quarter as many
+    /// ([`Chain::state_count`]); for the k×k model the two coincide.
     pub states: usize,
     /// Matrix–vector products the steady-state solve took
     /// ([`SteadyState::iterations`](crate::SteadyState::iterations)).
@@ -56,6 +59,29 @@ pub enum AnalysisError {
         /// The largest capacity the model accepts.
         max: usize,
     },
+    /// A buffer of zero slots holds no packet: there is no chain.
+    ZeroCapacity {
+        /// The buffer design requested.
+        kind: BufferKind,
+    },
+    /// The per-input arrival probability is NaN or outside [0, 1].
+    TrafficNotAProbability {
+        /// The traffic level requested.
+        traffic: f64,
+    },
+    /// The k×k model covers radix 2 up to a fixed bound.
+    RadixOutOfRange {
+        /// The radix requested.
+        radix: usize,
+        /// The largest radix the model accepts.
+        max: usize,
+    },
+    /// The design has no k×k model: a FIFO's state is the order of its
+    /// queue, which per-output counts do not capture.
+    UnsupportedKind {
+        /// The buffer design requested.
+        kind: BufferKind,
+    },
     /// The steady-state solver failed.
     Solve(SolveError),
 }
@@ -75,6 +101,19 @@ impl fmt::Display for AnalysisError {
                 f,
                 "the {kind} model holds at most {max} slots per buffer, got {capacity}"
             ),
+            AnalysisError::ZeroCapacity { kind } => {
+                write!(f, "a {kind} buffer needs at least one slot")
+            }
+            AnalysisError::TrafficNotAProbability { traffic } => {
+                write!(f, "traffic must be a probability in [0, 1], got {traffic}")
+            }
+            AnalysisError::RadixOutOfRange { radix, max } => {
+                write!(f, "the k-by-k model covers radix 2 to {max}, got {radix}")
+            }
+            AnalysisError::UnsupportedKind { kind } => write!(
+                f,
+                "the k-by-k model covers the multi-queue designs; {kind} state is the queue order"
+            ),
             AnalysisError::Solve(e) => write!(f, "steady-state solve failed: {e}"),
         }
     }
@@ -93,6 +132,22 @@ impl From<SolveError> for AnalysisError {
     fn from(e: SolveError) -> Self {
         AnalysisError::Solve(e)
     }
+}
+
+/// The checks both entry points share: a buffer holds at least one
+/// packet, and traffic is a probability.
+pub(crate) fn check_shared(
+    kind: BufferKind,
+    capacity: usize,
+    traffic: f64,
+) -> Result<(), AnalysisError> {
+    if capacity == 0 {
+        return Err(AnalysisError::ZeroCapacity { kind });
+    }
+    if !(0.0..=1.0).contains(&traffic) {
+        return Err(AnalysisError::TrafficNotAProbability { traffic });
+    }
+    Ok(())
 }
 
 fn analyze_model<M>(
@@ -130,7 +185,9 @@ where
         throughput: reward.departures,
         mean_occupancy,
         mean_wait_cycles,
-        states: chain.state_count(),
+        states: (0..chain.state_count())
+            .map(|i| switch.orbit_size(chain.state(i)))
+            .sum(),
         iterations: ss.iterations,
     })
 }
@@ -143,8 +200,10 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::OddStaticCapacity`] for SAMQ/SAFC with odd
-/// capacity, [`AnalysisError::CapacityTooLarge`] past the model's bound
+/// Returns [`AnalysisError::ZeroCapacity`] for a capacity of 0,
+/// [`AnalysisError::TrafficNotAProbability`] for traffic that is NaN or
+/// outside [0, 1], [`AnalysisError::OddStaticCapacity`] for SAMQ/SAFC with
+/// odd capacity, [`AnalysisError::CapacityTooLarge`] past the model's bound
 /// ([`FifoModel::MAX_CAPACITY`] for FIFO; what a `u8` queue length holds
 /// for the count-based designs), or a wrapped [`SolveError`] if the chain
 /// does not converge.
@@ -169,6 +228,7 @@ pub fn discard_probability(
     order: CycleOrder,
     options: SolveOptions,
 ) -> Result<DiscardPoint, AnalysisError> {
+    check_shared(kind, capacity, traffic)?;
     if kind.is_statically_allocated() && !capacity.is_multiple_of(2) {
         return Err(AnalysisError::OddStaticCapacity { kind, capacity });
     }
@@ -352,6 +412,59 @@ mod tests {
         // The bound itself is legal (checked on the cheapest case).
         assert_eq!(FifoModel::new(FifoModel::MAX_CAPACITY).capacity(), 8);
         assert!(point(BufferKind::Fifo, 7, 0.3).states > 8_065);
+    }
+
+    #[test]
+    fn degenerate_points_are_typed_errors_not_panics() {
+        // Each used to panic inside a model constructor or `Switch2x2::new`.
+        let analyse = |kind, capacity, traffic| {
+            discard_probability(
+                kind,
+                capacity,
+                traffic,
+                CycleOrder::ArrivalsFirst,
+                SolveOptions::default(),
+            )
+        };
+        for kind in BufferKind::EXTENDED {
+            let zero = Err(AnalysisError::ZeroCapacity { kind });
+            assert_eq!(analyse(kind, 0, 0.5), zero, "{kind}");
+        }
+        for traffic in [1.5, -0.25, f64::INFINITY] {
+            let bad = Err(AnalysisError::TrafficNotAProbability { traffic });
+            assert_eq!(analyse(BufferKind::Damq, 2, traffic), bad);
+        }
+        // NaN is not equal to itself, so match on the variant.
+        assert!(matches!(
+            analyse(BufferKind::Fifo, 2, f64::NAN),
+            Err(AnalysisError::TrafficNotAProbability { traffic }) if traffic.is_nan()
+        ));
+        // The bounds themselves are legal.
+        assert!(point(BufferKind::Damq, 1, 1.0).discard_probability > 0.0);
+    }
+
+    #[test]
+    fn states_count_joint_occupancies_not_orbits() {
+        // Departures first, DAMQ-1 rests after arrivals in any of the
+        // 3 × 3 joint states with at most one packet per input: 4 orbits
+        // — empty; one packet at one input (4 members); one packet at
+        // each, bound for one output (2) or for both (2).
+        let switch = Switch2x2::new(DamqModel::new(1), 0.5, CycleOrder::DeparturesFirst);
+        let chain = Chain::explore(&switch);
+        let mut sizes: Vec<usize> = (0..chain.state_count())
+            .map(|i| switch.orbit_size(chain.state(i)))
+            .collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [1, 2, 2, 4]);
+        let p = discard_probability(
+            BufferKind::Damq,
+            1,
+            0.5,
+            CycleOrder::DeparturesFirst,
+            SolveOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(p.states, 9);
     }
 
     #[test]

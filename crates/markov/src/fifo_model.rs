@@ -18,8 +18,8 @@ pub struct FifoModel {
 /// Joint state: the destination sequence of each input queue, packed into
 /// `Copy` words — per queue a length and the destinations as a bitstring,
 /// head at bit 0 (bits at and above the length are zero, so equal queues
-/// are equal words).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// are equal words). Ordered by the lengths, then the bitstrings.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FifoState {
     len: [u8; 2],
     bits: [u8; 2],
@@ -85,8 +85,8 @@ impl FifoModel {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or exceeds [`FifoModel::MAX_CAPACITY`]
-    /// ([`discard_probability`](crate::discard_probability) reports the
-    /// latter as an error instead).
+    /// ([`discard_probability`](crate::discard_probability) reports
+    /// both as errors instead).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         assert!(
@@ -141,6 +141,22 @@ impl BufferModel2x2 for FifoModel {
                 }
             },
         }
+    }
+
+    fn swap_inputs(&self, state: &FifoState) -> FifoState {
+        let mut next = *state;
+        next.len.reverse();
+        next.bits.reverse();
+        next
+    }
+
+    fn swap_outputs(&self, state: &FifoState) -> FifoState {
+        let mut next = *state;
+        for (bits, len) in next.bits.iter_mut().zip(state.len) {
+            // Flip the destinations, not the zero padding above them.
+            *bits ^= ((1u16 << len) - 1) as u8;
+        }
+        next
     }
 }
 
@@ -209,6 +225,19 @@ mod tests {
         let s = FifoState::pack([&[], &[0, 0]]);
         let branches = branches(&m, &s);
         assert_eq!(branches, vec![(FifoState::pack([&[], &[0]]), 1.0, 1)]);
+    }
+
+    #[test]
+    fn swaps_exchange_queues_and_flip_destinations_below_the_length() {
+        let m = FifoModel::new(FifoModel::MAX_CAPACITY);
+        let full = [0, 1, 1, 0, 0, 0, 1, 0];
+        let s = FifoState::pack([&full, &[1]]);
+        assert_eq!(m.swap_inputs(&s), FifoState::pack([&[1], &full]));
+        assert_eq!(
+            m.swap_outputs(&s),
+            FifoState::pack([&[1, 0, 0, 1, 1, 1, 0, 1], &[0]])
+        );
+        assert_eq!(m.swap_outputs(&m.empty()), m.empty());
     }
 
     #[test]

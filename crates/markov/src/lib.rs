@@ -5,7 +5,10 @@
 //! ([`CsrMatrix`]) and a restarted-GMRES steady-state solver
 //! ([`steady_state`]; Gauss–Seidel is the second opinion) — plus models of
 //! a 2×2 discarding switch for each of the four buffer designs of
-//! [`damq_core`].
+//! [`damq_core`]. The 2×2 chain is lumped by the switch's symmetry:
+//! [`Switch2x2`]'s states are orbits of joint occupancies under exchanging
+//! the inputs and the outputs, about a quarter as many, with the same
+//! stationary answers.
 //!
 //! The engine does not allocate per state or per iteration: states are
 //! `Copy` words, a model hands its transitions to a visitor

@@ -5,7 +5,9 @@
 //! cycle. Each output independently serves the input with the longer queue
 //! for it.
 
-use crate::switch2x2::{fully_connected_departures, BufferModel2x2, Counts};
+use crate::switch2x2::{
+    fully_connected_departures, swap_count_inputs, swap_count_outputs, BufferModel2x2, Counts,
+};
 
 /// SAFC buffers with `capacity / 2` packet slots statically reserved per
 /// output queue and one read port per output.
@@ -63,6 +65,14 @@ impl BufferModel2x2 for SafcModel {
 
     fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
         fully_connected_departures(state, emit);
+    }
+
+    fn swap_inputs(&self, state: &Counts) -> Counts {
+        swap_count_inputs(state)
+    }
+
+    fn swap_outputs(&self, state: &Counts) -> Counts {
+        swap_count_outputs(state)
     }
 }
 

@@ -6,7 +6,9 @@
 //! other queue's slots sit empty. The paper's Table 2 only lists even buffer
 //! sizes for SAMQ/SAFC for exactly this reason.
 
-use crate::switch2x2::{single_read_port_departures, BufferModel2x2, Counts};
+use crate::switch2x2::{
+    single_read_port_departures, swap_count_inputs, swap_count_outputs, BufferModel2x2, Counts,
+};
 
 /// SAMQ buffers with `capacity / 2` packet slots statically reserved per
 /// output queue.
@@ -65,6 +67,14 @@ impl BufferModel2x2 for SamqModel {
 
     fn departures(&self, state: &Counts, emit: impl FnMut(Counts, f64, u32)) {
         single_read_port_departures(state, emit);
+    }
+
+    fn swap_inputs(&self, state: &Counts) -> Counts {
+        swap_count_inputs(state)
+    }
+
+    fn swap_outputs(&self, state: &Counts) -> Counts {
+        swap_count_outputs(state)
     }
 }
 

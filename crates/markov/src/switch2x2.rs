@@ -9,7 +9,21 @@
 //!
 //! The four buffer designs plug into this cycle structure through
 //! [`BufferModel2x2`]; [`Switch2x2`] lifts any such model to a
-//! [`MarkovModel`] whose states are joint buffer occupancies.
+//! [`MarkovModel`] whose states are joint buffer occupancies up to the
+//! switch's symmetry.
+//!
+//! Arrivals are uniform over inputs and outputs and the arbiter splits
+//! every tie evenly, so exchanging the two inputs, the two outputs, or
+//! both maps the chain onto itself: the probability of going from `s` to
+//! `t` equals that of going from `g·s` to `g·t` for each of the four
+//! group elements `g`. The chain is then exactly (strongly) lumpable onto
+//! the orbits of that group (Kemeny & Snell, *Finite Markov Chains*,
+//! §6.3): an orbit's row is any member's row summed by orbit, the lumped
+//! chain's stationary distribution is the full one summed by orbit, and
+//! every reward the analysis reads — arrivals, discards, departures,
+//! occupancy — is the same on all members. [`Switch2x2`] therefore names
+//! each successor by the least of its four images, and exploration walks
+//! about a quarter of the states.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -35,10 +49,17 @@ pub enum CycleOrder {
 }
 
 /// Buffer-design-specific behaviour inside the 2×2 long-clock switch.
+///
+/// Besides the cycle's three steps a model states the switch's symmetry
+/// group on its states: [`swap_inputs`](Self::swap_inputs) and
+/// [`swap_outputs`](Self::swap_outputs) generate it, and `accept` and
+/// `departures` must commute with both (the equivariance check in
+/// `crates/markov/tests/explore_reference.rs` holds every design to it).
 pub trait BufferModel2x2 {
     /// Joint occupancy of the two input buffers, as a `Copy` word (see
-    /// [`MarkovModel::State`]).
-    type State: Copy + Eq + Hash + Debug;
+    /// [`MarkovModel::State`]). The order names each orbit by its least
+    /// member; any total order does, but it fixes the state numbering.
+    type State: Copy + Ord + Hash + Debug;
 
     /// Both buffers empty.
     fn empty(&self) -> Self::State;
@@ -58,9 +79,21 @@ pub trait BufferModel2x2 {
     /// order is part of the contract (see
     /// [`MarkovModel::for_each_transition`]).
     fn departures(&self, state: &Self::State, emit: impl FnMut(Self::State, f64, u32));
+
+    /// `state` with the two input buffers exchanged.
+    fn swap_inputs(&self, state: &Self::State) -> Self::State;
+
+    /// `state` with every resident packet bound for the other output.
+    fn swap_outputs(&self, state: &Self::State) -> Self::State;
 }
 
 /// A [`MarkovModel`] of one 2×2 discarding switch with buffer behaviour `M`.
+///
+/// Its states are orbits of joint occupancies under exchanging inputs and
+/// outputs, each named by its least member (see the module docs): every
+/// successor is emitted in that form, so [`Chain::explore`](crate::Chain::explore)
+/// numbers orbits, and [`orbit_size`](Self::orbit_size) says how many
+/// joint occupancies each one stands for.
 #[derive(Debug, Clone)]
 pub struct Switch2x2<M> {
     model: M,
@@ -101,6 +134,33 @@ impl<M: BufferModel2x2> Switch2x2<M> {
         self.order
     }
 
+    /// How many joint occupancies the orbit of `state` holds: 1, 2 or 4.
+    /// Summed over a chain's states, the reachable joint occupancies.
+    pub fn orbit_size(&self, state: &M::State) -> usize {
+        let images = self.images(state);
+        (0..4)
+            .filter(|&i| !images[..i].contains(&images[i]))
+            .count()
+    }
+
+    /// `state` under each element of the symmetry group: itself, inputs
+    /// exchanged, outputs exchanged, both.
+    fn images(&self, state: &M::State) -> [M::State; 4] {
+        let inputs = self.model.swap_inputs(state);
+        [
+            *state,
+            inputs,
+            self.model.swap_outputs(state),
+            self.model.swap_outputs(&inputs),
+        ]
+    }
+
+    /// The name of `state`'s orbit: the least of its four images.
+    fn canonical(&self, state: &M::State) -> M::State {
+        let [a, b, c, d] = self.images(state);
+        a.min(b).min(c.min(d))
+    }
+
     fn arrival_options(&self) -> [(Option<usize>, f64); 3] {
         let p = self.traffic;
         [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
@@ -123,6 +183,7 @@ impl<M: BufferModel2x2> Switch2x2<M> {
 impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
     type State = M::State;
 
+    /// The empty switch, an orbit of one.
     fn initial(&self) -> Self::State {
         self.model.empty()
     }
@@ -144,7 +205,7 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
                 let arrivals = a0.map_or(0.0, |_| 1.0) + a1.map_or(0.0, |_| 1.0);
                 let mut branch = |next, dp: f64, discards, sent: u32| {
                     emit(Transition {
-                        next,
+                        next: self.canonical(&next),
                         probability: prob * dp,
                         reward: Reward {
                             arrivals,
@@ -175,6 +236,16 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
 /// Per-(input, output) packet counts for the count-based models
 /// (DAMQ/SAMQ/SAFC/DAFC).
 pub(crate) type Counts = [[u8; 2]; 2];
+
+/// `counts` with the two inputs' rows exchanged.
+pub(crate) fn swap_count_inputs(counts: &Counts) -> Counts {
+    [counts[1], counts[0]]
+}
+
+/// `counts` with the two outputs' columns exchanged.
+pub(crate) fn swap_count_outputs(counts: &Counts) -> Counts {
+    counts.map(|[to0, to1]| [to1, to0])
+}
 
 /// `counts` after sending one packet along each `(input, output)` move.
 fn after(counts: &Counts, moves: &[(usize, usize)]) -> Counts {

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use damq_core::BufferKind;
 
 use crate::chain::{Chain, FxHashMap, MarkovModel, Reward, Transition};
-use crate::discard::{AnalysisError, DiscardPoint};
+use crate::discard::{check_shared, AnalysisError, DiscardPoint};
 use crate::solve::SolveOptions;
 use crate::switch2x2::CycleOrder;
 
@@ -59,7 +59,9 @@ impl SwitchKxK {
     /// # Panics
     ///
     /// Panics if `kind` is FIFO (not representable by counts), the radix
-    /// is < 2, the capacity is 0, or `traffic` is not a probability.
+    /// is < 2 or above 4, the capacity is 0 or above 255, or `traffic` is
+    /// not a probability ([`discard_probability_kxk`] reports each as an
+    /// error instead).
     pub fn new(
         kind: BufferKind,
         radix: usize,
@@ -257,8 +259,12 @@ impl MarkovModel for SwitchKxK {
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError`] for invalid static capacities or solver
-/// failure.
+/// Returns [`AnalysisError::UnsupportedKind`] for FIFO,
+/// [`AnalysisError::RadixOutOfRange`] outside radix 2–4,
+/// [`AnalysisError::ZeroCapacity`], [`AnalysisError::CapacityTooLarge`]
+/// past 255 slots, [`AnalysisError::TrafficNotAProbability`],
+/// [`AnalysisError::OddStaticCapacity`] when a static design's capacity
+/// does not divide by the radix, or a wrapped solver failure.
 ///
 /// # Examples
 ///
@@ -286,6 +292,24 @@ pub fn discard_probability_kxk(
     order: CycleOrder,
     options: SolveOptions,
 ) -> Result<DiscardPoint, AnalysisError> {
+    if kind == BufferKind::Fifo {
+        return Err(AnalysisError::UnsupportedKind { kind });
+    }
+    if !(2..=MAX_KXK_RADIX).contains(&radix) {
+        return Err(AnalysisError::RadixOutOfRange {
+            radix,
+            max: MAX_KXK_RADIX,
+        });
+    }
+    check_shared(kind, capacity, traffic)?;
+    let max = usize::from(u8::MAX);
+    if capacity > max {
+        return Err(AnalysisError::CapacityTooLarge {
+            kind,
+            capacity,
+            max,
+        });
+    }
     let model = SwitchKxK::new(kind, radix, capacity, traffic, order)?;
     let chain = Chain::explore(&model);
     let ss = chain.steady_state(options)?;
@@ -420,6 +444,49 @@ mod tests {
             SwitchKxK::new(BufferKind::Fifo, 4, 4, 0.5, CycleOrder::ArrivalsFirst)
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn degenerate_points_are_typed_errors_not_panics() {
+        // Each used to panic in `SwitchKxK::new`.
+        use AnalysisError::*;
+        let analyse = |kind, radix, capacity, traffic| {
+            discard_probability_kxk(
+                kind,
+                radix,
+                capacity,
+                traffic,
+                CycleOrder::ArrivalsFirst,
+                SolveOptions::default(),
+            )
+            .unwrap_err()
+        };
+        let (fifo, damq, samq) = (BufferKind::Fifo, BufferKind::Damq, BufferKind::Samq);
+        assert_eq!(analyse(fifo, 2, 2, 0.5), UnsupportedKind { kind: fifo });
+        for radix in [0, 1, 5] {
+            assert_eq!(
+                analyse(damq, radix, 2, 0.5),
+                RadixOutOfRange { radix, max: 4 }
+            );
+        }
+        assert_eq!(analyse(samq, 2, 0, 0.5), ZeroCapacity { kind: samq });
+        let (capacity, max) = (256, 255);
+        let too_large = CapacityTooLarge {
+            kind: damq,
+            capacity,
+            max,
+        };
+        assert_eq!(analyse(damq, 3, capacity, 0.5), too_large);
+        for traffic in [1.01, -1.0] {
+            assert_eq!(
+                analyse(damq, 2, 2, traffic),
+                TrafficNotAProbability { traffic }
+            );
+        }
+        assert!(matches!(
+            analyse(BufferKind::Dafc, 2, 2, f64::NAN),
+            TrafficNotAProbability { traffic } if traffic.is_nan()
+        ));
     }
 
     #[test]

@@ -9,13 +9,26 @@
 //! scatter power iteration (the default solver until restarted GMRES
 //! replaced it) with a fresh vector per step, and Gauss–Seidel over a
 //! `Vec<Vec<_>>` column copy. It is a reference the tests compare against,
-//! not a second data path — nothing outside this file runs it.
+//! not a second data path — nothing outside this file runs it. It is also
+//! the only place the 2×2 chain over joint occupancies survives: the
+//! shipped `Switch2x2` walks orbits under exchanging inputs and outputs,
+//! and the reference switch does either (`lumped`).
 //!
-//! For every Table 2 shape × traffic {0.25, 0.75, 0.9, 0.99} × both cycle
-//! orders, and for the k×k model at radix 2–4, the two sides must agree on
-//! the state sequence, every CSR row, every reward and Gauss–Seidel's
-//! `pi`, `iterations` and `residual`, all by `f64::to_bits`: the
-//! committed results carry full-precision values, so "close" is a diff.
+//! The 2×2 differential has two halves, each over every Table 2 shape
+//! (and DAFC 2–4) × traffic {0.25, 0.75, 0.9, 0.99} × both cycle orders:
+//!
+//! - (i) the shipped explorer against the reference applying the same
+//!   orbit map, and the k×k model at radix 2–4 against its reference: the
+//!   two sides must agree on the state sequence, every CSR row, every
+//!   reward and Gauss–Seidel's `pi`, `iterations` and `residual`, all by
+//!   `f64::to_bits` — the committed results carry full-precision values,
+//!   so "close" is a diff;
+//! - (ii) the reference on orbits against the reference on joint
+//!   occupancies ([`lumping`]): orbit sizes sum to the joint count, each
+//!   orbit's row is its representative's row summed by orbit, and the
+//!   stationary answers agree. Before that, [`equivariance`] checks the
+//!   premise on every joint state: both generators commute with the
+//!   branches.
 //!
 //! The default solver is a different algorithm from the power iteration,
 //! so those two are compared as distributions ([`stationary_agreement`]:
@@ -30,7 +43,8 @@
 //! other order; duplicate transitions summed last-first; a new Hessenberg
 //! column left unrotated; one basis vector skipped by Gram–Schmidt; the
 //! rotated residual estimate trusted without a measurement — and the
-//! comparison must fail.
+//! comparison must fail. Three more seed a tie-break that favours one
+//! input or queue, which the equivariance check must refuse.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -58,6 +72,14 @@ enum Mutation {
     /// GMRES: a restart whose rotated estimate meets the tolerance returns
     /// at once, without measuring `‖πP − π‖₁`.
     TrustRotatedEstimate,
+    /// FIFO: a head-of-line conflict between equal queues always goes to
+    /// input 0.
+    FifoTieToInput0,
+    /// Single read port: a tie for the longest queue goes to the first
+    /// such queue in (input, output) order only.
+    LongestTieToFirstQueue,
+    /// Fully connected: an output whose two queues tie serves input 0.
+    FullyConnectedTieToInput0,
 }
 
 mod reference {
@@ -71,16 +93,23 @@ mod reference {
     }
 
     pub trait Model {
-        type State: Clone + Eq + Hash + Debug;
+        type State: Clone + Ord + Hash + Debug;
         fn initial(&self) -> Self::State;
         fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>>;
     }
 
     pub trait Buffer2x2 {
-        type State: Clone + Eq + Hash + Debug;
+        type State: Clone + Ord + Hash + Debug;
         fn empty(&self) -> Self::State;
+        fn occupancy(&self, state: &Self::State) -> u32;
         fn accept(&self, state: &mut Self::State, input: usize, output: usize) -> bool;
         fn departures(&self, state: &Self::State) -> Vec<(Self::State, f64, u32)>;
+        fn swap_inputs(&self, state: &Self::State) -> Self::State;
+        fn swap_outputs(&self, state: &Self::State) -> Self::State;
+        /// The order the shipped state type names orbits by, restated on
+        /// this representation: the least image under it is the orbit's
+        /// name on both sides.
+        fn order_key(&self, state: &Self::State) -> [u32; 4];
     }
 
     pub type FifoState = [Vec<u8>; 2];
@@ -95,6 +124,10 @@ mod reference {
 
         fn empty(&self) -> FifoState {
             [Vec::new(), Vec::new()]
+        }
+
+        fn occupancy(&self, state: &FifoState) -> u32 {
+            (state[0].len() + state[1].len()) as u32
         }
 
         fn accept(&self, state: &mut FifoState, input: usize, output: usize) -> bool {
@@ -142,14 +175,38 @@ mod reference {
                     std::cmp::Ordering::Equal => {
                         let (a, sa) = pop(state, &[0]);
                         let (b, sb) = pop(state, &[1]);
-                        if self.mutation == Some(Mutation::SwapTieBranches) {
-                            vec![(b, 0.5, sb), (a, 0.5, sa)]
-                        } else {
-                            vec![(a, 0.5, sa), (b, 0.5, sb)]
+                        match self.mutation {
+                            Some(Mutation::SwapTieBranches) => vec![(b, 0.5, sb), (a, 0.5, sa)],
+                            Some(Mutation::FifoTieToInput0) => vec![(a, 1.0, sa)],
+                            _ => vec![(a, 0.5, sa), (b, 0.5, sb)],
                         }
                     }
                 },
             }
+        }
+
+        fn swap_inputs(&self, state: &FifoState) -> FifoState {
+            [state[1].clone(), state[0].clone()]
+        }
+
+        fn swap_outputs(&self, state: &FifoState) -> FifoState {
+            state
+                .clone()
+                .map(|queue| queue.into_iter().map(|output| 1 - output).collect())
+        }
+
+        /// Lengths first, then each queue read as a binary number with
+        /// the head as its least significant digit.
+        fn order_key(&self, state: &FifoState) -> [u32; 4] {
+            let word = |queue: &Vec<u8>| {
+                (queue.iter().enumerate()).fold(0, |w, (k, &o)| w | u32::from(o) << k)
+            };
+            [
+                state[0].len() as u32,
+                state[1].len() as u32,
+                word(&state[0]),
+                word(&state[1]),
+            ]
         }
     }
 
@@ -188,6 +245,8 @@ mod reference {
                 }
                 if candidates.is_empty() {
                     vec![(Vec::new(), 1.0)]
+                } else if mutation == Some(Mutation::LongestTieToFirstQueue) {
+                    vec![(vec![candidates[0]], 1.0)]
                 } else {
                     let p = 1.0 / candidates.len() as f64;
                     candidates.into_iter().map(|m| (vec![m], p)).collect()
@@ -196,7 +255,10 @@ mod reference {
         }
     }
 
-    fn fully_connected_moves(counts: &Counts) -> Vec<(Vec<(usize, usize)>, f64)> {
+    fn fully_connected_moves(
+        counts: &Counts,
+        mutation: Option<Mutation>,
+    ) -> Vec<(Vec<(usize, usize)>, f64)> {
         let choose = |output: usize| -> Vec<(Option<usize>, f64)> {
             let c0 = counts[0][output];
             let c1 = counts[1][output];
@@ -207,6 +269,11 @@ mod reference {
                 (true, true) => match c0.cmp(&c1) {
                     std::cmp::Ordering::Greater => vec![(Some(0), 1.0)],
                     std::cmp::Ordering::Less => vec![(Some(1), 1.0)],
+                    std::cmp::Ordering::Equal
+                        if mutation == Some(Mutation::FullyConnectedTieToInput0) =>
+                    {
+                        vec![(Some(0), 1.0)]
+                    }
                     std::cmp::Ordering::Equal => vec![(Some(0), 0.5), (Some(1), 0.5)],
                 },
             }
@@ -250,6 +317,10 @@ mod reference {
             [[0, 0], [0, 0]]
         }
 
+        fn occupancy(&self, state: &Counts) -> u32 {
+            state.iter().flatten().map(|&c| u32::from(c)).sum()
+        }
+
         fn accept(&self, state: &mut Counts, input: usize, output: usize) -> bool {
             let fits = match self.kind {
                 BufferKind::Damq | BufferKind::Dafc => {
@@ -266,7 +337,7 @@ mod reference {
         fn departures(&self, state: &Counts) -> Vec<(Counts, f64, u32)> {
             let moves = match self.kind {
                 BufferKind::Damq | BufferKind::Samq => single_read_port_moves(state, self.mutation),
-                _ => fully_connected_moves(state),
+                _ => fully_connected_moves(state, self.mutation),
             };
             moves
                 .into_iter()
@@ -276,15 +347,53 @@ mod reference {
                 })
                 .collect()
         }
+
+        fn swap_inputs(&self, state: &Counts) -> Counts {
+            [state[1], state[0]]
+        }
+
+        fn swap_outputs(&self, state: &Counts) -> Counts {
+            [[state[0][1], state[0][0]], [state[1][1], state[1][0]]]
+        }
+
+        fn order_key(&self, state: &Counts) -> [u32; 4] {
+            [state[0][0], state[0][1], state[1][0], state[1][1]].map(u32::from)
+        }
     }
 
+    /// The switch over joint occupancies, or — `lumped` — over their
+    /// orbits under exchanging inputs and outputs, each successor named by
+    /// its least image.
     pub struct Switch2x2<M> {
         pub model: M,
         pub traffic: f64,
         pub order: CycleOrder,
+        pub lumped: bool,
     }
 
     impl<M: Buffer2x2> Switch2x2<M> {
+        fn images(&self, state: &M::State) -> Vec<M::State> {
+            let inputs = self.model.swap_inputs(state);
+            let outputs = self.model.swap_outputs(state);
+            let both = self.model.swap_outputs(&inputs);
+            vec![state.clone(), inputs, outputs, both]
+        }
+
+        pub fn canonical(&self, state: &M::State) -> M::State {
+            let images = self.images(state);
+            images
+                .into_iter()
+                .min_by_key(|s| self.model.order_key(s))
+                .unwrap()
+        }
+
+        pub fn orbit_size(&self, state: &M::State) -> usize {
+            let mut images = self.images(state);
+            images.sort();
+            images.dedup();
+            images.len()
+        }
+
         fn arrival_options(&self) -> [(Option<usize>, f64); 3] {
             let p = self.traffic;
             [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
@@ -355,6 +464,11 @@ mod reference {
                             }
                         }
                     }
+                }
+            }
+            if self.lumped {
+                for t in &mut out {
+                    t.next = self.canonical(&t.next);
                 }
             }
             out
@@ -889,7 +1003,7 @@ fn same_solution(what: &str, new: &SteadyState, old: &SteadyState) -> Result<(),
 }
 
 /// Most products the default solver may spend on one chain of the sweep
-/// (the most any takes is 126).
+/// (the most any takes is 124).
 const PRODUCT_BUDGET: usize = 150;
 
 /// `candidate` — a GMRES solve of `matrix` — against the power iteration's
@@ -1032,7 +1146,8 @@ where
 const TRAFFICS: [f64; 4] = [0.25, 0.75, 0.9, 0.99];
 const ORDERS: [CycleOrder; 2] = [CycleOrder::ArrivalsFirst, CycleOrder::DeparturesFirst];
 
-/// One 2×2 shape at one traffic level and cycle order.
+/// One 2×2 shape at one traffic level and cycle order, shipped against
+/// the reference applying the same orbit map (half (i)).
 fn two_by_two(
     kind: BufferKind,
     capacity: usize,
@@ -1057,6 +1172,7 @@ fn two_by_two(
                 model: old,
                 traffic,
                 order,
+                lumped: true,
             },
             |s| *s,
             mutation,
@@ -1074,6 +1190,7 @@ fn two_by_two(
                 model: reference::Fifo { capacity, mutation },
                 traffic,
                 order,
+                lumped: true,
             },
             FifoState::unpack,
             mutation,
@@ -1086,34 +1203,253 @@ fn two_by_two(
     .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
 }
 
-/// Every shape of Table 2 (and the DAFC ablation) at every traffic level
-/// and cycle order of the sweep.
-fn table2_shapes(
-    kind: BufferKind,
-    capacities: &[usize],
-    mutation: Option<Mutation>,
+/// The reference switch over joint occupancies is equivariant: on every
+/// reachable state `s` and for both generators `g`, the branches out of
+/// `g·s` are the branches out of `s` moved by `g`, as a multiset of
+/// (successor, probability, reward), all by bits.
+fn equivariance<M: reference::Buffer2x2>(
+    full: &reference::Switch2x2<M>,
+    states: &[M::State],
 ) -> Result<(), String> {
-    for &capacity in capacities {
-        for traffic in TRAFFICS {
-            for order in ORDERS {
-                two_by_two(kind, capacity, traffic, order, mutation)?;
+    use reference::Model;
+    type Generator<M, S> = fn(&M, &S) -> S;
+    let generators: [(&str, Generator<M, M::State>); 2] =
+        [("inputs", M::swap_inputs), ("outputs", M::swap_outputs)];
+    // The branches out of `of`, each successor moved by `g`, sorted.
+    let multiset = |of: &M::State, g: &dyn Fn(&M::State) -> M::State| {
+        let mut branches: Vec<_> = (full.transitions(of).iter())
+            .map(|t| (g(&t.next), t.probability.to_bits(), bits(t.reward)))
+            .collect();
+        branches.sort();
+        branches
+    };
+    for state in states {
+        for (name, g) in generators {
+            let image = multiset(&g(&full.model, state), &|s| s.clone());
+            let moved = multiset(state, &|s| g(&full.model, s));
+            if image != moved {
+                return Err(format!(
+                    "equivariance: swapping the {name} of {state:?} gives {image:x?}, \
+                     its branches moved give {moved:x?}"
+                ));
             }
         }
     }
     Ok(())
 }
 
+/// Discard probability, throughput and mean occupancy of an explored
+/// reference chain under `pi`.
+fn measures<M: reference::Buffer2x2>(
+    model: &M,
+    chain: &reference::Explored<M::State>,
+    pi: &[f64],
+) -> [f64; 3] {
+    let mut reward = Reward::default();
+    let mut occupancy = 0.0;
+    for ((state, r), &p) in chain.states.iter().zip(&chain.rewards).zip(pi) {
+        reward = reward + *r * p;
+        occupancy += p * f64::from(model.occupancy(state));
+    }
+    let discard = if reward.arrivals > 0.0 {
+        reward.discards / reward.arrivals
+    } else {
+        0.0
+    };
+    [discard, reward.departures, occupancy]
+}
+
+/// The reference chain on orbits against the reference chain on joint
+/// occupancies (half (ii)): the orbit sizes add up to the joint count,
+/// each orbit's rewards are its representative's and its row is the
+/// representative's row summed by orbit (within 1e-15 per entry), and
+/// the two stationary answers agree — `π` summed by orbit within 1e-10,
+/// discard probability, throughput and mean occupancy within 1e-12 (of
+/// the value, where it exceeds 1).
+fn lumping<M: reference::Buffer2x2>(
+    full: &reference::Switch2x2<M>,
+    unlumped: &reference::Explored<M::State>,
+    lumped: &reference::Explored<M::State>,
+) -> Result<(), String> {
+    use damq_markov::FxHashMap;
+    let sizes: usize = lumped.states.iter().map(|s| full.orbit_size(s)).sum();
+    if sizes != unlumped.states.len() {
+        return Err(format!(
+            "orbit sizes sum to {sizes}, {} joint states",
+            unlumped.states.len()
+        ));
+    }
+    let joint: FxHashMap<&M::State, usize> = (unlumped.states.iter().enumerate())
+        .map(|(j, s)| (s, j))
+        .collect();
+    let orbit: FxHashMap<&M::State, usize> = (lumped.states.iter().enumerate())
+        .map(|(i, s)| (s, i))
+        .collect();
+    let orbit_of = |s: &M::State| orbit[&full.canonical(s)];
+    for (i, representative) in lumped.states.iter().enumerate() {
+        let Some(&j) = joint.get(representative) else {
+            return Err(format!("orbit {representative:?} is not reachable"));
+        };
+        if bits(lumped.rewards[i]) != bits(unlumped.rewards[j]) {
+            return Err(format!(
+                "orbit {representative:?}: reward {:?} vs {:?}",
+                lumped.rewards[i], unlumped.rewards[j]
+            ));
+        }
+        let mut summed = std::collections::BTreeMap::new();
+        for (col, p) in unlumped.matrix.row(j) {
+            *summed.entry(orbit_of(&unlumped.states[col])).or_insert(0.0) += p;
+        }
+        let row: Vec<(usize, f64)> = lumped.matrix.row(i).collect();
+        let agrees = row.len() == summed.len()
+            && (row.iter().zip(&summed))
+                .all(|(&(c, a), (&d, &b))| c == d && (a - b).abs() <= 1e-15);
+        if !agrees {
+            return Err(format!(
+                "orbit {representative:?}: row {row:?}, summed by orbit {summed:?}"
+            ));
+        }
+    }
+    // Past the default tolerance, so what is compared is the lumping and
+    // not two solves' rounding (on the slowest-mixing FIFO-6 chains the
+    // default leaves the occupancies ~1e-12 apart).
+    let options = SolveOptions {
+        tolerance: 1e-15,
+        max_iterations: 1_000,
+    };
+    let solve =
+        |chain: &reference::Explored<M::State>| reference::gmres(&chain.matrix, options, None);
+    let (by_state, by_orbit) = (solve(unlumped)?, solve(lumped)?);
+    let mut summed = vec![0.0; lumped.states.len()];
+    for (state, p) in unlumped.states.iter().zip(&by_state.pi) {
+        summed[orbit_of(state)] += p;
+    }
+    let apart =
+        (summed.iter().zip(&by_orbit.pi)).fold(0.0, |worst: f64, (a, b)| worst.max((a - b).abs()));
+    if apart > 1e-10 {
+        return Err(format!(
+            "pi summed by orbit is {apart:e} from the lumped pi"
+        ));
+    }
+    let on_states = measures(&full.model, unlumped, &by_state.pi);
+    let on_orbits = measures(&full.model, lumped, &by_orbit.pi);
+    // Mean occupancy runs to 12 packets: 1e-12 of it is the same 13 digits.
+    if (0..3).any(|k| (on_states[k] - on_orbits[k]).abs() > 1e-12 * on_states[k].max(1.0)) {
+        return Err(format!(
+            "[discard, throughput, occupancy] {on_orbits:?} on orbits, {on_states:?} on joint states"
+        ));
+    }
+    Ok(())
+}
+
+/// One 2×2 shape's symmetry: equivariance of the reference model (which
+/// carries `mutation`), then lumping.
+fn symmetry(
+    kind: BufferKind,
+    capacity: usize,
+    traffic: f64,
+    order: CycleOrder,
+    mutation: Option<Mutation>,
+) -> Result<(), String> {
+    fn check<M: reference::Buffer2x2>(
+        model: impl Fn() -> M,
+        traffic: f64,
+        order: CycleOrder,
+    ) -> Result<(), String> {
+        let switch = |lumped| reference::Switch2x2 {
+            model: model(),
+            traffic,
+            order,
+            lumped,
+        };
+        let full = switch(false);
+        let unlumped = reference::explore(&full, None);
+        equivariance(&full, &unlumped.states)?;
+        lumping(&full, &unlumped, &reference::explore(&switch(true), None))
+    }
+    match kind {
+        BufferKind::Fifo => check(|| reference::Fifo { capacity, mutation }, traffic, order),
+        _ => check(
+            || reference::CountBuffer {
+                kind,
+                capacity: capacity as u8,
+                mutation,
+            },
+            traffic,
+            order,
+        ),
+    }
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+}
+
+/// Every shape of Table 2 (and the DAFC ablation) at every traffic level
+/// and cycle order of the sweep, through `each`.
+fn table2_shapes(
+    kind: BufferKind,
+    capacities: &[usize],
+    each: impl Fn(BufferKind, usize, f64, CycleOrder, Option<Mutation>) -> Result<(), String>,
+) -> Result<(), String> {
+    for &capacity in capacities {
+        for traffic in TRAFFICS {
+            for order in ORDERS {
+                each(kind, capacity, traffic, order, None)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The shapes of Table 2 and the DAFC ablation.
+const SHAPES: [(BufferKind, &[usize]); 5] = [
+    (BufferKind::Fifo, &[2, 3, 4, 5, 6]),
+    (BufferKind::Damq, &[2, 3, 4, 5, 6]),
+    (BufferKind::Samq, &[2, 4, 6]),
+    (BufferKind::Safc, &[2, 4, 6]),
+    (BufferKind::Dafc, &[2, 3, 4]),
+];
+
 #[test]
 fn fifo_chains_match_the_reference_bit_for_bit() {
-    table2_shapes(BufferKind::Fifo, &[2, 3, 4, 5, 6], None).unwrap();
+    let (kind, capacities) = SHAPES[0];
+    table2_shapes(kind, capacities, two_by_two).unwrap();
 }
 
 #[test]
 fn count_based_chains_match_the_reference_bit_for_bit() {
-    table2_shapes(BufferKind::Damq, &[2, 3, 4, 5, 6], None).unwrap();
-    table2_shapes(BufferKind::Samq, &[2, 4, 6], None).unwrap();
-    table2_shapes(BufferKind::Safc, &[2, 4, 6], None).unwrap();
-    table2_shapes(BufferKind::Dafc, &[2, 3, 4], None).unwrap();
+    for (kind, capacities) in &SHAPES[1..] {
+        table2_shapes(*kind, capacities, two_by_two).unwrap();
+    }
+}
+
+#[test]
+fn fifo_lumping_is_exact() {
+    let (kind, capacities) = SHAPES[0];
+    table2_shapes(kind, capacities, symmetry).unwrap();
+}
+
+#[test]
+fn count_based_lumping_is_exact() {
+    for (kind, capacities) in &SHAPES[1..] {
+        table2_shapes(*kind, capacities, symmetry).unwrap();
+    }
+}
+
+/// Each seeded tie-break that favours one input or queue breaks the
+/// symmetry the lumping rests on, and the equivariance check says so.
+#[test]
+fn asymmetric_tie_breaks_fail_the_equivariance_check() {
+    for (mutation, kind) in [
+        (Mutation::FifoTieToInput0, BufferKind::Fifo),
+        (Mutation::LongestTieToFirstQueue, BufferKind::Damq),
+        (Mutation::FullyConnectedTieToInput0, BufferKind::Safc),
+    ] {
+        let verdict = symmetry(kind, 2, 0.75, ORDERS[0], Some(mutation));
+        let why = verdict.expect_err("the asymmetric tie went unnoticed");
+        assert!(
+            why.contains("equivariance"),
+            "{mutation:?} on {kind}: caught elsewhere: {why}"
+        );
+    }
 }
 
 fn k_by_k(
@@ -1179,13 +1515,15 @@ fn k_by_k_chains_match_the_reference_bit_for_bit() {
 #[test]
 fn mutation_swapped_tie_branches_has_teeth() {
     // Swapping two equiprobable branches renumbers the states they
-    // discover — wherever a tie can occur, which is every shape.
+    // discover — wherever the two lead to different orbits. With two
+    // slots, a single read port's straight-or-crossed tie arises only at
+    // one packet per queue, and the two outcomes are each other's
+    // input-swapped image: one orbit, hence three slots for DAMQ and
+    // four for SAMQ.
     let mutation = Some(Mutation::SwapTieBranches);
-    // (SAMQ with one slot per queue only ever ties into states it has
-    // already numbered, hence two.)
     for (kind, capacity) in [
         (BufferKind::Fifo, 2),
-        (BufferKind::Damq, 2),
+        (BufferKind::Damq, 3),
         (BufferKind::Samq, 4),
     ] {
         let verdict = two_by_two(kind, capacity, 0.75, CycleOrder::ArrivalsFirst, mutation);
@@ -1205,8 +1543,8 @@ fn mutation_reversed_duplicate_sum_has_teeth() {
     }
 }
 
-/// The three solver slips of [`Mutation`], on the two cells of Table 2
-/// that take the most products. The solver measures before it returns,
+/// The three solver slips of [`Mutation`], on the FIFO and DAMQ cells of
+/// Table 2 that take the most products among the traffic levels swept. The solver measures before it returns,
 /// so a slip in the Krylov step costs products rather than digits: the
 /// first two trip the product budget, the third the residual check.
 #[test]
@@ -1310,10 +1648,20 @@ fn slowly_mixing_birth_death_chain() {
 /// The levels of Table 2 (`damq_bench::TABLE2_TRAFFIC`).
 const TABLE2_TRAFFIC: [f64; 8] = [0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99];
 
-/// The work of a Table 2 pass, in matrix–vector products. The counts are
-/// deterministic, so this gate needs no quiet host; the damped power
-/// iteration took 36 532 sweeps over the same 128 cells, 1 368 of them
-/// on FIFO-6 at 0.75.
+/// Products and orbits of one Table 2 cell's chain.
+fn cell_work<M: damq_markov::BufferModel2x2>(model: M, traffic: f64) -> (usize, usize) {
+    let chain = Chain::explore(&Switch2x2::new(model, traffic, CycleOrder::ArrivalsFirst));
+    let solved = chain.steady_state(SolveOptions::default()).unwrap();
+    (solved.iterations, chain.state_count())
+}
+
+/// The work of a Table 2 pass, in state updates: each matrix–vector
+/// product touches every state of its chain once, so a cell costs its
+/// products times `Chain::state_count()`. The counts are deterministic,
+/// so this gate needs no quiet host. On joint occupancies a pass took
+/// 3 327 products and 3.74 M updates; on orbits it takes more products
+/// (3 821) over chains a quarter the size, 1.41 M updates. The damped
+/// power iteration took 36 532 sweeps over the same 128 cells.
 #[test]
 fn table2_work_budget() {
     let capacities: [(BufferKind, &[usize]); 4] = [
@@ -1322,33 +1670,29 @@ fn table2_work_budget() {
         (BufferKind::Samq, &[2, 4, 6]),
         (BufferKind::Safc, &[2, 4, 6]),
     ];
-    let (mut cells, mut total, mut most) = (0, 0, 0);
+    let (mut cells, mut updates, mut most) = (0, 0, 0);
     for (kind, sizes) in capacities {
         for &slots in sizes {
             for traffic in TABLE2_TRAFFIC {
-                let point = damq_markov::discard_probability(
-                    kind,
-                    slots,
-                    traffic,
-                    CycleOrder::ArrivalsFirst,
-                    SolveOptions::default(),
-                )
-                .unwrap();
+                let (products, states) = match kind {
+                    BufferKind::Fifo => cell_work(FifoModel::new(slots), traffic),
+                    BufferKind::Damq => cell_work(DamqModel::new(slots), traffic),
+                    BufferKind::Samq => cell_work(SamqModel::new(slots), traffic),
+                    _ => cell_work(SafcModel::new(slots), traffic),
+                };
                 cells += 1;
-                total += point.iterations;
-                most = most.max(point.iterations);
+                updates += products * states;
+                most = most.max(products);
                 if (kind, slots, traffic) == (BufferKind::Fifo, 6, 0.75) {
-                    assert!(
-                        point.iterations <= 80,
-                        "FIFO-6 at 0.75: {}",
-                        point.iterations
-                    );
+                    // 57 products over 8 065 joint states before lumping.
+                    let updates = products * states;
+                    assert!(updates <= 240_000, "FIFO-6 at 0.75: {updates}");
                 }
             }
         }
     }
     assert_eq!(cells, 128);
-    assert!(total <= 4_000, "{total} products over Table 2");
+    assert!(updates <= 1_600_000, "{updates} state updates over Table 2");
     assert!(most <= 150, "{most} products on one cell");
 }
 
@@ -1383,8 +1727,9 @@ fn fifo_state_packing_round_trips_exhaustively() {
         queues.iter().map(|q| FifoState::pack([q, &[]])).collect();
     assert_eq!(words.len(), queues.len());
 
-    // Accept — including at capacity — and every departure branch agree
-    // with the `Vec` model, for every pair of queues that fits.
+    // Accept — including at capacity — every departure branch and both
+    // symmetry maps agree with the `Vec` model, for every pair of queues
+    // that fits.
     for capacity in 1..=6 {
         let (new, old) = (
             FifoModel::new(capacity),
@@ -1412,6 +1757,8 @@ fn fifo_state_packing_round_trips_exhaustively() {
                     branches.push((next.unpack(), p, sent));
                 });
                 assert_eq!(branches, old.departures(&model), "{state:?}");
+                assert_eq!(new.swap_inputs(&state).unpack(), old.swap_inputs(&model));
+                assert_eq!(new.swap_outputs(&state).unpack(), old.swap_outputs(&model));
             }
         }
     }

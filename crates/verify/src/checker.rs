@@ -20,8 +20,12 @@
 //!
 //! The cycle structure (arrivals applied before departures, 3 arrival
 //! options per input, longest-queue arbitration) mirrors `damq-markov`'s
-//! `Switch2x2` with `CycleOrder::ArrivalsFirst`, so the visited state
-//! count can be cross-validated against `Chain::explore`.
+//! `Switch2x2` with `CycleOrder::ArrivalsFirst`. The two walks do not
+//! visit the same states: the checker walks joint occupancies, the chain
+//! their orbits under exchanging inputs and outputs. So the visited state
+//! count is cross-validated against the joint occupancies those orbits
+//! stand for (`DiscardPoint::states`, the sum of `Switch2x2::orbit_size`),
+//! not against `Chain::state_count`.
 
 use std::collections::{HashSet, VecDeque};
 use std::error::Error;

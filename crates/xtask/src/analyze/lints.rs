@@ -646,7 +646,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 49] = [
+const KERNEL_FNS: [&str; 53] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -698,6 +698,11 @@ const KERNEL_FNS: [&str; 49] = [
     "explore",
     "for_each_transition",
     "departures",
+    // (the 2×2 switch names every successor by its orbit's least image)
+    "canonical",
+    "images",
+    "swap_inputs",
+    "swap_outputs",
     "single_read_port_departures",
     "fully_connected_departures",
     "depart_greedy",

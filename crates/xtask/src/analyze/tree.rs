@@ -4,7 +4,8 @@
 //!
 //! The tree is deliberately shallow in what it understands: every `{`
 //! opens a node whose *header* is the code-token run since the previous
-//! item boundary (`;`, `{` or `}`), every `}` closes one. That is enough
+//! item boundary (`{`, `}`, or a `;` outside brackets — the one in
+//! `-> [u8; 4]` ends nothing), every `}` closes one. That is enough
 //! to answer the structural questions the lints ask ("is this line
 //! inside a `#[cfg(test)] mod`?", "does this `unsafe impl` carry a
 //! SAFETY comment?", "does this `pub fn` consume `self` and return
@@ -60,6 +61,9 @@ impl Builder<'_> {
     /// report when the block never closes (malformed input).
     fn block_children(&mut self, fallback_close: usize) -> Vec<Node> {
         let mut children = Vec::new();
+        // Open `(` / `[` in this block: a `;` inside them is an array
+        // length or a nested statement, not the end of an item.
+        let mut brackets = 0usize;
         while self.pos < self.code.len() {
             let tok = &self.code[self.pos];
             if tok.is_punct('{') {
@@ -83,7 +87,11 @@ impl Builder<'_> {
                 self.pos += 1;
                 return children;
             } else {
-                if tok.is_punct(';') {
+                if tok.is_punct('(') || tok.is_punct('[') {
+                    brackets += 1;
+                } else if tok.is_punct(')') || tok.is_punct(']') {
+                    brackets = brackets.saturating_sub(1);
+                } else if tok.is_punct(';') && brackets == 0 {
                     self.item_start = self.pos + 1;
                 }
                 self.pos += 1;
@@ -335,6 +343,15 @@ mod tests {
         assert_eq!(tree.roots.len(), 2);
         assert_eq!(tree.roots[0].children.len(), 1, "fn f inside mod a");
         assert_eq!(tree.roots[0].children[0].children.len(), 1, "if inside f");
+    }
+
+    #[test]
+    fn array_lengths_do_not_end_a_header() {
+        let toks = code("const N: usize = 4; fn f(x: [u8; 2]) -> [u8; N] { x }");
+        let tree = build(&toks);
+        let (lo, hi) = tree.roots[0].header;
+        assert!(toks[lo].is_ident("fn"), "header starts at `fn`");
+        assert!(toks[hi - 1].is_punct(']'), "header runs to the brace");
     }
 
     #[test]
