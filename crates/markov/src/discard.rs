@@ -28,8 +28,10 @@ pub struct DiscardPoint {
     /// (Little's law: occupancy / throughput).
     pub mean_wait_cycles: f64,
     /// Reachable joint buffer occupancies. For the 2×2 models this is
-    /// the sum of [`Switch2x2::orbit_size`] over the chain's states — the
-    /// chain itself holds one state per orbit, about a quarter as many
+    /// the sum over the chain's states of [`Switch2x2::orbit_size`] times
+    /// [`BufferModel2x2::arrangements`] — the chain itself holds one state
+    /// per orbit, about a quarter as many for the count-based designs and
+    /// far fewer for FIFO, whose states hide the packets behind each head
     /// ([`Chain::state_count`]); for the k×k model the two coincide.
     pub states: usize,
     /// Matrix–vector products the steady-state solve took
@@ -48,9 +50,9 @@ pub enum AnalysisError {
         /// The capacity requested.
         capacity: usize,
     },
-    /// The capacity is beyond what the design's model can represent (for
-    /// FIFO, whose ordered states grow as 4^capacity, also beyond what is
-    /// worth enumerating).
+    /// The capacity is beyond what the design's model accepts (for FIFO,
+    /// [`FifoModel::MAX_CAPACITY`]: beyond it the full-sequence chain the
+    /// model is proved against grows as 4^capacity).
     CapacityTooLarge {
         /// The buffer design requested.
         kind: BufferKind,
@@ -186,7 +188,8 @@ where
         mean_occupancy,
         mean_wait_cycles,
         states: (0..chain.state_count())
-            .map(|i| switch.orbit_size(chain.state(i)))
+            .map(|i| chain.state(i))
+            .map(|s| switch.orbit_size(s) * switch.model().arrangements(s))
             .sum(),
         iterations: ss.iterations,
     })
@@ -380,8 +383,8 @@ mod tests {
 
     #[test]
     fn capacities_past_a_models_bound_are_errors_not_wedges_or_panics() {
-        // (kind, first rejected capacity, reported bound). FIFO 40 used to
-        // start enumerating 4^40 states; DAMQ 256 panicked on a `u8`.
+        // (kind, first rejected capacity, reported bound). FIFO 40 once
+        // started enumerating 4^40 states; DAMQ 256 panicked on a `u8`.
         let table = [
             (BufferKind::Fifo, 9, 8),
             (BufferKind::Fifo, 40, 8),
@@ -465,6 +468,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.states, 9);
+        // FIFO-6: 38 orbits of lengths and heads stand for the 8 065 joint
+        // destination sequences the full chain reaches.
+        let switch = Switch2x2::new(FifoModel::new(6), 0.75, CycleOrder::ArrivalsFirst);
+        assert_eq!(Chain::explore(&switch).state_count(), 38);
+        assert_eq!(point(BufferKind::Fifo, 6, 0.75).states, 8_065);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! [`damq_core`]. The 2×2 chain is lumped by the switch's symmetry:
 //! [`Switch2x2`]'s states are orbits of joint occupancies under exchanging
 //! the inputs and the outputs, about a quarter as many, with the same
-//! stationary answers.
+//! stationary answers. A FIFO state is further lumped by deferred
+//! decisions: each queue's length and head, with the destinations behind
+//! the head drawn only when they reach it ([`FifoModel`]).
 //!
 //! The engine does not allocate per state or per iteration: states are
 //! `Copy` words, a model hands its transitions to a visitor

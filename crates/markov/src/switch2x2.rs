@@ -9,8 +9,11 @@
 //!
 //! The four buffer designs plug into this cycle structure through
 //! [`BufferModel2x2`]; [`Switch2x2`] lifts any such model to a
-//! [`MarkovModel`] whose states are joint buffer occupancies up to the
-//! switch's symmetry.
+//! [`MarkovModel`] whose states are the model's states up to the
+//! switch's symmetry. For the count-based designs a model state is a
+//! joint buffer occupancy; for FIFO it is each queue's length and head,
+//! which stands for [`BufferModel2x2::arrangements`] occupancies (see
+//! [`FifoModel`](crate::FifoModel)).
 //!
 //! Arrivals are uniform over inputs and outputs and the arbiter splits
 //! every tie evenly, so exchanging the two inputs, the two outputs, or
@@ -56,7 +59,9 @@ pub enum CycleOrder {
 /// `departures` must commute with both (the equivariance check in
 /// `crates/markov/tests/explore_reference.rs` holds every design to it).
 pub trait BufferModel2x2 {
-    /// Joint occupancy of the two input buffers, as a `Copy` word (see
+    /// Joint occupancy of the two input buffers — or as much of it as the
+    /// switch can observe: FIFO keeps only each queue's length and head
+    /// (see [`arrangements`](Self::arrangements)) — as a `Copy` word (see
     /// [`MarkovModel::State`]). The order names each orbit by its least
     /// member; any total order does, but it fixes the state numbering.
     type State: Copy + Ord + Hash + Debug;
@@ -85,15 +90,24 @@ pub trait BufferModel2x2 {
 
     /// `state` with every resident packet bound for the other output.
     fn swap_outputs(&self, state: &Self::State) -> Self::State;
+
+    /// How many joint occupancies `state` stands for. 1 (the default)
+    /// when the state is the occupancy itself; a model whose state hides
+    /// what nothing reads yet (FIFO: the destinations behind each head)
+    /// counts the occupancies it aggregates.
+    fn arrangements(&self, _state: &Self::State) -> usize {
+        1
+    }
 }
 
 /// A [`MarkovModel`] of one 2×2 discarding switch with buffer behaviour `M`.
 ///
-/// Its states are orbits of joint occupancies under exchanging inputs and
+/// Its states are orbits of model states under exchanging inputs and
 /// outputs, each named by its least member (see the module docs): every
 /// successor is emitted in that form, so [`Chain::explore`](crate::Chain::explore)
-/// numbers orbits, and [`orbit_size`](Self::orbit_size) says how many
-/// joint occupancies each one stands for.
+/// numbers orbits, [`orbit_size`](Self::orbit_size) says how many model
+/// states each one holds, and [`BufferModel2x2::arrangements`] how many
+/// joint occupancies each of those stands for.
 #[derive(Debug, Clone)]
 pub struct Switch2x2<M> {
     model: M,
@@ -134,8 +148,10 @@ impl<M: BufferModel2x2> Switch2x2<M> {
         self.order
     }
 
-    /// How many joint occupancies the orbit of `state` holds: 1, 2 or 4.
-    /// Summed over a chain's states, the reachable joint occupancies.
+    /// How many model states the orbit of `state` holds: 1, 2 or 4. Times
+    /// [`arrangements`](BufferModel2x2::arrangements) (the same on every
+    /// member) and summed over a chain's states, the reachable joint
+    /// occupancies.
     pub fn orbit_size(&self, state: &M::State) -> usize {
         let images = self.images(state);
         (0..4)

@@ -142,8 +142,8 @@ fn state_space_sizes_respect_combinatorial_bounds() {
         // SAMQ's.
         assert!(safc.state_count() <= samq.state_count());
 
-        // FIFO: ordered destination strings up to length cap.
-        let per_input = (1usize << (cap + 1)) - 1; // sum of 2^l for l in 0..=cap
+        // FIFO: empty, or a length in 1..=cap with either head.
+        let per_input = 1 + 2 * cap;
         let fifo = Chain::explore(&Switch2x2::new(
             FifoModel::new(cap),
             traffic,

@@ -10,17 +10,6 @@ use crate::config::SwitchConfig;
 use crate::crossbar::Crossbar;
 use crate::INLINE_PORTS;
 
-/// One packet leaving a switch in a transmission cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Departure {
-    /// Buffer the packet came from.
-    pub input: InputPort,
-    /// Output port it leaves through.
-    pub output: OutputPort,
-    /// The packet itself (hop already recorded).
-    pub packet: Packet,
-}
-
 /// The caller's side of one arbitration cycle: flow control plus departure
 /// handling, as a single object so the cycle kernel makes no allocations.
 ///
@@ -55,26 +44,11 @@ pub trait CycleSink {
     }
 }
 
-/// Adapter giving the classic closure-plus-`Vec` surface of
-/// [`Switch::transmit_cycle`] on top of [`CycleSink`].
-struct CollectSink<F> {
-    can_send: F,
-    departures: Vec<Departure>,
-}
-
-impl<F: FnMut(OutputPort, FrontMeta) -> bool> CycleSink for CollectSink<F> {
-    fn can_send(&mut self, output: OutputPort, front: FrontMeta) -> bool {
-        (self.can_send)(output, front)
-    }
-
-    fn depart(&mut self, input: InputPort, output: OutputPort, packet: Packet) {
-        self.departures.push(Departure {
-            input,
-            output,
-            packet,
-        });
-    }
-}
+/// The switch tests' collecting adapter (`Vec` of departures, closure
+/// flow control), shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/support/collect.rs"]
+mod collect;
 
 /// An n×n switch with per-input buffers of a configurable design, a
 /// crossbar, and a central arbiter.
@@ -88,11 +62,12 @@ impl<F: FnMut(OutputPort, FrontMeta) -> bool> CycleSink for CollectSink<F> {
 ///
 /// The switch is driven externally in two phases per network cycle:
 ///
-/// 1. [`Switch::transmit_cycle`] — the arbiter connects buffers to output
-///    ports and dequeues at most one packet per output (and, except for
-///    SAFC, at most one per buffer). The caller supplies a `can_send`
-///    predicate implementing the flow-control discipline (always `true` for
-///    discarding, downstream-space check for blocking).
+/// 1. [`Switch::transmit_cycle_with`] — the arbiter connects buffers to
+///    output ports and dequeues at most one packet per output (and, except
+///    for SAFC and DAFC, at most one per buffer). The caller's
+///    [`CycleSink`] implements the flow-control discipline (always `true`
+///    for discarding, downstream-space check for blocking) and takes the
+///    departing packets.
 /// 2. [`Switch::receive`] — arriving packets, already routed to an output
 ///    port, are stored; a full buffer rejects the packet and the caller
 ///    decides (per protocol) whether that is a discard or a stall.
@@ -100,16 +75,29 @@ impl<F: FnMut(OutputPort, FrontMeta) -> bool> CycleSink for CollectSink<F> {
 /// # Examples
 ///
 /// ```
-/// use damq_core::{BufferKind, NodeId, InputPort, OutputPort, Packet};
-/// use damq_switch::{Switch, SwitchConfig};
+/// use damq_core::{BufferKind, FrontMeta, InputPort, NodeId, OutputPort, Packet};
+/// use damq_switch::{CycleSink, Switch, SwitchConfig};
+///
+/// /// A discarding network's side of a cycle: send everything, note
+/// /// where each packet went.
+/// struct Outputs(Vec<OutputPort>);
+///
+/// impl CycleSink for Outputs {
+///     fn can_send(&mut self, _: OutputPort, _: FrontMeta) -> bool {
+///         true
+///     }
+///     fn depart(&mut self, _: InputPort, output: OutputPort, _: Packet) {
+///         self.0.push(output);
+///     }
+/// }
 ///
 /// let mut sw = Switch::new(SwitchConfig::new(4).buffer_kind(BufferKind::Damq))?;
 /// let p = Packet::builder(NodeId::new(0), NodeId::new(9)).build();
 /// sw.receive(InputPort::new(1), OutputPort::new(3), p)?;
 ///
-/// let sent = sw.transmit_cycle(|_out, _pkt| true);
-/// assert_eq!(sent.len(), 1);
-/// assert_eq!(sent[0].output, OutputPort::new(3));
+/// let mut sent = Outputs(Vec::new());
+/// sw.transmit_cycle_with(&mut sent);
+/// assert_eq!(sent.0, [OutputPort::new(3)]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -231,17 +219,15 @@ impl<B: SwitchBuffer> Switch<B> {
         stored
     }
 
-    /// Runs one arbitration/transmission cycle.
+    /// Runs one arbitration/transmission cycle against a [`CycleSink`].
     ///
     /// Buffers are examined in the arbiter's rotating order. Each buffer
-    /// offers its non-blocked queues (per `can_send`) as candidates, the
-    /// arbiter picks one per read port, and the winning packets are
-    /// dequeued. Each output port carries at most one packet per cycle.
-    ///
-    /// `can_send(output, packet)` implements flow control: return `false`
-    /// to block that packet this cycle (e.g. no space downstream).
-    ///
-    /// Departing packets have their hop count incremented.
+    /// offers its non-blocked queues (per [`CycleSink::can_send`]) as
+    /// candidates, the arbiter picks one per read port, and the winning
+    /// packets are dequeued, their hop count incremented, and handed to
+    /// [`CycleSink::depart`]. Each output port carries at most one packet
+    /// per cycle. `can_send` implements flow control: it returns `false`
+    /// to block a head this cycle (e.g. no space downstream).
     ///
     /// # Determinism
     ///
@@ -253,24 +239,11 @@ impl<B: SwitchBuffer> Switch<B> {
     /// caller's read-only downstream probes. Mutation of *shared* state
     /// (the downstream `receive`) is the caller's job, after
     /// arbitration.
-    pub fn transmit_cycle<F>(&mut self, can_send: F) -> Vec<Departure>
-    where
-        F: FnMut(OutputPort, FrontMeta) -> bool,
-    {
-        let mut sink = CollectSink {
-            can_send,
-            // lint: allow — compatibility adapter, not the cycle kernel.
-            departures: Vec::new(),
-        };
-        self.transmit_cycle_with(&mut sink);
-        sink.departures
-    }
-
-    /// Runs one arbitration/transmission cycle against a [`CycleSink`].
     ///
-    /// Identical semantics to [`transmit_cycle`](Switch::transmit_cycle) —
-    /// that method is a thin adapter over this one — but allocation-free,
-    /// and its cost follows occupancy rather than the switch's size:
+    /// # Cost
+    ///
+    /// The cycle allocates nothing, and its cost follows occupancy rather
+    /// than the switch's size:
     ///
     /// * a buffer with no resident packet is passed over without being
     ///   examined (its queues cannot compete, its stale counts are already
@@ -373,9 +346,10 @@ impl<B: SwitchBuffer> Switch<B> {
     /// Advances a quiescent switch by one cycle without touching its
     /// buffers.
     ///
-    /// Byte-identical to running [`transmit_cycle`](Switch::transmit_cycle)
-    /// on an empty switch: the crossbar counts an idle cycle, the arbiter
-    /// takes its idle step (dumb rotates; smart holds priority, and its
+    /// Byte-identical to running
+    /// [`transmit_cycle_with`](Switch::transmit_cycle_with) on an empty
+    /// switch: the crossbar counts an idle cycle, the arbiter takes its
+    /// idle step (dumb rotates; smart holds priority, and its
     /// stale counts are provably already zero — the cycle that emptied the
     /// switch observed every queue unoccupied), HOL accounting reads zero,
     /// and no buffer statistic moves (an empty FIFO records nothing).
@@ -391,8 +365,8 @@ impl<B: SwitchBuffer> Switch<B> {
     }
 
     /// Packets head-of-line blocked at the end of the most recent
-    /// [`transmit_cycle`](Switch::transmit_cycle) (always 0 for per-output
-    /// buffer designs).
+    /// [`transmit_cycle_with`](Switch::transmit_cycle_with) (always 0 for
+    /// per-output buffer designs).
     pub fn hol_blocked_last_cycle(&self) -> u64 {
         self.hol_blocked_last_cycle
     }
@@ -501,6 +475,7 @@ impl<B: SwitchBuffer> Switch<B> {
 
 #[cfg(test)]
 mod tests {
+    use super::collect::transmit;
     use super::*;
     use crate::arbiter::ArbiterPolicy;
     use damq_core::{BufferKind, NodeId};
@@ -547,7 +522,7 @@ mod tests {
                 sw.receive(InputPort::new(i), OutputPort::new((i + 1) % ports), pkt(i))
                     .unwrap();
             }
-            assert_eq!(sw.transmit_cycle(|_, _| true).len(), ports);
+            assert_eq!(transmit(&mut sw, |_, _| true).len(), ports);
         }
     }
 
@@ -622,10 +597,10 @@ mod tests {
             .unwrap();
         sw.receive(InputPort::new(1), OutputPort::new(2), pkt(1))
             .unwrap();
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 1);
         assert_eq!(sw.packets_resident(), 1);
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 1);
         assert_eq!(sw.packets_resident(), 0);
     }
@@ -637,7 +612,7 @@ mod tests {
             sw.receive(InputPort::new(i), OutputPort::new((i + 1) % 4), pkt(i))
                 .unwrap();
         }
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 4);
     }
 
@@ -654,7 +629,7 @@ mod tests {
         // Cycle 1: only one packet can use out0; the out1 packet is blocked
         // behind buffer 0's head, so at most... in fact exactly one departs
         // if buffer 0 wins out0, two never happen.
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 1, "HOL blocking limits this cycle to 1");
         assert_eq!(sent[0].output, OutputPort::new(0));
     }
@@ -668,12 +643,12 @@ mod tests {
             .unwrap();
         // Stall out0: the head cannot leave, so the out1 packet behind it
         // is head-of-line blocked this cycle.
-        let sent = sw.transmit_cycle(|out, _| out.index() != 0);
+        let sent = transmit(&mut sw, |out, _| out.index() != 0);
         assert!(sent.is_empty());
         assert_eq!(sw.hol_blocked_last_cycle(), 1);
         // Unstall: the head departs, the out1 packet becomes the head and
         // is no longer blocked.
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 1);
         assert_eq!(sw.hol_blocked_last_cycle(), 0);
         assert_eq!(sw.hol_blocked_total(), 1);
@@ -684,7 +659,7 @@ mod tests {
             .unwrap();
         dsw.receive(InputPort::new(0), OutputPort::new(1), pkt(1))
             .unwrap();
-        let _ = dsw.transmit_cycle(|out, _| out.index() != 0);
+        let _ = transmit(&mut dsw, |out, _| out.index() != 0);
         assert_eq!(
             dsw.hol_blocked_total(),
             0,
@@ -707,13 +682,13 @@ mod tests {
             .unwrap();
         sw.receive(InputPort::new(1), OutputPort::new(0), pkt(3))
             .unwrap();
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 2, "multi-queue removes HOL blocking");
         let outputs: Vec<_> = sent.iter().map(|d| d.output.index()).collect();
         assert!(outputs.contains(&0) && outputs.contains(&1));
         // Everything drains within three cycles (one output-0 conflict).
-        let sent2 = sw.transmit_cycle(|_, _| true);
-        let sent3 = sw.transmit_cycle(|_, _| true);
+        let sent2 = transmit(&mut sw, |_, _| true);
+        let sent3 = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len() + sent2.len() + sent3.len(), 4);
     }
 
@@ -724,7 +699,7 @@ mod tests {
             .unwrap();
         sw.receive(InputPort::new(0), OutputPort::new(1), pkt(1))
             .unwrap();
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 2, "fully-connected buffer uses both outputs");
         let inputs: Vec<_> = sent.iter().map(|d| d.input).collect();
         assert_eq!(inputs, vec![InputPort::new(0), InputPort::new(0)]);
@@ -737,7 +712,7 @@ mod tests {
             .unwrap();
         sw.receive(InputPort::new(0), OutputPort::new(1), pkt(1))
             .unwrap();
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent.len(), 1, "single read port");
     }
 
@@ -746,7 +721,7 @@ mod tests {
         let mut sw = switch(BufferKind::Damq);
         sw.receive(InputPort::new(0), OutputPort::new(3), pkt(0))
             .unwrap();
-        let sent = sw.transmit_cycle(|out, _| out.index() != 3);
+        let sent = transmit(&mut sw, |out, _| out.index() != 3);
         assert!(sent.is_empty());
         assert_eq!(sw.packets_resident(), 1);
     }
@@ -756,7 +731,7 @@ mod tests {
         let mut sw = switch(BufferKind::Fifo);
         sw.receive(InputPort::new(2), OutputPort::new(1), pkt(0))
             .unwrap();
-        let sent = sw.transmit_cycle(|_, _| true);
+        let sent = transmit(&mut sw, |_, _| true);
         assert_eq!(sent[0].packet.hops(), 1);
     }
 
@@ -767,7 +742,7 @@ mod tests {
             .unwrap();
         sw.receive(InputPort::new(3), OutputPort::new(2), pkt(1))
             .unwrap();
-        let _ = sw.transmit_cycle(|_, _| true);
+        let _ = transmit(&mut sw, |_, _| true);
         let stats = sw.aggregate_stats();
         assert_eq!(stats.packets_accepted(), 2);
         assert_eq!(stats.packets_forwarded(), 2);
@@ -800,7 +775,7 @@ mod tests {
             .unwrap();
         assert_eq!(sw.occupied_slots(), 2);
         assert!((sw.occupancy_fraction() - 2.0 / 16.0).abs() < 1e-12);
-        let _ = sw.transmit_cycle(|_, _| true);
+        let _ = transmit(&mut sw, |_, _| true);
         assert_eq!(sw.occupied_slots(), 0);
     }
 
@@ -811,8 +786,8 @@ mod tests {
             sw.receive(InputPort::new(i), OutputPort::new((i + 1) % 4), pkt(i))
                 .unwrap();
         }
-        let _ = sw.transmit_cycle(|_, _| true); // 4/4 outputs used
-        let _ = sw.transmit_cycle(|_, _| true); // 0/4 outputs used
+        let _ = transmit(&mut sw, |_, _| true); // 4/4 outputs used
+        let _ = transmit(&mut sw, |_, _| true); // 0/4 outputs used
         assert!((sw.crossbar_utilization() - 0.5).abs() < 1e-12);
     }
 
@@ -823,7 +798,7 @@ mod tests {
         sw.receive(InputPort::new(0), OutputPort::new(2), pkt(0))
             .unwrap();
         assert!(!sw.is_quiescent());
-        let _ = sw.transmit_cycle(|_, _| true);
+        let _ = transmit(&mut sw, |_, _| true);
         assert!(sw.is_quiescent());
         // A rejected receive does not disturb the resident count.
         let mut tiny = Switch::new(
@@ -856,12 +831,12 @@ mod tests {
                     sw.receive(InputPort::new(2), OutputPort::new(1), pkt(1))
                         .unwrap();
                     while !sw.is_quiescent() {
-                        let _ = sw.transmit_cycle(|_, _| true);
+                        let _ = transmit(sw, |_, _| true);
                     }
                 }
                 for cycle in 0..5 {
                     assert!(sw_state(&full) == sw_state(&fast), "{kind}/{policy}");
-                    let sent = full.transmit_cycle(|_, _| true);
+                    let sent = transmit(&mut full, |_, _| true);
                     assert!(sent.is_empty());
                     fast.note_idle_cycle();
                     assert!(
@@ -873,7 +848,7 @@ mod tests {
                 for sw in [&mut full, &mut fast] {
                     sw.receive(InputPort::new(1), OutputPort::new(3), pkt(2))
                         .unwrap();
-                    let sent = sw.transmit_cycle(|_, _| true);
+                    let sent = transmit(sw, |_, _| true);
                     assert_eq!(sent.len(), 1);
                 }
                 assert!(sw_state(&full) == sw_state(&fast), "{kind}/{policy}");
@@ -902,11 +877,11 @@ mod tests {
         )
         .unwrap();
         // Nothing to send: priority must stay at buffer 0.
-        let _ = sw.transmit_cycle(|_, _| true);
+        let _ = transmit(&mut sw, |_, _| true);
         assert_eq!(sw.arbiter().priority_port(), InputPort::new(0));
         sw.receive(InputPort::new(0), OutputPort::new(1), pkt(0))
             .unwrap();
-        let _ = sw.transmit_cycle(|_, _| true);
+        let _ = transmit(&mut sw, |_, _| true);
         assert_eq!(sw.arbiter().priority_port(), InputPort::new(1));
     }
 }

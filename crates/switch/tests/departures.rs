@@ -13,10 +13,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use damq_core::{BufferKind, InputPort, NodeId, OutputPort, Packet, PacketId};
-use damq_switch::{ArbiterPolicy, Switch, SwitchConfig};
+use damq_core::{
+    BufferKind, FrontMeta, InputPort, NodeId, OutputPort, Packet, PacketId, SwitchBuffer,
+};
+use damq_switch::{ArbiterPolicy, CycleSink, Switch, SwitchConfig};
 use ArbiterPolicy::{Dumb, Smart};
 use BufferKind::{Dafc, Damq, Fifo, Safc, Samq};
+
+#[path = "support/collect.rs"]
+mod collect;
+use collect::transmit;
 
 const CYCLES: u64 = 2_000;
 
@@ -67,7 +73,7 @@ fn fingerprint(ports: usize, kind: BufferKind, policy: ArbiterPolicy) -> u64 {
             }
         }
         let blocked = (cycle as usize) % ports;
-        for d in sw.transmit_cycle(|o, _| o.index() != blocked) {
+        for d in transmit(&mut sw, |o, _| o.index() != blocked) {
             hash.word(cycle);
             hash.word(d.input.index() as u64);
             hash.word(d.output.index() as u64);

@@ -22,10 +22,12 @@
 //! options per input, longest-queue arbitration) mirrors `damq-markov`'s
 //! `Switch2x2` with `CycleOrder::ArrivalsFirst`. The two walks do not
 //! visit the same states: the checker walks joint occupancies, the chain
-//! their orbits under exchanging inputs and outputs. So the visited state
+//! orbits under exchanging inputs and outputs of model states that, for
+//! FIFO, keep only each queue's length and head. So the visited state
 //! count is cross-validated against the joint occupancies those orbits
-//! stand for (`DiscardPoint::states`, the sum of `Switch2x2::orbit_size`),
-//! not against `Chain::state_count`.
+//! stand for (`DiscardPoint::states`, the sum of `Switch2x2::orbit_size`
+//! times `BufferModel2x2::arrangements`), not against
+//! `Chain::state_count`.
 
 use std::collections::{HashSet, VecDeque};
 use std::error::Error;

@@ -4,13 +4,15 @@
 //! cycle structure (arrivals first, identical arbitration) through two
 //! independent code bases — the checker drives the concrete `damq-core`
 //! buffers over joint occupancies, the chain drives the analytical models
-//! over orbits of joint occupancies under exchanging the inputs and the
-//! outputs. With a traffic level strictly between 0 and 1 every arrival
+//! over orbits of model states under exchanging the inputs and the
+//! outputs, where a FIFO model state keeps only each queue's length and
+//! head. With a traffic level strictly between 0 and 1 every arrival
 //! combination has positive probability, so the joint occupancies the
-//! chain's orbits stand for (`DiscardPoint::states`, the sum of orbit
-//! sizes) must be exactly the states the checker reached; the orbit count
-//! must lie between a quarter of that and all of it; and the steady-state
-//! distribution must put positive mass on every orbit.
+//! chain's orbits stand for (`DiscardPoint::states`: orbit sizes times
+//! `BufferModel2x2::arrangements`, summed) must be exactly the states the
+//! checker reached; the same sum taken here must agree, with no more
+//! orbits than joint states; and the steady-state distribution must put
+//! positive mass on every orbit.
 
 use damq_core::BufferKind;
 use damq_markov::{
@@ -27,17 +29,34 @@ fn joint_states(kind: BufferKind, capacity: usize, traffic: f64) -> usize {
         .states
 }
 
-/// Orbits of the chain, and whether its stationary distribution is
-/// positive on every one.
-fn orbits<M: BufferModel2x2>(model: M, traffic: f64) -> (usize, bool) {
-    let chain = Chain::explore(&Switch2x2::new(model, traffic, ORDER));
+/// A chain's orbits, the joint occupancies they stand for, and whether
+/// its stationary distribution is positive on every orbit.
+struct Orbits {
+    count: usize,
+    joint: usize,
+    positive: bool,
+}
+
+fn orbits<M: BufferModel2x2>(model: M, traffic: f64) -> Orbits {
+    let switch = Switch2x2::new(model, traffic, ORDER);
+    let chain = Chain::explore(&switch);
     let ss = chain
         .steady_state(SolveOptions::default())
         .expect("solver converges");
-    (chain.state_count(), ss.pi.iter().all(|&p| p > 0.0))
+    let joint = (0..chain.state_count())
+        .map(|i| {
+            let state = chain.state(i);
+            switch.orbit_size(state) * switch.model().arrangements(state)
+        })
+        .sum();
+    Orbits {
+        count: chain.state_count(),
+        joint,
+        positive: ss.pi.iter().all(|&p| p > 0.0),
+    }
 }
 
-fn orbits_of(kind: BufferKind, capacity: usize, traffic: f64) -> (usize, bool) {
+fn orbits_of(kind: BufferKind, capacity: usize, traffic: f64) -> Orbits {
     match kind {
         BufferKind::Fifo => orbits(FifoModel::new(capacity), traffic),
         BufferKind::Samq => orbits(SamqModel::new(capacity), traffic),
@@ -67,10 +86,15 @@ fn checker_state_space_matches_markov_chain_exactly() {
                  the Markov chain's orbits hold {joint}",
                 report.states
             );
-            let (orbits, _) = orbits_of(kind, capacity, 0.9);
+            let orbits = orbits_of(kind, capacity, 0.9);
+            assert_eq!(
+                orbits.joint, joint,
+                "{kind} capacity {capacity}: orbit sizes times arrangements"
+            );
             assert!(
-                (joint.div_ceil(4)..=joint).contains(&orbits),
-                "{kind} capacity {capacity}: {orbits} orbits of {joint} states"
+                orbits.count <= joint,
+                "{kind} capacity {capacity}: {} orbits of {joint} states",
+                orbits.count
             );
         }
     }
@@ -83,10 +107,11 @@ fn steady_state_supports_every_visited_state() {
     // strictly positive on every orbit of states the checker walked.
     for kind in BufferKind::EXTENDED {
         for capacity in capacities(kind) {
-            let (orbits, positive) = orbits_of(kind, capacity, 0.9);
+            let orbits = orbits_of(kind, capacity, 0.9);
             assert!(
-                positive,
-                "{kind} capacity {capacity}: an orbit of {orbits} has no mass"
+                orbits.positive,
+                "{kind} capacity {capacity}: an orbit of {} has no mass",
+                orbits.count
             );
         }
     }
@@ -99,9 +124,9 @@ fn reachable_spaces_are_traffic_independent() {
     let checked = damq_verify::check(BufferKind::Damq, 2)
         .expect("clean")
         .states;
-    let orbits = orbits_of(BufferKind::Damq, 2, 0.5).0;
+    let orbits = orbits_of(BufferKind::Damq, 2, 0.5).count;
     for traffic in [0.1, 0.5, 0.95] {
         assert_eq!(joint_states(BufferKind::Damq, 2, traffic), checked);
-        assert_eq!(orbits_of(BufferKind::Damq, 2, traffic).0, orbits);
+        assert_eq!(orbits_of(BufferKind::Damq, 2, traffic).count, orbits);
     }
 }

@@ -646,7 +646,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 53] = [
+const KERNEL_FNS: [&str; 54] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -705,6 +705,8 @@ const KERNEL_FNS: [&str; 53] = [
     "swap_outputs",
     "single_read_port_departures",
     "fully_connected_departures",
+    // (a FIFO departure reveals each new head as two branches)
+    "reveal",
     "depart_greedy",
     // … and the solvers' per-iteration steps: the products, the GMRES
     // restart (basis, iterate and product buffer are allocated once per
@@ -1187,22 +1189,30 @@ mod tests {
              fn restart_cycle(matrix: &CsrMatrix, basis: &mut [f64]) {\n\
                  let next = vec![0.0; n];\n\
              }\n\
+             fn reveal(state: &S, inputs: &[usize], emit: &mut impl FnMut(S)) {\n\
+                 let hidden: Vec<usize> = inputs.iter().copied().collect();\n\
+             }\n\
+             fn arrangements(&self, state: &S) -> usize {\n\
+                 let lens = state.len.to_vec();\n\
+             }\n\
              }\n",
         )]);
         let findings = run(hot_path_alloc, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(
             lines,
-            vec![3, 4, 5, 6, 17],
+            vec![3, 4, 5, 6, 17, 20],
             "`vec!`, `.collect()` and both map constructors are findings in a \
-             per-state kernel and a per-restart step; the waived map, another \
-             type's `default()`, a binding named `vec` and solver set-up are not"
+             per-state kernel, a per-restart step and a FIFO reveal; the waived \
+             map, another type's `default()`, a binding named `vec`, solver \
+             set-up and the once-per-state count of arrangements are not"
         );
         assert!(
             findings[0].message.contains("vec![") && findings[1].message.contains(".collect()")
         );
         assert!(findings[2].message.contains("hash map"));
         assert!(findings[4].message.contains("restart_cycle"));
+        assert!(findings[5].message.contains("`reveal`"));
     }
 
     #[test]

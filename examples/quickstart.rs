@@ -6,7 +6,9 @@
 //! cargo run --example quickstart
 //! ```
 
+use damq::buffers::FrontMeta;
 use damq::prelude::*;
+use damq::switch::CycleSink;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four packets at one input port of a 4x4 switch: the first three are
@@ -88,14 +90,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         OutputPort::new(2),
         Packet::builder(NodeId::new(1), NodeId::new(2)).build(),
     )?;
-    let mut cycle = 0;
+    let mut printer = Printer { cycle: 0 };
     while sw.packets_resident() > 0 {
-        cycle += 1;
-        let sent = sw.transmit_cycle(|_, _| true);
-        for d in &sent {
-            println!("cycle {cycle}: {} -> {} ({})", d.input, d.output, d.packet);
-        }
+        printer.cycle += 1;
+        sw.transmit_cycle_with(&mut printer);
     }
-    println!("drained in {cycle} cycles");
+    println!("drained in {} cycles", printer.cycle);
     Ok(())
+}
+
+/// The host's side of a switch cycle: a discarding host lets every head
+/// go, and this one prints each packet as it leaves.
+struct Printer {
+    cycle: u32,
+}
+
+impl CycleSink for Printer {
+    fn can_send(&mut self, _output: OutputPort, _front: FrontMeta) -> bool {
+        true
+    }
+
+    fn depart(&mut self, input: InputPort, output: OutputPort, packet: Packet) {
+        println!("cycle {}: {input} -> {output} ({packet})", self.cycle);
+    }
 }

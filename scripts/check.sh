@@ -187,24 +187,32 @@ bench_smoke() {
 # the k x k model at radix 2-4. Asserts (1) exploration, CSR rows,
 # rewards and Gauss-Seidel's `pi` / `iterations` / `residual` equal the
 # `Vec`-state, triplet-sort, scatter-form reference (applying the same
-# orbit map on 2x2 chains) bit for bit; the reference on orbits is an
-# exact lumping of the reference on joint occupancies, and the 2x2
-# models are equivariant under swapping inputs and outputs; the default
-# solver (restarted GMRES) agrees with the reference's damped power
-# iteration as a distribution and with a plain-`Vec` model of itself bit
-# for bit; eight seeded mutations must fail; a Table 2 pass stays inside
-# its budget of state updates (products x orbits: exact counts, no quiet
-# host needed); the model checker's reachable joint states are the ones
-# the chain's orbits stand for (`damq-verify`'s `markov_cross`); (2)
-# the four Markov harnesses regenerate the committed tables and reports
-# byte for byte - a promise about this
-# tree, not across solvers: a change of solver moves the reports'
-# `iterations` and last digits and regenerates them. ~10 s after the
-# release build, so a Markov change is checkable without the full test
-# suite and `results-check`, which cover both legs in a complete run.
+# orbit map on 2x2 chains; for FIFO, the head-only reference) bit for
+# bit; the reference on orbits is an exact lumping of the reference on
+# joint occupancies, and the 2x2 models are equivariant under swapping
+# inputs and outputs; the default solver (restarted GMRES) agrees with
+# the reference's damped power iteration as a distribution and with a
+# plain-`Vec` model of itself bit for bit; eight seeded mutations must
+# fail; a Table 2 pass stays inside its budget of state updates
+# (products x orbits: exact counts, no quiet host needed); (2) half
+# (iii): the head-only FIFO (each queue's length and head) on orbits is
+# the full-sequence FIFO on joint occupancies, aggregated by deferred
+# decisions - arrangements counted, rows class-averaged, stationary
+# answers projected - and three seeded slips of it must fail; the model
+# checker's reachable joint states are the ones the chain's orbits stand
+# for (`damq-verify`'s `markov_cross`); (3) the four Markov harnesses
+# regenerate the committed tables and reports byte for byte - a promise
+# about this tree, not across solvers: a change of solver moves the
+# reports' `iterations` and last digits and regenerates them. ~10 s after
+# the release build, so a Markov change is checkable without the full
+# test suite and `results-check`, which cover every leg in a complete
+# run.
 markov_smoke() {
     gate "markov-smoke: explorer, lumping and solvers vs the reference, with teeth, within the work budget"
-    cargo test -q -p damq-markov --test explore_reference
+    cargo test -q -p damq-markov --test explore_reference -- --skip deferred_decision
+
+    gate "markov-smoke: head-only FIFO vs full sequences (half iii) with its seeded slips; checker counts"
+    cargo test -q -p damq-markov --test explore_reference deferred_decision
     cargo test -q -p damq-verify --test markov_cross
 
     gate "markov-smoke: the four Markov harnesses regenerate the committed tree"
