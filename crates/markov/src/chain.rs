@@ -155,10 +155,15 @@ pub struct Chain<S> {
 impl<S: Copy + Eq + Hash + Debug> Chain<S> {
     /// Builds the chain reachable from `model.initial()`.
     ///
-    /// States are numbered in discovery order from a last-in-first-out
-    /// frontier; each state's matrix row is finished (sorted by column,
-    /// duplicate branches summed in emission order) as the state is
-    /// expanded, so no per-transition record outlives its row.
+    /// States are numbered breadth-first: in discovery order from a
+    /// first-in-first-out frontier, so a state's index is also the order
+    /// it is expanded in. Each state's matrix row is finished (sorted by
+    /// column, duplicate branches summed in emission order) as the state
+    /// is expanded and appended to the CSR arrays in place, so no
+    /// per-transition record outlives its row. Breadth-first is also the
+    /// elimination order that keeps [`steady_state`](crate::steady_state)'s
+    /// direct solve cheap: a state's neighbours sit a few levels from it,
+    /// so eliminating from the last state down fills in little.
     ///
     /// # Panics
     ///
@@ -171,16 +176,13 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
         let mut index: FxHashMap<S, u32> = FxHashMap::default();
         index.insert(root, 0);
         let mut states = Vec::from([root]);
-        let mut frontier = Vec::from([0u32]);
-        // Rows finish in expansion order, not index order: `spans[i]` is
-        // where state i's row sits in `cols` / `vals`.
-        let mut spans = Vec::from([(0, 0)]);
-        let mut rewards = Vec::from([Reward::default()]);
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        let mut rewards = Vec::new();
+        let (mut row_ptr, mut cols, mut vals) = (Vec::from([0]), Vec::new(), Vec::new());
         let mut row: Vec<(u32, f64)> = Vec::new();
 
-        while let Some(from) = frontier.pop() {
-            let state = states[from as usize];
+        // The frontier is `states[rewards.len()..]`: the next state to
+        // expand is the first discovered and not yet expanded.
+        while let Some(&state) = states.get(rewards.len()) {
             let (mut total, mut reward) = (0.0, Reward::default());
             row.clear();
             model.for_each_transition(&state, |t| {
@@ -189,9 +191,6 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
                 let to = *index.entry(t.next).or_insert_with(|| {
                     let id = u32::try_from(states.len()).expect("state count fits in u32");
                     states.push(t.next);
-                    spans.push((0, 0));
-                    rewards.push(Reward::default());
-                    frontier.push(id);
                     id
                 });
                 row.push((to, t.probability));
@@ -212,12 +211,19 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
                     }
                 }
             }
-            spans[from as usize] = (start, cols.len());
-            rewards[from as usize] = reward;
+            row_ptr.push(cols.len());
+            rewards.push(reward);
         }
 
+        // The chain outlives the exploration (and a solve allocates on top
+        // of it): drop the arrays' growth slack.
+        states.shrink_to_fit();
+        rewards.shrink_to_fit();
+        row_ptr.shrink_to_fit();
+        cols.shrink_to_fit();
+        vals.shrink_to_fit();
         Chain {
-            matrix: CsrMatrix::from_row_spans(&spans, &cols, &vals),
+            matrix: CsrMatrix::from_csr(row_ptr, cols, vals),
             states,
             rewards,
         }
@@ -251,8 +257,8 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
         self.rewards[i]
     }
 
-    /// Solves for the stationary distribution by restarted GMRES (see
-    /// [`steady_state`]).
+    /// Solves for the stationary distribution by exact elimination where
+    /// it applies, restarted GMRES otherwise (see [`steady_state`]).
     ///
     /// # Errors
     ///

@@ -35,7 +35,9 @@ pub struct DiscardPoint {
     /// ([`Chain::state_count`]); for the k×k model the two coincide.
     pub states: usize,
     /// Matrix–vector products the steady-state solve took
-    /// ([`SteadyState::iterations`](crate::SteadyState::iterations)).
+    /// ([`SteadyState::iterations`](crate::SteadyState::iterations)): 1
+    /// when the chain is eliminated — every 2×2 chain is — the product
+    /// that checks the residual.
     pub iterations: usize,
 }
 

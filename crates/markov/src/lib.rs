@@ -1,24 +1,27 @@
 //! Markov-chain analysis of 2×2 discarding switches (paper §4.1).
 //!
 //! This crate contains a small, self-contained discrete-time Markov chain
-//! engine — state-space exploration ([`Chain`]), CSR sparse matrices
-//! ([`CsrMatrix`]) and a restarted-GMRES steady-state solver
-//! ([`steady_state`]; Gauss–Seidel is the second opinion) — plus models of
-//! a 2×2 discarding switch for each of the four buffer designs of
-//! [`damq_core`]. The 2×2 chain is lumped by the switch's symmetry:
-//! [`Switch2x2`]'s states are orbits of joint occupancies under exchanging
-//! the inputs and the outputs, about a quarter as many, with the same
-//! stationary answers. A FIFO state is further lumped by deferred
-//! decisions: each queue's length and head, with the destinations behind
-//! the head drawn only when they reach it ([`FifoModel`]).
+//! engine — breadth-first state-space exploration ([`Chain`]), CSR sparse
+//! matrices ([`CsrMatrix`]) and a steady-state solver ([`steady_state`]:
+//! exact GTH elimination on chains of up to 512 states with one closed
+//! class, restarted GMRES on the rest; Gauss–Seidel is the second
+//! opinion) — plus models of a 2×2 discarding switch for each of the four
+//! buffer designs of [`damq_core`]. The 2×2 chain is lumped by the
+//! switch's symmetry: [`Switch2x2`]'s states are orbits of joint
+//! occupancies under exchanging the inputs and the outputs, about a
+//! quarter as many, with the same stationary answers. A FIFO state is
+//! further lumped by deferred decisions: each queue's length and head,
+//! with the destinations behind the head drawn only when they reach it
+//! ([`FifoModel`]).
 //!
 //! The engine does not allocate per state or per iteration: states are
 //! `Copy` words, a model hands its transitions to a visitor
 //! ([`MarkovModel::for_each_transition`]), the explorer finishes each
-//! matrix row as it expands the state, the default solver takes its
-//! products over those rows into buffers it allocates once per solve, and
-//! Gauss–Seidel gathers over one flat column view ([`Columns`]) — see
-//! `docs/PERFORMANCE.md`, "The Markov layer", for the ledger.
+//! matrix row as it expands the state, the default solver eliminates and
+//! takes its products over those rows in buffers it allocates once per
+//! solve, and Gauss–Seidel gathers over one flat column view
+//! ([`Columns`]) — see `docs/PERFORMANCE.md`, "The Markov layer", for the
+//! ledger.
 //!
 //! The headline API is [`discard_probability`], which computes one cell of
 //! the paper's Table 2: the probability that a packet arriving at a 2×2

@@ -31,7 +31,8 @@ impl Default for SolveOptions {
 pub struct SteadyState {
     /// Stationary probability of each state.
     pub pi: Vec<f64>,
-    /// Iterations performed: matrix–vector products for [`steady_state`],
+    /// Iterations performed: matrix–vector products for [`steady_state`]
+    /// (1 on a chain it eliminates: the product that checks the residual),
     /// sweeps for [`steady_state_gauss_seidel`].
     pub iterations: usize,
     /// Final L1 residual `‖πP − π‖₁`.
@@ -72,6 +73,13 @@ pub enum SolveError {
     /// The [`SolveOptions`] admit no meaningful run: a NaN tolerance (it
     /// can never pass the convergence test) or a zero iteration budget.
     InvalidOptions(&'static str),
+    /// The matrix is not square, so it is no transition matrix.
+    NotSquare {
+        /// Its row count.
+        rows: usize,
+        /// Its column count.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -88,14 +96,17 @@ impl fmt::Display for SolveError {
                 "not converged: residual {residual:e} after {iterations} iterations"
             ),
             SolveError::InvalidOptions(why) => write!(f, "invalid solver options: {why}"),
+            SolveError::NotSquare { rows, cols } => {
+                write!(f, "transition matrix is {rows}x{cols}, not square")
+            }
         }
     }
 }
 
 impl Error for SolveError {}
 
-/// Rejects options no run can satisfy, then matrices that are not
-/// row-stochastic.
+/// Rejects options no run can satisfy, then matrices that are not square,
+/// then matrices that are not row-stochastic.
 fn check(matrix: &CsrMatrix, options: SolveOptions) -> Result<(), SolveError> {
     // A negative tolerance is legal (it forces the budget to bind).
     if options.tolerance.is_nan() {
@@ -104,7 +115,10 @@ fn check(matrix: &CsrMatrix, options: SolveOptions) -> Result<(), SolveError> {
     if options.max_iterations == 0 {
         return Err(SolveError::InvalidOptions("max_iterations is zero"));
     }
-    assert_eq!(matrix.rows(), matrix.cols(), "transition matrix is square");
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    if rows != cols {
+        return Err(SolveError::NotSquare { rows, cols });
+    }
     for (row, sum) in matrix.row_sums().into_iter().enumerate() {
         if (sum - 1.0).abs() > 1e-9 {
             return Err(SolveError::NotStochastic { row, sum });
@@ -121,9 +135,10 @@ fn residual(columns: &Columns, pi: &[f64]) -> f64 {
 }
 
 /// Krylov vectors per restart of [`steady_state`]. With the iterate and
-/// the product buffer a solve holds `RESTART + 3` vectors, which on the
-/// largest Table 2 chain stays below what exploring it peaked at; a
-/// longer basis saves a few products and raises the peak.
+/// the product buffer a restarted solve holds `RESTART + 3` vectors,
+/// which kept the largest Table 2 chain's solve below what exploring it
+/// peaked at when GMRES solved it; a longer basis saves a few products
+/// and raises the peak.
 const RESTART: usize = 12;
 
 /// `Σ a_j·b_j` over four interleaved partial sums (a fixed order, so the
@@ -259,26 +274,260 @@ fn restart_cycle(
     products + 1
 }
 
-/// Computes the stationary distribution `π = πP` of a row-stochastic matrix
-/// by restarted GMRES on `(I − Pᵀ)x = 0` from the uniform vector.
+/// Largest chain [`steady_state`] solves by elimination. Its cost grows
+/// with the fill, which breadth-first numbering keeps small on the sparse
+/// 2×2 chains: DAMQ-6 (124 states, the largest Table 2 chain) takes
+/// 13 180 multiply-adds, ~60 µs against GMRES's ~150 µs, and the two
+/// break even between 347 and 791 states (DAMQ-8 to DAMQ-10). The 4×4
+/// chains fill in densely: at 672 and 758 states elimination costs 40–110
+/// times a GMRES solve, at 3 283 and 3 628 states 170–520 times. 512 keeps
+/// every 2×2 chain the results use inside and every large 4×4 chain out
+/// (`docs/PERFORMANCE.md` §9, "Exact elimination").
+const ELIMINATION_MAX_STATES: usize = 512;
+
+/// Word `w` of the bit set `set`, keeping only its members in `lo..hi`.
+fn word(set: &[u64], w: usize, lo: usize, hi: usize) -> u64 {
+    let mut bits = set[w];
+    if w == lo / 64 {
+        bits &= u64::MAX << (lo % 64);
+    }
+    if w == hi / 64 {
+        bits &= (1 << (hi % 64)) - 1;
+    }
+    bits
+}
+
+/// The words of a bit set that hold its members in `lo..hi`.
+fn words(lo: usize, hi: usize) -> std::ops::Range<usize> {
+    if lo < hi {
+        lo / 64..hi.div_ceil(64)
+    } else {
+        0..0
+    }
+}
+
+/// The members of `set` in `lo..hi`, ascending.
+fn members(set: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+    words(lo, hi).flat_map(move |w| {
+        let mut bits = word(set, w, lo, hi);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// The number of members of `set` below `hi`.
+fn count_below(set: &[u64], hi: usize) -> usize {
+    (words(0, hi).map(|w| word(set, w, 0, hi).count_ones() as usize)).sum()
+}
+
+/// The largest member of `set` in `lo..hi`.
+fn highest(set: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    words(lo, hi).rev().find_map(|w| {
+        let bits = word(set, w, lo, hi);
+        (bits != 0).then(|| w * 64 + 63 - bits.leading_zeros() as usize)
+    })
+}
+
+/// GTH state reduction's reduced rows, stored by structure.
 ///
-/// Each pass measures the true residual `‖πP − π‖₁` of the iterate with
-/// one product over the CSR rows ([`CsrMatrix::left_multiply_into`]) and,
-/// while it exceeds the tolerance, runs one restart: at most 12 Arnoldi
-/// steps, then one plain step `π ← πP` that leaves a non-negative vector
-/// of sum 1. Convergence is declared on a measured residual only, and
-/// `residual` is the measurement of the vector returned. `iterations`
-/// and `max_iterations` count every product. The basis, the iterate and
-/// the product buffer are allocated once; nothing is allocated per
-/// product.
+/// Eliminating the states from the last down turns row `k` into the
+/// chain censored on states `0..=k`: the original row plus, for each
+/// higher state `m` it reaches, in descending order, `a · R̂_m`, where `a`
+/// is the row's entry in column `m` at that point (its *multiplier*) and
+/// `R̂_m` is `m`'s reduced row. What remains below the diagonal, divided by
+/// its sum `s_k` (the pivot: the probability of leaving `k` downwards),
+/// is `R̂_k`. Every operation adds or multiplies non-negative numbers, so
+/// nothing cancels and each entry is accurate to its last few bits.
+///
+/// `pattern` holds one bit set of `words` words per row: the columns row
+/// `k` ever touches, below the diagonal (`R̂_k`'s columns) and above it
+/// (the states whose multipliers it takes). `R̂_k`'s values are
+/// `reduced[offsets[k]..offsets[k + 1]]`, in column order. Multipliers
+/// are not stored: back-substitution reduces each row again to read them.
+struct Reduction {
+    words: usize,
+    pattern: Vec<u64>,
+    offsets: Vec<usize>,
+    reduced: Vec<f64>,
+    pivots: Vec<f64>,
+}
+
+/// The symbolic pass over row `k` of `matrix`: its columns, then every
+/// reduced row above the diagonal it reaches, highest first, merged in
+/// (a merge can reach further rows, always lower ones). `row` is `k`'s bit
+/// set and `above` the bit sets of rows `k + 1..`, already complete.
+fn reduce_pattern(matrix: &CsrMatrix, k: usize, words: usize, row: &mut [u64], above: &[u64]) {
+    for (col, _) in matrix.row(k) {
+        row[col / 64] |= 1 << (col % 64);
+    }
+    let mut limit = matrix.rows();
+    while let Some(m) = highest(row, k + 1, limit) {
+        let merged = &above[(m - k - 1) * words..][..words];
+        for (w, bits) in row.iter_mut().enumerate().take(m / 64 + 1) {
+            *bits |= word(merged, w, 0, m);
+        }
+        limit = m;
+    }
+}
+
+/// The numeric pass over row `k`: scatters the row into `work` and applies
+/// each higher reduced row it reaches, highest first, handing every
+/// multiplier to `multiplier` as it is reached. Only columns `lo..` of
+/// `work` are kept up to date (back-substitution reads nothing below the
+/// row); the caller clears the row's columns from `work` afterwards.
+fn reduce_row(
+    matrix: &CsrMatrix,
+    k: usize,
+    elim: &Reduction,
+    lo: usize,
+    work: &mut [f64],
+    mut multiplier: impl FnMut(usize, f64),
+) {
+    let words = elim.words;
+    for (col, p) in matrix.row(k) {
+        work[col] = p;
+    }
+    let row = &elim.pattern[k * words..][..words];
+    let mut limit = matrix.rows();
+    while let Some(m) = highest(row, k + 1, limit) {
+        let a = work[m];
+        multiplier(m, a);
+        let below = &elim.pattern[m * words..][..words];
+        // `R̂_m`'s values from column `lo` on: skip one per column below.
+        let skipped = count_below(below, lo.min(m));
+        let values = &elim.reduced[elim.offsets[m] + skipped..elim.offsets[m + 1]];
+        for (j, &v) in members(below, lo, m).zip(values) {
+            work[j] += a * v;
+        }
+        limit = m;
+    }
+}
+
+/// The stationary distribution of `matrix` by GTH state reduction
+/// (Grassmann, Taksar & Heyman, *Operations Research* 33(5), 1985), or
+/// `None` where it does not apply: a pivot that is not positive — some
+/// state does not reach state 0, so the chain may have several closed
+/// classes — a chain above [`ELIMINATION_MAX_STATES`], or mass beyond
+/// `f64::MAX` before normalising (a stationary vector whose entries span
+/// more than the exponent range).
+///
+/// A symbolic pass sizes the reduced rows exactly, the numeric pass fills
+/// them from the last state down, and back-substitution runs from
+/// `π₀ = 1` upwards: `π_m = Σ_{i<m} π_i · a_im / s_m`, each row's
+/// multipliers `a_im` recomputed by reducing it again (storing them would
+/// cost more memory than the chain). Everything is allocated here, once.
+fn eliminate(matrix: &CsrMatrix) -> Option<Vec<f64>> {
+    let n = matrix.rows();
+    if n == 0 || n > ELIMINATION_MAX_STATES {
+        return None;
+    }
+    let words = n.div_ceil(64);
+    let mut pattern = vec![0u64; n * words];
+    let mut offsets = vec![0; n + 1];
+    for k in (0..n).rev() {
+        let (through, above) = pattern.split_at_mut((k + 1) * words);
+        let row = &mut through[k * words..];
+        reduce_pattern(matrix, k, words, row, above);
+        offsets[k + 1] = count_below(row, k);
+    }
+    for k in 0..n {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut elim = Reduction {
+        words,
+        reduced: vec![0.0; offsets[n]],
+        pattern,
+        offsets,
+        pivots: vec![0.0; n],
+    };
+    let mut work = vec![0.0; n];
+    for k in (1..n).rev() {
+        reduce_row(matrix, k, &elim, 0, &mut work, |_, _| {});
+        let row = &elim.pattern[k * words..][..words];
+        let pivot: f64 = members(row, 0, k).map(|j| work[j]).sum();
+        if pivot.is_nan() || pivot <= 0.0 {
+            return None;
+        }
+        let span = elim.offsets[k]..elim.offsets[k + 1];
+        for (r, j) in elim.reduced[span].iter_mut().zip(members(row, 0, k)) {
+            *r = work[j] / pivot;
+        }
+        elim.pivots[k] = pivot;
+        for j in members(row, 0, n) {
+            work[j] = 0.0;
+        }
+    }
+    // `pi[m]` gathers `Σ π_i · a_im` from rows `i < m` until row `m` is
+    // reached and divides it by its pivot.
+    let mut pi = vec![0.0; n];
+    pi[0] = 1.0;
+    for i in 0..n {
+        if i > 0 {
+            pi[i] /= elim.pivots[i];
+        }
+        let (done, ahead) = pi.split_at_mut(i + 1);
+        let weight = done[i];
+        reduce_row(matrix, i, &elim, i + 1, &mut work, |m, a| {
+            ahead[m - i - 1] += weight * a;
+        });
+        for j in members(&elim.pattern[i * words..][..words], 0, n) {
+            work[j] = 0.0;
+        }
+    }
+    let mass: f64 = pi.iter().sum();
+    if !mass.is_finite() {
+        return None;
+    }
+    for p in &mut pi {
+        *p /= mass;
+    }
+    Some(pi)
+}
+
+/// Computes the stationary distribution `π = πP` of a row-stochastic
+/// matrix: directly by GTH state reduction where that applies, then
+/// checked — or refined — by restarted GMRES on `(I − Pᵀ)x = 0`.
+///
+/// **The start.** A chain of at most 512 states whose every state reaches
+/// state 0 — so it has exactly one stationary distribution — is solved by
+/// Gaussian elimination in the form of Grassmann, Taksar and Heyman:
+/// states are eliminated from the last down, each pivot is the sum of the
+/// eliminated state's remaining exit probabilities rather than `1 − p_kk`,
+/// so nothing is ever subtracted and every entry of `π` is accurate to its
+/// last few bits, however small. The elimination declines (a pivot of
+/// zero) on chains where some state does not reach state 0 and where the
+/// entries of `π` span more than the exponent range, and is not tried
+/// above 512 states, where its fill makes it slower than GMRES; those
+/// start from the uniform vector. [`Chain::explore`](crate::Chain)
+/// numbers states breadth-first, which keeps the fill small.
+///
+/// **The loop.** Each pass measures the true residual `‖πP − π‖₁` of the
+/// iterate with one product over the CSR rows
+/// ([`CsrMatrix::left_multiply_into`]) and, while it exceeds the
+/// tolerance, runs one restart: at most 12 Arnoldi steps, then one plain
+/// step `π ← πP` that leaves a non-negative vector of sum 1. Convergence
+/// is declared on a measured residual only, and `residual` is the
+/// measurement of the vector returned. `iterations` and `max_iterations`
+/// count every product: an eliminated start normally passes the first
+/// measurement, so it reports one. The basis is allocated on the first
+/// restart, the iterate and the product buffer once; nothing is allocated
+/// per product.
 ///
 /// A chain with several closed classes has many stationary vectors; the
 /// one returned is the limit of `uniform · Pᵗ` (the Cesàro limit if the
-/// chain is periodic), as a power iteration's would be.
+/// chain is periodic), as a power iteration's would be. With one closed
+/// class that limit is the one stationary vector, which is what the
+/// elimination computes.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::InvalidOptions`] for options no run can satisfy,
+/// [`SolveError::NotSquare`] for a matrix that is not square,
 /// [`SolveError::NotStochastic`] if a row sum deviates from 1 by more than
 /// 1e-9, or [`SolveError::NotConverged`] if the tolerance is not met within
 /// the iteration budget.
@@ -302,9 +551,20 @@ fn restart_cycle(
 pub fn steady_state(matrix: &CsrMatrix, options: SolveOptions) -> Result<SteadyState, SolveError> {
     check(matrix, options)?;
     let n = matrix.rows();
-    let mut pi = vec![1.0 / n as f64; n];
+    let start = eliminate(matrix).unwrap_or_else(|| vec![1.0 / n as f64; n]);
+    gmres_from(matrix, options, start)
+}
+
+/// [`steady_state`]'s measure-then-restart loop from the start `pi`, on a
+/// matrix [`check`] has passed.
+pub(crate) fn gmres_from(
+    matrix: &CsrMatrix,
+    options: SolveOptions,
+    mut pi: Vec<f64>,
+) -> Result<SteadyState, SolveError> {
+    let n = matrix.rows();
     let mut moved = vec![0.0; n];
-    let mut basis = vec![0.0; (RESTART + 1) * n];
+    let mut basis = Vec::new();
     let mut products = 0;
     loop {
         matrix.left_multiply_into(&pi, &mut moved);
@@ -324,6 +584,9 @@ pub fn steady_state(matrix: &CsrMatrix, options: SolveOptions) -> Result<SteadyS
             });
         }
         if beta > 0.0 {
+            if basis.is_empty() {
+                basis = vec![0.0; (RESTART + 1) * n];
+            }
             // Aim at half the tolerance, in the L2 norm the estimate is
             // in: a restart then at least halves the residual, so a near
             // miss cannot decay into one-step restarts that stall. One
@@ -453,6 +716,15 @@ mod tests {
         moved.iter().zip(pi).map(|(m, p)| (m - p).abs()).sum()
     }
 
+    /// The GMRES loop alone, from the uniform vector — what
+    /// [`steady_state`] runs where elimination declines — so that these
+    /// tests keep exercising the restarts on chains it would eliminate.
+    fn gmres(p: &CsrMatrix, options: SolveOptions) -> Result<SteadyState, SolveError> {
+        check(p, options)?;
+        let n = p.rows();
+        gmres_from(p, options, vec![1.0 / n as f64; n])
+    }
+
     #[test]
     fn gauss_seidel_matches_the_default_solver() {
         // A 4-state chain with uneven structure.
@@ -484,7 +756,7 @@ mod tests {
         // sweeps.
         let p = birth_death(30, 0.49, 0.51);
         let gs = steady_state_gauss_seidel(&p, SolveOptions::default()).unwrap();
-        let ss = steady_state(&p, SolveOptions::default()).unwrap();
+        let ss = gmres(&p, SolveOptions::default()).unwrap();
         assert!(
             ss.iterations < gs.iterations,
             "{} products vs {} sweeps",
@@ -507,7 +779,10 @@ mod tests {
 
     #[test]
     fn identity_chain_is_uniform_start() {
+        // Three closed classes: elimination declines (state 1 never
+        // reaches state 0) and the uniform start is already stationary.
         let p = CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
+        assert_eq!(eliminate(&p), None);
         let ss = steady_state(&p, SolveOptions::default()).unwrap();
         for v in ss.pi {
             assert!((v - 1.0 / 3.0).abs() < 1e-12);
@@ -517,14 +792,92 @@ mod tests {
     #[test]
     fn periodic_chain_needs_no_damping() {
         // 0 → 1, 1 → {0, 2}, 2 → 1 has period 2 and a non-uniform answer;
-        // a plain power iteration oscillates on it for ever.
+        // a plain power iteration oscillates on it for ever. Elimination
+        // solves it outright; the restarts get there too.
         let p =
             CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 1.0)]);
-        let ss = steady_state(&p, SolveOptions::default()).unwrap();
+        let direct = steady_state(&p, SolveOptions::default()).unwrap();
+        assert_eq!(
+            (direct.pi.as_slice(), direct.iterations),
+            (&[0.25, 0.5, 0.25][..], 1)
+        );
+        let ss = gmres(&p, SolveOptions::default()).unwrap();
         for (got, want) in ss.pi.iter().zip([0.25, 0.5, 0.25]) {
             assert!((got - want).abs() < 1e-12, "{:?}", ss.pi);
         }
         assert!(ss.residual <= 1e-13);
+    }
+
+    #[test]
+    fn elimination_is_accurate_entry_by_entry() {
+        // 200 states, up 0.45 / down 0.55: geometric with ratio 9/11, the
+        // mass spanning 17 orders of magnitude. Detailed balance fixes
+        // every ratio `π_{k+1} / π_k`; no entry may lose digits, however
+        // small — an additive solver's tolerance would swamp the tail.
+        let (up, down) = (0.45, 0.55);
+        let p = birth_death(200, up, down);
+        let ss = steady_state(&p, SolveOptions::default()).unwrap();
+        assert_eq!(ss.iterations, 1);
+        assert_eq!(ss.residual, recomputed_residual(&p, &ss.pi));
+        assert!(ss.pi[199] < 1e-17, "{:e}", ss.pi[199]);
+        for (k, w) in ss.pi.windows(2).enumerate() {
+            let ratio = w[1] / w[0];
+            assert!(
+                (ratio / (up / down) - 1.0).abs() < 1e-13,
+                "state {k}: {ratio}"
+            );
+        }
+        // The restarts meet the same tolerance in 1 247 products (the
+        // drift-stall chain of `restart_cycle`) and agree to 1.4e-12 —
+        // absolutely: their tail entries are off by up to 0.15 %.
+        let restarted = gmres(&p, SolveOptions::default()).unwrap();
+        assert_eq!(restarted.iterations, 1247);
+        for (a, b) in ss.pi.iter().zip(&restarted.pi) {
+            assert!((a - b).abs() < 1e-11, "{a:e} vs {b:e}");
+        }
+    }
+
+    #[test]
+    fn elimination_declines_outside_its_domain() {
+        // Reducible: state 2 is absorbing, so it never reaches state 0.
+        let absorbing =
+            CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.5), (2, 2, 1.0)]);
+        assert_eq!(eliminate(&absorbing), None);
+        // Above the state bound, even on a chain it would solve: a cycle
+        // that falls back to state 0 with probability ½ at every step.
+        let cycle = |n: usize| {
+            let t: Vec<_> = (0..n)
+                .flat_map(|s| [(s, (s + 1) % n, 0.5), (s, 0, 0.5)])
+                .collect();
+            CsrMatrix::from_triplets(n, n, &t)
+        };
+        let n = ELIMINATION_MAX_STATES;
+        assert!(eliminate(&cycle(n)).is_some());
+        assert_eq!(eliminate(&cycle(n + 1)), None);
+        // Where `π₀ = 1` leaves the back-substitution past `f64::MAX`:
+        // `π_k / π₀ = 99^k` overflows at k = 155.
+        assert_eq!(eliminate(&birth_death(200, 0.99, 0.01)), None);
+        // Declining leaves exactly the loop from the uniform vector.
+        for p in [absorbing, cycle(n + 1)] {
+            let options = SolveOptions::default();
+            assert_eq!(steady_state(&p, options), gmres(&p, options));
+        }
+    }
+
+    #[test]
+    fn non_square_matrices_are_typed_errors() {
+        let wide = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 2, 1.0)]);
+        let tall = CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0)]);
+        for solver in [steady_state, steady_state_gauss_seidel] {
+            for (p, rows, cols) in [(&wide, 2, 3), (&tall, 3, 2)] {
+                let verdict = solver(p, SolveOptions::default());
+                assert_eq!(verdict, Err(SolveError::NotSquare { rows, cols }));
+            }
+        }
+        assert_eq!(
+            SolveError::NotSquare { rows: 2, cols: 3 }.to_string(),
+            "transition matrix is 2x3, not square"
+        );
     }
 
     #[test]
@@ -578,13 +931,19 @@ mod tests {
             }
         }
         // The edge of the legal range still solves: an infinite tolerance
-        // accepts the uniform start on its first measurement.
+        // accepts the start on its first measurement — the uniform vector
+        // for the loop alone, the eliminated one for the solver.
         let loose = SolveOptions {
             tolerance: f64::INFINITY,
             ..ok
         };
-        let ss = steady_state(&two_state(), loose).unwrap();
+        let ss = gmres(&two_state(), loose).unwrap();
         assert_eq!((ss.pi, ss.iterations), (vec![0.5, 0.5], 1));
+        let ss = steady_state(&two_state(), loose).unwrap();
+        assert_eq!(
+            (ss.pi, ss.iterations),
+            (eliminate(&two_state()).unwrap(), 1)
+        );
     }
 
     #[test]
@@ -641,7 +1000,7 @@ mod tests {
             ("budget of one", &slow, budget(1), Err(1)),
         ];
         for (name, p, options, expected) in cases {
-            match (steady_state(p, options), expected) {
+            match (gmres(p, options), expected) {
                 (Ok(ss), Ok((pi, products))) => {
                     assert_eq!(
                         (ss.pi.as_slice(), ss.iterations),
@@ -668,7 +1027,7 @@ mod tests {
         }
         // A budget that binds after the answer is reached still reports
         // the true residual of where it stopped.
-        match steady_state(&slow, budget(1000)) {
+        match gmres(&slow, budget(1000)) {
             Err(SolveError::NotConverged {
                 residual,
                 iterations: 1000,

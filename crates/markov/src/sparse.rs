@@ -121,23 +121,14 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Assembles a square matrix from finished rows stored out of order:
-    /// row `i` is `cols[lo..hi]` / `vals[lo..hi]` for `spans[i] = (lo, hi)`,
-    /// already sorted by column and free of duplicates. One pass places
-    /// the rows in index order.
-    pub(crate) fn from_row_spans(spans: &[(usize, usize)], cols: &[u32], vals: &[f64]) -> Self {
-        let mut row_ptr = Vec::with_capacity(spans.len() + 1);
-        let mut col_idx = Vec::with_capacity(cols.len());
-        let mut values = Vec::with_capacity(vals.len());
-        row_ptr.push(0);
-        for &(lo, hi) in spans {
-            col_idx.extend_from_slice(&cols[lo..hi]);
-            values.extend_from_slice(&vals[lo..hi]);
-            row_ptr.push(col_idx.len());
-        }
+    /// A square matrix from its CSR arrays, rows already in index order,
+    /// each sorted by column and free of duplicates: row `i` is
+    /// `col_idx[row_ptr[i]..row_ptr[i + 1]]` / `values[..]` likewise.
+    pub(crate) fn from_csr(row_ptr: Vec<usize>, col_idx: Vec<u32>, values: Vec<f64>) -> Self {
+        let n = row_ptr.len() - 1;
         CsrMatrix {
-            rows: spans.len(),
-            cols: spans.len(),
+            rows: n,
+            cols: n,
             row_ptr,
             col_idx,
             values,
@@ -348,16 +339,6 @@ mod tests {
         let cols = m.columns();
         let gathered: Vec<f64> = (0..3).map(|j| cols.dot(j, &x)).collect();
         assert_eq!(gathered, m.left_multiply(&x));
-    }
-
-    #[test]
-    fn row_spans_are_placed_in_index_order() {
-        // Row 1 was finished first, row 0 second.
-        let m = CsrMatrix::from_row_spans(&[(1, 3), (0, 1)], &[0, 0, 1], &[1.0, 0.25, 0.75]);
-        assert_eq!(
-            m,
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.25), (0, 1, 0.75), (1, 0, 1.0)])
-        );
     }
 
     #[test]

@@ -646,7 +646,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 54] = [
+const KERNEL_FNS: [&str; 61] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -708,9 +708,19 @@ const KERNEL_FNS: [&str; 54] = [
     // (a FIFO departure reveals each new head as two branches)
     "reveal",
     "depart_greedy",
-    // … and the solvers' per-iteration steps: the products, the GMRES
-    // restart (basis, iterate and product buffer are allocated once per
-    // solve, outside it) and the Gauss–Seidel sweep.
+    // … and the solvers' per-row and per-iteration steps: the
+    // elimination's symbolic and numeric row reductions and the bit-set
+    // walks they run on (pattern, reduced rows, pivots and the work row
+    // are allocated once per solve, outside them), the products, the
+    // GMRES restart (basis, iterate and product buffer likewise) and the
+    // Gauss–Seidel sweep.
+    "reduce_pattern",
+    "reduce_row",
+    "word",
+    "words",
+    "members",
+    "highest",
+    "count_below",
     "dot",
     "left_multiply_into",
     "restart_cycle",
@@ -1195,17 +1205,24 @@ mod tests {
              fn arrangements(&self, state: &S) -> usize {\n\
                  let lens = state.len.to_vec();\n\
              }\n\
+             fn eliminate(matrix: &CsrMatrix) -> Option<Vec<f64>> {\n\
+                 let work = vec![0.0; n];\n\
+             }\n\
+             fn reduce_row(k: usize, work: &mut [f64]) {\n\
+                 let row: Vec<usize> = members(pattern, 0, k).collect();\n\
+             }\n\
              }\n",
         )]);
         let findings = run(hot_path_alloc, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(
             lines,
-            vec![3, 4, 5, 6, 17, 20],
+            vec![3, 4, 5, 6, 17, 20, 29],
             "`vec!`, `.collect()` and both map constructors are findings in a \
-             per-state kernel, a per-restart step and a FIFO reveal; the waived \
-             map, another type's `default()`, a binding named `vec`, solver \
-             set-up and the once-per-state count of arrangements are not"
+             per-state kernel, a per-restart step, a FIFO reveal and a row \
+             reduction; the waived map, another type's `default()`, a binding \
+             named `vec`, solver set-up (GMRES's and the elimination's) and the \
+             once-per-state count of arrangements are not"
         );
         assert!(
             findings[0].message.contains("vec![") && findings[1].message.contains(".collect()")
@@ -1213,6 +1230,7 @@ mod tests {
         assert!(findings[2].message.contains("hash map"));
         assert!(findings[4].message.contains("restart_cycle"));
         assert!(findings[5].message.contains("`reveal`"));
+        assert!(findings[6].message.contains("`reduce_row`"));
     }
 
     #[test]

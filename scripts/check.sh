@@ -184,32 +184,43 @@ bench_smoke() {
 # Satellite gate: the Markov layer (`damq-markov`) against the
 # implementation it replaced, kept in
 # `crates/markov/tests/explore_reference.rs`, for every Table 2 shape and
-# the k x k model at radix 2-4. Asserts (1) exploration, CSR rows,
-# rewards and Gauss-Seidel's `pi` / `iterations` / `residual` equal the
-# `Vec`-state, triplet-sort, scatter-form reference (applying the same
+# the k x k model at radix 2-4. Asserts (1) breadth-first exploration, CSR
+# rows, rewards and Gauss-Seidel's `pi` / `iterations` / `residual` equal
+# the `Vec`-state, triplet-sort, scatter-form reference (applying the same
 # orbit map on 2x2 chains; for FIFO, the head-only reference) bit for
 # bit; the reference on orbits is an exact lumping of the reference on
 # joint occupancies, and the 2x2 models are equivariant under swapping
-# inputs and outputs; the default solver (restarted GMRES) agrees with
-# the reference's damped power iteration as a distribution and with a
-# plain-`Vec` model of itself bit for bit; eight seeded mutations must
-# fail; a Table 2 pass stays inside its budget of state updates
-# (products x orbits: exact counts, no quiet host needed); (2) half
-# (iii): the head-only FIFO (each queue's length and head) on orbits is
-# the full-sequence FIFO on joint occupancies, aggregated by deferred
-# decisions - arrangements counted, rows class-averaged, stationary
-# answers projected - and three seeded slips of it must fail; the model
-# checker's reachable joint states are the ones the chain's orbits stand
-# for (`damq-verify`'s `markov_cross`); (3) the four Markov harnesses
-# regenerate the committed tables and reports byte for byte - a promise
-# about this tree, not across solvers: a change of solver moves the
-# reports' `iterations` and last digits and regenerates them. ~10 s after
-# the release build, so a Markov change is checkable without the full
-# test suite and `results-check`, which cover every leg in a complete
-# run.
+# inputs and outputs; the default solver agrees with the reference's
+# damped power iteration as a distribution and bit for bit with a
+# plain-`Vec` model of the path it must take - GTH elimination and one
+# product on every chain of <= 512 states whose states all reach state 0,
+# restarted GMRES from the uniform vector on the rest (the 4x4 chains at
+# four slots and more, reducible hand-built ones); a Table 2 pass is one
+# product per cell and stays inside its budget of elimination
+# multiply-adds (exact counts, no quiet host needed); (2) the seeded
+# slips: two in the explorer's reference, three in the GMRES model, two in
+# the elimination model (fill dropped, multipliers ascending) - each must
+# fail; the solver's unit tests (entrywise accuracy of the elimination,
+# where it declines, typed errors for non-square matrices, the GMRES loop
+# driven from the uniform vector); (3) half (iii): the head-only FIFO
+# (each queue's length and head) on orbits is the full-sequence FIFO on
+# joint occupancies, aggregated by deferred decisions - arrangements
+# counted, rows class-averaged, stationary answers projected - and three
+# seeded slips of it must fail; the model checker's reachable joint states
+# are the ones the chain's orbits stand for (`damq-verify`'s
+# `markov_cross`); (4) the four Markov harnesses regenerate the committed
+# tables and reports byte for byte - a promise about this tree, not
+# across solvers: a change of solver moves the reports' `iterations` and
+# last digits and regenerates them. ~15 s after the release build, so a
+# Markov change is checkable without the full test suite and
+# `results-check`, which cover every leg in a complete run.
 markov_smoke() {
-    gate "markov-smoke: explorer, lumping and solvers vs the reference, with teeth, within the work budget"
-    cargo test -q -p damq-markov --test explore_reference -- --skip deferred_decision
+    gate "markov-smoke: explorer, lumping and solvers vs the reference, within the work budget"
+    cargo test -q -p damq-markov --test explore_reference -- --skip deferred_decision --skip mutation
+
+    gate "markov-smoke: seeded slips (explorer, GMRES, elimination) fail; solver unit tests"
+    cargo test -q -p damq-markov --test explore_reference mutation
+    cargo test -q -p damq-markov --lib solve::
 
     gate "markov-smoke: head-only FIFO vs full sequences (half iii) with its seeded slips; checker counts"
     cargo test -q -p damq-markov --test explore_reference deferred_decision

@@ -39,7 +39,8 @@ COMMANDS:
     saturation  find a configuration's saturation throughput
     sweep       sweep offered load and print a CSV latency/throughput curve
     markov      evaluate one 2x2-switch Markov analysis point (prints the
-                matrix-vector products the steady-state solve took)
+                matrix-vector products the steady-state solve took: 1,
+                the residual check, when the chain is eliminated)
     help        print this text
 
 NETWORK OPTIONS (sim, saturation, sweep):
