@@ -85,12 +85,14 @@ pub fn worker_count() -> usize {
     )
 }
 
-/// Runs `f` over every cell on exactly `workers` OS threads.
+/// Runs `f` over every cell on `workers` threads, at most one per cell.
+/// One worker maps the cells in order on the calling thread and spawns
+/// nothing.
 ///
-/// Work is handed out through a shared atomic cursor (dynamic scheduling:
-/// long cells don't convoy short ones behind a fixed partition), and each
-/// result lands in the slot of its cell index, so the returned `Vec` is in
-/// cell order for **any** worker count. `f` must be a pure function of its
+/// More workers take cells from a shared atomic cursor (dynamic
+/// scheduling: long cells don't convoy short ones behind a fixed
+/// partition), and each result lands in the slot of its cell index, so
+/// the returned `Vec` is in cell order for **any** worker count. `f` must be a pure function of its
 /// cell for the parallel/serial equivalence to hold — the engine enforces
 /// ordering, the cell function supplies purity.
 ///
@@ -104,6 +106,11 @@ where
     F: Fn(&C) -> R + Sync,
 {
     let workers = workers.max(1).min(cells.len().max(1));
+    if workers == 1 {
+        // A panic in `f` unwinds straight to the caller, as a worker's
+        // would be resumed there.
+        return cells.iter().map(f).collect();
+    }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     let f = &f;
@@ -979,13 +986,17 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            let cells = [1u32, 2, 3];
-            let _ = run_with_workers(&cells, 2, |&c| {
-                assert!(c != 2, "boom");
-                c
+        // Two workers on their own threads, and one on the caller's.
+        for workers in [2, 1] {
+            let result = std::panic::catch_unwind(|| {
+                let cells = [1u32, 2, 3];
+                let _ = run_with_workers(&cells, workers, |&c| {
+                    assert!(c != 2, "boom");
+                    c
+                });
             });
-        });
-        assert!(result.is_err());
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(panic_message(payload.as_ref()), "boom", "{workers} workers");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Generic discrete-time Markov chain construction by state-space
 //! exploration.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -48,6 +49,11 @@ impl Hasher for FxHasher {
     #[inline]
     fn write_u64(&mut self, value: u64) {
         self.add_word(value);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.add_word(u64::from(value));
     }
 
     #[inline]
@@ -152,18 +158,84 @@ pub struct Chain<S> {
     rewards: Vec<Reward>,
 }
 
+/// Rows with at most this many distinct successors are merged by a
+/// linear scan (the 2×2 chains hand the explorer at most 17); a longer row
+/// (the k×k chains' run to 90) is indexed by a map from there on, so a
+/// branch costs O(1) either way.
+const SCAN: usize = 32;
+
+/// One state's branches summed by successor: each distinct successor once,
+/// in the order of its first emission, with its probabilities added in
+/// emission order. Reused from row to row.
+struct RowMerge<S> {
+    successors: Vec<S>,
+    /// `sums[i]` is the probability into `successors[i]`.
+    sums: Vec<f64>,
+    /// Each successor's position, once there are more than [`SCAN`].
+    at: FxHashMap<S, u32>,
+}
+
+impl<S: Copy + Eq + Hash> RowMerge<S> {
+    fn new() -> Self {
+        RowMerge {
+            successors: Vec::new(),
+            sums: Vec::new(),
+            at: FxHashMap::default(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.successors.clear();
+        self.sums.clear();
+        if !self.at.is_empty() {
+            self.at.clear();
+        }
+    }
+
+    /// Adds a branch of probability `p` into `next`.
+    fn merge_branch(&mut self, next: S, p: f64) {
+        let len = self.successors.len();
+        let found = if len > SCAN {
+            match self.at.entry(next) {
+                Entry::Occupied(at) => Some(*at.get() as usize),
+                Entry::Vacant(at) => {
+                    at.insert(len as u32);
+                    None
+                }
+            }
+        } else {
+            self.successors.iter().position(|&s| s == next)
+        };
+        match found {
+            Some(i) => self.sums[i] += p,
+            None => {
+                self.successors.push(next);
+                self.sums.push(p);
+                if len == SCAN {
+                    // The row outgrows the scan: index it from here on.
+                    self.at.extend(self.successors.iter().copied().zip(0..));
+                }
+            }
+        }
+    }
+}
+
 impl<S: Copy + Eq + Hash + Debug> Chain<S> {
     /// Builds the chain reachable from `model.initial()`.
     ///
     /// States are numbered breadth-first: in discovery order from a
     /// first-in-first-out frontier, so a state's index is also the order
-    /// it is expanded in. Each state's matrix row is finished (sorted by
-    /// column, duplicate branches summed in emission order) as the state
-    /// is expanded and appended to the CSR arrays in place, so no
-    /// per-transition record outlives its row. Breadth-first is also the
-    /// elimination order that keeps [`steady_state`](crate::steady_state)'s
-    /// direct solve cheap: a state's neighbours sit a few levels from it,
-    /// so eliminating from the last state down fills in little.
+    /// it is expanded in. Each state's row is finished as the state is
+    /// expanded and appended to the CSR arrays in place, so no
+    /// per-transition record outlives its row. A row is merged before it
+    /// is indexed: its branches are summed by successor, each in emission
+    /// order, and only then is each distinct successor looked up in the
+    /// state index — once, in the order of its first emission, so new
+    /// states get the numbers they would get branch by branch. The row is
+    /// then sorted by column. Breadth-first is also the elimination order
+    /// that keeps [`steady_state`](crate::steady_state)'s direct solve
+    /// cheap: a state's neighbours sit a few levels from it, so
+    /// eliminating from the last state down fills in little.
     ///
     /// # Panics
     ///
@@ -178,7 +250,8 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
         let mut states = Vec::from([root]);
         let mut rewards = Vec::new();
         let (mut row_ptr, mut cols, mut vals) = (Vec::from([0]), Vec::new(), Vec::new());
-        let mut row: Vec<(u32, f64)> = Vec::new();
+        let mut row = RowMerge::new();
+        let mut sorted: Vec<(u32, f64)> = Vec::new();
 
         // The frontier is `states[rewards.len()..]`: the next state to
         // expand is the first discovered and not yet expanded.
@@ -188,29 +261,25 @@ impl<S: Copy + Eq + Hash + Debug> Chain<S> {
             model.for_each_transition(&state, |t| {
                 total += t.probability;
                 reward = reward + t.reward * t.probability;
-                let to = *index.entry(t.next).or_insert_with(|| {
-                    let id = u32::try_from(states.len()).expect("state count fits in u32");
-                    states.push(t.next);
-                    id
-                });
-                row.push((to, t.probability));
+                row.merge_branch(t.next, t.probability);
             });
             assert!(
                 (total - 1.0).abs() < 1e-9,
                 "branch probabilities from {state:?} sum to {total}"
             );
-            // Stable, so equal columns stay in emission order for the sum.
-            row.sort_by_key(|&(col, _)| col);
-            let start = cols.len();
-            for &(col, p) in &row {
-                match vals.last_mut() {
-                    Some(last) if cols.len() > start && cols.last() == Some(&col) => *last += p,
-                    _ => {
-                        cols.push(col);
-                        vals.push(p);
-                    }
-                }
+            sorted.clear();
+            for (&next, &p) in row.successors.iter().zip(&row.sums) {
+                let to = *index.entry(next).or_insert_with(|| {
+                    let id = u32::try_from(states.len()).expect("state count fits in u32");
+                    states.push(next);
+                    id
+                });
+                sorted.push((to, p));
             }
+            // Distinct columns: any sort gives the same row.
+            sorted.sort_unstable_by_key(|&(col, _)| col);
+            cols.extend(sorted.iter().map(|&(col, _)| col));
+            vals.extend(sorted.iter().map(|&(_, p)| p));
             row_ptr.push(cols.len());
             rewards.push(reward);
         }

@@ -38,7 +38,7 @@ impl BufferModel2x2 for DafcModel {
     type State = Counts;
 
     fn empty(&self) -> Counts {
-        [[0, 0], [0, 0]]
+        Counts::default()
     }
 
     fn occupancy(&self, state: &Counts) -> u32 {
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn fully_connected_departures_like_safc() {
         let m = DafcModel::new(4);
-        let s: Counts = [[2, 1], [0, 0]];
+        let s = Counts([[2, 1], [0, 0]]);
         let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2, "one input feeds both outputs");

@@ -38,7 +38,7 @@ impl BufferModel2x2 for DamqModel {
     type State = Counts;
 
     fn empty(&self) -> Counts {
-        [[0, 0], [0, 0]]
+        Counts::default()
     }
 
     fn occupancy(&self, state: &Counts) -> u32 {
@@ -90,20 +90,20 @@ mod tests {
         // Input 0 holds packets for both outputs; input 1 for out0 only.
         // Two packets depart (crossed assignment), unlike the FIFO model.
         let m = DamqModel::new(4);
-        let s: Counts = [[1, 1], [1, 0]];
+        let s = Counts([[1, 1], [1, 0]]);
         let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2);
-        assert_eq!(branches[0].0, [[1, 0], [0, 0]]);
+        assert_eq!(branches[0].0, Counts([[1, 0], [0, 0]]));
     }
 
     #[test]
     fn conflict_only_case_sends_one_from_longest() {
         let m = DamqModel::new(4);
-        let s: Counts = [[3, 0], [1, 0]];
+        let s = Counts([[3, 0], [1, 0]]);
         let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
-        assert_eq!(branches[0].0, [[2, 0], [1, 0]]);
+        assert_eq!(branches[0].0, Counts([[2, 0], [1, 0]]));
         assert_eq!(branches[0].2, 1);
     }
 
@@ -111,6 +111,6 @@ mod tests {
     fn empty_buffers_idle() {
         let m = DamqModel::new(2);
         let branches = branches(&m, &m.empty());
-        assert_eq!(branches, vec![([[0, 0], [0, 0]], 1.0, 0)]);
+        assert_eq!(branches, vec![(Counts([[0, 0], [0, 0]]), 1.0, 0)]);
     }
 }

@@ -9,7 +9,10 @@
 //! draw can be made then instead: the state is each queue's length and its
 //! head's destination, and when a head departs from a queue that still
 //! holds packets, the new head's destination is revealed, either output
-//! with probability ½.
+//! with probability ½. The same deferral applies at arrival: a packet
+//! that joins a non-empty queue leaves the same state whichever output it
+//! is bound for, so [`Switch2x2`](crate::Switch2x2) emits its two
+//! destinations as one branch (see the `switch2x2` module docs).
 //!
 //! The head-only chain is exact. It aggregates the chain over full
 //! destination sequences, and from any distribution that is uniform over
@@ -23,7 +26,9 @@
 //! `crates/markov/tests/explore_reference.rs` holds the model to the full
 //! chain.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::switch2x2::BufferModel2x2;
 
@@ -37,11 +42,31 @@ pub struct FifoModel {
 /// it: per queue, its length and its head packet's destination (0 on an
 /// empty queue, so equal observations are equal words). The packets
 /// behind each head are hidden; see the module docs for why that is
-/// exact. Ordered by the lengths, then the heads.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// exact. Ordered by the lengths, then the heads: the word `[len₀, len₁,
+/// head₀, head₁]` read big-endian, so [`Switch2x2`](crate::Switch2x2)
+/// finds each orbit's least member by integer compares.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct FifoState {
     len: [u8; 2],
     head: [u8; 2],
+}
+
+impl Ord for FifoState {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.word().cmp(&other.word())
+    }
+}
+
+impl PartialOrd for FifoState {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for FifoState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.word());
+    }
 }
 
 impl FifoState {
@@ -75,6 +100,13 @@ impl FifoState {
     /// The destination of queue `input`'s head packet, if any.
     pub fn head(&self, input: usize) -> Option<u8> {
         (self.len[input] > 0).then_some(self.head[input])
+    }
+
+    /// The lengths, then the heads, as one word, first byte most
+    /// significant.
+    fn word(&self) -> u32 {
+        let ([len0, len1], [head0, head1]) = (self.len, self.head);
+        u32::from_be_bytes([len0, len1, head0, head1])
     }
 }
 

@@ -69,5 +69,5 @@ pub use safc_model::SafcModel;
 pub use samq_model::SamqModel;
 pub use solve::{steady_state, steady_state_gauss_seidel, SolveError, SolveOptions, SteadyState};
 pub use sparse::{Columns, CsrMatrix};
-pub use switch2x2::{BufferModel2x2, CycleOrder, Switch2x2};
+pub use switch2x2::{BufferModel2x2, Counts, CycleOrder, Switch2x2};
 pub use switch_kxk::{discard_probability_kxk, kxk_supported_kinds, SwitchKxK};

@@ -47,7 +47,7 @@ impl BufferModel2x2 for SafcModel {
     type State = Counts;
 
     fn empty(&self) -> Counts {
-        [[0, 0], [0, 0]]
+        Counts::default()
     }
 
     fn occupancy(&self, state: &Counts) -> u32 {
@@ -84,18 +84,18 @@ mod tests {
     #[test]
     fn one_input_can_feed_both_outputs() {
         let m = SafcModel::new(4);
-        let s: Counts = [[1, 1], [0, 0]];
+        let s = Counts([[1, 1], [0, 0]]);
         let branches = branches(&m, &s);
         assert_eq!(branches.len(), 1);
         assert_eq!(branches[0].2, 2, "fully connected sends both");
-        assert_eq!(branches[0].0, [[0, 0], [0, 0]]);
+        assert_eq!(branches[0].0, Counts([[0, 0], [0, 0]]));
     }
 
     #[test]
     fn samq_cannot_do_what_safc_does_here() {
         // Contrast with the single-read-port logic on the same state.
         let samq = crate::samq_model::SamqModel::new(4);
-        let s: Counts = [[1, 1], [0, 0]];
+        let s = Counts([[1, 1], [0, 0]]);
         let branches = branches(&samq, &s);
         for (_, _, sent) in branches {
             assert_eq!(sent, 1, "single read port sends only one");
@@ -106,7 +106,7 @@ mod tests {
     fn per_output_conflicts_resolve_independently() {
         let m = SafcModel::new(6);
         // out0 contested (input1 longer); out1 contested (tie -> branches).
-        let s: Counts = [[1, 2], [3, 2]];
+        let s = Counts([[1, 2], [3, 2]]);
         let branches = branches(&m, &s);
         assert_eq!(branches.len(), 2);
         for (next, p, sent) in branches {

@@ -49,7 +49,7 @@ impl BufferModel2x2 for SamqModel {
     type State = Counts;
 
     fn empty(&self) -> Counts {
-        [[0, 0], [0, 0]]
+        Counts::default()
     }
 
     fn occupancy(&self, state: &Counts) -> u32 {
@@ -104,7 +104,7 @@ mod tests {
     fn departures_match_damq_logic() {
         let samq = SamqModel::new(4);
         let damq = crate::damq_model::DamqModel::new(4);
-        let s: Counts = [[2, 1], [0, 2]];
+        let s = Counts([[2, 1], [0, 2]]);
         assert_eq!(branches(&samq, &s), branches(&damq, &s));
     }
 }

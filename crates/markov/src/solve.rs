@@ -119,12 +119,12 @@ fn check(matrix: &CsrMatrix, options: SolveOptions) -> Result<(), SolveError> {
     if rows != cols {
         return Err(SolveError::NotSquare { rows, cols });
     }
-    for (row, sum) in matrix.row_sums().into_iter().enumerate() {
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(SolveError::NotStochastic { row, sum });
-        }
+    // Row by row, each summed as `row_sums` sums it, without collecting.
+    let mut sums = (0..rows).map(|row| (row, matrix.row(row).map(|(_, v)| v).sum::<f64>()));
+    match sums.find(|&(_, sum)| (sum - 1.0).abs() > 1e-9) {
+        Some((row, sum)) => Err(SolveError::NotStochastic { row, sum }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The L1 residual `‖πP − π‖₁`.
@@ -306,18 +306,15 @@ fn words(lo: usize, hi: usize) -> std::ops::Range<usize> {
     }
 }
 
-/// The members of `set` in `lo..hi`, ascending.
-fn members(set: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
-    words(lo, hi).flat_map(move |w| {
+/// Calls `f` with each member of `set` in `lo..hi`, ascending.
+fn each_member(set: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    for w in words(lo, hi) {
         let mut bits = word(set, w, lo, hi);
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                w * 64 + bit
-            })
-        })
-    })
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// The number of members of `set` below `hi`.
@@ -388,23 +385,29 @@ fn reduce_row(
     work: &mut [f64],
     mut multiplier: impl FnMut(usize, f64),
 ) {
-    let words = elim.words;
+    let width = elim.words;
     for (col, p) in matrix.row(k) {
         work[col] = p;
     }
-    let row = &elim.pattern[k * words..][..words];
-    let mut limit = matrix.rows();
-    while let Some(m) = highest(row, k + 1, limit) {
-        let a = work[m];
-        multiplier(m, a);
-        let below = &elim.pattern[m * words..][..words];
-        // `R̂_m`'s values from column `lo` on: skip one per column below.
-        let skipped = count_below(below, lo.min(m));
-        let values = &elim.reduced[elim.offsets[m] + skipped..elim.offsets[m + 1]];
-        for (j, &v) in members(below, lo, m).zip(values) {
-            work[j] += a * v;
+    let row = &elim.pattern[k * width..][..width];
+    // The row's members above `k`, descending, word by word: the pattern
+    // is complete, so applying a row adds no member to walk.
+    for high in words(k + 1, matrix.rows()).rev() {
+        let mut above = word(row, high, k + 1, matrix.rows());
+        while above != 0 {
+            let bit = 63 - above.leading_zeros() as usize;
+            above &= !(1 << bit);
+            let m = high * 64 + bit;
+            let a = work[m];
+            multiplier(m, a);
+            let below = &elim.pattern[m * width..][..width];
+            // `R̂_m`'s values from column `lo` on: skip one per column below.
+            let skipped = count_below(below, lo.min(m));
+            let mut values = elim.reduced[elim.offsets[m] + skipped..elim.offsets[m + 1]].iter();
+            each_member(below, lo, m, |j| {
+                work[j] += a * values.next().expect("one value per member");
+            });
         }
-        limit = m;
     }
 }
 
@@ -449,18 +452,17 @@ fn eliminate(matrix: &CsrMatrix) -> Option<Vec<f64>> {
     for k in (1..n).rev() {
         reduce_row(matrix, k, &elim, 0, &mut work, |_, _| {});
         let row = &elim.pattern[k * words..][..words];
-        let pivot: f64 = members(row, 0, k).map(|j| work[j]).sum();
+        let mut pivot = 0.0;
+        each_member(row, 0, k, |j| pivot += work[j]);
         if pivot.is_nan() || pivot <= 0.0 {
             return None;
         }
-        let span = elim.offsets[k]..elim.offsets[k + 1];
-        for (r, j) in elim.reduced[span].iter_mut().zip(members(row, 0, k)) {
-            *r = work[j] / pivot;
-        }
+        let mut reduced = elim.reduced[elim.offsets[k]..elim.offsets[k + 1]].iter_mut();
+        each_member(row, 0, k, |j| {
+            *reduced.next().expect("one value per member") = work[j] / pivot;
+        });
         elim.pivots[k] = pivot;
-        for j in members(row, 0, n) {
-            work[j] = 0.0;
-        }
+        each_member(row, 0, n, |j| work[j] = 0.0);
     }
     // `pi[m]` gathers `Σ π_i · a_im` from rows `i < m` until row `m` is
     // reached and divides it by its pivot.
@@ -475,9 +477,7 @@ fn eliminate(matrix: &CsrMatrix) -> Option<Vec<f64>> {
         reduce_row(matrix, i, &elim, i + 1, &mut work, |m, a| {
             ahead[m - i - 1] += weight * a;
         });
-        for j in members(&elim.pattern[i * words..][..words], 0, n) {
-            work[j] = 0.0;
-        }
+        each_member(&elim.pattern[i * words..][..words], 0, n, |j| work[j] = 0.0);
     }
     let mass: f64 = pi.iter().sum();
     if !mass.is_finite() {

@@ -27,9 +27,24 @@
 //! occupancy — is the same on all members. [`Switch2x2`] therefore names
 //! each successor by the least of its four images, and exploration walks
 //! about a quarter of the states.
+//!
+//! Arrivals are enumerated by distinct outcome. Each input has three: no
+//! packet, or a packet for either output. Where both destinations leave
+//! the same state with the same verdict they are one event, and
+//! [`Switch2x2`] emits one branch of probability *p* instead of two of
+//! *p*/2: a FIFO packet that joins a queue behind its head, whose
+//! destination stays hidden until it leads (the deferred decision of
+//! [`FifoModel`](crate::FifoModel), applied at arrival), or a packet any
+//! full buffer discards. The test is [`BufferModel2x2::accept`] itself,
+//! run on the state the arrival meets — under
+//! [`CycleOrder::DeparturesFirst`], each departure branch's state — so it
+//! asks nothing more of a model. FIFO-6 emits 460 branches over its 38
+//! states, where the nine arrival pairs emitted 1 004.
 
-use std::fmt::Debug;
-use std::hash::Hash;
+use std::cmp::Ordering;
+use std::fmt::{self, Debug};
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 use crate::chain::{MarkovModel, Reward, Transition};
 
@@ -177,23 +192,78 @@ impl<M: BufferModel2x2> Switch2x2<M> {
         a.min(b).min(c.min(d))
     }
 
-    fn arrival_options(&self) -> [(Option<usize>, f64); 3] {
+    /// The outcomes of `input`'s arrival on `state`, each with its
+    /// probability and whether a packet was offered and discarded: no
+    /// packet (`1 − p`), then a packet for output 0 and one for output 1
+    /// (`p/2` each) — or, when both destinations leave the same state with
+    /// the same verdict, the first alone at `p`: the destination changes
+    /// nothing, so the two are one event. Outcomes of probability 0 are
+    /// left out.
+    fn arrivals_at(&self, state: &M::State, input: usize) -> [Option<Arrival<M::State>>; 3] {
         let p = self.traffic;
-        [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
+        let offer = |output| {
+            let mut next = *state;
+            let accepted = self.model.accept(&mut next, input, output);
+            (next, accepted)
+        };
+        let (to0, to1) = (offer(0), offer(1));
+        let twins = to0 == to1;
+        let arrival = |(state, accepted): (M::State, bool), probability| Arrival {
+            state,
+            probability,
+            offered: 1.0,
+            discards: if accepted { 0.0 } else { 1.0 },
+        };
+        let none = Arrival {
+            state: *state,
+            probability: 1.0 - p,
+            offered: 0.0,
+            discards: 0.0,
+        };
+        [
+            Some(none),
+            Some(arrival(to0, if twins { p } else { p / 2.0 })),
+            (!twins).then(|| arrival(to1, p / 2.0)),
+        ]
+        .map(|outcome| outcome.filter(|a| a.probability != 0.0))
     }
 
-    /// Offers each input its arrival (if any); returns the discards.
-    fn offer(&self, state: &mut M::State, arrivals: [Option<usize>; 2]) -> f64 {
-        let mut discards = 0.0;
-        for (input, arrival) in arrivals.into_iter().enumerate() {
-            if let Some(output) = arrival {
-                if !self.model.accept(state, input, output) {
-                    discards += 1.0;
+    /// Hands `each` the distinct outcomes of both inputs' arrivals on
+    /// `state`: input 0's first, then input 1's on the state it left.
+    /// Each comes with its slot `3·a₀ + a₁` in the nine-way enumeration
+    /// (`a` = 0 for no packet, 1 and 2 for a packet to output 0 and 1), in
+    /// slot order. A packet for output 1 that would repeat the outcome of
+    /// one for output 0 is skipped, with every slot it leads to: its
+    /// probability is already in theirs.
+    fn for_each_arrival(&self, state: &M::State, mut each: impl FnMut(usize, Arrival<M::State>)) {
+        for (a0, first) in self.arrivals_at(state, 0).into_iter().enumerate() {
+            let Some(first) = first else { continue };
+            for (a1, second) in self.arrivals_at(&first.state, 1).into_iter().enumerate() {
+                let Some(second) = second else { continue };
+                let probability = first.probability * second.probability;
+                if probability == 0.0 {
+                    continue;
                 }
+                let both = Arrival {
+                    state: second.state,
+                    probability,
+                    offered: first.offered + second.offered,
+                    discards: first.discards + second.discards,
+                };
+                each(3 * a0 + a1, both);
             }
         }
-        discards
     }
+}
+
+/// What one cycle's arrivals do: the state they leave, their probability
+/// and the packets offered and discarded.
+#[derive(Debug, Clone, Copy)]
+struct Arrival<S> {
+    state: S,
+    probability: f64,
+    offered: f64,
+    discards: f64,
 }
 
 impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
@@ -204,44 +274,57 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
         self.model.empty()
     }
 
+    /// One branch per distinct outcome (see the module docs): an
+    /// arrival's two destinations are one branch of probability `p`
+    /// wherever they leave the same state with the same verdict, two of
+    /// `p/2` otherwise. Under both cycle orders the arrival slots of the
+    /// nine-way enumeration are the outer loop — under
+    /// [`CycleOrder::DeparturesFirst`] each slot meets every departure
+    /// branch in turn, and the merge is decided on that branch's state —
+    /// so a merged branch sits where the first of its two halves sat and
+    /// the second would only have repeated its successors: states are
+    /// discovered, hence numbered, as they were branch by branch.
     fn for_each_transition(
         &self,
         state: &Self::State,
         mut emit: impl FnMut(Transition<Self::State>),
     ) {
-        for (a0, p0) in self.arrival_options() {
-            if p0 == 0.0 {
-                continue;
-            }
-            for (a1, p1) in self.arrival_options() {
-                let prob = p0 * p1;
-                if prob == 0.0 {
-                    continue;
+        let mut branch = |arrival: &Arrival<M::State>, next, dp: f64, sent: u32| {
+            emit(Transition {
+                next: self.canonical(&next),
+                probability: arrival.probability * dp,
+                reward: Reward {
+                    arrivals: arrival.offered,
+                    discards: arrival.discards,
+                    departures: f64::from(sent),
+                },
+            })
+        };
+        match self.order {
+            CycleOrder::ArrivalsFirst => self.for_each_arrival(state, |_, arrival| {
+                self.model.departures(&arrival.state, |next, dp, sent| {
+                    branch(&arrival, next, dp, sent)
+                })
+            }),
+            CycleOrder::DeparturesFirst => {
+                // Arrivals meet each departure branch's state, but the
+                // arrival slots stay the outer loop.
+                let mut departed = [None; 4];
+                let mut free = departed.iter_mut();
+                self.model.departures(state, |next, dp, sent| {
+                    let slot = free.next().expect("departures emits at most four branches");
+                    *slot = Some((next, dp, sent));
+                });
+                let mut arrived = [[None; 9]; 4];
+                for (outcomes, &(next, _, _)) in arrived.iter_mut().zip(departed.iter().flatten()) {
+                    self.for_each_arrival(&next, |slot, arrival| outcomes[slot] = Some(arrival));
                 }
-                let arrivals = a0.map_or(0.0, |_| 1.0) + a1.map_or(0.0, |_| 1.0);
-                let mut branch = |next, dp: f64, discards, sent: u32| {
-                    emit(Transition {
-                        next: self.canonical(&next),
-                        probability: prob * dp,
-                        reward: Reward {
-                            arrivals,
-                            discards,
-                            departures: f64::from(sent),
-                        },
-                    })
-                };
-                match self.order {
-                    CycleOrder::ArrivalsFirst => {
-                        let mut st = *state;
-                        let discards = self.offer(&mut st, [a0, a1]);
-                        self.model
-                            .departures(&st, |next, dp, sent| branch(next, dp, discards, sent));
-                    }
-                    CycleOrder::DeparturesFirst => {
-                        self.model.departures(state, |mut next, dp, sent| {
-                            let discards = self.offer(&mut next, [a0, a1]);
-                            branch(next, dp, discards, sent)
-                        });
+                for slot in 0..9 {
+                    for (outcomes, &(_, dp, sent)) in arrived.iter().zip(departed.iter().flatten())
+                    {
+                        if let Some(arrival) = &outcomes[slot] {
+                            branch(arrival, arrival.state, dp, sent);
+                        }
                     }
                 }
             }
@@ -249,18 +332,71 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
     }
 }
 
-/// Per-(input, output) packet counts for the count-based models
-/// (DAMQ/SAMQ/SAFC/DAFC).
-pub(crate) type Counts = [[u8; 2]; 2];
+/// The state of the count-based models (DAMQ, SAMQ, SAFC, DAFC): how
+/// many packets each input buffer holds for each output, read and written
+/// as `counts[input][output]`.
+///
+/// Ordered as the arrays are, lexicographically — which is the word
+/// `[c₀₀, c₀₁, c₁₀, c₁₁]` read big-endian, so [`Switch2x2`] finds each
+/// orbit's least member by integer compares.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counts(pub [[u8; 2]; 2]);
+
+impl Counts {
+    /// The counts as one word, first count most significant.
+    fn word(&self) -> u32 {
+        let [[c00, c01], [c10, c11]] = self.0;
+        u32::from_be_bytes([c00, c01, c10, c11])
+    }
+}
+
+impl Ord for Counts {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.word().cmp(&other.word())
+    }
+}
+
+impl PartialOrd for Counts {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Counts {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.word());
+    }
+}
+
+impl Deref for Counts {
+    type Target = [[u8; 2]; 2];
+
+    fn deref(&self) -> &[[u8; 2]; 2] {
+        &self.0
+    }
+}
+
+impl DerefMut for Counts {
+    fn deref_mut(&mut self) -> &mut [[u8; 2]; 2] {
+        &mut self.0
+    }
+}
+
+impl fmt::Debug for Counts {
+    /// As the array: `[[1, 0], [0, 2]]`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// `counts` with the two inputs' rows exchanged.
 pub(crate) fn swap_count_inputs(counts: &Counts) -> Counts {
-    [counts[1], counts[0]]
+    Counts([counts[1], counts[0]])
 }
 
 /// `counts` with the two outputs' columns exchanged.
 pub(crate) fn swap_count_outputs(counts: &Counts) -> Counts {
-    counts.map(|[to0, to1]| [to1, to0])
+    Counts(counts.0.map(|[to0, to1]| [to1, to0]))
 }
 
 /// `counts` after sending one packet along each `(input, output)` move.
@@ -354,15 +490,21 @@ pub(crate) fn branches<M: BufferModel2x2>(
 mod tests {
     use super::*;
 
-    fn single(counts: &Counts) -> Vec<(Counts, f64, u32)> {
+    type Array = [[u8; 2]; 2];
+
+    fn single(counts: &Array) -> Vec<(Array, f64, u32)> {
         let mut out = Vec::new();
-        single_read_port_departures(counts, |next, p, sent| out.push((next, p, sent)));
+        single_read_port_departures(&Counts(*counts), |next, p, sent| {
+            out.push((next.0, p, sent))
+        });
         out
     }
 
-    fn full(counts: &Counts) -> Vec<(Counts, f64, u32)> {
+    fn full(counts: &Array) -> Vec<(Array, f64, u32)> {
         let mut out = Vec::new();
-        fully_connected_departures(counts, |next, p, sent| out.push((next, p, sent)));
+        fully_connected_departures(&Counts(*counts), |next, p, sent| {
+            out.push((next.0, p, sent))
+        });
         out
     }
 
@@ -432,8 +574,10 @@ mod tests {
         // One packet for out0 at each input: the tie splits, and the
         // arrival at input 0 (for out1) joins whichever state results.
         let switch = Switch2x2::new(crate::DamqModel::new(1), 1.0, CycleOrder::DeparturesFirst);
-        let all = switch.transitions(&[[1, 0], [1, 0]]);
-        assert_eq!(all.len(), 8, "2 x 2 arrival pairs, 2 tie branches each");
+        let all = switch.transitions(&Counts([[1, 0], [1, 0]]));
+        // Per tie branch, the input that sent has room for either packet;
+        // the full one discards either, one event.
+        assert_eq!(all.len(), 4, "2 tie branches, 2 x 1 distinct arrivals each");
         let total: f64 = all.iter().map(|t| t.probability).sum();
         assert!((total - 1.0).abs() < 1e-15);
         // Whichever input kept its packet is full and discards its arrival.

@@ -16,17 +16,23 @@
 //! exchanging inputs and outputs, and the reference switch does either
 //! (`lumped`). Beside the full-sequence FIFO, `reference::FifoHeads`
 //! restates the shipped head-only FIFO (each queue's length and head).
+//! The reference switch also enumerates arrivals either way
+//! (`reference::Arrivals`): nine-way, three options per input whatever
+//! they lead to, as the shipped switch did before, or by distinct
+//! outcomes, as it does now — an arrival's two destinations folded into
+//! one branch where both leave the same state with the same verdict.
 //!
-//! The 2×2 differential has three halves, each over traffic {0.25, 0.75,
+//! The 2×2 differential has four halves, each over traffic {0.25, 0.75,
 //! 0.9, 0.99} × both cycle orders:
 //!
 //! - (i) over every Table 2 shape (and DAFC 2–4), the shipped explorer
-//!   against the reference applying the same orbit map (for FIFO, the
-//!   head-only reference), and the k×k model at radix 2–4 against its
-//!   reference: the two sides must agree on the state sequence, every CSR
-//!   row, every reward and Gauss–Seidel's `pi`, `iterations` and
-//!   `residual`, all by `f64::to_bits` — the committed results carry
-//!   full-precision values, so "close" is a diff;
+//!   against the reference applying the same orbit map and the same
+//!   distinct-outcome arrivals (for FIFO, the head-only reference), and
+//!   the k×k model at radix 2–4 against its reference: the two sides must
+//!   agree on the state sequence, every CSR row, every reward and
+//!   Gauss–Seidel's `pi`, `iterations` and `residual`, all by
+//!   `f64::to_bits` — the committed results carry full-precision values,
+//!   so "close" is a diff;
 //! - (ii) over the same shapes, the reference on orbits against the
 //!   reference on joint occupancies ([`lumping`]): orbit sizes sum to the
 //!   joint count, each orbit's row is its representative's row summed by
@@ -39,7 +45,16 @@
 //!   nothing else is, so orbit sizes times arrangements sum to the joint
 //!   count; each head-only row is the uniform average of its class's rows
 //!   summed by projection; and the stationary answers agree after
-//!   projection. The head-only model passes [`equivariance`] too.
+//!   projection. The head-only model passes [`equivariance`] too;
+//! - (iv) over every Table 2 shape and DAFC 1–6, the distinct-outcome
+//!   reference against the nine-way one, both on orbits
+//!   ([`distinct_outcomes`]): the same states in the same order, the same
+//!   columns in every row, rows and rewards by bits at 0.25 and 0.75 and
+//!   within 4 ulp at 0.9 and 0.99 (the most seen is 3), `π` within 1e-14.
+//!
+//! Halves (ii) and (iii) run the nine-way reference, so the chain of
+//! comparisons reaches from the shipped switch to the joint occupancies
+//! and the full destination sequences.
 //!
 //! The default solver eliminates every chain of at most 512 states whose
 //! states all reach state 0 (GTH state reduction, then one product to
@@ -65,7 +80,9 @@
 //! input or queue, which the equivariance check must refuse, and three
 //! more a slip in the head-only FIFO — a new head always bound for output
 //! 0, an arrival that overwrites a head, a reveal on a queue that
-//! emptied — which half (iii) must refuse.
+//! emptied — which half (iii) must refuse, and two a slip in folding an
+//! arrival's destinations — folded when either is discarded, folded when
+//! only the verdicts match — which half (iv) must refuse.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -113,6 +130,13 @@ enum Mutation {
     ArrivalOverwritesHead,
     /// Head-only FIFO: a queue that emptied reveals a head as well.
     RevealOnEmptiedQueue,
+    /// Distinct arrivals: the two destinations are folded into one when
+    /// either is discarded, not only when both leave the same state with
+    /// the same verdict.
+    MergeOnAnyDiscard,
+    /// Distinct arrivals: the two destinations are folded into one when
+    /// their verdicts match, whatever states they leave.
+    MergeOnVerdictOnly,
 }
 
 mod reference {
@@ -488,6 +512,18 @@ mod reference {
         }
     }
 
+    /// How the reference switch enumerates one input's arrival.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Arrivals {
+        /// Three options, whatever they lead to: no packet, a packet for
+        /// output 0, one for output 1.
+        NineWay,
+        /// The two destinations folded into the first, at twice its
+        /// probability, where both leave the same state with the same
+        /// verdict — or where the seeded slip says.
+        Distinct(Option<Mutation>),
+    }
+
     /// The switch over joint occupancies, or — `lumped` — over their
     /// orbits under exchanging inputs and outputs, each successor named by
     /// its least image.
@@ -496,6 +532,7 @@ mod reference {
         pub traffic: f64,
         pub order: CycleOrder,
         pub lumped: bool,
+        pub arrivals: Arrivals,
     }
 
     impl<M: Buffer2x2> Switch2x2<M> {
@@ -521,9 +558,60 @@ mod reference {
             images.len()
         }
 
-        fn arrival_options(&self) -> [(Option<usize>, f64); 3] {
+        /// `input`'s arrival options on `state`, as (destination,
+        /// probability).
+        fn arrival_options(&self, state: &M::State, input: usize) -> Vec<(Option<usize>, f64)> {
             let p = self.traffic;
-            [(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)]
+            let Arrivals::Distinct(mutation) = self.arrivals else {
+                return vec![(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)];
+            };
+            let offer = |output| {
+                let mut next = state.clone();
+                let accepted = self.model.accept(&mut next, input, output);
+                (next, accepted)
+            };
+            let ((to0, kept0), (to1, kept1)) = (offer(0), offer(1));
+            let fold = match mutation {
+                Some(Mutation::MergeOnAnyDiscard) => {
+                    (to0 == to1 && kept0 == kept1) || !kept0 || !kept1
+                }
+                Some(Mutation::MergeOnVerdictOnly) => kept0 == kept1,
+                _ => to0 == to1 && kept0 == kept1,
+            };
+            match fold {
+                true => vec![(None, 1.0 - p), (Some(0), p)],
+                false => vec![(None, 1.0 - p), (Some(0), p / 2.0), (Some(1), p / 2.0)],
+            }
+        }
+
+        /// Offers `state` the arrival of option `a0` at input 0, then of
+        /// option `a1` at input 1 on the state that left, in the options
+        /// each then has: the state, the probability and the packets
+        /// offered and discarded, or `None` if either option does not
+        /// exist there (the second of two folded destinations) or the
+        /// probability is 0.
+        fn arrive(
+            &self,
+            state: &M::State,
+            a0: usize,
+            a1: usize,
+        ) -> Option<(M::State, f64, f64, f64)> {
+            let mut st = state.clone();
+            let (mut prob, mut arrivals, mut discards) = (1.0, 0.0, 0.0);
+            for (input, a) in [(0, a0), (1, a1)] {
+                let (arrival, p) = *self.arrival_options(&st, input).get(a)?;
+                if p == 0.0 {
+                    return None;
+                }
+                prob *= p;
+                if let Some(output) = arrival {
+                    arrivals += 1.0;
+                    if !self.model.accept(&mut st, input, output) {
+                        discards += 1.0;
+                    }
+                }
+            }
+            (prob != 0.0).then_some((st, prob, arrivals, discards))
         }
     }
 
@@ -540,27 +628,14 @@ mod reference {
 
         fn transitions(&self, state: &Self::State) -> Vec<Transition<Self::State>> {
             let mut out = Vec::new();
-            for (a0, p0) in self.arrival_options() {
-                if p0 == 0.0 {
-                    continue;
-                }
-                for (a1, p1) in self.arrival_options() {
-                    let prob = p0 * p1;
-                    if prob == 0.0 {
-                        continue;
-                    }
-                    let arrivals = a0.map_or(0.0, |_| 1.0) + a1.map_or(0.0, |_| 1.0);
+            for a0 in 0..3 {
+                for a1 in 0..3 {
                     match self.order {
                         CycleOrder::ArrivalsFirst => {
-                            let mut st = state.clone();
-                            let mut discards = 0.0;
-                            for (input, arrival) in [(0, a0), (1, a1)] {
-                                if let Some(output) = arrival {
-                                    if !self.model.accept(&mut st, input, output) {
-                                        discards += 1.0;
-                                    }
-                                }
-                            }
+                            let Some((st, prob, arrivals, discards)) = self.arrive(state, a0, a1)
+                            else {
+                                continue;
+                            };
                             for (next, dp, sent) in self.model.departures(&st) {
                                 out.push(Transition {
                                     next,
@@ -574,15 +649,12 @@ mod reference {
                             }
                         }
                         CycleOrder::DeparturesFirst => {
-                            for (mut next, dp, sent) in self.model.departures(state) {
-                                let mut discards = 0.0;
-                                for (input, arrival) in [(0, a0), (1, a1)] {
-                                    if let Some(output) = arrival {
-                                        if !self.model.accept(&mut next, input, output) {
-                                            discards += 1.0;
-                                        }
-                                    }
-                                }
+                            for (departed, dp, sent) in self.model.departures(state) {
+                                let Some((next, prob, arrivals, discards)) =
+                                    self.arrive(&departed, a0, a1)
+                                else {
+                                    continue;
+                                };
                                 out.push(Transition {
                                     next,
                                     probability: prob * dp,
@@ -1470,7 +1542,7 @@ fn two_by_two(
         order: CycleOrder,
     ) -> Result<(), String>
     where
-        M: damq_markov::BufferModel2x2<State = reference::Counts>,
+        M: damq_markov::BufferModel2x2<State = damq_markov::Counts>,
     {
         let mutation = old.mutation;
         differential(
@@ -1480,8 +1552,9 @@ fn two_by_two(
                 traffic,
                 order,
                 lumped: true,
+                arrivals: reference::Arrivals::Distinct(None),
             },
-            |s| *s,
+            |s| s.0,
             mutation,
         )
     }
@@ -1498,6 +1571,7 @@ fn two_by_two(
                 traffic,
                 order,
                 lumped: true,
+                arrivals: reference::Arrivals::Distinct(None),
             },
             heads_of,
             mutation,
@@ -1647,6 +1721,7 @@ fn symmetry(
             traffic,
             order,
             lumped,
+            arrivals: reference::Arrivals::NineWay,
         };
         let full = switch(false);
         let unlumped = reference::explore(&full, None);
@@ -1702,6 +1777,7 @@ fn deferred_decisions(
         traffic,
         order,
         lumped,
+        arrivals: reference::Arrivals::NineWay,
     };
     let (observed, named) = (heads(false), heads(true));
     equivariance(&observed, &reference::explore(&observed, None).states)?;
@@ -1714,6 +1790,7 @@ fn deferred_decisions(
         traffic,
         order,
         lumped: false,
+        arrivals: reference::Arrivals::NineWay,
     };
     let joint = reference::explore(&full, None);
 
@@ -1815,6 +1892,110 @@ fn deferred_decisions(
     Ok(())
 }
 
+/// The reference switch with distinct-outcome arrivals against the
+/// nine-way one, both on orbits (half (iv)). Folding an arrival's two
+/// destinations into one branch where they leave the same state with the
+/// same verdict drops only branches that repeat the one before them: the
+/// folded branch sits where the first of the two sat, at twice its
+/// probability, so the same states are discovered in the same order and
+/// every row has the same columns. What moves is the rounding of the sums
+/// the fold shortens (`x + a + b + a` becomes `x + 2a + b`): at the dyadic
+/// 0.25 and 0.75 every product and sum is exact, so rows and rewards must
+/// agree by bits; at 0.9 and 0.99 every entry and reward within 4 ulp,
+/// and `π` (by elimination) within 1e-14. `mutation` goes to the
+/// distinct-outcome side only.
+fn distinct_outcomes(
+    kind: BufferKind,
+    capacity: usize,
+    traffic: f64,
+    order: CycleOrder,
+    mutation: Option<Mutation>,
+) -> Result<(), String> {
+    fn check<M: reference::Buffer2x2>(
+        model: impl Fn() -> M,
+        traffic: f64,
+        order: CycleOrder,
+        mutation: Option<Mutation>,
+    ) -> Result<(), String> {
+        let explore = |arrivals| {
+            let switch = reference::Switch2x2 {
+                model: model(),
+                traffic,
+                order,
+                lumped: true,
+                arrivals,
+            };
+            reference::explore(&switch, None)
+        };
+        let nine = explore(reference::Arrivals::NineWay);
+        let distinct = explore(reference::Arrivals::Distinct(mutation));
+        if let Some(i) =
+            (0..nine.states.len()).find(|&i| distinct.states.get(i) != Some(&nine.states[i]))
+        {
+            return Err(format!(
+                "state {i}: {:?} vs {:?} nine-way",
+                distinct.states.get(i),
+                nine.states[i]
+            ));
+        }
+        if distinct.states.len() != nine.states.len() {
+            return Err(format!(
+                "{} states vs {} nine-way",
+                distinct.states.len(),
+                nine.states.len()
+            ));
+        }
+        let ulps = if (4.0 * traffic).fract() == 0.0 { 0 } else { 4 };
+        let near = |a: f64, b: f64| a.to_bits().abs_diff(b.to_bits()) <= ulps;
+        for i in 0..nine.states.len() {
+            let ours: Vec<(usize, f64)> = distinct.matrix.row(i).collect();
+            let theirs: Vec<(usize, f64)> = nine.matrix.row(i).collect();
+            let agrees = ours.len() == theirs.len()
+                && (ours.iter().zip(&theirs)).all(|(&(c, a), &(d, b))| c == d && near(a, b));
+            if !agrees {
+                return Err(format!("row {i}: {ours:?} vs {theirs:?} nine-way"));
+            }
+            let [ours, theirs] = [distinct.rewards[i], nine.rewards[i]]
+                .map(|r| [r.arrivals, r.discards, r.departures]);
+            if (0..3).any(|k| !near(ours[k], theirs[k])) {
+                return Err(format!("reward {i}: {ours:?} vs {theirs:?} nine-way"));
+            }
+        }
+        let (ours, theirs) = (
+            reference::gth(&distinct.matrix, None)?,
+            reference::gth(&nine.matrix, None)?,
+        );
+        let apart = (ours.pi.iter().zip(&theirs.pi))
+            .fold(0.0, |worst: f64, (a, b)| worst.max((a - b).abs()));
+        if apart > 1e-14 {
+            return Err(format!("pi is {apart:e} from the nine-way pi"));
+        }
+        Ok(())
+    }
+    match kind {
+        BufferKind::Fifo => check(
+            || reference::FifoHeads {
+                capacity,
+                mutation: None,
+            },
+            traffic,
+            order,
+            mutation,
+        ),
+        _ => check(
+            || reference::CountBuffer {
+                kind,
+                capacity: capacity as u8,
+                mutation: None,
+            },
+            traffic,
+            order,
+            mutation,
+        ),
+    }
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+}
+
 /// Every shape of Table 2 (and the DAFC ablation) at every traffic level
 /// and cycle order of the sweep, through `each`.
 fn table2_shapes(
@@ -1893,6 +2074,43 @@ fn head_only_slips_fail_the_deferred_decision_check() {
             why.contains(symptom),
             "{mutation:?}: caught elsewhere: {why}"
         );
+    }
+}
+
+#[test]
+fn distinct_outcomes_fold_exactly() {
+    for (kind, capacities) in &SHAPES[..4] {
+        table2_shapes(*kind, capacities, distinct_outcomes).unwrap();
+    }
+    table2_shapes(BufferKind::Dafc, &[1, 2, 3, 4, 5, 6], distinct_outcomes).unwrap();
+}
+
+/// Each slip in folding an arrival's destinations fails half (iv), under
+/// both cycle orders: folding when only one of the two is discarded bites
+/// where one queue can be full while the other has room (the static
+/// designs); folding on matching verdicts alone bites every design.
+#[test]
+fn distinct_outcome_slips_fail_the_check() {
+    for (mutation, kinds) in [
+        (
+            Mutation::MergeOnAnyDiscard,
+            [BufferKind::Samq, BufferKind::Safc],
+        ),
+        (
+            Mutation::MergeOnVerdictOnly,
+            [BufferKind::Fifo, BufferKind::Damq],
+        ),
+    ] {
+        for kind in kinds {
+            for order in ORDERS {
+                let verdict = distinct_outcomes(kind, 4, 0.75, order, Some(mutation));
+                let why = verdict.expect_err("the folding slip went unnoticed");
+                assert!(
+                    why.contains("nine-way"),
+                    "{mutation:?} on {kind} {order:?}: caught elsewhere: {why}"
+                );
+            }
+        }
     }
 }
 
@@ -2235,6 +2453,124 @@ fn table2_work_budget() {
     // before, the same chains fill in to 331 648 and 33 098.
     assert!(total <= 160_000, "{total} multiply-adds over Table 2");
     assert!(most <= 14_000, "{most} multiply-adds on one cell");
+}
+
+thread_local! {
+    /// Hashes of [`Tallied`] states taken on this thread.
+    static HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A state whose every hash is counted: the explorer hashes a state once
+/// per index lookup, and once more each time the index grows and moves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tallied<S>(S);
+
+impl<S: Hash> Hash for Tallied<S> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        HASHES.with(|hashes| hashes.set(hashes.get() + 1));
+        self.0.hash(state);
+    }
+}
+
+/// `M` with its states [`Tallied`] and its branches counted.
+struct Tally<M> {
+    model: M,
+    branches: std::cell::Cell<usize>,
+}
+
+impl<M: MarkovModel> MarkovModel for Tally<M> {
+    type State = Tallied<M::State>;
+
+    fn initial(&self) -> Self::State {
+        Tallied(self.model.initial())
+    }
+
+    fn for_each_transition(
+        &self,
+        state: &Self::State,
+        mut emit: impl FnMut(damq_markov::Transition<Self::State>),
+    ) {
+        self.model.for_each_transition(&state.0, |t| {
+            self.branches.set(self.branches.get() + 1);
+            emit(damq_markov::Transition {
+                next: Tallied(t.next),
+                probability: t.probability,
+                reward: t.reward,
+            })
+        });
+    }
+}
+
+/// Branches the switch emits, index lookups the explorer makes (the
+/// root's insertion aside) and the matrix's non-zeros, over one Table 2
+/// cell's chain. The lookups are the hashes taken while exploring less
+/// those the index spends growing: as many as a map of the same type
+/// spends taking the same states in the same order, less one each.
+fn exploration_work<M: damq_markov::BufferModel2x2>(model: M, traffic: f64) -> [usize; 3] {
+    let tally = Tally {
+        model: Switch2x2::new(model, traffic, CycleOrder::ArrivalsFirst),
+        branches: std::cell::Cell::new(0),
+    };
+    let hashes = || HASHES.with(|hashes| hashes.get());
+    let start = hashes();
+    let chain = Chain::explore(&tally);
+    let explored = hashes() - start;
+    let n = chain.state_count();
+    let mut grown: damq_markov::FxHashMap<Tallied<_>, usize> = Default::default();
+    let start = hashes();
+    for i in 0..n {
+        grown.entry(*chain.state(i)).or_insert(i);
+    }
+    let growth = hashes() - start - n;
+    let nnz = (0..n).map(|i| chain.matrix().row(i).count()).sum();
+    [tally.branches.get(), explored - growth - 1, nnz]
+}
+
+/// The exploration of a Table 2 pass, in branches emitted and index
+/// lookups made: deterministic counts, so this gate needs no quiet host.
+/// An arrival whose two destinations leave the same state with the same
+/// verdict is one branch (50 856 branches before, 39 512 now; FIFO-6
+/// 1 004 → 460), and each row is merged before it is indexed, so a pass
+/// looks up each distinct successor of each state once: as many lookups
+/// as non-zeros, 23 312 (50 856 before, one per branch).
+#[test]
+fn table2_exploration_budget() {
+    let capacities: [(BufferKind, &[usize]); 4] = [
+        (BufferKind::Fifo, &[2, 3, 4, 5, 6]),
+        (BufferKind::Damq, &[2, 3, 4, 5, 6]),
+        (BufferKind::Samq, &[2, 4, 6]),
+        (BufferKind::Safc, &[2, 4, 6]),
+    ];
+    let (mut cells, mut total, mut most) = (0, [0, 0], [0, 0]);
+    for (kind, sizes) in capacities {
+        for &slots in sizes {
+            for traffic in TABLE2_TRAFFIC {
+                let [branches, lookups, nnz] = match kind {
+                    BufferKind::Fifo => exploration_work(FifoModel::new(slots), traffic),
+                    BufferKind::Damq => exploration_work(DamqModel::new(slots), traffic),
+                    BufferKind::Samq => exploration_work(SamqModel::new(slots), traffic),
+                    _ => exploration_work(SafcModel::new(slots), traffic),
+                };
+                assert_eq!(
+                    lookups, nnz,
+                    "{kind}-{slots} at {traffic}: one lookup per successor"
+                );
+                cells += 1;
+                for (k, count) in [branches, lookups].into_iter().enumerate() {
+                    total[k] += count;
+                    most[k] = most[k].max(count);
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 128);
+    let [branches, lookups] = total;
+    assert!(branches <= 41_000, "{branches} branches over Table 2");
+    assert!(lookups <= 24_000, "{lookups} index lookups over Table 2");
+    // Both maxima are DAMQ-6's, at every traffic level below 1.
+    let [branches, lookups] = most;
+    assert!(branches <= 1_596, "{branches} branches on one cell");
+    assert!(lookups <= 1_177, "{lookups} index lookups on one cell");
 }
 
 /// Every destination sequence of length 0..=6.

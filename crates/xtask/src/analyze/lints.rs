@@ -646,7 +646,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 61] = [
+const KERNEL_FNS: [&str; 64] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -694,9 +694,14 @@ const KERNEL_FNS: [&str; 61] = [
     "delivered",
     "dropped",
     // markov: exploration (its loop body runs per state; its growable
-    // arrays are amortised), the models' per-state enumeration …
+    // arrays are amortised) and the row merge it runs per branch, the
+    // models' per-state enumeration …
     "explore",
+    "merge_branch",
     "for_each_transition",
+    // (the 2×2 switch enumerates each input's distinct arrival outcomes)
+    "arrivals_at",
+    "for_each_arrival",
     "departures",
     // (the 2×2 switch names every successor by its orbit's least image)
     "canonical",
@@ -718,7 +723,7 @@ const KERNEL_FNS: [&str; 61] = [
     "reduce_row",
     "word",
     "words",
-    "members",
+    "each_member",
     "highest",
     "count_below",
     "dot",

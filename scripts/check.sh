@@ -187,8 +187,8 @@ bench_smoke() {
 # the k x k model at radix 2-4. Asserts (1) breadth-first exploration, CSR
 # rows, rewards and Gauss-Seidel's `pi` / `iterations` / `residual` equal
 # the `Vec`-state, triplet-sort, scatter-form reference (applying the same
-# orbit map on 2x2 chains; for FIFO, the head-only reference) bit for
-# bit; the reference on orbits is an exact lumping of the reference on
+# orbit map and distinct-outcome arrivals on 2x2 chains; for FIFO, the
+# head-only reference) bit for bit; the reference on orbits is an exact lumping of the reference on
 # joint occupancies, and the 2x2 models are equivariant under swapping
 # inputs and outputs; the default solver agrees with the reference's
 # damped power iteration as a distribution and bit for bit with a
@@ -197,12 +197,18 @@ bench_smoke() {
 # restarted GMRES from the uniform vector on the rest (the 4x4 chains at
 # four slots and more, reducible hand-built ones); a Table 2 pass is one
 # product per cell and stays inside its budget of elimination
-# multiply-adds (exact counts, no quiet host needed); (2) the seeded
+# multiply-adds, and of branches emitted and index lookups made (exact
+# counts, no quiet host needed); (2) the seeded
 # slips: two in the explorer's reference, three in the GMRES model, two in
 # the elimination model (fill dropped, multipliers ascending) - each must
 # fail; the solver's unit tests (entrywise accuracy of the elimination,
 # where it declines, typed errors for non-square matrices, the GMRES loop
-# driven from the uniform vector); (3) half (iii): the head-only FIFO
+# driven from the uniform vector); (3) half (iv): arrivals enumerated by
+# distinct outcomes (an arrival's two destinations one branch where they
+# leave the same state with the same verdict) give the nine-way chain's
+# states, numbering and row patterns, rows and rewards by bits at the
+# dyadic traffic levels and within 4 ulp elsewhere - and two seeded
+# folding slips must fail; half (iii): the head-only FIFO
 # (each queue's length and head) on orbits is the full-sequence FIFO on
 # joint occupancies, aggregated by deferred decisions - arrangements
 # counted, rows class-averaged, stationary answers projected - and three
@@ -216,11 +222,14 @@ bench_smoke() {
 # `results-check`, which cover every leg in a complete run.
 markov_smoke() {
     gate "markov-smoke: explorer, lumping and solvers vs the reference, within the work budget"
-    cargo test -q -p damq-markov --test explore_reference -- --skip deferred_decision --skip mutation
+    cargo test -q -p damq-markov --test explore_reference -- --skip deferred_decision --skip mutation --skip distinct_outcome
 
     gate "markov-smoke: seeded slips (explorer, GMRES, elimination) fail; solver unit tests"
     cargo test -q -p damq-markov --test explore_reference mutation
     cargo test -q -p damq-markov --lib solve::
+
+    gate "markov-smoke: distinct-outcome arrivals vs nine-way (half iv) with its seeded slips"
+    cargo test -q -p damq-markov --test explore_reference distinct_outcome
 
     gate "markov-smoke: head-only FIFO vs full sequences (half iii) with its seeded slips; checker counts"
     cargo test -q -p damq-markov --test explore_reference deferred_decision
