@@ -5,23 +5,22 @@
 //! many epochs; every epoch draws a fresh storm (dead slots, link flaps,
 //! payload corruption, and misroutes) and ends with a full invariant
 //! re-audit (conservation, fault-ledger accounting, quiescence). Cells
-//! run through the resumable pipeline ([`damq_bench::resume::run_with`])
-//! under the recorded isolation harness
-//! ([`sweep::run_isolated_recorded`]): each attempt records telemetry
-//! into a flight-recorder ring, and an invariant violation minimizes
-//! itself to a reproducer (seed + cycle window + fault plan), panics
-//! with the reproducer JSON as the message, and so lands in the crash
-//! dump sidecar under `results/chaos_dumps/` alongside the trailing
-//! event tail.
+//! run under the recorded isolation harness
+//! ([`sweep::run_isolated_recorded`]): each cell records telemetry into
+//! a flight-recorder ring, and an invariant violation minimizes itself
+//! to a reproducer (seed + cycle window + fault plan), panics with the
+//! reproducer JSON as the message, and so lands in the crash dump
+//! sidecar under `results/chaos_dumps/` alongside the trailing event
+//! tail. Any failed cell makes the harness exit non-zero.
 //!
-//! Flags: `--smoke` shrinks the grid and epochs for the CI gate;
-//! `--resume` reloads `results/json/<name>.cells.jsonl`.
+//! Flags: `--smoke` shrinks the grid and epochs for the CI gate.
+
+use std::path::PathBuf;
 
 use damq_bench::chaos::{self, SoakPlan};
 use damq_bench::grid::{Axis, Cell, Grid};
 use damq_bench::json::{Json, Report};
-use damq_bench::sweep::{self, IsolationOptions};
-use damq_bench::{cli, resume};
+use damq_bench::{cli, sweep};
 use damq_core::{BufferKind, FaultSpec};
 use damq_net::{NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
@@ -64,9 +63,6 @@ fn plan(smoke: bool) -> Plan {
 
 fn soak_for(cell: &Cell, plan: &Plan) -> SoakPlan {
     SoakPlan {
-        // The storm seed depends only on the grid coordinates: the
-        // faults are the experiment, so a retry replays the same storms
-        // against a fresh traffic stream.
         seed: cell.seed_from(sweep::BASE_SEED ^ 0xC4A05),
         epochs: plan.epochs,
         epoch_cycles: plan.epoch_cycles,
@@ -88,18 +84,18 @@ fn soak_for(cell: &Cell, plan: &Plan) -> SoakPlan {
     }
 }
 
-fn config_for(cell: &Cell, plan: &Plan, attempt: u32) -> NetworkConfig {
+fn config_for(cell: &Cell, plan: &Plan) -> NetworkConfig {
     NetworkConfig::new(TERMINALS, RADIX)
         .buffer_kind(plan.kinds[cell[0]])
         .slots_per_buffer(SLOTS)
         .flow_control(plan.flows[cell[1]])
         .recovery(RecoveryConfig::enabled())
         .offered_load(0.5)
-        .seed(cell.seed_from(sweep::BASE_SEED + u64::from(attempt)))
+        .seed(cell.seed())
 }
 
 fn main() {
-    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let args = cli::parse(&["--smoke"], &[]);
     let plan = plan(args.flag("--smoke"));
 
     let mut report = Report::new(plan.name);
@@ -114,17 +110,14 @@ fn main() {
         Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
         Axis::new("flow", plan.flows.iter().map(|f| format!("{f:?}"))),
     ]);
-    let opts = IsolationOptions {
-        cycle_budget: plan.epochs * plan.epoch_cycles * 20,
-        max_retries: 1,
-    };
+    let cycle_budget = plan.epochs * plan.epoch_cycles * 20;
     let dump_dir = damq_bench::results_dir().join("chaos_dumps");
     // Built-in audits are the soaked invariants; the extra hook stays
     // inert here (the seeded-mutation test exercises it).
     let check = |_probe: &chaos::EpochProbe| -> Result<(), String> { Ok(()) };
-    let soak_cell = |cell: &Cell, watchdog: &sweep::Watchdog, attempt, recorder| {
+    let soak_cell = |cell: &Cell, watchdog: &sweep::Watchdog, recorder| {
         let soak = soak_for(cell, &plan);
-        let config = config_for(cell, &plan, attempt);
+        let config = config_for(cell, &plan);
         let outcome = chaos::run_soak(config, &soak, recorder, &check, || watchdog.tick())
             .expect("grid cell configuration is valid");
         if let Some(violation) = &outcome.violation {
@@ -149,35 +142,16 @@ fn main() {
             ("slots_killed", Json::from(outcome.ledger.slots_killed)),
         ])
     };
-    let mut dumps = 0;
-    let (records, robustness) = resume::run_with(
-        plan.name,
-        args.flag("--resume"),
-        grid,
-        |pending, checkpoint| {
-            let recorded = sweep::run_isolated_recorded(
-                pending,
-                opts,
-                RING_CAPACITY,
-                &dump_dir,
-                |cell, watchdog, attempt, recorder| {
-                    checkpoint(cell, soak_cell(cell, watchdog, attempt, recorder));
-                },
-            );
-            dumps = recorded.iter().map(|r| r.dumps.len()).sum();
-            recorded.into_iter().map(|r| r.report.outcome).collect()
-        },
+    let recorded = sweep::run_isolated_recorded(
+        grid.cells(),
+        cycle_budget,
+        RING_CAPACITY,
+        &dump_dir,
+        soak_cell,
     );
-
+    let dumps: Vec<PathBuf> = recorded.iter().filter_map(|r| r.dump.clone()).collect();
+    let (records, outcomes) = grid.with_reports(recorded.into_iter().map(|r| r.report));
     records.report(&mut report, Json::clone);
-    let robustness = match robustness {
-        Json::Obj(mut pairs) => {
-            pairs.push(("flight_dumps".to_owned(), Json::from(dumps)));
-            Json::Obj(pairs)
-        }
-        other => other,
-    };
-    report.set_robustness(robustness);
 
     let header = [
         "buffer",
@@ -198,12 +172,9 @@ fn main() {
     });
     print!("{table}");
 
-    report.write_and_announce();
-
-    let clean = records.iter().all(|(_, r)| r.get("failed").is_none());
-    if !clean {
+    if let Err(failure) = report.finish(&outcomes, Some(&dumps)) {
         eprintln!(
-            "chaos soak found violations; see {} for reproducers",
+            "error: {failure}; chaos soak reproducers are in {}",
             dump_dir.display()
         );
         std::process::exit(1);

@@ -10,19 +10,23 @@
 //! anywhere), while static partitions lose a whole queue's worth of
 //! headroom when their slots die.
 //!
-//! Cells run through the resumable self-healing pipeline
-//! ([`damq_bench::resume::run`]): panic-isolated, cycle-budget
-//! watchdogged, retried with a fresh seed on panic, and checkpointed per
-//! cell so `--resume` re-runs only what is missing. Outcomes land in the
-//! report's `robustness` section.
+//! Every design meets the same damage: the dead-slot plan and the
+//! traffic stream are drawn from the (fraction, draw) coordinates only,
+//! never from the design or the load, and each point is repeated over
+//! eight draws. The text table and the report's aggregate cells give the
+//! mean and min–max over the draws; the per-draw cells pair the designs
+//! draw by draw.
 //!
-//! Flags: `--smoke` shrinks the grid and windows for the CI gate;
-//! `--resume` reloads `results/json/<name>.cells.jsonl`.
+//! Cells run isolated ([`Grid::run_isolated`]): panic-contained and
+//! cycle-budget watchdogged. A cell that panics or times out is a bug,
+//! so its outcome lands in the report's `robustness` section and the
+//! harness exits non-zero.
+//!
+//! Flags: `--smoke` shrinks the grid and windows for the CI gate.
 
-use damq_bench::grid::{Axis, Cell, Grid};
+use damq_bench::grid::{Axis, Cell, Grid, Spread};
 use damq_bench::json::{measurement_json, Json, Report};
-use damq_bench::sweep::{self, IsolationOptions};
-use damq_bench::{cli, render_table, resume};
+use damq_bench::{cli, sweep};
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{measure_with_faults, NetworkConfig};
 use damq_switch::FlowControl;
@@ -39,6 +43,7 @@ struct Plan {
     kinds: Vec<BufferKind>,
     fractions: Vec<f64>,
     loads: Vec<f64>,
+    draws: usize,
     warm_up: u64,
     window: u64,
 }
@@ -50,6 +55,7 @@ fn plan(smoke: bool) -> Plan {
             kinds: vec![BufferKind::Samq, BufferKind::Damq],
             fractions: vec![0.0, 0.25],
             loads: vec![0.6],
+            draws: 2,
             warm_up: 50,
             window: 200,
         }
@@ -59,10 +65,18 @@ fn plan(smoke: bool) -> Plan {
             kinds: BufferKind::EXTENDED.to_vec(),
             fractions: vec![0.0, 0.10, 0.25],
             loads: vec![0.3, 0.6, 0.9],
+            draws: 8,
             warm_up: 300,
             window: 1000,
         }
     }
+}
+
+/// The seed of a (dead fraction, draw) point under `base`: the design and
+/// load axes stay out of it, so every design faces the same dead slots
+/// and the same traffic stream.
+fn point_seed(cell: &Cell, base: u64) -> u64 {
+    sweep::cell_seed(base, &[cell[1] as u64, cell[3] as u64])
 }
 
 fn faults_for(cell: &Cell, dead_fraction: f64, horizon: u64) -> FaultPlan {
@@ -73,26 +87,21 @@ fn faults_for(cell: &Cell, dead_fraction: f64, horizon: u64) -> FaultPlan {
         dead_slot_fraction: dead_fraction,
         ..FaultSpec::fault_free(STAGES, PER_STAGE, RADIX, TERMINALS, SLOTS, horizon)
     };
-    // The plan seed depends only on the grid coordinates, not the attempt:
-    // the *faults* are the experiment, so a retry replays the same damage
-    // against a fresh traffic stream.
-    FaultPlan::generate(cell.seed_from(sweep::BASE_SEED ^ 0xFA17), &spec)
+    FaultPlan::generate(point_seed(cell, sweep::BASE_SEED ^ 0xFA17), &spec)
 }
 
-fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
+fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
     let (kind, dead_fraction, load) = (
         plan.kinds[cell[0]],
         plan.fractions[cell[1]],
         plan.loads[cell[2]],
     );
-    // Fold the attempt index into the traffic seed so a retry after a
-    // panic explores a different stream (the reseed of retry-with-reseed).
     let config = NetworkConfig::new(TERMINALS, RADIX)
         .buffer_kind(kind)
         .slots_per_buffer(SLOTS)
         .flow_control(FlowControl::Discarding)
         .offered_load(load)
-        .seed(cell.seed_from(sweep::BASE_SEED + u64::from(attempt)));
+        .seed(point_seed(cell, sweep::BASE_SEED));
     let faults = faults_for(cell, dead_fraction, plan.warm_up / 2);
     let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
         watchdog.tick();
@@ -106,7 +115,7 @@ fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) 
 }
 
 fn main() {
-    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let args = cli::parse(&["--smoke"], &[]);
     let plan = plan(args.flag("--smoke"));
 
     let mut report = Report::new(plan.name);
@@ -116,53 +125,50 @@ fn main() {
     report.meta("flow_control", Json::from("discarding"));
     report.meta("warm_up", Json::from(plan.warm_up));
     report.meta("window", Json::from(plan.window));
+    report.meta("draws", Json::from(plan.draws));
 
     let grid = Grid::product([
         Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
         Axis::new("dead_fraction", plan.fractions.iter().copied()),
         Axis::new("load", plan.loads.iter().copied()),
+        Axis::new("draw", 0..plan.draws),
     ]);
-    let opts = IsolationOptions {
-        // Generous: ~20x the cell's simulated cycles. A cell that ticks
-        // past this is wedged, not slow.
-        cycle_budget: (plan.warm_up + plan.window) * 20,
-        max_retries: 2,
-    };
-    let (records, robustness) = resume::run(
-        plan.name,
-        args.flag("--resume"),
-        grid,
-        opts,
-        |cell, watchdog, attempt| run_cell(cell, &plan, watchdog, attempt),
-    );
+    // Generous: ~20x the cell's simulated cycles. A cell that ticks past
+    // this is wedged, not slow.
+    let cycle_budget = (plan.warm_up + plan.window) * 20;
+    let (records, outcomes) = grid.run_isolated(cycle_budget, |cell, watchdog| {
+        run_cell(cell, &plan, watchdog)
+    });
 
+    // Per (design, fraction, load): the spread of a measured field over
+    // the draws.
+    let spread = |draws: &[Json], name| Spread::of_field(draws, &["measurement", name]);
     records.report(&mut report, Json::clone);
-    report.set_robustness(robustness);
+    records.report_rows(3, &mut report, |draws| {
+        let summary = |name| spread(draws, name).map_or(Json::Null, Spread::to_json);
+        Json::obj([
+            ("aggregate", Json::from(true)),
+            ("delivered", summary("delivered")),
+            ("discard_fraction", summary("discard_fraction")),
+        ])
+    });
 
     // Text table on stdout, mirroring the other harnesses.
-    let rows = records.iter().map(|(cell, record)| {
-        let field = |name: &str| -> String {
-            record
-                .get("measurement")
-                .and_then(|m| m.get(name))
-                .and_then(Json::as_f64)
-                .map_or_else(|| "failed".to_owned(), |v| format!("{v:.3}"))
-        };
-        let killed = record
-            .get("slots_killed")
-            .and_then(Json::as_f64)
-            .map_or_else(|| "-".to_owned(), |v| format!("{v:.0}"));
+    let header = ["buffer", "dead", "load", "killed", "delivered", "discard"];
+    let table = records.table(3, &header, |_, draws| {
+        let failed = || "failed".to_owned();
+        let mean =
+            |s: Option<Spread>, digits| s.map_or_else(failed, |s| format!("{:.*}", digits, s.mean));
         vec![
-            plan.kinds[cell[0]].name().to_owned(),
-            format!("{:.2}", plan.fractions[cell[1]]),
-            format!("{:.2}", plan.loads[cell[2]]),
-            killed,
-            field("delivered"),
-            field("discard_fraction"),
+            mean(Spread::of_field(draws, &["slots_killed"]), 0),
+            spread(draws, "delivered").map_or_else(failed, |s| s.to_string()),
+            mean(spread(draws, "discard_fraction"), 3),
         ]
     });
-    let header = ["buffer", "dead", "load", "killed", "delivered", "discard"];
-    print!("{}", render_table(&header, &rows.collect::<Vec<_>>()));
+    print!("{table}");
 
-    report.write_and_announce();
+    if let Err(failure) = report.finish(&outcomes, None) {
+        eprintln!("error: {failure}");
+        std::process::exit(1);
+    }
 }

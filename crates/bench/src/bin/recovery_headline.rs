@@ -12,17 +12,22 @@
 //! fault-adaptive rerouting deflects departures around dead links
 //! through the DAMQ per-output queues.
 //!
-//! Results land in `results/json/recovery_headline.json` and the
-//! `recovery` section of `BENCH_throughput.json`.
+//! Every design meets the same damage: the dead links and the traffic
+//! stream are drawn from the (fraction, draw) coordinates only, never
+//! from the design or the recovery mode, and each point is repeated over
+//! eight draws. Designs are compared draw by draw; the text table, the
+//! report's aggregate cells and the `recovery` section of
+//! `BENCH_throughput.json` give the mean and min–max over the draws.
 //!
-//! Flags: `--smoke` shrinks the grid and windows for quick checks;
-//! `--resume` reloads `results/json/<name>.cells.jsonl`.
+//! Cells run isolated ([`Grid::run_isolated`]); a cell that panics or
+//! times out is a bug, and the harness exits non-zero.
+//!
+//! Flags: `--smoke` shrinks the grid and windows for quick checks.
 
-use damq_bench::grid::{Axis, Cell, Grid};
+use damq_bench::grid::{Axis, Cell, Grid, Spread};
 use damq_bench::json::{measurement_json, Json, Report};
 use damq_bench::record::BenchRecord;
-use damq_bench::sweep::{self, IsolationOptions};
-use damq_bench::{cli, render_table, resume};
+use damq_bench::{cli, sweep};
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{measure_with_faults, NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
@@ -40,6 +45,7 @@ struct Plan {
     name: &'static str,
     kinds: Vec<BufferKind>,
     fractions: Vec<f64>,
+    draws: usize,
     warm_up: u64,
     window: u64,
 }
@@ -50,6 +56,7 @@ fn plan(smoke: bool) -> Plan {
             name: "recovery_headline_smoke",
             kinds: vec![BufferKind::Damq],
             fractions: vec![0.10],
+            draws: 2,
             warm_up: 100,
             window: 400,
         }
@@ -58,17 +65,18 @@ fn plan(smoke: bool) -> Plan {
             name: "recovery_headline",
             kinds: BufferKind::EXTENDED.to_vec(),
             fractions: vec![0.10, 0.20, 0.30],
+            draws: 8,
             warm_up: 200,
             window: 2000,
         }
     }
 }
 
-/// The seed of a (design, damage) point under `base`: the recovery axis
-/// stays out of it, so the on/off pair of every point faces an identical
-/// set of dead links and an identical traffic stream.
+/// The seed of a (dead fraction, draw) point under `base`: the design
+/// and recovery axes stay out of it, so every design, healing or not,
+/// faces an identical set of dead links and an identical traffic stream.
 fn point_seed(cell: &Cell, base: u64) -> u64 {
-    sweep::cell_seed(base, &[cell[0] as u64, cell[1] as u64])
+    sweep::cell_seed(base, &[cell[1] as u64, cell[3] as u64])
 }
 
 /// Kills `dead_links` of the fabric's links permanently: each failure
@@ -90,7 +98,7 @@ fn faults_for(cell: &Cell, dead_links: f64, warm_up: u64, window: u64) -> FaultP
     FaultPlan::generate(point_seed(cell, sweep::BASE_SEED ^ 0x4EA1), &spec)
 }
 
-fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) -> Json {
+fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
     let recovery = if RECOVERY[cell[2]] == "on" {
         RecoveryConfig::enabled()
     } else {
@@ -102,7 +110,7 @@ fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) 
         .flow_control(FlowControl::Discarding)
         .recovery(recovery)
         .offered_load(0.6)
-        .seed(point_seed(cell, sweep::BASE_SEED + u64::from(attempt)));
+        .seed(point_seed(cell, sweep::BASE_SEED));
     let faults = faults_for(cell, plan.fractions[cell[1]], plan.warm_up, plan.window);
     let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
         watchdog.tick();
@@ -121,7 +129,7 @@ fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog, attempt: u32) 
 }
 
 fn main() {
-    let args = cli::parse(&["--smoke", "--resume"], &[]);
+    let args = cli::parse(&["--smoke"], &[]);
     let smoke = args.flag("--smoke");
     let plan = plan(smoke);
     // Smoke runs stay out of the committed throughput record: it holds
@@ -137,82 +145,77 @@ fn main() {
     report.meta("warm_up", Json::from(plan.warm_up));
     report.meta("window", Json::from(plan.window));
     report.meta("total_links", Json::from(LINKS));
+    report.meta("draws", Json::from(plan.draws));
 
     let grid = Grid::product([
         Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
         Axis::new("dead_links", plan.fractions.iter().copied()),
         Axis::new("recovery", RECOVERY),
+        Axis::new("draw", 0..plan.draws),
     ]);
-    let opts = IsolationOptions {
-        cycle_budget: (plan.warm_up + plan.window) * 20,
-        max_retries: 2,
+    let cycle_budget = (plan.warm_up + plan.window) * 20;
+    let (records, outcomes) = grid.run_isolated(cycle_budget, |cell, watchdog| {
+        run_cell(cell, &plan, watchdog)
+    });
+
+    // Per (design, fraction, recovery): the spread of each headline
+    // number over the draws.
+    let delivered = |draws: &[Json]| Spread::of_field(draws, &["delivered_fraction"]);
+    let p99 = |draws: &[Json]| Spread::of_field(draws, &["measurement", "latency_p99_clocks"]);
+    let summary = |draws: &[Json]| {
+        let json = |s: Option<Spread>| s.map_or(Json::Null, Spread::to_json);
+        Json::obj([
+            ("delivered_fraction", json(delivered(draws))),
+            ("latency_p99_clocks", json(p99(draws))),
+        ])
     };
-    let (records, robustness) = resume::run(
-        plan.name,
-        args.flag("--resume"),
-        grid,
-        opts,
-        |cell, watchdog, attempt| run_cell(cell, &plan, watchdog, attempt),
-    );
-
     records.report(&mut report, Json::clone);
-    report.set_robustness(robustness);
+    records.report_rows(3, &mut report, |draws| {
+        Json::cell([("aggregate", Json::from(true))], summary(draws))
+    });
 
-    let mut rows = Vec::new();
-    let mut section_cells = Vec::new();
-    for (cell, record) in records.iter() {
-        let (kind, dead_links, recovery) = (
-            plan.kinds[cell[0]].name(),
-            plan.fractions[cell[1]],
-            RECOVERY[cell[2]],
-        );
-        let top = |name: &str| record.get(name).and_then(Json::as_f64);
-        let p99 = record
-            .get("measurement")
-            .and_then(|m| m.get("latency_p99_clocks"))
-            .and_then(Json::as_f64);
-        let fmt = |v: Option<f64>| v.map_or_else(|| "failed".to_owned(), |v| format!("{v:.3}"));
-        rows.push(vec![
-            kind.to_owned(),
-            format!("{dead_links:.2}"),
-            recovery.to_owned(),
-            fmt(top("delivered_fraction")),
-            fmt(p99),
-            fmt(top("fault_drops")),
-        ]);
-        let mode = if recovery == "on" { "heal" } else { "drop" };
-        section_cells.push((
-            format!("{kind}|links{dead_links:.2}|{mode}"),
-            Json::obj([
-                (
-                    "delivered_fraction",
-                    top("delivered_fraction").map_or(Json::Null, Json::from),
-                ),
-                ("latency_p99_clocks", p99.map_or(Json::Null, Json::from)),
-            ]),
-        ));
-    }
     let header = [
         "buffer",
         "dead_links",
         "recovery",
-        "delivered_frac",
+        "delivered_frac (min-max)",
         "p99_clocks",
         "fault_drops",
     ];
-    print!("{}", render_table(&header, &rows));
-
-    report.write_and_announce();
+    let table = records.table(3, &header, |_, draws| {
+        let failed = || "failed".to_owned();
+        let mean = |s: Option<Spread>| s.map_or_else(failed, |s| format!("{:.1}", s.mean));
+        vec![
+            delivered(draws).map_or_else(failed, |s| s.to_string()),
+            mean(p99(draws)),
+            mean(Spread::of_field(draws, &["fault_drops"])),
+        ]
+    });
+    print!("{table}");
 
     // Mirror the headline numbers into the committed throughput record,
     // replacing only this harness's section.
     if let Some(bench_record) = &mut bench_record {
+        let cells = records.rows(3).into_iter().map(|(point, draws)| {
+            let (kind, dead_links) = (plan.kinds[point[0]].name(), plan.fractions[point[1]]);
+            let mode = ["drop", "heal"][point[2]];
+            (
+                format!("{kind}|links{dead_links:.2}|{mode}"),
+                summary(draws),
+            )
+        });
         let section = Json::obj([
             ("experiment", Json::from(plan.name)),
             ("offered_load", Json::from(0.6)),
-            ("cells", Json::Obj(section_cells)),
+            ("draws", Json::from(plan.draws)),
+            ("cells", Json::Obj(cells.collect())),
         ]);
         bench_record.set("recovery", section);
         bench_record.save();
+    }
+
+    if let Err(failure) = report.finish(&outcomes, None) {
+        eprintln!("error: {failure}");
+        std::process::exit(1);
     }
 }

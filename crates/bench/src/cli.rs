@@ -92,12 +92,12 @@ mod tests {
     fn declared_flags_and_options_parse() {
         let args = parse_strs(
             &["--smoke", "--order", "a", "--order", "b"],
-            &["--smoke", "--resume"],
+            &["--smoke", "--verbose"],
             &["--order"],
         )
         .unwrap();
         assert!(args.flag("--smoke"));
-        assert!(!args.flag("--resume"));
+        assert!(!args.flag("--verbose"));
         assert_eq!(args.value("--order"), Some("b"));
         assert_eq!(args.value("--out"), None);
     }

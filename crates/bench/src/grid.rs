@@ -20,7 +20,8 @@
 //!    cell — the axes' key/label pairs, the grid's [`Grid::tag`]s, then
 //!    the record — while [`Results::at`], [`Results::rows`] and
 //!    [`Results::table`] serve the same values by coordinate for the
-//!    text table.
+//!    text table. [`Results::report_rows`] and [`Spread`] summarise a
+//!    trailing axis of repeated draws.
 //!
 //! A simulation experiment is then a base `NetworkConfig`, its axes and
 //! its columns: [`Grid::measure`] and [`Grid::saturate`] turn a
@@ -65,7 +66,7 @@ use damq_net::{
 
 use crate::json::{Json, Report};
 use crate::render_table;
-use crate::sweep::{self, SweepProfile};
+use crate::sweep::{self, CellOutcome, CellReport, SweepProfile, Watchdog};
 
 /// The trailing seed coordinate of a per-row search that sits next to a
 /// measured grid over the same leading axes (`[k, SEARCH]` beside
@@ -112,9 +113,8 @@ impl Cell {
         self.seed_from(sweep::BASE_SEED)
     }
 
-    /// The cell's RNG seed under another base — how the fault harnesses
-    /// derive a damage stream and a per-attempt traffic stream from the
-    /// same coordinates.
+    /// The cell's RNG seed under another base — how one cell derives
+    /// several independent streams from the same coordinates.
     pub fn seed_from(&self, base: u64) -> u64 {
         sweep::cell_seed(base, &self.seed_coords)
     }
@@ -269,6 +269,38 @@ impl Grid {
         })
     }
 
+    /// Evaluates every cell under [`sweep::run_isolated`] with a watchdog
+    /// of `cycle_budget` ticks; see [`Grid::with_reports`] for what comes
+    /// back.
+    pub fn run_isolated(
+        self,
+        cycle_budget: u64,
+        f: impl Fn(&Cell, &Watchdog) -> Json + Sync,
+    ) -> (Results<Json>, Vec<CellOutcome>) {
+        let reports = sweep::run_isolated(&self.cells, cycle_budget, f);
+        self.with_reports(reports)
+    }
+
+    /// Pairs the grid with one isolated report per cell, in cell order:
+    /// the records, with the placeholder `{"failed": true}` for a cell
+    /// that did not end `Ok` so the report still accounts for it, and the
+    /// outcomes for [`Report::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn with_reports(
+        self,
+        reports: impl IntoIterator<Item = CellReport<Json>>,
+    ) -> (Results<Json>, Vec<CellOutcome>) {
+        let failed = || Json::obj([("failed", Json::from(true))]);
+        let (records, outcomes) = reports
+            .into_iter()
+            .map(|r| (r.result.unwrap_or_else(failed), r.outcome))
+            .unzip();
+        (self.with_values(records), outcomes)
+    }
+
     /// Pairs the grid with one value per cell, in cell order.
     ///
     /// # Panics
@@ -339,11 +371,9 @@ impl<R> Results<R> {
         columns: impl Fn(&[usize], &[R]) -> Vec<String>,
     ) -> String {
         let rows = self.rows(depth).into_iter().map(|(leading, values)| {
-            let labels = self.grid.axes.iter().zip(leading).flat_map(|(axis, &i)| {
-                axis.points[i].iter().map(|(_, label)| match label {
-                    Json::Str(text) => text.clone(),
-                    other => other.render(),
-                })
+            let labels = self.leading_labels(leading).map(|(_, label)| match label {
+                Json::Str(text) => text.clone(),
+                other => other.render(),
             });
             labels.chain(columns(leading, values)).collect()
         });
@@ -357,6 +387,81 @@ impl<R> Results<R> {
         for (cell, value) in self.iter() {
             report.push_cell(Json::cell(self.grid.labels(cell), record(value)));
         }
+    }
+
+    /// Pushes one report cell per [`Results::rows`]`(depth)` entry: the
+    /// labels of the row's leading coordinates, then `record(values)`
+    /// flattened in — a summary over the trailing axes.
+    pub fn report_rows(&self, depth: usize, report: &mut Report, record: impl Fn(&[R]) -> Json) {
+        for (leading, values) in self.rows(depth) {
+            report.push_cell(Json::cell(self.leading_labels(leading), record(values)));
+        }
+    }
+
+    fn leading_labels<'a>(&'a self, leading: &'a [usize]) -> impl Iterator<Item = Label> + 'a {
+        let axes = self.grid.axes.iter().zip(leading);
+        axes.flat_map(|(axis, &i)| axis.points[i].iter().cloned())
+    }
+}
+
+/// Mean and range of one metric over repeated draws of the same point —
+/// what a paired experiment reports per design.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Sample mean.
+    pub mean: f64,
+    /// Smallest sample.
+    pub min: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of the number at `path` — nested object keys — across
+    /// `records`, or `None` if there are no records or any lacks the
+    /// number (a failed cell).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use damq_bench::grid::Spread;
+    /// use damq_bench::json::Json;
+    ///
+    /// let draw = |v: f64| Json::obj([("m", Json::obj([("x", Json::from(v))]))]);
+    /// let s = Spread::of_field(&[draw(0.5), draw(0.25), draw(0.75)], &["m", "x"]).unwrap();
+    /// assert_eq!((s.mean, s.min, s.max), (0.5, 0.25, 0.75));
+    /// assert_eq!(s.to_string(), "0.500 (0.250–0.750)");
+    /// assert_eq!(Spread::of_field(&[draw(0.5), Json::Null], &["m", "x"]), None);
+    /// ```
+    pub fn of_field(records: &[Json], path: &[&str]) -> Option<Spread> {
+        let field = |record| path.iter().try_fold(record, |at: &Json, key| at.get(key));
+        let samples: Vec<f64> = records
+            .iter()
+            .map(|r| field(r)?.as_f64())
+            .collect::<Option<_>>()?;
+        let first = *samples.first()?;
+        let spread = Spread {
+            mean: samples.iter().sum::<f64>() / samples.len() as f64,
+            min: samples.iter().copied().fold(first, f64::min),
+            max: samples.iter().copied().fold(first, f64::max),
+        };
+        Some(spread)
+    }
+
+    /// `{"mean": .., "min": .., "max": ..}`.
+    pub fn to_json(self) -> Json {
+        Json::obj([
+            ("mean", Json::from(self.mean)),
+            ("min", Json::from(self.min)),
+            ("max", Json::from(self.max)),
+        ])
+    }
+}
+
+impl std::fmt::Display for Spread {
+    /// `mean (min–max)` at three decimals.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.3} ({:.3}–{:.3})", self.mean, self.min, self.max)
     }
 }
 

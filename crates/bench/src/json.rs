@@ -582,7 +582,7 @@ pub fn aggregates_json(aggs: &[(&'static str, Aggregate)]) -> Json {
 
 /// Summarises a batch of [`CellOutcome`]s into the `robustness` report
 /// section: outcome counts plus one `incidents` entry per non-`ok` cell
-/// (index into the batch, outcome tag, panic message / attempt count).
+/// (index into the batch, outcome tag, panic message).
 ///
 /// The section is deterministic — outcomes derive from seeded simulation
 /// work, not wall-clock — so [`Report::body`] includes it when attached
@@ -611,14 +611,8 @@ pub fn robustness_json(outcomes: &[CellOutcome]) -> Json {
                 ("index".to_owned(), Json::from(i)),
                 ("outcome".to_owned(), Json::from(o.label())),
             ];
-            match o {
-                CellOutcome::Retried { attempts } => {
-                    fields.push(("attempts".to_owned(), Json::from(u64::from(*attempts))));
-                }
-                CellOutcome::Panicked { message } => {
-                    fields.push(("message".to_owned(), Json::from(message.as_str())));
-                }
-                CellOutcome::Ok | CellOutcome::TimedOut => {}
+            if let CellOutcome::Panicked { message } = o {
+                fields.push(("message".to_owned(), Json::from(message.as_str())));
             }
             Json::Obj(fields)
         })
@@ -626,7 +620,6 @@ pub fn robustness_json(outcomes: &[CellOutcome]) -> Json {
     Json::obj([
         ("cells", Json::from(outcomes.len())),
         ("ok", Json::from(count("ok"))),
-        ("retried", Json::from(count("retried"))),
         ("panicked", Json::from(count("panicked"))),
         ("timed_out", Json::from(count("timed_out"))),
         ("incidents", Json::Arr(incidents)),
@@ -848,6 +841,41 @@ impl Report {
             Err(e) => eprintln!("warning: could not write JSON report: {e}"), // lint: allow — harness status channel
         }
     }
+
+    /// The last step of a harness whose cells ran isolated: attaches the
+    /// `robustness` section for `outcomes`, writes the report, and fails
+    /// unless every cell is [`CellOutcome::Ok`]. A recorded sweep passes
+    /// the flight-recorder `dumps` its failed cells left; they are
+    /// counted in the section as `flight_dumps` and named on stderr.
+    ///
+    /// A cell is a deterministic function of its seed, so a panic or a
+    /// watchdog trip is a bug to fix, not a flake to report around: the
+    /// binaries turn the error into exit status 1.
+    ///
+    /// # Errors
+    ///
+    /// Says how many cells failed.
+    pub fn finish(
+        mut self,
+        outcomes: &[CellOutcome],
+        dumps: Option<&[PathBuf]>,
+    ) -> Result<(), String> {
+        let mut robustness = robustness_json(outcomes);
+        if let (Json::Obj(pairs), Some(dumps)) = (&mut robustness, dumps) {
+            pairs.push(("flight_dumps".to_owned(), Json::from(dumps.len())));
+        }
+        self.set_robustness(robustness);
+        self.write_and_announce();
+        for dump in dumps.unwrap_or_default() {
+            eprintln!("flight-recorder dump: {}", dump.display()); // lint: allow — harness status channel
+        }
+        let failed = outcomes.iter().filter(|o| **o != CellOutcome::Ok).count();
+        if failed == 0 {
+            Ok(())
+        } else {
+            Err(format!("{failed} of {} cells failed", outcomes.len()))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -948,7 +976,6 @@ mod tests {
         r.push_cell(Json::from(1i64));
         let outcomes = [
             CellOutcome::Ok,
-            CellOutcome::Retried { attempts: 3 },
             CellOutcome::Panicked {
                 message: "boom".to_owned(),
             },
@@ -956,11 +983,9 @@ mod tests {
         ];
         r.set_robustness(robustness_json(&outcomes));
         let body = r.body().render();
-        assert!(body
-            .contains(r#""robustness":{"cells":4,"ok":1,"retried":1,"panicked":1,"timed_out":1"#));
-        assert!(body.contains(r#"{"index":1,"outcome":"retried","attempts":3}"#));
-        assert!(body.contains(r#"{"index":2,"outcome":"panicked","message":"boom"}"#));
-        assert!(body.contains(r#"{"index":3,"outcome":"timed_out"}"#));
+        assert!(body.contains(r#""robustness":{"cells":3,"ok":1,"panicked":1,"timed_out":1"#));
+        assert!(body.contains(r#"{"index":1,"outcome":"panicked","message":"boom"}"#));
+        assert!(body.contains(r#"{"index":2,"outcome":"timed_out"}"#));
     }
 
     #[test]
@@ -968,7 +993,7 @@ mod tests {
         let section = robustness_json(&[CellOutcome::Ok, CellOutcome::Ok]);
         assert_eq!(
             section.render(),
-            r#"{"cells":2,"ok":2,"retried":0,"panicked":0,"timed_out":0,"incidents":[]}"#
+            r#"{"cells":2,"ok":2,"panicked":0,"timed_out":0,"incidents":[]}"#
         );
     }
 

@@ -13,17 +13,14 @@
 //!   fanned out across cores with deterministic, thread-count-
 //!   independent results, plus multi-seed aggregation (mean / stddev /
 //!   95% CI) and the self-healing isolation layer
-//!   ([`sweep::run_isolated`]) that contains panics, enforces cycle
-//!   budgets and retries flaky cells.
+//!   ([`sweep::run_isolated`]) that contains panics and enforces cycle
+//!   budgets; a cell that fails is a bug, and the harness exits non-zero
+//!   ([`json::Report::finish`]).
 //! - [`cli`] — the one argument parser: undeclared flags and bad values
 //!   are usage errors (exit 2), never silently ignored.
 //! - [`json`] — a hand-rolled JSON writer; every harness emits
 //!   `results/json/<experiment>.json` alongside its text table.
 //! - [`record`] — the one read-modify-write of `BENCH_throughput.json`.
-//! - [`resume`] — per-cell checkpointing to an append-only sidecar so an
-//!   interrupted sweep resumes from its last completed cell
-//!   ([`resume::run`] is the whole checkpoint → isolate → assemble
-//!   pipeline).
 //! - [`chaos`] — the chaos soak engine: composed per-epoch fault storms,
 //!   per-epoch invariant audits, and reproducer minimization for the
 //!   `chaos_soak` binary.
@@ -43,7 +40,6 @@ pub mod cli;
 pub mod grid;
 pub mod json;
 pub mod record;
-pub mod resume;
 pub mod sweep;
 pub mod timing;
 

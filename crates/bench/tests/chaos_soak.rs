@@ -5,7 +5,7 @@
 
 use damq_bench::chaos::{self, EpochProbe, Reproducer, SoakPlan};
 use damq_bench::json::Json;
-use damq_bench::sweep::{self, CellOutcome, IsolationOptions};
+use damq_bench::sweep::{self, CellOutcome};
 use damq_core::{BufferKind, FaultSpec};
 use damq_net::{NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
@@ -54,19 +54,14 @@ fn mutated_soak_emits_a_working_reproducer_through_the_flight_recorder() {
         std::env::temp_dir().join(format!("damq_chaos_dump_test_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dump_dir);
 
-    // One cell, no retries: the violation is deterministic, so a retry
-    // would only panic again.
     let cells = [()];
-    let opts = IsolationOptions {
-        cycle_budget: soak().epochs * soak().epoch_cycles * 20,
-        max_retries: 0,
-    };
+    let cycle_budget = soak().epochs * soak().epoch_cycles * 20;
     let recorded = sweep::run_isolated_recorded(
         &cells,
-        opts,
+        cycle_budget,
         64,
         &dump_dir,
-        |_cell, watchdog, _attempt, recorder| {
+        |_cell, watchdog, recorder| {
             let outcome =
                 chaos::run_soak(config(), &soak(), recorder, &mutation, || watchdog.tick())
                     .expect("config is valid");
@@ -91,12 +86,16 @@ fn mutated_soak_emits_a_working_reproducer_through_the_flight_recorder() {
         "the violating soak must surface as a panicked cell, got {:?}",
         cell.report.outcome
     );
-    assert_eq!(cell.dumps.len(), 1, "one crash dump for the one attempt");
+    let dump_path = cell
+        .dump
+        .as_ref()
+        .expect("one crash dump for the failed cell");
+    assert_eq!(dump_path, &dump_dir.join("cell0000.jsonl"));
 
     // Recover the reproducer from the dump's meta line, exactly as a
     // post-mortem would: parse the first JSONL line, find the reproducer
     // object inside the panic message, parse it back.
-    let dump = std::fs::read_to_string(&cell.dumps[0]).expect("dump file is readable");
+    let dump = std::fs::read_to_string(dump_path).expect("dump file is readable");
     let meta_line = dump.lines().next().expect("dump has a meta line");
     let meta = Json::parse(meta_line).expect("meta line is JSON");
     let message = match meta.get("message") {

@@ -8,8 +8,8 @@
 //! [`SharedRecorder`] wraps it in an `Arc<Mutex<…>>` so the sweep
 //! harness can hold a handle *outside* the `catch_unwind` boundary while
 //! the simulation records through its own clone inside. When a cell
-//! panics, trips its watchdog, or exhausts its retries, the harness
-//! drains the surviving ring into a JSONL sidecar — the crash dump.
+//! panics or trips its watchdog, the harness drains the surviving ring
+//! into a JSONL sidecar — the crash dump.
 //!
 //! Recording is ordinary sink traffic (the recorder implements
 //! [`TelemetrySink`]), so the ring's contents are exactly the tail of

@@ -2,8 +2,8 @@
 # The repo's offline quality gate: static analysis (eleven structural
 # lints + unsafe ledger + clippy + rustfmt), build, the full test suite
 # (with and without per-operation invariant audits), the exhaustive 2x2
-# model checker, the fault-injection smoke (self-healing harness +
-# resume), the observability smoke (metrics-registry golden + disabled
+# model checker, the fault-injection smoke (self-healing harness + a
+# tiny fault sweep), the observability smoke (metrics-registry golden + disabled
 # overhead), the chaos soak smoke (recovery protocols under randomized
 # fault storms, minimized-reproducer loop), the benchmark smoke (every
 # BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
@@ -37,10 +37,9 @@ gate() {
 }
 
 # Satellite gate: the tiny fault sweep through the self-healing harness.
-# Asserts (1) a forced-panic and a wedged cell are isolated, not fatal
-# (the damq-bench integration test); (2) the smoke grid completes end to
-# end through the real binary; (3) `--resume` on a truncated checkpoint
-# replays only the missing cell and still reports every cell.
+# Asserts (1) a forced-panic and a wedged cell are isolated, and a failed
+# cell fails the harness (the damq-bench integration test); (2) the smoke
+# grid completes end to end through the real binary with every cell ok.
 fault_smoke() {
     gate "fault-smoke: forced-panic + wedged cells stay isolated"
     cargo test -q -p damq-bench --test self_healing
@@ -51,23 +50,9 @@ fault_smoke() {
     DAMQ_RESULTS_DIR="$tmp" \
         cargo run -q -p damq-bench --bin fault_degradation -- --smoke \
         > /dev/null
-
-    gate "fault-smoke: resume replays only the missing cell"
-    local sidecar="$tmp/json/fault_degradation_smoke.cells.jsonl"
-    local total
-    total="$(wc -l < "$sidecar")"
-    # Drop the last completed cell, as if the sweep died mid-run.
-    head -n "$((total - 1))" "$sidecar" > "$sidecar.tmp"
-    mv "$sidecar.tmp" "$sidecar"
-    DAMQ_RESULTS_DIR="$tmp" \
-        cargo run -q -p damq-bench --bin fault_degradation -- --smoke --resume \
-        > /dev/null
     local report="$tmp/json/fault_degradation_smoke.json"
-    grep -q "\"resumed\": $((total - 1))" "$report"
-    grep -q '"cells": 1' "$report"
-    grep -q '"ok": 1' "$report"
-    # The assembled report still carries every cell of the grid.
-    [ "$(grep -c '"buffer":' "$report")" -eq "$total" ]
+    grep -q '"panicked": 0' "$report"
+    grep -q '"timed_out": 0' "$report"
     rm -rf "$tmp"
 }
 
