@@ -64,7 +64,6 @@ fn main() -> ExitCode {
     println!();
     render_registry(&sim);
 
-    let snapshot = Json::parse(&sim.metrics_snapshot()).expect("registry snapshot is valid JSON");
     let doc = Json::obj([
         ("bench", Json::from("obs_report")),
         (
@@ -79,7 +78,7 @@ fn main() -> ExitCode {
             ]),
         ),
         ("cycles", Json::from(CYCLES)),
-        ("metrics", snapshot),
+        ("metrics", sim.metrics_registry().snapshot_json()),
     ]);
     if let Some(dir) = out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {

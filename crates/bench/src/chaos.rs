@@ -161,7 +161,7 @@ impl Reproducer {
     /// (`None` on any missing or ill-typed field) — the path a crash
     /// dump travels to become a replayable plan again.
     pub fn from_json(json: &Json) -> Option<Reproducer> {
-        let uint = |key: &str| json.get(key)?.as_f64().map(|v| v as u64);
+        let uint = |key: &str| json.get(key)?.as_u64();
         let message = match json.get("message")? {
             Json::Str(s) => s.clone(),
             _ => return None,
@@ -186,7 +186,7 @@ impl Reproducer {
 
 /// Parses one [`fault_event_json`] object back onto `plan`.
 fn fault_event_from_json(event: &Json, plan: FaultPlan) -> Option<FaultPlan> {
-    let uint = |key: &str| event.get(key)?.as_f64().map(|v| v as u64);
+    let uint = |key: &str| event.get(key)?.as_u64();
     let idx = |key: &str| uint(key).map(|v| v as usize);
     let kind = match event.get("kind")? {
         Json::Str(s) => s.as_str(),
@@ -660,5 +660,33 @@ mod tests {
             back.plan, rep.plan,
             "the fault plan survives the round trip"
         );
+    }
+    #[test]
+    fn full_width_seeds_and_cycles_round_trip_exactly() {
+        // 2^53 + 1 is the first integer an f64 cannot hold; a crash dump's
+        // seed is a full-width SplitMix value.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let rep = Reproducer {
+                seed,
+                window: (seed - 1, seed),
+                epoch_cycles: seed,
+                plan: FaultPlan::new().with_link_down(
+                    seed,
+                    damq_core::FaultSite {
+                        stage: 0,
+                        switch: 1,
+                        input: 2,
+                    },
+                    u64::MAX,
+                ),
+                message: "wide".to_owned(),
+            };
+            let parsed = Json::parse(&rep.to_json().render()).expect("reproducer JSON parses");
+            let back = Reproducer::from_json(&parsed).expect("reproducer parses back");
+            assert_eq!(back.seed, seed);
+            assert_eq!(back.window, rep.window);
+            assert_eq!(back.epoch_cycles, seed);
+            assert_eq!(back.plan, rep.plan);
+        }
     }
 }

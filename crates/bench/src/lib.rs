@@ -18,7 +18,8 @@
 //!   ([`json::Report::finish`]).
 //! - [`cli`] — the one argument parser: undeclared flags and bad values
 //!   are usage errors (exit 2), never silently ignored.
-//! - [`json`] — a hand-rolled JSON writer; every harness emits
+//! - [`json`] — the report writer on the workspace's one JSON codec
+//!   (`damq_telemetry::json`, re-exported here); every harness emits
 //!   `results/json/<experiment>.json` alongside its text table.
 //! - [`record`] — the one read-modify-write of `BENCH_throughput.json`.
 //! - [`chaos`] — the chaos soak engine: composed per-epoch fault storms,
@@ -32,7 +33,6 @@
 //! See `docs/EXPERIMENTS_GUIDE.md` for the map from binaries to paper
 //! tables, their grids, their JSON schemas, and regeneration commands.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chaos;

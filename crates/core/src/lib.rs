@@ -61,7 +61,6 @@
 //! hot-spot traffic all designs tree-saturate identically, which is an
 //! argument about networks, not buffers.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod any;

@@ -45,7 +45,6 @@
 //! # Ok::<(), damq_markov::AnalysisError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod chain;

@@ -32,7 +32,6 @@
 //! # Ok::<(), damq_microarch::MicroarchError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod arbiter;

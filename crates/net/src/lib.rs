@@ -33,7 +33,6 @@
 //! # Ok::<(), damq_net::NetworkError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod butterfly;

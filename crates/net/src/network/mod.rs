@@ -479,7 +479,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     /// The registry snapshot as deterministic JSON — counters and
     /// histogram percentiles in registration order, integers only.
     pub fn metrics_snapshot(&self) -> String {
-        self.acct.registry.snapshot_json()
+        self.acct.registry.snapshot_json().render()
     }
 
     /// Enables the wall-clock phase profiler: time in each step of the

@@ -29,7 +29,6 @@
 //! # let _ = p;
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Seeding interface: construct a generator from a `u64`.

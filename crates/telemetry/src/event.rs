@@ -2,12 +2,14 @@
 //!
 //! Every event is one line of JSON with a fixed key order, so traces are
 //! byte-deterministic for a given simulation (no floats, no timestamps).
-//! The parser accepts exactly what the writer emits — a deliberately small
-//! flat-object subset of JSON (string values, unsigned integers, arrays of
-//! unsigned integers) — so golden-trace tests can round-trip files without
-//! an external JSON dependency.
+//! The writer streams each line directly (it runs once per recorded
+//! event) through the codec's one string escaper; the parser reads a line
+//! with [`Json::parse`] and typed getters, so golden-trace tests can
+//! round-trip files without an external JSON dependency.
 
 use std::fmt;
+
+use crate::json::{write_escaped, Json};
 
 /// One telemetry record: something that happened at a network cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,37 +263,20 @@ impl EventKind {
     }
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_u64_field(out: &mut String, key: &str, value: u64) {
+fn push_key(out: &mut String, key: &str) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
+}
+
+fn push_u64_field(out: &mut String, key: &str, value: u64) {
+    push_key(out, key);
     out.push_str(&value.to_string());
 }
 
 fn push_arr_field(out: &mut String, key: &str, values: &[u32]) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":[");
+    push_key(out, key);
+    out.push('[');
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -320,12 +305,14 @@ impl Event {
                 slots,
                 note,
             } => {
-                push_str_field(&mut out, "design", design);
+                push_key(&mut out, "design");
+                write_escaped(design, &mut out);
                 push_u64_field(&mut out, "terminals", u64::from(*terminals));
                 push_u64_field(&mut out, "radix", u64::from(*radix));
                 push_u64_field(&mut out, "stages", u64::from(*stages));
                 push_u64_field(&mut out, "slots", u64::from(*slots));
-                push_str_field(&mut out, "note", note);
+                push_key(&mut out, "note");
+                write_escaped(note, &mut out);
             }
             EventKind::Generated {
                 packet,
@@ -460,19 +447,15 @@ impl Event {
     /// Returns [`ParseError`] on malformed input, unknown event types or
     /// missing fields.
     pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&Value, ParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
+        let doc = Json::parse(line).map_err(|e| ParseError::new(e.to_string()))?;
+        let get = |key: &str| -> Result<&Json, ParseError> {
+            doc.get(key)
                 .ok_or_else(|| ParseError::new(format!("missing field '{key}'")))
         };
         let get_u64 = |key: &str| -> Result<u64, ParseError> {
-            match get(key)? {
-                Value::Int(v) => Ok(*v),
-                _ => Err(ParseError::new(format!("field '{key}' is not an integer"))),
-            }
+            get(key)?
+                .as_u64()
+                .ok_or_else(|| ParseError::new(format!("field '{key}' is not an unsigned integer")))
         };
         let get_u32 = |key: &str| -> Result<u32, ParseError> {
             u32::try_from(get_u64(key)?)
@@ -480,18 +463,20 @@ impl Event {
         };
         let get_str = |key: &str| -> Result<String, ParseError> {
             match get(key)? {
-                Value::Str(s) => Ok(s.clone()),
+                Json::Str(s) => Ok(s.clone()),
                 _ => Err(ParseError::new(format!("field '{key}' is not a string"))),
             }
         };
         let get_arr = |key: &str| -> Result<Vec<u32>, ParseError> {
             match get(key)? {
-                Value::Arr(items) => items
+                Json::Arr(items) => items
                     .iter()
-                    .map(|&v| {
-                        u32::try_from(v).map_err(|_| {
-                            ParseError::new(format!("field '{key}' element out of u32 range"))
-                        })
+                    .map(|v| {
+                        v.as_u64()
+                            .and_then(|v| u32::try_from(v).ok())
+                            .ok_or_else(|| {
+                                ParseError::new(format!("field '{key}' element is not a u32"))
+                            })
                     })
                     .collect(),
                 _ => Err(ParseError::new(format!("field '{key}' is not an array"))),
@@ -668,119 +653,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed flat-JSON value (the subset the writer emits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Int(u64),
-    Str(String),
-    Arr(Vec<u64>),
-}
-
-/// Parses a one-level JSON object of string / unsigned-integer /
-/// integer-array values into key order-preserving pairs.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, ParseError> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err(ParseError::new("expected '{'"));
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-            }
-            Some('"') => {}
-            Some(c) => return Err(ParseError::new(format!("unexpected character '{c}'"))),
-            None => return Err(ParseError::new("unterminated object")),
-        }
-        if chars.peek() != Some(&'"') {
-            continue;
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(ParseError::new(format!("missing ':' after key '{key}'")));
-        }
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some('[') => {
-                chars.next();
-                let mut items = Vec::new();
-                loop {
-                    match chars.peek() {
-                        Some(']') => {
-                            chars.next();
-                            break;
-                        }
-                        Some(',') => {
-                            chars.next();
-                        }
-                        Some(c) if c.is_ascii_digit() => items.push(parse_int(&mut chars)?),
-                        _ => return Err(ParseError::new("malformed array")),
-                    }
-                }
-                Value::Arr(items)
-            }
-            Some(c) if c.is_ascii_digit() => Value::Int(parse_int(&mut chars)?),
-            _ => return Err(ParseError::new(format!("malformed value for key '{key}'"))),
-        };
-        fields.push((key, value));
-    }
-    Ok(fields)
-}
-
-fn parse_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, ParseError> {
-    if chars.next() != Some('"') {
-        return Err(ParseError::new("expected '\"'"));
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| ParseError::new("bad \\u escape"))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                _ => return Err(ParseError::new("bad escape sequence")),
-            },
-            Some(c) => out.push(c),
-            None => return Err(ParseError::new("unterminated string")),
-        }
-    }
-}
-
-fn parse_int(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u64, ParseError> {
-    let mut value: u64 = 0;
-    let mut any = false;
-    while let Some(c) = chars.peek() {
-        let Some(digit) = c.to_digit(10) else { break };
-        value = value
-            .checked_mul(10)
-            .and_then(|v| v.checked_add(u64::from(digit)))
-            .ok_or_else(|| ParseError::new("integer overflow"))?;
-        any = true;
-        chars.next();
-    }
-    if any {
-        Ok(value)
-    } else {
-        Err(ParseError::new("expected digits"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,6 +804,34 @@ mod tests {
                 buffer_occupancy: vec![40, 6, 2, 0, 0],
                 backlog: 5,
                 hol_blocked: 2,
+            },
+        ));
+        // Every u64 field (cycle, packet, until, seq) at full width.
+        round_trip(Event::new(
+            u64::MAX,
+            EventKind::Generated {
+                packet: u64::MAX,
+                source: u32::MAX,
+                dest: 0,
+            },
+        ));
+        round_trip(Event::new(
+            u64::MAX,
+            EventKind::LinkDown {
+                stage: 0,
+                switch: 1,
+                input: 2,
+                until: u64::MAX,
+            },
+        ));
+        round_trip(Event::new(
+            u64::MAX,
+            EventKind::Retransmit {
+                packet: u64::MAX,
+                stage: 1,
+                switch: 2,
+                attempt: 1,
+                seq: u64::MAX,
             },
         ));
     }

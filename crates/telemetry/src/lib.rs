@@ -32,6 +32,9 @@
 //! * [`FlightRecorder`] / [`SharedRecorder`] — a bounded ring of recent
 //!   events that survives a cell's panic, dumped as a crash sidecar by
 //!   the sweep harness.
+//! * [`json`] — the workspace's one JSON codec: the harness reports, the
+//!   registry snapshot, the event parser and crash-dump reproducers all
+//!   go through its [`Json`](json::Json) value.
 //!
 //! See `docs/OBSERVABILITY.md` for the event model, the JSONL schema and
 //! worked examples.
@@ -56,10 +59,10 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod collect;
 mod event;
+pub mod json;
 mod profile;
 mod recorder;
 mod registry;

@@ -31,6 +31,8 @@
 //! appear in the metrics reference table of `docs/OBSERVABILITY.md` —
 //! `cargo xtask lint` (lint 10) enforces that.
 
+use crate::json::Json;
+
 /// Handle to a registered histogram; cheap to copy, valid only for the
 /// registry that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +207,7 @@ impl LogHistogram {
 /// reg.publish(&[("net.delivered", 2)]);
 /// reg.observe(latency, 17);
 /// assert_eq!(reg.counter_value("net.delivered"), Some(2));
-/// assert!(reg.snapshot_json().contains("\"net.delivered\":2"));
+/// assert!(reg.snapshot_json().render().contains("\"net.delivered\":2"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -315,33 +317,28 @@ impl MetricsRegistry {
 
     /// One deterministic JSON object: counters then histograms, keys in
     /// registration order, every value an integer. Two runs that
-    /// recorded the same simulation-domain values produce identical
+    /// recorded the same simulation-domain values render identical
     /// bytes.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                hist.count(),
-                hist.sum(),
-                hist.max(),
-                hist.p50(),
-                hist.p99(),
-                hist.p999()
-            ));
-        }
-        out.push_str("}}");
-        out
+    pub fn snapshot_json(&self) -> Json {
+        let counters = self
+            .counters
+            .iter()
+            .map(|&(name, value)| (name, Json::from(value)));
+        let histograms = self.histograms.iter().map(|(name, hist)| {
+            let fields = [
+                ("count", hist.count()),
+                ("sum", hist.sum()),
+                ("max", hist.max()),
+                ("p50", hist.p50()),
+                ("p99", hist.p99()),
+                ("p999", hist.p999()),
+            ];
+            (*name, Json::obj(fields.map(|(k, v)| (k, Json::from(v)))))
+        });
+        Json::obj([
+            ("counters", Json::obj(counters)),
+            ("histograms", Json::obj(histograms)),
+        ])
     }
 }
 
@@ -467,8 +464,12 @@ mod tests {
             }
             reg
         };
-        let snap = build().snapshot_json();
-        assert_eq!(snap, build().snapshot_json(), "same inputs, same bytes");
+        let snap = build().snapshot_json().render();
+        assert_eq!(
+            snap,
+            build().snapshot_json().render(),
+            "same inputs, same bytes"
+        );
         // Registration order, not alphabetical.
         let b_at = snap.find("test.b").unwrap();
         let a_at = snap.find("test.a").unwrap();

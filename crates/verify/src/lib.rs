@@ -29,7 +29,6 @@
 //! # Ok::<(), Box<damq_verify::Violation>>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod checker;

@@ -5,7 +5,7 @@
 //! whitespace variation a loophole (`Box < dyn SwitchBuffer >`). This
 //! lexer produces a token stream — identifiers, punctuation, literals,
 //! *and comments, retained with their text* — so lints can match real
-//! token sequences and read `// SAFETY:` / `// lint: allow` markers from
+//! token sequences and read `// lint: allow` markers from
 //! the same stream. It is deliberately not a full Rust lexer: it only
 //! distinguishes the shapes the lints care about, mirroring how
 //! `damq-rng` replaced the external `rand` with the subset the

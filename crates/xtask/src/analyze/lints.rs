@@ -6,10 +6,10 @@
 //! buffer impl it guarded against is gone, so the pattern no longer
 //! type-checks; the other lints keep their numbers. Lints 8–12 are new:
 //!
-//! 8. **unsafe-audit** — every `unsafe` block/impl/fn/trait carries a
-//!    `// SAFETY:` justification; every workspace crate declares
-//!    `#![forbid(unsafe_code)]`; and the generated
-//!    `docs/UNSAFE_LEDGER.md` inventory is current.
+//! 8. **unsafe-forbidden** — the root manifest's
+//!    `[workspace.lints.rust]` table sets `unsafe_code = "forbid"` and
+//!    every member manifest opts in with `[lints] workspace = true`, so
+//!    the compiler forbids `unsafe` in every target of every crate.
 //! 9. **determinism** — the simulation-path crates (core, switch, net,
 //!    telemetry) must not use `HashMap`/`HashSet` (iteration order is
 //!    nondeterministic), `Instant`/`SystemTime` (wall-clock), or thread
@@ -51,16 +51,12 @@
 use std::fs;
 use std::path::PathBuf;
 
-use super::ledger;
 use super::lexer::{Token, TokenKind};
 use super::tree;
 use super::{Finding, SourceFile, Workspace};
 
 /// The comment marker that waives a lint for one site.
 pub const ALLOW_MARKER: &str = "lint: allow";
-
-/// The comment marker lint 8 requires on every `unsafe` site.
-pub const SAFETY_MARKER: &str = "SAFETY:";
 
 /// Crates whose `src/` must be panic-free (the simulator data path).
 const PANIC_FREE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
@@ -96,7 +92,7 @@ pub const ALL: [(&str, LintFn); 11] = [
     ("4 no-print", no_print),
     ("6 must-use-builders", must_use_builders),
     ("7 doc-links", doc_links),
-    ("8 unsafe-audit", unsafe_audit),
+    ("8 unsafe-forbidden", unsafe_forbidden),
     ("9 determinism", determinism),
     ("10 metric-docs", metric_docs),
     ("11 hot-path-alloc", hot_path_alloc),
@@ -391,70 +387,60 @@ fn markdown_link_targets(line: &str) -> Vec<String> {
     targets
 }
 
-/// Lint 8: the unsafe audit.
-///
-/// * Every `unsafe` block / `unsafe impl` / `unsafe fn` / `unsafe trait`
-///   anywhere in the workspace carries a `// SAFETY:` justification on
-///   the same line or in the contiguous comment block directly above.
-/// * Every workspace crate root declares `#![forbid(unsafe_code)]` —
-///   the compiler, not the lint, then guarantees the inventory below
-///   cannot silently grow in library or binary code.
-/// * The committed `docs/UNSAFE_LEDGER.md` equals the freshly generated
-///   inventory — run `cargo xtask unsafe-ledger` after any change.
-fn unsafe_audit(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for file in &ws.files {
-        for site in tree::unsafe_sites(&file.code) {
-            if !file.comment_marker_at(site.line, SAFETY_MARKER) {
-                findings.push(finding(
-                    file,
-                    site.line,
-                    format!(
-                        "{} without a '// {SAFETY_MARKER} …' justification on the \
-                         same line or directly above (`{}`)",
-                        site.kind.label(),
-                        site.summary
-                    ),
-                ));
+/// Lint 8: `unsafe` is forbidden by the compiler, and the rule has one
+/// owner. The root manifest's `[workspace.lints.rust]` table must set
+/// `unsafe_code = "forbid"`, and every member manifest — the root `damq`
+/// package included — must opt in with `[lints] workspace = true`. A
+/// `[lints]` table applies to every target of its package (lib, bins,
+/// tests, benches, examples), and no inner `allow` can lift a `forbid`.
+fn unsafe_forbidden(ws: &Workspace, findings: &mut Vec<Finding>) {
+    for (dir, name) in &ws.crates {
+        let path = ws.root.join(dir).join("Cargo.toml");
+        let text = fs::read_to_string(&path).unwrap_or_default();
+        for message in manifest_problems(&text, dir == ".", name) {
+            findings.push(Finding {
+                path: path.clone(),
+                line: 0,
+                message,
+            });
+        }
+    }
+}
+
+/// What lint 8 finds wrong with the manifest of package `name` (`root`:
+/// the manifest also carries the `[workspace]` tables).
+fn manifest_problems(text: &str, root: bool, name: &str) -> Vec<String> {
+    let mut problems = Vec::new();
+    if toml_value(text, "lints", "workspace") != Some("true") {
+        problems.push(format!(
+            "`{name}` must opt into the workspace lints: `[lints]` with `workspace = true`"
+        ));
+    }
+    if root && toml_value(text, "workspace.lints.rust", "unsafe_code") != Some("\"forbid\"") {
+        problems.push(
+            "the root manifest must set `unsafe_code = \"forbid\"` in `[workspace.lints.rust]`"
+                .into(),
+        );
+    }
+    problems
+}
+
+/// The raw value of `key` in the TOML table `[table]`, comments
+/// stripped — enough for this workspace's hand-written manifests.
+fn toml_value<'a>(text: &'a str, table: &str, key: &str) -> Option<&'a str> {
+    let mut current = "";
+    for line in text.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            current = header.trim();
+        } else if current == table {
+            match line.split_once('=') {
+                Some((k, v)) if k.trim() == key => return Some(v.trim()),
+                _ => {}
             }
         }
     }
-
-    for (dir, name) in &ws.crates {
-        let src = if dir == "." {
-            "src".to_owned()
-        } else {
-            format!("{dir}/src")
-        };
-        let root_file = [format!("{src}/lib.rs"), format!("{src}/main.rs")]
-            .into_iter()
-            .find_map(|rel| ws.file(&rel));
-        let Some(file) = root_file else {
-            continue;
-        };
-        if !has_inner_attr(&file.code, "forbid", "unsafe_code") {
-            findings.push(finding(
-                file,
-                1,
-                format!("crate root of `{name}` must carry #![forbid(unsafe_code)]"),
-            ));
-        }
-    }
-
-    let expected = ledger::generate(ws);
-    let ledger_path = ws.root.join(ledger::LEDGER_REL);
-    match fs::read_to_string(&ledger_path) {
-        Ok(actual) if actual == expected => {}
-        Ok(_) => findings.push(Finding {
-            path: ledger_path,
-            line: 1,
-            message: "stale unsafe ledger — regenerate with `cargo xtask unsafe-ledger`".into(),
-        }),
-        Err(_) => findings.push(Finding {
-            path: ledger_path,
-            line: 0,
-            message: "missing unsafe ledger — generate with `cargo xtask unsafe-ledger`".into(),
-        }),
-    }
+    None
 }
 
 /// Lint 9: determinism on the simulation path. The same configuration
@@ -1046,21 +1032,32 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_audit_requires_safety_comment() {
-        let ws = ws_with(vec![(
-            "crates/net/tests/x.rs",
-            "// SAFETY: justified.\nunsafe impl Send for A {}\nunsafe impl Sync for A {}\n",
-        )]);
-        let mut findings = Vec::new();
-        for file in &ws.files {
-            for site in tree::unsafe_sites(&file.code) {
-                if !file.comment_marker_at(site.line, SAFETY_MARKER) {
-                    findings.push((site.line, site.summary));
-                }
-            }
+    fn unsafe_forbidden_requires_the_opt_in_and_the_root_table() {
+        let member = "[package]\nname = \"m\"\n\n[lints]\nworkspace = true\n";
+        assert!(manifest_problems(member, false, "m").is_empty());
+        for bad in [
+            "[package]\nname = \"m\"\n",
+            "[lints]\nworkspace = false\n",
+            "[dependencies]\nworkspace = true\n",
+            "[lints]\n# workspace = true\n",
+        ] {
+            let problems = manifest_problems(bad, false, "m");
+            assert_eq!(problems.len(), 1, "{bad:?}");
+            assert!(problems[0].contains("`m` must opt into"));
         }
-        assert_eq!(findings.len(), 1, "the Sync impl has no SAFETY above it");
-        assert_eq!(findings[0].0, 3);
+
+        let root = "[workspace]\nmembers = [\"crates/*\"]\n\n\
+                    [workspace.lints.rust]\nunsafe_code = \"forbid\" # one owner\n\n\
+                    [package]\nname = \"r\"\n\n[lints]\nworkspace = true\n";
+        assert!(manifest_problems(root, true, "r").is_empty());
+        for table in ["unsafe_code = \"deny\"", "missing_docs = \"forbid\"", ""] {
+            let bad = root.replace("unsafe_code = \"forbid\"", table);
+            let problems = manifest_problems(&bad, true, "r");
+            assert_eq!(problems.len(), 1, "{bad:?}");
+            assert!(problems[0].contains("[workspace.lints.rust]"));
+        }
+        let wrong_table = root.replace("[workspace.lints.rust]", "[workspace.lints.clippy]");
+        assert_eq!(manifest_problems(&wrong_table, true, "r").len(), 1);
     }
 
     #[test]

@@ -7,17 +7,14 @@
 //! 1. [`lexer`] tokenizes every workspace source file — identifiers,
 //!    punctuation, literals, and comments retained with their text;
 //! 2. [`tree`] builds a brace tree over the code tokens and derives
-//!    structural facts (`#[cfg(test)]` spans, `unsafe` sites, `pub fn`
-//!    signatures);
-//! 3. [`lints`] runs the eleven workspace lints over the parsed files;
-//! 4. [`ledger`] renders the `unsafe`/atomics inventory as
-//!    `docs/UNSAFE_LEDGER.md`, which lint 8 checks for staleness.
+//!    structural facts (`#[cfg(test)]` spans, `pub fn` signatures);
+//! 3. [`lints`] runs the eleven workspace lints over the parsed files
+//!    (lint 8 reads the Cargo manifests instead).
 //!
 //! Everything is hand-rolled and dependency-free, mirroring how
 //! `damq-rng` replaced the unfetchable external `rand`: the container
 //! builds offline, so the analysis engine has to live in-tree.
 
-pub mod ledger;
 pub mod lexer;
 pub mod lints;
 pub mod tree;
@@ -51,7 +48,7 @@ pub struct SourceFile {
     /// Absolute path on disk.
     pub path: PathBuf,
     /// Path relative to the workspace root, with `/` separators (stable
-    /// across hosts, used for scoping and the ledger).
+    /// across hosts, used for scoping).
     pub rel: String,
     /// The file's lines, verbatim.
     pub raw_lines: Vec<String>,
@@ -104,14 +101,12 @@ impl SourceFile {
     }
 
     /// Whether the contiguous comment block directly above `line`
-    /// (1-based), or `line` itself, contains `marker`. This is how all
-    /// comment-anchored annotations work: `// lint: allow — why`,
-    /// `// SAFETY: …`. Doc comments (`///`, `//!`)
-    /// count as comment lines, so a field's doc can carry the marker,
-    /// and statement-continuation lines (an rustfmt-wrapped `let x =`
-    /// above an `unsafe {` line) are walked through: the comment need
-    /// only sit above the enclosing statement, mirroring clippy's
-    /// `undocumented_unsafe_blocks`.
+    /// (1-based), or `line` itself, contains `marker`. This is how
+    /// comment-anchored annotations work: `// lint: allow — why`. Doc
+    /// comments (`///`, `//!`) count as comment lines, so a field's doc
+    /// can carry the marker, and statement-continuation lines (a
+    /// rustfmt-wrapped `let x =` above the flagged line) are walked
+    /// through: the comment need only sit above the enclosing statement.
     pub fn comment_marker_at(&self, line: usize, marker: &str) -> bool {
         let idx = line.saturating_sub(1);
         if self.raw_lines.get(idx).is_some_and(|l| l.contains(marker)) {
@@ -135,66 +130,13 @@ impl SourceFile {
         }
         false
     }
-
-    /// The text of the contiguous comment block directly above `line`
-    /// after the first occurrence of `marker`, whitespace-collapsed —
-    /// the justification string the ledger prints.
-    pub fn comment_text_after(&self, line: usize, marker: &str) -> Option<String> {
-        let idx = line.saturating_sub(1);
-        // Find the block: walk up over comment lines (and statement
-        // continuations, as in `comment_marker_at`), then read down.
-        let mut start = idx;
-        while start > 0 {
-            let above = self.raw_lines[start - 1].trim();
-            let continuation =
-                !above.is_empty() && !above.starts_with("#[") && !above.ends_with([';', '{', '}']);
-            if above.starts_with("//") || continuation {
-                start -= 1;
-            } else {
-                break;
-            }
-        }
-        let mut collected: Vec<&str> = Vec::new();
-        let mut found = false;
-        for l in &self.raw_lines[start..=idx.min(self.raw_lines.len().saturating_sub(1))] {
-            let trimmed = l.trim_start();
-            let body = trimmed
-                .trim_start_matches('/')
-                .trim_start_matches('!')
-                .trim();
-            if let Some(pos) = body.find(marker) {
-                collected.clear();
-                collected.push(body[pos + marker.len()..].trim());
-                found = true;
-            } else if found && trimmed.starts_with("//") {
-                collected.push(body);
-            } else if found {
-                break;
-            }
-        }
-        if !found {
-            return None;
-        }
-        let joined = collected.join(" ");
-        let mut text = joined.split_whitespace().collect::<Vec<_>>().join(" ");
-        if text.len() > 140 {
-            let mut cut = 140;
-            while !text.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            text.truncate(cut);
-            text.push('…');
-        }
-        Some(text)
-    }
 }
 
 /// Every parsed source file of the workspace, plus the crate inventory.
 pub struct Workspace {
     /// The workspace root directory.
     pub root: PathBuf,
-    /// Parsed files in sorted path order (determinism of findings and
-    /// ledger output).
+    /// Parsed files in sorted path order (deterministic findings).
     pub files: Vec<SourceFile>,
     /// Workspace crates as `(dir-relative-to-root, package name)`,
     /// sorted; includes the root `damq` package as `(".", "damq")`.
@@ -326,16 +268,6 @@ mod tests {
     fn comment_marker_matches_same_line() {
         let f = file("x.unwrap(); // lint: allow — checked above\n");
         assert!(f.comment_marker_at(1, "lint: allow"));
-    }
-
-    #[test]
-    fn comment_text_extraction() {
-        let f = file("// SAFETY: the pointer is valid because\n// the barrier holds it alive.\nunsafe { x }\n");
-        let text = f.comment_text_after(3, "SAFETY:").unwrap();
-        assert_eq!(
-            text,
-            "the pointer is valid because the barrier holds it alive."
-        );
     }
 
     #[test]

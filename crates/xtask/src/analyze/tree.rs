@@ -1,17 +1,16 @@
 //! Brace tree over the token stream: nested `{ … }` blocks with their
 //! item headers, plus the derived structural facts the lints consume —
-//! `#[cfg(test)]` spans, `unsafe` sites and `pub fn` signatures.
+//! `#[cfg(test)]` spans and `pub fn` signatures.
 //!
 //! The tree is deliberately shallow in what it understands: every `{`
 //! opens a node whose *header* is the code-token run since the previous
 //! item boundary (`{`, `}`, or a `;` outside brackets — the one in
 //! `-> [u8; 4]` ends nothing), every `}` closes one. That is enough
 //! to answer the structural questions the lints ask ("is this line
-//! inside a `#[cfg(test)] mod`?", "does this `unsafe impl` carry a
-//! SAFETY comment?", "does this `pub fn` consume `self` and return
-//! `Self`?") without a real parser.
+//! inside a `#[cfg(test)] mod`?", "does this `pub fn` consume `self`
+//! and return `Self`?") without a real parser.
 
-use super::lexer::{Token, TokenKind};
+use super::lexer::Token;
 
 /// One `{ … }` block: its header tokens (indices into the *code* token
 /// list), the lines it spans, and its nested children.
@@ -135,81 +134,6 @@ fn header_has_cfg_test(header: &[Token]) -> bool {
 /// Whether `line` falls in any of `spans` (inclusive bounds).
 pub fn line_in_spans(line: usize, spans: &[(usize, usize)]) -> bool {
     spans.iter().any(|&(lo, hi)| (lo..=hi).contains(&line))
-}
-
-/// The kind of an `unsafe` occurrence, classified by its following token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { … }` — an unsafe block.
-    Block,
-    /// `unsafe impl Trait for Type` — an unsafe trait implementation.
-    Impl,
-    /// `unsafe fn name(...)` — an unsafe function.
-    Fn,
-    /// `unsafe trait Name` — an unsafe trait declaration.
-    Trait,
-    /// Anything else (`unsafe` in an unexpected position).
-    Other,
-}
-
-impl UnsafeKind {
-    /// Human-readable label used in findings and the generated ledger.
-    pub fn label(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "unsafe block",
-            UnsafeKind::Impl => "unsafe impl",
-            UnsafeKind::Fn => "unsafe fn",
-            UnsafeKind::Trait => "unsafe trait",
-            UnsafeKind::Other => "unsafe",
-        }
-    }
-}
-
-/// One `unsafe` site found in a file's code tokens.
-#[derive(Debug)]
-pub struct UnsafeSite {
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Classification by the following token.
-    pub kind: UnsafeKind,
-    /// A short rendering of the site's header (for the ledger), e.g.
-    /// `unsafe impl Send for Job`.
-    pub summary: String,
-}
-
-/// Finds every `unsafe` keyword in `code` and classifies it.
-pub fn unsafe_sites(code: &[Token]) -> Vec<UnsafeSite> {
-    let mut sites = Vec::new();
-    for (i, tok) in code.iter().enumerate() {
-        if !tok.is_ident("unsafe") {
-            continue;
-        }
-        let kind = match code.get(i + 1) {
-            Some(t) if t.is_punct('{') => UnsafeKind::Block,
-            Some(t) if t.is_ident("impl") => UnsafeKind::Impl,
-            Some(t) if t.is_ident("fn") => UnsafeKind::Fn,
-            Some(t) if t.is_ident("trait") => UnsafeKind::Trait,
-            _ => UnsafeKind::Other,
-        };
-        let mut summary = String::from("unsafe");
-        for t in code.iter().skip(i + 1).take(8) {
-            if t.is_punct('{') || t.is_punct(';') {
-                break;
-            }
-            if t.kind == TokenKind::Ident || t.kind == TokenKind::Lifetime {
-                summary.push(' ');
-                summary.push_str(&t.text);
-            } else if t.kind == TokenKind::Punct && !t.is_punct(',') {
-                summary.push_str(&t.text);
-            }
-        }
-        sites.push(UnsafeSite {
-            line: tok.line,
-            kind,
-            summary,
-        });
-    }
-    sites
 }
 
 /// A `pub fn` signature, extracted structurally for the `#[must_use]`
@@ -372,18 +296,6 @@ mod tests {
         let spans = build(&toks).test_spans(&toks);
         assert!(line_in_spans(2, &spans));
         assert!(!line_in_spans(3, &spans));
-    }
-
-    #[test]
-    fn unsafe_sites_classify() {
-        let src = "unsafe impl Send for Job {}\nfn f() { unsafe { g() } }\npub unsafe fn h() {}\n";
-        let toks = code(src);
-        let sites = unsafe_sites(&toks);
-        assert_eq!(sites.len(), 3);
-        assert_eq!(sites[0].kind, UnsafeKind::Impl);
-        assert_eq!(sites[0].summary, "unsafe impl Send for Job");
-        assert_eq!(sites[1].kind, UnsafeKind::Block);
-        assert_eq!(sites[2].kind, UnsafeKind::Fn);
     }
 
     #[test]

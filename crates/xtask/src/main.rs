@@ -1,9 +1,8 @@
-//! Workspace task driver: `cargo xtask lint`, `cargo xtask
-//! unsafe-ledger`, `cargo xtask results-diff` and `cargo xtask loc`.
+//! Workspace task driver: `cargo xtask lint`, `cargo xtask results-diff`
+//! and `cargo xtask loc`.
 //!
 //! The analysis itself lives in the [`analyze`] module — a hand-rolled
-//! lexer, a brace tree, eleven structural lints and the generated
-//! `docs/UNSAFE_LEDGER.md` inventory. The eleven lints (details in
+//! lexer, a brace tree and eleven structural lints (details in
 //! `docs/VERIFICATION.md` § Static analysis; number 5 is retired):
 //!
 //! 1. **No panics in simulator library code** (`crates/core`,
@@ -18,9 +17,10 @@
 //! 6. **Consuming builder methods carry `#[must_use]`** (`crates/core`,
 //!    `crates/net`).
 //! 7. **No dead intra-repo markdown links** (root `*.md` and `docs/`).
-//! 8. **Unsafe audit** — every `unsafe` site carries `// SAFETY:`; every
-//!    crate forbids unsafe at the root; the generated
-//!    `docs/UNSAFE_LEDGER.md` is current.
+//! 8. **Unsafe forbidden** — the root `[workspace.lints.rust]` table
+//!    forbids `unsafe_code` and every member manifest opts in with
+//!    `[lints] workspace = true`, so the compiler rejects `unsafe` in
+//!    every target.
 //! 9. **Determinism** — no `HashMap`/`HashSet`, wall-clock time, or
 //!    thread identity in the sim-path crates, and no threads, atomics,
 //!    `Mutex` or `Condvar` in `crates/{core,switch,net}`; waivable.
@@ -47,8 +47,6 @@
 //! lints use — the one counter behind every "lines of code" figure in
 //! `CHANGES.md` and `ROADMAP.md`.
 
-#![forbid(unsafe_code)]
-
 mod analyze;
 
 use std::fs;
@@ -56,8 +54,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use analyze::{ledger, lints, Workspace};
-use damq_bench::json::Json;
+use analyze::{lints, Workspace};
+use damq_telemetry::json::Json;
 
 /// Clippy invocation pinned here so CI and dev runs agree.
 const CLIPPY_ARGS: [&str; 7] = [
@@ -74,7 +72,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--no-cargo")),
-        Some("unsafe-ledger") => unsafe_ledger(),
         Some("loc") => loc(),
         Some("results-diff") if args.len() == 3 => results_diff(&args[1], &args[2]),
         Some("--help" | "-h") | None => {
@@ -89,7 +86,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str =
-    "cargo xtask <lint [--no-cargo] | unsafe-ledger | loc | results-diff <committed.json> <new.json>>";
+    "cargo xtask <lint [--no-cargo] | loc | results-diff <committed.json> <new.json>>";
 
 /// Compares two harness reports outside their run-varying envelope:
 /// succeeds when they are equal once the top-level `run` and `telemetry`
@@ -162,24 +159,6 @@ fn lint(no_cargo: bool) -> ExitCode {
     } else {
         eprintln!("xtask lint: all checks passed");
         ExitCode::SUCCESS
-    }
-}
-
-/// Regenerates `docs/UNSAFE_LEDGER.md` from the current tree.
-fn unsafe_ledger() -> ExitCode {
-    let root = workspace_root();
-    let ws = Workspace::load(&root);
-    let rendered = ledger::generate(&ws);
-    let path = root.join(ledger::LEDGER_REL);
-    match fs::write(&path, &rendered) {
-        Ok(()) => {
-            eprintln!("xtask unsafe-ledger: wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: failed to write {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
     }
 }
 

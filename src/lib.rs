@@ -48,7 +48,6 @@
 //! The `damq-bench` crate regenerates every table and figure of the paper;
 //! see the repository README and EXPERIMENTS.md.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Buffer structures: FIFO, SAMQ, SAFC and DAMQ (re-export of `damq-core`).
