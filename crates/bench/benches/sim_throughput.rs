@@ -187,7 +187,10 @@ fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseli
     for (key, value) in own_sections {
         record.set(key, value);
     }
-    record.save();
+    if let Err(problem) = record.save() {
+        eprintln!("error: {problem}");
+        std::process::exit(1);
+    }
 
     let headline = record
         .get("speedup")

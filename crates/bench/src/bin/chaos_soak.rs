@@ -4,18 +4,15 @@
 //! Each cell soaks one buffer design under one flow-control protocol for
 //! many epochs; every epoch draws a fresh storm (dead slots, link flaps,
 //! payload corruption, and misroutes) and ends with a full invariant
-//! re-audit (conservation, fault-ledger accounting, quiescence). Cells
-//! run under the recorded isolation harness
-//! ([`sweep::run_isolated_recorded`]): each cell records telemetry into
-//! a flight-recorder ring, and an invariant violation minimizes itself
-//! to a reproducer (seed + cycle window + fault plan), panics with the
-//! reproducer JSON as the message, and so lands in the crash dump
-//! sidecar under `results/chaos_dumps/` alongside the trailing event
-//! tail. Any failed cell makes the harness exit non-zero.
+//! re-audit (conservation, fault-ledger accounting, quiescence). Each
+//! cell records telemetry into a flight-recorder ring. A violation is
+//! data: the cell minimizes it to a reproducer (seed + cycle window +
+//! fault plan) and its report cell becomes `{"violation": {epoch, cycle,
+//! message}}`. After writing the report the harness writes one dump per
+//! violating cell under `results/chaos_dumps/` ([`chaos::write_dump`]:
+//! the reproducer, then the ring's event tail) and exits non-zero.
 //!
 //! Flags: `--smoke` shrinks the grid and epochs for the CI gate.
-
-use std::path::PathBuf;
 
 use damq_bench::chaos::{self, SoakPlan};
 use damq_bench::grid::{Axis, Cell, Grid};
@@ -24,6 +21,7 @@ use damq_bench::{cli, sweep};
 use damq_core::{BufferKind, FaultSpec};
 use damq_net::{NetworkConfig, RecoveryConfig};
 use damq_switch::FlowControl;
+use damq_telemetry::FlightRecorder;
 
 const TERMINALS: usize = 16;
 const RADIX: usize = 4;
@@ -110,48 +108,30 @@ fn main() {
         Axis::new("buffer", plan.kinds.iter().map(|k| k.name())),
         Axis::new("flow", plan.flows.iter().map(|f| format!("{f:?}"))),
     ]);
-    let cycle_budget = plan.epochs * plan.epoch_cycles * 20;
-    let dump_dir = damq_bench::results_dir().join("chaos_dumps");
     // Built-in audits are the soaked invariants; the extra hook stays
     // inert here (the seeded-mutation test exercises it).
     let check = |_probe: &chaos::EpochProbe| -> Result<(), String> { Ok(()) };
-    let soak_cell = |cell: &Cell, watchdog: &sweep::Watchdog, recorder| {
+    let results = grid.run(|cell| {
         let soak = soak_for(cell, &plan);
         let config = config_for(cell, &plan);
-        let outcome = chaos::run_soak(config, &soak, recorder, &check, || watchdog.tick())
+        let recorder = FlightRecorder::new(RING_CAPACITY);
+        let outcome = chaos::run_soak(config, &soak, recorder, &check)
             .expect("grid cell configuration is valid");
-        if let Some(violation) = &outcome.violation {
-            // Minimize first, then panic with the reproducer as the
-            // message: the recorded harness writes it (plus the
-            // telemetry ring's tail) into the crash-dump sidecar.
-            let rep = chaos::minimize(config, &soak, violation, &check);
-            panic!(
-                "chaos invariant violated at epoch {} cycle {}: {} — reproducer {}",
-                violation.epoch,
-                violation.cycle,
-                violation.message,
-                rep.to_json().render()
-            );
-        }
-        Json::obj([
+        let reproducer = (outcome.violation.as_ref())
+            .map(|violation| chaos::minimize(config, &soak, violation, &check));
+        (outcome, reproducer)
+    });
+    results.report(&mut report, |(outcome, _)| match &outcome.violation {
+        Some(violation) => Json::obj([("violation", violation.to_json())]),
+        None => Json::obj([
             ("epochs_run", Json::from(outcome.epochs_run)),
             ("cycles_run", Json::from(outcome.cycles_run)),
             ("delivered", Json::from(outcome.delivered)),
             ("discarded", Json::from(outcome.discarded)),
             ("fault_drops", Json::from(outcome.ledger.dropped())),
             ("slots_killed", Json::from(outcome.ledger.slots_killed)),
-        ])
-    };
-    let recorded = sweep::run_isolated_recorded(
-        grid.cells(),
-        cycle_budget,
-        RING_CAPACITY,
-        &dump_dir,
-        soak_cell,
-    );
-    let dumps: Vec<PathBuf> = recorded.iter().filter_map(|r| r.dump.clone()).collect();
-    let (records, outcomes) = grid.with_reports(recorded.into_iter().map(|r| r.report));
-    records.report(&mut report, Json::clone);
+        ]),
+    });
 
     let header = [
         "buffer",
@@ -161,22 +141,45 @@ fn main() {
         "discarded",
         "fault_drops",
     ];
-    let table = records.table(2, &header, |_, record| {
-        let field = |name: &str| -> String {
-            let value = record[0].get(name).and_then(Json::as_f64);
-            value.map_or_else(|| "failed".to_owned(), |v| format!("{v:.0}"))
-        };
-        ["epochs_run", "delivered", "discarded", "fault_drops"]
-            .map(field)
-            .to_vec()
+    let table = results.table(2, &header, |_, cell| {
+        let (outcome, _) = &cell[0];
+        if outcome.violation.is_some() {
+            return vec!["violated".to_owned(); 4];
+        }
+        let columns = [
+            outcome.epochs_run,
+            outcome.delivered,
+            outcome.discarded,
+            outcome.ledger.dropped(),
+        ];
+        columns.map(|v| v.to_string()).to_vec()
     });
     print!("{table}");
+    report.write_and_announce();
 
-    if let Err(failure) = report.finish(&outcomes, Some(&dumps)) {
-        eprintln!(
-            "error: {failure}; chaos soak reproducers are in {}",
-            dump_dir.display()
-        );
+    let dump_dir = damq_bench::results_dir().join("chaos_dumps");
+    let mut violated = 0;
+    for (index, (_, (outcome, reproducer))) in results.iter().enumerate() {
+        let (Some(violation), Some(reproducer)) = (&outcome.violation, reproducer) else {
+            continue;
+        };
+        violated += 1;
+        match chaos::write_dump(&dump_dir, index, violation, reproducer, &outcome.recorder) {
+            Ok(path) => eprintln!(
+                "chaos invariant violated in cell {index} at epoch {} cycle {}: {}; dump {}",
+                violation.epoch,
+                violation.cycle,
+                violation.message,
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("error: could not write {}: {e}", dump_dir.display());
+                std::process::exit(1);
+            }
+        }
+    }
+    if violated > 0 {
+        eprintln!("error: {violated} chaos cells violated an invariant");
         std::process::exit(1);
     }
 }

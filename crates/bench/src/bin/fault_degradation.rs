@@ -17,10 +17,8 @@
 //! mean and min–max over the draws; the per-draw cells pair the designs
 //! draw by draw.
 //!
-//! Cells run isolated ([`Grid::run_isolated`]): panic-contained and
-//! cycle-budget watchdogged. A cell that panics or times out is a bug,
-//! so its outcome lands in the report's `robustness` section and the
-//! harness exits non-zero.
+//! A cell is a deterministic function of its seed, so a cell that panics
+//! (a failed post-run audit, say) is a bug: the panic fails the harness.
 //!
 //! Flags: `--smoke` shrinks the grid and windows for the CI gate.
 
@@ -90,7 +88,7 @@ fn faults_for(cell: &Cell, dead_fraction: f64, horizon: u64) -> FaultPlan {
     FaultPlan::generate(point_seed(cell, sweep::BASE_SEED ^ 0xFA17), &spec)
 }
 
-fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
+fn run_cell(cell: &Cell, plan: &Plan) -> Json {
     let (kind, dead_fraction, load) = (
         plan.kinds[cell[0]],
         plan.fractions[cell[1]],
@@ -103,10 +101,8 @@ fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
         .offered_load(load)
         .seed(point_seed(cell, sweep::BASE_SEED));
     let faults = faults_for(cell, dead_fraction, plan.warm_up / 2);
-    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
-        watchdog.tick();
-    })
-    .expect("grid cell configuration is valid");
+    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window)
+        .expect("grid cell configuration is valid");
     Json::obj([
         ("slots_killed", Json::from(ledger.slots_killed)),
         ("fault_drops", Json::from(ledger.dropped())),
@@ -133,12 +129,7 @@ fn main() {
         Axis::new("load", plan.loads.iter().copied()),
         Axis::new("draw", 0..plan.draws),
     ]);
-    // Generous: ~20x the cell's simulated cycles. A cell that ticks past
-    // this is wedged, not slow.
-    let cycle_budget = (plan.warm_up + plan.window) * 20;
-    let (records, outcomes) = grid.run_isolated(cycle_budget, |cell, watchdog| {
-        run_cell(cell, &plan, watchdog)
-    });
+    let records = grid.run(|cell| run_cell(cell, &plan));
 
     // Per (design, fraction, load): the spread of a measured field over
     // the draws.
@@ -156,19 +147,17 @@ fn main() {
     // Text table on stdout, mirroring the other harnesses.
     let header = ["buffer", "dead", "load", "killed", "delivered", "discard"];
     let table = records.table(3, &header, |_, draws| {
-        let failed = || "failed".to_owned();
-        let mean =
-            |s: Option<Spread>, digits| s.map_or_else(failed, |s| format!("{:.*}", digits, s.mean));
+        let missing = || "-".to_owned();
+        let mean = |s: Option<Spread>, digits| {
+            s.map_or_else(missing, |s| format!("{:.*}", digits, s.mean))
+        };
         vec![
             mean(Spread::of_field(draws, &["slots_killed"]), 0),
-            spread(draws, "delivered").map_or_else(failed, |s| s.to_string()),
+            spread(draws, "delivered").map_or_else(missing, |s| s.to_string()),
             mean(spread(draws, "discard_fraction"), 3),
         ]
     });
     print!("{table}");
 
-    if let Err(failure) = report.finish(&outcomes, None) {
-        eprintln!("error: {failure}");
-        std::process::exit(1);
-    }
+    report.write_and_announce();
 }

@@ -19,8 +19,9 @@
 //! report's aggregate cells and the `recovery` section of
 //! `BENCH_throughput.json` give the mean and min–max over the draws.
 //!
-//! Cells run isolated ([`Grid::run_isolated`]); a cell that panics or
-//! times out is a bug, and the harness exits non-zero.
+//! A cell is a deterministic function of its seed, so a cell that panics
+//! is a bug: the panic fails the harness. So does a report or a
+//! `BENCH_throughput.json` that cannot be written.
 //!
 //! Flags: `--smoke` shrinks the grid and windows for quick checks.
 
@@ -98,7 +99,7 @@ fn faults_for(cell: &Cell, dead_links: f64, warm_up: u64, window: u64) -> FaultP
     FaultPlan::generate(point_seed(cell, sweep::BASE_SEED ^ 0x4EA1), &spec)
 }
 
-fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
+fn run_cell(cell: &Cell, plan: &Plan) -> Json {
     let recovery = if RECOVERY[cell[2]] == "on" {
         RecoveryConfig::enabled()
     } else {
@@ -112,10 +113,8 @@ fn run_cell(cell: &Cell, plan: &Plan, watchdog: &sweep::Watchdog) -> Json {
         .offered_load(0.6)
         .seed(point_seed(cell, sweep::BASE_SEED));
     let faults = faults_for(cell, plan.fractions[cell[1]], plan.warm_up, plan.window);
-    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window, || {
-        watchdog.tick();
-    })
-    .expect("grid cell configuration is valid");
+    let (m, ledger) = measure_with_faults(config, faults, plan.warm_up, plan.window)
+        .expect("grid cell configuration is valid");
     let delivered_fraction = if m.offered > 0.0 {
         m.delivered / m.offered
     } else {
@@ -153,10 +152,7 @@ fn main() {
         Axis::new("recovery", RECOVERY),
         Axis::new("draw", 0..plan.draws),
     ]);
-    let cycle_budget = (plan.warm_up + plan.window) * 20;
-    let (records, outcomes) = grid.run_isolated(cycle_budget, |cell, watchdog| {
-        run_cell(cell, &plan, watchdog)
-    });
+    let records = grid.run(|cell| run_cell(cell, &plan));
 
     // Per (design, fraction, recovery): the spread of each headline
     // number over the draws.
@@ -183,10 +179,10 @@ fn main() {
         "fault_drops",
     ];
     let table = records.table(3, &header, |_, draws| {
-        let failed = || "failed".to_owned();
-        let mean = |s: Option<Spread>| s.map_or_else(failed, |s| format!("{:.1}", s.mean));
+        let missing = || "-".to_owned();
+        let mean = |s: Option<Spread>| s.map_or_else(missing, |s| format!("{:.1}", s.mean));
         vec![
-            delivered(draws).map_or_else(failed, |s| s.to_string()),
+            delivered(draws).map_or_else(missing, |s| s.to_string()),
             mean(p99(draws)),
             mean(Spread::of_field(draws, &["fault_drops"])),
         ]
@@ -211,11 +207,11 @@ fn main() {
             ("cells", Json::Obj(cells.collect())),
         ]);
         bench_record.set("recovery", section);
-        bench_record.save();
+        if let Err(problem) = bench_record.save() {
+            eprintln!("error: {problem}");
+            std::process::exit(1);
+        }
     }
 
-    if let Err(failure) = report.finish(&outcomes, None) {
-        eprintln!("error: {failure}");
-        std::process::exit(1);
-    }
+    report.write_and_announce();
 }

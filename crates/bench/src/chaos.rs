@@ -16,16 +16,21 @@
 //! keeping every deletion that still violates — and truncates the cycle
 //! window to the first failing epoch. The result is a [`Reproducer`]
 //! (seed + cycle window + minimized fault plan) that [`replay`] verifies
-//! by re-triggering the violation; the `chaos_soak` bin then emits it
-//! through the flight-recorder crash-dump sidecar.
+//! by re-triggering the violation. A violation is an ordinary value all
+//! the way out: [`run_soak`] returns it together with the flight recorder
+//! it recorded into, and [`write_dump`] writes the reproducer and the
+//! ring's event tail to one JSONL file for the `chaos_soak` bin.
 //!
 //! Everything here is wall-clock-free and seed-stable: the same config,
 //! soak plan, and checker reproduce the same violation, minimization
 //! trajectory, and reproducer byte for byte.
 
+use std::io;
+use std::path::{Path, PathBuf};
+
 use damq_core::{FaultEvent, FaultPlan, FaultSpec};
 use damq_net::{NetworkConfig, NetworkError, NetworkSim};
-use damq_telemetry::{Event, SharedRecorder, TelemetrySink};
+use damq_telemetry::{Event, FlightRecorder, TelemetrySink};
 
 use crate::json::Json;
 use crate::sweep;
@@ -104,6 +109,18 @@ pub struct Violation {
     pub message: String,
 }
 
+impl Violation {
+    /// `{"epoch": .., "cycle": .., "message": ..}`: the violation as the
+    /// chaos report and its dump record it.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("epoch", Json::from(self.epoch)),
+            ("cycle", Json::from(self.cycle)),
+            ("message", Json::from(self.message.as_str())),
+        ])
+    }
+}
+
 /// Outcome of one soak run.
 #[derive(Debug, Clone)]
 pub struct SoakOutcome {
@@ -119,6 +136,9 @@ pub struct SoakOutcome {
     pub ledger: damq_core::FaultLedger,
     /// First violation found, if any (the soak stops there).
     pub violation: Option<Violation>,
+    /// The flight recorder the soak recorded into, handed back with the
+    /// tail of the run's events.
+    pub recorder: FlightRecorder<Event>,
 }
 
 /// A minimized, self-contained recipe for re-triggering a violation:
@@ -142,7 +162,7 @@ pub struct Reproducer {
 
 impl Reproducer {
     /// Renders the reproducer as a deterministic JSON object (the
-    /// payload the chaos bin embeds in its report and crash dump).
+    /// payload of a violation dump's meta line).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("seed", Json::from(self.seed)),
@@ -158,7 +178,7 @@ impl Reproducer {
     }
 
     /// Parses a reproducer back out of its [`Reproducer::to_json`] form
-    /// (`None` on any missing or ill-typed field) — the path a crash
+    /// (`None` on any missing or ill-typed field) — the path a violation
     /// dump travels to become a replayable plan again.
     pub fn from_json(json: &Json) -> Option<Reproducer> {
         let uint = |key: &str| json.get(key)?.as_u64();
@@ -289,17 +309,13 @@ fn drive<S: TelemetrySink<Event>>(
     epoch_cycles: u64,
     end_cycle: u64,
     check: &EpochCheck<'_>,
-    on_cycle: &mut dyn FnMut(),
 ) -> (u64, Option<Violation>) {
     let epoch_cycles = epoch_cycles.max(1);
     let mut cycles_run = 0;
     let mut epoch = 0;
     while cycles_run < end_cycle {
         let stride = epoch_cycles.min(end_cycle - cycles_run);
-        for _ in 0..stride {
-            sim.step();
-            on_cycle();
-        }
+        sim.run(stride);
         cycles_run += stride;
         let probe = EpochProbe {
             epoch,
@@ -329,12 +345,9 @@ fn drive<S: TelemetrySink<Event>>(
 }
 
 /// Runs one full soak: composes the master plan, steps every epoch with
-/// the given telemetry recorder attached as the simulation's sink, and
-/// re-audits (built-in audits + `check`) at each epoch boundary. Stops
-/// at the first violation.
-///
-/// `on_cycle` fires once per simulated cycle — the watchdog heartbeat
-/// when driven from the isolation harness.
+/// `recorder` attached as the simulation's sink, and re-audits (built-in
+/// audits + `check`) at each epoch boundary. Stops at the first
+/// violation, and hands the recorder back in the outcome.
 ///
 /// # Errors
 ///
@@ -342,19 +355,12 @@ fn drive<S: TelemetrySink<Event>>(
 pub fn run_soak(
     config: NetworkConfig,
     soak: &SoakPlan,
-    recorder: SharedRecorder<Event>,
+    recorder: FlightRecorder<Event>,
     check: &EpochCheck<'_>,
-    mut on_cycle: impl FnMut(),
 ) -> Result<SoakOutcome, NetworkError> {
     let mut sim = NetworkSim::with_sink(config, recorder)?;
     sim.install_fault_plan(soak.compose());
-    let (cycles_run, violation) = drive(
-        &mut sim,
-        soak.epoch_cycles,
-        soak.horizon(),
-        check,
-        &mut on_cycle,
-    );
+    let (cycles_run, violation) = drive(&mut sim, soak.epoch_cycles, soak.horizon(), check);
     Ok(SoakOutcome {
         epochs_run: violation
             .as_ref()
@@ -365,7 +371,44 @@ pub fn run_soak(
         discarded: sim.metrics().discarded(),
         ledger: sim.fault_ledger(),
         violation,
+        recorder: sim.into_sink(),
     })
+}
+
+/// Writes the dump of the violating grid cell `cell` to
+/// `dir/cell{cell:04}.jsonl` and returns its path.
+///
+/// The first line is a `chaos_violation` meta record: the cell, the
+/// violation, the minimized reproducer as a JSON object (read it back
+/// with [`Reproducer::from_json`]) and the ring's occupancy (`retained`
+/// of `seen` events). The ring's retained events follow as JSONL, oldest
+/// first.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory creation or the write.
+pub fn write_dump(
+    dir: &Path,
+    cell: usize,
+    violation: &Violation,
+    reproducer: &Reproducer,
+    recorder: &FlightRecorder<Event>,
+) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("cell{cell:04}.jsonl"));
+    let meta = Json::obj([
+        ("type", Json::from("chaos_violation")),
+        ("cell", Json::from(cell)),
+        ("violation", violation.to_json()),
+        ("reproducer", reproducer.to_json()),
+        ("retained", Json::from(recorder.len())),
+        ("seen", Json::from(recorder.seen())),
+    ]);
+    std::fs::write(
+        &path,
+        format!("{}\n{}", meta.render(), recorder.dump_jsonl()),
+    )?;
+    Ok(path)
 }
 
 /// Replays `plan` over `[0, end_cycle)` with fresh traffic from
@@ -379,7 +422,7 @@ fn violates(
 ) -> Option<Violation> {
     let mut sim =
         NetworkSim::with_faults(config, plan.clone()).expect("config validated by the first run");
-    drive(&mut sim, epoch_cycles, end_cycle, check, &mut || ()).1
+    drive(&mut sim, epoch_cycles, end_cycle, check).1
 }
 
 /// Shrinks a violating soak to a [`Reproducer`]: truncates the cycle
@@ -534,19 +577,12 @@ mod tests {
 
     #[test]
     fn clean_soak_runs_every_epoch_and_stays_audited() {
-        let mut heartbeats = 0u64;
-        let outcome = run_soak(
-            config(),
-            &soak(),
-            SharedRecorder::new(64),
-            &|_| Ok(()),
-            || heartbeats += 1,
-        )
-        .expect("config is valid");
+        let outcome = run_soak(config(), &soak(), FlightRecorder::new(64), &|_| Ok(()))
+            .expect("config is valid");
         assert!(outcome.violation.is_none());
         assert_eq!(outcome.epochs_run, 4);
         assert_eq!(outcome.cycles_run, 800);
-        assert_eq!(heartbeats, 800, "one heartbeat per simulated cycle");
+        assert_eq!(outcome.recorder.len(), 64, "the ring comes back full");
         assert!(outcome.delivered > 0);
         assert!(outcome.ledger.dropped() + outcome.ledger.slots_killed > 0);
     }
@@ -569,8 +605,8 @@ mod tests {
                 Ok(())
             }
         };
-        let outcome = run_soak(config(), &soak(), SharedRecorder::new(64), &check, || ())
-            .expect("config is valid");
+        let outcome =
+            run_soak(config(), &soak(), FlightRecorder::new(64), &check).expect("config is valid");
         let violation = outcome.violation.expect("the seeded mutation fires");
 
         let full_events = soak().compose().events().len();

@@ -66,7 +66,7 @@ use damq_net::{
 
 use crate::json::{Json, Report};
 use crate::render_table;
-use crate::sweep::{self, CellOutcome, CellReport, SweepProfile, Watchdog};
+use crate::sweep::{self, SweepProfile};
 
 /// The trailing seed coordinate of a per-row search that sits next to a
 /// measured grid over the same leading axes (`[k, SEARCH]` beside
@@ -269,38 +269,6 @@ impl Grid {
         })
     }
 
-    /// Evaluates every cell under [`sweep::run_isolated`] with a watchdog
-    /// of `cycle_budget` ticks; see [`Grid::with_reports`] for what comes
-    /// back.
-    pub fn run_isolated(
-        self,
-        cycle_budget: u64,
-        f: impl Fn(&Cell, &Watchdog) -> Json + Sync,
-    ) -> (Results<Json>, Vec<CellOutcome>) {
-        let reports = sweep::run_isolated(&self.cells, cycle_budget, f);
-        self.with_reports(reports)
-    }
-
-    /// Pairs the grid with one isolated report per cell, in cell order:
-    /// the records, with the placeholder `{"failed": true}` for a cell
-    /// that did not end `Ok` so the report still accounts for it, and the
-    /// outcomes for [`Report::finish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn with_reports(
-        self,
-        reports: impl IntoIterator<Item = CellReport<Json>>,
-    ) -> (Results<Json>, Vec<CellOutcome>) {
-        let failed = || Json::obj([("failed", Json::from(true))]);
-        let (records, outcomes) = reports
-            .into_iter()
-            .map(|r| (r.result.unwrap_or_else(failed), r.outcome))
-            .unzip();
-        (self.with_values(records), outcomes)
-    }
-
     /// Pairs the grid with one value per cell, in cell order.
     ///
     /// # Panics
@@ -419,7 +387,7 @@ pub struct Spread {
 impl Spread {
     /// The spread of the number at `path` — nested object keys — across
     /// `records`, or `None` if there are no records or any lacks the
-    /// number (a failed cell).
+    /// number.
     ///
     /// # Examples
     ///

@@ -34,7 +34,6 @@
 //! );
 //! ```
 
-use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -42,7 +41,7 @@ use damq_markov::DiscardPoint;
 use damq_net::{Measurement, SaturationResult};
 use damq_telemetry::Profiler;
 
-use crate::sweep::{Aggregate, CellOutcome, SweepProfile};
+use crate::sweep::{Aggregate, SweepProfile};
 
 // Kept under this path for the frozen `benchmark/` crate, which imports
 // `damq_bench::json::Json` and cannot be edited.
@@ -97,52 +96,6 @@ pub fn aggregates_json(aggs: &[(&'static str, Aggregate)]) -> Json {
     }))
 }
 
-/// Summarises a batch of [`CellOutcome`]s into the `robustness` report
-/// section: outcome counts plus one `incidents` entry per non-`ok` cell
-/// (index into the batch, outcome tag, panic message).
-///
-/// The section is deterministic — outcomes derive from seeded simulation
-/// work, not wall-clock — so [`Report::body`] includes it when attached
-/// via [`Report::set_robustness`].
-///
-/// # Examples
-///
-/// ```
-/// use damq_bench::json::robustness_json;
-/// use damq_bench::sweep::CellOutcome;
-///
-/// let section = robustness_json(&[
-///     CellOutcome::Ok,
-///     CellOutcome::TimedOut,
-/// ]);
-/// assert!(section.render().contains(r#""timed_out":1"#));
-/// ```
-pub fn robustness_json(outcomes: &[CellOutcome]) -> Json {
-    let count = |label: &str| -> usize { outcomes.iter().filter(|o| o.label() == label).count() };
-    let incidents: Vec<Json> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| *o != &CellOutcome::Ok)
-        .map(|(i, o)| {
-            let mut fields = vec![
-                ("index".to_owned(), Json::from(i)),
-                ("outcome".to_owned(), Json::from(o.label())),
-            ];
-            if let CellOutcome::Panicked { message } = o {
-                fields.push(("message".to_owned(), Json::from(message.as_str())));
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    Json::obj([
-        ("cells", Json::from(outcomes.len())),
-        ("ok", Json::from(count("ok"))),
-        ("panicked", Json::from(count("panicked"))),
-        ("timed_out", Json::from(count("timed_out"))),
-        ("incidents", Json::Arr(incidents)),
-    ])
-}
-
 /// Accumulates one harness run and writes `results/json/<name>.json`.
 ///
 /// The deterministic part of the record (experiment name, schema version,
@@ -171,7 +124,6 @@ pub struct Report {
     name: String,
     meta: Vec<(String, Json)>,
     cells: Vec<Json>,
-    robustness: Option<Json>,
     telemetry: Option<Json>,
     started: Instant,
 }
@@ -189,7 +141,6 @@ impl Report {
             name: name.to_owned(),
             meta: Vec::new(),
             cells: Vec::new(),
-            robustness: None,
             telemetry: None,
             started: Instant::now(),
         }
@@ -209,16 +160,6 @@ impl Report {
     /// Number of cells recorded so far.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Attaches a `robustness` section (see [`robustness_json`]) recording
-    /// how the sweep's cells fared under the self-healing harness.
-    ///
-    /// Cell outcomes are deterministic (panics and cycle-budget timeouts
-    /// reproduce from the seeds), so the section lives in the
-    /// deterministic [`Report::body`], unlike the timing telemetry.
-    pub fn set_robustness(&mut self, robustness: Json) {
-        self.robustness = Some(robustness);
     }
 
     /// Attaches a profiling `telemetry` section to the report.
@@ -297,20 +238,13 @@ impl Report {
     /// metadata and cells — everything except the run-varying provenance
     /// envelope.
     pub fn body(&self) -> Json {
-        let mut pairs = vec![
-            ("experiment".to_owned(), Json::from(self.name.as_str())),
-            (
-                "schema_version".to_owned(),
-                Json::from(u64::from(SCHEMA_VERSION)),
-            ),
-            ("meta".to_owned(), Json::Obj(self.meta.clone())),
-            ("cell_count".to_owned(), Json::from(self.cells.len())),
-            ("cells".to_owned(), Json::Arr(self.cells.clone())),
-        ];
-        if let Some(robustness) = &self.robustness {
-            pairs.push(("robustness".to_owned(), robustness.clone()));
-        }
-        Json::Obj(pairs)
+        Json::obj([
+            ("experiment", Json::from(self.name.as_str())),
+            ("schema_version", Json::from(u64::from(SCHEMA_VERSION))),
+            ("meta", Json::Obj(self.meta.clone())),
+            ("cell_count", Json::from(self.cells.len())),
+            ("cells", Json::Arr(self.cells.clone())),
+        ])
     }
 
     /// Writes the report to `<results dir>/json/<name>.json` and returns
@@ -323,8 +257,9 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from directory creation or the file write.
-    pub fn write(&self) -> io::Result<PathBuf> {
+    /// An I/O error from directory creation or the file write, with the
+    /// report's path.
+    pub fn write(&self) -> Result<PathBuf, String> {
         let mut doc = match self.body() {
             Json::Obj(pairs) => pairs,
             _ => unreachable!("body is always an object"),
@@ -343,54 +278,25 @@ impl Report {
             doc.push(("telemetry".to_owned(), telemetry.clone()));
         }
         let dir = crate::results_dir().join("json");
-        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, Json::Obj(doc).render_pretty())?;
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, Json::Obj(doc).render_pretty()))
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
         Ok(path)
     }
 
-    /// [`Report::write`], reporting the destination (or the error) on
-    /// stderr so stdout stays a clean table for `> results/<name>.txt`
-    /// redirection.
+    /// [`Report::write`], reporting the destination on stderr so stdout
+    /// stays a clean table for `> results/<name>.txt` redirection. A
+    /// report that cannot be written fails the harness: the error names
+    /// the path and the process exits 1, so a regeneration never leaves a
+    /// stale report behind while reporting success.
     pub fn write_and_announce(&self) {
         match self.write() {
             Ok(path) => eprintln!("wrote {}", path.display()), // lint: allow — harness status channel
-            Err(e) => eprintln!("warning: could not write JSON report: {e}"), // lint: allow — harness status channel
-        }
-    }
-
-    /// The last step of a harness whose cells ran isolated: attaches the
-    /// `robustness` section for `outcomes`, writes the report, and fails
-    /// unless every cell is [`CellOutcome::Ok`]. A recorded sweep passes
-    /// the flight-recorder `dumps` its failed cells left; they are
-    /// counted in the section as `flight_dumps` and named on stderr.
-    ///
-    /// A cell is a deterministic function of its seed, so a panic or a
-    /// watchdog trip is a bug to fix, not a flake to report around: the
-    /// binaries turn the error into exit status 1.
-    ///
-    /// # Errors
-    ///
-    /// Says how many cells failed.
-    pub fn finish(
-        mut self,
-        outcomes: &[CellOutcome],
-        dumps: Option<&[PathBuf]>,
-    ) -> Result<(), String> {
-        let mut robustness = robustness_json(outcomes);
-        if let (Json::Obj(pairs), Some(dumps)) = (&mut robustness, dumps) {
-            pairs.push(("flight_dumps".to_owned(), Json::from(dumps.len())));
-        }
-        self.set_robustness(robustness);
-        self.write_and_announce();
-        for dump in dumps.unwrap_or_default() {
-            eprintln!("flight-recorder dump: {}", dump.display()); // lint: allow — harness status channel
-        }
-        let failed = outcomes.iter().filter(|o| **o != CellOutcome::Ok).count();
-        if failed == 0 {
-            Ok(())
-        } else {
-            Err(format!("{failed} of {} cells failed", outcomes.len()))
+            Err(problem) => {
+                eprintln!("error: {problem}"); // lint: allow — harness status channel
+                std::process::exit(1)
+            }
         }
     }
 }
@@ -434,33 +340,6 @@ mod tests {
         assert!(section.contains(r#""cycles_per_sec":7428.5714"#));
         assert!(section.contains(r#""per_cell_cycles_per_sec":[4000,8000]"#));
         assert!(section.contains(r#""phases":{"sweep":1.75}"#));
-    }
-
-    #[test]
-    fn robustness_section_lands_in_the_deterministic_body() {
-        let mut r = Report::new("t");
-        r.push_cell(Json::from(1i64));
-        let outcomes = [
-            CellOutcome::Ok,
-            CellOutcome::Panicked {
-                message: "boom".to_owned(),
-            },
-            CellOutcome::TimedOut,
-        ];
-        r.set_robustness(robustness_json(&outcomes));
-        let body = r.body().render();
-        assert!(body.contains(r#""robustness":{"cells":3,"ok":1,"panicked":1,"timed_out":1"#));
-        assert!(body.contains(r#"{"index":1,"outcome":"panicked","message":"boom"}"#));
-        assert!(body.contains(r#"{"index":2,"outcome":"timed_out"}"#));
-    }
-
-    #[test]
-    fn all_ok_robustness_has_no_incidents() {
-        let section = robustness_json(&[CellOutcome::Ok, CellOutcome::Ok]);
-        assert_eq!(
-            section.render(),
-            r#"{"cells":2,"ok":2,"panicked":0,"timed_out":0,"incidents":[]}"#
-        );
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! - [`sweep`] — the parallel experiment-sweep engine underneath: cells
 //!   fanned out across cores with deterministic, thread-count-
 //!   independent results, plus multi-seed aggregation (mean / stddev /
-//!   95% CI) and the self-healing isolation layer
-//!   ([`sweep::run_isolated`]) that contains panics and enforces cycle
-//!   budgets; a cell that fails is a bug, and the harness exits non-zero
-//!   ([`json::Report::finish`]).
+//!   95% CI). A cell that panics is a bug: the panic reaches the harness,
+//!   which exits non-zero.
 //! - [`cli`] — the one argument parser: undeclared flags and bad values
 //!   are usage errors (exit 2), never silently ignored.
 //! - [`json`] — the report writer on the workspace's one JSON codec
@@ -23,8 +21,8 @@
 //!   `results/json/<experiment>.json` alongside its text table.
 //! - [`record`] — the one read-modify-write of `BENCH_throughput.json`.
 //! - [`chaos`] — the chaos soak engine: composed per-epoch fault storms,
-//!   per-epoch invariant audits, and reproducer minimization for the
-//!   `chaos_soak` binary.
+//!   per-epoch invariant audits, reproducer minimization and the
+//!   violation dump for the `chaos_soak` binary.
 //! - [`timing`] — a std-only micro-benchmark harness for the `benches/`
 //!   targets.
 //! - Paper-style number formatting ([`fmt_prob`]) and fixed-width table
@@ -45,8 +43,8 @@ pub mod timing;
 
 /// The directory results are written under: `$DAMQ_RESULTS_DIR` if set,
 /// otherwise `results` relative to the working directory. Reports go to
-/// its `json/` subdirectory, traces to `traces/`, chaos crash dumps to
-/// `chaos_dumps/`.
+/// its `json/` subdirectory, traces to `traces/`, chaos violation dumps
+/// to `chaos_dumps/`.
 pub fn results_dir() -> std::path::PathBuf {
     std::env::var_os("DAMQ_RESULTS_DIR").map_or_else(|| "results".into(), Into::into)
 }

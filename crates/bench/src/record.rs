@@ -62,14 +62,18 @@ impl BenchRecord {
         }
     }
 
-    /// Writes the record back, announcing the path (or the failure) on
-    /// stderr.
-    pub fn save(&self) {
+    /// Writes the record back, announcing the path on stderr.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of the write, with the record's path; the caller
+    /// fails the run on it rather than leave a stale record behind.
+    pub fn save(&self) -> Result<(), String> {
         let doc = Json::Obj(self.sections.clone());
-        match std::fs::write(&self.path, doc.render_pretty()) {
-            Ok(()) => eprintln!("wrote {}", self.path.display()), // lint: allow — harness status channel
-            Err(e) => eprintln!("warning: could not write {}: {e}", self.path.display()), // lint: allow — harness status channel
-        }
+        std::fs::write(&self.path, doc.render_pretty())
+            .map_err(|e| format!("could not write {}: {e}", self.path.display()))?;
+        eprintln!("wrote {}", self.path.display()); // lint: allow — harness status channel
+        Ok(())
     }
 }
 
@@ -88,18 +92,33 @@ mod tests {
         let mut record = BenchRecord::open_at(path.clone()).unwrap();
         assert_eq!(record.get("bench"), Some(&Json::from("sim_throughput")));
         record.set("current", Json::from(1i64));
-        record.save();
+        record.save().unwrap();
 
         // A second harness replaces its own section and keeps the rest.
         let mut record = BenchRecord::open_at(path.clone()).unwrap();
         record.set("recovery", Json::from(2i64));
         record.set("current", Json::from(3i64));
-        record.save();
+        record.save().unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
             "{\n  \"bench\": \"sim_throughput\",\n  \"current\": 3,\n  \"recovery\": 2\n}\n"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_that_cannot_be_written_is_an_error_naming_its_path() {
+        // A regular file where the record's directory should be.
+        let blocker = temp_path("blocker");
+        std::fs::write(&blocker, "not a directory").unwrap();
+        let path = blocker.join("BENCH_throughput.json");
+        let record = BenchRecord {
+            path: path.clone(),
+            sections: Vec::new(),
+        };
+        let problem = record.save().unwrap_err();
+        assert!(problem.contains(&path.display().to_string()), "{problem}");
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

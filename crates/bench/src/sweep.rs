@@ -21,6 +21,11 @@
 //! 3. **Ordered collection** — results are written into a slot per cell
 //!    and returned in grid order, regardless of completion order.
 //!
+//! There is no per-cell panic boundary. A cell is a deterministic
+//! function of its seed, so a panic is a bug that would recur on every
+//! rerun: [`run_with_workers`] propagates it to the caller, and the
+//! harness process fails.
+//!
 //! The worker count defaults to the machine's available parallelism and
 //! can be pinned with the `DAMQ_SWEEP_THREADS` environment variable
 //! (`DAMQ_SWEEP_THREADS=1` forces the serial schedule — useful for
@@ -48,16 +53,11 @@
 //! assert_eq!(results[5], 0.50 * 2.0);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use damq_net::Measurement;
-use damq_telemetry::{JsonlRecord, SharedRecorder};
-
-use crate::json::Json;
 
 /// The base seed shared by the regeneration harnesses (the historical
 /// default seed of [`damq_net::NetworkConfig`]).
@@ -272,250 +272,6 @@ where
             workers,
         },
     )
-}
-
-// ----------------------------------------------------------------------
-// Self-healing isolation: panic containment and cycle-budget watchdogs,
-// so one bad cell degrades one report entry instead of losing the whole
-// sweep. A cell is a deterministic function of its seed, so its verdict
-// is final: rerunning it would fail the same way.
-
-/// Sentinel panic payload thrown by [`Watchdog::tick`]; [`run_isolated`]
-/// recognises it and reports the cell as [`CellOutcome::TimedOut`] instead
-/// of panicked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogExpired;
-
-/// A deterministic cycle-budget watchdog handed to every isolated cell.
-///
-/// Cells call [`Watchdog::tick`] once per unit of forward progress
-/// (typically one simulated network cycle). A cell that exceeds its budget
-/// is unwound and reported as timed out — the budget counts *work*, not
-/// wall-clock time, so the verdict is identical on a fast and a loaded
-/// machine.
-#[derive(Debug)]
-pub struct Watchdog {
-    budget: u64,
-    ticks: AtomicU64,
-}
-
-impl Watchdog {
-    /// Records one unit of progress.
-    ///
-    /// # Panics
-    ///
-    /// Unwinds with [`WatchdogExpired`] once the budget is exhausted;
-    /// [`run_isolated`] catches it and marks the cell
-    /// [`CellOutcome::TimedOut`].
-    pub fn tick(&self) {
-        let ticks = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        if ticks > self.budget {
-            std::panic::panic_any(WatchdogExpired);
-        }
-    }
-
-    /// Progress recorded so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-}
-
-/// What happened to one isolated cell. Only `Ok` carries a result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellOutcome {
-    /// The cell completed.
-    Ok,
-    /// The cell panicked; the panic message is kept.
-    Panicked {
-        /// Rendered panic payload.
-        message: String,
-    },
-    /// The cell exhausted its cycle budget.
-    TimedOut,
-}
-
-impl CellOutcome {
-    /// Short machine-readable tag (`ok`, `panicked`, `timed_out`) used by
-    /// the JSON reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CellOutcome::Ok => "ok",
-            CellOutcome::Panicked { .. } => "panicked",
-            CellOutcome::TimedOut => "timed_out",
-        }
-    }
-}
-
-/// One isolated cell's verdict and (if `Ok`) its result.
-#[derive(Debug, Clone)]
-pub struct CellReport<R> {
-    /// How the cell ended.
-    pub outcome: CellOutcome,
-    /// The result, present exactly when `outcome` is [`CellOutcome::Ok`].
-    pub result: Option<R>,
-}
-
-/// Runs every cell on [`worker_count`] workers inside a panic boundary
-/// with a watchdog of `cycle_budget` ticks: the sweep always completes
-/// and every cell reports a [`CellOutcome`] instead of taking the process
-/// down. Results come back in cell order.
-///
-/// Panic payloads are contained per cell; the default panic hook still
-/// prints them to stderr, which doubles as the incident log.
-pub fn run_isolated<C, R, F>(cells: &[C], cycle_budget: u64, f: F) -> Vec<CellReport<R>>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C, &Watchdog) -> R + Sync,
-{
-    let contained = contain(
-        cells,
-        cycle_budget,
-        || (),
-        |cell, watchdog, ()| f(cell, watchdog),
-        |_, _, _, ()| None,
-    );
-    contained.into_iter().map(|cell| cell.report).collect()
-}
-
-/// One isolated cell's verdict plus the crash dump it left, if it failed.
-#[derive(Debug, Clone)]
-pub struct RecordedCell<R> {
-    /// The cell's outcome and (if `Ok`) result, exactly as
-    /// [`run_isolated`] would report them.
-    pub report: CellReport<R>,
-    /// The flight-recorder dump of a failed cell, if it could be written.
-    pub dump: Option<PathBuf>,
-}
-
-/// Like [`run_isolated`], but every cell records telemetry into a fresh
-/// fixed-capacity [`SharedRecorder`] ring, and a cell that panics or
-/// trips its [`Watchdog`] dumps the ring to a JSONL sidecar in
-/// `dump_dir` — turning a "panicked isolated" verdict into a post-mortem.
-///
-/// `f` receives the cell, its watchdog and a [`SharedRecorder`] handle to
-/// attach as the simulation's telemetry sink (clone it freely; the
-/// harness keeps its own handle outside the panic boundary). Each dump
-/// file is named `cell{index:04}.jsonl` and starts with one
-/// `flight_recorder` meta line (cell, outcome, panic message, ring
-/// occupancy) followed by the ring's events, oldest first.
-///
-/// Dump-file I/O errors are swallowed — a failing disk must not turn a
-/// contained cell panic into a sweep abort — so a dump path is only
-/// returned for a file that was actually written.
-pub fn run_isolated_recorded<C, R, E, F>(
-    cells: &[C],
-    cycle_budget: u64,
-    capacity: usize,
-    dump_dir: &Path,
-    f: F,
-) -> Vec<RecordedCell<R>>
-where
-    C: Sync,
-    R: Send,
-    E: JsonlRecord,
-    F: Fn(&C, &Watchdog, SharedRecorder<E>) -> R + Sync,
-{
-    contain(
-        cells,
-        cycle_budget,
-        || SharedRecorder::new(capacity.max(1)),
-        |cell, watchdog, recorder| f(cell, watchdog, recorder.clone()),
-        |cell, outcome, message, recorder| {
-            write_flight_dump(dump_dir, cell, outcome, message, recorder)
-        },
-    )
-}
-
-/// The one contain / watchdog loop behind [`run_isolated`] and
-/// [`run_isolated_recorded`].
-///
-/// Every cell gets a watchdog and a fresh `begin()` state built *outside*
-/// the panic boundary (the recorder ring, or nothing), runs `f` inside
-/// it, and on failure hands `post_mortem` the cell index, outcome label,
-/// failure message and that state; it may leave a dump file behind.
-fn contain<C, R, S>(
-    cells: &[C],
-    cycle_budget: u64,
-    begin: impl Fn() -> S + Sync,
-    f: impl Fn(&C, &Watchdog, &S) -> R + Sync,
-    post_mortem: impl Fn(usize, &str, &str, &S) -> Option<PathBuf> + Sync,
-) -> Vec<RecordedCell<R>>
-where
-    C: Sync,
-    R: Send,
-{
-    let indexed: Vec<(usize, &C)> = cells.iter().enumerate().collect();
-    run_with_workers(&indexed, worker_count(), |&(index, cell)| {
-        let watchdog = Watchdog {
-            budget: cycle_budget,
-            ticks: AtomicU64::new(0),
-        };
-        let state = begin();
-        let run = catch_unwind(AssertUnwindSafe(|| f(cell, &watchdog, &state)));
-        let (outcome, message) = match run {
-            Ok(result) => {
-                let report = CellReport {
-                    outcome: CellOutcome::Ok,
-                    result: Some(result),
-                };
-                return RecordedCell { report, dump: None };
-            }
-            Err(payload) if payload.downcast_ref::<WatchdogExpired>().is_some() => {
-                let ticks = watchdog.ticks();
-                let message = format!("watchdog expired after {ticks} ticks");
-                (CellOutcome::TimedOut, message)
-            }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                let outcome = CellOutcome::Panicked {
-                    message: message.clone(),
-                };
-                (outcome, message)
-            }
-        };
-        let dump = post_mortem(index, outcome.label(), &message, &state);
-        let report = CellReport {
-            outcome,
-            result: None,
-        };
-        RecordedCell { report, dump }
-    })
-}
-
-/// Writes one flight-recorder sidecar: a meta line describing the failed
-/// cell, then the ring's retained events as JSONL. Returns `None` on
-/// any I/O failure (dumping is best-effort by design).
-fn write_flight_dump<E: JsonlRecord>(
-    dir: &Path,
-    cell: usize,
-    outcome: &str,
-    message: &str,
-    recorder: &SharedRecorder<E>,
-) -> Option<PathBuf> {
-    std::fs::create_dir_all(dir).ok()?;
-    let path = dir.join(format!("cell{cell:04}.jsonl"));
-    let meta = Json::obj([
-        ("type", Json::from("flight_recorder")),
-        ("cell", Json::from(cell)),
-        ("outcome", Json::from(outcome)),
-        ("message", Json::from(message)),
-        ("retained", Json::from(recorder.len())),
-        ("seen", Json::from(recorder.seen())),
-    ]);
-    let body = format!("{}\n{}", meta.render(), recorder.dump_jsonl());
-    std::fs::write(&path, body).ok()?;
-    Some(path)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Derives a deterministic per-cell RNG seed from an experiment's base
@@ -759,55 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_cells_contain_panics_and_timeouts() {
-        let cells: Vec<u32> = (0..6).collect();
-        let reports = run_isolated(&cells, 500, |&c, watchdog| match c {
-            2 => panic!("injected fault in cell 2"),
-            3 => loop {
-                watchdog.tick();
-            },
-            _ => c * 10,
-        });
-        assert_eq!(reports.len(), 6);
-        for i in [0usize, 1, 4, 5] {
-            assert_eq!(reports[i].outcome, CellOutcome::Ok);
-            assert_eq!(reports[i].result, Some(i as u32 * 10));
-        }
-        match &reports[2].outcome {
-            CellOutcome::Panicked { message } => {
-                assert!(message.contains("injected fault in cell 2"));
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        assert_eq!(reports[2].result, None);
-        assert_eq!(reports[3].outcome, CellOutcome::TimedOut);
-        assert_eq!(reports[3].result, None);
-    }
-
-    #[test]
-    fn outcome_labels() {
-        assert_eq!(CellOutcome::Ok.label(), "ok");
-        assert_eq!(CellOutcome::TimedOut.label(), "timed_out");
-        let panicked = CellOutcome::Panicked {
-            message: String::new(),
-        };
-        assert_eq!(panicked.label(), "panicked");
-    }
-
-    #[test]
-    fn watchdog_budget_is_deterministic_progress_not_wall_clock() {
-        let reports = run_isolated(&[100u64, 99], 99, |&n, watchdog| {
-            for _ in 0..n {
-                watchdog.tick();
-            }
-            n
-        });
-        // 100 ticks over a 99-tick budget: out. Exactly 99: fine.
-        assert_eq!(reports[0].outcome, CellOutcome::TimedOut);
-        assert_eq!(reports[1].outcome, CellOutcome::Ok);
-    }
-
-    #[test]
     fn worker_panics_propagate() {
         // Two workers on their own threads, and one on the caller's.
         for workers in [2, 1] {
@@ -819,7 +526,11 @@ mod tests {
                 });
             });
             let payload = result.expect_err("the panic propagates");
-            assert_eq!(panic_message(payload.as_ref()), "boom", "{workers} workers");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            assert_eq!(message.as_deref(), Some("boom"), "{workers} workers");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The harness binaries validate what they are given: an undeclared
 //! argument, a bad option value or an unparsable `DAMQ_SWEEP_THREADS` is
 //! a usage error (exit status 2, nothing written), never a silent
-//! fallback to the defaults.
+//! fallback to the defaults. A report they cannot write fails them too
+//! (exit status 1, the path on stderr).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -75,5 +76,22 @@ fn a_declared_option_value_reaches_the_experiment() {
     assert!(stdout.contains("order: DeparturesFirst"), "{stdout}");
     let report = std::fs::read_to_string(dir.join("json/table2.json")).unwrap();
     assert!(report.contains("\"order\": \"DeparturesFirst\""));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_report_that_cannot_be_written_fails_the_harness_naming_its_path() {
+    // A regular file where the results directory should be.
+    let dir = temp_dir("unwritable");
+    let blocker = dir.join("results");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let output = run(env!("CARGO_BIN_EXE_table1"), &[], Some("1"), &blocker);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let report = blocker.join("json").join("table1.json");
+    assert!(
+        stderr.contains(&report.display().to_string()),
+        "stderr: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -488,16 +488,43 @@ mod tests {
         assert!(fifo.discard_probability < safc.discard_probability);
     }
 
+    /// Both orders observe the same alternating arrival/departure
+    /// sequence, one half-cycle apart: a packet is discarded or carried
+    /// whichever step the cycle starts with. Over every valid Table 2
+    /// point (five designs, capacities 1–6, the eight Table 2 loads) the
+    /// discard probability and the throughput agree to rounding; the
+    /// occupancy, sampled at a different point of the cycle, does not.
     #[test]
-    fn departures_first_orders_are_also_solvable() {
-        let p = discard_probability(
-            BufferKind::Damq,
-            2,
-            0.7,
-            CycleOrder::DeparturesFirst,
-            SolveOptions::default(),
-        )
-        .unwrap();
-        assert!(p.discard_probability > 0.0 && p.discard_probability < 1.0);
+    fn cycle_order_cannot_move_a_discard_probability() {
+        const TABLE2_TRAFFIC: [f64; 8] = [0.25, 0.50, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99];
+        let mut points = 0;
+        let mut occupancy_moved = false;
+        for kind in BufferKind::EXTENDED {
+            for cap in 1..=6 {
+                if kind.is_statically_allocated() && cap % 2 == 1 {
+                    continue;
+                }
+                for traffic in TABLE2_TRAFFIC {
+                    let at = |order| {
+                        discard_probability(kind, cap, traffic, order, SolveOptions::default())
+                            .unwrap()
+                    };
+                    let arrivals = at(CycleOrder::ArrivalsFirst);
+                    let departures = at(CycleOrder::DeparturesFirst);
+                    let gap = (arrivals.discard_probability - departures.discard_probability).abs();
+                    assert!(gap <= 1e-12, "{kind}/{cap}/{traffic}: discard gap {gap:e}");
+                    let gap = (arrivals.throughput - departures.throughput).abs();
+                    assert!(
+                        gap <= 1e-12,
+                        "{kind}/{cap}/{traffic}: throughput gap {gap:e}"
+                    );
+                    occupancy_moved |=
+                        (arrivals.mean_occupancy - departures.mean_occupancy).abs() > 1e-9;
+                    points += 1;
+                }
+            }
+        }
+        assert_eq!(points, 192, "every valid Table 2 point");
+        assert!(occupancy_moved, "the order still moves the mean occupancy");
     }
 }

@@ -134,9 +134,7 @@ pub fn measure(
 }
 
 /// Like [`measure`], but with a [`FaultPlan`] installed for the whole run
-/// (warm-up included — faults do not wait for the measurement window) and
-/// an `on_cycle` callback invoked after every simulated cycle, which sweep
-/// harnesses use as a watchdog heartbeat.
+/// (warm-up included — faults do not wait for the measurement window).
 ///
 /// Returns the measurement together with the run's [`FaultLedger`] so
 /// callers can report how much damage the plan actually inflicted.
@@ -148,27 +146,19 @@ pub fn measure(
 /// # Panics
 ///
 /// Panics if the post-run consistency audit fails — under fault injection
-/// a silently-wrong result is worse than a loud one, and the self-healing
-/// sweep harness turns the panic into a reported cell outcome.
+/// a silently-wrong result is worse than a loud one, and the panic fails
+/// the harness that ran the cell.
 pub fn measure_with_faults(
     config: NetworkConfig,
     plan: FaultPlan,
     warm_up: u64,
     window: u64,
-    mut on_cycle: impl FnMut(),
 ) -> Result<(Measurement, FaultLedger), NetworkError> {
     let mut sim = NetworkSim::with_faults(config, plan)?;
-    for _ in 0..warm_up {
-        sim.step();
-        on_cycle();
-    }
-    sim.warm_up(0); // zero the metrics; the faults stay armed
-    for _ in 0..window {
-        sim.step();
-        on_cycle();
-    }
+    sim.warm_up(warm_up); // the metrics restart; the faults stay armed
+    sim.run(window);
     // lint: allow — documented above: an audit failure under faults must
-    // be loud; the isolation harness reports the panic as a cell outcome.
+    // be loud; the panic fails the harness.
     sim.audit().expect("fault-injected run failed its audit");
     Ok((summarise(&sim), sim.fault_ledger()))
 }
@@ -255,22 +245,19 @@ mod tests {
     }
 
     #[test]
-    fn faulted_measure_reports_the_ledger_and_ticks_every_cycle() {
+    fn faulted_measure_reports_the_ledger() {
         let spec = damq_core::FaultSpec {
             dead_slot_fraction: 0.2,
             ..damq_core::FaultSpec::fault_free(2, 4, 4, 16, 4, 100)
         };
         let plan = FaultPlan::generate(7, &spec);
-        let mut ticks = 0u64;
         let (m, ledger) = measure_with_faults(
             NetworkConfig::new(16, 4).offered_load(0.3).seed(11),
             plan,
             100,
             400,
-            || ticks += 1,
         )
         .unwrap();
-        assert_eq!(ticks, 500, "one heartbeat per simulated cycle");
         assert_eq!(m.cycles, 400, "warm-up stays out of the window");
         assert!(ledger.slots_killed > 0);
         assert!(m.delivered > 0.0);

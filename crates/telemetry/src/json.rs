@@ -7,7 +7,7 @@
 //! `damq_bench::json`, which re-exports this type), the registry
 //! snapshot ([`MetricsRegistry::snapshot_json`](crate::MetricsRegistry::snapshot_json)),
 //! the JSONL event decoder ([`Event::parse_jsonl`](crate::Event::parse_jsonl)),
-//! crash-dump reproducers and `cargo xtask results-diff`.
+//! violation-dump reproducers and `cargo xtask results-diff`.
 //!
 //! Serialization is deterministic: object keys keep insertion order,
 //! integers render exactly (every `i64` and every `u64`), and floats

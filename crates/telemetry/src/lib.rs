@@ -29,11 +29,10 @@
 //! * [`MetricsRegistry`] / [`LogHistogram`] — named cycle-domain counters
 //!   and bounded log-scale histograms with p50/p99/p999 readout and a
 //!   byte-deterministic JSON snapshot; free when disabled.
-//! * [`FlightRecorder`] / [`SharedRecorder`] — a bounded ring of recent
-//!   events that survives a cell's panic, dumped as a crash sidecar by
-//!   the sweep harness.
+//! * [`FlightRecorder`] — a bounded ring of recent events, whose tail the
+//!   chaos soak writes next to the reproducer of an invariant violation.
 //! * [`json`] — the workspace's one JSON codec: the harness reports, the
-//!   registry snapshot, the event parser and crash-dump reproducers all
+//!   registry snapshot, the event parser and violation-dump reproducers all
 //!   go through its [`Json`](json::Json) value.
 //!
 //! See `docs/OBSERVABILITY.md` for the event model, the JSONL schema and
@@ -72,7 +71,7 @@ mod sink;
 pub use collect::{Hop, Lifecycle, TraceSummary};
 pub use event::{Event, EventKind, ParseError};
 pub use profile::Profiler;
-pub use recorder::{FlightRecorder, SharedRecorder};
+pub use recorder::FlightRecorder;
 pub use registry::{HistogramId, LogHistogram, MetricsRegistry};
 pub use series::{sparkline, Bin, Downsampler, Histogram};
 pub use sink::{CountingSink, JsonlRecord, JsonlSink, MemorySink, NullSink, TelemetrySink};

@@ -1,15 +1,12 @@
-//! Crash flight recorder: a bounded ring of the most recent telemetry
-//! events, shareable across a panic boundary.
+//! Flight recorder: a bounded ring of the most recent telemetry events.
 //!
-//! Long sweeps isolate failing cells (`sweep::run_isolated`), but a
-//! "panicked" verdict alone is a poor post-mortem: the trace that led up
-//! to the crash is gone with the unwound stack. [`FlightRecorder`] keeps
-//! the last `capacity` events of a run in O(capacity) memory, and
-//! [`SharedRecorder`] wraps it in an `Arc<Mutex<…>>` so the sweep
-//! harness can hold a handle *outside* the `catch_unwind` boundary while
-//! the simulation records through its own clone inside. When a cell
-//! panics or trips its watchdog, the harness drains the surviving ring
-//! into a JSONL sidecar — the crash dump.
+//! An invariant violation found at the end of a long run is a poor
+//! post-mortem on its own: it says *that* the run went wrong, not what
+//! the fabric did just before. [`FlightRecorder`] keeps the last
+//! `capacity` events of a run in O(capacity) memory. The simulation owns
+//! it as its sink; the caller takes it back with the simulation
+//! (`NetworkSim::into_sink`) and, when the run violated an invariant,
+//! writes the ring's tail into a JSONL dump next to the reproducer.
 //!
 //! Recording is ordinary sink traffic (the recorder implements
 //! [`TelemetrySink`]), so the ring's contents are exactly the tail of
@@ -17,7 +14,6 @@
 //! ended with.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use crate::sink::{JsonlRecord, TelemetrySink};
 
@@ -78,15 +74,6 @@ impl<E> FlightRecorder<E> {
         self.events.iter()
     }
 
-    /// Pushes one event, evicting the oldest when full.
-    fn push(&mut self, event: E) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-        self.seen += 1;
-    }
-
     /// Discards all retained events (the `seen` total is kept).
     pub fn clear(&mut self) {
         self.events.clear();
@@ -95,7 +82,7 @@ impl<E> FlightRecorder<E> {
 
 impl<E: JsonlRecord> FlightRecorder<E> {
     /// Renders the retained events as JSONL, oldest first, one line per
-    /// event with trailing newlines — the crash-dump payload.
+    /// event with trailing newlines — the violation dump's event tail.
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::new();
         for event in &self.events {
@@ -107,80 +94,13 @@ impl<E: JsonlRecord> FlightRecorder<E> {
 }
 
 impl<E> TelemetrySink<E> for FlightRecorder<E> {
+    /// Pushes one event, evicting the oldest when full.
     fn record(&mut self, event: E) {
-        self.push(event);
-    }
-}
-
-/// A clonable, panic-safe handle to a [`FlightRecorder`].
-///
-/// One clone is attached to the simulation as its sink; the sweep
-/// harness keeps another outside the `catch_unwind` boundary. If the
-/// cell panics, the harness's handle still reads the ring — a panic
-/// while the interior mutex was held cannot occur mid-`record` in a
-/// way that loses the ring (lock poisoning is ignored by design: a
-/// poisoned ring still holds every completed `push`).
-#[derive(Debug)]
-pub struct SharedRecorder<E> {
-    inner: Arc<Mutex<FlightRecorder<E>>>,
-}
-
-impl<E> Clone for SharedRecorder<E> {
-    fn clone(&self) -> Self {
-        SharedRecorder {
-            inner: Arc::clone(&self.inner),
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
         }
-    }
-}
-
-impl<E> SharedRecorder<E> {
-    /// Creates a shared recorder holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        SharedRecorder {
-            inner: Arc::new(Mutex::new(FlightRecorder::new(capacity))),
-        }
-    }
-
-    /// Runs `f` over the locked recorder, poisoned or not.
-    fn with<R>(&self, f: impl FnOnce(&mut FlightRecorder<E>) -> R) -> R {
-        let mut guard = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&mut guard)
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.with(|r| r.len())
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.with(|r| r.is_empty())
-    }
-
-    /// Total events ever recorded.
-    pub fn seen(&self) -> u64 {
-        self.with(|r| r.seen())
-    }
-
-    /// Discards all retained events.
-    pub fn clear(&self) {
-        self.with(FlightRecorder::clear);
-    }
-}
-
-impl<E: JsonlRecord> SharedRecorder<E> {
-    /// Renders the retained events as JSONL, oldest first.
-    pub fn dump_jsonl(&self) -> String {
-        self.with(|r| r.dump_jsonl())
-    }
-}
-
-impl<E> TelemetrySink<E> for SharedRecorder<E> {
-    fn record(&mut self, event: E) {
-        self.with(|r| r.push(event));
+        self.events.push_back(event);
+        self.seen += 1;
     }
 }
 
@@ -233,24 +153,5 @@ mod tests {
         let dump = rec.dump_jsonl();
         let parsed = Event::parse_trace(&dump).expect("dump parses");
         assert_eq!(parsed, vec![sample(3), sample(4)]);
-    }
-
-    #[test]
-    fn shared_clone_survives_a_panicking_holder() {
-        let outside: SharedRecorder<Event> = SharedRecorder::new(8);
-        let inside = outside.clone();
-        let result = std::panic::catch_unwind(move || {
-            let mut sink = inside;
-            sink.record(sample(1));
-            sink.record(sample(2));
-            panic!("cell crashed");
-        });
-        assert!(result.is_err());
-        assert_eq!(outside.len(), 2);
-        assert_eq!(outside.seen(), 2);
-        let parsed = Event::parse_trace(&outside.dump_jsonl()).expect("dump parses");
-        assert_eq!(parsed.len(), 2);
-        outside.clear();
-        assert!(outside.is_empty());
     }
 }

@@ -68,17 +68,15 @@ const MUST_USE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
 const MODULE_DOC_CRATES: [&str; 1] = ["crates/net/src/"];
 
 /// The simulation-path crates lint 9 (determinism) guards: everything a
-/// deterministic run's bytes flow through.
+/// deterministic run's bytes flow through, and every crate one simulation
+/// steps through on its one lane (telemetry's sinks record inside
+/// `NetworkSim::step`).
 const SIM_PATH_CRATES: [&str; 4] = [
     "crates/core/src/",
     "crates/switch/src/",
     "crates/net/src/",
     "crates/telemetry/src/",
 ];
-
-/// The crates one simulation steps through, on one lane: lint 9 also
-/// bans threads and shared-memory synchronisation there.
-const ONE_LANE_CRATES: [&str; 3] = ["crates/core/src/", "crates/switch/src/", "crates/net/src/"];
 
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
@@ -448,11 +446,11 @@ fn toml_value<'a>(text: &'a str, table: &str, key: &str) -> Option<&'a str> {
 /// bytes flow through must not consult nondeterministic sources:
 /// hash-order iteration (`HashMap`/`HashSet` — use `BTreeMap`/`BTreeSet`
 /// or index vectors), wall-clock time (`Instant`/`SystemTime`), or
-/// thread identity (`thread::current`, `ThreadId`). Under
-/// [`ONE_LANE_CRATES`] threads and shared-memory synchronisation
-/// (`std::thread`, `std::sync::atomic` and its `Atomic*` types, `Mutex`,
-/// `Condvar`) are findings too: one simulation steps on one lane, and
-/// parallelism lives across sweep cells (`docs/SCALING.md`). Justified
+/// thread identity (`thread::current`, `ThreadId`). Threads and
+/// shared-memory synchronisation (`std::thread`, `std::sync::atomic` and
+/// its `Atomic*` types, `Mutex`, `Condvar`) are findings too: one
+/// simulation steps on one lane, and parallelism lives across sweep cells
+/// (`docs/SCALING.md`). Justified
 /// exceptions carry `// lint: allow — why` (e.g. the phase profiler,
 /// which measures the harness, never simulation state).
 fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
@@ -479,7 +477,6 @@ fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
         ),
     ];
     for prefix in SIM_PATH_CRATES {
-        let one_lane = ONE_LANE_CRATES.contains(&prefix);
         for file in ws.files_under(prefix) {
             for (i, tok) in file.code.iter().enumerate() {
                 let mut reason = BANNED_IDENTS
@@ -491,7 +488,7 @@ fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
                         "thread identity must not influence simulation state",
                     ));
                 }
-                if reason.is_none() && one_lane {
+                if reason.is_none() {
                     let shared = if is_path(&file.code, i, "std", "thread") {
                         Some("std::thread")
                     } else if is_path(&file.code, i, "sync", "atomic") {
@@ -1068,7 +1065,7 @@ mod tests {
              // lint: allow — membership only, never iterated\n\
              use std::collections::HashSet;\n\
              fn t() { let now = Instant::now(); }\n\
-             fn id() { let me = std::thread::current(); }\n",
+             fn id() { let me = thread::current(); }\n",
         )]);
         let findings = run(determinism, &ws);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
@@ -1093,9 +1090,20 @@ mod tests {
             "`sync::atomic` and each `Atomic*`, `Mutex`, `Condvar`, `std::thread`; \
              not the waived site, not `cmp::Ordering`"
         );
+        // A telemetry sink records inside the simulation's step: a shared
+        // flight-recorder ring is a finding.
+        let ring = "struct Shared { inner: Arc<Mutex<FlightRecorder<Event>>> }\n";
+        let ws = ws_with(vec![("crates/telemetry/src/recorder.rs", ring)]);
+        let findings = run(determinism, &ws);
+        assert_eq!(findings.len(), 1, "a telemetry `Mutex` is flagged");
         assert!(
-            lines("crates/telemetry/src/x.rs").is_empty(),
-            "the shared flight recorder may lock"
+            findings[0].message.contains("Mutex"),
+            "{}",
+            findings[0].message
+        );
+        assert!(
+            lines("crates/bench/src/x.rs").is_empty(),
+            "the sweep engine above the simulation may lock"
         );
     }
 

@@ -2,10 +2,11 @@
 # The repo's offline quality gate: static analysis (eleven structural
 # lints + clippy + rustfmt), build, the full test suite
 # (with and without per-operation invariant audits), the exhaustive 2x2
-# model checker, the fault-injection smoke (self-healing harness + a
+# model checker, the fault-injection smoke (paired healed ordering + a
 # tiny fault sweep), the observability smoke (metrics-registry golden + disabled
 # overhead), the chaos soak smoke (recovery protocols under randomized
-# fault storms, minimized-reproducer loop), the benchmark smoke (every
+# fault storms, minimized-reproducer loop and violation dump), the
+# benchmark smoke (every
 # BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
 # the results check (every committed table and report regenerates byte
 # for byte), and rustdoc with warnings denied
@@ -36,12 +37,13 @@ gate() {
     echo "== $1 =="
 }
 
-# Satellite gate: the tiny fault sweep through the self-healing harness.
-# Asserts (1) a forced-panic and a wedged cell are isolated, and a failed
-# cell fails the harness (the damq-bench integration test); (2) the smoke
-# grid completes end to end through the real binary with every cell ok.
+# Satellite gate: the fault experiments. Asserts (1) with healing on,
+# the designs keep the paper's ordering on every paired draw of
+# recovery_headline's fabric (the damq-bench integration test); (2) the
+# smoke grid completes end to end through the real binary. A cell that
+# panics fails the binary, so its exit status is the check.
 fault_smoke() {
-    gate "fault-smoke: forced-panic + wedged cells stay isolated"
+    gate "fault-smoke: healed designs keep the paper ordering, draw by draw"
     cargo test -q -p damq-bench --test self_healing
 
     gate "fault-smoke: tiny fault sweep completes"
@@ -50,9 +52,6 @@ fault_smoke() {
     DAMQ_RESULTS_DIR="$tmp" \
         cargo run -q -p damq-bench --bin fault_degradation -- --smoke \
         > /dev/null
-    local report="$tmp/json/fault_degradation_smoke.json"
-    grep -q '"panicked": 0' "$report"
-    grep -q '"timed_out": 0' "$report"
     rm -rf "$tmp"
 }
 
@@ -132,11 +131,10 @@ soa_smoke() {
 
 # Satellite gate: the chaos soak harness around the recovery protocols.
 # Asserts (1) a seeded invariant mutation surfaces as a minimized,
-# replayable reproducer through the crash flight recorder (the
-# damq-bench integration test); (2) the CI-sized soak grid — randomized
-# per-epoch fault storms against live retransmission and rerouting,
-# invariants re-audited every epoch — completes clean through the real
-# binary.
+# replayable reproducer in its violation dump (the damq-bench
+# integration test); (2) the CI-sized soak grid — randomized per-epoch
+# fault storms against live retransmission and rerouting, invariants
+# re-audited every epoch — completes clean through the real binary.
 chaos_smoke() {
     gate "chaos-smoke: seeded mutation yields a working reproducer"
     cargo test -q -p damq-bench --test chaos_soak
@@ -147,7 +145,7 @@ chaos_smoke() {
     DAMQ_RESULTS_DIR="$tmp" \
         cargo run -q --release -p damq-bench --bin chaos_soak -- --smoke \
         > /dev/null
-    # A clean soak leaves no flight dumps behind.
+    # A clean soak leaves no violation dumps behind.
     [ ! -d "$tmp/chaos_dumps" ] || [ -z "$(ls -A "$tmp/chaos_dumps")" ]
     rm -rf "$tmp"
 }
@@ -225,11 +223,12 @@ markov_smoke() {
 }
 
 # Satellite gate: the committed results are what the code produces. All
-# 18 regeneration harnesses plus fault_degradation run into a temporary
-# directory (~30 s on 2 CPUs); every stdout must equal results/<bin>.txt
-# byte for byte and every report must equal results/json/<bin>.json
-# outside its run-varying `run` / `telemetry` keys. A refactor that
-# claims byte identity passes this without regenerating anything.
+# 18 regeneration harnesses plus fault_degradation and chaos_soak run
+# into a temporary directory (~30 s on 2 CPUs); every stdout must equal
+# results/<bin>.txt byte for byte and every report must equal
+# results/json/<bin>.json outside its run-varying `run` / `telemetry`
+# keys. A refactor that claims byte identity passes this without
+# regenerating anything.
 results_check() {
     gate "results-check: committed tables and reports regenerate byte for byte"
     bash scripts/regen_results.sh --check

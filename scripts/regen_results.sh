@@ -8,14 +8,16 @@
 #   the named ones (e.g. `scripts/regen_results.sh table2 figure3`).
 #
 #        scripts/regen_results.sh --check [binary...]
-#   Regenerates nothing: runs the 18 harnesses plus fault_degradation
-#   (or only the named ones) into a temporary results directory and fails
-#   unless every stdout equals the committed results/<bin>.txt byte for
-#   byte and every report equals results/json/<bin>.json outside its
-#   run-varying `run` and `telemetry` keys (`cargo xtask results-diff`).
-#   The byte-identity gate for refactors of the harness or the simulator
-#   (~30 s on 2 CPUs for all of them). recovery_headline stays out: a
-#   full run rewrites its section of BENCH_throughput.json.
+#   Regenerates nothing: runs the 18 harnesses plus fault_degradation and
+#   chaos_soak (or only the named ones) into a temporary results
+#   directory and fails unless every stdout equals the committed
+#   results/<bin>.txt byte for byte and every report equals
+#   results/json/<bin>.json outside its run-varying `run` and `telemetry`
+#   keys (`cargo xtask results-diff`). The byte-identity gate for
+#   refactors of the harness or the simulator (~30 s on 2 CPUs for all of
+#   them). recovery_headline stays out: a full run rewrites its section
+#   of the committed BENCH_throughput.json, so a check would edit the
+#   tree it checks.
 #
 # Offline by design: needs only the Rust toolchain already in the tree.
 # DAMQ_SWEEP_THREADS caps the sweep engine's worker threads if set.
@@ -34,8 +36,9 @@ CHECK=0
 if [[ "${1:-}" == "--check" ]]; then
   CHECK=1
   shift
-  # fault_degradation commits its report only, so only --check knows it.
-  ALL_BINARIES+=(fault_degradation)
+  # fault_degradation and chaos_soak commit their reports only, so only
+  # --check knows them.
+  ALL_BINARIES+=(fault_degradation chaos_soak)
 fi
 
 BINARIES=("${@:-${ALL_BINARIES[@]}}")
