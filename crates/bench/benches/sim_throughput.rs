@@ -160,9 +160,6 @@ fn speedup_vs(cells: &[(&'static str, f64)], reference: &Json) -> Json {
 /// `current` always reflects this run; `baseline` is preserved from the
 /// existing file unless `--rebaseline` (or no file exists yet). Per-cell
 /// `speedup` is current/baseline.
-///
-/// Sections this harness does not own (`recovery`, from
-/// `recovery_headline`) are merged through untouched.
 fn write_report(mut record: BenchRecord, cells: &[(&'static str, f64)], rebaseline: bool) {
     let current = cells_json(cells);
     let baseline = if rebaseline {

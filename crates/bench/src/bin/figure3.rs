@@ -6,17 +6,14 @@
 //! DAMQ around 0.7.
 //!
 //! The (design, load) [`damq_bench::grid`] seeds each cell from its
-//! coordinates. The run also writes `results/json/figure3.json`, whose
-//! `telemetry` section profiles the sweep (per-cell wall time, phases,
-//! parallel speed-up).
+//! coordinates. The run also writes `results/json/figure3.json`.
 
 use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{measurement_json, Json, Report};
 use damq_bench::{cli, render_table};
 use damq_core::BufferKind;
-use damq_net::{measure, NetworkConfig};
+use damq_net::NetworkConfig;
 use damq_switch::FlowControl;
-use damq_telemetry::Profiler;
 
 const WARM_UP: u64 = 1_000;
 const WINDOW: u64 = 8_000;
@@ -34,20 +31,15 @@ fn main() {
 
     let loads: Vec<f64> = (1..=14).map(|i| i as f64 * 0.05).collect();
 
-    let mut report = Report::new("figure3");
-    let mut profiler = Profiler::new();
-    let sweep_phase = profiler.phase("sweep");
-    let (measured, profile) = Grid::product([
+    let measured = Grid::product([
         Axis::new("buffer", KINDS.map(BufferKind::name)),
         Axis::new("offered_load", loads.iter().copied()),
     ])
-    .run_profiled(WARM_UP + WINDOW, |c| {
-        let config = base.buffer_kind(KINDS[c[0]]).offered_load(loads[c[1]]);
-        measure(config.seed(c.seed()), WARM_UP, WINDOW).expect("simulation must run")
+    .measure(WARM_UP, WINDOW, |c| {
+        base.buffer_kind(KINDS[c[0]]).offered_load(loads[c[1]])
     });
-    drop(sweep_phase);
-    let render_phase = profiler.phase("render");
 
+    let mut report = Report::new("figure3");
     report.meta("network", Json::from("64x64 Omega, blocking, uniform"));
     report.meta("slots_per_buffer", Json::from(4usize));
     report.meta("warm_up_cycles", Json::from(WARM_UP));
@@ -86,8 +78,6 @@ fn main() {
 
     println!();
     println!("{}", ascii_plot(&curves, 60, 20));
-    drop(render_phase);
-    report.telemetry_from_profile(&profile, &profiler);
     report.write_and_announce();
 }
 

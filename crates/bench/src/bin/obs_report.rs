@@ -94,7 +94,7 @@ fn main() -> ExitCode {
     println!("wrote deterministic snapshot -> {}", out.display());
 
     // Section 2: the wall-clock phase profile (printed only).
-    let profile = run_profiled_network();
+    let profile = profile_network();
     println!();
     render_profile(&profile);
     ExitCode::SUCCESS
@@ -141,7 +141,7 @@ where
 /// Runs the paper-shaped hot-spot workload — a few link flaps,
 /// corruptions and misroutes against live recovery, registry on — with
 /// the phase timer on and returns the drained profile.
-fn run_profiled_network() -> PhaseProfile {
+fn profile_network() -> PhaseProfile {
     let config = NetworkConfig::new(64, 4)
         .buffer_kind(BufferKind::Damq)
         .slots_per_buffer(4)

@@ -15,19 +15,17 @@
 //! Every design meets the same damage: the dead links and the traffic
 //! stream are drawn from the (fraction, draw) coordinates only, never
 //! from the design or the recovery mode, and each point is repeated over
-//! eight draws. Designs are compared draw by draw; the text table, the
-//! report's aggregate cells and the `recovery` section of
-//! `BENCH_throughput.json` give the mean and min–max over the draws.
+//! eight draws. Designs are compared draw by draw; the text table and the
+//! report's aggregate cells give the mean and min–max over the draws.
 //!
 //! A cell is a deterministic function of its seed, so a cell that panics
-//! is a bug: the panic fails the harness. So does a report or a
-//! `BENCH_throughput.json` that cannot be written.
+//! is a bug: the panic fails the harness. So does a report that cannot be
+//! written.
 //!
 //! Flags: `--smoke` shrinks the grid and windows for quick checks.
 
 use damq_bench::grid::{Axis, Cell, Grid, Spread};
 use damq_bench::json::{measurement_json, Json, Report};
-use damq_bench::record::BenchRecord;
 use damq_bench::{cli, sweep};
 use damq_core::{BufferKind, FaultPlan, FaultSpec};
 use damq_net::{measure_with_faults, NetworkConfig, RecoveryConfig};
@@ -128,12 +126,7 @@ fn run_cell(cell: &Cell, plan: &Plan) -> Json {
 }
 
 fn main() {
-    let args = cli::parse(&["--smoke"], &[]);
-    let smoke = args.flag("--smoke");
-    let plan = plan(smoke);
-    // Smoke runs stay out of the committed throughput record: it holds
-    // full-grid numbers only.
-    let mut bench_record = (!smoke).then(BenchRecord::open);
+    let plan = plan(cli::parse(&["--smoke"], &[]).flag("--smoke"));
 
     let mut report = Report::new(plan.name);
     report.meta("terminals", Json::from(TERMINALS));
@@ -188,30 +181,6 @@ fn main() {
         ]
     });
     print!("{table}");
-
-    // Mirror the headline numbers into the committed throughput record,
-    // replacing only this harness's section.
-    if let Some(bench_record) = &mut bench_record {
-        let cells = records.rows(3).into_iter().map(|(point, draws)| {
-            let (kind, dead_links) = (plan.kinds[point[0]].name(), plan.fractions[point[1]]);
-            let mode = ["drop", "heal"][point[2]];
-            (
-                format!("{kind}|links{dead_links:.2}|{mode}"),
-                summary(draws),
-            )
-        });
-        let section = Json::obj([
-            ("experiment", Json::from(plan.name)),
-            ("offered_load", Json::from(0.6)),
-            ("draws", Json::from(plan.draws)),
-            ("cells", Json::Obj(cells.collect())),
-        ]);
-        bench_record.set("recovery", section);
-        if let Err(problem) = bench_record.save() {
-            eprintln!("error: {problem}");
-            std::process::exit(1);
-        }
-    }
 
     report.write_and_announce();
 }

@@ -22,7 +22,6 @@ use damq_bench::json::{Json, Report};
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim, TrafficPattern};
 use damq_switch::FlowControl;
-use damq_telemetry::Profiler;
 
 const SHADES: &[u8] = b" .:-=+*#%@";
 const CHECKPOINTS: [u64; 4] = [10, 50, 200, 1000];
@@ -107,16 +106,10 @@ fn main() {
             "5% hot spot to sink 0: the tree rooted at sink 0 fills backwards",
         ),
     ];
-    let mut report = Report::new("tree_saturation");
-    let mut profiler = Profiler::new();
-    let sweep_phase = profiler.phase("sweep");
-    let (runs, profile) = Grid::product([Axis::new("traffic", patterns.map(|p| p.0))])
-        .run_profiled(CHECKPOINTS[CHECKPOINTS.len() - 1], |c| {
-            run_pattern(patterns[c[0]].1)
-        });
-    drop(sweep_phase);
-    let render_phase = profiler.phase("render");
+    let runs = Grid::product([Axis::new("traffic", patterns.map(|p| p.0))])
+        .run(|c| run_pattern(patterns[c[0]].1));
 
+    let mut report = Report::new("tree_saturation");
     report.meta(
         "network",
         Json::from("64x64 Omega, DAMQ, 4 slots, blocking"),
@@ -155,7 +148,5 @@ fn main() {
     println!("the hot spot's tree: 1 last-stage switch -> 4 middle -> 16 first-stage;");
     println!("once it is full, backpressure reaches every source and the whole");
     println!("network is capped at ~0.24 offered load no matter which buffer is used.");
-    drop(render_phase);
-    report.telemetry_from_profile(&profile, &profiler);
     report.write_and_announce();
 }

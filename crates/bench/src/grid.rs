@@ -66,7 +66,7 @@ use damq_net::{
 
 use crate::json::{Json, Report};
 use crate::render_table;
-use crate::sweep::{self, SweepProfile};
+use crate::sweep;
 
 /// The trailing seed coordinate of a per-row search that sits next to a
 /// measured grid over the same leading axes (`[k, SEARCH]` beside
@@ -219,19 +219,6 @@ impl Grid {
     fn run_on<R: Send>(self, workers: usize, f: impl Fn(&Cell) -> R + Sync) -> Results<R> {
         let values = sweep::run_with_workers(&self.cells, workers, f);
         self.with_values(values)
-    }
-
-    /// [`Grid::run`] plus a wall-clock [`SweepProfile`]; every cell
-    /// simulates `cycles_per_cell` network cycles (the engine cannot
-    /// observe that itself).
-    pub fn run_profiled<R: Send>(
-        self,
-        cycles_per_cell: u64,
-        f: impl Fn(&Cell) -> R + Sync,
-    ) -> (Results<R>, SweepProfile) {
-        let (values, profile) = sweep::run_profiled(&self.cells, f);
-        let profile = profile.with_cycles(vec![cycles_per_cell; values.len()]);
-        (self.with_values(values), profile)
     }
 
     /// Simulates every cell: `config(cell)`, seeded from the cell's

@@ -2,10 +2,9 @@
 //! fixed-width text table, a machine-readable record of the sweep at
 //! `results/json/<name>.json`: the grid coordinates of every cell, the
 //! raw [`Measurement`] fields, multi-seed aggregates where the harness
-//! runs them, and provenance metadata (worker count, wall-clock, cell
-//! count). Downstream tooling — plots, regression diffs, the perf
-//! trajectory the ROADMAP asks for — consumes these files instead of
-//! scraping the text tables.
+//! runs them, and the cell count. Downstream tooling — plots, regression
+//! diffs, the perf trajectory the ROADMAP asks for — consumes these files
+//! instead of scraping the text tables.
 //!
 //! The JSON codec itself — [`Json`], its parser and its writer — lives in
 //! `damq_telemetry::json`, the workspace's one codec, and is re-exported
@@ -13,10 +12,10 @@
 //!
 //! Serialization is deterministic: object keys keep insertion order,
 //! floats render through Rust's shortest-roundtrip `Display`, and no
-//! timestamps enter the [`Report::body`] (wall-clock lives in the
-//! non-deterministic envelope that [`Report::write`] adds) — which is what
-//! lets the determinism test compare 1-worker and N-worker runs byte for
-//! byte.
+//! timestamp or worker count enters a report: the written file is
+//! [`Report::body`] and nothing else, so a 1-worker and an N-worker run
+//! write the same bytes, and a regenerated report is checked against the
+//! committed one with `cmp`.
 //!
 //! # Examples
 //!
@@ -35,13 +34,11 @@
 //! ```
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use damq_markov::DiscardPoint;
 use damq_net::{Measurement, SaturationResult};
-use damq_telemetry::Profiler;
 
-use crate::sweep::{Aggregate, SweepProfile};
+use crate::sweep::Aggregate;
 
 // Kept under this path for the frozen `benchmark/` crate, which imports
 // `damq_bench::json::Json` and cannot be edited.
@@ -98,11 +95,9 @@ pub fn aggregates_json(aggs: &[(&'static str, Aggregate)]) -> Json {
 
 /// Accumulates one harness run and writes `results/json/<name>.json`.
 ///
-/// The deterministic part of the record (experiment name, schema version,
-/// metadata, cells) is available as [`Report::body`]; [`Report::write`]
-/// wraps it in a provenance envelope (worker count, wall-clock seconds)
-/// that is *expected* to vary between runs and is therefore excluded from
-/// determinism comparisons.
+/// The record (experiment name, schema version, metadata, cells) is
+/// [`Report::body`], and [`Report::write`] writes exactly that: nothing in
+/// a report varies from run to run.
 ///
 /// # Examples
 ///
@@ -124,8 +119,6 @@ pub struct Report {
     name: String,
     meta: Vec<(String, Json)>,
     cells: Vec<Json>,
-    telemetry: Option<Json>,
-    started: Instant,
 }
 
 /// Schema version stamped into every JSON report; bump on breaking layout
@@ -133,16 +126,12 @@ pub struct Report {
 pub const SCHEMA_VERSION: u32 = 1;
 
 impl Report {
-    /// Starts an empty report for experiment `name`. The wall clock starts
-    /// now, so construct the report **before** launching the sweep if the
-    /// `run.wall_clock_secs` provenance should cover the experiment itself.
+    /// Starts an empty report for experiment `name`.
     pub fn new(name: &str) -> Report {
         Report {
             name: name.to_owned(),
             meta: Vec::new(),
             cells: Vec::new(),
-            telemetry: None,
-            started: Instant::now(),
         }
     }
 
@@ -162,81 +151,8 @@ impl Report {
         self.cells.len()
     }
 
-    /// Attaches a profiling `telemetry` section to the report.
-    ///
-    /// Timings vary run to run, so the section is emitted by
-    /// [`Report::write`] next to the `run` envelope and stays out of the
-    /// deterministic [`Report::body`].
-    pub fn set_telemetry(&mut self, telemetry: Json) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Builds the `telemetry` section from a sweep's wall-clock profile
-    /// and an optional phase [`Profiler`], then attaches it with
-    /// [`Report::set_telemetry`].
-    ///
-    /// The section records where the time went: worker count, sweep wall
-    /// time, summed per-cell time and the implied parallel speed-up, the
-    /// slowest cell, the full per-cell timing vector (cell order — the
-    /// same order as `cells` in the body), and per-phase seconds from the
-    /// profiler.
-    pub fn telemetry_from_profile(&mut self, profile: &SweepProfile, profiler: &Profiler) {
-        let slowest = profile.slowest_cell().map_or(Json::Null, |(i, secs)| {
-            Json::obj([("index", Json::from(i)), ("secs", Json::from(secs))])
-        });
-        let mut section = vec![
-            ("workers".to_owned(), Json::from(profile.workers)),
-            ("sweep_secs".to_owned(), Json::from(profile.total_secs)),
-            (
-                "cell_secs_sum".to_owned(),
-                Json::from(profile.cell_secs_sum()),
-            ),
-            ("speedup".to_owned(), Json::from(profile.speedup())),
-            ("slowest_cell".to_owned(), slowest),
-            (
-                "per_cell_secs".to_owned(),
-                Json::Arr(
-                    profile
-                        .per_cell_secs
-                        .iter()
-                        .map(|&s| Json::from(s))
-                        .collect(),
-                ),
-            ),
-        ];
-        if !profile.per_cell_cycles.is_empty() {
-            section.push((
-                "cycles_per_sec".to_owned(),
-                Json::from(profile.cycles_per_sec()),
-            ));
-            section.push((
-                "per_cell_cycles_per_sec".to_owned(),
-                Json::Arr(
-                    profile
-                        .per_cell_cycles_per_sec()
-                        .into_iter()
-                        .map(Json::from)
-                        .collect(),
-                ),
-            ));
-        }
-        if !profiler.phases().is_empty() {
-            section.push((
-                "phases".to_owned(),
-                Json::obj(
-                    profiler
-                        .phases()
-                        .iter()
-                        .map(|(name, d)| (*name, Json::from(d.as_secs_f64()))),
-                ),
-            ));
-        }
-        self.set_telemetry(Json::Obj(section));
-    }
-
     /// The deterministic record: experiment name, schema version,
-    /// metadata and cells — everything except the run-varying provenance
-    /// envelope.
+    /// metadata and cells.
     pub fn body(&self) -> Json {
         Json::obj([
             ("experiment", Json::from(self.name.as_str())),
@@ -252,35 +168,17 @@ impl Report {
     ///
     /// The results directory is `results` relative to the working
     /// directory, or `$DAMQ_RESULTS_DIR` if set. The file is the
-    /// [`Report::body`] plus a `run` object carrying worker count and
-    /// wall-clock seconds.
+    /// [`Report::body`], pretty-printed.
     ///
     /// # Errors
     ///
     /// An I/O error from directory creation or the file write, with the
     /// report's path.
     pub fn write(&self) -> Result<PathBuf, String> {
-        let mut doc = match self.body() {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!("body is always an object"),
-        };
-        doc.push((
-            "run".to_owned(),
-            Json::obj([
-                ("workers", Json::from(crate::sweep::worker_count())),
-                (
-                    "wall_clock_secs",
-                    Json::from(self.started.elapsed().as_secs_f64()),
-                ),
-            ]),
-        ));
-        if let Some(telemetry) = &self.telemetry {
-            doc.push(("telemetry".to_owned(), telemetry.clone()));
-        }
         let dir = crate::results_dir().join("json");
         let path = dir.join(format!("{}.json", self.name));
         std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, Json::Obj(doc).render_pretty()))
+            .and_then(|()| std::fs::write(&path, self.body().render_pretty()))
             .map_err(|e| format!("could not write {}: {e}", path.display()))?;
         Ok(path)
     }
@@ -312,50 +210,5 @@ mod tests {
         let body = r.body().render();
         assert!(!body.contains("wall_clock"));
         assert!(body.contains(r#""cell_count":1"#));
-    }
-
-    #[test]
-    fn telemetry_section_stays_out_of_the_body() {
-        let mut r = Report::new("t");
-        let profile = SweepProfile {
-            per_cell_secs: vec![0.25, 1.5],
-            per_cell_cycles: Vec::new(),
-            total_secs: 1.75,
-            workers: 2,
-        }
-        .with_cycles(vec![1_000, 12_000]);
-        let mut profiler = Profiler::new();
-        profiler.add("sweep", std::time::Duration::from_millis(1750));
-        r.telemetry_from_profile(&profile, &profiler);
-        // Deterministic body is untouched...
-        assert!(!r.body().render().contains("telemetry"));
-        // ...but the section itself records the profile faithfully.
-        let section = r.telemetry.as_ref().expect("telemetry attached").render();
-        assert!(section.contains(r#""workers":2"#));
-        assert!(section.contains(r#""sweep_secs":1.75"#));
-        assert!(section.contains(r#""cell_secs_sum":1.75"#));
-        assert!(section.contains(r#""slowest_cell":{"index":1,"secs":1.5}"#));
-        assert!(section.contains(r#""per_cell_secs":[0.25,1.5]"#));
-        // 13k cycles over 1.75 summed seconds; 1k/0.25 and 12k/1.5 per cell.
-        assert!(section.contains(r#""cycles_per_sec":7428.5714"#));
-        assert!(section.contains(r#""per_cell_cycles_per_sec":[4000,8000]"#));
-        assert!(section.contains(r#""phases":{"sweep":1.75}"#));
-    }
-
-    #[test]
-    fn empty_profile_yields_null_slowest_cell() {
-        let mut r = Report::new("t");
-        let profile = SweepProfile {
-            per_cell_secs: Vec::new(),
-            per_cell_cycles: Vec::new(),
-            total_secs: 0.0,
-            workers: 1,
-        };
-        r.telemetry_from_profile(&profile, &Profiler::new());
-        let section = r.telemetry.as_ref().expect("telemetry attached").render();
-        assert!(section.contains(r#""slowest_cell":null"#));
-        assert!(!section.contains("phases"));
-        // No cycle counts declared: the throughput keys stay out entirely.
-        assert!(!section.contains("cycles_per_sec"));
     }
 }

@@ -1,13 +1,12 @@
 //! The committed throughput record, `BENCH_throughput.json` at the
-//! workspace root: one read-modify-write shared by the two harnesses
-//! that own sections of it (`sim_throughput`, `recovery_headline`).
+//! workspace root, written by the `sim_throughput` bench.
 //!
-//! Each harness replaces only its own sections and merges the rest
-//! through untouched, so the file must be *read* before it is written —
-//! and a file that exists but cannot be read or parsed (a merge-conflict
-//! marker, a truncated write) must never be mistaken for an absent one:
-//! starting fresh there would silently discard every other harness's
-//! history. [`BenchRecord::open`] starts fresh only when the file is not
+//! A run replaces the sections it sets and keeps the rest (the committed
+//! `baseline` above all), so the file must be *read* before it is
+//! written — and a file that exists but cannot be read or parsed (a
+//! merge-conflict marker, a truncated write) must never be mistaken for
+//! an absent one: starting fresh there would silently discard the
+//! baseline. [`BenchRecord::open`] starts fresh only when the file is not
 //! there; anything else is reported, the file is left untouched, and the
 //! process exits non-zero.
 
@@ -94,14 +93,14 @@ mod tests {
         record.set("current", Json::from(1i64));
         record.save().unwrap();
 
-        // A second harness replaces its own section and keeps the rest.
+        // A second run replaces the sections it sets and keeps the rest.
         let mut record = BenchRecord::open_at(path.clone()).unwrap();
-        record.set("recovery", Json::from(2i64));
+        record.set("baseline", Json::from(2i64));
         record.set("current", Json::from(3i64));
         record.save().unwrap();
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            "{\n  \"bench\": \"sim_throughput\",\n  \"current\": 3,\n  \"recovery\": 2\n}\n"
+            "{\n  \"bench\": \"sim_throughput\",\n  \"current\": 3,\n  \"baseline\": 2\n}\n"
         );
         let _ = std::fs::remove_file(&path);
     }

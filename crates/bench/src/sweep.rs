@@ -55,7 +55,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use damq_net::Measurement;
 
@@ -138,140 +137,6 @@ where
                 .expect("every cell produced a result")
         })
         .collect()
-}
-
-/// Wall-clock profile of one sweep: where the time went, cell by cell.
-///
-/// Produced by [`run_profiled`]; rendered into the JSON report's
-/// `telemetry` section by
-/// [`Report::telemetry_from_profile`](crate::json::Report::telemetry_from_profile).
-/// Timings are observational (they vary run to run) and are therefore
-/// kept out of the deterministic report body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepProfile {
-    /// Wall-clock seconds each cell took, in cell order.
-    pub per_cell_secs: Vec<f64>,
-    /// Network cycles each cell simulated, in cell order. Empty when the
-    /// harness did not declare its cycle counts (see
-    /// [`SweepProfile::with_cycles`]).
-    pub per_cell_cycles: Vec<u64>,
-    /// Wall-clock seconds for the whole sweep (parallel, so typically far
-    /// less than the sum of the per-cell times).
-    pub total_secs: f64,
-    /// Worker threads used.
-    pub workers: usize,
-}
-
-impl SweepProfile {
-    /// Sum of per-cell wall-clock seconds (total CPU-ish time).
-    pub fn cell_secs_sum(&self) -> f64 {
-        self.per_cell_secs.iter().sum()
-    }
-
-    /// Attaches the number of simulated cycles behind each cell (cell
-    /// order, same length as the grid), enabling the cycles-per-second
-    /// telemetry. The engine cannot observe this itself — cells are
-    /// opaque closures — so harnesses that know their warm-up + window
-    /// budget declare it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match `per_cell_secs`.
-    pub fn with_cycles(mut self, per_cell_cycles: Vec<u64>) -> Self {
-        assert_eq!(
-            per_cell_cycles.len(),
-            self.per_cell_secs.len(),
-            "one cycle count per cell"
-        );
-        self.per_cell_cycles = per_cell_cycles;
-        self
-    }
-
-    /// Simulation throughput of each cell in network cycles per
-    /// wall-clock second (cell order). Empty unless cycle counts were
-    /// attached with [`SweepProfile::with_cycles`]; instantaneous cells
-    /// report 0.
-    pub fn per_cell_cycles_per_sec(&self) -> Vec<f64> {
-        self.per_cell_cycles
-            .iter()
-            .zip(&self.per_cell_secs)
-            .map(|(&cycles, &secs)| {
-                if secs > 0.0 {
-                    cycles as f64 / secs
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// Aggregate simulation throughput: total cycles simulated across all
-    /// cells over the summed per-cell wall time. 0 when cycle counts are
-    /// absent or no time was observed.
-    pub fn cycles_per_sec(&self) -> f64 {
-        let secs = self.cell_secs_sum();
-        if self.per_cell_cycles.is_empty() || secs <= 0.0 {
-            0.0
-        } else {
-            self.per_cell_cycles.iter().sum::<u64>() as f64 / secs
-        }
-    }
-
-    /// Index and duration of the slowest cell, if any cells ran.
-    pub fn slowest_cell(&self) -> Option<(usize, f64)> {
-        self.per_cell_secs
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Parallel speed-up achieved: summed cell time over sweep wall time
-    /// (0 when the sweep was instantaneous).
-    pub fn speedup(&self) -> f64 {
-        if self.total_secs <= 0.0 {
-            0.0
-        } else {
-            self.cell_secs_sum() / self.total_secs
-        }
-    }
-}
-
-/// [`run_with_workers`] on [`worker_count`] workers, also timing every
-/// cell: returns the results together with a [`SweepProfile`].
-///
-/// Results are identical to the untimed run's (the timing wrapper does
-/// not touch the cell function); only the profile is
-/// scheduling-dependent.
-pub fn run_profiled<C, R, F>(cells: &[C], f: F) -> (Vec<R>, SweepProfile)
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    let workers = worker_count();
-    let start = Instant::now();
-    let timed = run_with_workers(cells, workers, |cell| {
-        let cell_start = Instant::now();
-        let result = f(cell);
-        (result, cell_start.elapsed().as_secs_f64())
-    });
-    let total_secs = start.elapsed().as_secs_f64();
-    let mut results = Vec::with_capacity(timed.len());
-    let mut per_cell_secs = Vec::with_capacity(timed.len());
-    for (result, secs) in timed {
-        results.push(result);
-        per_cell_secs.push(secs);
-    }
-    (
-        results,
-        SweepProfile {
-            per_cell_secs,
-            per_cell_cycles: Vec::new(),
-            total_secs,
-            workers,
-        },
-    )
 }
 
 /// Derives a deterministic per-cell RNG seed from an experiment's base
@@ -466,52 +331,6 @@ mod tests {
         assert!((a.mean - 10.0).abs() < 1e-12);
         assert!((a.stddev - 2.5f64.sqrt()).abs() < 1e-12);
         assert!((a.ci95 - 2.776 * 2.5f64.sqrt() / 5f64.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn run_profiled_matches_the_untimed_run_and_times_every_cell() {
-        let cells: Vec<u64> = (0..9).collect();
-        let plain = run_with_workers(&cells, 1, |&c| c + 1);
-        let (results, profile) = run_profiled(&cells, |&c| c + 1);
-        assert_eq!(results, plain);
-        assert_eq!(profile.per_cell_secs.len(), cells.len());
-        assert!(profile.per_cell_secs.iter().all(|&s| s >= 0.0));
-        assert!(profile.total_secs >= 0.0);
-        assert!(profile.workers >= 1);
-        assert!(profile.slowest_cell().is_some());
-        assert!(profile.cell_secs_sum() >= 0.0);
-    }
-
-    #[test]
-    fn cycle_counts_turn_the_profile_into_throughput() {
-        let (_, profile) = run_profiled(&[1u32, 2, 3], |&c| {
-            // Busy the cell long enough for a nonzero timer reading.
-            (0..50_000u64).fold(c as u64, |a, b| a.wrapping_add(b))
-        });
-        assert!(profile.per_cell_cycles_per_sec().is_empty());
-        assert_eq!(profile.cycles_per_sec(), 0.0);
-        let profile = profile.with_cycles(vec![1_000, 2_000, 3_000]);
-        let per_cell = profile.per_cell_cycles_per_sec();
-        assert_eq!(per_cell.len(), 3);
-        assert!(per_cell.iter().all(|&cps| cps >= 0.0));
-        if profile.cell_secs_sum() > 0.0 {
-            assert!(profile.cycles_per_sec() > 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one cycle count per cell")]
-    fn mismatched_cycle_counts_rejected() {
-        let (_, profile) = run_profiled(&[1u32, 2], |&c| c);
-        let _ = profile.with_cycles(vec![10]);
-    }
-
-    #[test]
-    fn empty_profile_has_no_slowest_cell() {
-        let (results, profile) = run_profiled(&[] as &[u32], |&c| c);
-        assert!(results.is_empty());
-        assert_eq!(profile.slowest_cell(), None);
-        assert_eq!(profile.cell_secs_sum(), 0.0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! argument, a bad option value or an unparsable `DAMQ_SWEEP_THREADS` is
 //! a usage error (exit status 2, nothing written), never a silent
 //! fallback to the defaults. A report they cannot write fails them too
-//! (exit status 1, the path on stderr).
+//! (exit status 1, the path on stderr). What they write is the same file
+//! whatever the worker count: the committed one.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -94,4 +95,20 @@ fn a_report_that_cannot_be_written_fails_the_harness_naming_its_path() {
         "stderr: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_written_report_does_not_depend_on_the_worker_count() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let table = std::fs::read(committed.join("table2.txt")).unwrap();
+    let report = std::fs::read(committed.join("json/table2.json")).unwrap();
+    for threads in ["1", "2"] {
+        let dir = temp_dir(&format!("workers{threads}"));
+        let output = run(env!("CARGO_BIN_EXE_table2"), &[], Some(threads), &dir);
+        assert!(output.status.success(), "{output:?}");
+        assert!(output.stdout == table, "{threads} workers: stdout differs");
+        let written = std::fs::read(dir.join("json/table2.json")).unwrap();
+        assert!(written == report, "{threads} workers: report differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

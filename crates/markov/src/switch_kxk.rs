@@ -536,4 +536,57 @@ mod tests {
         assert_eq!(dafc.depart_greedy(&mut state.clone()), 3);
         assert_eq!(damq.depart_greedy(&mut state.clone()), 1);
     }
+
+    /// The k×k chain obeys the 2×2 one's rule: starting the cycle with
+    /// arrivals or with departures samples one alternating sequence half a
+    /// cycle apart, so the discard probability and the throughput agree to
+    /// rounding while the sampled occupancy moves. Pinned over every valid
+    /// radix-3 point at capacities up to 3 and over radix-4 DAMQ-1.
+    #[test]
+    fn cycle_order_cannot_move_a_kxk_discard_probability() {
+        let mut configs = vec![(BufferKind::Damq, 4, 1)];
+        for kind in [
+            BufferKind::Samq,
+            BufferKind::Safc,
+            BufferKind::Damq,
+            BufferKind::Dafc,
+        ] {
+            for cap in 1..=3 {
+                if !kind.is_statically_allocated() || cap % 3 == 0 {
+                    configs.push((kind, 3, cap));
+                }
+            }
+        }
+        let mut occupancy_moved = false;
+        for &(kind, radix, cap) in &configs {
+            for traffic in [0.5, 0.9, 0.99] {
+                let at = |order| {
+                    discard_probability_kxk(
+                        kind,
+                        radix,
+                        cap,
+                        traffic,
+                        order,
+                        SolveOptions::default(),
+                    )
+                    .unwrap()
+                };
+                let arrivals = at(CycleOrder::ArrivalsFirst);
+                let departures = at(CycleOrder::DeparturesFirst);
+                let case = format!("{kind} {radix}x{radix} cap {cap} at {traffic}");
+                let gap = (arrivals.discard_probability - departures.discard_probability).abs();
+                assert!(gap <= 1e-12, "{case}: discard gap {gap:e}");
+                let gap = (arrivals.throughput - departures.throughput).abs();
+                assert!(gap <= 1e-12, "{case}: throughput gap {gap:e}");
+                occupancy_moved |=
+                    (arrivals.mean_occupancy - departures.mean_occupancy).abs() > 1e-9;
+            }
+        }
+        assert_eq!(
+            configs.len(),
+            9,
+            "radix-3 DAMQ/DAFC 1-3, SAMQ/SAFC 3; radix-4 DAMQ-1"
+        );
+        assert!(occupancy_moved, "the order still moves the mean occupancy");
+    }
 }

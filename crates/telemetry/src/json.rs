@@ -6,8 +6,8 @@
 //! here: the harness reports under `results/json/` (built by
 //! `damq_bench::json`, which re-exports this type), the registry
 //! snapshot ([`MetricsRegistry::snapshot_json`](crate::MetricsRegistry::snapshot_json)),
-//! the JSONL event decoder ([`Event::parse_jsonl`](crate::Event::parse_jsonl)),
-//! violation-dump reproducers and `cargo xtask results-diff`.
+//! the JSONL event decoder ([`Event::parse_jsonl`](crate::Event::parse_jsonl))
+//! and violation-dump reproducers.
 //!
 //! Serialization is deterministic: object keys keep insertion order,
 //! integers render exactly (every `i64` and every `u64`), and floats

@@ -24,8 +24,6 @@
 //! * [`TraceSummary`] — replays a trace into lifecycles, occupancy series,
 //!   HOL-blocking and discard timelines; the `trace_report` harness renders
 //!   these as a text dashboard.
-//! * [`Profiler`] — named-phase wall-clock accumulation for the sweep
-//!   engine's JSON `telemetry` section.
 //! * [`MetricsRegistry`] / [`LogHistogram`] — named cycle-domain counters
 //!   and bounded log-scale histograms with p50/p99/p999 readout and a
 //!   byte-deterministic JSON snapshot; free when disabled.
@@ -62,7 +60,6 @@
 mod collect;
 mod event;
 pub mod json;
-mod profile;
 mod recorder;
 mod registry;
 mod series;
@@ -70,7 +67,6 @@ mod sink;
 
 pub use collect::{Hop, Lifecycle, TraceSummary};
 pub use event::{Event, EventKind, ParseError};
-pub use profile::Profiler;
 pub use recorder::FlightRecorder;
 pub use registry::{HistogramId, LogHistogram, MetricsRegistry};
 pub use series::{sparkline, Bin, Downsampler, Histogram};

@@ -451,8 +451,8 @@ fn toml_value<'a>(text: &'a str, table: &str, key: &str) -> Option<&'a str> {
 /// its `Atomic*` types, `Mutex`, `Condvar`) are findings too: one
 /// simulation steps on one lane, and parallelism lives across sweep cells
 /// (`docs/SCALING.md`). Justified
-/// exceptions carry `// lint: allow — why` (e.g. the phase profiler,
-/// which measures the harness, never simulation state).
+/// exceptions carry `// lint: allow — why` (e.g. the network's phase
+/// timer, which times the cycle's steps and never feeds simulation state).
 fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
     const BANNED_IDENTS: [(&str, &str); 5] = [
         (

@@ -1,5 +1,4 @@
-//! Workspace task driver: `cargo xtask lint`, `cargo xtask results-diff`
-//! and `cargo xtask loc`.
+//! Workspace task driver: `cargo xtask lint` and `cargo xtask loc`.
 //!
 //! The analysis itself lives in the [`analyze`] module — a hand-rolled
 //! lexer, a brace tree and eleven structural lints (details in
@@ -37,11 +36,6 @@
 //! compilation — the check.sh `analyze` gate budget is ~2s). Per-lint
 //! wall-times are printed so scan-speed regressions are visible.
 //!
-//! `cargo xtask results-diff <committed.json> <regenerated.json>` is the
-//! comparison behind `scripts/regen_results.sh --check`: two harness
-//! reports are equal when they match outside the run-varying top-level
-//! `run` and `telemetry` keys.
-//!
 //! `cargo xtask loc` prints the non-test, non-comment code lines of every
 //! crate's `src/`, counted by the same lexer and `#[cfg(test)]` spans the
 //! lints use — the one counter behind every "lines of code" figure in
@@ -49,13 +43,11 @@
 
 mod analyze;
 
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use analyze::{lints, Workspace};
-use damq_telemetry::json::Json;
 
 /// Clippy invocation pinned here so CI and dev runs agree.
 const CLIPPY_ARGS: [&str; 7] = [
@@ -73,47 +65,18 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--no-cargo")),
         Some("loc") => loc(),
-        Some("results-diff") if args.len() == 3 => results_diff(&args[1], &args[2]),
         Some("--help" | "-h") | None => {
             eprintln!("usage: {USAGE}");
             ExitCode::from(2)
         }
         Some(other) => {
-            eprintln!("unknown or malformed task '{other}' (usage: {USAGE})");
+            eprintln!("unknown task '{other}' (usage: {USAGE})");
             ExitCode::from(2)
         }
     }
 }
 
-const USAGE: &str =
-    "cargo xtask <lint [--no-cargo] | loc | results-diff <committed.json> <new.json>>";
-
-/// Compares two harness reports outside their run-varying envelope:
-/// succeeds when they are equal once the top-level `run` and `telemetry`
-/// keys are dropped, otherwise names the first differing top-level key.
-fn results_diff(committed: &str, regenerated: &str) -> ExitCode {
-    let deterministic = |path: &str| -> Result<Vec<(String, Json)>, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        match Json::parse(&text).map_err(|e| format!("{path}: {e}"))? {
-            Json::Obj(mut pairs) => {
-                pairs.retain(|(key, _)| key != "run" && key != "telemetry");
-                Ok(pairs)
-            }
-            _ => Err(format!("{path}: not a JSON object")),
-        }
-    };
-    let problem = match (deterministic(committed), deterministic(regenerated)) {
-        (Ok(old), Ok(new)) if old == new => return ExitCode::SUCCESS,
-        (Ok(old), Ok(new)) => {
-            let differing = old.iter().zip(&new).find(|(a, b)| a != b);
-            let key = differing.map_or("the set of top-level keys", |((key, _), _)| key);
-            format!("{regenerated} differs from {committed} in '{key}'")
-        }
-        (Err(e), _) | (_, Err(e)) => e,
-    };
-    eprintln!("error: {problem}");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "cargo xtask <lint [--no-cargo] | loc>";
 
 fn lint(no_cargo: bool) -> ExitCode {
     let root = workspace_root();

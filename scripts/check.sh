@@ -223,12 +223,11 @@ markov_smoke() {
 }
 
 # Satellite gate: the committed results are what the code produces. All
-# 18 regeneration harnesses plus fault_degradation and chaos_soak run
-# into a temporary directory (~30 s on 2 CPUs); every stdout must equal
-# results/<bin>.txt byte for byte and every report must equal
-# results/json/<bin>.json outside its run-varying `run` / `telemetry`
-# keys. A refactor that claims byte identity passes this without
-# regenerating anything.
+# 21 harnesses run into a temporary directory (~40 s on 2 CPUs); every
+# stdout must equal results/<bin>.txt and every report
+# results/json/<bin>.json byte for byte (`cmp`, no keys excepted), and
+# each harness's wall-clock is printed. A refactor that claims byte
+# identity passes this without regenerating anything.
 results_check() {
     gate "results-check: committed tables and reports regenerate byte for byte"
     bash scripts/regen_results.sh --check

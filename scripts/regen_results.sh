@@ -4,20 +4,21 @@
 # to results/json/ as a side effect).
 #
 # Usage: scripts/regen_results.sh [binary...]
-#   With no arguments, runs all 18 harnesses. With arguments, runs only
+#   With no arguments, runs all 21 harnesses. With arguments, runs only
 #   the named ones (e.g. `scripts/regen_results.sh table2 figure3`).
+#   fault_degradation, chaos_soak and recovery_headline commit their
+#   reports only; their stdout is not kept.
 #
 #        scripts/regen_results.sh --check [binary...]
-#   Regenerates nothing: runs the 18 harnesses plus fault_degradation and
-#   chaos_soak (or only the named ones) into a temporary results
+#   Regenerates nothing: runs the same harnesses into a temporary results
 #   directory and fails unless every stdout equals the committed
-#   results/<bin>.txt byte for byte and every report equals
-#   results/json/<bin>.json outside its run-varying `run` and `telemetry`
-#   keys (`cargo xtask results-diff`). The byte-identity gate for
-#   refactors of the harness or the simulator (~30 s on 2 CPUs for all of
-#   them). recovery_headline stays out: a full run rewrites its section
-#   of the committed BENCH_throughput.json, so a check would edit the
-#   tree it checks.
+#   results/<bin>.txt and every report equals results/json/<bin>.json,
+#   byte for byte (`cmp`, no keys excepted: a report holds nothing that
+#   varies from run to run). The byte-identity gate for refactors of the
+#   harness or the simulator.
+#
+# Both modes print each harness's wall-clock seconds and the total; the
+# committed files hold no timings.
 #
 # Offline by design: needs only the Rust toolchain already in the tree.
 # DAMQ_SWEEP_THREADS caps the sweep engine's worker threads if set.
@@ -30,15 +31,14 @@ ALL_BINARIES=(
   tree_saturation burstiness fairness seed_stability
   variable_length dual_network topology_comparison
   ablation_arbitration ablation_dafc
+  fault_degradation chaos_soak recovery_headline
 )
+REPORT_ONLY=" fault_degradation chaos_soak recovery_headline "
 
 CHECK=0
 if [[ "${1:-}" == "--check" ]]; then
   CHECK=1
   shift
-  # fault_degradation and chaos_soak commit their reports only, so only
-  # --check knows them.
-  ALL_BINARIES+=(fault_degradation chaos_soak)
 fi
 
 BINARIES=("${@:-${ALL_BINARIES[@]}}")
@@ -53,28 +53,43 @@ done
 cargo build --release -p damq-bench
 
 if [[ "$CHECK" -eq 1 ]]; then
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  failed=0
-  for bin in "${BINARIES[@]}"; do
-    DAMQ_RESULTS_DIR="$tmp" ./target/release/"$bin" > "$tmp/$bin.txt" 2> /dev/null
-    if [[ -e "results/$bin.txt" ]] && ! cmp "results/$bin.txt" "$tmp/$bin.txt"; then
+  out="$(mktemp -d)"
+  trap 'rm -rf "$out"' EXIT
+else
+  out=results
+  mkdir -p results/json
+fi
+
+# Seconds since `$1` (an $EPOCHREALTIME reading), to the millisecond.
+elapsed() {
+  awk -v a="$1" -v b="$EPOCHREALTIME" 'BEGIN { printf "%7.3f", b - a }'
+}
+
+failed=0
+total_start=$EPOCHREALTIME
+for bin in "${BINARIES[@]}"; do
+  text="$out/$bin.txt"
+  [[ "$REPORT_ONLY" == *" $bin "* ]] && text=/dev/null
+  start=$EPOCHREALTIME
+  if [[ "$CHECK" -eq 1 ]]; then
+    DAMQ_RESULTS_DIR="$out" ./target/release/"$bin" > "$text" 2> /dev/null
+    if [[ "$text" != /dev/null ]] && ! cmp "results/$bin.txt" "$text"; then
       failed=1
     fi
-    cargo xtask results-diff "results/json/$bin.json" "$tmp/json/$bin.json" || failed=1
-  done
+    cmp "results/json/$bin.json" "$out/json/$bin.json" || failed=1
+  else
+    ./target/release/"$bin" > "$text"
+  fi
+  echo "$(elapsed "$start") s  $bin"
+done
+echo "$(elapsed "$total_start") s  total (${#BINARIES[@]} harnesses)"
+
+if [[ "$CHECK" -eq 1 ]]; then
   if [[ "$failed" -ne 0 ]]; then
     echo "results-check: regenerated results differ from the committed ones" >&2
     exit 1
   fi
   echo "results-check: ${#BINARIES[@]} harnesses match the committed results"
-  exit 0
+else
+  echo "done: ${#BINARIES[@]} harnesses -> results/*.txt + results/json/*.json"
 fi
-
-mkdir -p results/json
-for bin in "${BINARIES[@]}"; do
-  echo "== $bin =="
-  ./target/release/"$bin" > "results/$bin.txt"
-done
-
-echo "done: ${#BINARIES[@]} harnesses -> results/*.txt + results/json/*.json"

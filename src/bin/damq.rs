@@ -59,6 +59,11 @@ NETWORK OPTIONS (sim, saturation, sweep):
     --warmup W        warm-up cycles (default 500)
     --seed X          RNG seed (default 51966)
 
+SWEEP OPTIONS (with the network options):
+    --from L          first offered load (default 0.05)
+    --to L            last offered load (default 0.9)
+    --step S          load increment (default 0.05)
+
 MARKOV OPTIONS:
     --buffer B        fifo | samq | safc | damq | dafc (default damq)
     --slots S         packets per input buffer (default 4)
@@ -66,19 +71,36 @@ MARKOV OPTIONS:
     --order O         arrivals-first | departures-first (default arrivals-first)
 ";
 
+/// The options every network command (`sim`, `saturation`, `sweep`) reads.
+const NETWORK_OPTIONS: &[&str] = &[
+    "size", "radix", "topology", "buffer", "slots", "arbiter", "flow", "hot-spot", "burst", "duty",
+    "load", "cycles", "warmup", "seed",
+];
+
+/// The options `sweep` reads besides the network options: the load range.
+const SWEEP_RANGE_OPTIONS: &[&str] = &["from", "to", "step"];
+
+/// The options `markov` reads.
+const MARKOV_OPTIONS: &[&str] = &["buffer", "slots", "traffic", "order"];
+
 /// Minimal `--key value` argument map.
 struct Args {
     pairs: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Reads `--key value` pairs, refusing any key outside `declared`:
+    /// a misspelled option is an error, not a silently used default.
+    fn parse(argv: &[String], declared: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = argv.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected an option, found {key:?}"));
             };
+            if !declared.contains(&name) {
+                return Err(format!("unknown option --{name}; try `damq help`"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("option --{name} needs a value"))?;
@@ -320,21 +342,18 @@ fn main() -> ExitCode {
         print!("{HELP}");
         return ExitCode::SUCCESS;
     }
-    let args = match Args::parse(&argv[1..]) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
+    type Command = fn(&Args) -> Result<(), String>;
+    let (run, declared): (Command, Vec<&str>) = match command {
+        "sim" => (cmd_sim, NETWORK_OPTIONS.to_vec()),
+        "saturation" => (cmd_saturation, NETWORK_OPTIONS.to_vec()),
+        "sweep" => (cmd_sweep, [NETWORK_OPTIONS, SWEEP_RANGE_OPTIONS].concat()),
+        "markov" => (cmd_markov, MARKOV_OPTIONS.to_vec()),
+        other => {
+            eprintln!("error: unknown command {other:?}; try `damq help`");
             return ExitCode::FAILURE;
         }
     };
-    let result = match command {
-        "sim" => cmd_sim(&args),
-        "saturation" => cmd_saturation(&args),
-        "sweep" => cmd_sweep(&args),
-        "markov" => cmd_markov(&args),
-        other => Err(format!("unknown command {other:?}; try `damq help`")),
-    };
-    match result {
+    match Args::parse(&argv[1..], &declared).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -174,6 +174,25 @@ fn options_without_values_are_rejected() {
 }
 
 #[test]
+fn a_misspelled_network_option_is_rejected_not_defaulted() {
+    let out = damq(&["sim", "--laod", "0.9", "--size", "16", "--cycles", "200"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "printed {:?}", out.stdout);
+    assert!(err.starts_with("error: unknown option --laod"), "{err}");
+}
+
+#[test]
+fn an_option_of_another_command_is_rejected() {
+    // `--cycles` belongs to the network commands; `markov` has no window.
+    let out = damq(&["markov", "--cycles", "5"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "printed {:?}", out.stdout);
+    assert!(err.starts_with("error: unknown option --cycles"), "{err}");
+}
+
+#[test]
 fn out_of_range_numbers_are_clean_errors_not_panics() {
     const NETWORK: [&str; 3] = ["sim", "saturation", "sweep"];
     // (commands, the options before the value, values)
