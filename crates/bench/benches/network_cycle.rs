@@ -1,7 +1,8 @@
 //! What no benchmark workload measures about the Omega-network simulator:
 //! how the cost of a switch-cycle moves with the fabric's size (and the
-//! bytes a switch takes), and how one cycle's wall-clock splits over the
-//! seven phases of `NetworkSim::step`. Per-design cycle costs, whole
+//! bytes a switch takes), how one cycle's wall-clock splits over the
+//! seven phases of `NetworkSim::step`, and what a packet waiting at its
+//! source costs in bytes past saturation. Per-design cycle costs, whole
 //! measurement windows and the microarchitecture model's clock are
 //! benchmark rows (`work_per_sec`, `switch.busy_cycle_ns.*`,
 //! `microarch.tick_busy_ns`), not repeated here. Run with
@@ -125,9 +126,37 @@ fn bench_phase_split() {
     }
 }
 
+/// Bytes per waiting packet, the rows of `docs/PERFORMANCE.md` §10: the
+/// 5 % hot spot past saturation (DAMQ, 4 slots, blocking, load 0.5) at 64
+/// and 1 024 terminals. Everything the source side holds — queue structs,
+/// occupancy set, chunk tables and chunks — over the packets waiting at
+/// the end. A count, not a timing: the same on every host.
+fn bench_backlog_bytes() {
+    println!("-- source backlog: heap bytes per waiting packet (5% hot spot, load 0.5, seed 0x50_0BAC) --");
+    for (size, cycles) in [(64usize, 10_000u64), (1024, 3_000)] {
+        let mut sim = NetworkSim::new(
+            NetworkConfig::new(size, 4)
+                .buffer_kind(BufferKind::Damq)
+                .slots_per_buffer(4)
+                .flow_control(FlowControl::Blocking)
+                .traffic(TrafficPattern::paper_hot_spot())
+                .offered_load(0.5)
+                .seed(0x50_0BAC),
+        )
+        .unwrap();
+        sim.run(cycles);
+        let (bytes, packets) = (sim.source_backlog_bytes(), sim.source_backlog());
+        println!(
+            "omega{size}_hotspot ({cycles} cycles): {packets} waiting packets, {bytes} B, {:.2} B/packet",
+            bytes as f64 / packets as f64
+        );
+    }
+}
+
 fn main() {
     // First, on a fresh heap: where a network's blocks land depends on
     // what was allocated and freed before it.
     bench_size_sweep();
     bench_phase_split();
+    bench_backlog_bytes();
 }

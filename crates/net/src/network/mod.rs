@@ -128,7 +128,7 @@ pub struct NetworkSim<B: SwitchBuffer = AnyBuffer, S: TelemetrySink<Event> = Nul
     /// full [`Packet`] (including its identity checksum) is materialized
     /// at injection time, so the packets the window never injects are
     /// never built at all; past saturation these queues grow without
-    /// bound, and a waiting packet costs about five bytes.
+    /// bound, and a waiting packet costs about three bytes.
     source_queues: Vec<SourceQueue>,
     /// Occupancy set over `source_queues`, 64 sources a word: bit `src`
     /// ⇔ queue `src` is non-empty (audited as `source-occupancy`), so
@@ -576,6 +576,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
 
     fn generate(&mut self) {
         let size = self.config.size;
+        let dest_bits = source::dest_bits(size);
         for src in 0..size {
             let generate_probability = match self.config.arrivals {
                 ArrivalProcess::Bernoulli => self.config.offered_load,
@@ -625,7 +626,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             };
             self.acct
                 .generated(self.cycle, pending.serial, src, pending.dest);
-            self.source_queues[src].push_back(pending);
+            self.source_queues[src].push_back(pending, dest_bits);
             self.source_occupied[src / 64] |= 1 << (src % 64);
         }
     }
@@ -646,6 +647,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
     fn inject(&mut self) {
         let blocking = self.config.flow_control.requires_backpressure();
         let cycle = self.cycle;
+        let dest_bits = source::dest_bits(self.config.size);
         // Ascending source order, as a walk over every queue would be.
         // The body clears `src`'s own bit (and no other) when it drains
         // the queue, so the successor read before it stays valid.
@@ -667,7 +669,7 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
                 // and the entry buffer has room; try again next cycle.
                 continue;
             }
-            self.source_queues[src].pop_front();
+            self.source_queues[src].pop_front(dest_bits);
             if self.source_queues[src].len() == 0 {
                 self.source_occupied[src / 64] &= !(1 << (src % 64));
             }

@@ -629,7 +629,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 64] = [
+const KERNEL_FNS: [&str; 69] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -665,6 +665,11 @@ const KERNEL_FNS: [&str; 64] = [
     "pop_record",
     "put_varint",
     "get_varint",
+    "put_long_varint",
+    "get_long_varint",
+    "get_wide_varint",
+    "flagged_length",
+    "dest_bits",
     // … the hop primitive and the recovery ladder the merges call …
     "hop",
     "rescue",

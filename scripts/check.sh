@@ -95,8 +95,10 @@ obs_smoke() {
 # and HOL state; two seeded mutations must fail), and radix-8 and
 # radix-16 networks run both protocols to conservation; (7) the source
 # queue's delta-coded stream agrees with the `VecDeque` it replaced
-# (two seeded mutations must fail) and a saturated backlog stays inside
-# its pinned eight bytes a packet.
+# (three seeded mutations must fail), a saturated backlog stays inside
+# its pinned three bytes a packet, and every design generates the same
+# packets at one seed, so the stream's contents do not hang on the
+# buffer under test.
 soa_smoke() {
     gate "soa-smoke: inline storage arms + pinned layout budgets"
     cargo test -q -p damq-core --lib -- inline:: layout_ registers_spill
@@ -112,9 +114,10 @@ soa_smoke() {
     gate "soa-smoke: radix-8 and radix-16 networks run to conservation"
     cargo test -q -p damq-net --test kernel_pins wide_radix
 
-    gate "soa-smoke: source stream vs a VecDeque, with teeth, and its byte budget"
+    gate "soa-smoke: source stream vs a VecDeque, with teeth, its byte budget, and design-blind generation"
     cargo test -q -p damq-net --lib -- source::
     cargo test -q -p damq-net --test source_backlog layout_
+    cargo test -q -p damq-net --test generation_stream
 
     gate "soa-smoke: SoA pool vs AoS twins, and the twins' self-tests, under strict-audit"
     cargo test -q -p damq-core --features strict-audit --test soa_equivalence --test reference_self
