@@ -92,11 +92,6 @@ impl SwitchBuffer for AnyBuffer {
     }
 
     #[inline]
-    fn slot_bytes(&self) -> usize {
-        dispatch!(self, b => b.slot_bytes())
-    }
-
-    #[inline]
     fn read_ports(&self) -> usize {
         dispatch!(self, b => b.read_ports())
     }
@@ -242,8 +237,10 @@ impl<const FULLY_CONNECTED: bool> BuildBuffer for DynamicBuffer<FULLY_CONNECTED>
 #[cfg(test)]
 mod tests {
     /// Budget: 272 bytes. The largest variant is the DAMQ buffer — its
-    /// `SoaSlots` register file (176) plus `BufferConfig` (24) and
-    /// `BufferStats` (48), 256 today with the enum tag: four cache lines.
+    /// `SoaSlots` register file (176) plus `BufferConfig` (16: fanout and
+    /// slot count, the slot size being the constant `SLOT_BYTES`) and
+    /// `BufferStats` (48), 248 today with the enum tag: under four cache
+    /// lines.
     /// A switch holds one of these per port in one `Vec`, so this number
     /// times the radix is most of a switch's footprint; a field that
     /// pushes it past the budget should fail here, not in a benchmark.
@@ -271,7 +268,6 @@ mod tests {
             assert_eq!(buf.kind(), kind);
             assert_eq!(buf.fanout(), 4);
             assert_eq!(buf.capacity_slots(), 8);
-            assert_eq!(buf.slot_bytes(), cfg.slot_size());
             assert!(buf.is_empty());
             assert!(buf.audit().is_ok());
         }

@@ -11,7 +11,7 @@ use std::fmt;
 use crate::audit::AuditError;
 use crate::error::{ConfigError, Rejected};
 use crate::ids::NodeId;
-use crate::packet::{Packet, DEFAULT_SLOT_BYTES};
+use crate::packet::{slots_for, Packet};
 use crate::stats::BufferStats;
 use crate::OutputPort;
 
@@ -47,16 +47,10 @@ pub struct FrontMeta {
 }
 
 impl FrontMeta {
-    /// Slots the head packet would occupy in a buffer with
-    /// `slot_bytes`-byte slots — same formula as
+    /// Slots the head packet occupies — the formula of
     /// [`Packet::slots_needed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_bytes` is zero.
-    pub fn slots_needed(&self, slot_bytes: usize) -> usize {
-        assert!(slot_bytes > 0, "slot size must be nonzero");
-        (self.length_bytes as usize).div_ceil(slot_bytes).max(1)
+    pub fn slots_needed(&self) -> usize {
+        slots_for(self.length_bytes as usize)
     }
 }
 
@@ -124,7 +118,8 @@ impl fmt::Display for BufferKind {
     }
 }
 
-/// Geometry of a switch buffer: fanout, slot count and slot size.
+/// Geometry of a switch buffer: fanout and slot count. Every slot holds
+/// [`SLOT_BYTES`](crate::SLOT_BYTES) bytes.
 ///
 /// # Examples
 ///
@@ -141,7 +136,6 @@ impl fmt::Display for BufferKind {
 pub struct BufferConfig {
     fanout: usize,
     capacity_slots: usize,
-    slot_bytes: usize,
 }
 
 impl BufferConfig {
@@ -152,20 +146,12 @@ impl BufferConfig {
     pub const MAX_CAPACITY: usize = u16::MAX as usize - 1;
 
     /// Creates a configuration with `fanout` output queues and
-    /// `capacity_slots` total slots of [`DEFAULT_SLOT_BYTES`] bytes each.
+    /// `capacity_slots` total slots.
     pub fn new(fanout: usize, capacity_slots: usize) -> Self {
         BufferConfig {
             fanout,
             capacity_slots,
-            slot_bytes: DEFAULT_SLOT_BYTES,
         }
-    }
-
-    /// Overrides the slot size in bytes.
-    #[must_use]
-    pub fn slot_bytes(mut self, slot_bytes: usize) -> Self {
-        self.slot_bytes = slot_bytes;
-        self
     }
 
     /// Number of output queues the buffer feeds.
@@ -176,11 +162,6 @@ impl BufferConfig {
     /// Total storage in slots.
     pub fn capacity(&self) -> usize {
         self.capacity_slots
-    }
-
-    /// Slot size in bytes.
-    pub fn slot_size(&self) -> usize {
-        self.slot_bytes
     }
 
     /// Validates the configuration for the given buffer kind.
@@ -202,9 +183,6 @@ impl BufferConfig {
         }
         if self.fanout == 0 {
             return Err(ConfigError::ZeroFanout);
-        }
-        if self.slot_bytes == 0 {
-            return Err(ConfigError::ZeroSlotBytes);
         }
         if kind.is_statically_allocated() && !self.capacity_slots.is_multiple_of(self.fanout) {
             return Err(ConfigError::CapacityNotDivisible {
@@ -260,9 +238,6 @@ pub trait SwitchBuffer: fmt::Debug {
 
     /// Slots currently holding packet data.
     fn used_slots(&self) -> usize;
-
-    /// Slot size in bytes.
-    fn slot_bytes(&self) -> usize;
 
     /// Number of packets that can leave through the crossbar in one cycle.
     ///
@@ -458,12 +433,6 @@ mod tests {
         assert_eq!(
             BufferConfig::new(0, 4).validate(BufferKind::Fifo),
             Err(ConfigError::ZeroFanout)
-        );
-        assert_eq!(
-            BufferConfig::new(4, 4)
-                .slot_bytes(0)
-                .validate(BufferKind::Fifo),
-            Err(ConfigError::ZeroSlotBytes)
         );
     }
 

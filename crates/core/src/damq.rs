@@ -143,10 +143,6 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
         self.pool.used_count()
     }
 
-    fn slot_bytes(&self) -> usize {
-        self.config.slot_size()
-    }
-
     fn read_ports(&self) -> usize {
         if FULLY_CONNECTED {
             self.fanout()
@@ -175,7 +171,7 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
                 reason: RejectReason::NoSuchOutput,
             });
         }
-        let slots = packet.slots_needed(self.slot_bytes());
+        let slots = packet.slots_needed();
         if slots > self.capacity_slots() {
             self.stats.record_rejected();
             return Err(Rejected {

@@ -16,8 +16,6 @@ pub enum ConfigError {
     ZeroCapacity,
     /// A switch buffer must feed at least one output port.
     ZeroFanout,
-    /// Slots must hold at least one byte.
-    ZeroSlotBytes,
     /// Statically-partitioned buffers (SAMQ, SAFC) require the slot count to
     /// divide evenly among the output queues.
     CapacityNotDivisible {
@@ -42,7 +40,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroCapacity => write!(f, "buffer capacity must be at least one slot"),
             ConfigError::ZeroFanout => write!(f, "buffer fanout must be at least one output"),
-            ConfigError::ZeroSlotBytes => write!(f, "slot size must be at least one byte"),
             ConfigError::CapacityNotDivisible { capacity, fanout } => write!(
                 f,
                 "statically-allocated buffer needs capacity divisible by fanout ({capacity} slots over {fanout} queues)"

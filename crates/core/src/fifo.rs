@@ -100,10 +100,6 @@ impl SwitchBuffer for FifoBuffer {
         self.ring.used_slots()
     }
 
-    fn slot_bytes(&self) -> usize {
-        self.ring.config().slot_size()
-    }
-
     fn read_ports(&self) -> usize {
         1
     }

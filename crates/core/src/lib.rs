@@ -87,7 +87,7 @@ pub use faults::{FaultEvent, FaultLedger, FaultPlan, FaultSite, FaultSpec};
 pub use fifo::FifoBuffer;
 pub use ids::{InputPort, NodeId, OutputPort, PacketId};
 pub use inline::InlineArray;
-pub use packet::{Packet, PacketBuilder, PacketIdSource, DEFAULT_SLOT_BYTES, MAX_PACKET_BYTES};
+pub use packet::{Packet, PacketBuilder, PacketIdSource, MAX_PACKET_BYTES, SLOT_BYTES};
 pub use samq::{SafcBuffer, SamqBuffer};
 pub use soa::SoaSlots;
 pub use stats::BufferStats;

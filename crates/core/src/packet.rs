@@ -13,8 +13,18 @@ use crate::ids::{NodeId, PacketId};
 /// Largest data payload of a single ComCoBB packet, in bytes (paper §3).
 pub const MAX_PACKET_BYTES: usize = 32;
 
-/// Size of a ComCoBB buffer slot, in bytes (paper §3.1).
-pub const DEFAULT_SLOT_BYTES: usize = 8;
+/// Size of a ComCoBB buffer slot, in bytes (paper §3.1, Table 1): a
+/// fixed piece of hardware, so one constant for every buffer, probe and
+/// chip model in the workspace.
+pub const SLOT_BYTES: usize = 8;
+
+/// Slots a packet of `length_bytes` occupies: at least one, since even a
+/// header-only packet takes a slot. The one formula behind
+/// [`Packet::slots_needed`] and
+/// [`FrontMeta::slots_needed`](crate::FrontMeta::slots_needed).
+pub(crate) fn slots_for(length_bytes: usize) -> usize {
+    length_bytes.div_ceil(SLOT_BYTES).max(1)
+}
 
 /// A packet travelling through the network.
 ///
@@ -32,7 +42,7 @@ pub const DEFAULT_SLOT_BYTES: usize = 8;
 ///     .birth_cycle(100)
 ///     .build();
 /// assert_eq!(p.length_bytes(), 20);
-/// assert_eq!(p.slots_needed(8), 3); // 20 bytes -> 3 eight-byte slots
+/// assert_eq!(p.slots_needed(), 3); // 20 bytes -> 3 eight-byte slots
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
@@ -80,7 +90,7 @@ impl Packet {
 
     /// Starts building a packet from `source` to `dest`.
     ///
-    /// Defaults: id 0, length [`DEFAULT_SLOT_BYTES`] (a single-slot packet),
+    /// Defaults: id 0, length [`SLOT_BYTES`] (a single-slot packet),
     /// birth cycle 0.
     ///
     /// # Panics
@@ -100,7 +110,7 @@ impl Packet {
             length_bytes: NonZeroU16::MIN,
             birth_cycle: 0,
         }
-        .length_bytes(DEFAULT_SLOT_BYTES)
+        .length_bytes(SLOT_BYTES)
     }
 
     /// The packet's unique serial number.
@@ -175,13 +185,9 @@ impl Packet {
         self.deflections = self.deflections.saturating_add(1);
     }
 
-    /// Number of `slot_bytes`-sized buffer slots this packet occupies.
+    /// Number of [`SLOT_BYTES`]-byte buffer slots this packet occupies.
     ///
     /// Always at least 1: even a header-only packet takes a slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_bytes` is zero.
     ///
     /// # Examples
     ///
@@ -191,11 +197,10 @@ impl Packet {
     /// let p = Packet::builder(NodeId::new(0), NodeId::new(1))
     ///     .length_bytes(9)
     ///     .build();
-    /// assert_eq!(p.slots_needed(8), 2);
+    /// assert_eq!(p.slots_needed(), 2);
     /// ```
-    pub fn slots_needed(&self, slot_bytes: usize) -> usize {
-        assert!(slot_bytes > 0, "slot size must be nonzero");
-        self.length_bytes().div_ceil(slot_bytes).max(1)
+    pub fn slots_needed(&self) -> usize {
+        slots_for(self.length_bytes())
     }
 
     /// Latency of the packet if delivered at `cycle`, in the same time unit
@@ -421,13 +426,31 @@ mod tests {
         assert_eq!(p.hops(), 0);
     }
 
+    /// Paper §3.1: packets of 1..=32 bytes occupy 1..=4 eight-byte slots.
+    /// A packet and the [`FrontMeta`](crate::FrontMeta) a buffer reports
+    /// for it give the same count; only the head descriptor can say zero
+    /// bytes, which still takes a slot.
     #[test]
     fn slot_counts_match_paper_examples() {
-        // Paper §3.1: packets of 1..=32 bytes occupy 1..=4 eight-byte slots.
-        assert_eq!(packet(1).slots_needed(8), 1);
-        assert_eq!(packet(8).slots_needed(8), 1);
-        assert_eq!(packet(9).slots_needed(8), 2);
-        assert_eq!(packet(32).slots_needed(8), 4);
+        let table = [
+            (0, 1),
+            (1, 1),
+            (8, 1),
+            (9, 2),
+            (32, 4),
+            (MAX_PACKET_BYTES, 4),
+            (Packet::MAX_LENGTH_BYTES, 8192),
+        ];
+        for (length, slots) in table {
+            let front = crate::FrontMeta {
+                dest: NodeId::new(0),
+                length_bytes: length as u32,
+            };
+            assert_eq!(front.slots_needed(), slots, "front of {length} B");
+            if length > 0 {
+                assert_eq!(packet(length).slots_needed(), slots, "{length} B");
+            }
+        }
     }
 
     #[test]

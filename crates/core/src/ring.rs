@@ -226,7 +226,7 @@ impl RingStore {
                 reason: RejectReason::NoSuchOutput,
             });
         }
-        let slots = packet.slots_needed(self.config.slot_size());
+        let slots = packet.slots_needed();
         let cap = self.part_cap;
         // One resolution of the register array per operation (it may be
         // inline or spilled), as `SoaSlots` does with its register file.
@@ -314,8 +314,7 @@ impl RingStore {
                     ));
                 };
                 audit_ensure!(
-                    usize::from(self.entry_slots[p])
-                        == packet.slots_needed(self.config.slot_size()),
+                    usize::from(self.entry_slots[p]) == packet.slots_needed(),
                     "queue-shape",
                     "queue {q}: entry slot count {} disagrees with its packet length",
                     self.entry_slots[p]

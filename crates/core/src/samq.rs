@@ -111,10 +111,6 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for StaticBuffer<FULLY_CONNECTED>
         self.ring.used_slots()
     }
 
-    fn slot_bytes(&self) -> usize {
-        self.ring.config().slot_size()
-    }
-
     fn read_ports(&self) -> usize {
         if FULLY_CONNECTED {
             self.fanout()

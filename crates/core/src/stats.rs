@@ -17,7 +17,6 @@ use std::fmt;
 /// s.record_accepted(2);
 /// s.record_rejected();
 /// assert_eq!(s.offered(), 2);
-/// assert!((s.reject_fraction() - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BufferStats {
@@ -102,15 +101,6 @@ impl BufferStats {
         self.packets_accepted + self.packets_rejected
     }
 
-    /// Fraction of offered packets that were rejected; 0 if none offered.
-    pub fn reject_fraction(&self) -> f64 {
-        if self.offered() == 0 {
-            0.0
-        } else {
-            self.packets_rejected as f64 / self.offered() as f64
-        }
-    }
-
     /// Zeroes all counters.
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -158,11 +148,6 @@ mod tests {
         assert_eq!(s.packets_rejected(), 1);
         assert_eq!(s.packets_forwarded(), 1);
         assert_eq!(s.offered(), 3);
-    }
-
-    #[test]
-    fn reject_fraction_handles_zero_offered() {
-        assert_eq!(BufferStats::new().reject_fraction(), 0.0);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn ten_thousand_packets_round_trip_through_every_accessor() {
         assert_eq!(p.source(), NodeId::new(i.source), "{i:?}");
         assert_eq!(p.dest(), NodeId::new(i.dest), "{i:?}");
         assert_eq!(p.length_bytes(), i.length, "{i:?}");
-        assert_eq!(p.slots_needed(8), i.length.div_ceil(8), "{i:?}");
+        assert_eq!(p.slots_needed(), i.length.div_ceil(8), "{i:?}");
         assert_eq!(p.birth_cycle(), i.birth, "{i:?}");
         assert_eq!(p.latency_at(u64::MAX), Some(u64::MAX - i.birth), "{i:?}");
         assert_eq!(

@@ -9,7 +9,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use damq_core::{BufferConfig, BufferKind, NodeId, OutputPort, Packet, PacketId, SwitchBuffer};
+use damq_core::{
+    BufferConfig, BufferKind, NodeId, OutputPort, Packet, PacketId, SwitchBuffer, SLOT_BYTES,
+};
 
 const CASES: u64 = 64;
 
@@ -113,7 +115,7 @@ fn can_accept_is_accurate() {
                     Op::Enqueue { output, length } => {
                         let p = packet(serial, length);
                         serial += 1;
-                        let slots = p.slots_needed(buf.slot_bytes());
+                        let slots = p.slots_needed();
                         let promised = buf.can_accept(OutputPort::new(output), slots);
                         let accepted = buf.try_enqueue(OutputPort::new(output), p).is_ok();
                         assert_eq!(promised, accepted, "{kind} lied, seed {seed}");
@@ -185,7 +187,7 @@ fn damq_shares_all_storage() {
             .unwrap();
         for (serial, (output, length)) in fills.into_iter().enumerate() {
             let p = packet(serial as u64, length);
-            let need = p.slots_needed(buf.slot_bytes());
+            let need = p.slots_needed();
             let fits = need <= buf.free_slots();
             let accepted = buf.try_enqueue(OutputPort::new(output), p).is_ok();
             assert_eq!(fits, accepted, "seed {seed}");
@@ -233,10 +235,10 @@ fn peak_used_slots_is_the_high_water_mark() {
 fn forwarded_counts_multislot_packets_once() {
     for kind in BufferKind::EXTENDED {
         let mut buf = BufferConfig::new(4, 16).build_any(kind).unwrap();
-        // Packets spanning 1, 2 and 3 slots (slot size is DEFAULT_SLOT_BYTES
-        // bytes), one per queue so the static partitions (4 slots each)
-        // also fit, and so FIFO's global dequeue order matches.
-        let slot = buf.slot_bytes();
+        // Packets spanning 1, 2 and 3 slots, one per queue so the static
+        // partitions (4 slots each) also fit, and so FIFO's global dequeue
+        // order matches.
+        let slot = SLOT_BYTES;
         let lengths = [1, slot + 1, 2 * slot + 1, 1];
         for (queue, &len) in lengths.iter().enumerate() {
             buf.try_enqueue(OutputPort::new(queue), packet(queue as u64, len))
@@ -284,14 +286,14 @@ fn static_designs_respect_partitions() {
                     Op::Enqueue { output, length } => {
                         let p = packet(serial, length);
                         serial += 1;
-                        let need = p.slots_needed(buf.slot_bytes());
+                        let need = p.slots_needed();
                         if buf.try_enqueue(OutputPort::new(output), p).is_ok() {
                             per_queue_slots[output] += need;
                         }
                     }
                     Op::Dequeue { output } => {
                         if let Some(p) = buf.dequeue(OutputPort::new(output)) {
-                            per_queue_slots[output] -= p.slots_needed(buf.slot_bytes());
+                            per_queue_slots[output] -= p.slots_needed();
                         }
                     }
                 }

@@ -73,10 +73,6 @@ impl SwitchBuffer for AosFifoBuffer {
         self.used_slots
     }
 
-    fn slot_bytes(&self) -> usize {
-        self.config.slot_size()
-    }
-
     fn read_ports(&self) -> usize {
         1
     }
@@ -87,7 +83,7 @@ impl SwitchBuffer for AosFifoBuffer {
     }
 
     fn try_enqueue(&mut self, output: OutputPort, packet: Packet) -> Result<(), Rejected> {
-        let slots = packet.slots_needed(self.slot_bytes());
+        let slots = packet.slots_needed();
         if output.index() >= self.fanout() {
             return Err(Rejected {
                 packet,
@@ -309,7 +305,7 @@ impl AosStaticMultiQueue {
                 reason: RejectReason::NoSuchOutput,
             });
         }
-        let slots = packet.slots_needed(self.config.slot_size());
+        let slots = packet.slots_needed();
         if slots > self.per_queue_capacity {
             self.stats.record_rejected();
             return Err(Rejected {
@@ -410,10 +406,6 @@ macro_rules! impl_aos_static_buffer {
 
             fn used_slots(&self) -> usize {
                 self.inner.used_slots()
-            }
-
-            fn slot_bytes(&self) -> usize {
-                self.inner.config.slot_size()
             }
 
             fn read_ports(&self) -> usize {
@@ -562,10 +554,6 @@ impl SwitchBuffer for AosDamqBuffer {
         self.pool.used_count()
     }
 
-    fn slot_bytes(&self) -> usize {
-        self.config.slot_size()
-    }
-
     fn read_ports(&self) -> usize {
         1
     }
@@ -582,7 +570,7 @@ impl SwitchBuffer for AosDamqBuffer {
                 reason: RejectReason::NoSuchOutput,
             });
         }
-        let slots = packet.slots_needed(self.slot_bytes());
+        let slots = packet.slots_needed();
         if slots > self.capacity_slots() {
             self.stats.record_rejected();
             return Err(Rejected {
@@ -710,10 +698,6 @@ impl SwitchBuffer for AosDafcBuffer {
 
     fn used_slots(&self) -> usize {
         self.inner.used_slots()
-    }
-
-    fn slot_bytes(&self) -> usize {
-        self.inner.slot_bytes()
     }
 
     fn read_ports(&self) -> usize {

@@ -256,7 +256,7 @@ fn diff_designs<S: SwitchBuffer, A: SwitchBuffer>(mut soa: S, mut aos: A, seed: 
                 let p = packet(serial, length);
                 serial += 1;
                 let out = OutputPort::new(output);
-                let slots = p.slots_needed(soa.slot_bytes());
+                let slots = p.slots_needed();
                 assert_eq!(
                     soa.can_accept(out, slots),
                     aos.can_accept(out, slots),

@@ -50,28 +50,6 @@ impl ChipConfig {
         }
     }
 
-    /// A custom port count (≥ 2) for reduced test chips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ports < 2`.
-    pub fn with_ports(mut self, ports: usize) -> Self {
-        assert!(ports >= 2, "chip needs at least two ports");
-        self.ports = ports;
-        self
-    }
-
-    /// A custom buffer size in slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "buffers need slots");
-        self.slots_per_buffer = slots;
-        self
-    }
-
     /// Number of ports.
     pub fn ports(&self) -> usize {
         self.ports

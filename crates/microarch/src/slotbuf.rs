@@ -19,12 +19,12 @@
 use std::fmt;
 
 use damq_core::AuditError;
+/// Bytes per slot: the chip's choice (see the slot-size trade-off
+/// discussion in §3.2.3), owned by `damq-core` and shared with every
+/// simulated buffer.
+pub use damq_core::SLOT_BYTES;
 
 use crate::error::MicroarchError;
-
-/// Bytes per slot (the chip's choice; see the slot-size trade-off
-/// discussion in §3.2.3).
-pub const SLOT_BYTES: usize = 8;
 
 /// Slot count of the ComCoBB buffer ("we currently can support 96 static
 /// cells on a single bus line (12 slots)").

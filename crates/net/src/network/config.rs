@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use damq_core::{BufferKind, ConfigError, Packet, DEFAULT_SLOT_BYTES};
+use damq_core::{BufferKind, ConfigError, Packet, SLOT_BYTES};
 use damq_switch::{ArbiterPolicy, FlowControl};
 
 use crate::topology::{TopologyError, TopologyKind};
@@ -70,7 +70,7 @@ impl PacketLengths {
         };
         (1..=max).contains(&min)
             && max <= Packet::MAX_LENGTH_BYTES
-            && max.div_ceil(DEFAULT_SLOT_BYTES) <= slots_per_buffer
+            && max.div_ceil(SLOT_BYTES) <= slots_per_buffer
     }
 }
 
@@ -279,7 +279,7 @@ impl NetworkConfig {
             flow_control: FlowControl::Blocking,
             pattern: TrafficPattern::Uniform,
             offered_load: 0.5,
-            packet_lengths: PacketLengths::Fixed(DEFAULT_SLOT_BYTES),
+            packet_lengths: PacketLengths::Fixed(SLOT_BYTES),
             arrivals: ArrivalProcess::Bernoulli,
             recovery: RecoveryConfig::disabled(),
             seed: 0xDA3B,

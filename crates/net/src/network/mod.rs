@@ -49,8 +49,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use damq_core::{
-    AnyBuffer, BuildBuffer, FaultLedger, FaultPlan, InputPort, NodeId, Packet, PacketId,
-    PacketIdSource, SwitchBuffer, DEFAULT_SLOT_BYTES,
+    AnyBuffer, BuildBuffer, FaultLedger, FaultPlan, FrontMeta, InputPort, NodeId, Packet, PacketId,
+    PacketIdSource, SwitchBuffer,
 };
 use damq_switch::{Switch, SwitchConfig};
 use damq_telemetry::{Event, EventKind, MetricsRegistry, NullSink, TelemetrySink};
@@ -229,8 +229,7 @@ impl<B: BuildBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         let switch_config = SwitchConfig::new(config.radix)
             .buffer_kind(config.buffer_kind)
             .slots_per_buffer(config.slots_per_buffer)
-            .arbiter_policy(config.arbiter_policy)
-            .flow_control(config.flow_control);
+            .arbiter_policy(config.arbiter_policy);
         let per_stage = topology.switches_per_stage();
         let stages = topology.stages();
         let mut switches = Vec::with_capacity(stages);
@@ -660,9 +659,11 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             let (sw, port) = self.plan.entry(NodeId::new(src));
             let out = self.plan.route_output(0, front.dest);
             let wire_down = self.fabric.wire_down(cycle, 0, sw, port.index());
-            let slots = usize::from(front.length_bytes)
-                .div_ceil(DEFAULT_SLOT_BYTES)
-                .max(1);
+            let slots = FrontMeta {
+                dest: front.dest,
+                length_bytes: front.length_bytes.into(),
+            }
+            .slots_needed();
             if blocking && (wire_down || !self.fabric.switches[0][sw].can_accept(port, out, slots))
             {
                 // Hold the packet at the source until the link recovers

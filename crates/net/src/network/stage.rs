@@ -16,9 +16,7 @@
 //! (see "Why the cycle is two passes per stage" in
 //! `docs/ARCHITECTURE.md`).
 
-use damq_core::{
-    FrontMeta, InputPort, OutputPort, Packet, RejectReason, SwitchBuffer, DEFAULT_SLOT_BYTES,
-};
+use damq_core::{FrontMeta, InputPort, OutputPort, Packet, RejectReason, SwitchBuffer};
 use damq_switch::{CycleSink, Switch};
 use damq_telemetry::{Event, TelemetrySink};
 
@@ -86,7 +84,7 @@ impl<B: SwitchBuffer> Fabric<B> {
             && self.switches[stage][route.next_switch].can_accept(
                 route.next_port,
                 route.next_output,
-                packet.slots_needed(DEFAULT_SLOT_BYTES),
+                packet.slots_needed(),
             )
     }
 
@@ -288,7 +286,7 @@ impl<B: SwitchBuffer> CycleSink for StageSink<'_, '_, B> {
             .plan
             .departure_route_uncounted(ctx.stage, self.sw, output, front.dest);
         self.parked[output.index()] = Some(route);
-        let slots = front.slots_needed(DEFAULT_SLOT_BYTES);
+        let slots = front.slots_needed();
         if ctx.admits(ctx.link(route), route, slots) {
             return true;
         }

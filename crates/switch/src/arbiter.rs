@@ -98,11 +98,6 @@ impl Arbiter {
         InputPort::new(self.priority)
     }
 
-    /// The order in which buffers are examined this cycle.
-    pub fn examination_order(&self) -> impl Iterator<Item = InputPort> + '_ {
-        (0..self.ports).map(move |i| InputPort::new((self.priority + i) % self.ports))
-    }
-
     /// The rank of queue `output` of buffer `input`, holding `queue_len`
     /// packets, among that buffer's not-blocked queues.
     ///

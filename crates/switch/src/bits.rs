@@ -64,17 +64,6 @@ impl BitWords {
         }
     }
 
-    /// Number of indices in the set.
-    pub(crate) fn count(&self) -> usize {
-        let rest: u32 = self.rest.iter().map(|w| w.count_ones()).sum();
-        (self.first.count_ones() + rest) as usize
-    }
-
-    /// Whether the set is empty.
-    pub(crate) fn is_clear(&self) -> bool {
-        self.first == 0 && self.rest.iter().all(|&w| w == 0)
-    }
-
     /// Whether the whole set lives inside its owner (no heap block).
     #[cfg(test)]
     pub(crate) fn is_inline(&self) -> bool {
@@ -93,27 +82,23 @@ mod tests {
         for bits in [16usize, 64, 256] {
             let mut set = BitWords::new(bits);
             assert_eq!(set.is_inline(), bits <= 64, "{bits}");
-            assert!(set.is_clear());
             let picks = [0, 1, bits / 2 - 1, bits / 2, bits - 1];
             for &i in &picks {
                 assert!(!set.get(i), "{bits}/{i}");
                 set.set(i);
                 assert!(set.get(i), "{bits}/{i}");
             }
-            assert_eq!(set.count(), picks.len(), "{bits}");
-            // Neighbours of a set bit stay clear.
-            assert!(!set.get(2));
-            assert!(!set.get(bits - 2));
+            // Exactly the picks are set: neighbours of a set bit stay clear.
+            assert!((0..bits).all(|i| set.get(i) == picks.contains(&i)));
             set.clear();
-            assert!(set.is_clear());
-            assert_eq!(set.count(), 0);
+            assert!((0..bits).all(|i| !set.get(i)), "{bits}");
         }
     }
 
     #[test]
     fn empty_universe_is_an_empty_set() {
         let set = BitWords::new(0);
-        assert!(set.is_clear());
-        assert_eq!(set.count(), 0);
+        assert!(set.is_inline());
+        assert!(!set.get(0));
     }
 }

@@ -1,12 +1,15 @@
 //! Switch configuration.
 
-use damq_core::{BufferConfig, BufferKind, DEFAULT_SLOT_BYTES};
+use damq_core::{BufferConfig, BufferKind};
 
 use crate::arbiter::ArbiterPolicy;
-use crate::flow::FlowControl;
 
-/// Complete description of an n×n switch: geometry, buffer design,
-/// arbitration and flow control.
+/// Complete description of an n×n switch: geometry, buffer design and
+/// arbitration.
+///
+/// Nothing else is settable. A slot is [`damq_core::SLOT_BYTES`], fixed
+/// hardware; flow control is the network's protocol, which the switch
+/// learns each cycle from [`CycleSink::can_send`](crate::CycleSink::can_send).
 ///
 /// Built incrementally ([C-BUILDER]) and consumed by
 /// [`Switch::new`](crate::Switch::new).
@@ -33,23 +36,18 @@ pub struct SwitchConfig {
     ports: usize,
     buffer_kind: BufferKind,
     slots_per_buffer: usize,
-    slot_bytes: usize,
     arbiter_policy: ArbiterPolicy,
-    flow_control: FlowControl,
 }
 
 impl SwitchConfig {
     /// Starts a configuration for a `ports`×`ports` switch with the paper's
-    /// defaults: DAMQ buffers of 4 slots × 8 bytes, smart arbitration,
-    /// blocking flow control.
+    /// defaults: DAMQ buffers of 4 slots, smart arbitration.
     pub fn new(ports: usize) -> Self {
         SwitchConfig {
             ports,
             buffer_kind: BufferKind::Damq,
             slots_per_buffer: 4,
-            slot_bytes: DEFAULT_SLOT_BYTES,
             arbiter_policy: ArbiterPolicy::Smart,
-            flow_control: FlowControl::Blocking,
         }
     }
 
@@ -65,21 +63,9 @@ impl SwitchConfig {
         self
     }
 
-    /// Sets the slot size in bytes.
-    pub fn slot_bytes(mut self, bytes: usize) -> Self {
-        self.slot_bytes = bytes;
-        self
-    }
-
     /// Selects the crossbar arbitration policy.
     pub fn arbiter_policy(mut self, policy: ArbiterPolicy) -> Self {
         self.arbiter_policy = policy;
-        self
-    }
-
-    /// Selects the flow-control discipline.
-    pub fn flow_control(mut self, flow: FlowControl) -> Self {
-        self.flow_control = flow;
         self
     }
 
@@ -98,24 +84,14 @@ impl SwitchConfig {
         self.slots_per_buffer
     }
 
-    /// Slot size in bytes.
-    pub fn slot_size(&self) -> usize {
-        self.slot_bytes
-    }
-
     /// The configured arbitration policy.
     pub fn policy(&self) -> ArbiterPolicy {
         self.arbiter_policy
     }
 
-    /// The configured flow control.
-    pub fn flow(&self) -> FlowControl {
-        self.flow_control
-    }
-
     /// The per-buffer configuration implied by this switch configuration.
     pub fn buffer_config(&self) -> BufferConfig {
-        BufferConfig::new(self.ports, self.slots_per_buffer).slot_bytes(self.slot_bytes)
+        BufferConfig::new(self.ports, self.slots_per_buffer)
     }
 }
 
@@ -130,7 +106,6 @@ mod tests {
         assert_eq!(c.kind(), BufferKind::Damq);
         assert_eq!(c.slots(), 4);
         assert_eq!(c.policy(), ArbiterPolicy::Smart);
-        assert_eq!(c.flow(), FlowControl::Blocking);
     }
 
     #[test]
@@ -138,14 +113,10 @@ mod tests {
         let c = SwitchConfig::new(2)
             .buffer_kind(BufferKind::Fifo)
             .slots_per_buffer(6)
-            .slot_bytes(16)
-            .arbiter_policy(ArbiterPolicy::Dumb)
-            .flow_control(FlowControl::Discarding);
+            .arbiter_policy(ArbiterPolicy::Dumb);
         assert_eq!(c.kind(), BufferKind::Fifo);
         assert_eq!(c.slots(), 6);
-        assert_eq!(c.slot_size(), 16);
         assert_eq!(c.policy(), ArbiterPolicy::Dumb);
-        assert_eq!(c.flow(), FlowControl::Discarding);
         assert_eq!(c.buffer_config().capacity(), 6);
     }
 }

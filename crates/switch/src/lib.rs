@@ -1,15 +1,17 @@
 //! n×n switch model built on the buffer designs of [`damq_core`].
 //!
 //! A [`Switch`] couples one input buffer per port (any of the four designs:
-//! FIFO, SAMQ, SAFC, DAMQ) with a [`Crossbar`] and a central [`Arbiter`]
-//! implementing the paper's *dumb* and *smart* round-robin policies. The
+//! FIFO, SAMQ, SAFC, DAMQ) with a crossbar — one bit per output, set when
+//! the output is granted — and a central [`Arbiter`] implementing the
+//! paper's *dumb* and *smart* round-robin policies. The
 //! host (a network simulator, or a test) drives the switch one cycle at a
 //! time: arriving packets go in through [`Switch::receive`], and
 //! [`Switch::transmit_cycle_with`] performs arbitration and hands the
 //! departing packets to the host's [`CycleSink`].
 //!
-//! Flow control ([`FlowControl`]) is a property of the *network* protocol:
-//! a blocking network only lets a switch transmit into downstream space,
+//! Flow control ([`FlowControl`]) is a property of the *network* protocol,
+//! not of the switch, and [`SwitchConfig`] holds no setting for it: a
+//! blocking network only lets a switch transmit into downstream space,
 //! which the host expresses through [`CycleSink::can_send`]; a discarding
 //! network always lets packets fly and drops those that find a full
 //! buffer.
@@ -55,13 +57,11 @@
 mod arbiter;
 mod bits;
 mod config;
-mod crossbar;
 mod flow;
 mod switch;
 
 pub use arbiter::{Arbiter, ArbiterPolicy, Rank};
 pub use config::SwitchConfig;
-pub use crossbar::Crossbar;
 pub use flow::FlowControl;
 pub use switch::{CycleSink, Switch};
 

@@ -6,8 +6,8 @@ use damq_core::{
 };
 
 use crate::arbiter::{Arbiter, Rank};
+use crate::bits::BitWords;
 use crate::config::SwitchConfig;
-use crate::crossbar::Crossbar;
 use crate::INLINE_PORTS;
 
 /// The caller's side of one arbitration cycle: flow control plus departure
@@ -102,10 +102,13 @@ mod collect;
 /// ```
 #[derive(Debug)]
 pub struct Switch<B: SwitchBuffer = AnyBuffer> {
-    config: SwitchConfig,
     buffers: Vec<B>,
     arbiter: Arbiter,
-    crossbar: Crossbar,
+    /// The crossbar: one bit per output, set when a buffer wins it this
+    /// cycle and cleared when the cycle ends. Within a cycle each output
+    /// carries at most one packet; an input may drive several outputs
+    /// (the fully-connected designs), so no per-input state is needed.
+    driven: BitWords,
     hol_blocked_last_cycle: u64,
     hol_blocked_total: u64,
     /// Packets resident across all buffers, maintained incrementally on
@@ -153,10 +156,9 @@ impl<B: BuildBuffer> Switch<B> {
             .map(|_| B::build_buffer(buffer_config, config.kind()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Switch {
-            config,
             buffers,
             arbiter: Arbiter::new(config.policy(), ports, ports),
-            crossbar: Crossbar::new(ports, ports),
+            driven: BitWords::new(ports),
             hol_blocked_last_cycle: 0,
             hol_blocked_total: 0,
             resident: 0,
@@ -168,12 +170,7 @@ impl<B: BuildBuffer> Switch<B> {
 impl<B: SwitchBuffer> Switch<B> {
     /// Number of input (and output) ports.
     pub fn ports(&self) -> usize {
-        self.config.ports()
-    }
-
-    /// The switch's configuration.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.config
+        self.buffers.len()
     }
 
     /// Read access to the buffer at `input`.
@@ -291,7 +288,7 @@ impl<B: SwitchBuffer> Switch<B> {
                 let mut best: Option<(Rank, OutputPort)> = None;
                 for (o, &queue_len) in lens.iter().enumerate() {
                     let o = OutputPort::new(o);
-                    if queue_len == 0 || !self.crossbar.is_free(o) {
+                    if queue_len == 0 || self.driven.get(o.index()) {
                         continue;
                     }
                     if asks {
@@ -308,8 +305,7 @@ impl<B: SwitchBuffer> Switch<B> {
                 let Some((_, output)) = best else {
                     break;
                 };
-                let connected = self.crossbar.try_connect(input, output);
-                debug_assert!(connected, "winner filtered on free outputs");
+                self.driven.set(output.index());
                 let mut packet = buffer.dequeue(output).expect("winning queue was nonempty");
                 packet.record_hop();
                 self.arbiter.grant(input);
@@ -332,7 +328,7 @@ impl<B: SwitchBuffer> Switch<B> {
         }
 
         self.arbiter.complete_cycle();
-        self.crossbar.release_all();
+        self.driven.clear();
         self.hol_blocked_last_cycle = hol_blocked;
         self.hol_blocked_total += hol_blocked;
     }
@@ -348,18 +344,17 @@ impl<B: SwitchBuffer> Switch<B> {
     ///
     /// Byte-identical to running
     /// [`transmit_cycle_with`](Switch::transmit_cycle_with) on an empty
-    /// switch: the crossbar counts an idle cycle, the arbiter takes its
-    /// idle step (dumb rotates; smart holds priority, and its
-    /// stale counts are provably already zero — the cycle that emptied the
-    /// switch observed every queue unoccupied), HOL accounting reads zero,
-    /// and no buffer statistic moves (an empty FIFO records nothing).
+    /// switch: no output is driven, so the crossbar bits stay clear; the
+    /// arbiter takes its idle step (dumb rotates; smart holds priority, and
+    /// its stale counts are provably already zero — the cycle that emptied
+    /// the switch observed every queue unoccupied), HOL accounting reads
+    /// zero, and no buffer statistic moves (an empty FIFO records nothing).
     ///
     /// # Panics
     ///
     /// Debug-asserts that the switch [`is_quiescent`](Switch::is_quiescent).
     pub fn note_idle_cycle(&mut self) {
         debug_assert!(self.is_quiescent(), "idle-skip on a non-quiescent switch");
-        self.crossbar.tick_idle_cycle();
         self.arbiter.complete_idle_cycle();
         self.hol_blocked_last_cycle = 0;
     }
@@ -443,11 +438,6 @@ impl<B: SwitchBuffer> Switch<B> {
         }
     }
 
-    /// Mean crossbar utilisation since construction.
-    pub fn crossbar_utilization(&self) -> f64 {
-        self.crossbar.utilization()
-    }
-
     /// Verifies every buffer's structural invariants without panicking.
     ///
     /// # Errors
@@ -494,18 +484,18 @@ mod tests {
         .unwrap()
     }
 
-    /// Budget: 512 bytes, eight cache lines, for everything of a switch
-    /// that is not its buffers. Today 264: the arbiter with its inline
-    /// 4x4 stale matrix and its served word (104), the crossbar with its
-    /// driven word (56), the configuration (32), the `Vec` of buffers
-    /// (24), three counters and the one inline row of queue lengths. With
-    /// four 256-byte buffers and their 160-byte arenas a radix-4 DAMQ
-    /// switch is 1.9 KB in five heap blocks; a field that doubles this
-    /// part fails here first.
+    /// Budget: 256 bytes, four cache lines, for everything of a switch
+    /// that is not its buffers. Today 200: the arbiter with its inline
+    /// 4x4 stale matrix and its served word (104), the crossbar's driven
+    /// bits (24), the `Vec` of buffers (24), three counters and the one
+    /// inline row of queue lengths. No configuration is kept: it is
+    /// consumed at construction. With four 248-byte buffers and their
+    /// 160-byte arenas a radix-4 DAMQ switch is 1.8 KB in five heap
+    /// blocks; a field that grows this part by a third fails here first.
     #[test]
-    fn layout_switch_fits_eight_cache_lines() {
+    fn layout_switch_fits_four_cache_lines() {
         assert!(
-            std::mem::size_of::<Switch>() <= 512,
+            std::mem::size_of::<Switch>() <= 256,
             "Switch<AnyBuffer> grew to {} bytes",
             std::mem::size_of::<Switch>()
         );
@@ -780,18 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn crossbar_utilization_accumulates() {
-        let mut sw = switch(BufferKind::Damq);
-        for i in 0..4 {
-            sw.receive(InputPort::new(i), OutputPort::new((i + 1) % 4), pkt(i))
-                .unwrap();
-        }
-        let _ = transmit(&mut sw, |_, _| true); // 4/4 outputs used
-        let _ = transmit(&mut sw, |_, _| true); // 0/4 outputs used
-        assert!((sw.crossbar_utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn quiescence_tracks_residency() {
         let mut sw = switch(BufferKind::Damq);
         assert!(sw.is_quiescent());
@@ -823,7 +801,7 @@ mod tests {
                     .arbiter_policy(policy);
                 let mut full = Switch::new(cfg).unwrap();
                 let mut fast = Switch::new(cfg).unwrap();
-                // Shared non-trivial history so arbiter/crossbar state is
+                // Shared non-trivial history so arbiter state is
                 // mid-stream, then drain to quiescence.
                 for sw in [&mut full, &mut fast] {
                     sw.receive(InputPort::new(0), OutputPort::new(1), pkt(0))
@@ -857,14 +835,13 @@ mod tests {
     }
 
     /// Every externally observable piece of switch state.
-    fn sw_state(sw: &Switch) -> (InputPort, u64, u64, usize, String, u64) {
+    fn sw_state(sw: &Switch) -> (InputPort, u64, u64, usize, String) {
         (
             sw.arbiter().priority_port(),
             sw.hol_blocked_last_cycle(),
             sw.hol_blocked_total(),
             sw.packets_resident(),
             format!("{:?}", sw.aggregate_stats()),
-            sw.crossbar_utilization().to_bits(),
         )
     }
 

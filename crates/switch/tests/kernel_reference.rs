@@ -15,8 +15,8 @@
 //! cycle by cycle, on the departures and their order, on the exact
 //! sequence of `can_send(output, FrontMeta)` questions put to a refusing
 //! sink (in the network each one is a route query), on the arbiter's
-//! priority pointer and every stale count, on the crossbar-utilisation
-//! bits, on the aggregated `BufferStats` and on both head-of-line counts.
+//! priority pointer and every stale count, on the aggregated
+//! `BufferStats` and on both head-of-line counts.
 //! Whenever the switch drains, the real one takes `note_idle_cycle` while
 //! the reference arbitrates empty, so the idle fast path is held to the
 //! same standard.
@@ -52,8 +52,6 @@ struct Reference {
     buffers: Vec<AnyBuffer>,
     priority: usize,
     stale: Vec<u32>,
-    connections_made: u64,
-    cycles: u64,
     hol_last: u64,
     hol_total: u64,
     mutation: Option<Mutation>,
@@ -75,8 +73,6 @@ impl Reference {
                 .collect(),
             priority: 0,
             stale: vec![0; ports * ports],
-            connections_made: 0,
-            cycles: 0,
             hol_last: 0,
             hol_total: 0,
             mutation,
@@ -141,7 +137,6 @@ impl Reference {
                     break;
                 };
                 free[o] = false;
-                self.connections_made += 1;
                 let mut packet = self.buffers[i]
                     .dequeue(OutputPort::new(o))
                     .expect("candidate queue was nonempty");
@@ -179,18 +174,9 @@ impl Reference {
                 }
             }
         }
-        self.cycles += 1;
         self.hol_last = self.buffers.iter_mut().map(|b| b.note_hol_blocked()).sum();
         self.hol_total += self.hol_last;
         departures
-    }
-
-    fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.connections_made as f64 / (self.cycles as f64 * self.ports as f64)
-        }
     }
 
     fn aggregate_stats(&self) -> BufferStats {
@@ -371,10 +357,6 @@ fn differential(case: Case, mutation: Option<Mutation>) -> Result<(), String> {
                 format!("{stale:?}"),
                 format!("{:?}", model.stale),
             );
-        }
-        let (util, model_util) = (real.crossbar_utilization(), model.utilization());
-        if util.to_bits() != model_util.to_bits() {
-            return differ("utilisation", util.to_string(), model_util.to_string());
         }
         let (stats, model_stats) = (real.aggregate_stats(), model.aggregate_stats());
         if stats != model_stats {

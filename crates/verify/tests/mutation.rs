@@ -46,9 +46,6 @@ impl SwitchBuffer for Mutant {
     fn used_slots(&self) -> usize {
         self.inner.used_slots()
     }
-    fn slot_bytes(&self) -> usize {
-        self.inner.slot_bytes()
-    }
     fn read_ports(&self) -> usize {
         self.inner.read_ports()
     }

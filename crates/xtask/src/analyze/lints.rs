@@ -629,7 +629,7 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 69] = [
+const KERNEL_FNS: [&str; 67] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
@@ -643,12 +643,10 @@ const KERNEL_FNS: [&str; 69] = [
     "transmit_cycle_with",
     "front_meta",
     "rank",
-    "try_connect",
     "grant",
     "settle_input",
     "note_hol_blocked",
     "complete_cycle",
-    "release_all",
     "receive",
     // net: the cycle loop, step by step …
     "step",

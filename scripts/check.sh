@@ -91,8 +91,8 @@ obs_smoke() {
 # (spilled) switches still reproduce the committed departure
 # fingerprints; (6) the
 # occupancy-aware arbitration kernel agrees with the reference walk it
-# replaced (departures, `can_send` sequence, arbiter, crossbar, buffer
-# and HOL state; two seeded mutations must fail), and radix-8 and
+# replaced (departures, `can_send` sequence, arbiter, buffer and HOL
+# state; two seeded mutations must fail), and radix-8 and
 # radix-16 networks run both protocols to conservation; (7) the source
 # queue's delta-coded stream agrees with the `VecDeque` it replaced
 # (three seeded mutations must fail), a saturated backlog stays inside
