@@ -11,7 +11,7 @@
 //! for the record (that path pays for real histogram updates and the
 //! occupancy scan, and is *expected* to cost something).
 
-use damq_bench::timing::bench;
+use damq_bench::timing::{bench, bench_pair};
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim};
 use damq_switch::FlowControl;
@@ -29,19 +29,26 @@ fn config() -> NetworkConfig {
 fn main() {
     println!("no-op metrics-registry overhead (16x4 Omega, DAMQ, load 0.5; one cycle per op)");
 
+    // The two gated cycles are timed batch for batch in turn, so host
+    // load falls on both alike.
     let mut plain_sim = NetworkSim::new(config()).expect("valid config");
-    let plain = bench("network_cycle/registry disabled (default)", || {
-        plain_sim.step();
-        plain_sim.cycle()
-    });
-
     let mut disabled_sink = MemorySink::new();
     disabled_sink.set_enabled(false);
     let mut baseline_sim = NetworkSim::with_sink(config(), disabled_sink).expect("valid config");
-    let baseline = bench("network_cycle/disabled MemorySink baseline", || {
-        baseline_sim.step();
-        baseline_sim.cycle()
-    });
+    let (plain, baseline) = bench_pair(
+        [
+            "network_cycle/registry disabled (default)",
+            "network_cycle/disabled MemorySink baseline",
+        ],
+        || {
+            plain_sim.step();
+            plain_sim.cycle()
+        },
+        || {
+            baseline_sim.step();
+            baseline_sim.cycle()
+        },
+    );
 
     let mut metered_sim = NetworkSim::new(config())
         .expect("valid config")

@@ -9,7 +9,7 @@
 //! runtime-gated alternative), which would mean the instrumentation
 //! stopped compiling away.
 
-use damq_bench::timing::bench;
+use damq_bench::timing::{bench, bench_pair};
 use damq_core::BufferKind;
 use damq_net::{NetworkConfig, NetworkSim};
 use damq_switch::FlowControl;
@@ -27,19 +27,26 @@ fn config() -> NetworkConfig {
 fn main() {
     println!("no-op sink overhead (16x4 Omega, DAMQ, load 0.5; one cycle per op)");
 
+    // The two gated cycles are timed batch for batch in turn, so host
+    // load falls on both alike.
     let mut null_sim = NetworkSim::new(config()).expect("valid config");
-    let null = bench("network_cycle/NullSink (default)", || {
-        null_sim.step();
-        null_sim.cycle()
-    });
-
     let mut disabled_sink = MemorySink::new();
     disabled_sink.set_enabled(false);
     let mut disabled_sim = NetworkSim::with_sink(config(), disabled_sink).expect("valid config");
-    let disabled = bench("network_cycle/MemorySink disabled", || {
-        disabled_sim.step();
-        disabled_sim.cycle()
-    });
+    let (null, disabled) = bench_pair(
+        [
+            "network_cycle/NullSink (default)",
+            "network_cycle/MemorySink disabled",
+        ],
+        || {
+            null_sim.step();
+            null_sim.cycle()
+        },
+        || {
+            disabled_sim.step();
+            disabled_sim.cycle()
+        },
+    );
 
     let mut traced_sim = NetworkSim::with_sink(config(), MemorySink::new()).expect("valid config");
     let traced = bench("network_cycle/MemorySink enabled", || {

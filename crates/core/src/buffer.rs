@@ -12,7 +12,6 @@ use crate::audit::AuditError;
 use crate::error::{ConfigError, Rejected};
 use crate::ids::NodeId;
 use crate::packet::{slots_for, Packet};
-use crate::stats::BufferStats;
 use crate::OutputPort;
 
 /// Ring index `p` reduced into `0..cap`, for `p < 2 * cap` (one step or one
@@ -142,7 +141,8 @@ impl BufferConfig {
     /// Largest valid [`capacity`](BufferConfig::capacity): every design
     /// addresses slots, ring positions and queue lengths through `u16`
     /// registers and reserves `u16::MAX` as the nil pointer (the switch
-    /// kernel's `u16` length rows rely on the same bound).
+    /// kernel's `u16` length rows rely on the same bound), and the same
+    /// bound caps the fanout, whose output indices are `u16` registers.
     pub const MAX_CAPACITY: usize = u16::MAX as usize - 1;
 
     /// Creates a configuration with `fanout` output queues and
@@ -168,8 +168,8 @@ impl BufferConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any dimension is zero, if `capacity`
-    /// exceeds [`MAX_CAPACITY`](BufferConfig::MAX_CAPACITY), or if `kind`
+    /// Returns [`ConfigError`] if any dimension is zero, if `capacity` or
+    /// `fanout` exceeds [`MAX_CAPACITY`](BufferConfig::MAX_CAPACITY), or if `kind`
     /// is statically allocated and `capacity` is not divisible by `fanout`.
     pub fn validate(&self, kind: BufferKind) -> Result<(), ConfigError> {
         if self.capacity_slots == 0 {
@@ -183,6 +183,12 @@ impl BufferConfig {
         }
         if self.fanout == 0 {
             return Err(ConfigError::ZeroFanout);
+        }
+        if self.fanout > Self::MAX_CAPACITY {
+            return Err(ConfigError::FanoutTooLarge {
+                fanout: self.fanout,
+                max: Self::MAX_CAPACITY,
+            });
         }
         if kind.is_statically_allocated() && !self.capacity_slots.is_multiple_of(self.fanout) {
             return Err(ConfigError::CapacityNotDivisible {
@@ -321,12 +327,6 @@ pub trait SwitchBuffer: fmt::Debug {
     /// Total packets resident in the buffer.
     fn packet_count(&self) -> usize;
 
-    /// Operation counters.
-    fn stats(&self) -> &BufferStats;
-
-    /// Zeroes the operation counters (occupancy is untouched).
-    fn reset_stats(&mut self);
-
     /// Free slots available to *some* queue (not necessarily to every queue —
     /// static designs partition them). Dead slots are not free.
     fn free_slots(&self) -> usize {
@@ -367,15 +367,15 @@ pub trait SwitchBuffer: fmt::Debug {
             .collect()
     }
 
-    /// Records one cycle's head-of-line blocking into
-    /// [`stats`](SwitchBuffer::stats) and returns the number of blocked
-    /// packets: residents that cannot even be considered for transmission
-    /// because a packet bound for a *different* output sits ahead of them.
+    /// The number of head-of-line blocked packets right now: residents
+    /// that cannot even be considered for transmission because a packet
+    /// bound for a *different* output sits ahead of them.
     ///
+    /// A buffer keeps no counters; the switch adds this to its own
+    /// [`BufferStats`](crate::BufferStats) once per simulated cycle.
     /// Per-output designs (SAMQ, SAFC, DAMQ, DAFC) never structurally
-    /// block and keep the default, which records and returns zero; the
-    /// FIFO baseline overrides it. Call once per simulated cycle.
-    fn note_hol_blocked(&mut self) -> u64 {
+    /// block and keep the default, zero; the FIFO baseline overrides it.
+    fn note_hol_blocked(&self) -> u64 {
         0
     }
 
@@ -434,6 +434,25 @@ mod tests {
             BufferConfig::new(0, 4).validate(BufferKind::Fifo),
             Err(ConfigError::ZeroFanout)
         );
+    }
+
+    /// Output indices live in `u16` registers (FIFO's output column, the
+    /// ring store's fanout), so a fanout past them is refused, not
+    /// truncated.
+    #[test]
+    fn config_validation_rejects_a_fanout_past_the_registers() {
+        let max = BufferConfig::MAX_CAPACITY;
+        for kind in BufferKind::EXTENDED {
+            assert!(BufferConfig::new(max, max).validate(kind).is_ok(), "{kind}");
+            assert_eq!(
+                BufferConfig::new(max + 1, 4).validate(kind),
+                Err(ConfigError::FanoutTooLarge {
+                    fanout: max + 1,
+                    max
+                }),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -30,17 +30,17 @@ use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::soa::SoaSlots;
-use crate::stats::BufferStats;
 use crate::OutputPort;
 
 /// Dynamically-allocated multi-queue input buffer with one read port per
 /// output when `FULLY_CONNECTED`, else one shared read port. Named through
 /// its two instances, [`DamqBuffer`] and [`DafcBuffer`].
+///
+/// The buffer is its slot pool and nothing beside it: the fanout is the
+/// pool's queue count and the capacity its slot count.
 #[derive(Debug)]
 pub struct DynamicBuffer<const FULLY_CONNECTED: bool> {
-    config: BufferConfig,
     pool: SoaSlots,
-    stats: BufferStats,
 }
 
 /// Dynamically-allocated multi-queue input buffer.
@@ -104,9 +104,7 @@ impl<const FULLY_CONNECTED: bool> DynamicBuffer<FULLY_CONNECTED> {
     pub fn new(config: BufferConfig) -> Result<Self, ConfigError> {
         config.validate(Self::KIND)?;
         Ok(DynamicBuffer {
-            config,
             pool: SoaSlots::new(config.capacity(), config.fanout_count()),
-            stats: BufferStats::new(),
         })
     }
 
@@ -132,11 +130,11 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
     }
 
     fn fanout(&self) -> usize {
-        self.config.fanout_count()
+        self.pool.list_count()
     }
 
     fn capacity_slots(&self) -> usize {
-        self.config.capacity()
+        self.pool.capacity()
     }
 
     fn used_slots(&self) -> usize {
@@ -172,38 +170,28 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
             });
         }
         let slots = packet.slots_needed();
-        if slots > self.capacity_slots() {
-            self.stats.record_rejected();
-            return Err(Rejected {
-                packet,
-                output,
-                reason: RejectReason::PacketTooLarge,
-            });
-        }
-        if slots > self.pool.effective_capacity() {
+        let refused = if slots > self.capacity_slots() {
+            Some(RejectReason::PacketTooLarge)
+        } else if slots > self.pool.effective_capacity() {
             // Fits a healthy pool but not what the faults have left of it.
-            self.stats.record_rejected();
+            Some(RejectReason::Faulted)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
             return Err(Rejected {
                 packet,
                 output,
-                reason: RejectReason::Faulted,
+                reason,
             });
         }
-        match self.pool.enqueue(output.index(), packet, slots) {
-            Ok(()) => {
-                self.stats.record_accepted(slots);
-                self.stats.observe_used_slots(self.pool.used_count());
-                Ok(())
-            }
-            Err(packet) => {
-                self.stats.record_rejected();
-                Err(Rejected {
-                    packet,
-                    output,
-                    reason: RejectReason::BufferFull,
-                })
-            }
-        }
+        self.pool
+            .enqueue(output.index(), packet, slots)
+            .map_err(|packet| Rejected {
+                packet,
+                output,
+                reason: RejectReason::BufferFull,
+            })
     }
 
     fn queue_len(&self, output: OutputPort) -> usize {
@@ -238,9 +226,7 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
         if output.index() >= self.fanout() {
             return None;
         }
-        let packet = self.pool.dequeue(output.index())?;
-        self.stats.record_forwarded();
-        Some(packet)
+        self.pool.dequeue(output.index())
     }
 
     fn packet_count(&self) -> usize {
@@ -252,14 +238,6 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
         // asks every buffer every cycle): a packet occupies at least one
         // slot.
         self.pool.used_count() == 0
-    }
-
-    fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {
@@ -398,16 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_all_outcomes() {
+    fn every_outcome_shows_in_the_registers() {
         let mut b = buf(2);
         b.try_enqueue(OutputPort::new(0), pkt(8, 0)).unwrap();
         b.try_enqueue(OutputPort::new(1), pkt(8, 1)).unwrap();
-        let _ = b.try_enqueue(OutputPort::new(2), pkt(8, 2));
+        assert_eq!(b.used_slots(), 2);
+        let err = b.try_enqueue(OutputPort::new(2), pkt(8, 2)).unwrap_err();
+        assert_eq!(err.reason, RejectReason::BufferFull);
+        assert_eq!(b.packet_count(), 2);
         b.dequeue(OutputPort::new(0)).unwrap();
-        assert_eq!(b.stats().packets_accepted(), 2);
-        assert_eq!(b.stats().packets_rejected(), 1);
-        assert_eq!(b.stats().packets_forwarded(), 1);
-        assert_eq!(b.stats().peak_used_slots(), 2);
+        assert_eq!(b.queue_len(OutputPort::new(0)), 0);
+        assert_eq!(b.queue_len(OutputPort::new(1)), 1);
+        assert_eq!(b.queue_len(OutputPort::new(2)), 0);
+        assert_eq!(b.used_slots(), 1);
     }
 
     #[test]

@@ -33,6 +33,14 @@ pub enum ConfigError {
         /// Largest capacity the registers can address.
         max: usize,
     },
+    /// Output-port indices are 16-bit registers too (FIFO's per-entry
+    /// output column, the ring store's fanout), which caps the fanout.
+    FanoutTooLarge {
+        /// Output ports requested.
+        fanout: usize,
+        /// Largest fanout the registers can address.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -47,6 +55,10 @@ impl fmt::Display for ConfigError {
             ConfigError::CapacityTooLarge { capacity, max } => write!(
                 f,
                 "buffer capacity {capacity} exceeds the {max} slots its 16-bit registers address"
+            ),
+            ConfigError::FanoutTooLarge { fanout, max } => write!(
+                f,
+                "buffer fanout {fanout} exceeds the {max} outputs its 16-bit registers address"
             ),
         }
     }

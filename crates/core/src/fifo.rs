@@ -21,7 +21,6 @@ use crate::buffer::{ring_wrap, BufferConfig, BufferKind, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::ring::RingStore;
-use crate::stats::BufferStats;
 use crate::OutputPort;
 
 /// Single-queue first-in first-out input buffer.
@@ -89,11 +88,11 @@ impl SwitchBuffer for FifoBuffer {
     }
 
     fn fanout(&self) -> usize {
-        self.ring.config().fanout_count()
+        self.ring.fanout()
     }
 
     fn capacity_slots(&self) -> usize {
-        self.ring.config().capacity()
+        self.ring.capacity()
     }
 
     fn used_slots(&self) -> usize {
@@ -145,8 +144,9 @@ impl SwitchBuffer for FifoBuffer {
     }
 
     fn dequeue(&mut self, output: OutputPort) -> Option<Packet> {
-        self.head_for(output)?;
-        self.ring.dequeue(0)
+        let outs = &self.outs;
+        self.ring
+            .dequeue_if(0, |head| usize::from(outs[head]) == output.index())
     }
 
     fn packet_count(&self) -> usize {
@@ -155,14 +155,6 @@ impl SwitchBuffer for FifoBuffer {
 
     fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        self.ring.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.ring.stats_mut().reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {
@@ -175,18 +167,16 @@ impl SwitchBuffer for FifoBuffer {
         self.ring.dead_slots()
     }
 
-    fn note_hol_blocked(&mut self) -> u64 {
+    fn note_hol_blocked(&self) -> u64 {
         let Some((head, len)) = self.ring.head(0) else {
             return 0;
         };
         // The one partition's segment is the whole ring.
         let cap = self.ring.part_cap();
         let head_out = self.outs[head];
-        let blocked = (1..len)
+        (1..len)
             .filter(|&i| self.outs[ring_wrap(head + i, cap)] != head_out)
-            .count() as u64;
-        self.ring.stats_mut().record_hol_blocked(blocked);
-        blocked
+            .count() as u64
     }
 
     fn audit(&self) -> Result<(), AuditError> {
@@ -225,7 +215,7 @@ mod tests {
         b.try_enqueue(OutputPort::new(1), pkt(8)).unwrap();
         let err = b.try_enqueue(OutputPort::new(2), pkt(8)).unwrap_err();
         assert_eq!(err.reason, RejectReason::BufferFull);
-        assert_eq!(b.stats().packets_rejected(), 1);
+        assert_eq!(b.packet_count(), 2);
         assert_eq!(b.used_slots(), 2);
     }
 
@@ -273,11 +263,15 @@ mod tests {
         // Head is for out3; the out1 packet is blocked, the second out3
         // packet merely queues behind its own output.
         assert_eq!(b.note_hol_blocked(), 1);
-        assert_eq!(b.stats().hol_blocked(), 1);
+        // Counting twice moves nothing: the buffer keeps no counter.
+        assert_eq!(b.note_hol_blocked(), 1);
+        assert_eq!(b.queue_len(OutputPort::new(3)), 3);
+        assert_eq!(b.queue_len(OutputPort::new(1)), 0);
         b.dequeue(OutputPort::new(3)).unwrap();
         // New head is the out1 packet: the trailing out3 packet is blocked.
         assert_eq!(b.note_hol_blocked(), 1);
-        assert_eq!(b.stats().hol_blocked(), 2);
+        assert_eq!(b.queue_len(OutputPort::new(1)), 2);
+        assert_eq!(b.queue_len(OutputPort::new(3)), 0);
     }
 
     #[test]
@@ -311,11 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn bad_output_port_is_rejected_without_counting() {
+    fn bad_output_port_is_rejected_without_storing() {
         let mut b = buf(2);
         let err = b.try_enqueue(OutputPort::new(4), pkt(8)).unwrap_err();
         assert_eq!(err.reason, RejectReason::NoSuchOutput);
-        assert_eq!(b.stats().offered(), 0);
+        assert!(b.is_empty());
+        assert_eq!(b.used_slots(), 0);
     }
 
     #[test]

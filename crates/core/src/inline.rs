@@ -70,6 +70,18 @@ impl<T, const N: usize> InlineArray<T, N> {
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
     }
+
+    /// Number of elements, read from the length register without
+    /// building the slice — what a register file's shape is read back
+    /// from (a DAMQ buffer's fanout and capacity are its list and slot
+    /// counts).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Heap(heap) => heap.len(),
+        }
+    }
 }
 
 impl<T, const N: usize> Deref for InlineArray<T, N> {

@@ -22,7 +22,6 @@ use crate::buffer::{ring_wrap, BufferConfig, BufferKind};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::inline::InlineArray;
 use crate::packet::Packet;
-use crate::stats::BufferStats;
 use crate::OutputPort;
 
 /// Partition registers held inline: the queues of a radix-4 switch (the
@@ -66,11 +65,17 @@ impl PartRegs {
 }
 
 /// Per-partition FIFO rings with statically partitioned slot budgets.
+///
+/// The store keeps its shape in two registers: the fanout it admits
+/// packets for and each partition's slot budget (the capacity is that
+/// budget times the partition count). The fanout cannot be derived, since
+/// FIFO routes every output into its one partition.
 #[derive(Debug)]
 pub(crate) struct RingStore {
-    config: BufferConfig,
+    /// Output ports the store admits packets for.
+    fanout: u16,
     /// Slot budget of each partition.
-    part_cap: usize,
+    part_cap: u16,
     /// Slot count of the resident packet at each ring position (parallel
     /// to `arena`; stale outside each partition's live window).
     entry_slots: Box<[u16]>,
@@ -78,13 +83,13 @@ pub(crate) struct RingStore {
     arena: Box<[Option<Packet>]>,
     /// Registers of each partition.
     parts: InlineArray<PartRegs, INLINE_PARTITIONS>,
-    stats: BufferStats,
 }
 
 impl RingStore {
     /// An empty store of `partitions` equal rings over `config`'s slots,
     /// validated as a `kind` buffer (so a static kind's capacity divides
-    /// by its partition count).
+    /// by its partition count). Validation bounds the capacity, hence the
+    /// partition budget, and the fanout below the `u16` registers.
     pub(crate) fn new(
         config: BufferConfig,
         kind: BufferKind,
@@ -94,35 +99,41 @@ impl RingStore {
         let part_cap = config.capacity() / partitions;
         let ring = part_cap * partitions;
         Ok(RingStore {
-            config,
-            part_cap,
+            fanout: config.fanout_count() as u16,
+            part_cap: part_cap as u16,
             entry_slots: vec![0; ring].into_boxed_slice(),
             arena: (0..ring).map(|_| None).collect(),
             parts: InlineArray::new(PartRegs::EMPTY, partitions),
-            stats: BufferStats::new(),
         })
     }
 
-    pub(crate) fn config(&self) -> &BufferConfig {
-        &self.config
+    /// Output ports the store admits packets for.
+    pub(crate) fn fanout(&self) -> usize {
+        usize::from(self.fanout)
+    }
+
+    /// Total slots over every partition.
+    pub(crate) fn capacity(&self) -> usize {
+        self.part_cap() * self.parts.len()
     }
 
     /// Slot budget of each partition.
     pub(crate) fn part_cap(&self) -> usize {
-        self.part_cap
+        usize::from(self.part_cap)
     }
 
     /// Ring position of entry `i` (0 = head) in partition `q`'s segment,
     /// for `i` up to the segment size.
     pub(crate) fn pos(&self, q: usize, i: usize) -> usize {
-        q * self.part_cap + ring_wrap(usize::from(self.parts[q].head) + i, self.part_cap)
+        let cap = self.part_cap();
+        q * cap + ring_wrap(usize::from(self.parts[q].head) + i, cap)
     }
 
     /// Partition `q`'s head entry — its ring position — and the
     /// partition's entry count, if it holds any (one register read).
     pub(crate) fn head(&self, q: usize) -> Option<(usize, usize)> {
         let part = self.parts.get(q)?;
-        let head = q * self.part_cap + usize::from(part.head);
+        let head = q * self.part_cap() + usize::from(part.head);
         (part.len > 0).then_some((head, usize::from(part.len)))
     }
 
@@ -173,7 +184,7 @@ impl RingStore {
     pub(crate) fn kill_slot(&mut self, hint: usize) -> bool {
         let n = self.parts.len();
         let start = if hint < n { hint } else { 0 };
-        let cap = self.part_cap;
+        let cap = self.part_cap();
         let target = (0..n)
             .map(|off| (start + off) % n)
             .find(|&q| self.parts[q].faulted() < cap);
@@ -193,19 +204,20 @@ impl RingStore {
     pub(crate) fn can_accept(&self, q: usize, slots: usize) -> bool {
         self.parts
             .get(q)
-            .is_some_and(|p| usize::from(p.used) + slots + p.faulted() <= self.part_cap)
+            .is_some_and(|p| usize::from(p.used) + slots + p.faulted() <= self.part_cap())
     }
 
     pub(crate) fn accept_capacity(&self, q: usize) -> usize {
         self.parts.get(q).map_or(0, |p| {
-            self.part_cap
+            self.part_cap()
                 .saturating_sub(usize::from(p.used) + p.faulted())
         })
     }
 
     /// Ring position the next entry of partition `q` takes.
     pub(crate) fn tail(&self, q: usize) -> usize {
-        q * self.part_cap + self.parts[q].tail(self.part_cap)
+        let cap = self.part_cap();
+        q * cap + self.parts[q].tail(cap)
     }
 
     /// Stores `packet`, routed to `output`, at [`tail`](Self::tail) of
@@ -219,7 +231,7 @@ impl RingStore {
         packet: Packet,
         full: RejectReason,
     ) -> Result<(), Rejected> {
-        if output.index() >= self.config.fanout_count() {
+        if output.index() >= self.fanout() {
             return Err(Rejected {
                 packet,
                 output,
@@ -227,7 +239,7 @@ impl RingStore {
             });
         }
         let slots = packet.slots_needed();
-        let cap = self.part_cap;
+        let cap = self.part_cap();
         // One resolution of the register array per operation (it may be
         // inline or spilled), as `SoaSlots` does with its register file.
         let parts = &mut *self.parts;
@@ -244,7 +256,6 @@ impl RingStore {
             None
         };
         if let Some(reason) = refused {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -254,9 +265,6 @@ impl RingStore {
         let tail = q * cap + part.tail(cap);
         part.used += slots as u16;
         part.len += 1;
-        let used = parts.iter().map(|p| usize::from(p.used)).sum();
-        self.stats.record_accepted(slots);
-        self.stats.observe_used_slots(used);
         self.entry_slots[tail] = slots as u16;
         self.arena[tail] = Some(packet);
         strict_audit!(self);
@@ -267,10 +275,21 @@ impl RingStore {
         self.entry(self.head(q)?.0)
     }
 
-    pub(crate) fn dequeue(&mut self, q: usize) -> Option<Packet> {
-        let cap = self.part_cap;
+    /// Removes partition `q`'s head entry if `admit` accepts its ring
+    /// position — FIFO asks whether the head is bound for the output
+    /// being served, a static design takes any head. The partition's
+    /// registers are resolved once, for the check and the removal both.
+    pub(crate) fn dequeue_if(
+        &mut self,
+        q: usize,
+        admit: impl FnOnce(usize) -> bool,
+    ) -> Option<Packet> {
+        let cap = self.part_cap();
         let part = self.parts.get_mut(q).filter(|p| p.len > 0)?;
         let head = q * cap + usize::from(part.head);
+        if !admit(head) {
+            return None;
+        }
         let slots = self.entry_slots[head];
         part.head = ring_wrap(usize::from(part.head) + 1, cap) as u16;
         part.len -= 1;
@@ -279,23 +298,14 @@ impl RingStore {
         let consumed = part.pending_kills.min(slots);
         part.pending_kills -= consumed;
         part.dead += consumed;
-        self.stats.record_forwarded();
         // lint: allow — the arena cell inside the live window is always Some.
         let packet = self.arena[head].take().expect("live ring entry");
         strict_audit!(self);
         Some(packet)
     }
 
-    pub(crate) fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut BufferStats {
-        &mut self.stats
-    }
-
     pub(crate) fn audit(&self) -> Result<(), AuditError> {
-        let cap = self.part_cap;
+        let cap = self.part_cap();
         for (q, part) in self.parts.iter().enumerate() {
             let len = usize::from(part.len);
             let (used, dead) = (usize::from(part.used), usize::from(part.dead));
@@ -388,15 +398,16 @@ mod tests {
         }
     }
 
-    /// Budget: 160 bytes. `BufferConfig` (24), the partition capacity (8),
-    /// the two ring columns' fat pointers (2 x 16), four inline 10-byte
-    /// partition records behind a 4-byte header, rounded to 8 (48), and
-    /// `BufferStats` (48). FIFO adds its output column (16) on top; both
-    /// stay below the DAMQ buffer, which sets `AnyBuffer`'s size.
+    /// Budget: 96 bytes. Today 88: the two ring columns' fat pointers
+    /// (2 x 16), four inline 10-byte partition records behind a 4-byte
+    /// header, rounded to 8 (48), and the fanout and partition budget
+    /// registers (2 x 2, padded to 8). FIFO adds its output column (16)
+    /// on top; both stay below the DAMQ buffer, which sets `AnyBuffer`'s
+    /// size.
     #[test]
     fn layout_ring_store_fits_its_budget() {
         assert!(
-            std::mem::size_of::<RingStore>() <= 160,
+            std::mem::size_of::<RingStore>() <= 96,
             "RingStore grew to {} bytes",
             std::mem::size_of::<RingStore>()
         );

@@ -22,7 +22,6 @@ use crate::buffer::{BufferConfig, BufferKind, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::ring::RingStore;
-use crate::stats::BufferStats;
 use crate::OutputPort;
 
 /// Statically-allocated multi-queue input buffer with one read port per
@@ -100,11 +99,11 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for StaticBuffer<FULLY_CONNECTED>
     }
 
     fn fanout(&self) -> usize {
-        self.ring.config().fanout_count()
+        self.ring.fanout()
     }
 
     fn capacity_slots(&self) -> usize {
-        self.ring.config().capacity()
+        self.ring.capacity()
     }
 
     fn used_slots(&self) -> usize {
@@ -145,7 +144,7 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for StaticBuffer<FULLY_CONNECTED>
     }
 
     fn dequeue(&mut self, output: OutputPort) -> Option<Packet> {
-        self.ring.dequeue(output.index())
+        self.ring.dequeue_if(output.index(), |_| true)
     }
 
     fn packet_count(&self) -> usize {
@@ -154,14 +153,6 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for StaticBuffer<FULLY_CONNECTED>
 
     fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        self.ring.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.ring.stats_mut().reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {

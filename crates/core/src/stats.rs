@@ -1,12 +1,17 @@
-//! Per-buffer operation counters.
+//! Buffer operation counters, kept per switch.
 
 use std::fmt;
 
-/// Running counters kept by every buffer implementation.
+/// Operation counters over the input buffers of one switch.
 ///
-/// Counters are cumulative since construction (or the last
-/// [`BufferStats::reset`]); simulators read them to compute discard rates and
-/// utilisation.
+/// A buffer is its slot RAM and the registers beside it, as on the chip;
+/// it keeps no counters. The switch that owns the buffers counts their
+/// operations instead — every accept and every reject it sees through
+/// `receive`, every packet its crossbar forwards, and each cycle's
+/// head-of-line blocking — in one `BufferStats` for all its inputs.
+/// Counters are cumulative since construction; [`merge`](Self::merge)
+/// folds several switches into a network total, from which simulators
+/// compute discard rates and utilisation.
 ///
 /// # Examples
 ///
@@ -101,11 +106,6 @@ impl BufferStats {
         self.packets_accepted + self.packets_rejected
     }
 
-    /// Zeroes all counters.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Adds another set of counters into this one (for aggregating a whole
     /// switch or network).
     pub fn merge(&mut self, other: &BufferStats) {
@@ -181,15 +181,5 @@ mod tests {
         s.record_hol_blocked(0);
         s.record_hol_blocked(1);
         assert_eq!(s.hol_blocked(), 3);
-        s.reset();
-        assert_eq!(s.hol_blocked(), 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut s = BufferStats::new();
-        s.record_accepted(1);
-        s.reset();
-        assert_eq!(s, BufferStats::new());
     }
 }

@@ -8,8 +8,8 @@
 use std::collections::VecDeque;
 
 use damq_core::{
-    AuditError, BufferConfig, BufferKind, BufferStats, BuildBuffer, ConfigError, OutputPort,
-    Packet, RejectReason, Rejected, SwitchBuffer,
+    AuditError, BufferConfig, BufferKind, BuildBuffer, ConfigError, OutputPort, Packet,
+    RejectReason, Rejected, SwitchBuffer,
 };
 
 use super::slots::SlotPool;
@@ -30,7 +30,6 @@ pub struct AosFifoBuffer {
     used_slots: usize,
     dead: usize,
     pending_kills: usize,
-    stats: BufferStats,
 }
 
 impl AosFifoBuffer {
@@ -47,7 +46,6 @@ impl AosFifoBuffer {
             used_slots: 0,
             dead: 0,
             pending_kills: 0,
-            stats: BufferStats::new(),
         })
     }
 
@@ -92,7 +90,6 @@ impl SwitchBuffer for AosFifoBuffer {
             });
         }
         if slots > self.capacity_slots() {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -100,7 +97,6 @@ impl SwitchBuffer for AosFifoBuffer {
             });
         }
         if slots + self.dead_slots() > self.capacity_slots() {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -108,7 +104,6 @@ impl SwitchBuffer for AosFifoBuffer {
             });
         }
         if self.used_slots + slots + self.dead_slots() > self.capacity_slots() {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -116,8 +111,6 @@ impl SwitchBuffer for AosFifoBuffer {
             });
         }
         self.used_slots += slots;
-        self.stats.record_accepted(slots);
-        self.stats.observe_used_slots(self.used_slots);
         self.queue.push_back(FifoEntry {
             output,
             slots,
@@ -152,21 +145,12 @@ impl SwitchBuffer for AosFifoBuffer {
         let consumed = self.pending_kills.min(entry.slots);
         self.pending_kills -= consumed;
         self.dead += consumed;
-        self.stats.record_forwarded();
         strict_audit!(self);
         Some(entry.packet)
     }
 
     fn packet_count(&self) -> usize {
         self.queue.len()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {
@@ -187,18 +171,15 @@ impl SwitchBuffer for AosFifoBuffer {
         self.dead + self.pending_kills
     }
 
-    fn note_hol_blocked(&mut self) -> u64 {
+    fn note_hol_blocked(&self) -> u64 {
         let Some(head) = self.queue.front().map(|e| e.output) else {
             return 0;
         };
-        let blocked = self
-            .queue
+        self.queue
             .iter()
             .skip(1)
             .filter(|e| e.output != head)
-            .count() as u64;
-        self.stats.record_hol_blocked(blocked);
-        blocked
+            .count() as u64
     }
 
     fn audit(&self) -> Result<(), AuditError> {
@@ -238,7 +219,6 @@ struct AosStaticMultiQueue {
     queue_used: Vec<usize>,
     dead: Vec<usize>,
     pending_kills: Vec<usize>,
-    stats: BufferStats,
 }
 
 impl AosStaticMultiQueue {
@@ -253,7 +233,6 @@ impl AosStaticMultiQueue {
             queue_used: vec![0; fanout],
             dead: vec![0; fanout],
             pending_kills: vec![0; fanout],
-            stats: BufferStats::new(),
         })
     }
 
@@ -307,7 +286,6 @@ impl AosStaticMultiQueue {
         }
         let slots = packet.slots_needed();
         if slots > self.per_queue_capacity {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -315,7 +293,6 @@ impl AosStaticMultiQueue {
             });
         }
         if slots + self.faulted_slots(output.index()) > self.per_queue_capacity {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -325,7 +302,6 @@ impl AosStaticMultiQueue {
         if self.queue_used[output.index()] + slots + self.faulted_slots(output.index())
             > self.per_queue_capacity
         {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -333,9 +309,6 @@ impl AosStaticMultiQueue {
             });
         }
         self.queue_used[output.index()] += slots;
-        self.stats.record_accepted(slots);
-        let used = self.used_slots();
-        self.stats.observe_used_slots(used);
         self.queues[output.index()].push_back(MqEntry { slots, packet });
         strict_audit!(self);
         Ok(())
@@ -356,7 +329,6 @@ impl AosStaticMultiQueue {
         let consumed = self.pending_kills[q].min(entry.slots);
         self.pending_kills[q] -= consumed;
         self.dead[q] += consumed;
-        self.stats.record_forwarded();
         strict_audit!(self);
         Some(entry.packet)
     }
@@ -437,14 +409,6 @@ macro_rules! impl_aos_static_buffer {
                 self.inner.packet_count()
             }
 
-            fn stats(&self) -> &BufferStats {
-                &self.inner.stats
-            }
-
-            fn reset_stats(&mut self) {
-                self.inner.stats.reset()
-            }
-
             fn kill_slot(&mut self, hint: OutputPort) -> bool {
                 self.inner.kill_slot(hint)
             }
@@ -513,7 +477,6 @@ impl_aos_static_buffer!(AosSafcBuffer, BufferKind::Safc, |b: &AosSafcBuffer| b
 pub struct AosDamqBuffer {
     config: BufferConfig,
     pool: SlotPool,
-    stats: BufferStats,
 }
 
 impl AosDamqBuffer {
@@ -527,7 +490,6 @@ impl AosDamqBuffer {
         Ok(AosDamqBuffer {
             config,
             pool: SlotPool::new(config.capacity(), config.fanout_count()),
-            stats: BufferStats::new(),
         })
     }
 
@@ -572,7 +534,6 @@ impl SwitchBuffer for AosDamqBuffer {
         }
         let slots = packet.slots_needed();
         if slots > self.capacity_slots() {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
@@ -580,28 +541,19 @@ impl SwitchBuffer for AosDamqBuffer {
             });
         }
         if slots > self.pool.effective_capacity() {
-            self.stats.record_rejected();
             return Err(Rejected {
                 packet,
                 output,
                 reason: RejectReason::Faulted,
             });
         }
-        match self.pool.enqueue(output.index(), packet, slots) {
-            Ok(()) => {
-                self.stats.record_accepted(slots);
-                self.stats.observe_used_slots(self.pool.used_count());
-                Ok(())
-            }
-            Err(packet) => {
-                self.stats.record_rejected();
-                Err(Rejected {
-                    packet,
-                    output,
-                    reason: RejectReason::BufferFull,
-                })
-            }
-        }
+        self.pool
+            .enqueue(output.index(), packet, slots)
+            .map_err(|packet| Rejected {
+                packet,
+                output,
+                reason: RejectReason::BufferFull,
+            })
     }
 
     fn queue_len(&self, output: OutputPort) -> usize {
@@ -624,21 +576,11 @@ impl SwitchBuffer for AosDamqBuffer {
         if output.index() >= self.fanout() {
             return None;
         }
-        let packet = self.pool.dequeue(output.index())?;
-        self.stats.record_forwarded();
-        Some(packet)
+        self.pool.dequeue(output.index())
     }
 
     fn packet_count(&self) -> usize {
         (0..self.fanout()).map(|l| self.pool.queue_packets(l)).sum()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {
@@ -726,14 +668,6 @@ impl SwitchBuffer for AosDafcBuffer {
 
     fn packet_count(&self) -> usize {
         self.inner.packet_count()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats()
     }
 
     fn kill_slot(&mut self, hint: OutputPort) -> bool {

@@ -313,7 +313,6 @@ fn diff_designs<S: SwitchBuffer, A: SwitchBuffer>(mut soa: S, mut aos: A, seed: 
                 "queue_lens_into[{o}] {ctx}"
             );
         }
-        assert_eq!(soa.stats(), aos.stats(), "stats {ctx}");
         if let Err(e) = soa.audit() {
             panic!("SoA audit failed: {e} {ctx}");
         }

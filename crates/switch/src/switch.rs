@@ -2,7 +2,7 @@
 
 use damq_core::{
     AnyBuffer, BufferKind, BufferStats, BuildBuffer, FrontMeta, InlineArray, InputPort, OutputPort,
-    Packet, Rejected, SwitchBuffer,
+    Packet, RejectReason, Rejected, SwitchBuffer,
 };
 
 use crate::arbiter::{Arbiter, Rank};
@@ -110,7 +110,9 @@ pub struct Switch<B: SwitchBuffer = AnyBuffer> {
     /// (the fully-connected designs), so no per-input state is needed.
     driven: BitWords,
     hol_blocked_last_cycle: u64,
-    hol_blocked_total: u64,
+    /// What the input buffers did, counted here for all of them: the
+    /// buffers are registers and slot RAM and keep no counters.
+    stats: BufferStats,
     /// Packets resident across all buffers, maintained incrementally on
     /// `receive`/dequeue so quiescence checks never touch the buffers.
     resident: usize,
@@ -160,7 +162,7 @@ impl<B: BuildBuffer> Switch<B> {
             arbiter: Arbiter::new(config.policy(), ports, ports),
             driven: BitWords::new(ports),
             hol_blocked_last_cycle: 0,
-            hol_blocked_total: 0,
+            stats: BufferStats::new(),
             resident: 0,
             lens: InlineArray::new(0, ports),
         })
@@ -193,7 +195,11 @@ impl<B: SwitchBuffer> Switch<B> {
         self.buffers[input.index()].can_accept(output, slots)
     }
 
-    /// Stores a packet arriving on `input`, already routed to `output`.
+    /// Stores a packet arriving on `input`, already routed to `output`,
+    /// and counts the outcome in [`aggregate_stats`](Switch::aggregate_stats):
+    /// an accept with its slots and the receiving buffer's occupancy, or a
+    /// reject. A packet routed to an output the switch does not have was
+    /// never offered to a queue and is not counted.
     ///
     /// # Errors
     ///
@@ -209,9 +215,19 @@ impl<B: SwitchBuffer> Switch<B> {
         output: OutputPort,
         packet: Packet,
     ) -> Result<(), Rejected> {
-        let stored = self.buffers[input.index()].try_enqueue(output, packet);
-        if stored.is_ok() {
-            self.resident += 1;
+        let buffer = &mut self.buffers[input.index()];
+        let slots = packet.slots_needed();
+        let stored = buffer.try_enqueue(output, packet);
+        match &stored {
+            Ok(()) => {
+                self.resident += 1;
+                self.stats.record_accepted(slots);
+                self.stats.observe_used_slots(buffer.used_slots());
+            }
+            Err(rejected) if rejected.reason != RejectReason::NoSuchOutput => {
+                self.stats.record_rejected();
+            }
+            Err(_) => {}
         }
         stored
     }
@@ -310,6 +326,7 @@ impl<B: SwitchBuffer> Switch<B> {
                 packet.record_hop();
                 self.arbiter.grant(input);
                 self.resident -= 1;
+                self.stats.record_forwarded();
                 if buffer.kind() == BufferKind::Fifo {
                     // The new head may be bound elsewhere: the whole row
                     // changes shape, not just this entry.
@@ -330,7 +347,7 @@ impl<B: SwitchBuffer> Switch<B> {
         self.arbiter.complete_cycle();
         self.driven.clear();
         self.hol_blocked_last_cycle = hol_blocked;
-        self.hol_blocked_total += hol_blocked;
+        self.stats.record_hol_blocked(hol_blocked);
     }
 
     /// Whether every input buffer is empty, in O(1) from the incrementally
@@ -348,7 +365,7 @@ impl<B: SwitchBuffer> Switch<B> {
     /// arbiter takes its idle step (dumb rotates; smart holds priority, and
     /// its stale counts are provably already zero — the cycle that emptied
     /// the switch observed every queue unoccupied), HOL accounting reads
-    /// zero, and no buffer statistic moves (an empty FIFO records nothing).
+    /// zero, and no counter moves (an empty FIFO blocks nothing).
     ///
     /// # Panics
     ///
@@ -367,9 +384,10 @@ impl<B: SwitchBuffer> Switch<B> {
     }
 
     /// Accumulated packet-cycles of head-of-line blocking since
-    /// construction.
+    /// construction (the `hol_blocked` of
+    /// [`aggregate_stats`](Switch::aggregate_stats)).
     pub fn hol_blocked_total(&self) -> u64 {
-        self.hol_blocked_total
+        self.stats.hol_blocked()
     }
 
     /// Total packets resident in all input buffers, in O(1) from the
@@ -422,20 +440,13 @@ impl<B: SwitchBuffer> Switch<B> {
         }
     }
 
-    /// Aggregated operation counters over all input buffers.
+    /// Operation counters over all input buffers since construction:
+    /// packets accepted (and their slots) and rejected by
+    /// [`receive`](Switch::receive), forwarded by
+    /// [`transmit_cycle_with`](Switch::transmit_cycle_with), the highest
+    /// occupancy any one buffer reached, and head-of-line blocking.
     pub fn aggregate_stats(&self) -> BufferStats {
-        let mut total = BufferStats::new();
-        for b in &self.buffers {
-            total.merge(b.stats());
-        }
-        total
-    }
-
-    /// Zeroes every buffer's counters.
-    pub fn reset_stats(&mut self) {
-        for b in &mut self.buffers {
-            b.reset_stats();
-        }
+        self.stats.clone()
     }
 
     /// Verifies every buffer's structural invariants without panicking.
@@ -485,13 +496,15 @@ mod tests {
     }
 
     /// Budget: 256 bytes, four cache lines, for everything of a switch
-    /// that is not its buffers. Today 200: the arbiter with its inline
+    /// that is not its buffers. Today 240: the arbiter with its inline
     /// 4x4 stale matrix and its served word (104), the crossbar's driven
-    /// bits (24), the `Vec` of buffers (24), three counters and the one
-    /// inline row of queue lengths. No configuration is kept: it is
-    /// consumed at construction. With four 248-byte buffers and their
-    /// 160-byte arenas a radix-4 DAMQ switch is 1.8 KB in five heap
-    /// blocks; a field that grows this part by a third fails here first.
+    /// bits (24), the `Vec` of buffers (24), the one `BufferStats` that
+    /// counts for all the inputs (48), the last cycle's HOL count and the
+    /// resident count, and the one inline row of queue lengths. No
+    /// configuration is kept: it is consumed at construction. With four
+    /// 184-byte buffers and their 160-byte arenas a radix-4 DAMQ switch
+    /// is 1.6 KB in five heap blocks; a field that grows this part by a
+    /// sixth fails here first.
     #[test]
     fn layout_switch_fits_four_cache_lines() {
         assert!(
@@ -736,6 +749,87 @@ mod tests {
         let stats = sw.aggregate_stats();
         assert_eq!(stats.packets_accepted(), 2);
         assert_eq!(stats.packets_forwarded(), 2);
+    }
+
+    /// A packet for an output the switch does not have was never offered
+    /// to a queue: it is refused, and no counter moves.
+    #[test]
+    fn a_receive_to_no_such_output_is_not_counted() {
+        for kind in BufferKind::EXTENDED {
+            let mut sw = switch(kind);
+            let rejected = sw
+                .receive(InputPort::new(0), OutputPort::new(4), pkt(0))
+                .unwrap_err();
+            assert_eq!(rejected.reason, damq_core::RejectReason::NoSuchOutput);
+            assert_eq!(sw.aggregate_stats(), BufferStats::new(), "{kind}");
+        }
+    }
+
+    /// Every other refusal counts once — too large, faulted, and the
+    /// design's full verdict (the shared pool's `BufferFull`, a static
+    /// partition's `QueueFull`) — on whichever input it happens.
+    #[test]
+    fn every_other_reject_is_counted() {
+        use damq_core::RejectReason::{BufferFull, Faulted, PacketTooLarge, QueueFull};
+        let sized = |slots: usize, src| {
+            Packet::builder(NodeId::new(src), NodeId::new(0))
+                .length_bytes(slots * damq_core::SLOT_BYTES)
+                .build()
+        };
+        for kind in BufferKind::EXTENDED {
+            let mut sw = switch(kind);
+            // The slots one packet for output 0 may take on a healthy input.
+            let room = if kind.is_statically_allocated() { 1 } else { 4 };
+            let full = if kind.is_statically_allocated() {
+                QueueFull
+            } else {
+                BufferFull
+            };
+            let refuse = |sw: &mut Switch, input, packet, reason| {
+                let rejected = sw
+                    .receive(InputPort::new(input), OutputPort::new(0), packet)
+                    .unwrap_err();
+                assert_eq!(rejected.reason, reason, "{kind}");
+            };
+            refuse(&mut sw, 0, sized(room + 1, 0), PacketTooLarge);
+            assert!(sw.kill_buffer_slot(InputPort::new(1), OutputPort::new(0)));
+            refuse(&mut sw, 1, sized(room, 1), Faulted);
+            for i in 0..room {
+                sw.receive(InputPort::new(2), OutputPort::new(0), pkt(i))
+                    .unwrap();
+            }
+            refuse(&mut sw, 2, pkt(9), full);
+            let stats = sw.aggregate_stats();
+            assert_eq!(stats.packets_rejected(), 3, "{kind}");
+            assert_eq!(stats.packets_accepted(), room as u64, "{kind}");
+            assert_eq!(stats.offered(), room as u64 + 3, "{kind}");
+            assert_eq!(stats.peak_used_slots(), room, "{kind}");
+        }
+    }
+
+    /// The peak is the fullest any one buffer got, not a sum over the
+    /// inputs and not the last reading.
+    #[test]
+    fn peak_is_the_maximum_over_inputs() {
+        let mut sw = switch(BufferKind::Damq);
+        for i in 0..3 {
+            sw.receive(InputPort::new(0), OutputPort::new(i), pkt(i))
+                .unwrap();
+        }
+        sw.receive(InputPort::new(1), OutputPort::new(3), pkt(3))
+            .unwrap();
+        assert_eq!(sw.aggregate_stats().peak_used_slots(), 3);
+        while !sw.is_quiescent() {
+            let _ = transmit(&mut sw, |_, _| true);
+        }
+        for i in 0..2 {
+            sw.receive(InputPort::new(2), OutputPort::new(i), pkt(i))
+                .unwrap();
+        }
+        let stats = sw.aggregate_stats();
+        assert_eq!(stats.peak_used_slots(), 3);
+        assert_eq!(stats.slots_accepted(), 6);
+        assert_eq!(stats.packets_forwarded(), 4);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! cycle by cycle, on the departures and their order, on the exact
 //! sequence of `can_send(output, FrontMeta)` questions put to a refusing
 //! sink (in the network each one is a route query), on the arbiter's
-//! priority pointer and every stale count, on the aggregated
-//! `BufferStats` and on both head-of-line counts.
+//! priority pointer and every stale count, on the switch's `BufferStats`
+//! (which the reference counts from its own receives, departures and
+//! head-of-line sums, not from the switch's bookkeeping) and on both
+//! head-of-line counts.
 //! Whenever the switch drains, the real one takes `note_idle_cycle` while
 //! the reference arbitrates empty, so the idle fast path is held to the
 //! same standard.
@@ -53,7 +55,8 @@ struct Reference {
     priority: usize,
     stale: Vec<u32>,
     hol_last: u64,
-    hol_total: u64,
+    /// Counted from this model's own operations.
+    stats: BufferStats,
     mutation: Option<Mutation>,
 }
 
@@ -74,15 +77,25 @@ impl Reference {
             priority: 0,
             stale: vec![0; ports * ports],
             hol_last: 0,
-            hol_total: 0,
+            stats: BufferStats::new(),
             mutation,
         }
     }
 
     fn receive(&mut self, input: usize, output: usize, packet: Packet) -> bool {
-        self.buffers[input]
-            .try_enqueue(OutputPort::new(output), packet)
-            .is_ok()
+        let slots = packet.slots_needed();
+        let buffer = &mut self.buffers[input];
+        let stored = buffer.try_enqueue(OutputPort::new(output), packet).is_ok();
+        if stored {
+            self.stats.record_accepted(slots);
+        } else {
+            // Every output exists here, so every refusal was an offer.
+            self.stats.record_rejected();
+        }
+        // Occupancy only grows on an accept, so observing it after every
+        // receive gives the same high-water mark.
+        self.stats.observe_used_slots(buffer.used_slots());
+        stored
     }
 
     fn transmit_cycle(
@@ -144,6 +157,7 @@ impl Reference {
                 served[row + o] = true;
                 lens[row + o] -= 1;
                 dirty[i] = true;
+                self.stats.record_forwarded();
                 departures.push((i, o, packet));
             }
             i = (i + 1) % ports;
@@ -174,17 +188,9 @@ impl Reference {
                 }
             }
         }
-        self.hol_last = self.buffers.iter_mut().map(|b| b.note_hol_blocked()).sum();
-        self.hol_total += self.hol_last;
+        self.hol_last = self.buffers.iter().map(|b| b.note_hol_blocked()).sum();
+        self.stats.record_hol_blocked(self.hol_last);
         departures
-    }
-
-    fn aggregate_stats(&self) -> BufferStats {
-        let mut total = BufferStats::new();
-        for b in &self.buffers {
-            total.merge(b.stats());
-        }
-        total
     }
 
     fn resident(&self) -> usize {
@@ -358,13 +364,13 @@ fn differential(case: Case, mutation: Option<Mutation>) -> Result<(), String> {
                 format!("{:?}", model.stale),
             );
         }
-        let (stats, model_stats) = (real.aggregate_stats(), model.aggregate_stats());
-        if stats != model_stats {
-            return differ("buffer stats", stats.to_string(), model_stats.to_string());
+        let stats = real.aggregate_stats();
+        if stats != model.stats {
+            return differ("buffer stats", stats.to_string(), model.stats.to_string());
         }
         let hol = (real.hol_blocked_last_cycle(), real.hol_blocked_total());
-        if hol != (model.hol_last, model.hol_total) {
-            let model_hol = (model.hol_last, model.hol_total);
+        let model_hol = (model.hol_last, model.stats.hol_blocked());
+        if hol != model_hol {
             return differ("HOL counts", format!("{hol:?}"), format!("{model_hol:?}"));
         }
         if real.packets_resident() != model.resident() {

@@ -1,8 +1,8 @@
 //! Unified telemetry layer for the DAMQ reproduction.
 //!
 //! The simulators in this workspace historically reported *end-of-run
-//! scalars* — counters in [`BufferStats`](../damq_core/struct.BufferStats.html),
-//! one latency accumulator per run. The paper's central claims, however,
+//! scalars* — one [`BufferStats`](../damq_core/struct.BufferStats.html)
+//! of counters per switch, one latency accumulator per run. The paper's central claims, however,
 //! are **dynamic**: DAMQ beats the statically-partitioned designs because
 //! queue occupancy shifts across outputs *over time*, and hot-spot traffic
 //! saturates trees of switches stage by stage. This crate provides the

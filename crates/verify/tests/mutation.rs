@@ -6,8 +6,7 @@
 //! and corrupts exactly one behaviour.
 
 use damq_core::{
-    AuditError, BufferConfig, BufferKind, BufferStats, ConfigError, OutputPort, Packet, Rejected,
-    SwitchBuffer,
+    AuditError, BufferConfig, BufferKind, ConfigError, OutputPort, Packet, Rejected, SwitchBuffer,
 };
 use damq_verify::check_with_factory;
 
@@ -89,12 +88,6 @@ impl SwitchBuffer for Mutant {
         }
     }
 
-    fn stats(&self) -> &BufferStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
     fn audit(&self) -> Result<(), AuditError> {
         self.inner.audit()
     }

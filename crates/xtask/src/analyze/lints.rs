@@ -629,11 +629,12 @@ const HOT_PATH_CRATES: [&str; 4] = [
 /// Constructors and cold paths (audits, snapshots, telemetry emission,
 /// solver set-up) are exempt — scratch is *supposed* to be allocated
 /// there.
-const KERNEL_FNS: [&str; 67] = [
+const KERNEL_FNS: [&str; 68] = [
     // core: the per-cycle buffer operations of every design.
     "try_enqueue",
     "enqueue",
     "dequeue",
+    "dequeue_if",
     "front",
     "kill_slot",
     "queue_lens_into",
