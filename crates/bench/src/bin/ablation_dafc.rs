@@ -19,7 +19,7 @@ use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, saturation_json, Json, Report};
 use damq_bench::{cli, fmt_prob};
 use damq_core::BufferKind;
-use damq_markov::{discard_probability, CycleOrder, SolveOptions};
+use damq_markov::discard_probability;
 use damq_net::NetworkConfig;
 use damq_switch::FlowControl;
 
@@ -42,17 +42,7 @@ fn main() {
     let buffers = Axis::new("buffer", KINDS.map(BufferKind::name));
     let points = Grid::product([buffers.clone(), Axis::new("traffic", TRAFFICS)])
         .tag("vehicle", "markov")
-        .run(|c| {
-            let order = CycleOrder::ArrivalsFirst;
-            discard_probability(
-                KINDS[c[0]],
-                4,
-                TRAFFICS[c[1]],
-                order,
-                SolveOptions::default(),
-            )
-            .expect("analysis runs")
-        });
+        .run(|c| discard_probability(KINDS[c[0]], 4, TRAFFICS[c[1]]).expect("analysis runs"));
 
     let base = NetworkConfig::new(64, 4)
         .slots_per_buffer(4)

@@ -18,7 +18,7 @@ use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
 use damq_bench::{cli, fmt_prob};
 use damq_core::BufferKind;
-use damq_markov::{discard_probability_kxk, CycleOrder, SolveOptions};
+use damq_markov::discard_probability_kxk;
 
 const TRAFFICS: [f64; 5] = [0.25, 0.50, 0.75, 0.90, 0.99];
 const CAPACITIES: [usize; 3] = [1, 2, 4];
@@ -46,9 +46,7 @@ fn main() {
     .retain(|c| SIZES[c[0]].1.contains(&CAPACITIES[c[1]]))
     .run(|c| {
         let (kind, cap, t) = (SIZES[c[0]].0, CAPACITIES[c[1]], TRAFFICS[c[2]]);
-        let order = CycleOrder::ArrivalsFirst;
-        discard_probability_kxk(kind, 4, cap, t, order, SolveOptions::default())
-            .unwrap_or_else(|e| panic!("{kind}/{cap}/{t}: {e}"))
+        discard_probability_kxk(kind, 4, cap, t).unwrap_or_else(|e| panic!("{kind}/{cap}/{t}: {e}"))
     });
 
     report.meta("switch", Json::from("4x4 discarding"));

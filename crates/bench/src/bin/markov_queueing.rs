@@ -13,7 +13,7 @@ use damq_bench::cli;
 use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
 use damq_core::BufferKind;
-use damq_markov::{discard_probability, CycleOrder, SolveOptions};
+use damq_markov::discard_probability;
 
 const CAPACITY: usize = 4;
 const TRAFFICS: [f64; 5] = [0.25, 0.50, 0.75, 0.90, 0.99];
@@ -30,15 +30,7 @@ fn main() {
         Axis::new("traffic", TRAFFICS),
     ])
     .run(|c| {
-        let order = CycleOrder::ArrivalsFirst;
-        discard_probability(
-            BufferKind::ALL[c[0]],
-            CAPACITY,
-            TRAFFICS[c[1]],
-            order,
-            SolveOptions::default(),
-        )
-        .expect("analysis runs")
+        discard_probability(BufferKind::ALL[c[0]], CAPACITY, TRAFFICS[c[1]]).expect("analysis runs")
     });
 
     report.meta("switch", Json::from("2x2 discarding"));

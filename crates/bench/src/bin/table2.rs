@@ -2,9 +2,8 @@
 //! Markov Analysis".
 //!
 //! A single 2×2 discarding switch is analysed in steady state for each
-//! buffer design, buffer size and traffic level. Run with `--order
-//! departures-first` to see the alternative intra-cycle ordering discussed
-//! in DESIGN.md.
+//! buffer design, buffer size and traffic level, arrivals first within
+//! each long-clock cycle (see `damq_markov::CycleOrder`).
 //!
 //! The (design, size, traffic) [`damq_bench::grid`] is ragged — the
 //! static designs only come in even sizes; alongside the text table the
@@ -15,7 +14,7 @@ use damq_bench::grid::{Axis, Grid};
 use damq_bench::json::{discard_point_json, Json, Report};
 use damq_bench::{cli, fmt_prob, TABLE2_TRAFFIC};
 use damq_core::BufferKind;
-use damq_markov::{discard_probability, CycleOrder, SolveOptions};
+use damq_markov::discard_probability;
 
 const CAPACITIES: [usize; 5] = [2, 3, 4, 5, 6];
 /// Each design with the buffer sizes the paper tabulates for it.
@@ -27,16 +26,9 @@ const SIZES: [(BufferKind, &[usize]); 4] = [
 ];
 
 fn main() {
-    let args = cli::parse(&[], &["--order"]);
-    let order = match args.value("--order") {
-        None | Some("arrivals-first") => CycleOrder::ArrivalsFirst,
-        Some("departures-first") => CycleOrder::DeparturesFirst,
-        Some(other) => cli::fail(&format!(
-            "--order takes arrivals-first or departures-first, got '{other}'"
-        )),
-    };
+    cli::parse(&[], &[]);
     println!("Table 2: Probability for Discarding - Markov Analysis");
-    println!("(2x2 discarding switch, fixed-length packets, long clock; order: {order:?})");
+    println!("(2x2 discarding switch, fixed-length packets, long clock; order: ArrivalsFirst)");
     println!();
 
     let mut report = Report::new("table2");
@@ -48,12 +40,12 @@ fn main() {
     .retain(|c| SIZES[c[0]].1.contains(&CAPACITIES[c[1]]))
     .run(|c| {
         let (kind, cap, traffic) = (SIZES[c[0]].0, CAPACITIES[c[1]], TABLE2_TRAFFIC[c[2]]);
-        discard_probability(kind, cap, traffic, order, SolveOptions::default())
+        discard_probability(kind, cap, traffic)
             .unwrap_or_else(|e| panic!("analysis failed for {kind}/{cap}/{traffic}: {e}"))
     });
 
     report.meta("switch", Json::from("2x2 discarding"));
-    report.meta("order", Json::from(format!("{order:?}")));
+    report.meta("order", Json::from("ArrivalsFirst"));
     points.report(&mut report, discard_point_json);
 
     let mut header: Vec<String> = vec!["Switch".into(), "Space".into()];

@@ -91,15 +91,15 @@ mod tests {
     #[test]
     fn declared_flags_and_options_parse() {
         let args = parse_strs(
-            &["--smoke", "--order", "a", "--order", "b"],
+            &["--smoke", "--out", "a", "--out", "b"],
             &["--smoke", "--verbose"],
-            &["--order"],
+            &["--out", "--seed"],
         )
         .unwrap();
         assert!(args.flag("--smoke"));
         assert!(!args.flag("--verbose"));
-        assert_eq!(args.value("--order"), Some("b"));
-        assert_eq!(args.value("--out"), None);
+        assert_eq!(args.value("--out"), Some("b"));
+        assert_eq!(args.value("--seed"), None);
     }
 
     #[test]
@@ -108,11 +108,11 @@ mod tests {
             parse_strs(&["--bogus"], &[], &[]).unwrap_err(),
             "unknown argument '--bogus'"
         );
-        // A positional is not an option value: `table2 departures-first`.
-        assert!(parse_strs(&["departures-first"], &[], &["--order"]).is_err());
+        // A positional is not an option value: `obs_report x.json`.
+        assert!(parse_strs(&["x.json"], &[], &["--out"]).is_err());
         assert_eq!(
-            parse_strs(&["--order"], &[], &["--order"]).unwrap_err(),
-            "--order needs a value"
+            parse_strs(&["--out"], &[], &["--out"]).unwrap_err(),
+            "--out needs a value"
         );
         assert!(parse_strs(&["--smoke", "extra"], &["--smoke"], &[]).is_err());
     }

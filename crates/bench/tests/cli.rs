@@ -38,7 +38,7 @@ fn undeclared_arguments_are_usage_errors() {
     let dir = temp_dir("undeclared");
     let bogus = run(env!("CARGO_BIN_EXE_table4"), &["--bogus"], None, &dir);
     assert_usage_error(&bogus, "unknown argument '--bogus'", &dir);
-    // The option's value is not accepted as a bare positional…
+    // A bare positional is not accepted…
     let positional = run(
         env!("CARGO_BIN_EXE_table2"),
         &["departures-first"],
@@ -46,10 +46,10 @@ fn undeclared_arguments_are_usage_errors() {
         &dir,
     );
     assert_usage_error(&positional, "unknown argument 'departures-first'", &dir);
-    // …and a misspelt value does not silently mean the default order.
-    let typo = ["--order", "departures-frist"];
-    let typo = run(env!("CARGO_BIN_EXE_table2"), &typo, None, &dir);
-    assert_usage_error(&typo, "got 'departures-frist'", &dir);
+    // …and Table 2 has one cycle order, so no option chooses it.
+    let order = ["--order", "departures-first"];
+    let order = run(env!("CARGO_BIN_EXE_table2"), &order, None, &dir);
+    assert_usage_error(&order, "unknown argument '--order'", &dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -67,16 +67,17 @@ fn an_unparsable_thread_count_is_an_error_naming_the_value() {
 
 #[test]
 fn a_declared_option_value_reaches_the_experiment() {
-    let dir = temp_dir("order");
-    let order = ["--order", "departures-first"];
-    let output = run(env!("CARGO_BIN_EXE_table1"), &[], Some("1"), &dir);
+    let dir = temp_dir("out");
+    let out = dir.join("x.json");
+    let args = ["--out", out.to_str().unwrap()];
+    let output = run(env!("CARGO_BIN_EXE_obs_report"), &args, Some("1"), &dir);
     assert!(output.status.success(), "{output:?}");
-    let output = run(env!("CARGO_BIN_EXE_table2"), &order, Some("2"), &dir);
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("order: DeparturesFirst"), "{stdout}");
-    let report = std::fs::read_to_string(dir.join("json/table2.json")).unwrap();
-    assert!(report.contains("\"order\": \"DeparturesFirst\""));
+    let report = std::fs::read_to_string(&out).unwrap();
+    assert!(report.contains("\"bench\": \"obs_report\""), "{report}");
+    assert!(
+        !dir.join("json").exists(),
+        "not written to the default path"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -35,12 +35,10 @@
 //!
 //! ```
 //! use damq_core::BufferKind;
-//! use damq_markov::{discard_probability, CycleOrder, SolveOptions};
+//! use damq_markov::discard_probability;
 //!
-//! let damq3 = discard_probability(
-//!     BufferKind::Damq, 3, 0.95, CycleOrder::default(), SolveOptions::default())?;
-//! let fifo6 = discard_probability(
-//!     BufferKind::Fifo, 6, 0.95, CycleOrder::default(), SolveOptions::default())?;
+//! let damq3 = discard_probability(BufferKind::Damq, 3, 0.95)?;
+//! let fifo6 = discard_probability(BufferKind::Fifo, 6, 0.95)?;
 //! assert!(damq3.discard_probability <= fifo6.discard_probability);
 //! # Ok::<(), damq_markov::AnalysisError>(())
 //! ```
@@ -69,4 +67,4 @@ pub use samq_model::SamqModel;
 pub use solve::{steady_state, steady_state_gauss_seidel, SolveError, SolveOptions, SteadyState};
 pub use sparse::{Columns, CsrMatrix};
 pub use switch2x2::{BufferModel2x2, Counts, CycleOrder, Switch2x2};
-pub use switch_kxk::{discard_probability_kxk, kxk_supported_kinds, SwitchKxK};
+pub use switch_kxk::{discard_probability_kxk, SwitchKxK};

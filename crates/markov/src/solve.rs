@@ -39,19 +39,6 @@ pub struct SteadyState {
     pub residual: f64,
 }
 
-impl SteadyState {
-    /// Expected value of a per-state quantity under the stationary
-    /// distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != pi.len()`.
-    pub fn expectation(&self, values: &[f64]) -> f64 {
-        assert_eq!(values.len(), self.pi.len(), "value vector length");
-        self.pi.iter().zip(values).map(|(p, v)| p * v).sum()
-    }
-}
-
 /// Failure of the steady-state solver.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -119,7 +106,7 @@ fn check(matrix: &CsrMatrix, options: SolveOptions) -> Result<(), SolveError> {
     if rows != cols {
         return Err(SolveError::NotSquare { rows, cols });
     }
-    // Row by row, each summed as `row_sums` sums it, without collecting.
+    // Row by row, each summed over its stored values, without collecting.
     let mut sums = (0..rows).map(|row| (row, matrix.row(row).map(|(_, v)| v).sum::<f64>()));
     match sums.find(|&(_, sum)| (sum - 1.0).abs() > 1e-9) {
         Some((row, sum)) => Err(SolveError::NotStochastic { row, sum }),
@@ -1036,15 +1023,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn expectation_weights_by_pi() {
-        let ss = SteadyState {
-            pi: vec![0.25, 0.75],
-            iterations: 1,
-            residual: 0.0,
-        };
-        assert!((ss.expectation(&[4.0, 0.0]) - 1.0).abs() < 1e-15);
     }
 }

@@ -36,10 +36,18 @@
 //! destination stays hidden until it leads (the deferred decision of
 //! [`FifoModel`](crate::FifoModel), applied at arrival), or a packet any
 //! full buffer discards. The test is [`BufferModel2x2::accept`] itself,
-//! run on the state the arrival meets — under
-//! [`CycleOrder::DeparturesFirst`], each departure branch's state — so it
-//! asks nothing more of a model. FIFO-6 emits 460 branches over its 38
-//! states, where the nine arrival pairs emitted 1 004.
+//! run on the state the arrival meets, so it asks nothing more of a
+//! model. FIFO-6 emits 460 branches over its 38 states, where the nine
+//! arrival pairs emitted 1 004.
+//!
+//! Within a cycle, arrivals come first: packets join their queues (or are
+//! discarded), then the arbiter transmits, and the chain's state is the
+//! buffers after departures. The paper does not say which step comes
+//! first, and the other order carries no information of its own: it
+//! observes the same alternating sequence of arrivals and departures half
+//! a cycle later, so its discard probability and throughput are these, its
+//! mean occupancy is this one plus the throughput, and its mean wait this
+//! one plus a cycle (see [`DiscardPoint`](crate::DiscardPoint)).
 
 use std::cmp::Ordering;
 use std::fmt::{self, Debug};
@@ -48,28 +56,16 @@ use std::ops::{Deref, DerefMut};
 
 use crate::chain::{MarkovModel, Reward, Transition};
 
-/// Whether arrivals are applied before or after departures within one long
-/// clock cycle.
+/// The order of arrivals and departures within one long-clock cycle:
+/// arrivals first, the only order the model has (see the module docs).
 ///
-/// `ArrivalsFirst` lets a packet that arrives at an empty queue leave in the
-/// same cycle (the cut-through-style behaviour of the paper's switches);
-/// `DeparturesFirst` is classic store-and-forward, where a packet stays at
-/// least one cycle. Both are offered because the paper does not spell the
-/// ordering out; `ArrivalsFirst` is the default.
-///
-/// The order cannot move a discard probability or a throughput: both
-/// orders observe the same alternating arrival/departure sequence, at
-/// different points of it, and over every valid Table 2 point they agree
-/// to rounding (the `cycle_order_cannot_move_a_discard_probability` test).
-/// What it moves is where the occupancy is sampled, so the mean occupancy
-/// and the mean wait derived from it differ.
+/// Pinned by `benchmark/` (frozen), which names the variant when it
+/// builds a [`Switch2x2`]; [`Switch2x2::new`] ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CycleOrder {
     /// Arrivals join queues (or are discarded), then the arbiter transmits.
     #[default]
     ArrivalsFirst,
-    /// The arbiter transmits from the old state, then arrivals join.
-    DeparturesFirst,
 }
 
 /// Buffer-design-specific behaviour inside the 2×2 long-clock switch.
@@ -133,25 +129,21 @@ pub trait BufferModel2x2 {
 pub struct Switch2x2<M> {
     model: M,
     traffic: f64,
-    order: CycleOrder,
 }
 
 impl<M: BufferModel2x2> Switch2x2<M> {
-    /// Wraps `model` with per-input arrival probability `traffic`.
+    /// Wraps `model` with per-input arrival probability `traffic`. The
+    /// cycle order is the one [`CycleOrder`] names.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= traffic <= 1.0`.
-    pub fn new(model: M, traffic: f64, order: CycleOrder) -> Self {
+    pub fn new(model: M, traffic: f64, _order: CycleOrder) -> Self {
         assert!(
             (0.0..=1.0).contains(&traffic),
             "traffic must be a probability, got {traffic}"
         );
-        Switch2x2 {
-            model,
-            traffic,
-            order,
-        }
+        Switch2x2 { model, traffic }
     }
 
     /// The wrapped buffer model.
@@ -162,11 +154,6 @@ impl<M: BufferModel2x2> Switch2x2<M> {
     /// The per-input arrival probability.
     pub fn traffic(&self) -> f64 {
         self.traffic
-    }
-
-    /// The configured intra-cycle ordering.
-    pub fn order(&self) -> CycleOrder {
-        self.order
     }
 
     /// How many model states the orbit of `state` holds: 1, 2 or 4. Times
@@ -235,17 +222,14 @@ impl<M: BufferModel2x2> Switch2x2<M> {
     }
 
     /// Hands `each` the distinct outcomes of both inputs' arrivals on
-    /// `state`: input 0's first, then input 1's on the state it left.
-    /// Each comes with its slot `3·a₀ + a₁` in the nine-way enumeration
-    /// (`a` = 0 for no packet, 1 and 2 for a packet to output 0 and 1), in
-    /// slot order. A packet for output 1 that would repeat the outcome of
-    /// one for output 0 is skipped, with every slot it leads to: its
-    /// probability is already in theirs.
-    fn for_each_arrival(&self, state: &M::State, mut each: impl FnMut(usize, Arrival<M::State>)) {
-        for (a0, first) in self.arrivals_at(state, 0).into_iter().enumerate() {
-            let Some(first) = first else { continue };
-            for (a1, second) in self.arrivals_at(&first.state, 1).into_iter().enumerate() {
-                let Some(second) = second else { continue };
+    /// `state`: input 0's first, then input 1's on the state it left, in
+    /// the order of the nine-way enumeration (no packet, a packet to
+    /// output 0, one to output 1, per input). A packet for output 1 that
+    /// would repeat the outcome of one for output 0 is skipped, with every
+    /// outcome it leads to: its probability is already in theirs.
+    fn for_each_arrival(&self, state: &M::State, mut each: impl FnMut(Arrival<M::State>)) {
+        for first in self.arrivals_at(state, 0).into_iter().flatten() {
+            for second in self.arrivals_at(&first.state, 1).into_iter().flatten() {
                 let probability = first.probability * second.probability;
                 if probability == 0.0 {
                     continue;
@@ -256,7 +240,7 @@ impl<M: BufferModel2x2> Switch2x2<M> {
                     offered: first.offered + second.offered,
                     discards: first.discards + second.discards,
                 };
-                each(3 * a0 + a1, both);
+                each(both);
             }
         }
     }
@@ -283,58 +267,29 @@ impl<M: BufferModel2x2> MarkovModel for Switch2x2<M> {
     /// One branch per distinct outcome (see the module docs): an
     /// arrival's two destinations are one branch of probability `p`
     /// wherever they leave the same state with the same verdict, two of
-    /// `p/2` otherwise. Under both cycle orders the arrival slots of the
-    /// nine-way enumeration are the outer loop — under
-    /// [`CycleOrder::DeparturesFirst`] each slot meets every departure
-    /// branch in turn, and the merge is decided on that branch's state —
-    /// so a merged branch sits where the first of its two halves sat and
-    /// the second would only have repeated its successors: states are
-    /// discovered, hence numbered, as they were branch by branch.
+    /// `p/2` otherwise. The arrivals are the outer loop and each meets the
+    /// departures from the state it leaves, so a merged branch sits where
+    /// the first of its two halves sat and the second would only have
+    /// repeated its successors: states are discovered, hence numbered, as
+    /// they were branch by branch.
     fn for_each_transition(
         &self,
         state: &Self::State,
         mut emit: impl FnMut(Transition<Self::State>),
     ) {
-        let mut branch = |arrival: &Arrival<M::State>, next, dp: f64, sent: u32| {
-            emit(Transition {
-                next: self.canonical(&next),
-                probability: arrival.probability * dp,
-                reward: Reward {
-                    arrivals: arrival.offered,
-                    discards: arrival.discards,
-                    departures: f64::from(sent),
-                },
-            })
-        };
-        match self.order {
-            CycleOrder::ArrivalsFirst => self.for_each_arrival(state, |_, arrival| {
-                self.model.departures(&arrival.state, |next, dp, sent| {
-                    branch(&arrival, next, dp, sent)
+        self.for_each_arrival(state, |arrival| {
+            self.model.departures(&arrival.state, |next, dp, sent| {
+                emit(Transition {
+                    next: self.canonical(&next),
+                    probability: arrival.probability * dp,
+                    reward: Reward {
+                        arrivals: arrival.offered,
+                        discards: arrival.discards,
+                        departures: f64::from(sent),
+                    },
                 })
-            }),
-            CycleOrder::DeparturesFirst => {
-                // Arrivals meet each departure branch's state, but the
-                // arrival slots stay the outer loop.
-                let mut departed = [None; 4];
-                let mut free = departed.iter_mut();
-                self.model.departures(state, |next, dp, sent| {
-                    let slot = free.next().expect("departures emits at most four branches");
-                    *slot = Some((next, dp, sent));
-                });
-                let mut arrived = [[None; 9]; 4];
-                for (outcomes, &(next, _, _)) in arrived.iter_mut().zip(departed.iter().flatten()) {
-                    self.for_each_arrival(&next, |slot, arrival| outcomes[slot] = Some(arrival));
-                }
-                for slot in 0..9 {
-                    for (outcomes, &(_, dp, sent)) in arrived.iter().zip(departed.iter().flatten())
-                    {
-                        if let Some(arrival) = &outcomes[slot] {
-                            branch(arrival, arrival.state, dp, sent);
-                        }
-                    }
-                }
-            }
-        }
+            })
+        })
     }
 }
 
@@ -573,20 +528,5 @@ mod tests {
             full(&[[1, 0], [1, 0]]),
             vec![([[0, 0], [1, 0]], 0.5, 1), ([[1, 0], [0, 0]], 0.5, 1)]
         );
-    }
-
-    #[test]
-    fn departures_first_offers_arrivals_to_each_branch() {
-        // One packet for out0 at each input: the tie splits, and the
-        // arrival at input 0 (for out1) joins whichever state results.
-        let switch = Switch2x2::new(crate::DamqModel::new(1), 1.0, CycleOrder::DeparturesFirst);
-        let all = switch.transitions(&Counts([[1, 0], [1, 0]]));
-        // Per tie branch, the input that sent has room for either packet;
-        // the full one discards either, one event.
-        assert_eq!(all.len(), 4, "2 tie branches, 2 x 1 distinct arrivals each");
-        let total: f64 = all.iter().map(|t| t.probability).sum();
-        assert!((total - 1.0).abs() < 1e-15);
-        // Whichever input kept its packet is full and discards its arrival.
-        assert!(all.iter().all(|t| t.reward.discards == 1.0));
     }
 }

@@ -19,14 +19,11 @@
 //!   same family of policy as the simulator's arbiter, and the
 //!   `markov_vs_simulation` suite bounds the residual difference.
 
-use std::collections::BTreeSet;
-
 use damq_core::BufferKind;
 
 use crate::chain::{Chain, FxHashMap, MarkovModel, Reward, Transition};
 use crate::discard::{check_shared, AnalysisError, DiscardPoint};
 use crate::solve::SolveOptions;
-use crate::switch2x2::CycleOrder;
 
 /// Per-(input, output) packet counts of a k×k switch, row-major
 /// (`input * k + output`). Fixed 16 cells (radix ≤ 4) keep the state
@@ -37,14 +34,15 @@ type KState = [u8; 16];
 /// Largest radix the fixed-size state supports.
 pub const MAX_KXK_RADIX: usize = 4;
 
-/// A k×k discarding switch with a count-based buffer design.
+/// A k×k discarding switch with a count-based buffer design. Within a
+/// cycle, arrivals join their queues (or are discarded), then the greedy
+/// arbiter transmits, as in [`Switch2x2`](crate::Switch2x2).
 #[derive(Debug, Clone)]
 pub struct SwitchKxK {
     kind: BufferKind,
     radix: usize,
     capacity: u8,
     traffic: f64,
-    order: CycleOrder,
 }
 
 impl SwitchKxK {
@@ -67,7 +65,6 @@ impl SwitchKxK {
         radix: usize,
         capacity: usize,
         traffic: f64,
-        order: CycleOrder,
     ) -> Result<Self, AnalysisError> {
         assert!(
             kind != BufferKind::Fifo,
@@ -88,7 +85,6 @@ impl SwitchKxK {
             radix,
             capacity: capacity as u8,
             traffic,
-            order,
         })
     }
 
@@ -201,10 +197,6 @@ impl MarkovModel for SwitchKxK {
             }
             if prob > 0.0 {
                 let mut st = *state;
-                let mut sent = 0;
-                if self.order == CycleOrder::DeparturesFirst {
-                    sent = self.depart_greedy(&mut st);
-                }
                 let mut arrivals = 0.0;
                 let mut discards = 0.0;
                 for (input, &choice) in combo[..k].iter().enumerate() {
@@ -217,9 +209,7 @@ impl MarkovModel for SwitchKxK {
                         }
                     }
                 }
-                if self.order == CycleOrder::ArrivalsFirst {
-                    sent = self.depart_greedy(&mut st);
-                }
+                let sent = self.depart_greedy(&mut st);
                 let reward = Reward {
                     arrivals,
                     discards,
@@ -273,14 +263,10 @@ impl MarkovModel for SwitchKxK {
 ///
 /// ```no_run
 /// use damq_core::BufferKind;
-/// use damq_markov::{discard_probability_kxk, SolveOptions};
+/// use damq_markov::discard_probability_kxk;
 ///
-/// use damq_markov::CycleOrder;
-///
-/// let damq = discard_probability_kxk(
-///     BufferKind::Damq, 4, 4, 0.9, CycleOrder::default(), SolveOptions::default())?;
-/// let samq = discard_probability_kxk(
-///     BufferKind::Samq, 4, 4, 0.9, CycleOrder::default(), SolveOptions::default())?;
+/// let damq = discard_probability_kxk(BufferKind::Damq, 4, 4, 0.9)?;
+/// let samq = discard_probability_kxk(BufferKind::Samq, 4, 4, 0.9)?;
 /// assert!(damq.discard_probability < samq.discard_probability);
 /// # Ok::<(), damq_markov::AnalysisError>(())
 /// ```
@@ -289,8 +275,6 @@ pub fn discard_probability_kxk(
     radix: usize,
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
-    options: SolveOptions,
 ) -> Result<DiscardPoint, AnalysisError> {
     if kind == BufferKind::Fifo {
         return Err(AnalysisError::UnsupportedKind { kind });
@@ -310,9 +294,9 @@ pub fn discard_probability_kxk(
             max,
         });
     }
-    let model = SwitchKxK::new(kind, radix, capacity, traffic, order)?;
+    let model = SwitchKxK::new(kind, radix, capacity, traffic)?;
     let chain = Chain::explore(&model);
-    let ss = chain.steady_state(options)?;
+    let ss = chain.steady_state(SolveOptions::default())?;
     let reward = chain.stationary_reward(&ss);
     let discard_probability = if reward.arrivals > 0.0 {
         reward.discards / reward.arrivals
@@ -340,23 +324,10 @@ pub fn discard_probability_kxk(
     })
 }
 
-/// The buffer kinds the k×k model supports.
-pub fn kxk_supported_kinds() -> BTreeSet<BufferKind> {
-    [
-        BufferKind::Samq,
-        BufferKind::Safc,
-        BufferKind::Damq,
-        BufferKind::Dafc,
-    ]
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discard::discard_probability;
-    use crate::switch2x2::CycleOrder;
 
     #[test]
     fn radix_2_roughly_matches_the_exact_2x2_models() {
@@ -364,23 +335,8 @@ mod tests {
         // the discard probabilities should agree closely.
         for kind in [BufferKind::Damq, BufferKind::Samq, BufferKind::Safc] {
             for traffic in [0.5, 0.9] {
-                let exact = discard_probability(
-                    kind,
-                    4,
-                    traffic,
-                    CycleOrder::ArrivalsFirst,
-                    SolveOptions::default(),
-                )
-                .unwrap();
-                let greedy = discard_probability_kxk(
-                    kind,
-                    2,
-                    4,
-                    traffic,
-                    CycleOrder::ArrivalsFirst,
-                    SolveOptions::default(),
-                )
-                .unwrap();
+                let exact = discard_probability(kind, 4, traffic).unwrap();
+                let greedy = discard_probability_kxk(kind, 2, 4, traffic).unwrap();
                 assert!(
                     (exact.discard_probability - greedy.discard_probability).abs() < 0.01,
                     "{kind}@{traffic}: exact {} vs greedy {}",
@@ -395,15 +351,7 @@ mod tests {
     fn flow_conservation_at_radix_3() {
         for kind in [BufferKind::Damq, BufferKind::Samq] {
             let traffic = 0.8;
-            let p = discard_probability_kxk(
-                kind,
-                3,
-                3,
-                traffic,
-                CycleOrder::ArrivalsFirst,
-                SolveOptions::default(),
-            )
-            .unwrap();
+            let p = discard_probability_kxk(kind, 3, 3, traffic).unwrap();
             let arrivals = 3.0 * traffic;
             let lost = arrivals * p.discard_probability;
             assert!(
@@ -417,32 +365,14 @@ mod tests {
     #[test]
     fn damq_dominates_at_radix_3() {
         let traffic = 0.9;
-        let damq = discard_probability_kxk(
-            BufferKind::Damq,
-            3,
-            3,
-            traffic,
-            CycleOrder::ArrivalsFirst,
-            SolveOptions::default(),
-        )
-        .unwrap();
-        let samq = discard_probability_kxk(
-            BufferKind::Samq,
-            3,
-            3,
-            traffic,
-            CycleOrder::ArrivalsFirst,
-            SolveOptions::default(),
-        )
-        .unwrap();
+        let damq = discard_probability_kxk(BufferKind::Damq, 3, 3, traffic).unwrap();
+        let samq = discard_probability_kxk(BufferKind::Samq, 3, 3, traffic).unwrap();
         assert!(damq.discard_probability < samq.discard_probability);
     }
 
     #[test]
     fn fifo_is_rejected_up_front() {
-        let result = std::panic::catch_unwind(|| {
-            SwitchKxK::new(BufferKind::Fifo, 4, 4, 0.5, CycleOrder::ArrivalsFirst)
-        });
+        let result = std::panic::catch_unwind(|| SwitchKxK::new(BufferKind::Fifo, 4, 4, 0.5));
         assert!(result.is_err());
     }
 
@@ -451,15 +381,7 @@ mod tests {
         // Each used to panic in `SwitchKxK::new`.
         use AnalysisError::*;
         let analyse = |kind, radix, capacity, traffic| {
-            discard_probability_kxk(
-                kind,
-                radix,
-                capacity,
-                traffic,
-                CycleOrder::ArrivalsFirst,
-                SolveOptions::default(),
-            )
-            .unwrap_err()
+            discard_probability_kxk(kind, radix, capacity, traffic).unwrap_err()
         };
         let (fifo, damq, samq) = (BufferKind::Fifo, BufferKind::Damq, BufferKind::Samq);
         assert_eq!(analyse(fifo, 2, 2, 0.5), UnsupportedKind { kind: fifo });
@@ -491,8 +413,7 @@ mod tests {
 
     #[test]
     fn static_capacity_must_divide_radix() {
-        let err =
-            SwitchKxK::new(BufferKind::Samq, 4, 6, 0.5, CycleOrder::ArrivalsFirst).unwrap_err();
+        let err = SwitchKxK::new(BufferKind::Samq, 4, 6, 0.5).unwrap_err();
         assert!(matches!(err, AnalysisError::OddStaticCapacity { .. }));
     }
 
@@ -500,7 +421,7 @@ mod tests {
     fn greedy_matching_is_maximal_on_small_cases() {
         // No (input, output) pair with packets remains grantable after the
         // greedy pass: the matching is maximal (not necessarily maximum).
-        let model = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5, CycleOrder::ArrivalsFirst).unwrap();
+        let model = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5).unwrap();
         let mut state: KState = [0; 16];
         state[..9].copy_from_slice(&[1, 0, 0, 1, 1, 0, 0, 0, 1]);
         let mut rem = state;
@@ -529,64 +450,11 @@ mod tests {
     fn fully_connected_designs_send_more() {
         // One input holding packets for all outputs: DAFC drains radix per
         // cycle, DAMQ one.
-        let dafc = SwitchKxK::new(BufferKind::Dafc, 3, 3, 0.5, CycleOrder::ArrivalsFirst).unwrap();
-        let damq = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5, CycleOrder::ArrivalsFirst).unwrap();
+        let dafc = SwitchKxK::new(BufferKind::Dafc, 3, 3, 0.5).unwrap();
+        let damq = SwitchKxK::new(BufferKind::Damq, 3, 3, 0.5).unwrap();
         let mut state: KState = [0; 16];
         state[..9].copy_from_slice(&[1, 1, 1, 0, 0, 0, 0, 0, 0]);
         assert_eq!(dafc.depart_greedy(&mut state.clone()), 3);
         assert_eq!(damq.depart_greedy(&mut state.clone()), 1);
-    }
-
-    /// The k×k chain obeys the 2×2 one's rule: starting the cycle with
-    /// arrivals or with departures samples one alternating sequence half a
-    /// cycle apart, so the discard probability and the throughput agree to
-    /// rounding while the sampled occupancy moves. Pinned over every valid
-    /// radix-3 point at capacities up to 3 and over radix-4 DAMQ-1.
-    #[test]
-    fn cycle_order_cannot_move_a_kxk_discard_probability() {
-        let mut configs = vec![(BufferKind::Damq, 4, 1)];
-        for kind in [
-            BufferKind::Samq,
-            BufferKind::Safc,
-            BufferKind::Damq,
-            BufferKind::Dafc,
-        ] {
-            for cap in 1..=3 {
-                if !kind.is_statically_allocated() || cap % 3 == 0 {
-                    configs.push((kind, 3, cap));
-                }
-            }
-        }
-        let mut occupancy_moved = false;
-        for &(kind, radix, cap) in &configs {
-            for traffic in [0.5, 0.9, 0.99] {
-                let at = |order| {
-                    discard_probability_kxk(
-                        kind,
-                        radix,
-                        cap,
-                        traffic,
-                        order,
-                        SolveOptions::default(),
-                    )
-                    .unwrap()
-                };
-                let arrivals = at(CycleOrder::ArrivalsFirst);
-                let departures = at(CycleOrder::DeparturesFirst);
-                let case = format!("{kind} {radix}x{radix} cap {cap} at {traffic}");
-                let gap = (arrivals.discard_probability - departures.discard_probability).abs();
-                assert!(gap <= 1e-12, "{case}: discard gap {gap:e}");
-                let gap = (arrivals.throughput - departures.throughput).abs();
-                assert!(gap <= 1e-12, "{case}: throughput gap {gap:e}");
-                occupancy_moved |=
-                    (arrivals.mean_occupancy - departures.mean_occupancy).abs() > 1e-9;
-            }
-        }
-        assert_eq!(
-            configs.len(),
-            9,
-            "radix-3 DAMQ/DAFC 1-3, SAMQ/SAFC 3; radix-4 DAMQ-1"
-        );
-        assert!(occupancy_moved, "the order still moves the mean occupancy");
     }
 }

@@ -23,7 +23,7 @@
 //! one branch where both leave the same state with the same verdict.
 //!
 //! The 2×2 differential has four halves, each over traffic {0.25, 0.75,
-//! 0.9, 0.99} × both cycle orders:
+//! 0.9, 0.99}:
 //!
 //! - (i) over every Table 2 shape (and DAFC 2–4), the shipped explorer
 //!   against the reference applying the same orbit map and the same
@@ -530,7 +530,6 @@ mod reference {
     pub struct Switch2x2<M> {
         pub model: M,
         pub traffic: f64,
-        pub order: CycleOrder,
         pub lumped: bool,
         pub arrivals: Arrivals,
     }
@@ -630,42 +629,19 @@ mod reference {
             let mut out = Vec::new();
             for a0 in 0..3 {
                 for a1 in 0..3 {
-                    match self.order {
-                        CycleOrder::ArrivalsFirst => {
-                            let Some((st, prob, arrivals, discards)) = self.arrive(state, a0, a1)
-                            else {
-                                continue;
-                            };
-                            for (next, dp, sent) in self.model.departures(&st) {
-                                out.push(Transition {
-                                    next,
-                                    probability: prob * dp,
-                                    reward: Reward {
-                                        arrivals,
-                                        discards,
-                                        departures: f64::from(sent),
-                                    },
-                                });
-                            }
-                        }
-                        CycleOrder::DeparturesFirst => {
-                            for (departed, dp, sent) in self.model.departures(state) {
-                                let Some((next, prob, arrivals, discards)) =
-                                    self.arrive(&departed, a0, a1)
-                                else {
-                                    continue;
-                                };
-                                out.push(Transition {
-                                    next,
-                                    probability: prob * dp,
-                                    reward: Reward {
-                                        arrivals,
-                                        discards,
-                                        departures: f64::from(sent),
-                                    },
-                                });
-                            }
-                        }
+                    let Some((st, prob, arrivals, discards)) = self.arrive(state, a0, a1) else {
+                        continue;
+                    };
+                    for (next, dp, sent) in self.model.departures(&st) {
+                        out.push(Transition {
+                            next,
+                            probability: prob * dp,
+                            reward: Reward {
+                                arrivals,
+                                discards,
+                                departures: f64::from(sent),
+                            },
+                        });
                     }
                 }
             }
@@ -685,7 +661,6 @@ mod reference {
         pub radix: usize,
         pub capacity: u8,
         pub traffic: f64,
-        pub order: CycleOrder,
     }
 
     impl SwitchKxK {
@@ -781,14 +756,6 @@ mod reference {
                 }
                 if prob > 0.0 {
                     let mut st = *state;
-                    let mut sent = 0usize;
-                    if self.order == CycleOrder::DeparturesFirst {
-                        let grants = self.departures(&st);
-                        for &(input, output) in &grants {
-                            st[input * k + output] -= 1;
-                        }
-                        sent = grants.len();
-                    }
                     let mut arrivals = 0.0;
                     let mut discards = 0.0;
                     for (input, &choice) in combo.iter().enumerate() {
@@ -801,13 +768,11 @@ mod reference {
                             }
                         }
                     }
-                    if self.order == CycleOrder::ArrivalsFirst {
-                        let grants = self.departures(&st);
-                        for &(input, output) in &grants {
-                            st[input * k + output] -= 1;
-                        }
-                        sent = grants.len();
+                    let grants = self.departures(&st);
+                    for &(input, output) in &grants {
+                        st[input * k + output] -= 1;
                     }
+                    let sent = grants.len();
                     out.push(Transition {
                         next: st,
                         probability: prob,
@@ -1518,39 +1483,31 @@ where
 /// and 0.75 every product and sum is exact, and at 0.99 the duplicate
 /// branches happen to add to the same bits in either order.
 const TRAFFICS: [f64; 4] = [0.25, 0.75, 0.9, 0.99];
-const ORDERS: [CycleOrder; 2] = [CycleOrder::ArrivalsFirst, CycleOrder::DeparturesFirst];
 
 /// The shipped FIFO state in the head-only reference's representation.
 fn heads_of(state: &FifoState) -> reference::HeadState {
     [0, 1].map(|i| (state.len(i) as u8, state.head(i).unwrap_or(0)))
 }
 
-/// One 2×2 shape at one traffic level and cycle order, shipped against
+/// One 2×2 shape at one traffic level, shipped against
 /// the reference applying the same orbit map (half (i)).
 fn two_by_two(
     kind: BufferKind,
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
     mutation: Option<Mutation>,
 ) -> Result<(), String> {
     // A count-based design against the reference with the same rules.
-    fn counts<M>(
-        model: M,
-        old: reference::CountBuffer,
-        traffic: f64,
-        order: CycleOrder,
-    ) -> Result<(), String>
+    fn counts<M>(model: M, old: reference::CountBuffer, traffic: f64) -> Result<(), String>
     where
         M: damq_markov::BufferModel2x2<State = damq_markov::Counts>,
     {
         let mutation = old.mutation;
         differential(
-            &Switch2x2::new(model, traffic, order),
+            &Switch2x2::new(model, traffic, CycleOrder::ArrivalsFirst),
             &reference::Switch2x2 {
                 model: old,
                 traffic,
-                order,
                 lumped: true,
                 arrivals: reference::Arrivals::Distinct(None),
             },
@@ -1565,23 +1522,22 @@ fn two_by_two(
     };
     match kind {
         BufferKind::Fifo => differential(
-            &Switch2x2::new(FifoModel::new(capacity), traffic, order),
+            &Switch2x2::new(FifoModel::new(capacity), traffic, CycleOrder::ArrivalsFirst),
             &reference::Switch2x2 {
                 model: reference::FifoHeads { capacity, mutation },
                 traffic,
-                order,
                 lumped: true,
                 arrivals: reference::Arrivals::Distinct(None),
             },
             heads_of,
             mutation,
         ),
-        BufferKind::Damq => counts(DamqModel::new(capacity), old, traffic, order),
-        BufferKind::Samq => counts(SamqModel::new(capacity), old, traffic, order),
-        BufferKind::Safc => counts(SafcModel::new(capacity), old, traffic, order),
-        BufferKind::Dafc => counts(DafcModel::new(capacity), old, traffic, order),
+        BufferKind::Damq => counts(DamqModel::new(capacity), old, traffic),
+        BufferKind::Samq => counts(SamqModel::new(capacity), old, traffic),
+        BufferKind::Safc => counts(SafcModel::new(capacity), old, traffic),
+        BufferKind::Dafc => counts(DafcModel::new(capacity), old, traffic),
     }
-    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic}: {e}"))
 }
 
 /// The reference switch over joint occupancies is equivariant: on every
@@ -1708,18 +1664,12 @@ fn symmetry(
     kind: BufferKind,
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
     mutation: Option<Mutation>,
 ) -> Result<(), String> {
-    fn check<M: reference::Buffer2x2>(
-        model: impl Fn() -> M,
-        traffic: f64,
-        order: CycleOrder,
-    ) -> Result<(), String> {
+    fn check<M: reference::Buffer2x2>(model: impl Fn() -> M, traffic: f64) -> Result<(), String> {
         let switch = |lumped| reference::Switch2x2 {
             model: model(),
             traffic,
-            order,
             lumped,
             arrivals: reference::Arrivals::NineWay,
         };
@@ -1729,7 +1679,7 @@ fn symmetry(
         lumping(&full, &unlumped, &reference::explore(&switch(true), None))
     }
     match kind {
-        BufferKind::Fifo => check(|| reference::Fifo { capacity, mutation }, traffic, order),
+        BufferKind::Fifo => check(|| reference::Fifo { capacity, mutation }, traffic),
         _ => check(
             || reference::CountBuffer {
                 kind,
@@ -1737,10 +1687,9 @@ fn symmetry(
                 mutation,
             },
             traffic,
-            order,
         ),
     }
-    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic}: {e}"))
 }
 
 /// The head-only FIFO on orbits against the full-sequence FIFO on joint
@@ -1768,14 +1717,12 @@ fn symmetry(
 fn deferred_decisions(
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
     mutation: Option<Mutation>,
 ) -> Result<(), String> {
     use damq_markov::FxHashMap;
     let heads = |lumped| reference::Switch2x2 {
         model: reference::FifoHeads { capacity, mutation },
         traffic,
-        order,
         lumped,
         arrivals: reference::Arrivals::NineWay,
     };
@@ -1788,7 +1735,6 @@ fn deferred_decisions(
             mutation: None,
         },
         traffic,
-        order,
         lumped: false,
         arrivals: reference::Arrivals::NineWay,
     };
@@ -1908,20 +1854,17 @@ fn distinct_outcomes(
     kind: BufferKind,
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
     mutation: Option<Mutation>,
 ) -> Result<(), String> {
     fn check<M: reference::Buffer2x2>(
         model: impl Fn() -> M,
         traffic: f64,
-        order: CycleOrder,
         mutation: Option<Mutation>,
     ) -> Result<(), String> {
         let explore = |arrivals| {
             let switch = reference::Switch2x2 {
                 model: model(),
                 traffic,
-                order,
                 lumped: true,
                 arrivals,
             };
@@ -1979,7 +1922,6 @@ fn distinct_outcomes(
                 mutation: None,
             },
             traffic,
-            order,
             mutation,
         ),
         _ => check(
@@ -1989,25 +1931,22 @@ fn distinct_outcomes(
                 mutation: None,
             },
             traffic,
-            order,
             mutation,
         ),
     }
-    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic} {order:?}: {e}"))
+    .map_err(|e| format!("{kind} capacity {capacity} traffic {traffic}: {e}"))
 }
 
 /// Every shape of Table 2 (and the DAFC ablation) at every traffic level
-/// and cycle order of the sweep, through `each`.
+/// of the sweep, through `each`.
 fn table2_shapes(
     kind: BufferKind,
     capacities: &[usize],
-    each: impl Fn(BufferKind, usize, f64, CycleOrder, Option<Mutation>) -> Result<(), String>,
+    each: impl Fn(BufferKind, usize, f64, Option<Mutation>) -> Result<(), String>,
 ) -> Result<(), String> {
     for &capacity in capacities {
         for traffic in TRAFFICS {
-            for order in ORDERS {
-                each(kind, capacity, traffic, order, None)?;
-            }
+            each(kind, capacity, traffic, None)?;
         }
     }
     Ok(())
@@ -2050,9 +1989,9 @@ fn count_based_lumping_is_exact() {
 
 #[test]
 fn fifo_deferred_decisions_are_exact() {
-    let each = |_, capacity, traffic: f64, order: CycleOrder, mutation| {
-        deferred_decisions(capacity, traffic, order, mutation)
-            .map_err(|e| format!("FIFO capacity {capacity} traffic {traffic} {order:?}: {e}"))
+    let each = |_, capacity, traffic: f64, mutation| {
+        deferred_decisions(capacity, traffic, mutation)
+            .map_err(|e| format!("FIFO capacity {capacity} traffic {traffic}: {e}"))
     };
     table2_shapes(BufferKind::Fifo, &[1, 2, 3, 4, 5, 6], each).unwrap();
 }
@@ -2068,7 +2007,7 @@ fn head_only_slips_fail_the_deferred_decision_check() {
         // The tie that favours input 0, as on full sequences.
         (Mutation::FifoTieToInput0, "equivariance"),
     ] {
-        let verdict = deferred_decisions(3, 0.75, ORDERS[0], Some(mutation));
+        let verdict = deferred_decisions(3, 0.75, Some(mutation));
         let why = verdict.expect_err("the head-only slip went unnoticed");
         assert!(
             why.contains(symptom),
@@ -2085,8 +2024,8 @@ fn distinct_outcomes_fold_exactly() {
     table2_shapes(BufferKind::Dafc, &[1, 2, 3, 4, 5, 6], distinct_outcomes).unwrap();
 }
 
-/// Each slip in folding an arrival's destinations fails half (iv), under
-/// both cycle orders: folding when only one of the two is discarded bites
+/// Each slip in folding an arrival's destinations fails half (iv):
+/// folding when only one of the two is discarded bites
 /// where one queue can be full while the other has room (the static
 /// designs); folding on matching verdicts alone bites every design.
 #[test]
@@ -2102,14 +2041,12 @@ fn distinct_outcome_slips_fail_the_check() {
         ),
     ] {
         for kind in kinds {
-            for order in ORDERS {
-                let verdict = distinct_outcomes(kind, 4, 0.75, order, Some(mutation));
-                let why = verdict.expect_err("the folding slip went unnoticed");
-                assert!(
-                    why.contains("nine-way"),
-                    "{mutation:?} on {kind} {order:?}: caught elsewhere: {why}"
-                );
-            }
+            let verdict = distinct_outcomes(kind, 4, 0.75, Some(mutation));
+            let why = verdict.expect_err("the folding slip went unnoticed");
+            assert!(
+                why.contains("nine-way"),
+                "{mutation:?} on {kind}: caught elsewhere: {why}"
+            );
         }
     }
 }
@@ -2123,7 +2060,7 @@ fn asymmetric_tie_breaks_fail_the_equivariance_check() {
         (Mutation::LongestTieToFirstQueue, BufferKind::Damq),
         (Mutation::FullyConnectedTieToInput0, BufferKind::Safc),
     ] {
-        let verdict = symmetry(kind, 2, 0.75, ORDERS[0], Some(mutation));
+        let verdict = symmetry(kind, 2, 0.75, Some(mutation));
         let why = verdict.expect_err("the asymmetric tie went unnoticed");
         assert!(
             why.contains("equivariance"),
@@ -2137,24 +2074,20 @@ fn k_by_k(
     radix: usize,
     capacity: usize,
     traffic: f64,
-    order: CycleOrder,
     mutation: Option<Mutation>,
 ) -> Result<(), String> {
     differential(
-        &SwitchKxK::new(kind, radix, capacity, traffic, order).unwrap(),
+        &SwitchKxK::new(kind, radix, capacity, traffic).unwrap(),
         &reference::SwitchKxK {
             kind,
             radix,
             capacity: capacity as u8,
             traffic,
-            order,
         },
         |s| *s,
         mutation,
     )
-    .map_err(|e| {
-        format!("{radix}x{radix} {kind} capacity {capacity} traffic {traffic} {order:?}: {e}")
-    })
+    .map_err(|e| format!("{radix}x{radix} {kind} capacity {capacity} traffic {traffic}: {e}"))
 }
 
 /// The k×k model emits in hash-map iteration order, so this also pins
@@ -2166,29 +2099,24 @@ fn k_by_k_chains_match_the_reference_bit_for_bit() {
     let fixed = [BufferKind::Samq, BufferKind::Safc];
     for radix in [2, 3] {
         for traffic in TRAFFICS {
-            for order in ORDERS {
-                for kind in dynamic {
-                    k_by_k(kind, radix, 2, traffic, order, None).unwrap();
-                }
-                for kind in fixed {
-                    k_by_k(kind, radix, radix, traffic, order, None).unwrap();
-                }
+            for kind in dynamic {
+                k_by_k(kind, radix, 2, traffic, None).unwrap();
+            }
+            for kind in fixed {
+                k_by_k(kind, radix, radix, traffic, None).unwrap();
             }
         }
     }
-    // Radix 4 at the shapes `markov_4x4` commits (arrivals first; 625
-    // arrival combinations per state). Departures-first chains hold every
-    // post-arrival state and are tens of times larger, so that order runs
-    // at one slot only.
+    // Radix 4 at the shapes `markov_4x4` commits (625 arrival combinations
+    // per state).
     for traffic in [0.75, 0.99] {
         for kind in dynamic {
             for capacity in [1, 2] {
-                k_by_k(kind, 4, capacity, traffic, ORDERS[0], None).unwrap();
+                k_by_k(kind, 4, capacity, traffic, None).unwrap();
             }
-            k_by_k(kind, 4, 1, traffic, ORDERS[1], None).unwrap();
         }
         for kind in fixed {
-            k_by_k(kind, 4, 4, traffic, ORDERS[0], None).unwrap();
+            k_by_k(kind, 4, 4, traffic, None).unwrap();
         }
     }
 }
@@ -2203,7 +2131,7 @@ fn mutation_swapped_tie_branches_has_teeth() {
     // four for SAMQ.
     let mutation = Some(Mutation::SwapTieBranches);
     for (kind, capacity) in [(BufferKind::Damq, 3), (BufferKind::Samq, 4)] {
-        let verdict = two_by_two(kind, capacity, 0.75, CycleOrder::ArrivalsFirst, mutation);
+        let verdict = two_by_two(kind, capacity, 0.75, mutation);
         assert!(verdict.is_err(), "{kind}: the swapped tie went unnoticed");
     }
     // A FIFO head-of-line tie needs equal lengths and equal heads, so
@@ -2213,14 +2141,8 @@ fn mutation_swapped_tie_branches_has_teeth() {
     // every bit of the chain. (On full sequences the queues behind the
     // heads told the outcomes apart.)
     for capacity in 2..=6 {
-        two_by_two(
-            BufferKind::Fifo,
-            capacity,
-            0.9,
-            CycleOrder::ArrivalsFirst,
-            mutation,
-        )
-        .expect("a FIFO tie's outcomes share their orbits");
+        two_by_two(BufferKind::Fifo, capacity, 0.9, mutation)
+            .expect("a FIFO tie's outcomes share their orbits");
     }
 }
 
@@ -2230,7 +2152,7 @@ fn mutation_reversed_duplicate_sum_has_teeth() {
     // the last bits of a matrix entry move (see `TRAFFICS` for why 0.9).
     let mutation = Some(Mutation::SumDuplicatesReversed);
     for kind in [BufferKind::Fifo, BufferKind::Damq, BufferKind::Safc] {
-        let verdict = two_by_two(kind, 2, 0.9, CycleOrder::ArrivalsFirst, mutation);
+        let verdict = two_by_two(kind, 2, 0.9, mutation);
         let why = verdict.expect_err("the reversed sum went unnoticed");
         assert!(why.contains("row"), "{kind}: caught elsewhere: {why}");
     }
@@ -2268,7 +2190,7 @@ fn mutations_of_the_gmres_model_have_teeth() {
             (BufferKind::Samq, 0.75, samq),
             (BufferKind::Safc, 0.99, safc),
         ] {
-            let verdict = k_by_k(kind, 4, 4, traffic, ORDERS[0], Some(mutation));
+            let verdict = k_by_k(kind, 4, 4, traffic, Some(mutation));
             let why = verdict.expect_err("the solver slip went unnoticed");
             assert!(
                 why.contains(check) && why.contains(symptom),
@@ -2286,7 +2208,7 @@ fn mutations_of_the_gmres_model_have_teeth() {
 fn mutations_of_the_elimination_model_have_teeth() {
     for mutation in [Mutation::DropFill, Mutation::MultipliersAscending] {
         for (kind, traffic) in [(BufferKind::Fifo, 0.75), (BufferKind::Damq, 0.99)] {
-            let verdict = two_by_two(kind, 6, traffic, ORDERS[0], Some(mutation));
+            let verdict = two_by_two(kind, 6, traffic, Some(mutation));
             let why = verdict.expect_err("the elimination slip went unnoticed");
             assert!(
                 why.contains("elimination model vs power iteration") && why.contains("recomputed"),

@@ -8,19 +8,11 @@ use rand::{Rng, SeedableRng};
 use damq_core::BufferKind;
 use damq_markov::{
     discard_probability, AnalysisError, Chain, CycleOrder, DamqModel, FifoModel, SafcModel,
-    SamqModel, SolveOptions, Switch2x2,
+    SamqModel, Switch2x2,
 };
 
 fn kind(rng: &mut StdRng) -> BufferKind {
     BufferKind::ALL[rng.random_range(0..BufferKind::ALL.len())]
-}
-
-fn order(rng: &mut StdRng) -> CycleOrder {
-    if rng.random_bool(0.5) {
-        CycleOrder::ArrivalsFirst
-    } else {
-        CycleOrder::DeparturesFirst
-    }
 }
 
 /// Row-stochasticity of every explored chain (checked by the builder)
@@ -31,7 +23,6 @@ fn steady_state_is_a_fixed_point() {
     for seed in 0..48 {
         let mut rng = StdRng::seed_from_u64(seed);
         let kind = kind(&mut rng);
-        let order = order(&mut rng);
         let cap = rng.random_range(1..=4usize);
         let traffic = rng.random_range(0.05..0.99f64);
         let cap = if kind.is_statically_allocated() {
@@ -39,7 +30,7 @@ fn steady_state_is_a_fixed_point() {
         } else {
             cap
         };
-        let point = discard_probability(kind, cap, traffic, order, SolveOptions::default());
+        let point = discard_probability(kind, cap, traffic);
         let point = point.unwrap();
         assert!(point.discard_probability >= 0.0, "seed {seed}");
         assert!(point.discard_probability <= 1.0, "seed {seed}");
@@ -55,7 +46,6 @@ fn flow_conservation() {
     for seed in 0..48 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
         let kind = kind(&mut rng);
-        let order = order(&mut rng);
         let cap = rng.random_range(1..=3usize);
         let traffic = rng.random_range(0.05..0.99f64);
         let cap = if kind.is_statically_allocated() {
@@ -63,7 +53,7 @@ fn flow_conservation() {
         } else {
             cap
         };
-        let p = discard_probability(kind, cap, traffic, order, SolveOptions::default()).unwrap();
+        let p = discard_probability(kind, cap, traffic).unwrap();
         let arrivals = 2.0 * traffic;
         let lost = arrivals * p.discard_probability;
         assert!(
@@ -83,7 +73,6 @@ fn discards_monotone_in_traffic() {
     for seed in 0..48 {
         let mut rng = StdRng::seed_from_u64(200 + seed);
         let kind = kind(&mut rng);
-        let order = order(&mut rng);
         let cap = rng.random_range(1..=3usize);
         let t_low = rng.random_range(0.1..0.5f64);
         let bump = rng.random_range(0.05..0.45f64);
@@ -92,9 +81,8 @@ fn discards_monotone_in_traffic() {
         } else {
             cap
         };
-        let lo = discard_probability(kind, cap, t_low, order, SolveOptions::default()).unwrap();
-        let hi =
-            discard_probability(kind, cap, t_low + bump, order, SolveOptions::default()).unwrap();
+        let lo = discard_probability(kind, cap, t_low).unwrap();
+        let hi = discard_probability(kind, cap, t_low + bump).unwrap();
         assert!(
             hi.discard_probability >= lo.discard_probability - 1e-7,
             "{kind}: {} -> {}, seed {seed}",
@@ -171,23 +159,8 @@ fn samq_never_beats_damq() {
         let mut rng = StdRng::seed_from_u64(400 + seed);
         let cap = rng.random_range(1..=3usize);
         let traffic = rng.random_range(0.1..0.99f64);
-        let order = order(&mut rng);
-        let damq = discard_probability(
-            BufferKind::Damq,
-            2 * cap,
-            traffic,
-            order,
-            SolveOptions::default(),
-        )
-        .unwrap();
-        let samq = discard_probability(
-            BufferKind::Samq,
-            2 * cap,
-            traffic,
-            order,
-            SolveOptions::default(),
-        )
-        .unwrap();
+        let damq = discard_probability(BufferKind::Damq, 2 * cap, traffic).unwrap();
+        let samq = discard_probability(BufferKind::Samq, 2 * cap, traffic).unwrap();
         assert!(
             damq.discard_probability <= samq.discard_probability + 1e-7,
             "seed {seed}"
@@ -197,14 +170,7 @@ fn samq_never_beats_damq() {
 
 #[test]
 fn odd_static_capacity_is_a_clean_error() {
-    let err = discard_probability(
-        BufferKind::Samq,
-        5,
-        0.5,
-        CycleOrder::ArrivalsFirst,
-        SolveOptions::default(),
-    )
-    .unwrap_err();
+    let err = discard_probability(BufferKind::Samq, 5, 0.5).unwrap_err();
     assert!(matches!(err, AnalysisError::OddStaticCapacity { .. }));
     assert!(err.to_string().contains('5'));
 }

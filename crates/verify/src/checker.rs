@@ -20,7 +20,7 @@
 //!
 //! The cycle structure (arrivals applied before departures, 3 arrival
 //! options per input, longest-queue arbitration) mirrors `damq-markov`'s
-//! `Switch2x2` with `CycleOrder::ArrivalsFirst`. The two walks do not
+//! `Switch2x2`, whose one cycle order is arrivals first. The two walks do not
 //! visit the same states: the checker walks joint occupancies, the chain
 //! orbits under exchanging inputs and outputs of model states that, for
 //! FIFO, keep only each queue's length and head. So the visited state

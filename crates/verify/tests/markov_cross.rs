@@ -20,11 +20,9 @@ use damq_markov::{
     SafcModel, SamqModel, SolveOptions, Switch2x2,
 };
 
-const ORDER: CycleOrder = CycleOrder::ArrivalsFirst;
-
 /// The joint occupancies the chain for `kind`/`capacity` stands for.
 fn joint_states(kind: BufferKind, capacity: usize, traffic: f64) -> usize {
-    discard_probability(kind, capacity, traffic, ORDER, SolveOptions::default())
+    discard_probability(kind, capacity, traffic)
         .expect("analysis succeeds")
         .states
 }
@@ -38,7 +36,7 @@ struct Orbits {
 }
 
 fn orbits<M: BufferModel2x2>(model: M, traffic: f64) -> Orbits {
-    let switch = Switch2x2::new(model, traffic, ORDER);
+    let switch = Switch2x2::new(model, traffic, CycleOrder::ArrivalsFirst);
     let chain = Chain::explore(&switch);
     let ss = chain
         .steady_state(SolveOptions::default())

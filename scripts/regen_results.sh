@@ -51,6 +51,8 @@ for bin in "${BINARIES[@]}"; do
 done
 
 cargo build --release -p damq-bench
+# The binaries just built, wherever cargo put them.
+bins="${CARGO_TARGET_DIR:-target}/release"
 
 if [[ "$CHECK" -eq 1 ]]; then
   out="$(mktemp -d)"
@@ -72,13 +74,13 @@ for bin in "${BINARIES[@]}"; do
   [[ "$REPORT_ONLY" == *" $bin "* ]] && text=/dev/null
   start=$EPOCHREALTIME
   if [[ "$CHECK" -eq 1 ]]; then
-    DAMQ_RESULTS_DIR="$out" ./target/release/"$bin" > "$text" 2> /dev/null
+    DAMQ_RESULTS_DIR="$out" "$bins/$bin" > "$text" 2> /dev/null
     if [[ "$text" != /dev/null ]] && ! cmp "results/$bin.txt" "$text"; then
       failed=1
     fi
     cmp "results/json/$bin.json" "$out/json/$bin.json" || failed=1
   else
-    ./target/release/"$bin" > "$text"
+    "$bins/$bin" > "$text"
   fi
   echo "$(elapsed "$start") s  $bin"
 done

@@ -21,7 +21,7 @@ use std::ops::{Bound, RangeBounds};
 use std::process::ExitCode;
 
 use damq::buffers::BufferKind;
-use damq::markov::{discard_probability, CycleOrder, SolveOptions};
+use damq::markov::discard_probability;
 use damq::net::{
     find_saturation, measure, ArrivalProcess, NetworkConfig, NetworkSim, SaturationOptions,
     TopologyKind, TrafficPattern,
@@ -68,7 +68,6 @@ MARKOV OPTIONS:
     --buffer B        fifo | samq | safc | damq | dafc (default damq)
     --slots S         packets per input buffer (default 4)
     --traffic T       per-input arrival probability (default 0.9)
-    --order O         arrivals-first | departures-first (default arrivals-first)
 ";
 
 /// The options every network command (`sim`, `saturation`, `sweep`) reads.
@@ -81,7 +80,7 @@ const NETWORK_OPTIONS: &[&str] = &[
 const SWEEP_RANGE_OPTIONS: &[&str] = &["from", "to", "step"];
 
 /// The options `markov` reads.
-const MARKOV_OPTIONS: &[&str] = &["buffer", "slots", "traffic", "order"];
+const MARKOV_OPTIONS: &[&str] = &["buffer", "slots", "traffic"];
 
 /// Minimal `--key value` argument map.
 struct Args {
@@ -309,13 +308,8 @@ fn cmd_markov(args: &Args) -> Result<(), String> {
         return Err("--slots must be at least 1".into());
     }
     let traffic = args.in_range("traffic", 0.9, 0.0..=1.0, PROBABILITY)?;
-    let order = match args.get("order").unwrap_or("arrivals-first") {
-        "arrivals-first" => CycleOrder::ArrivalsFirst,
-        "departures-first" => CycleOrder::DeparturesFirst,
-        other => return Err(format!("unknown order {other:?}")),
-    };
-    let p = discard_probability(kind, slots, traffic, order, SolveOptions::default())
-        .map_err(|e| format!("analysis failed: {e}"))?;
+    let p =
+        discard_probability(kind, slots, traffic).map_err(|e| format!("analysis failed: {e}"))?;
     println!(
         "{} slots={slots} traffic={traffic}: discard {:.6}  throughput {:.4}/cycle  \
          occupancy {:.3} pkts  wait {:.3} cycles  ({} states, {} iterations)",

@@ -74,6 +74,16 @@ fn markov_rejects_bad_buffer_kind() {
 }
 
 #[test]
+fn markov_has_no_cycle_order_option() {
+    // The Markov model has one cycle order: arrivals, then departures.
+    let out = damq(&["markov", "--order", "arrivals-first"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "printed {:?}", out.stdout);
+    assert!(err.contains("unknown option --order"), "{err}");
+}
+
+#[test]
 fn markov_rejects_an_oversized_fifo_instead_of_enumerating_it() {
     // 4^40 ordered states: this used to run until killed.
     let out = damq(&["markov", "--buffer", "fifo", "--slots", "40"]);

@@ -6,13 +6,17 @@
 //! independently (different state representations, different arbitration
 //! tie-breaking), which makes this a strong end-to-end check on both.
 //!
-//! The simulator's cycle structure (transmit from the old state, then
-//! inject) corresponds to the Markov models' `DeparturesFirst` ordering.
+//! The simulator transmits from the old state, then injects; the Markov
+//! chain lets arrivals join before the arbiter transmits. The discard
+//! probability does not depend on which comes first (both orders observe
+//! one alternating sequence of arrivals and departures). Only where the
+//! occupancy is sampled differs: the simulator samples after injection,
+//! the chain after departures (see `DiscardPoint::mean_occupancy`).
 //! Arbitration differs in tie-breaking details (rotating priority vs
 //! longest-queue-uniform), so we allow a small absolute tolerance.
 
 use damq::buffers::BufferKind;
-use damq::markov::{discard_probability, CycleOrder, SolveOptions};
+use damq::markov::discard_probability;
 use damq::net::{measure, NetworkConfig};
 use damq::switch::FlowControl;
 
@@ -32,15 +36,9 @@ fn simulated_discard(kind: BufferKind, slots: usize, load: f64) -> f64 {
 }
 
 fn predicted_discard(kind: BufferKind, slots: usize, load: f64) -> f64 {
-    discard_probability(
-        kind,
-        slots,
-        load,
-        CycleOrder::DeparturesFirst,
-        SolveOptions::default(),
-    )
-    .expect("analysis runs")
-    .discard_probability
+    discard_probability(kind, slots, load)
+        .expect("analysis runs")
+        .discard_probability
 }
 
 #[test]
@@ -126,13 +124,7 @@ fn kxk_markov_agrees_with_a_single_4x4_switch_simulation() {
         .discard_fraction
     };
     let model = |kind: BufferKind, slots: usize, load: f64| {
-        // A looser tolerance keeps the 50k-state solves fast; the sim
-        // noise floor is far above it anyway.
-        let options = SolveOptions {
-            tolerance: 1e-9,
-            ..SolveOptions::default()
-        };
-        discard_probability_kxk(kind, 4, slots, load, CycleOrder::DeparturesFirst, options)
+        discard_probability_kxk(kind, 4, slots, load)
             .expect("analysis runs")
             .discard_probability
     };

@@ -5,19 +5,13 @@
 //! stays fast while still guarding every reproduced result.
 
 use damq::buffers::BufferKind;
-use damq::markov::{discard_probability, CycleOrder, SolveOptions};
+use damq::markov::discard_probability;
 use damq::microarch::{Chip, ChipConfig, ChipEvent, Phase, RouteEntry};
 
 fn table2(kind: BufferKind, cap: usize, traffic: f64) -> f64 {
-    discard_probability(
-        kind,
-        cap,
-        traffic,
-        CycleOrder::ArrivalsFirst,
-        SolveOptions::default(),
-    )
-    .unwrap()
-    .discard_probability
+    discard_probability(kind, cap, traffic)
+        .unwrap()
+        .discard_probability
 }
 
 #[test]
