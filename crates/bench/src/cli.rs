@@ -53,8 +53,9 @@ pub fn parse(flags: &[&str], options: &[&str]) -> Args {
 }
 
 /// Reports a bad invocation on stderr and exits with status 2.
+#[expect(clippy::print_stderr, reason = "the harness status channel")]
 pub fn fail(problem: &str) -> ! {
-    eprintln!("error: {problem}"); // lint: allow — harness status channel
+    eprintln!("error: {problem}");
     std::process::exit(2)
 }
 

@@ -188,11 +188,12 @@ impl Report {
     /// report that cannot be written fails the harness: the error names
     /// the path and the process exits 1, so a regeneration never leaves a
     /// stale report behind while reporting success.
+    #[expect(clippy::print_stderr, reason = "the harness status channel")]
     pub fn write_and_announce(&self) {
         match self.write() {
-            Ok(path) => eprintln!("wrote {}", path.display()), // lint: allow — harness status channel
+            Ok(path) => eprintln!("wrote {}", path.display()),
             Err(problem) => {
-                eprintln!("error: {problem}"); // lint: allow — harness status channel
+                eprintln!("error: {problem}");
                 std::process::exit(1)
             }
         }

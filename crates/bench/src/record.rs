@@ -25,10 +25,11 @@ impl BenchRecord {
     /// Opens the committed record (resolved from this crate's manifest,
     /// so it works from any working directory). Call it before measuring:
     /// a record that cannot be merged into fails the run up front.
+    #[expect(clippy::print_stderr, reason = "the harness status channel")]
     pub fn open() -> BenchRecord {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json");
         BenchRecord::open_at(path).unwrap_or_else(|problem| {
-            eprintln!("error: {problem}; left untouched"); // lint: allow — harness status channel
+            eprintln!("error: {problem}; left untouched");
             std::process::exit(1)
         })
     }
@@ -67,11 +68,12 @@ impl BenchRecord {
     ///
     /// The I/O error of the write, with the record's path; the caller
     /// fails the run on it rather than leave a stale record behind.
+    #[expect(clippy::print_stderr, reason = "the harness status channel")]
     pub fn save(&self) -> Result<(), String> {
         let doc = Json::Obj(self.sections.clone());
         std::fs::write(&self.path, doc.render_pretty())
             .map_err(|e| format!("could not write {}: {e}", self.path.display()))?;
-        eprintln!("wrote {}", self.path.display()); // lint: allow — harness status channel
+        eprintln!("wrote {}", self.path.display());
         Ok(())
     }
 }

@@ -102,14 +102,19 @@ macro_rules! audit_ensure {
 macro_rules! strict_audit {
     ($subject:expr) => {
         #[cfg(feature = "strict-audit")]
-        {
-            if let Err(e) = $subject.audit() {
-                // lint: allow — failing fast at the corrupting operation is
-                // the whole point of the strict-audit feature.
-                panic!("strict-audit: {e}");
-            }
+        if let Err(e) = $subject.audit() {
+            $crate::audit::strict_audit_failed(e);
         }
     };
+}
+
+/// The panic [`strict_audit!`] raises, outside the macro so that the
+/// no-panic lint sees it and its waiver.
+#[cfg(feature = "strict-audit")]
+#[track_caller]
+#[expect(clippy::panic, reason = "strict-audit fails fast at the corruption")]
+pub(crate) fn strict_audit_failed(e: AuditError) -> ! {
+    panic!("strict-audit: {e}")
 }
 
 pub(crate) use audit_ensure;

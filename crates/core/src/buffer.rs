@@ -396,9 +396,9 @@ pub trait SwitchBuffer: fmt::Debug {
     /// # Panics
     ///
     /// Panics with the audit's description on violation.
+    #[expect(clippy::panic, reason = "panicking is this method's contract")]
     fn check_invariants(&self) {
         if let Err(e) = self.audit() {
-            // lint: allow — the panicking bridge is this method's contract.
             panic!("{} buffer {e}", self.kind());
         }
     }

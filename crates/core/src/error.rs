@@ -68,7 +68,6 @@ impl Error for ConfigError {}
 
 /// Why a packet could not be accepted by a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum RejectReason {
     /// Not enough free slots in the pool shared by all queues.
     BufferFull,

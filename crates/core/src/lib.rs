@@ -61,7 +61,12 @@
 //! hot-spot traffic all designs tree-saturate identically, which is an
 //! argument about networks, not buffers.
 
-#![deny(missing_docs)]
+// Library code returns errors instead of panicking, and leaves stdout and
+// stderr to the binaries; a justified exception is an `#[expect]` at the site.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 mod any;
 mod audit;

@@ -99,10 +99,9 @@ impl Packet {
     /// 32-bit node addresses, and this is the one place an address
     /// enters a packet.
     pub fn builder(source: NodeId, dest: NodeId) -> PacketBuilder {
-        let narrow = |node: NodeId| {
-            // lint: allow — the documented contract of this constructor.
-            u32::try_from(node.index()).expect("node addresses fit 32 bits")
-        };
+        #[expect(clippy::expect_used, reason = "the constructor's documented contract")]
+        let narrow =
+            |node: NodeId| u32::try_from(node.index()).expect("node addresses fit 32 bits");
         PacketBuilder {
             id: PacketId::new(0),
             source: narrow(source),
@@ -331,11 +330,11 @@ impl PacketBuilder {
     /// Panics if `length_bytes` is zero or exceeds
     /// [`Packet::MAX_LENGTH_BYTES`].
     #[must_use]
+    #[expect(clippy::expect_used, reason = "the documented contract of this setter")]
     pub fn length_bytes(mut self, length_bytes: usize) -> Self {
         self.length_bytes = u16::try_from(length_bytes)
             .ok()
             .and_then(NonZeroU16::new)
-            // lint: allow — the documented contract of this setter.
             .expect("packets carry at least one byte and at most Packet::MAX_LENGTH_BYTES");
         self
     }

@@ -298,7 +298,7 @@ impl RingStore {
         let consumed = part.pending_kills.min(slots);
         part.pending_kills -= consumed;
         part.dead += consumed;
-        // lint: allow — the arena cell inside the live window is always Some.
+        #[expect(clippy::expect_used, reason = "a live ring entry is always Some")]
         let packet = self.arena[head].take().expect("live ring entry");
         strict_audit!(self);
         Some(packet)

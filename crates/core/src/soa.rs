@@ -406,10 +406,11 @@ impl SoaSlots {
         if first == NIL {
             return None;
         }
+        // A queue head register always names a HEAD slot with a populated
+        // arena cell (audited "queue-shape").
+        #[expect(clippy::expect_used, reason = "a head register names a packet")]
         let packet = self.arena[first as usize]
             .take()
-            // lint: allow — a queue head register always names a HEAD
-            // slot with a populated arena cell (audited "queue-shape").
             .expect("queue head register must point at a packet head slot");
         let span = regs.slots[first as usize].span;
         for i in 0..span {
@@ -593,9 +594,9 @@ impl SoaSlots {
     /// # Panics
     ///
     /// Panics with the audit's description on violation.
+    #[expect(clippy::panic, reason = "panicking is this method's contract")]
     pub fn check_invariants(&self) {
         if let Err(e) = self.audit() {
-            // lint: allow — the panicking bridge is this method's contract.
             panic!("soa slot pool {e}");
         }
     }

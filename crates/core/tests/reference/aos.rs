@@ -139,7 +139,7 @@ impl SwitchBuffer for AosFifoBuffer {
         if !self.head_matches(output) {
             return None;
         }
-        // lint: allow — head_matches() proved the queue is non-empty.
+        // head_matches() proved the queue is non-empty.
         let entry = self.queue.pop_front().expect("head checked above");
         self.used_slots -= entry.slots;
         let consumed = self.pending_kills.min(entry.slots);

@@ -191,7 +191,7 @@ impl SlotPool {
         let head = self.queues[list].head?;
         match &self.content[head.index()] {
             SlotContent::Head { packet, .. } => Some(packet),
-            // lint: allow — enqueue always links a Head slot first, and
+            // Enqueue always links a Head slot first, and
             // dequeue unlinks whole packets; a non-Head queue head is a
             // structural corruption that audit() reports precisely.
             _ => unreachable!("queue head register must point at a packet head slot"),
@@ -218,13 +218,13 @@ impl SlotPool {
         if self.free.slot_count < slots {
             return Err(packet);
         }
-        // lint: allow — free.slot_count >= slots was checked just above, so
+        // free.slot_count >= slots was checked just above, so
         // the free list is provably non-empty for each of the `slots` pops.
         let first = self.pop_free().expect("free count checked");
         self.content[first.index()] = SlotContent::Head { packet, slots };
         self.append_to_queue(list, first);
         for _ in 1..slots {
-            // lint: allow — covered by the same free-count check.
+            // Covered by the same free-count check.
             let s = self.pop_free().expect("free count checked");
             self.content[s.index()] = SlotContent::Continuation;
             self.append_to_queue(list, s);
@@ -245,7 +245,7 @@ impl SlotPool {
         let (packet, slots) =
             match std::mem::replace(&mut self.content[first.index()], SlotContent::Free) {
                 SlotContent::Head { packet, slots } => (packet, slots),
-                // lint: allow — a queue head register always names a Head
+                // A queue head register always names a Head
                 // slot (audited invariant "queue-shape").
                 other => unreachable!("queue head was {other:?}, not a packet head"),
             };
@@ -254,7 +254,7 @@ impl SlotPool {
         for _ in 1..slots {
             let s = self.queues[list]
                 .head
-                // lint: allow — enqueue links all `slots` slots of a packet
+                // Enqueue links all `slots` slots of a packet
                 // atomically, so the continuations are provably present.
                 .expect("multi-slot packet must have continuation slots queued");
             debug_assert!(matches!(self.content[s.index()], SlotContent::Continuation));
@@ -283,7 +283,7 @@ impl SlotPool {
     /// Advances a queue's head register past its first slot.
     fn unlink_queue_head(&mut self, list: usize) {
         let regs = &mut self.queues[list];
-        // lint: allow — both callers check the head register first.
+        // Both callers check the head register first.
         let head = regs.head.expect("unlink from empty queue");
         regs.head = self.next[head.index()];
         if regs.head.is_none() {
@@ -473,7 +473,7 @@ impl SlotPool {
     /// Panics with the audit's description on violation.
     pub fn check_invariants(&self) {
         if let Err(e) = self.audit() {
-            // lint: allow — the panicking bridge is this method's contract.
+            // The panicking bridge is this method's contract.
             panic!("slot pool {e}");
         }
     }

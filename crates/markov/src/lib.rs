@@ -43,7 +43,8 @@
 //! # Ok::<(), damq_markov::AnalysisError>(())
 //! ```
 
-#![deny(missing_docs)]
+// Library code leaves stdout and stderr to the binaries.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 mod chain;
 mod dafc_model;

@@ -32,7 +32,8 @@
 //! # Ok::<(), damq_microarch::MicroarchError>(())
 //! ```
 
-#![deny(missing_docs)]
+// Library code leaves stdout and stderr to the binaries.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 mod arbiter;
 mod chip;

@@ -33,7 +33,12 @@
 //! # Ok::<(), damq_net::NetworkError>(())
 //! ```
 
-#![deny(missing_docs)]
+// Library code returns errors instead of panicking, and leaves stdout and
+// stderr to the binaries; a justified exception is an `#[expect]` at the site.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 mod butterfly;
 mod metrics;

@@ -535,10 +535,10 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             self.timed(|p| &mut p.observe_ns, Self::emit_cycle_sample);
         }
         #[cfg(feature = "strict-audit")]
-        if let Err(e) = self.audit() {
-            // lint: allow — strict-audit must stop at the offending cycle.
-            panic!("strict-audit at cycle {}: {e}", self.cycle);
-        }
+        #[expect(clippy::panic, reason = "strict-audit stops at the offending cycle")]
+        let () = self
+            .audit()
+            .unwrap_or_else(|e| panic!("strict-audit at cycle {}: {e}", self.cycle));
     }
 
     /// Simulates `cycles` network cycles.
@@ -610,12 +610,13 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
             let source = NodeId::new(src);
             let dest = self.config.pattern.sample(&mut self.rng, source, size);
             let length = self.config.packet_lengths.sample(&mut self.rng);
+            #[expect(clippy::expect_used, reason = "construction validated every length")]
             let pending = PendingPacket {
                 serial: self.ids.next_id().serial(),
                 birth_cycle: self.cycle,
                 dest,
-                // lint: allow — construction rejected any distribution
-                // that can draw a length outside `1..=MAX_LENGTH_BYTES`.
+                // Construction rejected any distribution that can draw a
+                // length outside `1..=MAX_LENGTH_BYTES`.
                 length_bytes: u16::try_from(length).expect("validated packet length"),
                 corrupt: self
                     .fabric

@@ -1,9 +1,10 @@
 //! Where a cycle's wall-clock goes: the phase profile and the one timer
 //! every step of [`NetworkSim::step`] runs under.
 
-// lint: allow — the phase profiler measures *harness* wall-clock (the
-// steps of the cycle), never simulation state; cycle time in the
-// simulator is the logical `cycle` counter, not `Instant`.
+// The phase profiler measures *harness* wall-clock (the steps of the
+// cycle), never simulation state; cycle time in the simulator is the
+// logical `cycle` counter, not `Instant`.
+#[expect(clippy::disallowed_types, reason = "harness wall-clock only")]
 use std::time::Instant;
 
 use damq_core::SwitchBuffer;
@@ -85,7 +86,8 @@ impl<B: SwitchBuffer, S: TelemetrySink<Event>> NetworkSim<B, S> {
         bucket: fn(&mut PhaseProfile) -> &mut u64,
         step: impl FnOnce(&mut Self),
     ) {
-        // lint: allow — harness wall-clock, never simulation state.
+        // Harness wall-clock, never simulation state.
+        #[expect(clippy::disallowed_types, reason = "harness wall-clock only")]
         let start = self.phase_timing.then(Instant::now);
         step(self);
         if let Some(start) = start {

@@ -288,7 +288,8 @@ impl SourceQueue {
         let popped = self.front()?;
         self.len -= 1;
         if self.len > 0 {
-            // lint: allow — every push behind a head wrote one record.
+            // Every push behind a head wrote one record.
+            #[expect(clippy::expect_used, reason = "a record per push behind the head")]
             let stream = self.stream.as_mut().expect("records behind the head");
             self.head = stream.pop_record(popped, dest_bits);
         }

@@ -122,8 +122,8 @@ impl<B: SwitchBuffer> Fabric<B> {
                 Ok(())
             }
             Err(rejected) => {
-                // Every rejection reason in the delivery path is handled
-                // explicitly (workspace lint 12): capacity and fault
+                // Every rejection reason is handled by name, so a new one
+                // does not compile until it is placed: capacity and fault
                 // bounces are recoverable losses, structural rejects are
                 // programming errors in the route plan.
                 match rejected.reason {
@@ -132,13 +132,6 @@ impl<B: SwitchBuffer> Fabric<B> {
                         debug_assert!(
                             false,
                             "structural reject in the delivery path: {}",
-                            rejected.reason
-                        );
-                    }
-                    _ => {
-                        debug_assert!(
-                            false,
-                            "unknown reject reason in the delivery path: {}",
                             rejected.reason
                         );
                     }

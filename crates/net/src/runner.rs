@@ -157,9 +157,10 @@ pub fn measure_with_faults(
     let mut sim = NetworkSim::with_faults(config, plan)?;
     sim.warm_up(warm_up); // the metrics restart; the faults stay armed
     sim.run(window);
-    // lint: allow — documented above: an audit failure under faults must
-    // be loud; the panic fails the harness.
-    sim.audit().expect("fault-injected run failed its audit");
+    // Documented above: an audit failure under faults must be loud; the
+    // panic fails the harness.
+    #[expect(clippy::expect_used, reason = "an audit failure must fail the harness")]
+    let () = sim.audit().expect("fault-injected run failed its audit");
     Ok((summarise(&sim), sim.fault_ledger()))
 }
 

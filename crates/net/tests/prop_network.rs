@@ -297,7 +297,7 @@ fn permutation_traffic_reaches_only_its_targets() {
         // sources generate at the same rate, deliveries should cover
         // exactly the set of addressed sinks.
         let per_sink = sim.metrics().per_sink_delivered();
-        let expected: std::collections::HashSet<usize> =
+        let expected: std::collections::BTreeSet<usize> =
             (0..size).map(|s| (s + offset) % size).collect();
         for (sink, &count) in per_sink.iter().enumerate() {
             if !expected.contains(&sink) {

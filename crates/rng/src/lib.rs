@@ -29,7 +29,8 @@
 //! # let _ = p;
 //! ```
 
-#![deny(missing_docs)]
+// Library code leaves stdout and stderr to the binaries.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 /// Seeding interface: construct a generator from a `u64`.
 ///

@@ -52,18 +52,21 @@ impl SwitchConfig {
     }
 
     /// Selects the input-buffer design.
+    #[must_use]
     pub fn buffer_kind(mut self, kind: BufferKind) -> Self {
         self.buffer_kind = kind;
         self
     }
 
     /// Sets the storage per input buffer, in slots.
+    #[must_use]
     pub fn slots_per_buffer(mut self, slots: usize) -> Self {
         self.slots_per_buffer = slots;
         self
     }
 
     /// Selects the crossbar arbitration policy.
+    #[must_use]
     pub fn arbiter_policy(mut self, policy: ArbiterPolicy) -> Self {
         self.arbiter_policy = policy;
         self

@@ -308,6 +308,7 @@ impl<B: SwitchBuffer> Switch<B> {
                         continue;
                     }
                     if asks {
+                        #[expect(clippy::expect_used, reason = "queue_len > 0 was checked above")]
                         let front = buffer.front_meta(o).expect("nonempty queue has a front");
                         if !sink.can_send(o, front) {
                             continue;
@@ -322,6 +323,7 @@ impl<B: SwitchBuffer> Switch<B> {
                     break;
                 };
                 self.driven.set(output.index());
+                #[expect(clippy::expect_used, reason = "the winner's queue is nonempty")]
                 let mut packet = buffer.dequeue(output).expect("winning queue was nonempty");
                 packet.record_hop();
                 self.arbiter.grant(input);

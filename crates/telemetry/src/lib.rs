@@ -55,7 +55,12 @@
 //! assert_eq!(life.hop_waits(), Some(vec![1]));
 //! ```
 
-#![deny(missing_docs)]
+// Library code returns errors instead of panicking, and leaves stdout and
+// stderr to the binaries; a justified exception is an `#[expect]` at the site.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 mod collect;
 mod event;

@@ -109,6 +109,7 @@ impl Downsampler {
             self.halve_resolution();
             return;
         }
+        #[expect(clippy::expect_used, reason = "pending_count > 0 means a pending bin")]
         let bin = self.pending.take().expect("pending bin exists");
         self.pending_count = 0;
         self.bins.push(bin);

@@ -1,23 +1,19 @@
-//! The eleven workspace lints, implemented over the structural scanner.
+//! The five workspace lints no compiler lint states, implemented over
+//! the structural scanner. The numbers are historical; the retired ones
+//! now live in rustc and clippy (`docs/VERIFICATION.md` § Static
+//! analysis) or in the type system:
 //!
-//! Lints 1–7 are the historical regex-era lints migrated onto token
-//! sequences and the brace tree (same semantics, fewer loopholes).
-//! Number 5 (`no-boxed-buffer`) is retired: the `Box<dyn SwitchBuffer>`
-//! buffer impl it guarded against is gone, so the pattern no longer
-//! type-checks; the other lints keep their numbers. Lints 8–12 are new:
-//!
-//! 8. **unsafe-forbidden** — the root manifest's
-//!    `[workspace.lints.rust]` table sets `unsafe_code = "forbid"` and
-//!    every member manifest opts in with `[lints] workspace = true`, so
-//!    the compiler forbids `unsafe` in every target of every crate.
-//! 9. **determinism** — the simulation-path crates (core, switch, net,
-//!    telemetry) must not use `HashMap`/`HashSet` (iteration order is
-//!    nondeterministic), `Instant`/`SystemTime` (wall-clock), or thread
-//!    identity (`thread::current`, `ThreadId`); and the crates one
-//!    simulation steps through (core, switch, net) must not use
-//!    `std::thread`, `std::sync::atomic`, `Mutex` or `Condvar` — a
-//!    simulation runs on one lane, parallelism lives across sweep cells;
-//!    waivers carry `// lint: allow — why`.
+//! 3. **module-docs** — every module of the network simulator
+//!    (`crates/net/src`) opens with a `//!` overview.
+//! 7. **doc-links** — relative markdown links in the root `*.md` files and
+//!    `docs/` resolve.
+//! 8. **workspace-lints** — the root manifest's `[workspace.lints]` tables
+//!    set the workspace-wide rules (`unsafe_code = "forbid"`,
+//!    `missing_docs = "deny"`, `return_self_not_must_use = "deny"`) and
+//!    every member manifest opts in with `[lints] workspace = true`, so the
+//!    compiler applies them to every target of every crate; the
+//!    simulation-path crates carry one identical `clippy.toml`
+//!    (determinism).
 //! 10. **metric-docs** — every metric name registered on the telemetry
 //!     `MetricsRegistry` (a `.counter("…")` / `.histogram("…")` call
 //!     with a literal name, outside test code) appears in the metrics
@@ -35,14 +31,6 @@
 //!     carry `// lint: allow — why`. Kernels are matched by *name*, so
 //!     a listed name that no function carries any more is itself a
 //!     finding — a rename must not silently unguard the hot path.
-//! 12. **reject-reason-coverage** — every variant of `RejectReason`
-//!     (declared in `crates/core/src/error.rs`) must appear as a
-//!     `RejectReason::Variant` match-arm pattern in non-test code of
-//!     `crates/net/src`, the delivery path. The enum is
-//!     `#[non_exhaustive]`, so a new reject class compiles everywhere
-//!     without complaint; this lint makes the delivery path the one
-//!     place that *must* decide how to handle it (recoverable loss vs
-//!     structural bug).
 //!
 //! Every lint takes the parsed [`Workspace`] and appends [`Finding`]s;
 //! the driver times each entry of [`ALL`] so scan-speed regressions are
@@ -58,43 +46,43 @@ use super::{Finding, SourceFile, Workspace};
 /// The comment marker that waives a lint for one site.
 pub const ALLOW_MARKER: &str = "lint: allow";
 
-/// Crates whose `src/` must be panic-free (the simulator data path).
-const PANIC_FREE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
-
-/// Crates whose consuming-builder methods must carry `#[must_use]`.
-const MUST_USE_CRATES: [&str; 2] = ["crates/core/src/", "crates/net/src/"];
-
 /// Crates whose every `src/` module must open with a `//!` overview.
 const MODULE_DOC_CRATES: [&str; 1] = ["crates/net/src/"];
 
-/// The simulation-path crates lint 9 (determinism) guards: everything a
-/// deterministic run's bytes flow through, and every crate one simulation
-/// steps through on its one lane (telemetry's sinks record inside
-/// `NetworkSim::step`).
+/// The simulation-path crates: each carries the same `clippy.toml`, whose
+/// `disallowed-types` / `disallowed-methods` keep a run's bytes free of
+/// hash order, wall-clock and threads. Clippy reads the first
+/// `clippy.toml` above a crate's manifest, so each crate needs its own.
 const SIM_PATH_CRATES: [&str; 4] = [
-    "crates/core/src/",
-    "crates/switch/src/",
-    "crates/net/src/",
-    "crates/telemetry/src/",
+    "crates/core",
+    "crates/switch",
+    "crates/net",
+    "crates/telemetry",
+];
+
+/// The workspace-wide lint levels the root manifest sets, as
+/// `(table, key, value)`.
+const WORKSPACE_LINTS: [(&str, &str, &str); 3] = [
+    ("workspace.lints.rust", "unsafe_code", "\"forbid\""),
+    ("workspace.lints.rust", "missing_docs", "\"deny\""),
+    (
+        "workspace.lints.clippy",
+        "return_self_not_must_use",
+        "\"deny\"",
+    ),
 ];
 
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
 
-/// The eleven lints, in order, with their display names (number 5 is
-/// retired and not reused). The driver times each entry individually.
-pub const ALL: [(&str, LintFn); 11] = [
-    ("1 no-panic", no_panic),
-    ("2 no-unseeded-rng", no_unseeded_rng),
-    ("3 docs-mandatory", docs_mandatory),
-    ("4 no-print", no_print),
-    ("6 must-use-builders", must_use_builders),
+/// The five lints, in order, with their display names (retired numbers
+/// are not reused). The driver times each entry individually.
+pub const ALL: [(&str, LintFn); 5] = [
+    ("3 module-docs", module_docs),
     ("7 doc-links", doc_links),
-    ("8 unsafe-forbidden", unsafe_forbidden),
-    ("9 determinism", determinism),
+    ("8 workspace-lints", workspace_lints),
     ("10 metric-docs", metric_docs),
     ("11 hot-path-alloc", hot_path_alloc),
-    ("12 reject-reason-coverage", reject_reason_coverage),
 ];
 
 fn finding(file: &SourceFile, line: usize, message: String) -> Finding {
@@ -110,109 +98,9 @@ fn unwaived(file: &SourceFile, line: usize) -> bool {
     !file.in_test_code(line) && !file.comment_marker_at(line, ALLOW_MARKER)
 }
 
-/// Whether the tokens at `i` read `first::second`.
-fn is_path(code: &[Token], i: usize, first: &str, second: &str) -> bool {
-    code[i].is_ident(first)
-        && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && code.get(i + 3).is_some_and(|t| t.is_ident(second))
-}
-
-/// Lint 1: panic-family calls in non-test simulator library code —
-/// `.unwrap(`, `.expect(`, and the `panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` macros.
-fn no_panic(ws: &Workspace, findings: &mut Vec<Finding>) {
-    const MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-    const METHODS: [&str; 2] = ["unwrap", "expect"];
-    for prefix in PANIC_FREE_CRATES {
-        for file in ws.files_under(prefix) {
-            for (i, tok) in file.code.iter().enumerate() {
-                let hit = if METHODS.iter().any(|m| tok.is_ident(m)) {
-                    i > 0
-                        && file.code[i - 1].is_punct('.')
-                        && file.code.get(i + 1).is_some_and(|t| t.is_punct('('))
-                } else if MACROS.iter().any(|m| tok.is_ident(m)) {
-                    file.code.get(i + 1).is_some_and(|t| t.is_punct('!'))
-                } else {
-                    false
-                };
-                if hit && unwaived(file, tok.line) {
-                    findings.push(finding(
-                        file,
-                        tok.line,
-                        format!(
-                            "'{}' in simulator library code — propagate a Result or \
-                             justify with a '// {ALLOW_MARKER} — why' comment",
-                            tok.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Lint 2: unseeded entropy sources outside the RNG crate —
-/// `from_entropy`, `thread_rng`, `rand::random`. Applies to test code
-/// too: experiments and their tests must both be reproducible.
-fn no_unseeded_rng(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for file in &ws.files {
-        if file.rel.starts_with("crates/rng/") {
-            continue;
-        }
-        for (i, tok) in file.code.iter().enumerate() {
-            let hit = tok.is_ident("from_entropy")
-                || tok.is_ident("thread_rng")
-                || is_path(&file.code, i, "rand", "random");
-            if hit && !file.comment_marker_at(tok.line, ALLOW_MARKER) {
-                findings.push(finding(
-                    file,
-                    tok.line,
-                    format!(
-                        "'{}' outside crates/rng — all randomness must be seeded \
-                         for reproducible experiments",
-                        tok.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Whether `code` contains the inner attribute `#![name(arg)]`.
-fn has_inner_attr(code: &[Token], name: &str, arg: &str) -> bool {
-    code.windows(7).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].is_ident(name)
-            && w[4].is_punct('(')
-            && w[5].is_ident(arg)
-            && w[6].is_punct(')')
-    })
-}
-
-/// Lint 3: every library crate root carries `#![deny(missing_docs)]`,
-/// and every module of the network simulator opens with a `//!`
-/// overview.
-fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for (dir, _name) in &ws.crates {
-        let rel = if dir == "." {
-            "src/lib.rs".to_owned()
-        } else {
-            format!("{dir}/src/lib.rs")
-        };
-        let Some(file) = ws.file(&rel) else {
-            continue; // binary-only crate (xtask)
-        };
-        if !has_inner_attr(&file.code, "deny", "missing_docs") {
-            findings.push(finding(
-                file,
-                1,
-                "crate root must carry #![deny(missing_docs)]".into(),
-            ));
-        }
-    }
+/// Lint 3: every module of the network simulator opens with a `//!`
+/// overview. (The crate-root half is the workspace `missing_docs` lint.)
+fn module_docs(ws: &Workspace, findings: &mut Vec<Finding>) {
     for prefix in MODULE_DOC_CRATES {
         for file in ws.files_under(prefix) {
             if !file.tokens.iter().any(|t| t.is_inner_doc()) {
@@ -222,66 +110,6 @@ fn docs_mandatory(ws: &Workspace, findings: &mut Vec<Finding>) {
                     format!(
                         "modules under {prefix} must open with a //! overview \
                          (what the module is and how it fits the cycle loop)"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Lint 4: no `println!`/`eprintln!` in library code. Harness binaries
-/// (`src/bin/`), `benches/`, `tests/` and `crates/xtask` own their
-/// output and are exempt.
-fn no_print(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for file in ws.files_under("crates/") {
-        if file.rel.starts_with("crates/xtask/")
-            || !file.rel.contains("/src/")
-            || file.rel.contains("/bin/")
-        {
-            continue;
-        }
-        for (i, tok) in file.code.iter().enumerate() {
-            let hit = (tok.is_ident("println") || tok.is_ident("eprintln"))
-                && file.code.get(i + 1).is_some_and(|t| t.is_punct('!'));
-            if hit && unwaived(file, tok.line) {
-                findings.push(finding(
-                    file,
-                    tok.line,
-                    format!(
-                        "'{}!' in library code — return data or use the telemetry \
-                         layer; binaries own stdout/stderr, or justify with a \
-                         '// {ALLOW_MARKER} — why' comment",
-                        tok.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Lint 6: consuming-builder methods must be `#[must_use]`. Signatures
-/// are extracted structurally (multi-line signatures, generics with
-/// `Fn(..) -> ..` bounds, and `pub(crate)` visibility all parse).
-fn must_use_builders(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for prefix in MUST_USE_CRATES {
-        for file in ws.files_under(prefix) {
-            for sig in tree::fn_signatures(&file.code) {
-                if !(sig.consumes_self && sig.returns_self) {
-                    continue;
-                }
-                if file.in_test_code(sig.line)
-                    || file.comment_marker_at(sig.line, "#[must_use")
-                    || file.comment_marker_at(sig.line, ALLOW_MARKER)
-                {
-                    continue;
-                }
-                findings.push(finding(
-                    file,
-                    sig.line,
-                    format!(
-                        "consuming builder method without #[must_use] — dropping the \
-                         return value discards the configuration; add #[must_use] or \
-                         justify with a '// {ALLOW_MARKER} — why' comment"
                     ),
                 ));
             }
@@ -385,13 +213,17 @@ fn markdown_link_targets(line: &str) -> Vec<String> {
     targets
 }
 
-/// Lint 8: `unsafe` is forbidden by the compiler, and the rule has one
-/// owner. The root manifest's `[workspace.lints.rust]` table must set
-/// `unsafe_code = "forbid"`, and every member manifest — the root `damq`
-/// package included — must opt in with `[lints] workspace = true`. A
+/// Lint 8: the compiler's workspace-wide rules have one owner and reach
+/// every crate. The root manifest's `[workspace.lints]` tables must set
+/// [`WORKSPACE_LINTS`] — `unsafe` forbidden, `missing_docs` denied (a crate
+/// doc on every crate, a doc on every public item of a library), consuming
+/// builders `#[must_use]` — and every member manifest, the root `damq`
+/// package included, must opt in with `[lints] workspace = true`. A
 /// `[lints]` table applies to every target of its package (lib, bins,
 /// tests, benches, examples), and no inner `allow` can lift a `forbid`.
-fn unsafe_forbidden(ws: &Workspace, findings: &mut Vec<Finding>) {
+/// The [`SIM_PATH_CRATES`] must each carry the same `clippy.toml`, so no
+/// copy of the determinism rules drifts from the others.
+fn workspace_lints(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (dir, name) in &ws.crates {
         let path = ws.root.join(dir).join("Cargo.toml");
         let text = fs::read_to_string(&path).unwrap_or_default();
@@ -400,6 +232,20 @@ fn unsafe_forbidden(ws: &Workspace, findings: &mut Vec<Finding>) {
                 path: path.clone(),
                 line: 0,
                 message,
+            });
+        }
+    }
+    let config = |dir: &str| fs::read_to_string(ws.root.join(dir).join("clippy.toml")).ok();
+    let first = config(SIM_PATH_CRATES[0]);
+    for dir in SIM_PATH_CRATES {
+        if first.is_none() || config(dir) != first {
+            findings.push(Finding {
+                path: ws.root.join(dir).join("clippy.toml"),
+                line: 0,
+                message: format!(
+                    "every simulation-path crate ({SIM_PATH_CRATES:?}) must carry the same \
+                     clippy.toml: it holds the determinism rules"
+                ),
             });
         }
     }
@@ -414,11 +260,12 @@ fn manifest_problems(text: &str, root: bool, name: &str) -> Vec<String> {
             "`{name}` must opt into the workspace lints: `[lints]` with `workspace = true`"
         ));
     }
-    if root && toml_value(text, "workspace.lints.rust", "unsafe_code") != Some("\"forbid\"") {
-        problems.push(
-            "the root manifest must set `unsafe_code = \"forbid\"` in `[workspace.lints.rust]`"
-                .into(),
-        );
+    for (table, key, value) in WORKSPACE_LINTS {
+        if root && toml_value(text, table, key) != Some(value) {
+            problems.push(format!(
+                "the root manifest must set `{key} = {value}` in `[{table}]`"
+            ));
+        }
     }
     problems
 }
@@ -439,92 +286,6 @@ fn toml_value<'a>(text: &'a str, table: &str, key: &str) -> Option<&'a str> {
         }
     }
     None
-}
-
-/// Lint 9: determinism on the simulation path. The same configuration
-/// and seed must replay the same bytes, so the crates the simulation's
-/// bytes flow through must not consult nondeterministic sources:
-/// hash-order iteration (`HashMap`/`HashSet` — use `BTreeMap`/`BTreeSet`
-/// or index vectors), wall-clock time (`Instant`/`SystemTime`), or
-/// thread identity (`thread::current`, `ThreadId`). Threads and
-/// shared-memory synchronisation (`std::thread`, `std::sync::atomic` and
-/// its `Atomic*` types, `Mutex`, `Condvar`) are findings too: one
-/// simulation steps on one lane, and parallelism lives across sweep cells
-/// (`docs/SCALING.md`). Justified
-/// exceptions carry `// lint: allow — why` (e.g. the network's phase
-/// timer, which times the cycle's steps and never feeds simulation state).
-fn determinism(ws: &Workspace, findings: &mut Vec<Finding>) {
-    const BANNED_IDENTS: [(&str, &str); 5] = [
-        (
-            "HashMap",
-            "hash iteration order is nondeterministic — use BTreeMap or an index vector",
-        ),
-        (
-            "HashSet",
-            "hash iteration order is nondeterministic — use BTreeSet or a sorted Vec",
-        ),
-        (
-            "Instant",
-            "wall-clock time must not influence simulation state",
-        ),
-        (
-            "SystemTime",
-            "wall-clock time must not influence simulation state",
-        ),
-        (
-            "ThreadId",
-            "thread identity must not influence simulation state",
-        ),
-    ];
-    for prefix in SIM_PATH_CRATES {
-        for file in ws.files_under(prefix) {
-            for (i, tok) in file.code.iter().enumerate() {
-                let mut reason = BANNED_IDENTS
-                    .into_iter()
-                    .find(|(ident, _)| tok.is_ident(ident));
-                if reason.is_none() && is_path(&file.code, i, "thread", "current") {
-                    reason = Some((
-                        "thread::current",
-                        "thread identity must not influence simulation state",
-                    ));
-                }
-                if reason.is_none() {
-                    let shared = if is_path(&file.code, i, "std", "thread") {
-                        Some("std::thread")
-                    } else if is_path(&file.code, i, "sync", "atomic") {
-                        Some("sync::atomic")
-                    } else if tok.kind == TokenKind::Ident
-                        && (tok.text.starts_with("Atomic")
-                            || tok.is_ident("Mutex")
-                            || tok.is_ident("Condvar"))
-                    {
-                        Some(tok.text.as_str())
-                    } else {
-                        None
-                    };
-                    reason = shared.map(|what| {
-                        (
-                            what,
-                            "one simulation steps on one lane; threads and shared-memory \
-                             synchronisation live across sweep cells (docs/SCALING.md)",
-                        )
-                    });
-                }
-                if let Some((what, why)) = reason {
-                    if unwaived(file, tok.line) {
-                        findings.push(finding(
-                            file,
-                            tok.line,
-                            format!(
-                                "'{what}' in a simulation-path crate — {why}; or \
-                                 justify with a '// {ALLOW_MARKER} — why' comment"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The document lint 10 checks registered metric names against.
@@ -859,112 +620,6 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Where the reject-reason enum lint 12 audits is declared.
-const REJECT_ENUM_FILE: &str = "crates/core/src/error.rs";
-
-/// The crate whose non-test code must match every reject variant (the
-/// network delivery path).
-const REJECT_HANDLER_DIR: &str = "crates/net/src/";
-
-/// The variants of `RejectReason`, read structurally from its enum
-/// declaration: idents directly inside the enum's brace span (depth 1,
-/// outside any parentheses) that open a variant — i.e. follow the `{`
-/// or a `,`. Unit, tuple and struct variants all parse; only the
-/// variant *names* are collected.
-pub fn reject_reason_variants(file: &SourceFile) -> Vec<(usize, String)> {
-    let mut variants = Vec::new();
-    let code = &file.code;
-    let Some(open) = code
-        .windows(3)
-        .position(|w| w[0].is_ident("enum") && w[1].is_ident("RejectReason") && w[2].is_punct('{'))
-    else {
-        return variants;
-    };
-    let mut brace_depth = 0i32;
-    let mut paren_depth = 0i32;
-    let mut at_variant_start = false;
-    for tok in &code[open + 2..] {
-        if tok.is_punct('{') {
-            brace_depth += 1;
-            at_variant_start = brace_depth == 1;
-            continue;
-        }
-        if tok.is_punct('}') {
-            brace_depth -= 1;
-            if brace_depth == 0 {
-                break;
-            }
-            continue;
-        }
-        if tok.is_punct('(') {
-            paren_depth += 1;
-        } else if tok.is_punct(')') {
-            paren_depth -= 1;
-        } else if tok.is_punct(',') {
-            at_variant_start = brace_depth == 1 && paren_depth == 0;
-            continue;
-        } else if at_variant_start && tok.kind == TokenKind::Ident {
-            variants.push((tok.line, tok.text.clone()));
-        }
-        at_variant_start = false;
-    }
-    variants
-}
-
-/// Lint 12: reject-reason coverage. `RejectReason` is
-/// `#[non_exhaustive]`, so the delivery path's matches all carry a `_`
-/// arm and a newly added reject class would silently fall through
-/// everywhere. This lint closes the loop: every declared variant must
-/// appear as a `RejectReason::Variant` match-arm pattern (followed by
-/// `|` or `=>`) in non-test code under `crates/net/src`, so adding a
-/// variant forces an explicit delivery-path decision — recoverable loss
-/// (park/deflect/drop) or structural bug (debug assert).
-fn reject_reason_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let Some(enum_file) = ws.file(REJECT_ENUM_FILE) else {
-        return; // partial workspaces (unit tests) have nothing to check
-    };
-    let variants = reject_reason_variants(enum_file);
-    if variants.is_empty() {
-        findings.push(finding(
-            enum_file,
-            1,
-            "lint 12 found no RejectReason variants — if the enum moved, \
-             update REJECT_ENUM_FILE in the analyzer"
-                .into(),
-        ));
-        return;
-    }
-    for (decl_line, variant) in variants {
-        let handled = ws.files_under(REJECT_HANDLER_DIR).into_iter().any(|file| {
-            file.code.iter().enumerate().any(|(i, tok)| {
-                tok.is_ident("RejectReason")
-                    && !file.in_test_code(tok.line)
-                    && file.code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && file.code.get(i + 3).is_some_and(|t| t.is_ident(&variant))
-                    // A match-arm pattern: the next token starts `|` (an
-                    // or-pattern) or `=>` (the arm's arrow).
-                    && file
-                        .code
-                        .get(i + 4)
-                        .is_some_and(|t| t.is_punct('|') || t.is_punct('='))
-            })
-        });
-        if !handled {
-            findings.push(finding(
-                enum_file,
-                decl_line,
-                format!(
-                    "RejectReason::{variant} is never matched in the delivery path \
-                     ({REJECT_HANDLER_DIR}) — the enum is #[non_exhaustive], so decide \
-                     explicitly whether this reject class is recoverable loss or a \
-                     structural bug"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -988,52 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn no_panic_catches_and_waives() {
-        let ws = ws_with(vec![(
-            "crates/net/src/x.rs",
-            "fn f() { x.unwrap(); }\n\
-             // lint: allow — provably infallible\n\
-             fn g() { y.unwrap(); }\n\
-             #[cfg(test)]\nmod tests { fn t() { z.unwrap(); } }\n",
-        )]);
-        let findings = run(no_panic, &ws);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 1);
-    }
-
-    #[test]
-    fn no_panic_ignores_strings_and_comments() {
-        let ws = ws_with(vec![(
-            "crates/core/src/x.rs",
-            "// .unwrap() in a comment\nfn f() { let s = \".unwrap()\"; }\n",
-        )]);
-        assert!(run(no_panic, &ws).is_empty());
-    }
-
-    #[test]
-    fn rng_lint_spans_tests_too() {
-        let ws = ws_with(vec![(
-            "crates/bench/src/x.rs",
-            "#[cfg(test)]\nmod tests { fn t() { let r = thread_rng(); } }\n",
-        )]);
-        assert_eq!(run(no_unseeded_rng, &ws).len(), 1);
-    }
-
-    #[test]
-    fn must_use_accepts_attribute_and_flags_bare() {
-        let ws = ws_with(vec![(
-            "crates/core/src/x.rs",
-            "#[must_use]\npub fn a(mut self) -> Self { self }\n\
-             pub fn b(mut self) -> Self { self }\n\
-             pub fn c(&self) -> usize { 0 }\n",
-        )]);
-        let findings = run(must_use_builders, &ws);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 3);
-    }
-
-    #[test]
-    fn unsafe_forbidden_requires_the_opt_in_and_the_root_table() {
+    fn workspace_lints_require_the_opt_in_and_the_root_tables() {
         let member = "[package]\nname = \"m\"\n\n[lints]\nworkspace = true\n";
         assert!(manifest_problems(member, false, "m").is_empty());
         for bad in [
@@ -1048,67 +658,31 @@ mod tests {
         }
 
         let root = "[workspace]\nmembers = [\"crates/*\"]\n\n\
-                    [workspace.lints.rust]\nunsafe_code = \"forbid\" # one owner\n\n\
+                    [workspace.lints.rust]\nunsafe_code = \"forbid\" # one owner\n\
+                    missing_docs = \"deny\"\n\n\
+                    [workspace.lints.clippy]\nreturn_self_not_must_use = \"deny\"\n\n\
                     [package]\nname = \"r\"\n\n[lints]\nworkspace = true\n";
         assert!(manifest_problems(root, true, "r").is_empty());
-        for table in ["unsafe_code = \"deny\"", "missing_docs = \"forbid\"", ""] {
-            let bad = root.replace("unsafe_code = \"forbid\"", table);
-            let problems = manifest_problems(&bad, true, "r");
-            assert_eq!(problems.len(), 1, "{bad:?}");
-            assert!(problems[0].contains("[workspace.lints.rust]"));
+        for (line, key) in [
+            ("unsafe_code = \"forbid\"", "unsafe_code"),
+            ("missing_docs = \"deny\"", "missing_docs"),
+            (
+                "return_self_not_must_use = \"deny\"",
+                "return_self_not_must_use",
+            ),
+        ] {
+            for replacement in ["", "# off", &line.replace('"', "'")] {
+                let bad = root.replace(line, replacement);
+                let problems = manifest_problems(&bad, true, "r");
+                assert_eq!(problems.len(), 1, "{bad:?}");
+                assert!(problems[0].contains(key), "{}", problems[0]);
+            }
         }
-        let wrong_table = root.replace("[workspace.lints.rust]", "[workspace.lints.clippy]");
-        assert_eq!(manifest_problems(&wrong_table, true, "r").len(), 1);
-    }
-
-    #[test]
-    fn determinism_catches_hash_and_clock() {
-        let ws = ws_with(vec![(
-            "crates/telemetry/src/x.rs",
-            "use std::collections::HashMap;\n\
-             // lint: allow — membership only, never iterated\n\
-             use std::collections::HashSet;\n\
-             fn t() { let now = Instant::now(); }\n\
-             fn id() { let me = thread::current(); }\n",
-        )]);
-        let findings = run(determinism, &ws);
-        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![1, 4, 5], "waived HashSet is skipped");
-    }
-
-    #[test]
-    fn one_lane_crates_ban_threads_and_shared_memory_sync() {
-        let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                   struct Plan { queries: AtomicU64, lock: Mutex<u8>, cv: Condvar }\n\
-                   fn spawn() { std::thread::scope(|s| {}); }\n\
-                   // lint: allow — a fixture waiver.\n\
-                   static N: AtomicUsize = AtomicUsize::new(0);\n\
-                   fn cmp() { let o = std::cmp::Ordering::Less; }\n";
-        let lines = |rel: &str| -> Vec<usize> {
-            let findings = run(determinism, &ws_with(vec![(rel, src)]));
-            findings.iter().map(|f| f.line).collect()
-        };
-        assert_eq!(
-            lines("crates/net/src/x.rs"),
-            vec![1, 1, 2, 2, 2, 3],
-            "`sync::atomic` and each `Atomic*`, `Mutex`, `Condvar`, `std::thread`; \
-             not the waived site, not `cmp::Ordering`"
-        );
-        // A telemetry sink records inside the simulation's step: a shared
-        // flight-recorder ring is a finding.
-        let ring = "struct Shared { inner: Arc<Mutex<FlightRecorder<Event>>> }\n";
-        let ws = ws_with(vec![("crates/telemetry/src/recorder.rs", ring)]);
-        let findings = run(determinism, &ws);
-        assert_eq!(findings.len(), 1, "a telemetry `Mutex` is flagged");
-        assert!(
-            findings[0].message.contains("Mutex"),
-            "{}",
-            findings[0].message
-        );
-        assert!(
-            lines("crates/bench/src/x.rs").is_empty(),
-            "the sweep engine above the simulation may lock"
-        );
+        let swapped = root
+            .replace("[workspace.lints.rust]", "[workspace.lints.tmp]")
+            .replace("[workspace.lints.clippy]", "[workspace.lints.rust]")
+            .replace("[workspace.lints.tmp]", "[workspace.lints.clippy]");
+        assert_eq!(manifest_problems(&swapped, true, "r").len(), 3);
     }
 
     #[test]
@@ -1338,93 +912,6 @@ mod tests {
         let (lo, hi, name) = spans[0];
         assert_eq!(name, "advance_stages");
         assert!(lo <= 1 && hi >= 5, "span {lo}..={hi} covers the loop");
-    }
-
-    const REJECT_ENUM_SRC: &str = "#[non_exhaustive]\n\
-         pub enum RejectReason {\n\
-         PacketTooLarge,\n\
-         BufferFull,\n\
-         Faulted,\n\
-         }\n";
-
-    #[test]
-    fn reject_variants_parse_structurally() {
-        let file = SourceFile::from_source(
-            PathBuf::from(REJECT_ENUM_FILE),
-            REJECT_ENUM_FILE.to_owned(),
-            "pub enum Other { A, B }\n\
-             pub enum RejectReason {\n\
-             Unit,\n\
-             Tuple(usize, String),\n\
-             Struct { len: usize, cap: usize },\n\
-             }\n",
-        );
-        let names: Vec<String> = reject_reason_variants(&file)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
-        assert_eq!(
-            names,
-            vec!["Unit", "Tuple", "Struct"],
-            "variant names only — no field idents, no other enums"
-        );
-    }
-
-    #[test]
-    fn reject_coverage_requires_every_variant_in_a_match() {
-        let ws = ws_with(vec![
-            (REJECT_ENUM_FILE, REJECT_ENUM_SRC),
-            (
-                "crates/net/src/network.rs",
-                "fn deliver() {\n\
-                 match r.reason {\n\
-                 RejectReason::BufferFull | RejectReason::Faulted => {}\n\
-                 _ => {}\n\
-                 }\n\
-                 let x = RejectReason::PacketTooLarge;\n\
-                 }\n",
-            ),
-        ]);
-        let findings = run(reject_reason_coverage, &ws);
-        assert_eq!(
-            findings.len(),
-            1,
-            "PacketTooLarge appears only as an expression, not an arm"
-        );
-        assert!(findings[0].message.contains("PacketTooLarge"));
-    }
-
-    #[test]
-    fn reject_coverage_ignores_test_code_and_passes_when_complete() {
-        let ws = ws_with(vec![
-            (REJECT_ENUM_FILE, REJECT_ENUM_SRC),
-            (
-                "crates/net/src/network.rs",
-                "fn deliver() {\n\
-                 match r.reason {\n\
-                 RejectReason::BufferFull | RejectReason::Faulted => {}\n\
-                 RejectReason::PacketTooLarge => {}\n\
-                 _ => {}\n\
-                 }\n\
-                 }\n",
-            ),
-        ]);
-        assert!(run(reject_reason_coverage, &ws).is_empty());
-
-        let ws = ws_with(vec![
-            (REJECT_ENUM_FILE, REJECT_ENUM_SRC),
-            (
-                "crates/net/src/network.rs",
-                "#[cfg(test)]\nmod tests {\n\
-                 fn t() { match r { RejectReason::BufferFull => {} _ => {} } }\n\
-                 }\n",
-            ),
-        ]);
-        assert_eq!(
-            run(reject_reason_coverage, &ws).len(),
-            3,
-            "matches inside test code do not count as delivery-path coverage"
-        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! 1. [`lexer`] tokenizes every workspace source file — identifiers,
 //!    punctuation, literals, and comments retained with their text;
 //! 2. [`tree`] builds a brace tree over the code tokens and derives
-//!    structural facts (`#[cfg(test)]` spans, `pub fn` signatures);
-//! 3. [`lints`] runs the eleven workspace lints over the parsed files
-//!    (lint 8 reads the Cargo manifests instead).
+//!    the `#[cfg(test)]` spans;
+//! 3. [`lints`] runs the five workspace lints no compiler lint states
+//!    over the parsed files (lint 8 reads the Cargo manifests and the
+//!    `clippy.toml` files instead).
 //!
 //! Everything is hand-rolled and dependency-free, mirroring how
 //! `damq-rng` replaced the unfetchable external `rand`: the container
@@ -203,11 +204,6 @@ impl Workspace {
     /// Files whose root-relative path starts with `prefix`.
     pub fn files_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a SourceFile> {
         self.files.iter().filter(move |f| f.rel.starts_with(prefix))
-    }
-
-    /// The file at exactly this root-relative path, if loaded.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
     }
 }
 

@@ -1,14 +1,14 @@
 //! Brace tree over the token stream: nested `{ … }` blocks with their
-//! item headers, plus the derived structural facts the lints consume —
-//! `#[cfg(test)]` spans and `pub fn` signatures.
+//! item headers, plus the structural fact the lints and the line counter
+//! consume — `#[cfg(test)]` spans.
 //!
 //! The tree is deliberately shallow in what it understands: every `{`
 //! opens a node whose *header* is the code-token run since the previous
 //! item boundary (`{`, `}`, or a `;` outside brackets — the one in
 //! `-> [u8; 4]` ends nothing), every `}` closes one. That is enough
 //! to answer the structural questions the lints ask ("is this line
-//! inside a `#[cfg(test)] mod`?", "does this `pub fn` consume `self`
-//! and return `Self`?") without a real parser.
+//! inside a `#[cfg(test)] mod`?", "which function's braces hold this
+//! token?") without a real parser.
 
 use super::lexer::Token;
 
@@ -136,121 +136,6 @@ pub fn line_in_spans(line: usize, spans: &[(usize, usize)]) -> bool {
     spans.iter().any(|&(lo, hi)| (lo..=hi).contains(&line))
 }
 
-/// A `pub fn` signature, extracted structurally for the `#[must_use]`
-/// builder lint.
-#[derive(Debug)]
-pub struct FnSig {
-    /// 1-based line of the `pub` keyword.
-    pub line: usize,
-    /// Whether the receiver is `self` / `mut self` by value.
-    pub consumes_self: bool,
-    /// Whether the declared return type starts with `Self`.
-    pub returns_self: bool,
-}
-
-/// Extracts every `pub fn` / `pub const fn` signature from `code`
-/// (including trait-method declarations that end in `;`). Generic
-/// parameter lists are skipped with angle-bracket depth tracking; `->`
-/// inside bounds (e.g. `F: Fn(u32) -> u32`) does not close a depth.
-pub fn fn_signatures(code: &[Token]) -> Vec<FnSig> {
-    let mut sigs = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if !code[i].is_ident("pub") {
-            i += 1;
-            continue;
-        }
-        let line = code[i].line;
-        let mut j = i + 1;
-        // Visibility scope `pub(crate)` etc.: skip a balanced paren run.
-        if code.get(j).is_some_and(|t| t.is_punct('(')) {
-            let mut depth = 0i32;
-            while let Some(t) = code.get(j) {
-                if t.is_punct('(') {
-                    depth += 1;
-                } else if t.is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        if code.get(j).is_some_and(|t| t.is_ident("const")) {
-            j += 1;
-        }
-        if !code.get(j).is_some_and(|t| t.is_ident("fn")) {
-            i += 1;
-            continue;
-        }
-        j += 1; // fn
-        j += 1; // the function name
-                // Generic parameters: skip to the matching `>`.
-        if code.get(j).is_some_and(|t| t.is_punct('<')) {
-            let mut depth = 0i32;
-            while let Some(t) = code.get(j) {
-                if t.is_punct('<') {
-                    depth += 1;
-                } else if t.is_punct('>') {
-                    // `->` inside bounds: the `>` of an arrow is not a
-                    // generic closer.
-                    let arrow = j > 0 && code[j - 1].is_punct('-');
-                    if !arrow {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                }
-                j += 1;
-            }
-        }
-        // Parameter list.
-        let Some(open) = code.get(j).filter(|t| t.is_punct('(')) else {
-            i = j;
-            continue;
-        };
-        let _ = open;
-        let params_start = j + 1;
-        let mut depth = 0i32;
-        while let Some(t) = code.get(j) {
-            if t.is_punct('(') {
-                depth += 1;
-            } else if t.is_punct(')') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        let params_end = j; // index of the closing paren
-        let consumes_self = {
-            let first = code.get(params_start);
-            let second = code.get(params_start + 1);
-            match first {
-                Some(t) if t.is_ident("self") => true,
-                Some(t) if t.is_ident("mut") => second.is_some_and(|t| t.is_ident("self")),
-                _ => false,
-            }
-        };
-        // Return type: `-> Self …` directly after the params.
-        let returns_self = code.get(params_end + 1).is_some_and(|t| t.is_punct('-'))
-            && code.get(params_end + 2).is_some_and(|t| t.is_punct('>'))
-            && code.get(params_end + 3).is_some_and(|t| t.is_ident("Self"));
-        sigs.push(FnSig {
-            line,
-            consumes_self,
-            returns_self,
-        });
-        i = params_end + 1;
-    }
-    sigs
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::lexer::lex;
@@ -296,36 +181,5 @@ mod tests {
         let spans = build(&toks).test_spans(&toks);
         assert!(line_in_spans(2, &spans));
         assert!(!line_in_spans(3, &spans));
-    }
-
-    #[test]
-    fn fn_signatures_detect_consuming_builders() {
-        let src = "\
-pub fn seed(mut self, s: u64) -> Self { self }
-pub const fn with_x(self) -> Self { self }
-pub fn len(&self) -> usize { 0 }
-pub fn set(&mut self, x: u64) -> Self { Self }
-pub fn build(self) -> Result<B, E> { }
-pub fn generic<F: Fn(u32) -> u32>(self, f: F) -> Self { self }
-pub(crate) fn internal(self) -> Self { self }
-";
-        let toks = code(src);
-        let sigs = fn_signatures(&toks);
-        let builders: Vec<usize> = sigs
-            .iter()
-            .filter(|s| s.consumes_self && s.returns_self)
-            .map(|s| s.line)
-            .collect();
-        assert_eq!(builders, vec![1, 2, 6, 7]);
-    }
-
-    #[test]
-    fn multiline_signatures_are_one_sig() {
-        let src = "pub fn long(\n    mut self,\n    x: u64,\n) -> Self {\n    self\n}\n";
-        let toks = code(src);
-        let sigs = fn_signatures(&toks);
-        assert_eq!(sigs.len(), 1);
-        assert!(sigs[0].consumes_self && sigs[0].returns_self);
-        assert_eq!(sigs[0].line, 1);
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repo's offline quality gate: static analysis (eleven structural
-# lints + clippy + rustfmt), build, the full test suite
+# The repo's offline quality gate: static analysis (five structural
+# lints + clippy, carrying the workspace's rustc/clippy lints, + rustfmt),
+# build, the full test suite
 # (with and without per-operation invariant audits), the exhaustive 2x2
 # model checker, the fault-injection smoke (paired healed ordering + a
 # tiny fault sweep), the observability smoke (metrics-registry golden + disabled
@@ -10,8 +11,8 @@
 # BENCHMARK.json workload at 1/10 size against its pinned fingerprint),
 # the results check (every committed table and report regenerates byte
 # for byte), and rustdoc with warnings denied
-# (`#![deny(missing_docs)]` in the crates turns any missing doc into a
-# hard failure here).
+# (the workspace's `missing_docs = "deny"` makes any missing doc a hard
+# failure already at compile time).
 #
 # Every gate propagates its exit code: `set -euo pipefail` aborts on the
 # first failing command (including inside pipelines), and the ERR trap
@@ -236,19 +237,22 @@ results_check() {
     bash scripts/regen_results.sh --check
 }
 
-# Tentpole gate: the in-tree static analyzer. The eleven structural lints
-# (lexer-backed, no regex; lint 8 checks every manifest leaves `unsafe`
-# to the compiler's workspace-wide forbid) must report zero findings,
-# and — in the full run — clippy and rustfmt must agree. The bare-lint pass is budgeted at ~2s so it stays
+# Tentpole gate: static analysis. The five structural lints no compiler
+# lint states (lexer-backed, no regex; lint 8 checks every manifest opts
+# into the workspace lints and the four `clippy.toml` agree) must report
+# zero findings, and — in the full run — clippy (all targets, all
+# features, warnings denied: the no-panic, no-print, determinism,
+# must-use and docs rules, and every `#[expect]` waiver still firing) and
+# rustfmt must agree. The bare-lint pass is budgeted at ~2s so it stays
 # cheap enough to run on every edit; the xtask prints per-lint timings.
 analyze() {
-    gate "analyze: eleven structural lints"
+    gate "analyze: five structural lints"
     cargo xtask lint --no-cargo
 
     gate "analyze: non-test code lines per crate"
     cargo xtask loc
 
-    gate "analyze: clippy + rustfmt"
+    gate "analyze: clippy (the rustc/clippy lints) + rustfmt"
     cargo xtask lint
 }
 

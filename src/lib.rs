@@ -48,7 +48,8 @@
 //! The `damq-bench` crate regenerates every table and figure of the paper;
 //! see the repository README and EXPERIMENTS.md.
 
-#![deny(missing_docs)]
+// Library code leaves stdout and stderr to the binaries.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 /// Buffer structures: FIFO, SAMQ, SAFC and DAMQ (re-export of `damq-core`).
 pub mod buffers {
