@@ -15,7 +15,7 @@
 //! ignored by the concrete designs, which *are* their kind.
 
 use crate::audit::AuditError;
-use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
+use crate::buffer::{BufferConfig, BufferKind, SwitchBuffer};
 use crate::damq::DynamicBuffer;
 use crate::error::{ConfigError, Rejected};
 use crate::packet::Packet;
@@ -103,11 +103,6 @@ impl SwitchBuffer for AnyBuffer {
     #[inline]
     fn accept_capacity(&self, output: OutputPort) -> usize {
         dispatch!(self, b => b.accept_capacity(output))
-    }
-
-    #[inline]
-    fn front_meta(&self, output: OutputPort) -> Option<FrontMeta> {
-        dispatch!(self, b => b.front_meta(output))
     }
 
     #[inline]
@@ -227,18 +222,18 @@ impl<const FULLY_CONNECTED: bool> BuildBuffer for DynamicBuffer<FULLY_CONNECTED>
 
 #[cfg(test)]
 mod tests {
-    /// Budget: 192 bytes, three cache lines. The largest variant is the
-    /// DAMQ buffer, which is its `SoaSlots` register file (176) and
-    /// nothing else — fanout and capacity are read back from the
-    /// registers, and the switch counts what the buffers do — 184 today
-    /// with the enum tag. A switch holds one of these per port in one
-    /// `Vec`, so this number times the radix is most of a switch's
-    /// footprint; a field that pushes it past the budget should fail here,
-    /// not in a benchmark.
+    /// Budget: 120 bytes. The largest variant is the DAMQ buffer, which
+    /// is its `SoaSlots` register file (112) and nothing else — fanout
+    /// and capacity are read back from the registers, the header from
+    /// the packet, and the switch counts what the buffers do — 120 today
+    /// with the enum tag; the FIFO ring (104) is close behind. A switch
+    /// holds one of these per port in one `Vec`, so this number times the
+    /// radix is most of a switch's footprint; a field that pushes it past
+    /// the budget should fail here, not in a benchmark.
     #[test]
     fn layout_any_buffer_fits_its_budget() {
         assert!(
-            std::mem::size_of::<super::AnyBuffer>() <= 192,
+            std::mem::size_of::<super::AnyBuffer>() <= 120,
             "AnyBuffer grew to {} bytes",
             std::mem::size_of::<super::AnyBuffer>()
         );

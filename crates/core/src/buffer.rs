@@ -32,11 +32,10 @@ pub(crate) fn ring_wrap(p: usize, cap: usize) -> usize {
 /// how much room it takes — without handing out the packet itself.
 ///
 /// The cycle kernel examines up to `ports x fanout` queue heads per cycle
-/// just to ask "may this head move?". Returning `FrontMeta`
-/// (16 bytes, by value) from the buffer's index registers keeps that
-/// examination walk inside the dense SoA columns; the out-of-line
-/// [`Packet`] payload is only dereferenced for the one winner per read
-/// port that actually dequeues.
+/// just to ask "may this head move?". `FrontMeta` (16 bytes, by value)
+/// hands the flow-control sink the head packet's two header words, read
+/// from the packet where it is stored; the [`Packet`] itself moves only
+/// for the one winner per read port that actually dequeues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontMeta {
     /// Final destination of the head packet.
@@ -302,20 +301,17 @@ pub trait SwitchBuffer: fmt::Debug {
     fn front(&self, output: OutputPort) -> Option<&Packet>;
 
     /// Routing metadata of the packet [`front`](SwitchBuffer::front) would
-    /// return, if any, without touching out-of-line packet storage.
+    /// return, if any: its header, read from the packet itself.
     ///
-    /// The default derives the answer from `front` and is therefore
-    /// always exact; SoA-backed designs override it to read their
-    /// destination/length registers so the switch's examination walk
-    /// never dereferences the packet arena (see `docs/PERFORMANCE.md`
-    /// §4-§5).
+    /// Every design answers through this one definition. The header stays
+    /// with the packet, as it sits in a packet's first slot of the
+    /// paper's slot RAM, so no design keeps a copy of it in its registers
+    /// that could drift; the head packet's storage is the cell a dequeue
+    /// reads anyway (see `docs/PERFORMANCE.md` §4-§5).
     fn front_meta(&self, output: OutputPort) -> Option<FrontMeta> {
-        self.front(output).map(|p| {
-            let (_dest, length) = p.header_words();
-            FrontMeta {
-                dest: p.dest(),
-                length_bytes: u32::from(length),
-            }
+        self.front(output).map(|p| FrontMeta {
+            dest: p.dest(),
+            length_bytes: p.length_bytes() as u32,
         })
     }
 

@@ -26,7 +26,7 @@
 //! harness in `damq-bench` quantifies that claim.
 
 use crate::audit::{audit_ensure, AuditError};
-use crate::buffer::{BufferConfig, BufferKind, FrontMeta, SwitchBuffer};
+use crate::buffer::{BufferConfig, BufferKind, SwitchBuffer};
 use crate::error::{ConfigError, RejectReason, Rejected};
 use crate::packet::Packet;
 use crate::soa::SoaSlots;
@@ -186,7 +186,7 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
             });
         }
         self.pool
-            .enqueue(output.index(), packet, slots)
+            .enqueue(output.index(), packet)
             .map_err(|packet| Rejected {
                 packet,
                 output,
@@ -209,14 +209,6 @@ impl<const FULLY_CONNECTED: bool> SwitchBuffer for DynamicBuffer<FULLY_CONNECTED
     fn front(&self, output: OutputPort) -> Option<&Packet> {
         if output.index() < self.fanout() {
             self.pool.front(output.index())
-        } else {
-            None
-        }
-    }
-
-    fn front_meta(&self, output: OutputPort) -> Option<FrontMeta> {
-        if output.index() < self.fanout() {
-            self.pool.front_meta(output.index())
         } else {
             None
         }

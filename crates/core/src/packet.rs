@@ -132,12 +132,6 @@ impl Packet {
         usize::from(self.length_bytes.get())
     }
 
-    /// The destination address and payload length exactly as stored —
-    /// what the buffers' `dest`/`length` registers mirror.
-    pub(crate) fn header_words(&self) -> (u32, u16) {
-        (self.dest, self.length_bytes.get())
-    }
-
     /// The cycle at which the packet was generated by its source.
     pub fn birth_cycle(&self) -> u64 {
         self.birth_cycle

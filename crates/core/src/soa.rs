@@ -11,18 +11,21 @@
 //!
 //! ```text
 //!  slot      0     1     2     3     4     5          (u16 indices)
-//!  next   [  1 ][ NIL ][  4 ][ NIL ][ NIL ][  3 ]     pointer registers  ┐
-//!  span   [  0 ][  2  ][  0 ][  0  ][  1  ][  2 ]     length registers   │ one 12-byte
-//!  dest   [  0 ][ 17  ][  0 ][  0  ][  3  ][ 42 ]     destination regs   │ record per
-//!  length [  0 ][ 12  ][  0 ][  0  ][  8  ][ 16 ]     payload-length regs│ slot, inline
-//!  state  [ FREE][ HEAD][CONT][CONT ][HEAD ][HEAD]    tag bytes          ┘
-//!  arena  [  -  ][ pkt ][  - ][  -  ][ pkt ][ pkt]    out-of-line payloads (one heap block)
+//!  next   [  1 ][ NIL ][  4 ][ NIL ][ NIL ][  3 ]     pointer registers  ┐ one 4-byte
+//!  state  [ FREE][ HEAD][CONT][CONT ][HEAD ][HEAD]    tag bytes          ┘ record per slot
+//!  arena  [  -  ][ pkt ][  - ][  -  ][ pkt ][ pkt]    out-of-line packets (one heap block)
 //!
 //!  list registers (list 0 = free list, list 1+q = queue q), one 8-byte
 //!  record per list, inline:
 //!  head  [ 0 ][ 5 ][ 4 ]   tail [ 0 ][ 2 ][ 4 ]
 //!  slots [ 1 ][ 4 ][ 1 ]   pkts [ 0 ][ 2 ][ 1 ]
 //! ```
+//!
+//! A slot record is its link and its tag and nothing else. The header —
+//! destination, length and so the slot count — stays with the packet in
+//! the arena cell of its first slot, as the paper's header sits in the
+//! first slot of slot RAM: a dequeue reads that cell anyway and learns
+//! from it how many slots to free.
 //!
 //! `NIL` (`u16::MAX`) plays the role of the null pointer register, so
 //! every free-list operation is index arithmetic on `u16` words with a
@@ -31,10 +34,10 @@
 //! every shape the paper uses (up to 8 slots, 4 queues) the whole control
 //! state of a buffer is part of the `SoaSlots` value itself: no pointer
 //! hop, no allocator chunk per column. Larger pools spill each register
-//! array to one heap block and behave identically. Payloads sit in the
+//! array to one heap block and behave identically. Packets sit in the
 //! `arena` — `Option<Packet>` by value, populated only at packet-head
-//! slots, one exact-size heap block touched only at enqueue/dequeue — so
-//! the link-walking loops never touch packet bytes. [`SoaSlots::audit`]
+//! slots, one exact-size heap block read at the queue heads — so the
+//! link-walking loops never touch packet bytes. [`SoaSlots::audit`]
 //! checks the named §3.1 invariants (`list-partition`, `register-sync`,
 //! `queue-shape`, `fault-ledger`) over this layout. The direct linked-node
 //! model survives as test code in `tests/reference/`, and the seeded
@@ -43,8 +46,6 @@
 //! both sides of the inline bounds.
 
 use crate::audit::{audit_ensure, strict_audit, AuditError};
-use crate::buffer::FrontMeta;
-use crate::ids::NodeId;
 use crate::inline::InlineArray;
 use crate::packet::Packet;
 
@@ -53,8 +54,8 @@ const NIL: u16 = u16::MAX;
 
 /// Slot tag values (one byte per slot, kept for audit and debugging).
 const FREE: u8 = 0;
-/// First slot of a packet; its `span` register holds the slot count and
-/// its arena cell holds the payload.
+/// First slot of a packet; its arena cell holds the packet, whose length
+/// says how many slots the packet spans.
 const HEAD: u8 = 1;
 /// Continuation slot of a multi-slot packet.
 const CONT: u8 = 2;
@@ -77,7 +78,7 @@ const DEAD: u8 = 3;
 ///
 /// let mut pool = SoaSlots::new(4, 2); // 4 slots, 2 queues
 /// let p = Packet::builder(NodeId::new(0), NodeId::new(1)).build();
-/// pool.enqueue(1, p.clone(), 1).unwrap();
+/// pool.enqueue(1, p.clone()).unwrap();
 /// assert_eq!(pool.queue_packets(1), 1);
 /// assert_eq!(pool.dequeue(1), Some(p));
 /// assert_eq!(pool.free_count(), 4);
@@ -110,35 +111,16 @@ const INLINE_LISTS: usize = 4 + 1;
 struct SlotRegs {
     /// Pointer register: the slot's successor on its list.
     next: u16,
-    /// Length register: slot count of the packet headed here, else 0.
-    span: u16,
-    /// Destination register: dest node address of the packet headed
-    /// here, else 0. Together with `length` it lets the switch's
-    /// examination walk answer flow-control probes from the registers
-    /// alone, never dereferencing the arena (see
-    /// [`SoaSlots::front_meta`]).
-    dest: u32,
-    /// Payload-length register: length in bytes of the packet headed
-    /// here, else 0.
-    length: u16,
     /// Tag byte (`FREE`/`HEAD`/`CONT`/`DEAD`).
     state: u8,
 }
 
 impl SlotRegs {
-    /// A slot that heads no packet and is on no list.
+    /// A slot that is on no list.
     const EMPTY: SlotRegs = SlotRegs {
         next: NIL,
-        span: 0,
-        dest: 0,
-        length: 0,
         state: FREE,
     };
-
-    /// Whether the payload registers are clear (the slot heads no packet).
-    fn heads_nothing(&self) -> bool {
-        self.span == 0 && self.dest == 0 && self.length == 0
-    }
 }
 
 /// The registers of one list.
@@ -312,26 +294,6 @@ impl SoaSlots {
         }
     }
 
-    /// Routing metadata of the packet at the front of queue `list`,
-    /// straight from the `dest`/`length` registers — the arena-free read
-    /// the switch kernel's examination walk uses (see
-    /// [`SwitchBuffer::front_meta`](crate::SwitchBuffer::front_meta)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is out of range.
-    pub fn front_meta(&self, list: usize) -> Option<FrontMeta> {
-        let h = self.lists[1 + list].head;
-        if h == NIL {
-            return None;
-        }
-        let regs = &self.slots[h as usize];
-        Some(FrontMeta {
-            dest: NodeId::new(regs.dest as usize),
-            length_bytes: u32::from(regs.length),
-        })
-    }
-
     /// The packet at the front of queue `list`, if any.
     ///
     /// # Panics
@@ -347,7 +309,8 @@ impl SoaSlots {
         self.arena[h as usize].as_ref()
     }
 
-    /// Appends `packet`, which occupies `slots` slots, to queue `list`.
+    /// Appends `packet` to queue `list`, in the
+    /// [`slots_needed`](Packet::slots_needed) slots its length asks for.
     ///
     /// Slots are taken from the *front* of the free list and linked to
     /// the queue's tail — the paper's §3.2.1 reception sequence, now one
@@ -355,30 +318,22 @@ impl SoaSlots {
     ///
     /// # Errors
     ///
-    /// Returns the packet back if fewer than `slots` slots are free.
+    /// Returns the packet back if fewer slots are free than it needs.
     /// The pool is unchanged in that case.
     ///
     /// # Panics
     ///
-    /// Panics if `list` is out of range or `slots` is zero.
-    pub fn enqueue(&mut self, list: usize, packet: Packet, slots: usize) -> Result<(), Packet> {
-        assert!(slots > 0, "a packet occupies at least one slot");
+    /// Panics if `list` is out of range.
+    pub fn enqueue(&mut self, list: usize, packet: Packet) -> Result<(), Packet> {
         assert!(list < self.list_count(), "queue index out of range");
         let mut regs = RegFile::of(&mut self.slots, &mut self.lists);
-        let span = match u16::try_from(slots) {
+        let span = match u16::try_from(packet.slots_needed()) {
             Ok(span) if span <= regs.lists[0].slot_count => span,
             _ => return Err(packet),
         };
         let q = 1 + list;
         let first = regs.unlink_head(0);
-        let (dest, length) = packet.header_words();
-        regs.slots[first as usize] = SlotRegs {
-            next: NIL,
-            span,
-            dest,
-            length,
-            state: HEAD,
-        };
+        regs.slots[first as usize].state = HEAD;
         regs.append(q, first);
         for _ in 1..span {
             let s = regs.unlink_head(0);
@@ -412,8 +367,7 @@ impl SoaSlots {
         let packet = self.arena[first as usize]
             .take()
             .expect("queue head register must point at a packet head slot");
-        let span = regs.slots[first as usize].span;
-        for i in 0..span {
+        for i in 0..packet.slots_needed() {
             let s = regs.unlink_head(q);
             debug_assert!(i == 0 || regs.slots[s as usize].state == CONT);
             regs.slots[s as usize] = SlotRegs::EMPTY;
@@ -472,8 +426,8 @@ impl SoaSlots {
     ///   (`list-partition`),
     /// * head/tail/`slot_count`/`packet_count` registers agree with the
     ///   links they summarise (`register-sync`),
-    /// * queue contents are contiguous head+continuation runs consistent
-    ///   with the `span` length registers, with arena payloads exactly at
+    /// * queue contents are contiguous head+continuation runs, each as
+    ///   long as its head's packet needs, with arena packets exactly at
     ///   head slots (`queue-shape`),
     /// * dead slots are off-list and counted by the fault registers
     ///   (`fault-ledger`).
@@ -502,36 +456,27 @@ impl SoaSlots {
             let mut i = 0;
             while i < slots.len() {
                 let s = slots[i] as usize;
+                let head = self.arena[s]
+                    .as_ref()
+                    .filter(|_| self.slots[s].state == HEAD);
                 audit_ensure!(
-                    self.slots[s].state == HEAD && self.arena[s].is_some(),
+                    head.is_some(),
                     "queue-shape",
                     "queue {qi}: expected packet head at slot{}, found tag {}",
                     slots[i],
                     self.slots[s].state
                 );
+                let k = head.map_or(0, Packet::slots_needed);
                 audit_ensure!(
-                    self.arena[s]
-                        .as_ref()
-                        .is_some_and(
-                            |p| (self.slots[s].dest, self.slots[s].length) == p.header_words()
-                        ),
-                    "register-sync",
-                    "queue {qi}: dest/length registers at slot{} disagree with the stored packet",
-                    slots[i]
-                );
-                let k = self.slots[s].span as usize;
-                audit_ensure!(
-                    k >= 1 && i + k <= slots.len(),
+                    i + k <= slots.len(),
                     "queue-shape",
-                    "queue {qi}: packet at slot{} claims {k} slots but the list ends",
+                    "queue {qi}: packet at slot{} needs {k} slots but the list ends",
                     slots[i]
                 );
                 for j in 1..k {
                     let c = slots[i + j] as usize;
                     audit_ensure!(
-                        self.slots[c].state == CONT
-                            && self.arena[c].is_none()
-                            && self.slots[c].heads_nothing(),
+                        self.slots[c].state == CONT && self.arena[c].is_none(),
                         "queue-shape",
                         "queue {qi}: packet at slot{} missing continuation slot",
                         slots[i]
@@ -559,9 +504,9 @@ impl SoaSlots {
                     "slot slot{i} is on no list (leaked slot)"
                 );
                 audit_ensure!(
-                    self.arena[i].is_none() && self.slots[i].heads_nothing(),
+                    self.arena[i].is_none(),
                     "fault-ledger",
-                    "dead slot slot{i} still carries payload registers"
+                    "dead slot slot{i} still holds a packet"
                 );
                 dead_found += 1;
             } else {
@@ -608,7 +553,14 @@ mod tests {
     use crate::NodeId;
 
     fn pkt(src: usize) -> Packet {
-        Packet::builder(NodeId::new(src), NodeId::new(0)).build()
+        pkt_spanning(src, 1)
+    }
+
+    /// A packet from `src` whose length fills exactly `slots` slots.
+    fn pkt_spanning(src: usize, slots: usize) -> Packet {
+        Packet::builder(NodeId::new(src), NodeId::new(0))
+            .length_bytes(slots * crate::SLOT_BYTES)
+            .build()
     }
 
     #[test]
@@ -632,9 +584,9 @@ mod tests {
             assert_eq!(pool.slots.is_inline(), capacity == 8);
             assert_eq!(pool.lists.is_inline(), lists == 4);
             for i in 0..capacity {
-                pool.enqueue(i % lists, pkt(i), 1).unwrap();
+                pool.enqueue(i % lists, pkt(i)).unwrap();
             }
-            assert!(pool.enqueue(0, pkt(99), 1).is_err());
+            assert!(pool.enqueue(0, pkt(99)).is_err());
             pool.check_invariants();
             for i in 0..capacity {
                 assert_eq!(pool.dequeue(i % lists).unwrap().source(), NodeId::new(i));
@@ -644,17 +596,20 @@ mod tests {
         }
     }
 
-    /// Budget: 192 bytes, three cache lines. Today 176: 8 slot records x
-    /// 12 B and 5 list records x 8 B, each array behind a 4-byte tag +
-    /// length header and rounded to the heap arm's pointer alignment
-    /// (104 + 48), the arena's fat pointer (16) and the two fault
-    /// registers (4, padded). A register that does not fit this budget
-    /// belongs in the records or behind the arena, not beside them: 1280
-    /// of these per 1024-terminal network are walked every cycle.
+    /// Budget: 112 bytes, inside two cache lines, and exactly what the
+    /// registers take: 8 slot records x 4 B (a link and a tag) and 5 list
+    /// records x 8 B, each array behind a 4-byte tag + length header and
+    /// rounded to the heap arm's pointer alignment (40 + 48), the arena's
+    /// fat pointer (16) and the two fault registers (4, padded). The
+    /// header of a packet is read from the packet in the arena, never
+    /// copied into a slot record. A register that does not fit this
+    /// budget belongs in the records or behind the arena, not beside
+    /// them: 1280 of these per 1024-terminal network are walked every
+    /// cycle.
     #[test]
-    fn layout_soa_slots_fits_three_cache_lines() {
+    fn layout_soa_slots_fits_two_cache_lines() {
         assert!(
-            std::mem::size_of::<SoaSlots>() <= 192,
+            std::mem::size_of::<SoaSlots>() <= 112,
             "SoaSlots grew to {} bytes",
             std::mem::size_of::<SoaSlots>()
         );
@@ -663,7 +618,7 @@ mod tests {
     #[test]
     fn enqueue_dequeue_round_trip() {
         let mut pool = SoaSlots::new(4, 2);
-        pool.enqueue(0, pkt(7), 1).unwrap();
+        pool.enqueue(0, pkt(7)).unwrap();
         assert_eq!(pool.free_count(), 3);
         assert_eq!(pool.queue_packets(0), 1);
         assert_eq!(pool.front(0).unwrap().source(), NodeId::new(7));
@@ -676,8 +631,8 @@ mod tests {
     #[test]
     fn multi_slot_packets_link_and_free_correctly() {
         let mut pool = SoaSlots::new(8, 2);
-        pool.enqueue(0, pkt(1), 4).unwrap();
-        pool.enqueue(1, pkt(2), 3).unwrap();
+        pool.enqueue(0, pkt_spanning(1, 4)).unwrap();
+        pool.enqueue(1, pkt_spanning(2, 3)).unwrap();
         assert_eq!(pool.free_count(), 1);
         assert_eq!(pool.queue_slots(0), 4);
         assert_eq!(pool.queue_slots(1), 3);
@@ -692,9 +647,9 @@ mod tests {
     #[test]
     fn enqueue_fails_without_enough_free_slots_and_is_atomic() {
         let mut pool = SoaSlots::new(4, 1);
-        pool.enqueue(0, pkt(1), 3).unwrap();
-        let p = pkt(2);
-        let back = pool.enqueue(0, p.clone(), 2).unwrap_err();
+        pool.enqueue(0, pkt_spanning(1, 3)).unwrap();
+        let p = pkt_spanning(2, 2);
+        let back = pool.enqueue(0, p.clone()).unwrap_err();
         assert_eq!(back, p);
         assert_eq!(pool.free_count(), 1);
         pool.check_invariants();
@@ -703,10 +658,10 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_in_fifo_order() {
         let mut pool = SoaSlots::new(2, 1);
-        pool.enqueue(0, pkt(0), 1).unwrap();
-        pool.enqueue(0, pkt(1), 1).unwrap();
+        pool.enqueue(0, pkt(0)).unwrap();
+        pool.enqueue(0, pkt(1)).unwrap();
         pool.dequeue(0).unwrap();
-        pool.enqueue(0, pkt(2), 1).unwrap();
+        pool.enqueue(0, pkt(2)).unwrap();
         assert_eq!(pool.dequeue(0).unwrap().source(), NodeId::new(1));
         assert_eq!(pool.dequeue(0).unwrap().source(), NodeId::new(2));
         pool.check_invariants();
@@ -715,9 +670,9 @@ mod tests {
     #[test]
     fn queue_lens_into_mirrors_packet_counts() {
         let mut pool = SoaSlots::new(8, 4);
-        pool.enqueue(2, pkt(0), 1).unwrap();
-        pool.enqueue(2, pkt(1), 2).unwrap();
-        pool.enqueue(0, pkt(2), 1).unwrap();
+        pool.enqueue(2, pkt(0)).unwrap();
+        pool.enqueue(2, pkt_spanning(1, 2)).unwrap();
+        pool.enqueue(0, pkt(2)).unwrap();
         let mut lens = [9u16; 4];
         pool.queue_lens_into(&mut lens);
         assert_eq!(lens, [1, 0, 2, 0]);
@@ -727,7 +682,7 @@ mod tests {
     #[should_panic(expected = "queue index out of range")]
     fn enqueue_bad_list_panics() {
         let mut pool = SoaSlots::new(2, 1);
-        let _ = pool.enqueue(1, pkt(0), 1);
+        let _ = pool.enqueue(1, pkt(0));
     }
 
     #[test]
@@ -740,8 +695,8 @@ mod tests {
         pool.check_invariants();
         // Full pool defers; the freed slot dies instead of rejoining.
         let mut pool = SoaSlots::new(2, 1);
-        pool.enqueue(0, pkt(0), 1).unwrap();
-        pool.enqueue(0, pkt(1), 1).unwrap();
+        pool.enqueue(0, pkt(0)).unwrap();
+        pool.enqueue(0, pkt(1)).unwrap();
         assert!(pool.kill_slot());
         assert_eq!(pool.effective_capacity(), 1);
         pool.check_invariants();
@@ -753,14 +708,14 @@ mod tests {
         assert!(pool.kill_slot() && pool.kill_slot());
         assert!(!pool.kill_slot());
         assert_eq!(pool.effective_capacity(), 0);
-        assert!(pool.enqueue(0, pkt(0), 1).is_err());
+        assert!(pool.enqueue(0, pkt(0)).is_err());
         pool.check_invariants();
     }
 
     #[test]
     fn multi_slot_dequeue_feeds_deferred_kills() {
         let mut pool = SoaSlots::new(3, 1);
-        pool.enqueue(0, pkt(0), 3).unwrap();
+        pool.enqueue(0, pkt_spanning(0, 3)).unwrap();
         assert!(pool.kill_slot());
         assert!(pool.kill_slot());
         pool.check_invariants();
@@ -770,10 +725,33 @@ mod tests {
         pool.check_invariants();
     }
 
+    /// A deferred kill claims the first slot a draining packet frees —
+    /// its head — and the packet's other slots rejoin the free list in
+    /// their link order, which a recycled free list makes differ from
+    /// address order.
+    #[test]
+    fn deferred_kill_claims_the_head_of_a_draining_packet() {
+        let mut pool = SoaSlots::new(4, 1);
+        pool.enqueue(0, pkt_spanning(0, 3)).unwrap();
+        pool.dequeue(0).unwrap();
+        // Free list now 3 -> 0 -> 1 -> 2: the packet below links 3, 0, 1.
+        pool.enqueue(0, pkt_spanning(1, 3)).unwrap();
+        pool.enqueue(0, pkt(2)).unwrap();
+        assert_eq!(pool.free_count(), 0);
+        assert!(pool.kill_slot(), "deferred: every slot is busy");
+        assert_eq!(pool.dequeue(0).unwrap().source(), NodeId::new(1));
+        assert_eq!(pool.slots[3].state, DEAD, "the head slot died");
+        let free = &pool.lists[0];
+        assert_eq!((free.head, free.tail, free.slot_count), (0, 1, 2));
+        assert_eq!(pool.slots[0].next, 1, "0 then 1, the packet's link order");
+        assert_eq!((pool.dead_count(), pool.free_count()), (1, 2));
+        pool.check_invariants();
+    }
+
     #[test]
     fn audit_reports_corruption_by_invariant_name() {
         let mut pool = SoaSlots::new(4, 1);
-        pool.enqueue(0, pkt(0), 1).unwrap();
+        pool.enqueue(0, pkt(0)).unwrap();
         // Desynchronise a register: the slot-count says one thing, the
         // links another.
         pool.lists[1].slot_count = 3;
@@ -781,7 +759,7 @@ mod tests {
         assert_eq!(err.invariant(), "register-sync");
         // A leaked slot (off every list, not dead) is a partition error.
         let mut pool = SoaSlots::new(4, 1);
-        pool.enqueue(0, pkt(0), 1).unwrap();
+        pool.enqueue(0, pkt(0)).unwrap();
         pool.lists[1].head = NIL;
         pool.lists[1].tail = NIL;
         pool.lists[1].slot_count = 0;
@@ -790,7 +768,7 @@ mod tests {
         assert_eq!(err.invariant(), "list-partition");
         // A queue head without its arena payload breaks queue-shape.
         let mut pool = SoaSlots::new(4, 1);
-        pool.enqueue(0, pkt(0), 1).unwrap();
+        pool.enqueue(0, pkt(0)).unwrap();
         let h = pool.lists[1].head as usize;
         pool.arena[h] = None;
         let err = pool.audit().unwrap_err();

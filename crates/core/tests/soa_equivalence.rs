@@ -5,10 +5,14 @@
 //!
 //! 1. a seeded 48-shape property sweep driving [`SoaSlots`] and the old
 //!    linked-node [`SlotPool`] through identical fill/drain/`kill_slot`/
-//!    wraparound op streams, comparing every observable after every op;
+//!    wraparound op streams, comparing every observable after every op.
+//!    The pool reads a packet's slot count from its length; the twin is
+//!    told it, so each packet's length is chosen to span the slots the
+//!    op asks for;
 //! 2. the same idea one level up — each of the five live (SoA) designs
 //!    against its frozen `Aos*` twin under identical op streams, including
-//!    fault injection, comparing results, registers and statistics.
+//!    fault injection, comparing results, registers, statistics and every
+//!    queue's [`FrontMeta`] against the header of the twin's front packet.
 //!
 //! The network-level counterpart (whole-simulation fingerprints) lives in
 //! `crates/net/tests/dispatch_equivalence.rs`.
@@ -17,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use damq_core::{
-    BufferConfig, BufferKind, DafcBuffer, DamqBuffer, FifoBuffer, NodeId, OutputPort, Packet,
-    PacketId, RejectReason, SafcBuffer, SamqBuffer, SoaSlots, SwitchBuffer,
+    BufferConfig, BufferKind, DafcBuffer, DamqBuffer, FifoBuffer, FrontMeta, NodeId, OutputPort,
+    Packet, PacketId, RejectReason, SafcBuffer, SamqBuffer, SoaSlots, SwitchBuffer, SLOT_BYTES,
 };
 
 mod reference;
@@ -29,8 +33,10 @@ use reference::{
 /// The satellite-task contract: 48 seeded pool shapes.
 const POOL_SHAPES: u64 = 48;
 
+/// Packet `serial` of `length` bytes. Destinations cycle through seven
+/// nodes so that a header read from the wrong packet shows.
 fn packet(serial: u64, length: usize) -> Packet {
-    Packet::builder(NodeId::new(0), NodeId::new(1))
+    Packet::builder(NodeId::new(0), NodeId::new(serial as usize % 7))
         .id(PacketId::new(serial))
         .length_bytes(length)
         .build()
@@ -115,10 +121,12 @@ fn soa_slots_match_linked_slot_pool_across_48_shapes() {
             let ctx = format!("seed {seed} op {op_no} {op:?}");
             match op {
                 PoolOp::Enqueue { list, slots } => {
-                    let p = packet(serial, 1);
+                    let p = packet(serial, slots * SLOT_BYTES);
                     serial += 1;
-                    let a = soa.enqueue(list, p.clone(), slots);
-                    let b = aos.enqueue(list, p, slots);
+                    let needed = p.slots_needed();
+                    assert_eq!(needed, slots, "the length spans the drawn slots {ctx}");
+                    let a = soa.enqueue(list, p.clone());
+                    let b = aos.enqueue(list, p, needed);
                     assert_eq!(a.is_ok(), b.is_ok(), "enqueue outcome {ctx}");
                     if let (Err(pa), Err(pb)) = (a, b) {
                         assert_eq!(pa, pb, "rejected packet {ctx}");
@@ -166,13 +174,15 @@ fn soa_slots_survive_full_fill_drain_wraparound() {
             for i in 0..capacity {
                 let p = packet(serial, 1);
                 serial += 1;
-                soa.enqueue(i % lists, p.clone(), 1).unwrap();
-                aos.enqueue(i % lists, p, 1).unwrap();
+                let needed = p.slots_needed();
+                soa.enqueue(i % lists, p.clone()).unwrap();
+                aos.enqueue(i % lists, p, needed).unwrap();
             }
             let overflow = packet(serial, 1);
             serial += 1;
-            assert!(soa.enqueue(0, overflow.clone(), 1).is_err());
-            assert!(aos.enqueue(0, overflow, 1).is_err());
+            let needed = overflow.slots_needed();
+            assert!(soa.enqueue(0, overflow.clone()).is_err());
+            assert!(aos.enqueue(0, overflow, needed).is_err());
             for l in 0..lists {
                 while let Some(p) = aos.dequeue(l) {
                     assert_eq!(soa.dequeue(l), Some(p), "round {round} list {l}");
@@ -195,8 +205,9 @@ fn soa_slots_kill_until_everything_is_dead() {
     // Occupy half the pool so half the kills defer.
     for s in 0..3u64 {
         let p = packet(s, 1);
-        soa.enqueue((s % 2) as usize, p.clone(), 1).unwrap();
-        aos.enqueue((s % 2) as usize, p, 1).unwrap();
+        let needed = p.slots_needed();
+        soa.enqueue((s % 2) as usize, p.clone()).unwrap();
+        aos.enqueue((s % 2) as usize, p, needed).unwrap();
     }
     for k in 0..capacity {
         assert_eq!(soa.kill_slot(), aos.kill_slot(), "kill {k}");
@@ -312,6 +323,11 @@ fn diff_designs<S: SwitchBuffer, A: SwitchBuffer>(mut soa: S, mut aos: A, seed: 
                 aos.queue_len(out),
                 "queue_lens_into[{o}] {ctx}"
             );
+            let header = aos.front(out).map(|p| FrontMeta {
+                dest: p.dest(),
+                length_bytes: p.length_bytes() as u32,
+            });
+            assert_eq!(soa.front_meta(out), header, "front_meta({o}) {ctx}");
         }
         if let Err(e) = soa.audit() {
             panic!("SoA audit failed: {e} {ctx}");

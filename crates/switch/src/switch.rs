@@ -23,10 +23,10 @@ pub trait CycleSink {
     /// Flow control: may the head packet of `output`'s queue leave this
     /// cycle? Return `false` to block it (e.g. no space downstream).
     ///
-    /// The probe sees [`FrontMeta`] — destination and length, read from
-    /// the buffer's index registers — rather than the packet itself, so
-    /// the examination walk never drags out-of-line payloads through the
-    /// cache (see [`SwitchBuffer::front_meta`]).
+    /// The probe sees [`FrontMeta`] — the head packet's destination and
+    /// length, read from the packet where the buffer stores it — rather
+    /// than the packet itself, which moves only if it wins (see
+    /// [`SwitchBuffer::front_meta`]).
     fn can_send(&mut self, output: OutputPort, front: FrontMeta) -> bool;
 
     /// Accepts a departing packet (hop already recorded). Called at most
@@ -504,9 +504,9 @@ mod tests {
     /// counts for all the inputs (48), the last cycle's HOL count and the
     /// resident count, and the one inline row of queue lengths. No
     /// configuration is kept: it is consumed at construction. With four
-    /// 184-byte buffers and their 160-byte arenas a radix-4 DAMQ switch
-    /// is 1.6 KB in five heap blocks; a field that grows this part by a
-    /// sixth fails here first.
+    /// 120-byte buffers and their 160-byte arenas a radix-4 DAMQ switch
+    /// is 1 360 B in five heap blocks (pinned below); a field that grows
+    /// this part by a sixth fails here first.
     #[test]
     fn layout_switch_fits_four_cache_lines() {
         assert!(
@@ -514,6 +514,22 @@ mod tests {
             "Switch<AnyBuffer> grew to {} bytes",
             std::mem::size_of::<Switch>()
         );
+    }
+
+    /// The whole per-switch count, exact: a radix-4 DAMQ switch with
+    /// 4-slot buffers is the switch (240 B), and per input port its
+    /// buffer (120 B: link-and-tag slot records, list records, the arena
+    /// pointer) plus its arena of one `Option<Packet>` cell per slot
+    /// (4 x 40 B) — 1 360 B. The packet header is in the arena cell, not
+    /// in a register, so a byte added to either side moves this number.
+    #[test]
+    fn layout_radix4_damq_switch_is_1360_bytes() {
+        use std::mem::size_of;
+        let sw = switch(BufferKind::Damq);
+        let slots = sw.buffer(InputPort::new(0)).capacity_slots();
+        let bytes = size_of::<Switch>()
+            + 4 * (size_of::<AnyBuffer>() + slots * size_of::<Option<Packet>>());
+        assert_eq!((slots, bytes), (4, 1360), "a radix-4 DAMQ switch moved");
     }
 
     /// The bound itself: a radix-4 switch keeps its length row inline, a

@@ -1,4 +1,4 @@
-//! The five workspace lints no compiler lint states, implemented over
+//! The six workspace lints no compiler lint states, implemented over
 //! the structural scanner. The numbers are historical; the retired ones
 //! now live in rustc and clippy (`docs/VERIFICATION.md` § Static
 //! analysis) or in the type system:
@@ -31,6 +31,12 @@
 //!     carry `// lint: allow — why`. Kernels are matched by *name*, so
 //!     a listed name that no function carries any more is itself a
 //!     finding — a rename must not silently unguard the hot path.
+//! 13. **macro-panics** — no `panic!`, `unreachable!`, `todo!`,
+//!     `unimplemented!`, `.unwrap()` or `.expect(` inside a
+//!     `macro_rules!` body in the non-test code of the simulation-path
+//!     crates. Clippy's no-panic lints judge the outermost macro call, so
+//!     a panic written in a local macro's body reaches every expansion
+//!     unseen; waivers carry `// lint: allow — why`.
 //!
 //! Every lint takes the parsed [`Workspace`] and appends [`Finding`]s;
 //! the driver times each entry of [`ALL`] so scan-speed regressions are
@@ -75,14 +81,15 @@ const WORKSPACE_LINTS: [(&str, &str, &str); 3] = [
 /// A lint pass: appends findings for one structural rule.
 pub type LintFn = fn(&Workspace, &mut Vec<Finding>);
 
-/// The five lints, in order, with their display names (retired numbers
+/// The six lints, in order, with their display names (retired numbers
 /// are not reused). The driver times each entry individually.
-pub const ALL: [(&str, LintFn); 5] = [
+pub const ALL: [(&str, LintFn); 6] = [
     ("3 module-docs", module_docs),
     ("7 doc-links", doc_links),
     ("8 workspace-lints", workspace_lints),
     ("10 metric-docs", metric_docs),
     ("11 hot-path-alloc", hot_path_alloc),
+    ("13 macro-panics", macro_panics),
 ];
 
 fn finding(file: &SourceFile, line: usize, message: String) -> Finding {
@@ -620,6 +627,94 @@ fn hot_path_alloc(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The macros whose call panics, as lint 13 names them.
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
+/// Code-token index ranges `(open, close)` of every `macro_rules!` body in
+/// `code`: from the delimiter after the macro's name to its match. The
+/// body may be delimited by `{}`, `()` or `[]`; every bracket kind nests
+/// inside it, so one depth counter finds the match.
+pub fn macro_rules_bodies(code: &[Token]) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
+    let mut i = 0;
+    while i + 3 < code.len() {
+        let opens = |t: &Token| t.is_punct('{') || t.is_punct('(') || t.is_punct('[');
+        let defines = code[i].is_ident("macro_rules")
+            && code[i + 1].is_punct('!')
+            && code[i + 2].kind == TokenKind::Ident
+            && opens(&code[i + 3]);
+        if !defines {
+            i += 1;
+            continue;
+        }
+        let open = i + 3;
+        let mut depth = 0usize;
+        let mut close = code.len() - 1;
+        for (j, tok) in code.iter().enumerate().skip(open) {
+            if opens(tok) {
+                depth += 1;
+            } else if tok.is_punct('}') || tok.is_punct(')') || tok.is_punct(']') {
+                depth -= 1;
+                if depth == 0 {
+                    close = j;
+                    break;
+                }
+            }
+        }
+        bodies.push((open, close));
+        i = close + 1;
+    }
+    bodies
+}
+
+/// Lint 13: no panic inside a `macro_rules!` body of the simulation-path
+/// crates ([`SIM_PATH_CRATES`]) outside test code. The crate roots deny
+/// clippy's `panic`, `unreachable`, `todo`, `unimplemented`, `unwrap_used`
+/// and `expect_used`, but clippy judges a macro expansion by its
+/// outermost call, so a panic in a local macro's body passes that gate
+/// at every call site. Here the body's tokens are read directly: a
+/// [`PANIC_MACROS`] name followed by `!`, and a `.unwrap()` or `.expect(`
+/// call, are findings. A site that must panic calls a function that
+/// does, under an `#[expect]` (as `strict_audit!` does), or carries
+/// `// lint: allow — why`.
+fn macro_panics(ws: &Workspace, findings: &mut Vec<Finding>) {
+    for dir in SIM_PATH_CRATES {
+        let prefix = format!("{dir}/src/");
+        for file in ws.files_under(&prefix) {
+            let code = &file.code;
+            for (open, close) in macro_rules_bodies(code) {
+                for i in open + 1..close {
+                    let tok = &code[i];
+                    let next_is = |ch: char| code.get(i + 1).is_some_and(|t| t.is_punct(ch));
+                    let method = code[i - 1].is_punct('.') && next_is('(');
+                    let what = if PANIC_MACROS.iter().any(|m| tok.is_ident(m)) && next_is('!') {
+                        format!("{}!", tok.text)
+                    } else if method && tok.is_ident("unwrap") {
+                        ".unwrap()".to_owned()
+                    } else if method && tok.is_ident("expect") {
+                        ".expect(…)".to_owned()
+                    } else {
+                        continue;
+                    };
+                    if unwaived(file, tok.line) {
+                        findings.push(finding(
+                            file,
+                            tok.line,
+                            format!(
+                                "'{what}' inside a macro_rules! body — clippy's no-panic \
+                                 lints judge the outermost macro call and do not see it; \
+                                 return an error, call a function that panics under an \
+                                 #[expect], or justify with a '// {ALLOW_MARKER} — why' \
+                                 comment"
+                            ),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,6 +1007,105 @@ mod tests {
         let (lo, hi, name) = spans[0];
         assert_eq!(name, "advance_stages");
         assert!(lo <= 1 && hi >= 5, "span {lo}..={hi} covers the loop");
+    }
+
+    #[test]
+    fn macro_panics_flags_seeded_violations_in_macro_bodies_only() {
+        let src = "macro_rules! brace {\n\
+                   ($x:expr) => {\n\
+                       if $x { panic!(\"boom\") }\n\
+                       $x.unwrap();\n\
+                   };\n\
+                   }\n\
+                   macro_rules! paren (\n\
+                   () => { unreachable!() }\n\
+                   );\n\
+                   macro_rules! bracket [\n\
+                   ($e:expr) => { { let v = $e.expect(\"v\"); todo!(); unimplemented!() } }\n\
+                   ];\n\
+                   macro_rules! fine {\n\
+                   ($e:expr) => { $e.unwrap_or(0).max(1) + panic_count!() };\n\
+                   }\n\
+                   macro_rules! waived {\n\
+                   () => {\n\
+                       // lint: allow — the reader asked for a hard stop.\n\
+                       panic!()\n\
+                   };\n\
+                   }\n\
+                   fn outside() { panic!(\"clippy's to judge\"); x.unwrap(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   macro_rules! in_test { () => { panic!() }; }\n\
+                   }\n";
+        let ws = ws_with(vec![
+            ("crates/core/src/x.rs", src),
+            (
+                "crates/telemetry/src/y.rs",
+                "macro_rules! m { () => { todo!() }; }\n",
+            ),
+            (
+                "crates/bench/src/z.rs",
+                "macro_rules! m { () => { todo!() }; }\n",
+            ),
+            (
+                "crates/core/tests/t.rs",
+                "macro_rules! m { () => { todo!() }; }\n",
+            ),
+        ]);
+        let findings = run(macro_panics, &ws);
+        let sites: Vec<(&str, usize)> = findings
+            .iter()
+            .map(|f| (f.path.to_str().unwrap_or(""), f.line))
+            .collect();
+        assert_eq!(
+            sites,
+            vec![
+                ("crates/core/src/x.rs", 3),
+                ("crates/core/src/x.rs", 4),
+                ("crates/core/src/x.rs", 8),
+                ("crates/core/src/x.rs", 11),
+                ("crates/core/src/x.rs", 11),
+                ("crates/core/src/x.rs", 11),
+                ("crates/telemetry/src/y.rs", 1),
+            ],
+            "all three delimiters and all six forms are findings; `unwrap_or`, a \
+             macro named `panic_count`, the waived site, code outside a macro, \
+             test code and crates outside the simulation path are not"
+        );
+        let kinds: Vec<&str> = findings
+            .iter()
+            .map(|f| f.message.split('\'').nth(1).unwrap_or(""))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                "panic!",
+                ".unwrap()",
+                "unreachable!",
+                ".expect(…)",
+                "todo!",
+                "unimplemented!",
+                "todo!"
+            ]
+        );
+    }
+
+    #[test]
+    fn macro_rules_bodies_match_their_delimiters() {
+        let src = "macro_rules! a { (x) => { [1, 2] }; }\nfn f() {}\nmacro_rules! b ( () => {} );";
+        let file = SourceFile::from_source(PathBuf::from("x.rs"), "x.rs".into(), src);
+        let bodies = macro_rules_bodies(&file.code);
+        assert_eq!(bodies.len(), 2);
+        for (open, close) in bodies {
+            let (o, c) = (&file.code[open], &file.code[close]);
+            assert!(
+                (o.is_punct('{') && c.is_punct('}')) || (o.is_punct('(') && c.is_punct(')')),
+                "{:?} .. {:?}",
+                o.text,
+                c.text
+            );
+        }
+        assert!(file.code[macro_rules_bodies(&file.code)[0].1 + 1].is_ident("fn"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    punctuation, literals, and comments retained with their text;
 //! 2. [`tree`] builds a brace tree over the code tokens and derives
 //!    the `#[cfg(test)]` spans;
-//! 3. [`lints`] runs the five workspace lints no compiler lint states
+//! 3. [`lints`] runs the six workspace lints no compiler lint states
 //!    over the parsed files (lint 8 reads the Cargo manifests and the
 //!    `clippy.toml` files instead).
 //!

@@ -17,7 +17,7 @@
 //!   smallest enclosing statement or item, so a waiver that stops firing
 //!   fails the clippy gate.
 //!
-//! The [`analyze`] module — a hand-rolled lexer, a brace tree and five
+//! The [`analyze`] module — a hand-rolled lexer, a brace tree and six
 //! structural lints — keeps what no compiler lint states:
 //!
 //! 3. **Module overviews** — every module of the network simulator
@@ -31,13 +31,16 @@
 //!     `docs/OBSERVABILITY.md`; waivable.
 //! 11. **Hot-path allocation** — the named cycle-kernel functions must
 //!     not allocate or copy payloads; waivable.
+//! 13. **Macro panics** — no `panic!`-family macro, `.unwrap()` or
+//!     `.expect(` inside a `macro_rules!` body of the simulation-path
+//!     crates, where clippy's no-panic lints do not look; waivable.
 //!
 //! The other numbers are retired: 1, 3's crate-root half, 4, 6 and 9 are
 //! the compiler lints above; 2 (unseeded randomness) cannot compile,
 //! since the in-tree `rand` is seeded only; 5 and 12 are the type
 //! system's (a `RejectReason` match without a wildcard is exhaustive).
 //!
-//! `cargo xtask lint` runs the five plus the `cargo clippy` / `cargo
+//! `cargo xtask lint` runs the six plus the `cargo clippy` / `cargo
 //! fmt --check` gates; `--no-cargo` skips the cargo gates (fast, no
 //! compilation — the check.sh `analyze` gate budget is ~2s). Per-lint
 //! wall-times are printed so scan-speed regressions are visible.
